@@ -140,6 +140,7 @@ func runChaosCase(c ChaosCase, extra []telemetry.Sink) (*ChaosOutcome, error) {
 		Bytes:     c.Bytes,
 		Window:    64,
 		Telemetry: bus,
+		NoTrace:   true, // nothing reads flow.Trace; the bus carries every event
 		OnDone:    func() { sched.Stop() },
 	}
 	if c.Breakage != "" {

@@ -188,6 +188,7 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 			Bytes:     cfg.Bytes,
 			Window:    32,
 			Telemetry: bus,
+			NoTrace:   true, // nothing reads flow.Trace; the bus carries every event
 		}
 	}
 	flows, err := workload.InstallAll(sched, d, specs)

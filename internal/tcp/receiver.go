@@ -35,9 +35,10 @@ type Receiver struct {
 	// (default 200 ms).
 	AckDelay sim.Time
 
-	rcvNxt int64
-	blocks []seqRange // out-of-order data, sorted by Start, disjoint
-	recent []seqRange // recency order for SACK block selection
+	rcvNxt  int64
+	blocks  []seqRange  // out-of-order data, sorted by Start, disjoint
+	recent  [6]seqRange // recency order for SACK block selection
+	nrecent int         // entries of recent in use
 
 	unacked  int // in-order segments received since the last ACK
 	ackTimer *sim.Timer
@@ -143,13 +144,18 @@ func (r *Receiver) advance(end int64) {
 	if end > r.rcvNxt {
 		r.rcvNxt = end
 	}
-	// Drain contiguous buffered blocks.
-	for len(r.blocks) > 0 && r.blocks[0].Start <= r.rcvNxt {
-		if r.blocks[0].End > r.rcvNxt {
-			r.rcvNxt = r.blocks[0].End
+	// Drain contiguous buffered blocks, then close the gap in place so
+	// the backing array keeps its capacity for the next hole.
+	drained := 0
+	for drained < len(r.blocks) && r.blocks[drained].Start <= r.rcvNxt {
+		if r.blocks[drained].End > r.rcvNxt {
+			r.rcvNxt = r.blocks[drained].End
 		}
-		r.dropRecent(r.blocks[0])
-		r.blocks = r.blocks[1:]
+		r.dropRecent(r.blocks[drained])
+		drained++
+	}
+	if drained > 0 {
+		r.blocks = r.blocks[:copy(r.blocks, r.blocks[drained:])]
 	}
 	r.Delivered = r.rcvNxt
 	ev := telemetry.Event{
@@ -163,45 +169,39 @@ func (r *Receiver) advance(end int64) {
 	r.Telemetry.Publish(ev)
 }
 
+// insert merges nb into the sorted disjoint block list, in place: the
+// blocks nb overlaps or touches (blocks[lo:hi]) collapse into it.
 func (r *Receiver) insert(nb seqRange) {
-	// Merge nb into the sorted disjoint block list.
-	merged := make([]seqRange, 0, len(r.blocks)+1)
-	inserted := false
-	for _, b := range r.blocks {
-		switch {
-		case b.End < nb.Start:
-			merged = append(merged, b)
-		case nb.End < b.Start:
-			if !inserted {
-				merged = append(merged, nb)
-				inserted = true
-			}
-			merged = append(merged, b)
-		default: // overlap or adjacency: absorb
-			r.dropRecent(b)
-			if b.Start < nb.Start {
-				nb.Start = b.Start
-			}
-			if b.End > nb.End {
-				nb.End = b.End
-			}
-		}
+	lo := 0
+	for lo < len(r.blocks) && r.blocks[lo].End < nb.Start {
+		lo++
 	}
-	if !inserted {
-		merged = append(merged, nb)
+	hi := lo
+	for ; hi < len(r.blocks) && r.blocks[hi].Start <= nb.End; hi++ {
+		b := r.blocks[hi]
+		r.dropRecent(b)
+		nb.Start = min(nb.Start, b.Start)
+		nb.End = max(nb.End, b.End)
 	}
-	r.blocks = merged
-	// Most-recently-updated block goes to the head of the recency list.
-	r.recent = append([]seqRange{nb}, r.recent...)
-	if len(r.recent) > 6 {
-		r.recent = r.recent[:6]
+	if hi == lo {
+		r.blocks = append(r.blocks, seqRange{})
+		copy(r.blocks[lo+1:], r.blocks[lo:])
+	} else {
+		r.blocks = append(r.blocks[:lo+1], r.blocks[hi:]...)
 	}
+	r.blocks[lo] = nb
+	// Most-recently-updated block goes to the head of the recency list;
+	// the oldest falls off the end when it is full.
+	r.nrecent = min(r.nrecent+1, len(r.recent))
+	copy(r.recent[1:r.nrecent], r.recent[:])
+	r.recent[0] = nb
 }
 
 func (r *Receiver) dropRecent(b seqRange) {
-	for i, rb := range r.recent {
+	for i, rb := range r.recent[:r.nrecent] {
 		if rb.Start >= b.Start && rb.End <= b.End {
-			r.recent = append(r.recent[:i], r.recent[i+1:]...)
+			copy(r.recent[i:], r.recent[i+1:r.nrecent])
+			r.nrecent--
 			return
 		}
 	}
@@ -239,7 +239,7 @@ func (r *Receiver) appendSACKBlocks(dst []netem.SACKBlock) []netem.SACKBlock {
 		seen[len(out)-len(dst)] = q
 		out = append(out, netem.SACKBlock{Start: q.Start, End: q.End})
 	}
-	for _, q := range r.recent {
+	for _, q := range r.recent[:r.nrecent] {
 		// Only report blocks that still exist (were not delivered).
 		for _, b := range r.blocks {
 			if q.Start >= b.Start && q.End <= b.End {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +243,123 @@ func TestReceiverManyDistinctHoles(t *testing.T) {
 	}
 	if len(r.OutOfOrderBlocks()) != 0 {
 		t.Fatal("blocks left after draining")
+	}
+}
+
+// refReassembly is the receiver's reassembly state kept the
+// allocate-freely way (a fresh merged slice per insert, the recency
+// list rebuilt by prepending) — the reference the in-place version must
+// agree with after every arrival.
+type refReassembly struct {
+	rcvNxt         int64
+	blocks, recent []seqRange
+}
+
+func (m *refReassembly) dropRecent(b seqRange) {
+	for i, rb := range m.recent {
+		if rb.Start >= b.Start && rb.End <= b.End {
+			m.recent = append(m.recent[:i:i], m.recent[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *refReassembly) receive(seq, end int64) {
+	switch {
+	case end <= m.rcvNxt:
+	case seq <= m.rcvNxt:
+		m.rcvNxt = end
+		for len(m.blocks) > 0 && m.blocks[0].Start <= m.rcvNxt {
+			m.rcvNxt = max(m.rcvNxt, m.blocks[0].End)
+			m.dropRecent(m.blocks[0])
+			m.blocks = m.blocks[1:]
+		}
+	default:
+		nb := seqRange{Start: seq, End: end}
+		var merged []seqRange
+		placed := false
+		for _, b := range m.blocks {
+			switch {
+			case b.End < nb.Start:
+				merged = append(merged, b)
+			case nb.End < b.Start:
+				if !placed {
+					merged, placed = append(merged, nb), true
+				}
+				merged = append(merged, b)
+			default:
+				m.dropRecent(b)
+				nb.Start, nb.End = min(nb.Start, b.Start), max(nb.End, b.End)
+			}
+		}
+		if !placed {
+			merged = append(merged, nb)
+		}
+		m.blocks = merged
+		m.recent = append([]seqRange{nb}, m.recent...)
+		if len(m.recent) > 6 {
+			m.recent = m.recent[:6]
+		}
+	}
+}
+
+// Segments of random length landing anywhere in a small window —
+// overlapping, abutting, swallowing several blocks at once, filling the
+// hole at rcvNxt — must leave the in-place receiver with the reference's
+// blocks, recency order and cumulative ACK point.
+func TestReceiverReassemblyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		r, sink := newRecv(true)
+		ref := &refReassembly{}
+		for i := 0; i < 200; i++ {
+			seq := ref.rcvNxt + 100*(rng.Int63n(60)-3)
+			if seq < 0 || rng.Intn(6) == 0 {
+				seq = ref.rcvNxt // fill the hole
+			}
+			length := 100 * (1 + rng.Intn(8))
+			r.Receive(&netem.Packet{Flow: 0, Kind: netem.Data, Seq: seq, Len: length, Size: length})
+			ref.receive(seq, seq+int64(length))
+			if r.rcvNxt != ref.rcvNxt || sink.last().AckNo != ref.rcvNxt {
+				t.Fatalf("trial %d step %d: rcvNxt %d (ACK %d), reference %d", trial, i, r.rcvNxt, sink.last().AckNo, ref.rcvNxt)
+			}
+			if !slices.Equal(r.blocks, ref.blocks) {
+				t.Fatalf("trial %d step %d: blocks %v, reference %v", trial, i, r.blocks, ref.blocks)
+			}
+			if !slices.Equal(r.recent[:r.nrecent], ref.recent) {
+				t.Fatalf("trial %d step %d: recency %v, reference %v", trial, i, r.recent[:r.nrecent], ref.recent)
+			}
+		}
+	}
+}
+
+// The out-of-order path — buffer a segment beyond a hole, merge its
+// neighbours, report SACK blocks, then fill the hole and drain — reuses
+// the receiver's own arrays: once they have grown to the working set it
+// allocates nothing.
+func TestReceiverOutOfOrderDoesNotAllocate(t *testing.T) {
+	pool := &netem.PacketPool{}
+	r := NewReceiver(sim.NewScheduler(1), 0, netem.NodeFunc(func(p *netem.Packet) { p.Release() }), nil)
+	r.SACKEnabled = true
+	r.Pool = pool
+	send := func(seq int64) {
+		p := pool.Get()
+		p.Flow, p.Kind, p.Seq, p.Len, p.Size = 0, netem.Data, seq, 1000, 1000
+		r.Receive(p)
+	}
+	base := int64(0)
+	round := func() {
+		// Four separate holes, two merges, then the fills that drain them.
+		for _, off := range []int64{1, 3, 5, 7, 4, 6, 0, 2, 8} {
+			send(base + off*1000)
+		}
+		base += 9000
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("out-of-order receive path allocates %.2f times per round, want 0", avg)
+	}
+	if r.RcvNxt() != base || len(r.blocks) != 0 || r.nrecent != 0 {
+		t.Fatalf("receiver did not drain: rcvNxt %d (sent %d), blocks %v, recent %d", r.RcvNxt(), base, r.blocks, r.nrecent)
 	}
 }

@@ -1,0 +1,47 @@
+package telemetry
+
+// Chunked is the append-only store under every per-event recorder
+// (FlowTrace samples, the unbounded Ring, SpanSink spans). Records live
+// in chunks that are never moved: growth allocates one new chunk and
+// copies nothing, slack is at most one chunk, and the address Append
+// returns stays valid for the store's lifetime. Chunk capacities ramp
+// 64, 128, … 4096 so short sequences stay small. The zero value is an
+// empty store.
+type Chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const (
+	chunkMin   = 64
+	chunkRamps = 6 // doublings: the steady chunk holds chunkMin<<chunkRamps = 4096 records
+)
+
+// Append adds v at the end and returns its address.
+func (c *Chunked[T]) Append(v T) *T {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		c.chunks = append(c.chunks, make([]T, 0, chunkMin<<min(len(c.chunks), chunkRamps)))
+		last++
+	}
+	ch := append(c.chunks[last], v) // within capacity: never reallocates
+	c.chunks[last] = ch
+	c.n++
+	return &ch[len(ch)-1]
+}
+
+// Len reports how many records the store holds.
+func (c *Chunked[T]) Len() int { return c.n }
+
+// Chunks exposes the records in place, in append order, for readers to
+// walk without flattening. The chunks belong to the store: callers may
+// update records through them but must not append or reslice.
+func (c *Chunked[T]) Chunks() [][]T { return c.chunks }
+
+// AppendTo appends every record to dst, in order, and returns it.
+func (c *Chunked[T]) AppendTo(dst []T) []T {
+	for _, ch := range c.chunks {
+		dst = append(dst, ch...)
+	}
+	return dst
+}

@@ -1,0 +1,93 @@
+package telemetry
+
+import (
+	"slices"
+	"testing"
+)
+
+// chunkedSizes are the lengths worth checking: empty, one record, either
+// side of the first chunk (64), of the first two (64+128), of the whole
+// ramp (64+128+…+4096 = 8128), and of the first steady 4096-chunk.
+var chunkedSizes = []int{0, 1, 63, 64, 65, 191, 192, 193, 8127, 8128, 8129, 8128 + 4096, 8128 + 4096 + 1}
+
+func TestChunkedOrderLenAndFlatten(t *testing.T) {
+	for _, n := range chunkedSizes {
+		var c Chunked[int]
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i * 3
+			c.Append(i * 3)
+		}
+		if c.Len() != n {
+			t.Fatalf("n=%d: Len() = %d", n, c.Len())
+		}
+		var walked []int
+		for _, chunk := range c.Chunks() {
+			if len(chunk) == 0 {
+				t.Fatalf("n=%d: empty chunk in the directory", n)
+			}
+			walked = append(walked, chunk...)
+		}
+		if !slices.Equal(walked, want) {
+			t.Fatalf("n=%d: in-place walk differs from append order", n)
+		}
+		if got := c.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: AppendTo(nil) differs from append order", n)
+		}
+		if got := c.AppendTo([]int{-1}); len(got) != n+1 || got[0] != -1 {
+			t.Fatalf("n=%d: AppendTo did not keep dst's prefix", n)
+		}
+	}
+}
+
+func TestChunkedRampAndSlack(t *testing.T) {
+	var c Chunked[int]
+	for i := 0; i < 8128+2*4096+1; i++ {
+		c.Append(i)
+	}
+	var caps []int
+	for _, chunk := range c.Chunks() {
+		caps = append(caps, cap(chunk))
+	}
+	want := []int{64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096, 4096}
+	if !slices.Equal(caps, want) {
+		t.Fatalf("chunk capacities %v, want %v", caps, want)
+	}
+}
+
+// Addresses handed out by Append must survive any amount of later
+// growth: SpanSink keeps them in its open-span maps.
+func TestChunkedAddressStability(t *testing.T) {
+	var c Chunked[int]
+	const n = 8128 + 4096 + 10
+	ptrs := make([]*int, n)
+	for i := 0; i < n; i++ {
+		ptrs[i] = c.Append(i)
+	}
+	i := 0
+	for _, chunk := range c.Chunks() {
+		for j := range chunk {
+			if ptrs[i] != &chunk[j] {
+				t.Fatalf("record %d moved after growth", i)
+			}
+			if *ptrs[i] != i {
+				t.Fatalf("record %d reads %d through its Append address", i, *ptrs[i])
+			}
+			i++
+		}
+	}
+	*ptrs[70] = -7 // a write through the address lands in the store
+	if got := c.AppendTo(nil)[70]; got != -7 {
+		t.Fatalf("write through Append's address not visible in the store: %d", got)
+	}
+}
+
+func TestChunkedAppendAllocatesOnlyAtChunkBoundaries(t *testing.T) {
+	var c Chunked[Event]
+	for i := 0; i < 8128+1; i++ { // into the first 4096-chunk
+		c.Append(Event{})
+	}
+	if avg := testing.AllocsPerRun(4000, func() { c.Append(Event{}) }); avg != 0 {
+		t.Fatalf("Append within a chunk allocates %.2f times per call, want 0", avg)
+	}
+}

@@ -15,26 +15,62 @@ import (
 
 // NDJSONSink streams events as newline-delimited JSON, one object per
 // line, suitable for tailing and for cmd/rrtrace. Encoding is hand
-// rolled (append-based, no reflection) so an enabled log costs little
-// beyond the I/O itself.
+// rolled and allocation-free: the timestamp is written from the integer
+// nanosecond count (and reused while consecutive events share an
+// instant), keys come from fragments quoted once at init, and each line
+// is built directly in the buffered writer's free space. See
+// docs/PERFORMANCE.md ("what listening costs") for the measured
+// per-event cost.
 //
 // Line shape:
 //
 //	{"t":1.234567890,"comp":"rr","kind":"actnum","flow":0,"seq":61000,"actnum":4,"ndup":3}
 //
-// "src" appears for instance-scoped components (queues, links, loss
-// modules); "flow" is omitted for events not tied to a connection; the
-// last one or two keys are the kind-specific attributes of Event.A/B.
+// "t" is sim time in seconds with exactly nine fraction digits — the
+// event's nanosecond timestamp as a decimal, not a rounded float. "src"
+// appears for instance-scoped components (queues, links, loss modules);
+// "flow" is omitted for events not tied to a connection; the last one
+// or two keys are the kind-specific attributes of Event.A/B.
 type NDJSONSink struct {
 	w   *bufio.Writer
-	buf []byte
+	at  sim.Time // the instant ts encodes
+	ts  []byte   // `{"t":<at>`, the opening of every line at that instant
 	err error
+}
+
+// lineFixedMax bounds an encoded line excluding its "src" value: the
+// longest timestamp, key fragments, two integers and two floats come to
+// 211 bytes.
+const lineFixedMax = 256
+
+// Per-line fragments, quoted once: compFrag[c] is `,"comp":"rr"`,
+// kindFrag[k] is `,"kind":"actnum"`, attrFrag[k] holds the `,"actnum":`
+// and `,"ndup":` keys of the kind's A and B slots (empty: slot unused).
+// Index 0 carries the "?" spelling of out-of-vocabulary values.
+var (
+	compFrag [compSentinel]string
+	kindFrag [kindSentinel]string
+	attrFrag [kindSentinel][2]string
+)
+
+func init() {
+	for c := range compFrag {
+		compFrag[c] = `,"comp":"` + Component(c).String() + `"`
+	}
+	for k := range kindFrag {
+		kindFrag[k] = `,"kind":"` + Kind(k).String() + `"`
+		for slot, name := range [2]string{kindTable[k].a, kindTable[k].b} {
+			if name != "" {
+				attrFrag[k][slot] = `,"` + name + `":`
+			}
+		}
+	}
 }
 
 // NewNDJSONSink wraps w in a buffered NDJSON event writer. Call Close
 // (or Flush) before reading the output.
 func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	return &NDJSONSink{w: bufio.NewWriterSize(w, 64<<10), buf: make([]byte, 0, 256)}
+	return &NDJSONSink{w: bufio.NewWriterSize(w, 64<<10), ts: appendSimTime([]byte(`{"t":`), 0)}
 }
 
 // Emit implements Sink.
@@ -42,14 +78,27 @@ func (n *NDJSONSink) Emit(ev Event) {
 	if n.err != nil {
 		return
 	}
-	b := n.buf[:0]
-	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, ev.At.Seconds(), 'f', 9, 64)
-	b = append(b, `,"comp":"`...)
-	b = append(b, ev.Comp.String()...)
-	b = append(b, `","kind":"`...)
-	b = append(b, ev.Kind.String()...)
-	b = append(b, '"')
+	// Make room first, so the line is appended in place below (escaping
+	// expands a src byte to at most six).
+	if n.w.Available() < lineFixedMax+6*len(ev.Src) {
+		if n.err = n.w.Flush(); n.err != nil {
+			return
+		}
+	}
+	if ev.At != n.at {
+		n.at = ev.At
+		n.ts = appendSimTime(n.ts[:len(`{"t":`)], ev.At)
+	}
+	comp, kind := ev.Comp, ev.Kind
+	if comp >= compSentinel {
+		comp = 0
+	}
+	if kind >= kindSentinel {
+		kind = 0
+	}
+	b := append(n.w.AvailableBuffer(), n.ts...)
+	b = append(b, compFrag[comp]...)
+	b = append(b, kindFrag[kind]...)
 	if ev.Src != "" {
 		b = append(b, `,"src":`...)
 		b = appendJSONString(b, ev.Src)
@@ -62,24 +111,37 @@ func (n *NDJSONSink) Emit(ev Event) {
 		b = append(b, `,"seq":`...)
 		b = strconv.AppendInt(b, ev.Seq, 10)
 	}
-	aName, bName := ev.Kind.attrNames()
-	if aName != "" {
-		b = append(b, ',', '"')
-		b = append(b, aName...)
-		b = append(b, `":`...)
+	if key := attrFrag[kind][0]; key != "" {
+		b = append(b, key...)
 		b = appendJSONFloat(b, ev.A)
 	}
-	if bName != "" {
-		b = append(b, ',', '"')
-		b = append(b, bName...)
-		b = append(b, `":`...)
+	if key := attrFrag[kind][1]; key != "" {
+		b = append(b, key...)
 		b = appendJSONFloat(b, ev.B)
 	}
 	b = append(b, '}', '\n')
-	n.buf = b
 	if _, err := n.w.Write(b); err != nil {
 		n.err = err
 	}
+}
+
+// appendSimTime appends t in seconds with nine fraction digits, byte
+// for byte what strconv.AppendFloat(b, t.Seconds(), 'f', 9, 64) writes,
+// from the integer nanosecond count. AppendFloat stays as the fallback
+// outside [0, 1e15) ns, where the float rounding it applies to Seconds()
+// could differ from the exact decimal.
+func appendSimTime(b []byte, t sim.Time) []byte {
+	if t < 0 || t >= 1e15 {
+		return strconv.AppendFloat(b, t.Seconds(), 'f', 9, 64)
+	}
+	b = strconv.AppendUint(b, uint64(t)/1e9, 10)
+	b = append(b, ".000000000"...)
+	frac := uint64(t) % 1e9
+	for i := len(b) - 1; frac > 0; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return b
 }
 
 // appendJSONString appends s as a JSON string; instance names are plain

@@ -102,7 +102,7 @@ func (s *Span) attr(name string, v float64) {
 // it to a bus (or feed decoded records through Emit via Record.Event).
 // A nil *SpanSink is a valid no-op, mirroring the nil-bus null default.
 type SpanSink struct {
-	spans []*Span
+	spans Chunked[Span] // the maps below point into it: addresses are stable
 
 	seg  int
 	last sim.Time
@@ -125,8 +125,8 @@ func NewSpanSink() *SpanSink {
 }
 
 func (s *SpanSink) open(kind SpanKind, flow int32, src string, parent int, at sim.Time) *Span {
-	sp := &Span{
-		ID:     len(s.spans),
+	return s.spans.Append(Span{
+		ID:     s.spans.Len(),
 		Parent: parent,
 		Kind:   kind,
 		Flow:   flow,
@@ -135,9 +135,7 @@ func (s *SpanSink) open(kind SpanKind, flow int32, src string, parent int, at si
 		Begin:  at,
 		End:    at,
 		Open:   true,
-	}
-	s.spans = append(s.spans, sp)
-	return sp
+	})
 }
 
 func closeSpan(sp *Span, at sim.Time) {
@@ -148,14 +146,22 @@ func closeSpan(sp *Span, at sim.Time) {
 	sp.Open = false
 }
 
+// endOpen stamps the spans still open in the current segment with the
+// last time seen.
+func (s *SpanSink) endOpen() {
+	for _, chunk := range s.spans.Chunks() {
+		for i := range chunk {
+			if sp := &chunk[i]; sp.Open && sp.Seg == s.seg {
+				sp.End = s.last
+			}
+		}
+	}
+}
+
 // rollSegment abandons all open spans (they stay Open with End at the
 // last time seen) and starts a fresh segment.
 func (s *SpanSink) rollSegment() {
-	for _, sp := range s.spans {
-		if sp.Open && sp.Seg == s.seg {
-			sp.End = s.last
-		}
-	}
+	s.endOpen()
 	s.seg++
 	clear(s.conn)
 	clear(s.rec)
@@ -274,12 +280,14 @@ func (s *SpanSink) Spans() []*Span {
 	if s == nil {
 		return nil
 	}
-	for _, sp := range s.spans {
-		if sp.Open && sp.Seg == s.seg {
-			sp.End = s.last
+	s.endOpen()
+	out := make([]*Span, 0, s.spans.Len())
+	for _, chunk := range s.spans.Chunks() {
+		for i := range chunk {
+			out = append(out, &chunk[i])
 		}
 	}
-	return s.spans
+	return out
 }
 
 // AssembleSpans runs decoded NDJSON records through a SpanSink — the

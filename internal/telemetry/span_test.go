@@ -137,6 +137,46 @@ func TestSpanSinkQueueBusyPeriod(t *testing.T) {
 	}
 }
 
+// Spans are values inside the sink's chunked store: opening and closing
+// one — a queue busy period, a connection — allocates nothing until a
+// chunk fills, and the open-span maps stay valid while thousands more
+// spans are appended behind them.
+func TestSpanSinkOpenCloseDoesNotAllocate(t *testing.T) {
+	sink := NewSpanSink()
+	at := sim.Time(0)
+	cycle := func() {
+		at += time.Millisecond
+		sink.Emit(Event{At: at, Comp: CompSender, Kind: KSend, Flow: 1, Seq: 1000})
+		sink.Emit(Event{At: at, Comp: CompQueue, Kind: KEnqueue, Src: "fwd", Flow: NoFlow, A: 1})
+		sink.Emit(Event{At: at, Comp: CompLink, Kind: KLinkTx, Src: "fwd", Flow: NoFlow, A: 1000, B: 0})
+		sink.Emit(Event{At: at, Comp: CompSender, Kind: KFlowDone, Flow: 1})
+	}
+	// One span outlives the whole run, to check its address stays good.
+	sink.Emit(Event{At: 0, Comp: CompSender, Kind: KSend, Flow: 0})
+	for sink.spans.Len() < 8128+2 { // past the ramp, into a fresh 4096-chunk
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("span open/close allocates %.2f times per cycle in steady state, want 0", avg)
+	}
+	sink.Emit(Event{At: at + time.Millisecond, Comp: CompSender, Kind: KFlowDone, Flow: 0})
+	spans := sink.Spans()
+	if len(spans) != sink.spans.Len() {
+		t.Fatalf("Spans() returned %d of %d", len(spans), sink.spans.Len())
+	}
+	for i, sp := range spans {
+		if sp.ID != i {
+			t.Fatalf("spans[%d].ID = %d: open order lost", i, sp.ID)
+		}
+		if sp.Open {
+			t.Fatalf("span %d (%v) left open", i, sp.Kind)
+		}
+	}
+	if first := spans[0]; first.Flow != 0 || first.Begin != 0 || first.End != at+time.Millisecond {
+		t.Fatalf("long-lived span closed through a stale address: %+v", first)
+	}
+}
+
 func TestSpanSinkSegmentsOnTimeRegression(t *testing.T) {
 	sink := NewSpanSink()
 	rrEpisode(sink)
@@ -247,5 +287,21 @@ func BenchmarkRingEventsOf(b *testing.B) {
 		if got := r.EventsOf(KDrop); len(got) != 512 {
 			b.Fatalf("matches = %d", len(got))
 		}
+	}
+}
+
+// BenchmarkSpanSinkEmit is one queue busy period per iteration — the
+// span the sink opens and closes most often (72k per telemetry10 round).
+func BenchmarkSpanSinkEmit(b *testing.B) {
+	var sink *SpanSink
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(64<<10) == 0 {
+			sink = NewSpanSink() // a round's worth of spans per sink, as in a sweep
+		}
+		at := sim.Time(i) * time.Microsecond
+		sink.Emit(Event{At: at, Comp: CompQueue, Kind: KEnqueue, Src: "fwd", Flow: NoFlow, A: 1})
+		sink.Emit(Event{At: at, Comp: CompLink, Kind: KLinkTx, Src: "fwd", Flow: NoFlow, A: 1000, B: 0})
 	}
 }

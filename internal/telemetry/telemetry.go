@@ -45,36 +45,28 @@ const (
 	compSentinel // keep last
 )
 
+// compNames is the NDJSON vocabulary of components, indexed by value.
+var compNames = [compSentinel]string{
+	CompSim:       "sim",
+	CompLink:      "link",
+	CompQueue:     "queue",
+	CompLoss:      "loss",
+	CompSender:    "sender",
+	CompRecv:      "recv",
+	CompRR:        "rr",
+	CompFault:     "fault",
+	CompInvariant: "invariant",
+	CompSweep:     "sweep",
+	CompGuard:     "guard",
+	CompTelemetry: "telemetry",
+}
+
 // String implements fmt.Stringer.
 func (c Component) String() string {
-	switch c {
-	case CompSim:
-		return "sim"
-	case CompLink:
-		return "link"
-	case CompQueue:
-		return "queue"
-	case CompLoss:
-		return "loss"
-	case CompSender:
-		return "sender"
-	case CompRecv:
-		return "recv"
-	case CompRR:
-		return "rr"
-	case CompFault:
-		return "fault"
-	case CompInvariant:
-		return "invariant"
-	case CompSweep:
-		return "sweep"
-	case CompGuard:
-		return "guard"
-	case CompTelemetry:
-		return "telemetry"
-	default:
+	if c == 0 || c >= compSentinel {
 		return "?"
 	}
+	return compNames[c]
 }
 
 // ParseComponent is the inverse of Component.String; unknown names
@@ -185,88 +177,57 @@ const (
 	kindSentinel // keep last
 )
 
+// kindInfo is one kind's NDJSON vocabulary: its name and the keys its A
+// and B slots are written under (empty: the slot is unused).
+type kindInfo struct{ name, a, b string }
+
+var kindTable = [kindSentinel]kindInfo{
+	KSend:           {name: "send"},
+	KRetransmit:     {name: "rtx"},
+	KAck:            {name: "ack"},
+	KDupAck:         {name: "dupack"},
+	KTimeout:        {name: "timeout"},
+	KCwnd:           {name: "cwnd", a: "cwnd"},
+	KFlowDone:       {name: "done"},
+	KDeliver:        {name: "deliver"},
+	KRecoveryEnter:  {name: "recovery-enter", a: "cwnd", b: "ssthresh"},
+	KRetreatProbe:   {name: "retreat-probe", a: "actnum"},
+	KRecoveryExit:   {name: "recovery-exit", a: "cwnd"},
+	KFurtherLoss:    {name: "further-loss", a: "actnum", b: "ndup"},
+	KActnum:         {name: "actnum", a: "actnum", b: "ndup"},
+	KEnqueue:        {name: "enqueue", a: "qlen"},
+	KDrop:           {name: "drop", a: "qlen", b: "forced"},
+	KMark:           {name: "mark", a: "qlen", b: "avg"},
+	KLinkTx:         {name: "link-tx", a: "bytes", b: "qlen"},
+	KSchedProfile:   {name: "sched", a: "pending", b: "wall_per_sim_s"},
+	KLinkDown:       {name: "link-down"},
+	KLinkUp:         {name: "link-up"},
+	KLinkParam:      {name: "link-param", a: "bps", b: "delay_s"},
+	KFaultReorder:   {name: "reorder", a: "delay_s"},
+	KFaultDup:       {name: "dup-inject"},
+	KAckCompress:    {name: "ack-compress", a: "batch"},
+	KViolation:      {name: "violation"},
+	KSweepStart:     {name: "sweep-start", a: "jobs", b: "workers"},
+	KSweepJob:       {name: "sweep-job", a: "completed", b: "total"},
+	KSweepDone:      {name: "sweep-done", a: "jobs", b: "wall_s"},
+	KSample:         {name: "sample", a: "value"},
+	KSweepJobTime:   {name: "sweep-job-time", a: "wall_s", b: "worker"},
+	KSweepWorker:    {name: "sweep-worker", a: "busy_s", b: "jobs"},
+	KSweepStall:     {name: "sweep-stall", a: "running_s", b: "worker"},
+	KSweepRetry:     {name: "sweep-retry", a: "attempt", b: "backoff_s"},
+	KOverload:       {name: "overload", a: "observed", b: "limit"},
+	KTelemetryDrops: {name: "telemetry-drops", a: "dropped", b: "kept"},
+	KSweepDegraded:  {name: "sweep-degraded"},
+	KFlowStart:      {name: "flow-start", a: "bytes"},
+	KFlowStats:      {name: "flow-done", a: "rtx", b: "timeouts"},
+}
+
 // String implements fmt.Stringer; the names are the NDJSON vocabulary.
 func (k Kind) String() string {
-	switch k {
-	case KSend:
-		return "send"
-	case KRetransmit:
-		return "rtx"
-	case KAck:
-		return "ack"
-	case KDupAck:
-		return "dupack"
-	case KTimeout:
-		return "timeout"
-	case KCwnd:
-		return "cwnd"
-	case KFlowDone:
-		return "done"
-	case KDeliver:
-		return "deliver"
-	case KRecoveryEnter:
-		return "recovery-enter"
-	case KRetreatProbe:
-		return "retreat-probe"
-	case KRecoveryExit:
-		return "recovery-exit"
-	case KFurtherLoss:
-		return "further-loss"
-	case KActnum:
-		return "actnum"
-	case KEnqueue:
-		return "enqueue"
-	case KDrop:
-		return "drop"
-	case KMark:
-		return "mark"
-	case KLinkTx:
-		return "link-tx"
-	case KSchedProfile:
-		return "sched"
-	case KLinkDown:
-		return "link-down"
-	case KLinkUp:
-		return "link-up"
-	case KLinkParam:
-		return "link-param"
-	case KFaultReorder:
-		return "reorder"
-	case KFaultDup:
-		return "dup-inject"
-	case KAckCompress:
-		return "ack-compress"
-	case KViolation:
-		return "violation"
-	case KSweepStart:
-		return "sweep-start"
-	case KSweepJob:
-		return "sweep-job"
-	case KSweepDone:
-		return "sweep-done"
-	case KSample:
-		return "sample"
-	case KSweepJobTime:
-		return "sweep-job-time"
-	case KSweepWorker:
-		return "sweep-worker"
-	case KSweepStall:
-		return "sweep-stall"
-	case KSweepRetry:
-		return "sweep-retry"
-	case KOverload:
-		return "overload"
-	case KTelemetryDrops:
-		return "telemetry-drops"
-	case KSweepDegraded:
-		return "sweep-degraded"
-	case KFlowStart:
-		return "flow-start"
-	case KFlowStats:
-		return "flow-done"
-	default:
+	if k == 0 || k >= kindSentinel {
 		return "?"
 	}
+	return kindTable[k].name
 }
 
 // ParseKind is the inverse of Kind.String; unknown names return 0.
@@ -282,60 +243,10 @@ func ParseKind(s string) Kind {
 // attrNames maps each kind's A and B slots to the NDJSON keys they are
 // written under. Empty means the slot is unused for that kind.
 func (k Kind) attrNames() (a, b string) {
-	switch k {
-	case KCwnd:
-		return "cwnd", ""
-	case KRecoveryEnter:
-		return "cwnd", "ssthresh"
-	case KRetreatProbe:
-		return "actnum", ""
-	case KRecoveryExit:
-		return "cwnd", ""
-	case KFurtherLoss, KActnum:
-		return "actnum", "ndup"
-	case KEnqueue:
-		return "qlen", ""
-	case KDrop:
-		return "qlen", "forced"
-	case KMark:
-		return "qlen", "avg"
-	case KLinkTx:
-		return "bytes", "qlen"
-	case KSchedProfile:
-		return "pending", "wall_per_sim_s"
-	case KLinkParam:
-		return "bps", "delay_s"
-	case KFaultReorder:
-		return "delay_s", ""
-	case KAckCompress:
-		return "batch", ""
-	case KSweepStart:
-		return "jobs", "workers"
-	case KSweepJob:
-		return "completed", "total"
-	case KSweepDone:
-		return "jobs", "wall_s"
-	case KSample:
-		return "value", ""
-	case KSweepJobTime:
-		return "wall_s", "worker"
-	case KSweepWorker:
-		return "busy_s", "jobs"
-	case KSweepStall:
-		return "running_s", "worker"
-	case KSweepRetry:
-		return "attempt", "backoff_s"
-	case KOverload:
-		return "observed", "limit"
-	case KTelemetryDrops:
-		return "dropped", "kept"
-	case KFlowStart:
-		return "bytes", ""
-	case KFlowStats:
-		return "rtx", "timeouts"
-	default:
+	if k >= kindSentinel {
 		return "", ""
 	}
+	return kindTable[k].a, kindTable[k].b
 }
 
 // NoFlow marks events not scoped to a TCP connection (queues, links,
@@ -421,8 +332,9 @@ type Ring struct {
 	// Cap bounds retention; zero or negative means unbounded.
 	Cap int
 
-	evs   []Event
-	start int // ring head when wrapped
+	evs   []Event        // Cap > 0: the ring, allocated at exactly Cap on first Emit
+	all   Chunked[Event] // Cap <= 0: every event
+	start int            // ring head when wrapped
 	total uint64
 }
 
@@ -432,52 +344,64 @@ func NewRing(cap int) *Ring { return &Ring{Cap: cap} }
 // Emit implements Sink.
 func (r *Ring) Emit(ev Event) {
 	r.total++
-	if r.Cap <= 0 {
+	switch {
+	case r.Cap <= 0:
+		r.all.Append(ev)
+	case len(r.evs) < r.Cap:
+		if r.evs == nil {
+			r.evs = make([]Event, 0, r.Cap)
+		}
 		r.evs = append(r.evs, ev)
-		return
+	default:
+		r.evs[r.start] = ev
+		r.start = (r.start + 1) % r.Cap
 	}
-	if len(r.evs) < r.Cap {
-		r.evs = append(r.evs, ev)
-		return
-	}
-	r.evs[r.start] = ev
-	r.start = (r.start + 1) % r.Cap
 }
 
 // Total reports how many events were published, including evicted ones.
 func (r *Ring) Total() uint64 { return r.total }
 
+// runs returns the retained events in publication order as the
+// contiguous runs they are stored in, to be read in place.
+func (r *Ring) runs() [][]Event {
+	if r.Cap <= 0 {
+		return r.all.Chunks()
+	}
+	return [][]Event{r.evs[r.start:], r.evs[:r.start]}
+}
+
 // Events returns the retained events in publication order.
 func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.evs))
-	out = append(out, r.evs[r.start:]...)
-	out = append(out, r.evs[:r.start]...)
+	out := make([]Event, 0, len(r.evs)+r.all.Len())
+	for _, run := range r.runs() {
+		out = append(out, run...)
+	}
 	return out
 }
 
 // EventsOf returns the retained events matching the kind, in order.
 // It counts matches first and allocates the result exactly once,
-// walking the ring segments in place rather than materializing a full
+// walking the stored runs in place rather than materializing a full
 // copy via Events.
 func (r *Ring) EventsOf(kind Kind) []Event {
+	runs := r.runs()
 	n := 0
-	for i := range r.evs {
-		if r.evs[i].Kind == kind {
-			n++
+	for _, run := range runs {
+		for i := range run {
+			if run[i].Kind == kind {
+				n++
+			}
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Event, 0, n)
-	for _, ev := range r.evs[r.start:] {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	for _, ev := range r.evs[:r.start] {
-		if ev.Kind == kind {
-			out = append(out, ev)
+	for _, run := range runs {
+		for i := range run {
+			if run[i].Kind == kind {
+				out = append(out, run[i])
+			}
 		}
 	}
 	return out

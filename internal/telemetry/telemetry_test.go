@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,33 +77,120 @@ func TestRingEventsOf(t *testing.T) {
 	}
 }
 
+// A bounded ring sizes itself once: Cap events, allocated on first
+// Emit, never grown — and publication order survives any number of
+// wraps, for both readers.
+func TestBoundedRingAllocatesOnceAndKeepsOrder(t *testing.T) {
+	const capacity = 512
+	var r *Ring
+	seq := int64(0)
+	emit := func() {
+		seq++
+		r.Emit(Event{Kind: Kind(1 + seq%3), Seq: seq})
+	}
+	if avg := testing.AllocsPerRun(1, func() {
+		r = &Ring{Cap: capacity}
+		seq = 0
+		for i := 0; i < 3*capacity+17; i++ {
+			emit()
+		}
+	}); avg != 2 { // the Ring itself, and its one buffer
+		t.Fatalf("a bounded ring's lifetime cost %.0f allocations, want 2 (ring + buffer)", avg)
+	}
+	if got := cap(r.evs); got != capacity {
+		t.Fatalf("ring buffer capacity %d, want exactly Cap = %d", got, capacity)
+	}
+	for _, wraps := range []int{0, 1, capacity - 1, capacity} { // head at either end and in between
+		for i := 0; i < wraps; i++ {
+			emit()
+		}
+		evs := r.Events()
+		if len(evs) != capacity {
+			t.Fatalf("retained %d events, want %d", len(evs), capacity)
+		}
+		var ofKind []Event
+		for i, ev := range evs {
+			if want := seq - capacity + 1 + int64(i); ev.Seq != want {
+				t.Fatalf("Events()[%d].Seq = %d, want %d (head %d)", i, ev.Seq, want, r.start)
+			}
+			if ev.Kind == KRetransmit {
+				ofKind = append(ofKind, ev)
+			}
+		}
+		if got := r.EventsOf(KRetransmit); !slices.Equal(got, ofKind) {
+			t.Fatalf("EventsOf across a wrap (head %d) is not Events() filtered, in order", r.start)
+		}
+	}
+	if r.Total() != uint64(seq) {
+		t.Fatalf("Total() = %d, want %d", r.Total(), seq)
+	}
+}
+
+func TestRingBeforeFirstEmitAndUnboundedAcrossChunks(t *testing.T) {
+	for _, capacity := range []int{0, 8} {
+		r := NewRing(capacity)
+		if len(r.Events()) != 0 || r.EventsOf(KSend) != nil {
+			t.Fatalf("cap %d: fresh ring is not empty", capacity)
+		}
+	}
+	r := NewRing(0)
+	const n = 64 + 128 + 5 // spills into a third chunk
+	for i := 0; i < n; i++ {
+		r.Emit(Event{Kind: Kind(1 + i%2), Seq: int64(i)})
+	}
+	evs := r.Events()
+	if len(evs) != n {
+		t.Fatalf("unbounded ring retained %d of %d", len(evs), n)
+	}
+	for i, ev := range evs {
+		if ev.Seq != int64(i) {
+			t.Fatalf("Events()[%d].Seq = %d", i, ev.Seq)
+		}
+	}
+	sends := r.EventsOf(KSend)
+	if len(sends) != (n+1)/2 {
+		t.Fatalf("EventsOf(KSend) = %d events, want %d", len(sends), (n+1)/2)
+	}
+	for i, ev := range sends {
+		if ev.Seq != int64(2*i) {
+			t.Fatalf("EventsOf(KSend)[%d].Seq = %d, want %d", i, ev.Seq, 2*i)
+		}
+	}
+}
+
 func TestKindNamesRoundTrip(t *testing.T) {
 	for k := KSend; k < kindSentinel; k++ {
 		name := k.String()
-		if name == "?" {
+		if name == "?" || name == "" {
 			t.Fatalf("kind %d has no name", k)
 		}
 		if got := ParseKind(name); got != k {
 			t.Fatalf("ParseKind(%q) = %v, want %v", name, got, k)
 		}
 	}
-	if ParseKind("bogus") != 0 {
+	if ParseKind("bogus") != 0 || ParseKind("") != 0 || ParseKind("?") != 0 {
 		t.Fatal("bogus kind parsed")
+	}
+	if Kind(0).String() != "?" || kindSentinel.String() != "?" || Kind(255).String() != "?" {
+		t.Fatal("out-of-vocabulary kind has a name")
 	}
 }
 
 func TestComponentNamesRoundTrip(t *testing.T) {
-	for c := CompSim; c <= CompRR; c++ {
+	for c := CompSim; c < compSentinel; c++ {
 		name := c.String()
-		if name == "?" {
+		if name == "?" || name == "" {
 			t.Fatalf("component %d has no name", c)
 		}
 		if got := ParseComponent(name); got != c {
 			t.Fatalf("ParseComponent(%q) = %v, want %v", name, got, c)
 		}
 	}
-	if ParseComponent("bogus") != 0 {
+	if ParseComponent("bogus") != 0 || ParseComponent("") != 0 || ParseComponent("?") != 0 {
 		t.Fatal("bogus component parsed")
+	}
+	if Component(0).String() != "?" || compSentinel.String() != "?" || Component(255).String() != "?" {
+		t.Fatal("out-of-vocabulary component has a name")
 	}
 }
 

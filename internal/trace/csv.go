@@ -24,15 +24,17 @@ func (t *FlowTrace) WriteCSV(w io.Writer) error {
 		}
 		return nil
 	}
-	for _, s := range t.samples {
-		rec := []string{
-			strconv.FormatFloat(s.At.Seconds(), 'f', 6, 64),
-			s.Kind.String(),
-			strconv.FormatInt(s.Seq, 10),
-			strconv.FormatFloat(s.Value, 'f', 3, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: csv row: %w", err)
+	for _, chunk := range t.samples.Chunks() {
+		for _, s := range chunk {
+			rec := []string{
+				strconv.FormatFloat(s.At.Seconds(), 'f', 6, 64),
+				s.Kind.String(),
+				strconv.FormatInt(s.Seq, 10),
+				strconv.FormatFloat(s.Value, 'f', 3, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return fmt.Errorf("trace: csv row: %w", err)
+			}
 		}
 	}
 	cw.Flush()

@@ -80,7 +80,7 @@ type Sample struct {
 type FlowTrace struct {
 	Flow    int
 	Name    string
-	samples []Sample
+	samples telemetry.Chunked[Sample]
 
 	// Counters.
 	DataSent     uint64 // first transmissions
@@ -106,7 +106,7 @@ func (t *FlowTrace) Add(at sim.Time, kind EventKind, seq int64, value float64) {
 	if t == nil {
 		return
 	}
-	t.samples = append(t.samples, Sample{At: at, Kind: kind, Seq: seq, Value: value})
+	t.samples.Append(Sample{At: at, Kind: kind, Seq: seq, Value: value})
 	switch kind {
 	case EvSend:
 		t.DataSent++
@@ -188,9 +188,7 @@ func (t *FlowTrace) Samples() []Sample {
 	if t == nil {
 		return nil
 	}
-	out := make([]Sample, len(t.samples))
-	copy(out, t.samples)
-	return out
+	return t.samples.AppendTo(make([]Sample, 0, t.samples.Len()))
 }
 
 // SamplesOf returns the samples of one kind, in time order.
@@ -199,9 +197,11 @@ func (t *FlowTrace) SamplesOf(kind EventKind) []Sample {
 		return nil
 	}
 	var out []Sample
-	for _, s := range t.samples {
-		if s.Kind == kind {
-			out = append(out, s)
+	for _, chunk := range t.samples.Chunks() {
+		for i := range chunk {
+			if chunk[i].Kind == kind {
+				out = append(out, chunk[i])
+			}
 		}
 	}
 	return out
@@ -245,24 +245,28 @@ func (t *FlowTrace) GoodputBps(from, to sim.Time) float64 {
 		return 0
 	}
 	var lo, hi int64 = -1, 0
-	for _, s := range t.samples {
-		if s.Kind != EvAckRecv {
-			continue
-		}
-		if s.At < from {
-			if s.Seq > lo {
-				lo = s.Seq
+scan:
+	for _, chunk := range t.samples.Chunks() {
+		for i := range chunk {
+			s := &chunk[i]
+			if s.Kind != EvAckRecv {
+				continue
 			}
-			continue
-		}
-		if s.At > to {
-			break
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if s.Seq > hi {
-			hi = s.Seq
+			if s.At < from {
+				if s.Seq > lo {
+					lo = s.Seq
+				}
+				continue
+			}
+			if s.At > to {
+				break scan
+			}
+			if lo < 0 {
+				lo = 0
+			}
+			if s.Seq > hi {
+				hi = s.Seq
+			}
 		}
 	}
 	if lo < 0 {
@@ -282,9 +286,11 @@ func (t *FlowTrace) SeqSeries(packetSize int64) []Point {
 		return nil
 	}
 	var pts []Point
-	for _, s := range t.samples {
-		if s.Kind == EvSend || s.Kind == EvRetransmit {
-			pts = append(pts, Point{X: s.At.Seconds(), Y: float64(s.Seq) / float64(packetSize)})
+	for _, chunk := range t.samples.Chunks() {
+		for _, s := range chunk {
+			if s.Kind == EvSend || s.Kind == EvRetransmit {
+				pts = append(pts, Point{X: s.At.Seconds(), Y: float64(s.Seq) / float64(packetSize)})
+			}
 		}
 	}
 	return pts

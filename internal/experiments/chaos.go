@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"rrtcp/internal/faults"
@@ -42,9 +43,15 @@ type ChaosOutcome struct {
 	Finished bool `json:"finished"`
 	// Violations holds every invariant breach the checker detected.
 	Violations []invariant.Violation `json:"violations,omitempty"`
-	// Events is the tail of the run's event stream (the repro ring).
+	// Events is the tail of the run's event stream (the repro ring),
+	// for a repro bundle. It is populated only when Violations is
+	// non-empty: a healthy run has nothing to reproduce, so its ring is
+	// not copied out.
 	Events []telemetry.Event `json:"-"`
 }
+
+// chaosRingCap is how many trailing events a repro bundle carries.
+const chaosRingCap = 512
 
 // brokenWedge wraps a healthy strategy but, once the transfer passes
 // the wedge point, consumes every new ACK without ever transmitting
@@ -98,13 +105,15 @@ func (l *liarStrategy) Ndup() int        { return 0 }
 // deterministic in the case value: identical inputs produce identical
 // outcomes, which is what makes repro bundles replayable.
 func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
-	return runChaosCase(c, nil)
+	return runChaosCase(c, telemetry.NewRing(chaosRingCap), nil)
 }
 
-// runChaosCase is RunChaosCase with extra telemetry sinks subscribed to
-// the run's private bus — the hook the chaos sweep uses to fold flow
-// lifecycle events into a per-case flowstats table.
-func runChaosCase(c ChaosCase, extra []telemetry.Sink) (*ChaosOutcome, error) {
+// runChaosCase is RunChaosCase recording the repro tail into the
+// caller's ring (reset first, so a recycled ring carries nothing over),
+// with extra telemetry sinks subscribed to the run's private bus — the
+// hook the chaos sweep uses to fold flow lifecycle events into a
+// per-case flowstats table. The outcome does not alias the ring.
+func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (*ChaosOutcome, error) {
 	kind, err := workload.ParseKind(c.Variant)
 	if err != nil {
 		return nil, err
@@ -117,7 +126,7 @@ func runChaosCase(c ChaosCase, extra []telemetry.Sink) (*ChaosOutcome, error) {
 	}
 
 	sched := sim.NewScheduler(c.Seed)
-	ring := telemetry.NewRing(512)
+	ring.Reset()
 	bus := telemetry.NewBus(ring)
 	for _, s := range extra {
 		bus.Subscribe(s)
@@ -168,11 +177,11 @@ func runChaosCase(c ChaosCase, extra []telemetry.Sink) (*ChaosOutcome, error) {
 	}
 
 	sched.Run(c.Horizon.D())
-	return &ChaosOutcome{
-		Finished:   flow.Sender.Done(),
-		Violations: checker.Violations(),
-		Events:     ring.Events(),
-	}, nil
+	out := &ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
+	if len(out.Violations) > 0 {
+		out.Events = ring.Events()
+	}
+	return out, nil
 }
 
 // ChaosConfig parameterizes a chaos sweep: N seeded-random fault
@@ -306,7 +315,7 @@ func NewChaosExperiment(cfg ChaosConfig) *ChaosExperiment {
 // Name implements Experiment.
 func (e *ChaosExperiment) Name() string { return "chaos" }
 
-// chaosOut is one case's outcome; the event tail is kept only for
+// chaosOut is one case's outcome; the event tail is present only for
 // violating runs, where a bundle may need it.
 type chaosOut struct {
 	Finished   bool
@@ -328,11 +337,38 @@ func (e *ChaosExperiment) DecodeResult(data []byte) (any, error) {
 	return out, nil
 }
 
+// ringFreeList recycles repro rings between the jobs of one sweep, so
+// the sweep allocates one ring per worker instead of one per case. It
+// belongs to the experiment, not the package: nothing outlives the
+// sweep, and separate sweeps share nothing.
+type ringFreeList struct {
+	mu   sync.Mutex
+	free []*telemetry.Ring
+}
+
+func (l *ringFreeList) get() *telemetry.Ring {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		r := l.free[n-1]
+		l.free = l.free[:n-1]
+		return r
+	}
+	return telemetry.NewRing(chaosRingCap)
+}
+
+func (l *ringFreeList) put(r *telemetry.Ring) {
+	l.mu.Lock()
+	l.free = append(l.free, r)
+	l.mu.Unlock()
+}
+
 // Jobs implements Experiment.
 func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 	cfg := e.cfg
 	variants := len(cfg.Variants)
 	jobs := make([]sweep.Job, len(e.cases))
+	rings := &ringFreeList{}
 	for i, c := range e.cases {
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
@@ -347,14 +383,13 @@ func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 					})
 					extra = append(extra, table)
 				}
-				out, err := runChaosCase(c, extra)
+				ring := rings.get()
+				defer rings.put(ring)
+				out, err := runChaosCase(c, ring, extra)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
 				}
-				o := chaosOut{Finished: out.Finished, Violations: out.Violations}
-				if len(out.Violations) > 0 {
-					o.Events = out.Events
-				}
+				o := chaosOut{Finished: out.Finished, Violations: out.Violations, Events: out.Events}
 				if table != nil {
 					table.Finalize()
 					s := table.Summary()

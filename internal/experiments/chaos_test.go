@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/faults"
+	"rrtcp/internal/telemetry"
 	"rrtcp/internal/workload"
 )
 
@@ -140,21 +141,25 @@ func TestChaosCaseDeterministic(t *testing.T) {
 			Ack:         &faults.AckSpec{Hold: faults.Duration(20 * time.Millisecond), Max: 4},
 		},
 	}
-	a, err := RunChaosCase(c)
-	if err != nil {
-		t.Fatal(err)
+	// A healthy outcome carries no event tail, so listen to the whole
+	// stream of each run.
+	var streams [2][]telemetry.Event
+	var finished [2]bool
+	for i := range streams {
+		all := telemetry.NewRing(0)
+		out, err := runChaosCase(c, telemetry.NewRing(chaosRingCap), []telemetry.Sink{all})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i], finished[i] = all.Events(), out.Finished
 	}
-	b, err := RunChaosCase(c)
-	if err != nil {
-		t.Fatal(err)
+	a, b := streams[0], streams[1]
+	if finished[0] != finished[1] || len(a) != len(b) || len(a) == 0 {
+		t.Fatalf("re-run diverged: finished %v/%v, %d/%d events", finished[0], finished[1], len(a), len(b))
 	}
-	if a.Finished != b.Finished || len(a.Events) != len(b.Events) {
-		t.Fatalf("re-run diverged: finished %v/%v, %d/%d events",
-			a.Finished, b.Finished, len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, a.Events[i], b.Events[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("event %d diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

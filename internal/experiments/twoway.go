@@ -196,6 +196,7 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, floa
 			Bytes:   tcp.Infinite,
 			Window:  18,
 			StartAt: jitter,
+			NoTrace: true, // the handle is discarded; only fwd.Trace is read
 		}); err != nil {
 			return 0, 0, 0, false, err
 		}

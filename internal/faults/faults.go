@@ -169,7 +169,7 @@ func (r *Reorderer) Receive(p *netem.Packet) {
 
 // Duplicator re-delivers a random subset of packets twice, as a
 // misbehaving middlebox or a link-layer retransmission would. The copy
-// gets a fresh packet ID but is otherwise identical.
+// is a distinct packet with identical contents.
 type Duplicator struct {
 	injector
 	rate float64
@@ -250,8 +250,11 @@ type AckCompressor struct {
 	hold sim.Time
 	max  int
 
-	held      []*netem.Packet
-	holdTimer *sim.Timer
+	// held collects the current batch; spare is the previous batch's
+	// storage, swapped back in at the next release so steady-state
+	// batching allocates nothing.
+	held, spare []*netem.Packet
+	holdTimer   *sim.Timer
 
 	// Batches counts release bursts.
 	Batches uint64
@@ -297,13 +300,17 @@ func (a *AckCompressor) release() {
 	if len(a.held) == 0 {
 		return
 	}
+	// Swap buffers before delivering: an ACK arriving re-entrantly while
+	// the batch drains starts the next batch in the other buffer.
 	batch := a.held
-	a.held = nil
+	a.held, a.spare = a.spare[:0], nil
 	a.Batches++
 	a.emit(telemetry.KAckCompress, nil, float64(len(batch)), 0)
-	for _, p := range batch {
+	for i, p := range batch {
+		batch[i] = nil // downstream owns p now; do not pin it past its release
 		a.dst.Receive(p)
 	}
+	a.spare = batch[:0]
 }
 
 // Held reports the ACKs currently detained (for tests).

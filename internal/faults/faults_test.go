@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ type countNode struct {
 func (n *countNode) Receive(p *netem.Packet) { n.got = append(n.got, p) }
 
 func pkt(seq int64, kind netem.PacketKind) *netem.Packet {
-	return &netem.Packet{ID: netem.NextID(), Kind: kind, Seq: seq, Size: 1000}
+	return &netem.Packet{Kind: kind, Seq: seq, Size: 1000}
 }
 
 func TestDurationJSONRoundTrip(t *testing.T) {
@@ -109,10 +110,10 @@ func TestDuplicatorInjectsCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 200
-	ids := make(map[uint64]bool)
+	originals := make(map[*netem.Packet]bool)
 	for i := 0; i < n; i++ {
 		p := pkt(int64(i)*1000, netem.Data)
-		ids[p.ID] = true
+		originals[p] = true
 		du.Receive(p)
 	}
 	if du.Duplicated == 0 {
@@ -121,14 +122,21 @@ func TestDuplicatorInjectsCopies(t *testing.T) {
 	if got := len(dst.got); got != n+int(du.Duplicated) {
 		t.Fatalf("%d delivered, want %d", got, n+int(du.Duplicated))
 	}
+	// Every delivery is a distinct *Packet: a copy aliases neither its
+	// original nor another copy.
+	delivered := make(map[*netem.Packet]bool)
 	fresh := 0
 	for _, p := range dst.got {
-		if !ids[p.ID] {
+		if delivered[p] {
+			t.Fatalf("packet %v delivered twice through one pointer", p)
+		}
+		delivered[p] = true
+		if !originals[p] {
 			fresh++
 		}
 	}
 	if fresh != int(du.Duplicated) {
-		t.Fatalf("%d fresh packet IDs, want %d (copies must not alias originals)", fresh, du.Duplicated)
+		t.Fatalf("%d fresh packets, want %d (copies must not alias originals)", fresh, du.Duplicated)
 	}
 }
 
@@ -182,6 +190,135 @@ func TestAckCompressorBatchesAcks(t *testing.T) {
 	if len(dst.got) != 5 || ac.Held() != 0 {
 		t.Fatalf("hold timer did not flush: %d delivered, %d held", len(dst.got), ac.Held())
 	}
+}
+
+// Steady-state batching reuses two buffers: neither a max-triggered nor
+// a timer-triggered release allocates, and a delivered batch leaves no
+// packet pinned in the idle buffer.
+func TestAckCompressorSteadyStateAllocatesNothing(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	var pool netem.PacketPool
+	delivered := 0
+	dst := netem.NodeFunc(func(p *netem.Packet) {
+		delivered++
+		p.Release()
+	})
+	ac, err := NewAckCompressor(sched, sim.Time(10*time.Millisecond), 4, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := func() {
+		p := pool.Get()
+		p.Kind = netem.Ack
+		ac.Receive(p)
+	}
+	rounds := 0
+	round := func() {
+		rounds++
+		for i := 0; i < 4; i++ { // released at max
+			ack()
+		}
+		for i := 0; i < 3; i++ { // released by the hold timer
+			ack()
+		}
+		sched.Run(sched.Now() + sim.Time(time.Second))
+	}
+	round() // warm both buffers, the pool and the timer heap
+	round()
+	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+		t.Fatalf("steady-state ACK batching allocates %v objects per 2 batches, want 0", avg)
+	}
+	if delivered != 7*rounds || ac.Held() != 0 || ac.Batches != uint64(2*rounds) {
+		t.Fatalf("delivered %d ACKs in %d batches (%d held), want %d in %d", delivered, ac.Batches, ac.Held(), 7*rounds, 2*rounds)
+	}
+	for _, buf := range [][]*netem.Packet{ac.held[:cap(ac.held)], ac.spare[:cap(ac.spare)]} {
+		for i, p := range buf {
+			if p != nil {
+				t.Fatalf("idle buffer slot %d still pins delivered packet %v", i, p)
+			}
+		}
+	}
+}
+
+// An ACK that arrives while a batch is draining (the downstream node
+// feeding the compressor from inside Receive) joins the next batch:
+// every ACK is delivered exactly once, and a batch completed during
+// the drain goes out at that point, exactly as with a fresh slice per
+// batch.
+func TestAckCompressorReentrantReceive(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	var ac *AckCompressor
+	var got []int64
+	next := int64(100)
+	dst := netem.NodeFunc(func(p *netem.Packet) {
+		got = append(got, p.Seq)
+		if p.Seq < 100 { // each original ACK triggers two more, so batches fill mid-drain
+			next += 2
+			ac.Receive(pkt(next-2, netem.Ack))
+			ac.Receive(pkt(next-1, netem.Ack))
+		}
+	})
+	var err error
+	ac, err = NewAckCompressor(sched, sim.Time(10*time.Millisecond), 3, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := int64(0); seq < 6; seq++ {
+		ac.Receive(pkt(seq, netem.Ack))
+	}
+	sched.RunAll()
+	want := referenceCompress(3, []int64{0, 1, 2, 3, 4, 5})
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivery order %v, want %v", got, want)
+	}
+	if ac.Batches < 5 {
+		t.Fatalf("only %d batches: no release nested inside a drain", ac.Batches)
+	}
+	seen := map[int64]bool{}
+	for _, seq := range got {
+		if seen[seq] {
+			t.Fatalf("ACK %d delivered twice: %v", seq, got)
+		}
+		seen[seq] = true
+	}
+	if len(got) != int(6+next-100) || ac.Held() != 0 {
+		t.Fatalf("%d ACKs delivered, %d held; want %d and 0", len(got), ac.Held(), 6+next-100)
+	}
+}
+
+// referenceCompress is the compressor with a fresh slice per batch (the
+// implementation the double buffer replaced) and the same re-entrant
+// downstream as TestAckCompressorReentrantReceive; the hold timer is
+// modelled by a final flush.
+func referenceCompress(max int, arrivals []int64) []int64 {
+	var held, out []int64
+	next := int64(100)
+	var receive func(seq int64)
+	release := func() {
+		batch := held
+		held = nil
+		for _, seq := range batch {
+			out = append(out, seq)
+			if seq < 100 {
+				next += 2
+				receive(next - 2)
+				receive(next - 1)
+			}
+		}
+	}
+	receive = func(seq int64) {
+		held = append(held, seq)
+		if len(held) >= max {
+			release()
+		}
+	}
+	for _, seq := range arrivals {
+		receive(seq)
+	}
+	for len(held) > 0 {
+		release()
+	}
+	return out
 }
 
 func TestPlanValidate(t *testing.T) {

@@ -59,7 +59,6 @@ func (c *CBRSource) emit() {
 	}
 	c.Sent++
 	p := c.Pool.Get()
-	p.ID = NextID()
 	p.Flow = c.flow
 	p.Kind = Data
 	p.Seq = int64(c.Sent) * int64(c.size)

@@ -8,22 +8,22 @@ import (
 )
 
 func flowPkt(flow int, size int) *Packet {
-	return &Packet{ID: NextID(), Flow: flow, Kind: Data, Size: size, Len: size}
+	return &Packet{Flow: flow, Kind: Data, Size: size, Len: size}
 }
 
 func TestDRRSingleFlowFIFO(t *testing.T) {
 	q := Must(NewDRR(1000, 10))
-	var ids []uint64
+	var sent []*Packet
 	for i := 0; i < 5; i++ {
 		p := flowPkt(1, 1000)
-		ids = append(ids, p.ID)
+		sent = append(sent, p)
 		if !q.Enqueue(p, 0) {
 			t.Fatalf("enqueue %d rejected", i)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		p := q.Dequeue()
-		if p == nil || p.ID != ids[i] {
+		if p != sent[i] {
 			t.Fatalf("dequeue %d out of order", i)
 		}
 	}

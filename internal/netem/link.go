@@ -222,7 +222,7 @@ func (l *Link) transmitNext() {
 	txDelay := l.TransmissionDelay(p.Size)
 	l.TxPackets++
 	l.TxBytes += uint64(p.Size)
-	sim.CountPackets(1)
+	l.sched.CountPacket()
 	if l.bus.Enabled() {
 		l.bus.Publish(telemetry.Event{
 			At:   l.sched.Now(),

@@ -91,8 +91,8 @@ func TestLinkCountsBytes(t *testing.T) {
 	s := sim.NewScheduler(1)
 	sink := &collector{sched: s}
 	l := Must(NewLink(s, 8e6, time.Millisecond, nil, sink))
-	l.Receive(&Packet{ID: 1, Kind: Ack, Size: 40})
-	l.Receive(&Packet{ID: 2, Kind: Data, Size: 1000, Len: 1000})
+	l.Receive(&Packet{Kind: Ack, Size: 40})
+	l.Receive(&Packet{Kind: Data, Size: 1000, Len: 1000})
 	s.RunAll()
 	if l.TxBytes != 1040 {
 		t.Fatalf("tx bytes = %d, want 1040", l.TxBytes)

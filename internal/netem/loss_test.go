@@ -118,17 +118,6 @@ func TestSeqLossIgnoresAcks(t *testing.T) {
 	}
 }
 
-func TestNextIDUnique(t *testing.T) {
-	seen := make(map[uint64]bool, 1000)
-	for i := 0; i < 1000; i++ {
-		id := NextID()
-		if seen[id] {
-			t.Fatalf("duplicate packet ID %d", id)
-		}
-		seen[id] = true
-	}
-}
-
 func TestPacketEndSeqAndString(t *testing.T) {
 	p := &Packet{Flow: 2, Kind: Data, Seq: 3000, Len: 1000, Size: 1000}
 	if p.EndSeq() != 4000 {

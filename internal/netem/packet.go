@@ -4,16 +4,7 @@
 // deterministic loss injectors, and the dumbbell topology of Figure 4.
 package netem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// _idCounter hands out process-unique packet IDs for tracing.
-var _idCounter atomic.Uint64
-
-// NextID returns a fresh packet ID.
-func NextID() uint64 { return _idCounter.Add(1) }
+import "fmt"
 
 // SACKBlock describes one contiguous block of out-of-order data held at
 // the receiver, reported in ACKs when the SACK option is enabled.
@@ -48,9 +39,6 @@ func (k PacketKind) String() string {
 // are byte sequence numbers, as in a real TCP, though the simulations
 // always use MSS-sized segments.
 type Packet struct {
-	// ID uniquely identifies the packet instance (retransmissions get
-	// fresh IDs), for tracing.
-	ID uint64
 	// Flow identifies the connection the packet belongs to.
 	Flow int
 	// Kind says whether this is a data segment or an ACK.
@@ -88,13 +76,12 @@ func (p *Packet) Release() {
 	pp.free = append(pp.free, p)
 }
 
-// Clone returns an independent copy of p with a fresh packet ID. The
-// SACK blocks are deep-copied and the clone is detached from any pool,
-// so the original can be released without invalidating the copy.
+// Clone returns an independent copy of p. The SACK blocks are
+// deep-copied and the clone is detached from any pool, so the original
+// can be released without invalidating the copy.
 func (p *Packet) Clone() *Packet {
 	c := *p
 	c.pool = nil
-	c.ID = NextID()
 	if len(p.SACK) > 0 {
 		c.SACK = append([]SACKBlock(nil), p.SACK...)
 	}

@@ -9,9 +9,13 @@ import (
 	"rrtcp/internal/sim"
 )
 
+// pkt returns a data packet carrying id in Seq, which is how these
+// tests tell packets apart.
 func pkt(id uint64) *Packet {
-	return &Packet{ID: id, Kind: Data, Size: 1000, Len: 1000}
+	return &Packet{Seq: int64(id), Kind: Data, Size: 1000, Len: 1000}
 }
+
+func pktID(p *Packet) uint64 { return uint64(p.Seq) }
 
 func TestDropTailCapacity(t *testing.T) {
 	q := Must(NewDropTail(3))
@@ -35,7 +39,7 @@ func TestDropTailFIFOOrder(t *testing.T) {
 	}
 	for i := uint64(0); i < 5; i++ {
 		p := q.Dequeue()
-		if p == nil || p.ID != i {
+		if p == nil || pktID(p) != i {
 			t.Fatalf("dequeue %d: got %v", i, p)
 		}
 	}
@@ -103,17 +107,17 @@ func TestDropTailProperty(t *testing.T) {
 				p := pkt(next)
 				next++
 				if q.Enqueue(p, 0) {
-					accepted = append(accepted, p.ID)
+					accepted = append(accepted, pktID(p))
 				}
 			} else if p := q.Dequeue(); p != nil {
-				dequeued = append(dequeued, p.ID)
+				dequeued = append(dequeued, pktID(p))
 			}
 			if q.Len() > lim {
 				return false
 			}
 		}
 		for q.Len() > 0 {
-			dequeued = append(dequeued, q.Dequeue().ID)
+			dequeued = append(dequeued, pktID(q.Dequeue()))
 		}
 		if len(dequeued) != len(accepted) {
 			return false

@@ -17,7 +17,6 @@ type TapRecord struct {
 	AckNo  int64
 	Size   int
 	Rtx    bool
-	PktID  uint64
 	SACKed int // number of SACK blocks carried
 }
 
@@ -72,7 +71,6 @@ func (t *Tap) Receive(p *Packet) {
 		AckNo:  p.AckNo,
 		Size:   p.Size,
 		Rtx:    p.Retransmit,
-		PktID:  p.ID,
 		SACKed: len(p.SACK),
 	}
 	if t.Limit == 0 || len(t.records) < t.Limit {

@@ -12,8 +12,8 @@ func TestTapRecordsAndForwards(t *testing.T) {
 	s := sim.NewScheduler(1)
 	sink := &collector{sched: s}
 	tap := NewTap(s, "r1->r2", sink)
-	tap.Receive(&Packet{ID: 1, Flow: 0, Kind: Data, Seq: 1000, Len: 1000, Size: 1000})
-	tap.Receive(&Packet{ID: 2, Flow: 0, Kind: Ack, AckNo: 2000, Size: 40})
+	tap.Receive(&Packet{Flow: 0, Kind: Data, Seq: 1000, Len: 1000, Size: 1000})
+	tap.Receive(&Packet{Flow: 0, Kind: Ack, AckNo: 2000, Size: 40})
 	if len(sink.pkts) != 2 {
 		t.Fatalf("forwarded %d packets, want 2", len(sink.pkts))
 	}
@@ -34,7 +34,7 @@ func TestTapLimit(t *testing.T) {
 	tap := NewTap(s, "x", nil)
 	tap.Limit = 3
 	for i := 0; i < 10; i++ {
-		tap.Receive(&Packet{ID: uint64(i), Kind: Data, Size: 1000, Len: 1000})
+		tap.Receive(&Packet{Kind: Data, Size: 1000, Len: 1000})
 	}
 	if len(tap.Records()) != 3 {
 		t.Fatalf("recorded %d, want limit 3", len(tap.Records()))
@@ -49,7 +49,7 @@ func TestTapWriter(t *testing.T) {
 	var sb strings.Builder
 	tap := NewTap(s, "probe", nil)
 	tap.W = &sb
-	tap.Receive(&Packet{ID: 1, Flow: 3, Kind: Data, Seq: 5000, Len: 1000, Size: 1000, Retransmit: true})
+	tap.Receive(&Packet{Flow: 3, Kind: Data, Seq: 5000, Len: 1000, Size: 1000, Retransmit: true})
 	out := sb.String()
 	for _, want := range []string{"probe", "flow=3", "data 5000", "rtx"} {
 		if !strings.Contains(out, want) {
@@ -66,7 +66,7 @@ func TestTapInline(t *testing.T) {
 	link := Must(NewLink(s, 10e6, time.Millisecond, nil, sink))
 	tap := NewTap(s, "pre-bottleneck", link)
 	for i := 0; i < 5; i++ {
-		tap.Receive(&Packet{ID: uint64(i), Kind: Data, Size: 1000, Len: 1000})
+		tap.Receive(&Packet{Kind: Data, Size: 1000, Len: 1000})
 	}
 	s.RunAll()
 	if len(sink.pkts) != 5 || tap.Seen != 5 {

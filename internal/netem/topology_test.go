@@ -26,10 +26,10 @@ func TestDumbbellForwardPath(t *testing.T) {
 	d.SenderPort(1).Receive(q)
 	s.RunAll()
 
-	if len(sink0.pkts) != 1 || sink0.pkts[0].ID != 1 {
+	if len(sink0.pkts) != 1 || pktID(sink0.pkts[0]) != 1 {
 		t.Fatalf("flow 0 delivery wrong: %v", sink0.pkts)
 	}
-	if len(sink1.pkts) != 1 || sink1.pkts[0].ID != 2 {
+	if len(sink1.pkts) != 1 || pktID(sink1.pkts[0]) != 2 {
 		t.Fatalf("flow 1 delivery wrong: %v", sink1.pkts)
 	}
 }
@@ -42,10 +42,10 @@ func TestDumbbellReversePath(t *testing.T) {
 	}
 	sink := &collector{sched: s}
 	d.ConnectSender(1, sink)
-	ack := &Packet{ID: 9, Flow: 1, Kind: Ack, AckNo: 1000, Size: 40}
+	ack := &Packet{Flow: 1, Kind: Ack, AckNo: 1000, Size: 40}
 	d.ReceiverPort(1).Receive(ack)
 	s.RunAll()
-	if len(sink.pkts) != 1 || sink.pkts[0].ID != 9 {
+	if len(sink.pkts) != 1 || sink.pkts[0] != ack {
 		t.Fatalf("ack delivery wrong: %v", sink.pkts)
 	}
 }

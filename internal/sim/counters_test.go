@@ -57,12 +57,33 @@ func TestGlobalCountersBatchBoundary(t *testing.T) {
 	}
 }
 
-func TestCountPackets(t *testing.T) {
+// TestPacketCounterFlush checks the per-scheduler packet counter: it
+// reaches the process-wide total at the in-loop flush and as Run
+// returns, and not before, so nothing on the packet path touches the
+// shared counter.
+func TestPacketCounterFlush(t *testing.T) {
 	_, before := GlobalCounters()
-	CountPackets(7)
-	CountPackets(3)
+	s := NewScheduler(3)
+	s.CountPacket()
+	if s.unflushedPackets != 1 {
+		t.Fatalf("CountPacket outside Run: unflushed = %d, want 1", s.unflushedPackets)
+	}
+	const n = globalFlushEvery + 10
+	left := n
+	var tm *Timer
+	tm = s.NewTimer(func() {
+		s.CountPacket()
+		if left--; left > 0 {
+			tm.Reset(time.Millisecond)
+		}
+	})
+	tm.Reset(0)
+	s.RunAll()
+	if s.unflushedPackets != 0 {
+		t.Errorf("%d packets left unflushed after Run", s.unflushedPackets)
+	}
 	_, after := GlobalCounters()
-	if got := after - before; got < 10 {
-		t.Errorf("global packets grew by %d, want >= 10", got)
+	if got := after - before; got < n+1 {
+		t.Errorf("global packets grew by %d, want >= %d", got, n+1)
 	}
 }

@@ -25,11 +25,12 @@ import (
 
 // Process-wide simulator totals, aggregated across every scheduler in
 // the process so a live introspection scrape can watch a parallel
-// sweep's aggregate event and packet rates. Schedulers batch their
-// event counts (one atomic add per globalFlushEvery events, plus one
-// at the end of each Run), so the hot loop pays a counter increment
-// and a mask test per event; packet sources (netem links) add as they
-// transmit. The counters are observability-only: nothing in the
+// sweep's aggregate event and packet rates. They are the only state
+// schedulers share, and no scheduler touches them per event or per
+// packet: each counts in its own plain fields and flushes both totals
+// together, once per globalFlushEvery events plus once as each Run
+// returns, so concurrent sweep jobs do not bounce these cache lines
+// between cores. The counters are observability-only: nothing in the
 // simulation reads them, so they cannot perturb determinism.
 var (
 	globalEvents  atomic.Uint64
@@ -39,12 +40,10 @@ var (
 // globalFlushEvery is the event-count batching interval (power of two).
 const globalFlushEvery = 4096
 
-// CountPackets adds n simulated transmitted packets to the process-wide
-// total.
-func CountPackets(n uint64) { globalPackets.Add(n) }
-
 // GlobalCounters reports the process-wide totals: discrete events
-// processed and packets transmitted across every scheduler so far.
+// processed and packets transmitted across every scheduler so far. The
+// totals are exact for every scheduler whose Run has returned; one
+// mid-Run lags by at most globalFlushEvery events' worth.
 func GlobalCounters() (events, packets uint64) {
 	return globalEvents.Load(), globalPackets.Load()
 }
@@ -89,7 +88,11 @@ type Scheduler struct {
 	nextSeq uint64
 	stopped bool
 	seed    int64
-	rng     *rand.Rand
+	rng     *rand.Rand // built on the first Rand call
+
+	// unflushedPackets counts CountPacket calls not yet added to the
+	// process-wide total.
+	unflushedPackets uint64
 
 	// Event queue: 4-ary min-heap of value entries ordered by
 	// (time, sequence), over an arena of recycled handler slots.
@@ -115,7 +118,7 @@ type Scheduler struct {
 // random source is seeded with the given seed. All randomness used by a
 // simulation must flow through Rand so that runs are reproducible.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{seed: seed, rng: rand.New(rand.NewSource(seed)), freeHead: -1}
+	return &Scheduler{seed: seed, freeHead: -1}
 }
 
 // Now reports the current simulated time.
@@ -124,15 +127,22 @@ func (s *Scheduler) Now() Time { return s.now }
 // Seed reports the seed the scheduler was constructed with.
 func (s *Scheduler) Seed() int64 { return s.seed }
 
-// Rand exposes the scheduler's deterministic random source.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// Rand exposes the scheduler's deterministic random source: the stream
+// of rand.NewSource(Seed()), seeded when the first value is drawn.
+func (s *Scheduler) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = newLazyRand(s.seed)
+	}
+	return s.rng
+}
 
 // DeriveRand returns an independent deterministic random source keyed
 // by the scheduler's seed and the given tag. Consumers with their own
 // randomness (fault injectors, chaos schedules) draw from a derived
 // stream so their draws neither perturb nor depend on the shared Rand
 // sequence: adding a fault plan to a scenario leaves every other random
-// decision in the run unchanged.
+// decision in the run unchanged. Like Rand, the stream is seeded on its
+// first draw.
 func (s *Scheduler) DeriveRand(tag string) *rand.Rand {
 	h := fnv.New64a()
 	var b [8]byte
@@ -141,8 +151,37 @@ func (s *Scheduler) DeriveRand(tag string) *rand.Rand {
 	}
 	h.Write(b[:])
 	h.Write([]byte(tag))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return newLazyRand(int64(h.Sum64()))
 }
+
+// lazySource is rand.NewSource(seed) deferred to the first draw.
+// Seeding the runtime's generator fills a 4.9 KB table, which a world
+// that never draws (a drop-tail dumbbell with no loss model, a fault
+// plan with no random injector) need not pay for; the values drawn are
+// exactly those of the eager source.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func newLazyRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+// Int63 implements rand.Source.
+func (l *lazySource) Int63() int64 { return l.source().Int63() }
+
+// Uint64 implements rand.Source64, so rand.Rand takes the same path
+// through this source as through the one it wraps.
+func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+
+// Seed implements rand.Source.
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // Pending reports the number of events waiting to fire.
 func (s *Scheduler) Pending() int { return len(s.heap) }
@@ -430,6 +469,7 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		if batch > 0 {
 			globalEvents.Add(batch)
 		}
+		s.flushPackets()
 	}()
 	for len(s.heap) > 0 && !s.stopped {
 		if s.heap[0].at > until {
@@ -451,6 +491,7 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		if batch++; batch == globalFlushEvery {
 			globalEvents.Add(batch)
 			batch = 0
+			s.flushPackets()
 		}
 		fn()
 		if s.profHook != nil && s.processed%s.profEvery == 0 {
@@ -465,6 +506,20 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 	}
 	if !s.stopped && advanceClock && s.now < until {
 		s.now = until
+	}
+}
+
+// CountPacket records one transmitted packet against this scheduler's
+// world; packet sources (netem links) call it as they serialize. The
+// count reaches the process-wide total at the next flush.
+func (s *Scheduler) CountPacket() { s.unflushedPackets++ }
+
+// flushPackets moves the scheduler's packet count into the process-wide
+// total.
+func (s *Scheduler) flushPackets() {
+	if s.unflushedPackets > 0 {
+		globalPackets.Add(s.unflushedPackets)
+		s.unflushedPackets = 0
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,7 +66,10 @@ func TestRunRetriesTransientFailures(t *testing.T) {
 	// Jobs 1 and 3 fail transiently on their first two attempts and then
 	// succeed; the sweep must complete with the same results a clean run
 	// produces, publishing one KSweepRetry event per failed attempt.
-	var backoffs []time.Duration
+	var (
+		mu       sync.Mutex // Sleep runs on whichever worker is retrying
+		backoffs []time.Duration
+	)
 	ring := telemetry.NewRing(0)
 	attempts := make([]atomic.Int32, 4)
 	jobs := make([]Job, 4)
@@ -83,7 +87,11 @@ func TestRunRetriesTransientFailures(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Name: "retry", Seed: 5, Workers: 2, Telemetry: telemetry.NewBus(ring),
-		Retry: RetryPolicy{MaxAttempts: 3, Sleep: func(d time.Duration) { backoffs = append(backoffs, d) }},
+		Retry: RetryPolicy{MaxAttempts: 3, Sleep: func(d time.Duration) {
+			mu.Lock()
+			backoffs = append(backoffs, d)
+			mu.Unlock()
+		}},
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)

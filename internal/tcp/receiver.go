@@ -209,7 +209,6 @@ func (r *Receiver) dropRecent(b seqRange) {
 
 func (r *Receiver) sendAck() {
 	ack := r.Pool.Get()
-	ack.ID = netem.NextID()
 	ack.Flow = r.flow
 	ack.Kind = netem.Ack
 	ack.AckNo = r.rcvNxt

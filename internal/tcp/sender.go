@@ -523,7 +523,6 @@ func (s *Sender) Retransmit(seq int64) {
 
 func (s *Sender) transmit(seq int64, n int, rtx bool) {
 	p := s.pool.Get()
-	p.ID = netem.NextID()
 	p.Flow = s.cfg.Flow
 	p.Kind = netem.Data
 	p.Seq = seq

@@ -31,4 +31,7 @@ var ErrScheduleInPast = sim.ErrScheduleInPast
 
 // SimCounters reports the process-wide simulator totals: discrete
 // events processed and packets transmitted across every scheduler.
+// Schedulers add to them in batches, so the totals are exact for every
+// scheduler whose Run has returned and lag a running one by at most
+// 4096 events' worth.
 func SimCounters() (events, packets uint64) { return sim.GlobalCounters() }

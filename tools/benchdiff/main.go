@@ -20,7 +20,11 @@
 // pool-hit-ratio) are shown for context but never gate, since their
 // polarity is benchmark-specific. Benchmarks present in only one file are listed but do not
 // gate either, so adding or retiring a benchmark never breaks the
-// comparison. With -warn the table and verdict still print but the
+// comparison. The reserved "_env" key benchjson writes (goos, goarch,
+// cpu, GOMAXPROCS) is not a benchmark: it is skipped, and when the two
+// files record different GOMAXPROCS a warning says so, because rows such
+// as BenchmarkEngine/workers=N mean different things on different core
+// counts. With -warn the table and verdict still print but the
 // exit status stays zero — the soft mode CI uses while a number
 // stabilizes.
 package main
@@ -74,32 +78,58 @@ func main() {
 	os.Exit(code)
 }
 
-func load(path string) (map[string]result, error) {
-	f, err := os.Open(path)
+// envKey is benchjson's reserved environment-stamp key.
+const envKey = "_env"
+
+// env is the part of the stamp the comparison reads. Files written
+// before the stamp existed have none; their GOMAXPROCS reads 0.
+type env struct {
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+func load(path string) (map[string]result, env, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, env{}, err
 	}
-	defer f.Close()
-	var m map[string]result
-	if err := json.NewDecoder(f).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, env{}, fmt.Errorf("%s: %w", path, err)
+	}
+	var stamp env
+	if msg, ok := raw[envKey]; ok {
+		if err := json.Unmarshal(msg, &stamp); err != nil {
+			return nil, env{}, fmt.Errorf("%s: %s: %w", path, envKey, err)
+		}
+		delete(raw, envKey)
+	}
+	m := make(map[string]result, len(raw))
+	for name, msg := range raw {
+		var r result
+		if err := json.Unmarshal(msg, &r); err != nil {
+			return nil, env{}, fmt.Errorf("%s: %s: %w", path, name, err)
+		}
+		m[name] = r
 	}
 	if len(m) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
+		return nil, env{}, fmt.Errorf("%s: no benchmarks", path)
 	}
-	return m, nil
+	return m, stamp, nil
 }
 
 // run executes the comparison, returning the process exit code: 0 when
 // clean (or -warn), 1 when a gating metric regressed past threshold.
 func run(w io.Writer, oldPath, newPath string, threshold float64, warn bool) (int, error) {
-	oldRes, err := load(oldPath)
+	oldRes, oldEnv, err := load(oldPath)
 	if err != nil {
 		return 0, err
 	}
-	newRes, err := load(newPath)
+	newRes, newEnv, err := load(newPath)
 	if err != nil {
 		return 0, err
+	}
+	if o, n := oldEnv.GOMAXPROCS, newEnv.GOMAXPROCS; o != 0 && n != 0 && o != n {
+		fmt.Fprintf(w, "WARNING: GOMAXPROCS differs (old %d, new %d): rows that scale with cores (workers=N) are not like for like\n\n", o, n)
 	}
 
 	rows, onlyOld, onlyNew := diff(oldRes, newRes, threshold)

@@ -201,3 +201,39 @@ func TestMkRowZeroHandling(t *testing.T) {
 		t.Errorf("0->50 should regress: %+v", r)
 	}
 }
+
+// withEnv adds benchjson's environment stamp to a results document.
+func withEnv(doc string, procs string) string {
+	return strings.Replace(doc, "{", `{"_env": {"goos": "linux", "cpu": "Fake CPU", "pkg": ["rrtcp"], "gomaxprocs": `+procs+`},`, 1)
+}
+
+// The environment stamp is never compared as a benchmark; it only
+// produces the GOMAXPROCS warning, and only when both files carry one
+// and they differ. A stamped file still compares against an unstamped
+// one (a baseline committed before the stamp existed).
+func TestEnvStampSkippedAndGOMAXPROCSWarned(t *testing.T) {
+	for name, tc := range map[string]struct {
+		old, new string
+		warned   bool
+	}{
+		"same":        {withEnv(baseline, "4"), withEnv(baseline, "4"), false},
+		"differ":      {withEnv(baseline, "1"), withEnv(baseline, "4"), true},
+		"old-unknown": {baseline, withEnv(baseline, "4"), false},
+		"mixed-cpu":   {withEnv(baseline, "1"), withEnv(baseline, "0"), false},
+	} {
+		code, out := runDiff(t, tc.old, tc.new, 0.10, false)
+		if code != 0 || !strings.Contains(out, "OK: no gating metric regressed") {
+			t.Errorf("%s: exited %d:\n%s", name, code, out)
+		}
+		if strings.Contains(out, "_env") {
+			t.Errorf("%s: the stamp was compared or listed as a benchmark:\n%s", name, out)
+		}
+		if got := strings.Contains(out, "WARNING: GOMAXPROCS differs (old 1, new 4)"); got != tc.warned {
+			t.Errorf("%s: GOMAXPROCS warning printed = %v, want %v:\n%s", name, got, tc.warned, out)
+		}
+	}
+	var out strings.Builder
+	if _, err := run(&out, writeJSON(t, "old.json", `{"_env": {"gomaxprocs": 4}}`), writeJSON(t, "new.json", baseline), 0.10, false); err == nil {
+		t.Error("a file holding only the stamp was accepted as having benchmarks")
+	}
+}

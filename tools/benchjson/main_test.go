@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,28 +24,99 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	if err := run(strings.NewReader(sampleBenchOutput), &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var got map[string]result
-	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
+	got, stamp := decodeDoc(t, out.String())
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
 	}
-	ndjson, ok := got["BenchmarkNDJSONEmit-8"]
+	want := env{Goos: "linux", Goarch: "amd64", Pkg: []string{"rrtcp/internal/telemetry"}, CPU: "Fake CPU @ 2.40GHz", GOMAXPROCS: 8}
+	if !reflect.DeepEqual(stamp, want) {
+		t.Errorf("_env = %+v, want %+v", stamp, want)
+	}
+	// Every line ran at -8, so the suffix moved into the stamp.
+	ndjson, ok := got["BenchmarkNDJSONEmit"]
 	if !ok {
-		t.Fatalf("missing BenchmarkNDJSONEmit-8 in %v", got)
+		t.Fatalf("missing BenchmarkNDJSONEmit in %v", got)
 	}
 	if ndjson.NsPerOp != 71.25 || ndjson.AllocsPerOp != 0 || ndjson.Iterations != 16428000 {
-		t.Errorf("BenchmarkNDJSONEmit-8 = %+v, want ns/op 71.25 allocs 0 iters 16428000", ndjson)
+		t.Errorf("BenchmarkNDJSONEmit = %+v, want ns/op 71.25 allocs 0 iters 16428000", ndjson)
 	}
-	ring := got["BenchmarkRingEventsOf-8"]
+	ring := got["BenchmarkRingEventsOf"]
 	if ring.BytesPerOp != 4096 || ring.AllocsPerOp != 1 {
-		t.Errorf("BenchmarkRingEventsOf-8 = %+v, want 4096 B/op 1 allocs/op", ring)
+		t.Errorf("BenchmarkRingEventsOf = %+v, want 4096 B/op 1 allocs/op", ring)
 	}
 	// -benchmem omitted: memory fields default to zero, ns/op still required.
-	bare := got["BenchmarkFigure5NullSink-8"]
+	bare := got["BenchmarkFigure5NullSink"]
 	if bare.NsPerOp != 11520042 || bare.BytesPerOp != 0 {
-		t.Errorf("BenchmarkFigure5NullSink-8 = %+v, want ns/op 11520042, zero memory fields", bare)
+		t.Errorf("BenchmarkFigure5NullSink = %+v, want ns/op 11520042, zero memory fields", bare)
+	}
+}
+
+// decodeDoc splits benchjson output into the benchmark results and the
+// reserved environment stamp.
+func decodeDoc(t *testing.T, doc string) (map[string]result, env) {
+	t.Helper()
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(doc), &raw); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, doc)
+	}
+	var stamp env
+	if err := json.Unmarshal(raw[envKey], &stamp); err != nil {
+		t.Fatalf("no usable %s key: %v\n%s", envKey, err, doc)
+	}
+	delete(raw, envKey)
+	results := make(map[string]result, len(raw))
+	for name, msg := range raw {
+		var r result
+		if err := json.Unmarshal(msg, &r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		results[name] = r
+	}
+	return results, stamp
+}
+
+// The GOMAXPROCS suffix is stripped only when every line agrees on it: a
+// run at GOMAXPROCS=1 prints none, a name that merely ends in digits or
+// a -cpu list breaks the agreement (names stay as printed, no
+// gomaxprocs), and packages concatenated into one stream are all listed.
+func TestEnvStampAcrossRunShapes(t *testing.T) {
+	for name, tc := range map[string]struct {
+		in    string
+		names []string
+		procs int
+		pkgs  int
+	}{
+		"gomaxprocs=1": {
+			in:    "pkg: a\nBenchmarkEngine/workers=8 10 5 ns/op\nBenchmarkNDJSONEmit 10 5 ns/op\n",
+			names: []string{"BenchmarkEngine/workers=8", "BenchmarkNDJSONEmit"}, procs: 1, pkgs: 1,
+		},
+		"digits-in-a-name": {
+			in:    "BenchmarkEngine/workers=8 10 5 ns/op\nBenchmarkHeap/depth-32 10 5 ns/op\n",
+			names: []string{"BenchmarkEngine/workers=8", "BenchmarkHeap/depth-32"},
+		},
+		"cpu-list": {
+			in:    "BenchmarkX 10 5 ns/op\nBenchmarkX-2 10 4 ns/op\nBenchmarkX-4 10 3 ns/op\n",
+			names: []string{"BenchmarkX", "BenchmarkX-2", "BenchmarkX-4"},
+		},
+		"two-packages": {
+			in:    "pkg: a\nBenchmarkA/workers=2-4 10 5 ns/op\npkg: b\npkg: a\nBenchmarkB-4 10 5 ns/op\n",
+			names: []string{"BenchmarkA/workers=2", "BenchmarkB"}, procs: 4, pkgs: 2,
+		},
+	} {
+		var out strings.Builder
+		if err := run(strings.NewReader(tc.in), &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, stamp := decodeDoc(t, out.String())
+		for _, n := range tc.names {
+			if _, ok := got[n]; !ok {
+				t.Errorf("%s: missing %q in %v", name, n, got)
+			}
+		}
+		if len(got) != len(tc.names) || stamp.GOMAXPROCS != tc.procs || len(stamp.Pkg) != tc.pkgs {
+			t.Errorf("%s: %d results, _env %+v; want %d results, gomaxprocs %d, %d pkgs",
+				name, len(got), stamp, len(tc.names), tc.procs, tc.pkgs)
+		}
 	}
 }
 

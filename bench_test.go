@@ -239,18 +239,16 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkSchedulerEventChurn(b *testing.B) {
 	s := sim.NewScheduler(1)
 	b.ReportAllocs()
-	var tick func()
+	var tick *sim.Timer
 	remaining := b.N
-	tick = func() {
+	tick = s.NewTimer(func() {
 		if remaining == 0 {
 			return
 		}
 		remaining--
-		if _, err := s.Schedule(time.Microsecond, tick); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tick()
+		tick.Reset(time.Microsecond)
+	})
+	tick.Reset(time.Microsecond)
 	b.ResetTimer()
 	s.RunAll()
 }

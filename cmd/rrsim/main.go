@@ -66,6 +66,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -91,9 +92,7 @@ func run(args []string) error {
 	}
 	cmd, rest := args[0], args[1:]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	var runs int
-	fs.IntVar(&runs, "runs", 100, "independent repetitions where the experiment takes a count (chaos: fault schedules)")
-	fs.IntVar(&runs, "n", 100, "deprecated alias for -runs")
+	runs := fs.Int("runs", 100, "independent repetitions where the experiment takes a count (chaos: fault schedules)")
 	drops := fs.Int("drops", 3, "packets lost within one window (fig5/ablation)")
 	seed := fs.Int64("seed", 0, "simulation seed (0 = experiment default)")
 	quick := fs.Bool("quick", false, "smaller sweeps for fast runs (fig7/all)")
@@ -129,11 +128,6 @@ func run(args []string) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "n" {
-			fmt.Fprintln(os.Stderr, "rrsim: -n is deprecated; use -runs")
-		}
-	})
 
 	emit := renderText
 	if *asJSON {
@@ -142,7 +136,7 @@ func run(args []string) error {
 
 	opts := rrtcp.ExperimentOptions{
 		Seed:          *seed,
-		Runs:          runs,
+		Runs:          *runs,
 		Drops:         *drops,
 		Quick:         *quick,
 		DelayedAck:    *delack,
@@ -379,7 +373,11 @@ func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 		return err
 	}
 	opts.Telemetry = bus
-	res, err := buildAndRun(name, opts, runOpt)
+	var res rrtcp.ExperimentResult
+	e, err := rrtcp.BuildExperiment(name, opts)
+	if err == nil {
+		res, err = rrtcp.RunExperiment(e, runOpt)
+	}
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -414,42 +412,23 @@ func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 	return nil
 }
 
-func buildAndRun(name string, opts rrtcp.ExperimentOptions,
-	runOpt rrtcp.ExperimentRunOptions) (rrtcp.ExperimentResult, error) {
-	e, err := rrtcp.BuildExperiment(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rrtcp.RunExperiment(e, runOpt)
-}
-
 // runAll reproduces the whole evaluation: every registered experiment
 // in canonical order, with fig5 at both burst sizes the paper plots.
 // The chaos sweep is skipped — it is a robustness harness, not a paper
 // figure.
 func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.ExperimentRunOptions) error {
 	for _, r := range rrtcp.Experiments() {
+		drops := []int{opts.Drops}
 		switch r.Name {
 		case "chaos":
 			continue
 		case "fig5":
-			for _, d := range []int{3, 6} {
-				o := opts
-				o.Drops = d
-				res, err := buildAndRun(r.Name, o, runOpt)
-				if err != nil {
-					return err
-				}
-				if err := emit(res.Render(), res); err != nil {
-					return err
-				}
-			}
-		default:
-			res, err := buildAndRun(r.Name, opts, runOpt)
-			if err != nil {
-				return err
-			}
-			if err := emit(res.Render(), res); err != nil {
+			drops = []int{3, 6}
+		}
+		for _, d := range drops {
+			o := opts
+			o.Drops = d
+			if err := runExperiment(r.Name, emit, o, runOpt, telemetryOpts{}); err != nil {
 				return err
 			}
 		}
@@ -567,31 +546,26 @@ func runScenario(emit renderer, path, traceOut string, tel telemetryOpts) error 
 		// scenarios sample only when asked.
 		spec.SampleEvery = 10 * time.Millisecond
 	}
-	var rep *rrtcp.ScenarioReport
+	// A nil trace writer runs the scenario without the flow-0 CSV.
+	var trace io.Writer
+	closeTrace := func() error { return nil }
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			finish()
 			return err
 		}
-		rep, err = spec.RunWithTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if ferr := finish(); err == nil {
-			err = ferr
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		rep, err = spec.Run()
-		if ferr := finish(); err == nil {
-			err = ferr
-		}
-		if err != nil {
-			return err
-		}
+		trace, closeTrace = f, f.Close
+	}
+	rep, err := spec.RunWithTrace(trace)
+	if cerr := closeTrace(); err == nil {
+		err = cerr
+	}
+	if ferr := finish(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return err
 	}
 	return emit(rep.RenderText(), rep)
 }

@@ -337,26 +337,6 @@ func TestRunSmoothStartSubcommand(t *testing.T) {
 	}
 }
 
-func TestRunsFlagAliasMatches(t *testing.T) {
-	// -n is a deprecated alias for -runs; both must configure the same
-	// sweep and therefore produce identical output.
-	canonical, err := capture(t, func() error {
-		return run([]string{"chaos", "-runs", "2", "-seed", "7"})
-	})
-	if err != nil {
-		t.Fatalf("run -runs: %v", err)
-	}
-	alias, err := capture(t, func() error {
-		return run([]string{"chaos", "-n", "2", "-seed", "7"})
-	})
-	if err != nil {
-		t.Fatalf("run -n: %v", err)
-	}
-	if canonical != alias {
-		t.Fatalf("-runs and -n outputs differ:\n--- -runs ---\n%s\n--- -n ---\n%s", canonical, alias)
-	}
-}
-
 func TestRunParallelOutputIdentical(t *testing.T) {
 	// The CLI contract behind -parallel: any worker count yields the
 	// same bytes on stdout as sequential execution.

@@ -7,7 +7,6 @@ import (
 	"rrtcp/internal/core"
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
 )
@@ -56,59 +55,29 @@ type AblationResult struct {
 // injected during recovery so the further-loss machinery is exercised)
 // once per design variant.
 func Ablation(drops int) (*AblationResult, error) {
-	res, err := Run(NewAblationExperiment(drops), RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*AblationResult), nil
+	return runAs[*AblationResult](NewAblationExperiment(drops), 0)
 }
 
-// AblationExperiment adapts the design-choice matrix to the Experiment
-// interface: one job per variant, all on the same engineered scenario.
-type AblationExperiment struct {
-	drops int
-}
-
-// NewAblationExperiment returns the experiment (drops <= 0 means 3).
-func NewAblationExperiment(drops int) *AblationExperiment {
+// NewAblationExperiment returns the experiment (drops <= 0 means 3):
+// one job per design variant, all on the same engineered scenario.
+func NewAblationExperiment(drops int) Experiment {
 	if drops <= 0 {
 		drops = 3
 	}
-	return &AblationExperiment{drops: drops}
-}
-
-// Name implements Experiment.
-func (e *AblationExperiment) Name() string { return "ablation" }
-
-// Jobs implements Experiment.
-func (e *AblationExperiment) Jobs() ([]sweep.Job, error) {
-	drops := e.drops
-	var jobs []sweep.Job
-	for _, v := range AblationVariants() {
-		jobs = append(jobs, sweep.Job{
-			Name: v.Label,
-			// The scenario is fully engineered; every variant runs the
-			// same fixed seed so rows differ only by the design knob.
-			Seed: 1,
-			Run: func(seed int64) (any, error) {
-				row, err := ablationRun(drops, v, seed)
-				if err != nil {
-					return nil, fmt.Errorf("ablation (%s): %w", v.Label, err)
-				}
-				return row, nil
-			},
-		})
+	return &grid[AblationVariant, AblationRow]{
+		name:  "ablation",
+		cells: AblationVariants(),
+		// The scenario is fully engineered; every variant runs the same
+		// fixed seed so rows differ only by the design knob.
+		seeds: []int64{1},
+		label: func(v AblationVariant) string { return v.Label },
+		run: func(v AblationVariant, seed int64) (AblationRow, error) {
+			return ablationRun(drops, v, seed)
+		},
+		fold: func(outs [][]AblationRow) Renderable {
+			return &AblationResult{Drops: drops, Rows: firstSeed(outs)}
+		},
 	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment.
-func (e *AblationExperiment) Reduce(results []any) (Renderable, error) {
-	rows, err := sweep.Collect[AblationRow](results)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Drops: e.drops, Rows: rows}, nil
 }
 
 func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) {
@@ -149,10 +118,7 @@ func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) 
 		Retransmits: flow.Trace.Retransmits,
 		ExitBurst:   exitBurst(flow, d),
 	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
-		row.Finished = true
-		row.TransferDelay = delay
-	}
+	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
 	return row, nil
 }
 
@@ -188,11 +154,7 @@ func (r *AblationResult) Render() string {
 		Header: []string{"variant", "transfer delay", "timeouts", "rtx", "exit burst"},
 	}
 	for _, row := range r.Rows {
-		delay := "DNF"
-		if row.Finished {
-			delay = fmt.Sprintf("%.3fs", row.TransferDelay.Seconds())
-		}
-		t.AddRow(row.Variant.Label, delay, fmt.Sprintf("%d", row.Timeouts),
+		t.AddRow(row.Variant.Label, delayCell(row.TransferDelay, row.Finished), fmt.Sprintf("%d", row.Timeouts),
 			fmt.Sprintf("%d", row.Retransmits), fmt.Sprintf("%d", row.ExitBurst))
 	}
 	return t.String()

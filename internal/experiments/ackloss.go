@@ -6,7 +6,6 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/workload"
 )
 
@@ -71,27 +70,8 @@ type AckLossResult struct {
 
 // AckLoss runs the ACK-loss robustness sweep.
 func AckLoss(cfg AckLossConfig) (*AckLossResult, error) {
-	res, err := Run(NewAckLossExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*AckLossResult), nil
+	return runAs[*AckLossResult](NewAckLossExperiment(cfg), cfg.Parallel)
 }
-
-// AckLossExperiment adapts the ACK-loss sweep to the Experiment
-// interface: one job per (variant, ACK-loss rate, seed) cell.
-type AckLossExperiment struct {
-	cfg AckLossConfig
-}
-
-// NewAckLossExperiment fills defaults and returns the experiment.
-func NewAckLossExperiment(cfg AckLossConfig) *AckLossExperiment {
-	cfg.fillDefaults()
-	return &AckLossExperiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *AckLossExperiment) Name() string { return "ackloss" }
 
 // ackLossOut is one (variant, rate, seed) run's raw measurement.
 type ackLossOut struct {
@@ -100,64 +80,44 @@ type ackLossOut struct {
 	Finished bool
 }
 
-// Jobs implements Experiment.
-func (e *AckLossExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, kind := range cfg.Variants {
-		for _, rate := range cfg.AckLossRates {
-			for _, seed := range cfg.Seeds {
-				jobs = append(jobs, sweep.Job{
-					Name: fmt.Sprintf("%v ackloss=%g seed=%d", kind, rate, seed),
-					Seed: seed,
-					Run: func(seed int64) (any, error) {
-						delay, timeouts, finished, err := ackLossRun(cfg, kind, rate, seed)
-						if err != nil {
-							return nil, fmt.Errorf("ack loss (%v, %g): %w", kind, rate, err)
-						}
-						return ackLossOut{Delay: delay, Timeouts: timeouts, Finished: finished}, nil
-					},
-				})
-			}
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment.
-func (e *AckLossExperiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[ackLossOut](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &AckLossResult{Config: cfg}
-	i := 0
-	for _, kind := range cfg.Variants {
-		for _, rate := range cfg.AckLossRates {
-			pt := AckLossPoint{Variant: kind, AckLossRate: rate, Runs: len(cfg.Seeds)}
-			var delaySum sim.Time
-			var timeoutSum float64
-			for range cfg.Seeds {
-				out := outs[i]
-				i++
-				timeoutSum += float64(out.Timeouts)
-				if out.Finished {
-					pt.Completed++
-					delaySum += out.Delay
+// NewAckLossExperiment fills defaults and returns the experiment: one
+// job per (variant, ACK-loss rate, seed).
+func NewAckLossExperiment(cfg AckLossConfig) Experiment {
+	cfg.fillDefaults()
+	cells := crossKinds(cfg.Variants, cfg.AckLossRates)
+	return &grid[kindAt, ackLossOut]{
+		name:  "ackloss",
+		cells: cells,
+		seeds: cfg.Seeds,
+		label: func(c kindAt) string { return fmt.Sprintf("%v ackloss=%g", c.kind, c.x) },
+		run: func(c kindAt, seed int64) (ackLossOut, error) {
+			return ackLossRun(cfg, c.kind, c.x, seed)
+		},
+		fold: func(outs [][]ackLossOut) Renderable {
+			res := &AckLossResult{Config: cfg}
+			for i, c := range cells {
+				pt := AckLossPoint{Variant: c.kind, AckLossRate: c.x, Runs: len(cfg.Seeds)}
+				var delaySum sim.Time
+				var timeoutSum float64
+				for _, out := range outs[i] {
+					timeoutSum += float64(out.Timeouts)
+					if out.Finished {
+						pt.Completed++
+						delaySum += out.Delay
+					}
 				}
+				if pt.Completed > 0 {
+					pt.MeanDelay = delaySum / sim.Time(pt.Completed)
+				}
+				pt.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
+				res.Points = append(res.Points, pt)
 			}
-			if pt.Completed > 0 {
-				pt.MeanDelay = delaySum / sim.Time(pt.Completed)
-			}
-			pt.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
-			res.Points = append(res.Points, pt)
-		}
+			return res
+		},
 	}
-	return res, nil
 }
 
-func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (sim.Time, uint64, bool, error) {
+func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (ackLossOut, error) {
 	sched := sim.NewScheduler(seed)
 	dataLoss := netem.NewSeqLoss(nil)
 	const mss = int64(1000)
@@ -169,7 +129,7 @@ func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64)
 	dcfg.Loss = dataLoss
 	d, err := netem.NewDumbbell(sched, dcfg)
 	if err != nil {
-		return 0, 0, false, err
+		return ackLossOut{}, err
 	}
 	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
 		Kind:   kind,
@@ -177,7 +137,7 @@ func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64)
 		Window: 64,
 	})
 	if err != nil {
-		return 0, 0, false, err
+		return ackLossOut{}, err
 	}
 	// Interpose the ACK dropper between the receiver and its uplink.
 	ackLoss := netem.NewUniformLoss(rate, sched.Rand(), d.ReceiverPort(0))
@@ -186,7 +146,7 @@ func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64)
 
 	sched.Run(120 * time.Second)
 	delay, ok := flow.Trace.TransferDelay()
-	return delay, flow.Trace.Timeouts, ok, nil
+	return ackLossOut{Delay: delay, Timeouts: flow.Trace.Timeouts, Finished: ok}, nil
 }
 
 // Render returns the sweep as a text table.
@@ -196,12 +156,8 @@ func (r *AckLossResult) Render() string {
 		Header: []string{"variant", "ack loss", "mean delay", "mean timeouts", "completed"},
 	}
 	for _, pt := range r.Points {
-		delay := "DNF"
-		if pt.Completed > 0 {
-			delay = fmt.Sprintf("%.3fs", pt.MeanDelay.Seconds())
-		}
 		t.AddRow(pt.Variant.String(), fmt.Sprintf("%.0f%%", pt.AckLossRate*100),
-			delay, fmt.Sprintf("%.1f", pt.MeanTimeouts),
+			delayCell(pt.MeanDelay, pt.Completed > 0), fmt.Sprintf("%.1f", pt.MeanTimeouts),
 			fmt.Sprintf("%d/%d", pt.Completed, pt.Runs))
 	}
 	return t.String()

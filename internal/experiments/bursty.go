@@ -6,7 +6,6 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
 )
@@ -70,27 +69,8 @@ type BurstyResult struct {
 // Bursty runs the sweep on the Figure 7 fixed-RTT topology so goodput
 // differences come only from the loss process and the recovery scheme.
 func Bursty(cfg BurstyConfig) (*BurstyResult, error) {
-	res, err := Run(NewBurstyExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*BurstyResult), nil
+	return runAs[*BurstyResult](NewBurstyExperiment(cfg), cfg.Parallel)
 }
-
-// BurstyExperiment adapts the correlated-loss sweep to the Experiment
-// interface: one job per (variant, burst length, seed) cell.
-type BurstyExperiment struct {
-	cfg BurstyConfig
-}
-
-// NewBurstyExperiment fills defaults and returns the experiment.
-func NewBurstyExperiment(cfg BurstyConfig) *BurstyExperiment {
-	cfg.fillDefaults()
-	return &BurstyExperiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *BurstyExperiment) Name() string { return "bursty" }
 
 // burstyOut is one (variant, burst, seed) run's raw measurement.
 type burstyOut struct {
@@ -98,92 +78,59 @@ type burstyOut struct {
 	Timeouts   uint64
 }
 
-// Jobs implements Experiment.
-func (e *BurstyExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, kind := range cfg.Variants {
-		for _, burst := range cfg.BurstLengths {
-			for _, seed := range cfg.Seeds {
-				jobs = append(jobs, sweep.Job{
-					Name: fmt.Sprintf("%v L=%g seed=%d", kind, burst, seed),
-					Seed: seed,
-					Run: func(seed int64) (any, error) {
-						gp, to, err := burstyRun(cfg, kind, burst, seed)
-						if err != nil {
-							return nil, fmt.Errorf("bursty (%v, L=%g): %w", kind, burst, err)
-						}
-						return burstyOut{GoodputBps: gp, Timeouts: to}, nil
-					},
+// NewBurstyExperiment fills defaults and returns the experiment: one
+// job per (variant, burst length, seed).
+func NewBurstyExperiment(cfg BurstyConfig) Experiment {
+	cfg.fillDefaults()
+	cells := crossKinds(cfg.Variants, cfg.BurstLengths)
+	return &grid[kindAt, burstyOut]{
+		name:  "bursty",
+		cells: cells,
+		seeds: cfg.Seeds,
+		label: func(c kindAt) string { return fmt.Sprintf("%v L=%g", c.kind, c.x) },
+		run: func(c kindAt, seed int64) (burstyOut, error) {
+			return burstyRun(cfg, c.kind, c.x, seed)
+		},
+		fold: func(outs [][]burstyOut) Renderable {
+			res := &BurstyResult{Config: cfg}
+			n := float64(len(cfg.Seeds))
+			for i, c := range cells {
+				var goodputSum, timeoutSum float64
+				for _, out := range outs[i] {
+					goodputSum += out.GoodputBps
+					timeoutSum += float64(out.Timeouts)
+				}
+				res.Points = append(res.Points, BurstyPoint{
+					Variant:     c.kind,
+					BurstLength: c.x,
+					GoodputBps:  goodputSum / n,
+					Timeouts:    timeoutSum / n,
 				})
 			}
-		}
+			return res
+		},
 	}
-	return jobs, nil
 }
 
-// Reduce implements Experiment.
-func (e *BurstyExperiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[burstyOut](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &BurstyResult{Config: cfg}
-	i := 0
-	for _, kind := range cfg.Variants {
-		for _, burst := range cfg.BurstLengths {
-			var goodputSum, timeoutSum float64
-			for range cfg.Seeds {
-				goodputSum += outs[i].GoodputBps
-				timeoutSum += float64(outs[i].Timeouts)
-				i++
-			}
-			n := float64(len(cfg.Seeds))
-			res.Points = append(res.Points, BurstyPoint{
-				Variant:     kind,
-				BurstLength: burst,
-				GoodputBps:  goodputSum / n,
-				Timeouts:    timeoutSum / n,
-			})
-		}
-	}
-	return res, nil
-}
-
-func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (float64, uint64, error) {
+func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (burstyOut, error) {
 	sched := sim.NewScheduler(seed)
-	// Gilbert parameters for mean rate r and mean burst length L (with
-	// PDropBad = 1): PBadToGood = 1/L, PGoodToBad = r/(L·(1−r)).
-	r := cfg.MeanLossRate
-	pB2G := 1 / burst
-	pG2B := r * pB2G / (1 - r)
-	loss := netem.NewGilbertLoss(pG2B, pB2G, 1.0, sched.Rand(), nil)
-
-	sideDelay := 1 * time.Millisecond
-	dcfg := netem.DumbbellConfig{
-		Flows:           1,
-		BottleneckBps:   10e6,
-		BottleneckDelay: 98 * time.Millisecond,
-		SideBps:         100e6,
-		SideDelay:       sideDelay,
-		ForwardQueue:    netem.Must(netem.NewDropTail(1000)),
-		Loss:            loss,
-	}
-	d, err := netem.NewDumbbell(sched, dcfg)
+	pG2B, pB2G, err := netem.GilbertParams(cfg.MeanLossRate, burst)
 	if err != nil {
-		return 0, 0, err
+		return burstyOut{}, err
 	}
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	loss := netem.NewGilbertLoss(pG2B, pB2G, 1.0, sched.Rand(), nil)
+	flow, err := fixedRTTRun(sched, loss, 200*time.Millisecond, cfg.Duration, workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  tcp.Infinite,
 		Window: 64,
 	})
 	if err != nil {
-		return 0, 0, err
+		return burstyOut{}, err
 	}
-	sched.Run(cfg.Duration)
-	return flow.Trace.GoodputBps(5*time.Second, cfg.Duration), flow.Trace.Timeouts, nil
+	return burstyOut{
+		GoodputBps: flow.Trace.GoodputBps(5*time.Second, cfg.Duration),
+		Timeouts:   flow.Trace.Timeouts,
+	}, nil
 }
 
 // Render returns the sweep as a table: one row per burst length, one
@@ -213,10 +160,5 @@ func (r *BurstyResult) Render() string {
 
 // Point returns the measurement for (variant, burst length).
 func (r *BurstyResult) Point(kind workload.Kind, burst float64) (BurstyPoint, bool) {
-	for _, pt := range r.Points {
-		if pt.Variant == kind && pt.BurstLength == burst {
-			return pt, true
-		}
-	}
-	return BurstyPoint{}, false
+	return find(r.Points, func(pt BurstyPoint) bool { return pt.Variant == kind && pt.BurstLength == burst })
 }

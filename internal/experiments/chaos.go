@@ -257,12 +257,7 @@ type ChaosResult struct {
 
 // FlowReport computes the flow-analytics report, or a zero report when
 // flow stats were not enabled.
-func (r *ChaosResult) FlowReport() flowstats.Report {
-	if r.Flows == nil {
-		return flowstats.Report{}
-	}
-	return r.Flows.Report()
-}
+func (r *ChaosResult) FlowReport() flowstats.Report { return flowReport(r.Flows) }
 
 // Violated reports the total number of violating runs.
 func (r *ChaosResult) Violated() int { return len(r.Failures) }
@@ -272,11 +267,7 @@ func (r *ChaosResult) Violated() int { return len(r.Failures) }
 // generated once and run against every variant, so a violation isolates
 // to the variant rather than the weather.
 func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
-	res, err := Run(NewChaosExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*ChaosResult), nil
+	return runAs[*ChaosResult](NewChaosExperiment(cfg), cfg.Parallel)
 }
 
 // ChaosExperiment adapts the chaos sweep to the Experiment interface.
@@ -374,28 +365,19 @@ func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
 			Seed: c.Seed,
 			Run: func(int64) (any, error) {
-				var table *flowstats.FlowTable
-				var extra []telemetry.Sink
-				if cfg.FlowStats {
-					table = flowstats.New(flowstats.Config{
-						Exemplars: cfg.FlowExemplars,
-						Seed:      c.Seed,
-					})
-					extra = append(extra, table)
-				}
+				tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, c.Seed)
 				ring := rings.get()
 				defer rings.put(ring)
-				out, err := runChaosCase(c, ring, extra)
+				out, err := runChaosCase(c, ring, tally.sinks())
 				if err != nil {
 					return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
 				}
-				o := chaosOut{Finished: out.Finished, Violations: out.Violations, Events: out.Events}
-				if table != nil {
-					table.Finalize()
-					s := table.Summary()
-					o.Flow = &s
-				}
-				return o, nil
+				return chaosOut{
+					Finished:   out.Finished,
+					Violations: out.Violations,
+					Events:     out.Events,
+					Flow:       tally.summary(),
+				}, nil
 			},
 		}
 	}
@@ -423,12 +405,7 @@ func (e *ChaosExperiment) Reduce(results []any) (Renderable, error) {
 		if out.Finished {
 			stats[i].Finished++
 		}
-		if out.Flow != nil {
-			if res.Flows == nil {
-				res.Flows = &flowstats.Summary{}
-			}
-			res.Flows.Merge(*out.Flow)
-		}
+		mergeFlows(&res.Flows, out.Flow)
 		if len(out.Violations) > 0 {
 			stats[i].Violated++
 			f := ChaosFailure{Case: c, Violation: out.Violations[0]}

@@ -5,24 +5,36 @@
 // and returns structured results with a text rendering that mirrors
 // what the paper reports.
 //
-// Every runner implements the Experiment interface — Name, Jobs,
-// Reduce — and executes on the internal/sweep worker pool, so its
-// independent runs fan out across CPUs while the merged result stays
-// byte-identical to sequential execution (see docs/SWEEP.md). The
-// registry in registry.go lists the experiments in canonical order;
-// the classic entry points (Figure5, Table5, Chaos, ...) remain as
-// thin wrappers over Run.
+// Every runner is an Experiment — Name, Jobs, Reduce — executed on the
+// internal/sweep worker pool, so its independent runs fan out across
+// CPUs while the merged result stays byte-identical to sequential
+// execution (see docs/SWEEP.md). Nine of them are one grid literal each
+// (grid.go: cells × seeds, folded cell by cell); fig5, chaos and stress
+// write Jobs and Reduce by hand. The registry in registry.go lists the
+// experiments in canonical order; the classic entry points (Figure5,
+// Table5, Chaos, ...) remain as thin wrappers over Run.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
+	"rrtcp/internal/sim"
 	"rrtcp/internal/trace"
+	"rrtcp/internal/workload"
 )
 
-// ackRecvKind names the trace kind counted as a received ACK.
-const ackRecvKind = trace.EvAckRecv
+// ackLossRate is the fraction of the flow's receiver-generated ACKs
+// that never reached its sender. Without delayed ACKs the receiver
+// emits exactly one ACK per data segment it processes.
+func ackLossRate(flow *workload.Flow) float64 {
+	acksSent := float64(flow.Receiver.Segments)
+	acksGot := float64(len(flow.Trace.SamplesOf(trace.EvAckRecv)))
+	if acksGot >= acksSent {
+		return 0
+	}
+	return 1 - acksGot/acksSent
+}
 
 // Table is a simple column-aligned text table.
 type Table struct {
@@ -73,6 +85,26 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
+}
+
+// delayCell formats a transfer delay for a table: "DNF" when the
+// transfer did not finish.
+func delayCell(delay sim.Time, finished bool) string {
+	if !finished {
+		return "DNF"
+	}
+	return fmt.Sprintf("%.3fs", delay.Seconds())
+}
+
+// find returns the first element of xs that matches.
+func find[T any](xs []T, match func(T) bool) (T, bool) {
+	for _, x := range xs {
+		if match(x) {
+			return x, true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // kbps formats a bit-per-second value in Kbps.

@@ -6,7 +6,6 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/workload"
 )
 
@@ -79,55 +78,25 @@ type FairShareResult struct {
 
 // FairShare runs the experiment once per gateway discipline.
 func FairShare(cfg FairShareConfig) (*FairShareResult, error) {
-	res, err := Run(NewFairShareExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*FairShareResult), nil
+	return runAs[*FairShareResult](NewFairShareExperiment(cfg), cfg.Parallel)
 }
 
-// FairShareExperiment adapts the gateway comparison to the Experiment
-// interface: one job per reverse-path discipline.
-type FairShareExperiment struct {
-	cfg FairShareConfig
-}
-
-// NewFairShareExperiment fills defaults and returns the experiment.
-func NewFairShareExperiment(cfg FairShareConfig) *FairShareExperiment {
+// NewFairShareExperiment fills defaults and returns the experiment: one
+// job per reverse-path discipline.
+func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 	cfg.fillDefaults()
-	return &FairShareExperiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *FairShareExperiment) Name() string { return "fairshare" }
-
-// Jobs implements Experiment.
-func (e *FairShareExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, disc := range []string{"fifo", "drr"} {
-		jobs = append(jobs, sweep.Job{
-			Name: disc,
-			Seed: cfg.Seed,
-			Run: func(seed int64) (any, error) {
-				row, err := fairShareRun(cfg, disc, seed)
-				if err != nil {
-					return nil, fmt.Errorf("fair share (%s): %w", disc, err)
-				}
-				return row, nil
-			},
-		})
+	return &grid[string, FairShareRow]{
+		name:  "fairshare",
+		cells: []string{"fifo", "drr"},
+		seeds: []int64{cfg.Seed},
+		label: func(disc string) string { return disc },
+		run: func(disc string, seed int64) (FairShareRow, error) {
+			return fairShareRun(cfg, disc, seed)
+		},
+		fold: func(outs [][]FairShareRow) Renderable {
+			return &FairShareResult{Config: cfg, Rows: firstSeed(outs)}
+		},
 	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment.
-func (e *FairShareExperiment) Reduce(results []any) (Renderable, error) {
-	rows, err := sweep.Collect[FairShareRow](results)
-	if err != nil {
-		return nil, err
-	}
-	return &FairShareResult{Config: e.cfg, Rows: rows}, nil
 }
 
 func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
@@ -166,21 +135,8 @@ func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, e
 
 	sched.Run(cfg.Horizon)
 
-	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts}
-	// Without delayed ACKs the receiver emits exactly one ACK per data
-	// segment it processes.
-	acksSent := float64(flow.Receiver.Segments)
-	acksGot := float64(len(flow.Trace.SamplesOf(ackRecvKind)))
-	if acksSent > 0 {
-		row.AckLossRate = 1 - acksGot/acksSent
-		if row.AckLossRate < 0 {
-			row.AckLossRate = 0
-		}
-	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
-		row.Finished = true
-		row.TransferDelay = delay
-	}
+	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts, AckLossRate: ackLossRate(flow)}
+	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
 	return row, nil
 }
 
@@ -192,22 +148,13 @@ func (r *FairShareResult) Render() string {
 		Header: []string{"reverse gateway", "ACK loss", "transfer delay", "timeouts"},
 	}
 	for _, row := range r.Rows {
-		delay := "DNF"
-		if row.Finished {
-			delay = fmt.Sprintf("%.3fs", row.TransferDelay.Seconds())
-		}
 		t.AddRow(row.Discipline, fmt.Sprintf("%.1f%%", row.AckLossRate*100),
-			delay, fmt.Sprintf("%d", row.Timeouts))
+			delayCell(row.TransferDelay, row.Finished), fmt.Sprintf("%d", row.Timeouts))
 	}
 	return t.String()
 }
 
 // Row returns the outcome for a discipline name.
 func (r *FairShareResult) Row(disc string) (FairShareRow, bool) {
-	for _, row := range r.Rows {
-		if row.Discipline == disc {
-			return row, true
-		}
-	}
-	return FairShareRow{}, false
+	return find(r.Rows, func(row FairShareRow) bool { return row.Discipline == disc })
 }

@@ -120,12 +120,7 @@ type Figure5Result struct {
 
 // FlowReport computes the flow-analytics report, or a zero report when
 // flow stats were not enabled.
-func (r *Figure5Result) FlowReport() flowstats.Report {
-	if r.Flows == nil {
-		return flowstats.Report{}
-	}
-	return r.Flows.Report()
-}
+func (r *Figure5Result) FlowReport() flowstats.Report { return flowReport(r.Flows) }
 
 // Figure5 runs the burst-loss comparison for one drop count.
 //
@@ -134,11 +129,7 @@ func (r *Figure5Result) FlowReport() flowstats.Report {
 // the identical pattern with a deterministic per-sequence loss injector
 // on an otherwise clean path (see DESIGN.md §3).
 func Figure5(cfg Figure5Config) (*Figure5Result, error) {
-	res, err := Run(NewFigure5Experiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Figure5Result), nil
+	return runAs[*Figure5Result](NewFigure5Experiment(cfg), cfg.Parallel)
 }
 
 // Figure5Experiment adapts the burst-loss comparison to the Experiment
@@ -190,20 +181,14 @@ func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 			Name: kind.String(),
 			Seed: cfg.Seed,
 			Run: func(int64) (any, error) {
+				tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, cfg.Seed)
 				var ring *telemetry.Ring
-				var table *flowstats.FlowTable
 				var sinks []telemetry.Sink
 				if capture {
 					ring = telemetry.NewRing(0)
 					sinks = append(sinks, ring)
 				}
-				if cfg.FlowStats {
-					table = flowstats.New(flowstats.Config{
-						Exemplars: cfg.FlowExemplars,
-						Seed:      cfg.Seed,
-					})
-					sinks = append(sinks, table)
-				}
+				sinks = append(sinks, tally.sinks()...)
 				var bus *telemetry.Bus
 				if len(sinks) > 0 {
 					bus = telemetry.NewBus(sinks...)
@@ -212,14 +197,9 @@ func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 				if err != nil {
 					return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
 				}
-				out := figure5Out{Row: row}
+				out := figure5Out{Row: row, Flow: tally.summary()}
 				if ring != nil {
 					out.Events = ring.Events()
-				}
-				if table != nil {
-					table.Finalize()
-					s := table.Summary()
-					out.Flow = &s
 				}
 				return out, nil
 			},
@@ -241,17 +221,14 @@ func (e *Figure5Experiment) Reduce(results []any) (Renderable, error) {
 		for _, ev := range out.Events {
 			e.cfg.Telemetry.Publish(ev)
 		}
-		if out.Flow != nil {
-			if res.Flows == nil {
-				res.Flows = &flowstats.Summary{}
-			}
-			res.Flows.Merge(*out.Flow)
-		}
+		mergeFlows(&res.Flows, out.Flow)
 	}
 	return res, nil
 }
 
-func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figure5Row, error) {
+// figure5World builds one variant's burst-loss transfer, runs it to the
+// horizon, and returns the flow.
+func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*workload.Flow, error) {
 	sched := sim.NewScheduler(cfg.Seed)
 	loss := netem.NewSeqLoss(nil)
 	mss := int64(tcp.DefaultMSS)
@@ -268,7 +245,7 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 	dcfg.Loss = loss
 	d, err := netem.NewDumbbell(sched, dcfg)
 	if err != nil {
-		return Figure5Row{}, err
+		return nil, err
 	}
 	if bus.Enabled() {
 		d.Instrument(bus)
@@ -283,7 +260,7 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 		Telemetry:       bus,
 	})
 	if err != nil {
-		return Figure5Row{}, err
+		return nil, err
 	}
 	if bus.Enabled() {
 		sampler := telemetry.NewSampler(sched, bus, cfg.SampleEvery)
@@ -294,7 +271,14 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 
 	const horizon = 60 * time.Second
 	sched.Run(horizon)
+	return flow, nil
+}
 
+func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figure5Row, error) {
+	flow, err := figure5World(cfg, kind, bus)
+	if err != nil {
+		return Figure5Row{}, err
+	}
 	row := Figure5Row{
 		Variant:     kind,
 		Timeouts:    flow.Trace.Timeouts,
@@ -303,7 +287,7 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 	if delay, ok := flow.Trace.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
-		row.GoodputBps = float64(cfg.TransferPackets) * float64(mss) * 8 / delay.Seconds()
+		row.GoodputBps = float64(cfg.TransferPackets) * float64(tcp.DefaultMSS) * 8 / delay.Seconds()
 	}
 	// Recovery-period goodput: from entering fast retransmit to the
 	// end of the transfer (the tail of the transfer is dominated by how
@@ -319,28 +303,10 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 // for diagnostics and tests.
 func figure5TraceRun(cfg Figure5Config, kind workload.Kind) ([]trace.Sample, error) {
 	cfg.fillDefaults()
-	sched := sim.NewScheduler(cfg.Seed)
-	loss := netem.NewSeqLoss(nil)
-	mss := int64(tcp.DefaultMSS)
-	for _, pk := range cfg.DropPacketNumbers() {
-		loss.Drop(0, pk*mss)
-	}
-	dcfg := netem.PaperDropTailConfig(1)
-	dcfg.Loss = loss
-	d, err := netem.NewDumbbell(sched, dcfg)
+	flow, err := figure5World(cfg, kind, nil)
 	if err != nil {
 		return nil, err
 	}
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
-		Kind:            kind,
-		Bytes:           int64(cfg.TransferPackets) * mss,
-		Window:          18,
-		InitialSSThresh: 9,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sched.Run(60 * time.Second)
 	return flow.Trace.Samples(), nil
 }
 
@@ -371,10 +337,5 @@ func (r *Figure5Result) Render() string {
 
 // Row returns the row for a variant, if present.
 func (r *Figure5Result) Row(kind workload.Kind) (Figure5Row, bool) {
-	for _, row := range r.Rows {
-		if row.Variant == kind {
-			return row, true
-		}
-	}
-	return Figure5Row{}, false
+	return find(r.Rows, func(row Figure5Row) bool { return row.Variant == kind })
 }

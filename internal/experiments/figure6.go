@@ -6,7 +6,6 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
@@ -92,88 +91,52 @@ type Figure6Result struct {
 // all flows have infinite data. Throughput columns are means across
 // seeds; the sequence plot comes from the primary seed.
 func Figure6(cfg Figure6Config) (*Figure6Result, error) {
-	res, err := Run(NewFigure6Experiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Figure6Result), nil
+	return runAs[*Figure6Result](NewFigure6Experiment(cfg), cfg.Parallel)
 }
 
-// Figure6Experiment adapts the RED scenario to the Experiment
-// interface: one job per (variant, seed) run.
-type Figure6Experiment struct {
-	cfg Figure6Config
-}
-
-// NewFigure6Experiment fills defaults and returns the experiment.
-func NewFigure6Experiment(cfg Figure6Config) *Figure6Experiment {
+// NewFigure6Experiment fills defaults and returns the experiment: one
+// job per (variant, seed). Throughput columns average across the seeds;
+// the sequence plot comes from the primary seed's run.
+func NewFigure6Experiment(cfg Figure6Config) Experiment {
 	cfg.fillDefaults()
-	return &Figure6Experiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *Figure6Experiment) Name() string { return "fig6" }
-
-// Jobs implements Experiment.
-func (e *Figure6Experiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, kind := range cfg.Variants {
-		for _, seed := range cfg.Seeds {
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%v seed=%d", kind, seed),
-				Seed: seed,
-				Run: func(seed int64) (any, error) {
-					panel, err := figure6Run(cfg, kind, seed)
-					if err != nil {
-						return nil, fmt.Errorf("figure 6 (%v): %w", kind, err)
+	return &grid[workload.Kind, Figure6Panel]{
+		name:  "fig6",
+		cells: cfg.Variants,
+		seeds: cfg.Seeds,
+		label: workload.Kind.String,
+		run: func(kind workload.Kind, seed int64) (Figure6Panel, error) {
+			return figure6Run(cfg, kind, seed)
+		},
+		fold: func(outs [][]Figure6Panel) Renderable {
+			res := &Figure6Result{Config: cfg}
+			for _, panels := range outs {
+				var agg Figure6Panel
+				for si, panel := range panels {
+					if cfg.Seeds[si] == cfg.Seed || (si == 0 && agg.Flow0Seq == nil) {
+						agg.Flow0Seq = panel.Flow0Seq
 					}
-					return panel, nil
-				},
-			})
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment: throughput columns average across the
-// seeds; the sequence plot comes from the primary seed's run.
-func (e *Figure6Experiment) Reduce(results []any) (Renderable, error) {
-	panels, err := sweep.Collect[Figure6Panel](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &Figure6Result{Config: cfg}
-	i := 0
-	for range cfg.Variants {
-		var agg Figure6Panel
-		for si, seed := range cfg.Seeds {
-			panel := panels[i]
-			i++
-			if seed == cfg.Seed || (si == 0 && agg.Flow0Seq == nil) {
-				agg.Flow0Seq = panel.Flow0Seq
+					agg.Variant = panel.Variant
+					agg.Flow0GoodputBps += panel.Flow0GoodputBps
+					agg.Flow0Packets += panel.Flow0Packets
+					agg.Flow0Timeouts += panel.Flow0Timeouts
+					agg.AggregateGoodputBps += panel.AggregateGoodputBps
+					agg.REDEarlyDrops += panel.REDEarlyDrops
+					agg.REDForcedDrops += panel.REDForcedDrops
+					agg.BottleneckUtilization += panel.BottleneckUtilization
+				}
+				n := int64(len(cfg.Seeds))
+				agg.Flow0GoodputBps /= float64(n)
+				agg.Flow0Packets /= n
+				agg.Flow0Timeouts /= float64(n)
+				agg.AggregateGoodputBps /= float64(n)
+				agg.REDEarlyDrops /= uint64(n)
+				agg.REDForcedDrops /= uint64(n)
+				agg.BottleneckUtilization /= float64(n)
+				res.Panels = append(res.Panels, agg)
 			}
-			agg.Variant = panel.Variant
-			agg.Flow0GoodputBps += panel.Flow0GoodputBps
-			agg.Flow0Packets += panel.Flow0Packets
-			agg.Flow0Timeouts += panel.Flow0Timeouts
-			agg.AggregateGoodputBps += panel.AggregateGoodputBps
-			agg.REDEarlyDrops += panel.REDEarlyDrops
-			agg.REDForcedDrops += panel.REDForcedDrops
-			agg.BottleneckUtilization += panel.BottleneckUtilization
-		}
-		n := int64(len(cfg.Seeds))
-		agg.Flow0GoodputBps /= float64(n)
-		agg.Flow0Packets /= n
-		agg.Flow0Timeouts /= float64(n)
-		agg.AggregateGoodputBps /= float64(n)
-		agg.REDEarlyDrops /= uint64(n)
-		agg.REDForcedDrops /= uint64(n)
-		agg.BottleneckUtilization /= float64(n)
-		res.Panels = append(res.Panels, agg)
+			return res
+		},
 	}
-	return res, nil
 }
 
 func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
@@ -210,14 +173,23 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 		return Figure6Panel{}, err
 	}
 
-	// Sample bottleneck utilization every 100 ms: bits forwarded per
-	// interval over the link capacity.
+	// Bottleneck utilization: bits forwarded per 100 ms tick over the
+	// link capacity. The first tick only sets the baseline yet counts
+	// in the mean; the fig6 golden pins that definition.
 	const sampleEvery = 100 * time.Millisecond
 	link := d.ForwardLink()
-	util := trace.NewSampler(sched, sampleEvery, trace.DeltaProbe(func() float64 {
-		return float64(link.TxBytes) * 8
-	}))
-	if err := util.Start(); err != nil {
+	var firstTx, lastTx uint64
+	var ticks int
+	var tick *sim.Timer
+	tick = sched.NewTimer(func() {
+		lastTx = link.TxBytes
+		if ticks == 0 {
+			firstTx = lastTx
+		}
+		ticks++
+		tick.Reset(sampleEvery)
+	})
+	if err := tick.At(sched.Now() + sampleEvery); err != nil {
 		return Figure6Panel{}, err
 	}
 
@@ -235,7 +207,10 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 	for _, f := range flows {
 		panel.AggregateGoodputBps += f.Trace.GoodputBps(0, cfg.Duration)
 	}
-	panel.BottleneckUtilization = util.Mean() / (dcfg.BottleneckBps * sampleEvery.Seconds())
+	if ticks > 0 {
+		bitsPerTick := float64(lastTx-firstTx) * 8 / float64(ticks)
+		panel.BottleneckUtilization = bitsPerTick / (dcfg.BottleneckBps * sampleEvery.Seconds())
+	}
 	return panel, nil
 }
 
@@ -266,10 +241,5 @@ func (r *Figure6Result) Render() string {
 
 // Panel returns the panel for a variant, if present.
 func (r *Figure6Result) Panel(kind workload.Kind) (Figure6Panel, bool) {
-	for _, p := range r.Panels {
-		if p.Variant == kind {
-			return p, true
-		}
-	}
-	return Figure6Panel{}, false
+	return find(r.Panels, func(p Figure6Panel) bool { return p.Variant == kind })
 }

@@ -7,7 +7,6 @@ import (
 	"rrtcp/internal/model"
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
 )
@@ -87,27 +86,8 @@ type Figure7Result struct {
 // uniform losses are the only loss process and the RTT stays pinned at
 // the configured value, as the model assumes.
 func Figure7(cfg Figure7Config) (*Figure7Result, error) {
-	res, err := Run(NewFigure7Experiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Figure7Result), nil
+	return runAs[*Figure7Result](NewFigure7Experiment(cfg), cfg.Parallel)
 }
-
-// Figure7Experiment adapts the model-fitness sweep to the Experiment
-// interface: one job per (variant, loss rate, seed) cell.
-type Figure7Experiment struct {
-	cfg Figure7Config
-}
-
-// NewFigure7Experiment fills defaults and returns the experiment.
-func NewFigure7Experiment(cfg Figure7Config) *Figure7Experiment {
-	cfg.fillDefaults()
-	return &Figure7Experiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *Figure7Experiment) Name() string { return "fig7" }
 
 // figure7Out is one (variant, rate, seed) run's raw measurement.
 type figure7Out struct {
@@ -115,91 +95,53 @@ type figure7Out struct {
 	Timeouts uint64
 }
 
-// Jobs implements Experiment.
-func (e *Figure7Experiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, kind := range cfg.Variants {
-		for _, p := range cfg.LossRates {
-			for _, seed := range cfg.Seeds {
-				jobs = append(jobs, sweep.Job{
-					Name: fmt.Sprintf("%v p=%g seed=%d", kind, p, seed),
-					Seed: seed,
-					Run: func(seed int64) (any, error) {
-						w, to, err := figure7Run(cfg, kind, p, seed)
-						if err != nil {
-							return nil, fmt.Errorf("figure 7 (%v, p=%g): %w", kind, p, err)
-						}
-						return figure7Out{Window: w, Timeouts: to}, nil
-					},
+// NewFigure7Experiment fills defaults and returns the experiment: one
+// job per (variant, loss rate, seed), averaged over the seeds into one
+// point per (variant, loss rate).
+func NewFigure7Experiment(cfg Figure7Config) Experiment {
+	cfg.fillDefaults()
+	cells := crossKinds(cfg.Variants, cfg.LossRates)
+	return &grid[kindAt, figure7Out]{
+		name:  "fig7",
+		cells: cells,
+		seeds: cfg.Seeds,
+		label: func(c kindAt) string { return fmt.Sprintf("%v p=%g", c.kind, c.x) },
+		run: func(c kindAt, seed int64) (figure7Out, error) {
+			return figure7Run(cfg, c.kind, c.x, seed)
+		},
+		fold: func(outs [][]figure7Out) Renderable {
+			modelC := model.CAckEveryPacket
+			ackPerPacket := 1
+			if cfg.DelayedAck {
+				modelC = model.CDelayedAck
+				ackPerPacket = 2
+			}
+			res := &Figure7Result{Config: cfg}
+			n := float64(len(cfg.Seeds))
+			for i, c := range cells {
+				var windowSum, timeoutSum float64
+				for _, out := range outs[i] {
+					windowSum += out.Window
+					timeoutSum += float64(out.Timeouts)
+				}
+				res.Points = append(res.Points, Figure7Point{
+					Variant:      c.kind,
+					LossRate:     c.x,
+					Window:       windowSum / n,
+					ModelWindow:  model.SqrtWindow(c.x, modelC),
+					PadhyeWindow: model.PadhyeWindow(cfg.RTT.Seconds(), 1.0, c.x, ackPerPacket),
+					Timeouts:     timeoutSum / n,
 				})
 			}
-		}
+			return res
+		},
 	}
-	return jobs, nil
 }
 
-// Reduce implements Experiment: it averages the per-seed measurements
-// into one point per (variant, loss rate) cell, walking the results in
-// the same nested order Jobs emitted them.
-func (e *Figure7Experiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[figure7Out](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	c := model.CAckEveryPacket
-	ackPerPacket := 1
-	if cfg.DelayedAck {
-		c = model.CDelayedAck
-		ackPerPacket = 2
-	}
-	res := &Figure7Result{Config: cfg}
-	i := 0
-	for _, kind := range cfg.Variants {
-		for _, p := range cfg.LossRates {
-			var windowSum, timeoutSum float64
-			for range cfg.Seeds {
-				windowSum += outs[i].Window
-				timeoutSum += float64(outs[i].Timeouts)
-				i++
-			}
-			n := float64(len(cfg.Seeds))
-			res.Points = append(res.Points, Figure7Point{
-				Variant:      kind,
-				LossRate:     p,
-				Window:       windowSum / n,
-				ModelWindow:  model.SqrtWindow(p, c),
-				PadhyeWindow: model.PadhyeWindow(cfg.RTT.Seconds(), 1.0, p, ackPerPacket),
-				Timeouts:     timeoutSum / n,
-			})
-		}
-	}
-	return res, nil
-}
-
-func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (float64, uint64, error) {
+func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
 	sched := sim.NewScheduler(seed)
 	loss := netem.NewUniformLoss(p, sched.Rand(), nil)
-
-	// Side links contribute 2 ms per direction; the bottleneck carries
-	// the rest of the fixed RTT.
-	sideDelay := 1 * time.Millisecond
-	bottleneckDelay := cfg.RTT/2 - 2*sideDelay
-	dcfg := netem.DumbbellConfig{
-		Flows:           1,
-		BottleneckBps:   10e6,
-		BottleneckDelay: bottleneckDelay,
-		SideBps:         100e6,
-		SideDelay:       sideDelay,
-		ForwardQueue:    netem.Must(netem.NewDropTail(1000)),
-		Loss:            loss,
-	}
-	d, err := netem.NewDumbbell(sched, dcfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := fixedRTTRun(sched, loss, cfg.RTT, cfg.Duration, workload.FlowSpec{
 		Kind:  kind,
 		Bytes: tcp.Infinite,
 		// Large enough that the advertised window never binds: the
@@ -209,14 +151,38 @@ func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (f
 		DelayedAck: cfg.DelayedAck,
 	})
 	if err != nil {
-		return 0, 0, err
+		return figure7Out{}, err
 	}
-
-	sched.Run(cfg.Duration)
-
 	bw := flow.Trace.GoodputBps(cfg.WarmUp, cfg.Duration)
 	window := bw * cfg.RTT.Seconds() / float64(tcp.DefaultMSS*8)
-	return window, flow.Trace.Timeouts, nil
+	return figure7Out{Window: window, Timeouts: flow.Trace.Timeouts}, nil
+}
+
+// fixedRTTRun runs one flow for duration over the Figure 7 topology: an
+// uncongested 10 Mbps bottleneck behind a deep buffer, so the given
+// injector is the only loss process and the RTT stays pinned at rtt.
+func fixedRTTRun(sched *sim.Scheduler, loss netem.Node, rtt, duration sim.Time, spec workload.FlowSpec) (*workload.Flow, error) {
+	// Side links contribute 2 ms per direction; the bottleneck carries
+	// the rest of the fixed RTT.
+	sideDelay := 1 * time.Millisecond
+	d, err := netem.NewDumbbell(sched, netem.DumbbellConfig{
+		Flows:           1,
+		BottleneckBps:   10e6,
+		BottleneckDelay: rtt/2 - 2*sideDelay,
+		SideBps:         100e6,
+		SideDelay:       sideDelay,
+		ForwardQueue:    netem.Must(netem.NewDropTail(1000)),
+		Loss:            loss,
+	})
+	if err != nil {
+		return nil, err
+	}
+	flow, err := workload.Install(sched, d, 0, spec)
+	if err != nil {
+		return nil, err
+	}
+	sched.Run(duration)
+	return flow, nil
 }
 
 // Render returns the sweep as a table of measured vs model windows.
@@ -250,10 +216,5 @@ func (r *Figure7Result) Render() string {
 
 // Point returns the measurement for (variant, p), if present.
 func (r *Figure7Result) Point(kind workload.Kind, p float64) (Figure7Point, bool) {
-	for _, pt := range r.Points {
-		if pt.Variant == kind && pt.LossRate == p {
-			return pt, true
-		}
-	}
-	return Figure7Point{}, false
+	return find(r.Points, func(pt Figure7Point) bool { return pt.Variant == kind && pt.LossRate == p })
 }

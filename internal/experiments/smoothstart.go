@@ -6,7 +6,6 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/workload"
 )
 
@@ -72,59 +71,33 @@ type SmoothStartResult struct {
 
 // SmoothStart runs the comparison.
 func SmoothStart(cfg SmoothStartConfig) (*SmoothStartResult, error) {
-	res, err := Run(NewSmoothStartExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
+	return runAs[*SmoothStartResult](NewSmoothStartExperiment(cfg), cfg.Parallel)
+}
+
+// smoothStartLabel names a slow-start flavour in the result rows.
+func smoothStartLabel(smooth bool) string {
+	if smooth {
+		return "smooth-start [21]"
 	}
-	return res.(*SmoothStartResult), nil
+	return "classic slow start"
 }
 
-// SmoothStartExperiment adapts the slow-start comparison to the
-// Experiment interface: one job per slow-start flavour.
-type SmoothStartExperiment struct {
-	cfg SmoothStartConfig
-}
-
-// NewSmoothStartExperiment fills defaults and returns the experiment.
-func NewSmoothStartExperiment(cfg SmoothStartConfig) *SmoothStartExperiment {
+// NewSmoothStartExperiment fills defaults and returns the experiment:
+// one job per slow-start flavour, classic first.
+func NewSmoothStartExperiment(cfg SmoothStartConfig) Experiment {
 	cfg.fillDefaults()
-	return &SmoothStartExperiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *SmoothStartExperiment) Name() string { return "smoothstart" }
-
-// Jobs implements Experiment.
-func (e *SmoothStartExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, smooth := range []bool{false, true} {
-		name := "classic"
-		if smooth {
-			name = "smooth"
-		}
-		jobs = append(jobs, sweep.Job{
-			Name: name,
-			Seed: cfg.Seed,
-			Run: func(seed int64) (any, error) {
-				row, err := smoothStartRun(cfg, smooth, seed)
-				if err != nil {
-					return nil, fmt.Errorf("smooth start (%t): %w", smooth, err)
-				}
-				return row, nil
-			},
-		})
+	return &grid[bool, SmoothStartRow]{
+		name:  "smoothstart",
+		cells: []bool{false, true},
+		seeds: []int64{cfg.Seed},
+		label: smoothStartLabel,
+		run: func(smooth bool, seed int64) (SmoothStartRow, error) {
+			return smoothStartRun(cfg, smooth, seed)
+		},
+		fold: func(outs [][]SmoothStartRow) Renderable {
+			return &SmoothStartResult{Config: cfg, Rows: firstSeed(outs)}
+		},
 	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment.
-func (e *SmoothStartExperiment) Reduce(results []any) (Renderable, error) {
-	rows, err := sweep.Collect[SmoothStartRow](results)
-	if err != nil {
-		return nil, err
-	}
-	return &SmoothStartResult{Config: e.cfg, Rows: rows}, nil
 }
 
 func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStartRow, error) {
@@ -155,19 +128,12 @@ func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStart
 
 	sched.Run(cfg.Horizon)
 
-	label := "classic slow start"
-	if smooth {
-		label = "smooth-start [21]"
-	}
 	row := SmoothStartRow{
-		Label:          label,
+		Label:          smoothStartLabel(smooth),
 		SlowStartDrops: earlyDrops,
 		TotalDrops:     d.BottleneckQueue().Drops,
 	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
-		row.Finished = true
-		row.TransferDelay = delay
-	}
+	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
 	return row, nil
 }
 
@@ -179,26 +145,13 @@ func (r *SmoothStartResult) Render() string {
 		Header: []string{"slow start", "overshoot drops", "total drops", "transfer delay"},
 	}
 	for _, row := range r.Rows {
-		delay := "DNF"
-		if row.Finished {
-			delay = fmt.Sprintf("%.3fs", row.TransferDelay.Seconds())
-		}
 		t.AddRow(row.Label, fmt.Sprintf("%d", row.SlowStartDrops),
-			fmt.Sprintf("%d", row.TotalDrops), delay)
+			fmt.Sprintf("%d", row.TotalDrops), delayCell(row.TransferDelay, row.Finished))
 	}
 	return t.String()
 }
 
 // Row returns the outcome for smooth (true) or classic (false).
 func (r *SmoothStartResult) Row(smooth bool) (SmoothStartRow, bool) {
-	want := "classic slow start"
-	if smooth {
-		want = "smooth-start [21]"
-	}
-	for _, row := range r.Rows {
-		if row.Label == want {
-			return row, true
-		}
-	}
-	return SmoothStartRow{}, false
+	return find(r.Rows, func(row SmoothStartRow) bool { return row.Label == smoothStartLabel(smooth) })
 }

@@ -155,13 +155,9 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 		Src:       fmt.Sprintf("cell%d", index),
 	})
 	bus := telemetry.NewBus(bounded)
-	var table *flowstats.FlowTable
-	if cfg.FlowStats {
-		table = flowstats.New(flowstats.Config{
-			Exemplars: cfg.FlowExemplars,
-			Seed:      seed,
-		})
-		bus.Subscribe(table)
+	tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, seed)
+	for _, s := range tally.sinks() {
+		bus.Subscribe(s)
 	}
 	checker := invariant.NewChecker(sched, bus)
 	bus.Subscribe(checker)
@@ -240,11 +236,12 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 			cell.Violations++
 		}
 	}
-	if table != nil {
-		table.Flush(sched.Now())
-		s := table.Summary()
-		cell.Flow = &s
+	if tally.table != nil {
+		// A cell knows its clock: score the windows up to where the run
+		// stopped, not just up to the last flow event.
+		tally.table.Flush(sched.Now())
 	}
+	cell.Flow = tally.summary()
 
 	// Degradation priority: a guard trip explains the run ending early
 	// and wins; a liveness stall with no guard trip degrades too (the
@@ -281,12 +278,7 @@ type StressResult struct {
 
 // FlowReport computes the flow-analytics report, or a zero report when
 // flow stats were not enabled.
-func (r *StressResult) FlowReport() flowstats.Report {
-	if r.Flows == nil {
-		return flowstats.Report{}
-	}
-	return r.Flows.Report()
-}
+func (r *StressResult) FlowReport() flowstats.Report { return flowReport(r.Flows) }
 
 // StressDegrade records why one cell degraded.
 type StressDegrade struct {
@@ -413,12 +405,7 @@ func (e *StressExperiment) Reduce(results []any) (Renderable, error) {
 		res.TotalDropped += cell.TelemetryDropped
 		res.Violations += cell.Violations
 		res.Stalls += cell.Stalls
-		if cell.Flow != nil {
-			if res.Flows == nil {
-				res.Flows = &flowstats.Summary{}
-			}
-			res.Flows.Merge(*cell.Flow)
-		}
+		mergeFlows(&res.Flows, cell.Flow)
 
 		if cfg.Telemetry.Enabled() {
 			if cell.TelemetryDropped > 0 {
@@ -442,9 +429,5 @@ func (e *StressExperiment) Reduce(results []any) (Renderable, error) {
 
 // Stress runs a soak end to end with default execution options.
 func Stress(cfg StressConfig) (*StressResult, error) {
-	res, err := Run(NewStressExperiment(cfg), RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*StressResult), nil
+	return runAs[*StressResult](NewStressExperiment(cfg), 0)
 }

@@ -7,7 +7,6 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/stats"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
 )
@@ -104,84 +103,47 @@ type Table5Result struct {
 // Table5 runs the fairness matrix, averaging each case over the
 // configured seeds.
 func Table5(cfg Table5Config) (*Table5Result, error) {
-	res, err := Run(NewTable5Experiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Table5Result), nil
+	return runAs[*Table5Result](NewTable5Experiment(cfg), cfg.Parallel)
 }
 
-// Table5Experiment adapts the fairness matrix to the Experiment
-// interface: one job per (case, seed) cell.
-type Table5Experiment struct {
-	cfg Table5Config
-}
-
-// NewTable5Experiment fills defaults and returns the experiment.
-func NewTable5Experiment(cfg Table5Config) *Table5Experiment {
-	cfg.fillDefaults()
-	return &Table5Experiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *Table5Experiment) Name() string { return "table5" }
-
-// Jobs implements Experiment.
-func (e *Table5Experiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, tc := range cfg.Cases {
-		for _, seed := range cfg.Seeds {
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%s seed=%d", tc.Label, seed),
-				Seed: seed,
-				Run: func(seed int64) (any, error) {
-					row, err := table5Run(cfg, tc, seed)
-					if err != nil {
-						return nil, fmt.Errorf("table 5 (%s): %w", tc.Label, err)
-					}
-					return row, nil
-				},
-			})
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment: per-seed rows collapse into one row per
+// NewTable5Experiment fills defaults and returns the experiment: one
+// job per (case, seed); the per-seed rows collapse into one row per
 // case with a mean transfer delay and its 95% confidence half-width.
-func (e *Table5Experiment) Reduce(results []any) (Renderable, error) {
-	rows, err := sweep.Collect[Table5Row](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &Table5Result{Config: cfg}
-	i := 0
-	for _, tc := range cfg.Cases {
-		var agg Table5Row
-		var delays []float64
-		for range cfg.Seeds {
-			row := rows[i]
-			i++
-			agg.Case = tc
-			agg.LossRate += row.LossRate
-			if row.Finished {
-				delays = append(delays, row.TransferDelay.Seconds())
-				agg.GoodputBps += row.GoodputBps
+func NewTable5Experiment(cfg Table5Config) Experiment {
+	cfg.fillDefaults()
+	return &grid[Table5Case, Table5Row]{
+		name:  "table5",
+		cells: cfg.Cases,
+		seeds: cfg.Seeds,
+		label: func(tc Table5Case) string { return tc.Label },
+		run: func(tc Table5Case, seed int64) (Table5Row, error) {
+			return table5Run(cfg, tc, seed)
+		},
+		fold: func(outs [][]Table5Row) Renderable {
+			res := &Table5Result{Config: cfg}
+			for i, tc := range cfg.Cases {
+				agg := Table5Row{Case: tc}
+				var delays []float64
+				for _, row := range outs[i] {
+					agg.LossRate += row.LossRate
+					if row.Finished {
+						delays = append(delays, row.TransferDelay.Seconds())
+						agg.GoodputBps += row.GoodputBps
+					}
+				}
+				agg.LossRate /= float64(len(cfg.Seeds))
+				if len(delays) > 0 {
+					agg.Finished = true
+					summary := stats.Summarize(delays)
+					agg.TransferDelay = sim.Time(summary.Mean * float64(time.Second))
+					agg.DelayCI95Seconds = summary.CI95
+					agg.GoodputBps /= float64(len(delays))
+				}
+				res.Rows = append(res.Rows, agg)
 			}
-		}
-		agg.LossRate /= float64(len(cfg.Seeds))
-		if len(delays) > 0 {
-			agg.Finished = true
-			summary := stats.Summarize(delays)
-			agg.TransferDelay = sim.Time(summary.Mean * float64(time.Second))
-			agg.DelayCI95Seconds = summary.CI95
-			agg.GoodputBps /= float64(len(delays))
-		}
-		res.Rows = append(res.Rows, agg)
+			return res
+		},
 	}
-	return res, nil
 }
 
 func table5Run(cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
@@ -250,12 +212,10 @@ func (r *Table5Result) Render() string {
 	return t.String()
 }
 
-// Row returns the outcome whose case label starts with prefix.
+// Row returns the outcome of the case with the given background and
+// target variants.
 func (r *Table5Result) Row(bg, target workload.Kind) (Table5Row, bool) {
-	for _, row := range r.Rows {
-		if row.Case.Background == bg && row.Case.Target == target {
-			return row, true
-		}
-	}
-	return Table5Row{}, false
+	return find(r.Rows, func(row Table5Row) bool {
+		return row.Case.Background == bg && row.Case.Target == target
+	})
 }

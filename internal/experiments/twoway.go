@@ -7,7 +7,6 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/stats"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
 )
@@ -82,27 +81,8 @@ type TwoWayResult struct {
 
 // TwoWay runs the experiment for each variant and seed.
 func TwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
-	res, err := Run(NewTwoWayExperiment(cfg), RunOptions{Parallel: cfg.Parallel})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*TwoWayResult), nil
+	return runAs[*TwoWayResult](NewTwoWayExperiment(cfg), cfg.Parallel)
 }
-
-// TwoWayExperiment adapts the two-way-traffic comparison to the
-// Experiment interface: one job per (variant, seed) run.
-type TwoWayExperiment struct {
-	cfg TwoWayConfig
-}
-
-// NewTwoWayExperiment fills defaults and returns the experiment.
-func NewTwoWayExperiment(cfg TwoWayConfig) *TwoWayExperiment {
-	cfg.fillDefaults()
-	return &TwoWayExperiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *TwoWayExperiment) Name() string { return "twoway" }
 
 // twoWayOut is one (variant, seed) run's raw measurement.
 type twoWayOut struct {
@@ -112,64 +92,47 @@ type twoWayOut struct {
 	Finished bool
 }
 
-// Jobs implements Experiment.
-func (e *TwoWayExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	var jobs []sweep.Job
-	for _, kind := range cfg.Variants {
-		for _, seed := range cfg.Seeds {
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%v seed=%d", kind, seed),
-				Seed: seed,
-				Run: func(seed int64) (any, error) {
-					delay, ackLoss, timeouts, finished, err := twoWayRun(cfg, kind, seed)
-					if err != nil {
-						return nil, fmt.Errorf("two-way (%v): %w", kind, err)
+// NewTwoWayExperiment fills defaults and returns the experiment: one
+// job per (variant, seed).
+func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
+	cfg.fillDefaults()
+	return &grid[workload.Kind, twoWayOut]{
+		name:  "twoway",
+		cells: cfg.Variants,
+		seeds: cfg.Seeds,
+		label: workload.Kind.String,
+		run: func(kind workload.Kind, seed int64) (twoWayOut, error) {
+			return twoWayRun(cfg, kind, seed)
+		},
+		fold: func(outs [][]twoWayOut) Renderable {
+			res := &TwoWayResult{Config: cfg}
+			for i, kind := range cfg.Variants {
+				row := TwoWayRow{Variant: kind, Runs: len(cfg.Seeds)}
+				var delays []float64
+				var ackLossSum, timeoutSum float64
+				for _, out := range outs[i] {
+					ackLossSum += out.AckLoss
+					timeoutSum += float64(out.Timeouts)
+					if out.Finished {
+						row.Completed++
+						delays = append(delays, out.Delay.Seconds())
 					}
-					return twoWayOut{Delay: delay, AckLoss: ackLoss, Timeouts: timeouts, Finished: finished}, nil
-				},
-			})
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment.
-func (e *TwoWayExperiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[twoWayOut](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &TwoWayResult{Config: cfg}
-	i := 0
-	for _, kind := range cfg.Variants {
-		row := TwoWayRow{Variant: kind, Runs: len(cfg.Seeds)}
-		var delays []float64
-		var ackLossSum, timeoutSum float64
-		for range cfg.Seeds {
-			out := outs[i]
-			i++
-			ackLossSum += out.AckLoss
-			timeoutSum += float64(out.Timeouts)
-			if out.Finished {
-				row.Completed++
-				delays = append(delays, out.Delay.Seconds())
+				}
+				if row.Completed > 0 {
+					summary := stats.Summarize(delays)
+					row.MeanDelay = sim.Time(summary.Mean * float64(time.Second))
+					row.DelayCI95Seconds = summary.CI95
+				}
+				row.MeanAckLoss = ackLossSum / float64(len(cfg.Seeds))
+				row.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
+				res.Rows = append(res.Rows, row)
 			}
-		}
-		if row.Completed > 0 {
-			summary := stats.Summarize(delays)
-			row.MeanDelay = sim.Time(summary.Mean * float64(time.Second))
-			row.DelayCI95Seconds = summary.CI95
-		}
-		row.MeanAckLoss = ackLossSum / float64(len(cfg.Seeds))
-		row.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
-		res.Rows = append(res.Rows, row)
+			return res
+		},
 	}
-	return res, nil
 }
 
-func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, float64, uint64, bool, error) {
+func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
 	sched := sim.NewScheduler(seed)
 	dcfg := netem.PaperDropTailConfig(cfg.ReverseFlows + 1)
 	// Both directions congested: Table 3's 8-packet buffer forward, a
@@ -178,7 +141,7 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, floa
 	dcfg.ReverseQueue = netem.Must(netem.NewDropTail(cfg.ReverseBuffer))
 	d, err := netem.NewDumbbell(sched, dcfg)
 	if err != nil {
-		return 0, 0, 0, false, err
+		return twoWayOut{}, err
 	}
 
 	fwd, err := workload.Install(sched, d, 0, workload.FlowSpec{
@@ -187,7 +150,7 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, floa
 		Window: 18,
 	})
 	if err != nil {
-		return 0, 0, 0, false, err
+		return twoWayOut{}, err
 	}
 	for i := 1; i <= cfg.ReverseFlows; i++ {
 		jitter := time.Duration(sched.Rand().Int63n(int64(200 * time.Millisecond)))
@@ -198,20 +161,15 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, floa
 			StartAt: jitter,
 			NoTrace: true, // the handle is discarded; only fwd.Trace is read
 		}); err != nil {
-			return 0, 0, 0, false, err
+			return twoWayOut{}, err
 		}
 	}
 
 	sched.Run(cfg.Horizon)
 
-	acksSent := float64(fwd.Receiver.Segments)
-	acksGot := float64(len(fwd.Trace.SamplesOf(ackRecvKind)))
-	ackLoss := 0.0
-	if acksSent > 0 && acksGot < acksSent {
-		ackLoss = 1 - acksGot/acksSent
-	}
-	delay, ok := fwd.Trace.TransferDelay()
-	return delay, ackLoss, fwd.Trace.Timeouts, ok, nil
+	out := twoWayOut{Timeouts: fwd.Trace.Timeouts, AckLoss: ackLossRate(fwd)}
+	out.Delay, out.Finished = fwd.Trace.TransferDelay()
+	return out, nil
 }
 
 // Render returns the comparison as a text table.
@@ -236,10 +194,5 @@ func (r *TwoWayResult) Render() string {
 
 // Row returns the outcome for a variant.
 func (r *TwoWayResult) Row(kind workload.Kind) (TwoWayRow, bool) {
-	for _, row := range r.Rows {
-		if row.Variant == kind {
-			return row, true
-		}
-	}
-	return TwoWayRow{}, false
+	return find(r.Rows, func(row TwoWayRow) bool { return row.Variant == kind })
 }

@@ -9,19 +9,12 @@ import (
 	"rrtcp/internal/telemetry"
 )
 
-// tickChain schedules a self-rescheduling event that advances the clock
-// by step per firing, forever — a minimal unbounded workload.
-func tickChain(t *testing.T, sched *sim.Scheduler, step sim.Time) {
-	t.Helper()
-	var tick func()
-	tick = func() {
-		if _, err := sched.Schedule(step, tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sched.Schedule(step, tick); err != nil {
-		t.Fatal(err)
-	}
+// tickChain arms a self-rearming timer that advances the clock by step
+// per firing, forever — a minimal unbounded workload.
+func tickChain(sched *sim.Scheduler, step sim.Time) {
+	var tick *sim.Timer
+	tick = sched.NewTimer(func() { tick.Reset(step) })
+	tick.Reset(step)
 }
 
 // collector records every event published on the bus.
@@ -32,7 +25,7 @@ func (c *collector) Emit(ev telemetry.Event) { c.events = append(c.events, ev) }
 func TestMaxEventsTripsDeterministically(t *testing.T) {
 	run := func() *OverloadError {
 		sched := sim.NewScheduler(1)
-		tickChain(t, sched, time.Millisecond)
+		tickChain(sched, time.Millisecond)
 		mon, err := Attach(sched, Limits{MaxEvents: 100}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +50,7 @@ func TestMaxEventsTripsDeterministically(t *testing.T) {
 
 func TestMaxSimTimeTrips(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	tickChain(t, sched, time.Millisecond)
+	tickChain(sched, time.Millisecond)
 	mon, err := Attach(sched, Limits{MaxSimTime: 50 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +72,7 @@ func TestStormDetectorTripsOnFrozenClock(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	// A zero-delay self-rescheduling loop: the clock never advances, so
 	// no horizon and no sim-time watchdog can end this run.
-	tickChain(t, sched, 0)
+	tickChain(sched, 0)
 	mon, err := Attach(sched, Limits{StormEvents: 500}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +98,7 @@ func TestStormDetectorTripsOnFrozenClock(t *testing.T) {
 
 func TestStormResetsWhenClockAdvances(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	tickChain(t, sched, time.Millisecond) // clock advances every event
+	tickChain(sched, time.Millisecond) // clock advances every event
 	mon, err := Attach(sched, Limits{StormEvents: 2, MaxEvents: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +113,7 @@ func TestStormResetsWhenClockAdvances(t *testing.T) {
 func TestSampledBackstops(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
 		sched := sim.NewScheduler(1)
-		tickChain(t, sched, time.Millisecond)
+		tickChain(sched, time.Millisecond)
 		mon, err := Attach(sched, Limits{MaxHeapBytes: 1, SampleEvery: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +125,7 @@ func TestSampledBackstops(t *testing.T) {
 	})
 	t.Run("wall", func(t *testing.T) {
 		sched := sim.NewScheduler(1)
-		tickChain(t, sched, time.Millisecond)
+		tickChain(sched, time.Millisecond)
 		mon, err := Attach(sched, Limits{MaxWall: time.Nanosecond, SampleEvery: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +139,7 @@ func TestSampledBackstops(t *testing.T) {
 
 func TestTripPublishesOverloadEvent(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	tickChain(t, sched, time.Millisecond)
+	tickChain(sched, time.Millisecond)
 	var col collector
 	bus := telemetry.NewBus(&col)
 	if _, err := Attach(sched, Limits{MaxEvents: 10}, bus); err != nil {
@@ -173,19 +166,15 @@ func TestTripPublishesOverloadEvent(t *testing.T) {
 func TestUntrippedGuardDoesNotSteer(t *testing.T) {
 	run := func(limits Limits) (uint64, sim.Time) {
 		sched := sim.NewScheduler(7)
-		var tick func()
+		var tick *sim.Timer
 		fired := 0
-		tick = func() {
+		tick = sched.NewTimer(func() {
 			fired++
 			if fired < 200 {
-				if _, err := sched.Schedule(sim.Time(sched.Rand().Intn(5)+1), tick); err != nil {
-					t.Fatal(err)
-				}
+				tick.Reset(sim.Time(sched.Rand().Intn(5) + 1))
 			}
-		}
-		if _, err := sched.Schedule(1, tick); err != nil {
-			t.Fatal(err)
-		}
+		})
+		tick.Reset(1)
 		mon, err := Attach(sched, limits, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +202,7 @@ func TestAttachEmptyLimitsRemovesGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickChain(t, sched, time.Millisecond)
+	tickChain(sched, time.Millisecond)
 	sched.Run(10 * time.Millisecond)
 	if mon.Tripped() || sched.GuardErr() != nil {
 		t.Fatalf("removed guard still tripped: %v / %v", mon.Err(), sched.GuardErr())

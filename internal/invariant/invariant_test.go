@@ -281,14 +281,12 @@ func TestWatchdogQuietWhileProgressing(t *testing.T) {
 	// Steady progress: una advances every 100 ms for 20 s.
 	for i := 0; i < 200; i++ {
 		i := i
-		if _, err := sched.Schedule(sim.Time(time.Duration(i)*100*time.Millisecond), func() {
+		sched.NewTimer(func() {
 			f.una += 1000
 			f.nxt = f.una + 4000
 			f.max = f.nxt
 			c.Emit(telemetry.Event{At: sched.Now(), Comp: telemetry.CompSender, Kind: telemetry.KAck, Flow: 0})
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}).Reset(sim.Time(time.Duration(i) * 100 * time.Millisecond))
 	}
 	if err := c.StartWatchdog(0, sim.Time(2*time.Second), sim.Time(15*time.Second)); err != nil {
 		t.Fatal(err)

@@ -46,15 +46,9 @@ func wedgeWinner(t *testing.T, limits guard.Limits, frozenClock bool) (string, *
 	if frozenClock {
 		step = 0
 	}
-	var spin func()
-	spin = func() {
-		if _, err := sched.Schedule(step, spin); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sched.Schedule(step, spin); err != nil {
-		t.Fatal(err)
-	}
+	var spin *sim.Timer
+	spin = sched.NewTimer(func() { spin.Reset(step) })
+	spin.Reset(step)
 
 	mon, err := guard.Attach(sched, limits, bus)
 	if err != nil {

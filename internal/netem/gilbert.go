@@ -1,6 +1,9 @@
 package netem
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // GilbertLoss is the two-state Gilbert-Elliott loss model: a Markov
 // chain alternating between a good state (no drops) and a bad state
@@ -50,6 +53,20 @@ func NewGilbertLoss(pGoodToBad, pBadToGood, pDropBad float64, rng *rand.Rand, ds
 		Dst:        dst,
 		rng:        rng,
 	}
+}
+
+// GilbertParams derives the classic-Gilbert (PDropBad = 1) transition
+// probabilities for a stationary loss rate and a mean loss-burst length
+// in packets: PBadToGood = 1/burst and PGoodToBad = rate/(burst·(1−rate)).
+// The chain spends at most burst/(burst+1) of its time in the bad state
+// (PGoodToBad = 1), so a higher rate is an error rather than a silently
+// milder channel.
+func GilbertParams(rate, burst float64) (pGoodToBad, pBadToGood float64, err error) {
+	if rate < 0 || burst < 1 || rate > burst/(burst+1) {
+		return 0, 0, fmt.Errorf("netem: no Gilbert channel loses %v of packets in bursts of mean length %v (need 0 <= rate <= burst/(burst+1), burst >= 1)", rate, burst)
+	}
+	pBadToGood = 1 / burst
+	return min(rate*pBadToGood/(1-rate), 1), pBadToGood, nil
 }
 
 // MeanLossRate returns the model's stationary drop probability.

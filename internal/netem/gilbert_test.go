@@ -80,3 +80,42 @@ func TestGilbertZeroRates(t *testing.T) {
 		t.Fatal("mean loss rate with degenerate chain")
 	}
 }
+
+func TestGilbertParams(t *testing.T) {
+	for _, burst := range []float64{1, 2, 4, 7.5, 100} {
+		// The bad state can hold at most burst/(burst+1) of the packets.
+		limit := burst / (burst + 1)
+		cases := []struct {
+			name    string
+			rate    float64
+			wantErr bool
+		}{
+			{"typical", 0.02, false},
+			{"zero", 0, false},
+			{"at the limit", limit, false},
+			{"just above the limit", math.Nextafter(limit, 1), true},
+			{"certain loss", 1, true},
+			{"negative", -0.1, true},
+		}
+		for _, tc := range cases {
+			pG2B, pB2G, err := GilbertParams(tc.rate, burst)
+			if (err != nil) != tc.wantErr {
+				t.Errorf("burst %v, %s (rate %v): err = %v, want error %v", burst, tc.name, tc.rate, err, tc.wantErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if pG2B < 0 || pG2B > 1 || pB2G <= 0 || pB2G > 1 {
+				t.Errorf("burst %v, %s: probabilities (%v, %v) outside [0,1]", burst, tc.name, pG2B, pB2G)
+			}
+			g := NewGilbertLoss(pG2B, pB2G, 1, nil, nil)
+			if got := g.MeanLossRate(); math.Abs(got-tc.rate) > 1e-12 {
+				t.Errorf("burst %v, %s: stationary rate %v, want %v", burst, tc.name, got, tc.rate)
+			}
+		}
+	}
+	if _, _, err := GilbertParams(0.02, 0.5); err == nil {
+		t.Error("mean burst below one packet accepted")
+	}
+}

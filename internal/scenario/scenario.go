@@ -115,6 +115,9 @@ type LossSpec struct {
 	Drops []FlowDrops `json:"drops,omitempty"`
 }
 
+// gilbert reports whether the spec selects the Gilbert-Elliott channel.
+func (l *LossSpec) gilbert() bool { return l.Rate > 0 && l.BurstLength > 1 }
+
 // FlowDrops pins deterministic losses for one flow.
 type FlowDrops struct {
 	Flow    int     `json:"flow"`
@@ -239,8 +242,15 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: negative bandwidth")
 		}
 	}
-	if s.Loss != nil && (s.Loss.Rate < 0 || s.Loss.Rate > 1) {
-		return fmt.Errorf("scenario: loss rate %v outside [0,1]", s.Loss.Rate)
+	if l := s.Loss; l != nil {
+		if l.Rate < 0 || l.Rate > 1 {
+			return fmt.Errorf("scenario: loss rate %v outside [0,1]", l.Rate)
+		}
+		if l.gilbert() {
+			if _, _, err := netem.GilbertParams(l.Rate, l.BurstLength); err != nil {
+				return fmt.Errorf("scenario: loss: %w", err)
+			}
+		}
 	}
 	return nil
 }
@@ -296,9 +306,11 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 	}
 	if l := s.Loss; l != nil {
 		switch {
-		case l.Rate > 0 && l.BurstLength > 1:
-			pB2G := 1 / l.BurstLength
-			pG2B := l.Rate * pB2G / (1 - l.Rate)
+		case l.gilbert():
+			pG2B, pB2G, err := netem.GilbertParams(l.Rate, l.BurstLength)
+			if err != nil {
+				return nil, err
+			}
 			dcfg.Loss = netem.NewGilbertLoss(pG2B, pB2G, 1.0, sched.Rand(), nil)
 		case l.Rate > 0:
 			u := netem.NewUniformLoss(l.Rate, sched.Rand(), nil)

@@ -109,14 +109,16 @@ func TestDurationJSON(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	cases := map[string]string{
-		"no duration":    `{"flows":[{"kind":"rr"}]}`,
-		"no flows":       `{"duration":"1s"}`,
-		"bad kind":       `{"duration":"1s","flows":[{"kind":"cubic"}]}`,
-		"too few slots":  `{"duration":"1s","topology":{"flows":1},"flows":[{"kind":"rr"},{"kind":"rr"}]}`,
-		"bad loss rate":  `{"duration":"1s","loss":{"rate":1.5},"flows":[{"kind":"rr"}]}`,
-		"unknown field":  `{"duration":"1s","bogus":1,"flows":[{"kind":"rr"}]}`,
-		"negative bw":    `{"duration":"1s","topology":{"bottleneckBps":-1},"flows":[{"kind":"rr"}]}`,
-		"bad queue type": `{"duration":"1s","topology":{"forwardQueue":{"type":"codel"}},"flows":[{"kind":"rr"}]}`,
+		"no duration":          `{"flows":[{"kind":"rr"}]}`,
+		"no flows":             `{"duration":"1s"}`,
+		"bad kind":             `{"duration":"1s","flows":[{"kind":"cubic"}]}`,
+		"too few slots":        `{"duration":"1s","topology":{"flows":1},"flows":[{"kind":"rr"},{"kind":"rr"}]}`,
+		"bad loss rate":        `{"duration":"1s","loss":{"rate":1.5},"flows":[{"kind":"rr"}]}`,
+		"bursty rate too high": `{"duration":"1s","loss":{"rate":0.9,"burstLength":2},"flows":[{"kind":"rr"}]}`,
+		"bursty certain loss":  `{"duration":"1s","loss":{"rate":1,"burstLength":2},"flows":[{"kind":"rr"}]}`,
+		"unknown field":        `{"duration":"1s","bogus":1,"flows":[{"kind":"rr"}]}`,
+		"negative bw":          `{"duration":"1s","topology":{"bottleneckBps":-1},"flows":[{"kind":"rr"}]}`,
+		"bad queue type":       `{"duration":"1s","topology":{"forwardQueue":{"type":"codel"}},"flows":[{"kind":"rr"}]}`,
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,22 +5,17 @@ import (
 	"time"
 )
 
-// chain schedules a self-rescheduling event n times on s.
-func chain(t *testing.T, s *Scheduler, n int) {
-	t.Helper()
+// chain arms a self-rearming timer that fires n times on s.
+func chain(s *Scheduler, n int) {
 	left := n
-	var tick func()
-	tick = func() {
+	var tm *Timer
+	tm = s.NewTimer(func() {
 		left--
 		if left > 0 {
-			if _, err := s.Schedule(time.Millisecond, tick); err != nil {
-				t.Fatal(err)
-			}
+			tm.Reset(time.Millisecond)
 		}
-	}
-	if _, err := s.Schedule(0, tick); err != nil {
-		t.Fatal(err)
-	}
+	})
+	tm.Reset(0)
 }
 
 // TestGlobalCountersFlushRemainder checks the batched event counter:
@@ -32,7 +27,7 @@ func TestGlobalCountersFlushRemainder(t *testing.T) {
 	const n = 100 // well under globalFlushEvery
 	before, _ := GlobalCounters()
 	s := NewScheduler(1)
-	chain(t, s, n)
+	chain(s, n)
 	s.RunAll()
 	after, _ := GlobalCounters()
 	if got := after - before; got < n {
@@ -49,7 +44,7 @@ func TestGlobalCountersBatchBoundary(t *testing.T) {
 	const n = globalFlushEvery + globalFlushEvery/2
 	before, _ := GlobalCounters()
 	s := NewScheduler(2)
-	chain(t, s, n)
+	chain(s, n)
 	s.RunAll()
 	after, _ := GlobalCounters()
 	if got := after - before; got < n {

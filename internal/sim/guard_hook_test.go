@@ -8,15 +8,9 @@ import (
 
 func TestGuardHookStopsRunAndRetainsError(t *testing.T) {
 	s := NewScheduler(1)
-	var tick func()
-	tick = func() {
-		if _, err := s.Schedule(time.Millisecond, tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Schedule(time.Millisecond, tick); err != nil {
-		t.Fatal(err)
-	}
+	var tick *Timer
+	tick = s.NewTimer(func() { tick.Reset(time.Millisecond) })
+	tick.Reset(time.Millisecond)
 	wantErr := errors.New("budget blown")
 	s.SetGuard(func(now Time, processed uint64, pending int) error {
 		if processed >= 5 {
@@ -47,18 +41,14 @@ func TestGuardHookNilIsFree(t *testing.T) {
 			s.SetGuard(func(Time, uint64, int) error { return nil })
 		}
 		fired := 0
-		var tick func()
-		tick = func() {
+		var tick *Timer
+		tick = s.NewTimer(func() {
 			fired++
 			if fired < 100 {
-				if _, err := s.Schedule(Time(s.Rand().Intn(7)+1), tick); err != nil {
-					t.Fatal(err)
-				}
+				tick.Reset(Time(s.Rand().Intn(7) + 1))
 			}
-		}
-		if _, err := s.Schedule(1, tick); err != nil {
-			t.Fatal(err)
-		}
+		})
+		tick.Reset(1)
 		s.RunAll()
 		return s.Processed(), s.Now()
 	}

@@ -37,10 +37,10 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeapMatchesReferenceOrder drives N random schedules and cancels —
-// through both the Timer API and the deprecated Schedule/At shims — and
-// checks that the events fire in exactly the (time, sequence) order a
-// reference container/heap implementation pops them. This is the
+// TestHeapMatchesReferenceOrder drives N random arms and stops — of
+// timers armed once and dropped, and of timers re-armed while pending —
+// and checks that the events fire in exactly the (time, sequence) order
+// a reference container/heap implementation pops them. This is the
 // determinism contract the experiment goldens depend on.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	const ops = 2000
@@ -56,7 +56,7 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		nextID := 0
 
 		type oneShot struct {
-			ev *Event
+			tm *Timer
 			id int
 		}
 		type timerArm struct {
@@ -68,17 +68,17 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 
 		for i := 0; i < ops; i++ {
 			switch k := rng.Intn(10); {
-			case k < 4: // deprecated one-shot Schedule
+			case k < 4: // one-shot: a fresh timer armed once
 				id := nextID
 				nextID++
 				at := Time(rng.Intn(1000)) * time.Microsecond
-				ev, err := s.At(at, func() { got = append(got, id) })
-				if err != nil {
+				tm := s.NewTimer(func() { got = append(got, id) })
+				if err := tm.At(at); err != nil {
 					t.Fatal(err)
 				}
 				live[id] = refEntry{at: at, seq: seq, id: id}
 				seq++
-				shots = append(shots, oneShot{ev: ev, id: id})
+				shots = append(shots, oneShot{tm: tm, id: id})
 			case k < 7: // arm (or re-arm) a timer
 				var ta *timerArm
 				if len(timers) == 0 || rng.Intn(3) == 0 {
@@ -102,7 +102,7 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 				seq++
 			case k < 9 && len(shots) > 0: // cancel a one-shot
 				j := rng.Intn(len(shots))
-				s.Cancel(shots[j].ev)
+				shots[j].tm.Stop()
 				delete(live, shots[j].id)
 				shots = append(shots[:j], shots[j+1:]...)
 			case len(timers) > 0: // stop a timer
@@ -168,7 +168,7 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 
 // TestRekeyWhileArmedZeroAlloc covers the Reset-while-armed fast path
 // (the retransmission-timer pattern): the pending entry is re-keyed in
-// place without touching the free list.
+// place, with no remove-then-push.
 func TestRekeyWhileArmedZeroAlloc(t *testing.T) {
 	s := NewScheduler(1)
 	tm := s.NewTimer(func() {})

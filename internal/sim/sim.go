@@ -5,13 +5,10 @@
 // playing the role ns-2's scheduler plays in the paper's evaluation.
 //
 // The event queue is an index-based 4-ary min-heap over an arena of
-// value slots with free-list recycling: scheduling, firing, and
-// cancelling events allocate nothing in steady state, and cancel is
-// O(log n) via the slot's tracked heap position. The preferred
-// scheduling surface is the reusable-timer API (Scheduler.NewTimer plus
-// Timer.At/Reset/Stop, mirroring time.Timer); the closure-based
-// Schedule/At calls remain as thin deprecated shims that allocate a
-// handle per call.
+// value slots, one per timer: arming, firing, and stopping a timer
+// allocate nothing, and stop is O(log n) via the slot's tracked heap
+// position. The one scheduling surface is the reusable-timer API
+// (Scheduler.NewTimer plus Timer.At/Reset/Stop, mirroring time.Timer).
 package sim
 
 import (
@@ -65,20 +62,14 @@ type heapEntry struct {
 	idx int32
 }
 
-// timerSlot is one arena cell. Timer-owned slots are persistent: the
-// handler is written once at NewTimer and the slot is never recycled,
-// so arming and firing touch only pointer-free fields (no write
-// barriers on the hot path). One-shot slots backing the deprecated
-// Schedule/At shims recycle through the free list the moment they fire
-// or are cancelled; gen increments on every recycle so stale Event
-// handles can detect reuse.
+// timerSlot is one arena cell, owned by one Timer for the scheduler's
+// lifetime: the handler is written once at NewTimer, so arming and
+// firing touch only pointer-free fields (no write barriers on the hot
+// path). heapPos is the slot's position in the heap, -1 when idle.
 type timerSlot struct {
-	fn       func()
-	at       Time
-	gen      uint64
-	heapPos  int32
-	nextFree int32
-	oneShot  bool
+	fn      func()
+	at      Time
+	heapPos int32
 }
 
 // Scheduler owns the virtual clock and the pending event set. The zero
@@ -95,10 +86,9 @@ type Scheduler struct {
 	unflushedPackets uint64
 
 	// Event queue: 4-ary min-heap of value entries ordered by
-	// (time, sequence), over an arena of recycled handler slots.
+	// (time, sequence), over an arena of per-timer handler slots.
 	heap      []heapEntry
 	slots     []timerSlot
-	freeHead  int32
 	highWater int
 
 	// Processed counts events that have fired, for diagnostics.
@@ -118,7 +108,7 @@ type Scheduler struct {
 // random source is seeded with the given seed. All randomness used by a
 // simulation must flow through Rand so that runs are reproducible.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{seed: seed, freeHead: -1}
+	return &Scheduler{seed: seed}
 }
 
 // Now reports the current simulated time.
@@ -288,8 +278,8 @@ func (s *Scheduler) heapPush(e heapEntry) {
 	}
 }
 
-// heapPop removes and returns the minimum entry. The caller is
-// responsible for recycling the entry's slot.
+// heapPop removes and returns the minimum entry. The caller marks the
+// entry's slot idle.
 func (s *Scheduler) heapPop() heapEntry {
 	h := s.heap
 	top := h[0]
@@ -303,7 +293,7 @@ func (s *Scheduler) heapPop() heapEntry {
 	return top
 }
 
-// heapRemove deletes the entry at heap position pos (a cancel).
+// heapRemove deletes the entry at heap position pos (a Timer.Stop).
 func (s *Scheduler) heapRemove(pos int) {
 	h := s.heap
 	n := len(h) - 1
@@ -318,34 +308,6 @@ func (s *Scheduler) heapRemove(pos int) {
 	if s.heap[pos].idx == moved.idx {
 		s.siftUp(pos)
 	}
-}
-
-func (s *Scheduler) allocSlot(fn func(), oneShot bool) int32 {
-	var i int32
-	if s.freeHead >= 0 {
-		i = s.freeHead
-		s.freeHead = s.slots[i].nextFree
-	} else {
-		s.slots = append(s.slots, timerSlot{})
-		i = int32(len(s.slots) - 1)
-	}
-	sl := &s.slots[i]
-	sl.fn = fn
-	sl.heapPos = -1
-	sl.nextFree = -1
-	sl.oneShot = oneShot
-	return i
-}
-
-// freeSlot recycles a slot onto the free list, bumping its generation
-// so outstanding handles observe the slot as no longer theirs.
-func (s *Scheduler) freeSlot(i int32) {
-	sl := &s.slots[i]
-	sl.fn = nil
-	sl.gen++
-	sl.heapPos = -1
-	sl.nextFree = s.freeHead
-	s.freeHead = i
 }
 
 // armSlot enqueues slot i's handler at absolute instant t, consuming
@@ -375,75 +337,6 @@ func (s *Scheduler) armSlot(i int32, t Time) error {
 	}
 	s.heapPush(heapEntry{at: t, seq: seq, idx: i})
 	return nil
-}
-
-// disarm cancels the pending event in slot i if the generation still
-// matches; otherwise (already fired, cancelled, or recycled) it is a
-// no-op.
-func (s *Scheduler) disarm(i int32, gen uint64) {
-	if i < 0 || int(i) >= len(s.slots) {
-		return
-	}
-	sl := &s.slots[i]
-	if sl.gen != gen || sl.heapPos < 0 {
-		return
-	}
-	s.heapRemove(int(sl.heapPos))
-	s.freeSlot(i)
-}
-
-// ---- deprecated closure-scheduling shim -------------------------------------
-
-// Event is a cancellation handle for a closure scheduled through the
-// deprecated Schedule/At shims. Events are ordered by time; events
-// scheduled for the same instant run in scheduling order.
-//
-// Deprecated: new code should hold a *Timer from Scheduler.NewTimer,
-// which is reusable and allocation-free to arm.
-type Event struct {
-	s   *Scheduler
-	at  Time
-	idx int32
-	gen uint64
-}
-
-// At reports the instant the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether the event has fired or been cancelled.
-func (e *Event) Cancelled() bool {
-	return e.idx < 0 || int(e.idx) >= len(e.s.slots) || e.s.slots[e.idx].gen != e.gen
-}
-
-// Schedule enqueues fn to run after delay and returns a handle that can
-// cancel it. A negative delay returns ErrScheduleInPast.
-//
-// Deprecated: use Scheduler.NewTimer with Timer.Reset; it reuses one
-// timer object across arms instead of allocating a handle per call.
-func (s *Scheduler) Schedule(delay Time, fn func()) (*Event, error) {
-	return s.At(s.now+delay, fn)
-}
-
-// At enqueues fn to run at the absolute instant t.
-//
-// Deprecated: use Scheduler.NewTimer with Timer.At.
-func (s *Scheduler) At(t Time, fn func()) (*Event, error) {
-	i := s.allocSlot(fn, true)
-	if err := s.armSlot(i, t); err != nil {
-		s.freeSlot(i)
-		return nil, err
-	}
-	return &Event{s: s, at: t, idx: i, gen: s.slots[i].gen}, nil
-}
-
-// Cancel removes an event from the queue. Cancelling a nil, fired, or
-// already-cancelled event is a no-op.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil {
-		return
-	}
-	s.disarm(e.idx, e.gen)
-	e.idx = -1
 }
 
 // Stop makes the current Run call return after the in-flight event.
@@ -480,13 +373,8 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		sl := &s.slots[top.idx]
 		fn := sl.fn
 		s.now = top.at
-		if sl.oneShot {
-			s.freeSlot(top.idx)
-		} else {
-			// Persistent timer slot: mark it idle so the handler can
-			// re-arm; fn stays in place for the timer's next arm.
-			sl.heapPos = -1
-		}
+		// Mark the slot idle so the handler can re-arm its timer.
+		sl.heapPos = -1
 		s.processed++
 		if batch++; batch == globalFlushEvery {
 			globalEvents.Add(batch)
@@ -529,7 +417,7 @@ func (s *Scheduler) flushPackets() {
 // building block for TCP retransmission timers and every other
 // recurring event source. A Timer is created once with its handler and
 // re-armed any number of times; arming allocates nothing, because the
-// pending event lives in a recycled scheduler arena slot. Timers mirror
+// pending event lives in the timer's own scheduler arena slot. Timers mirror
 // time.Timer: At/Reset arm, Stop disarms, and an expired timer simply
 // reads as not Armed until re-armed (the handler does not need to touch
 // the timer).
@@ -542,15 +430,8 @@ type Timer struct {
 // timer owns its arena slot for the scheduler's lifetime, so create
 // timers per long-lived event source (or pool them), not per arm.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	return &Timer{s: s, slot: s.allocSlot(fn, false)}
-}
-
-// NewTimer returns a stopped timer bound to s that runs fn when it
-// expires.
-//
-// Deprecated: use Scheduler.NewTimer.
-func NewTimer(s *Scheduler, fn func()) *Timer {
-	return s.NewTimer(fn)
+	s.slots = append(s.slots, timerSlot{fn: fn, heapPos: -1})
+	return &Timer{s: s, slot: int32(len(s.slots) - 1)}
 }
 
 // At arms the timer to fire at the absolute instant at, replacing any

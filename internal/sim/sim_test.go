@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,14 +9,22 @@ import (
 	"time"
 )
 
+// after arms a fresh timer to run fn once, d from now.
+func after(t *testing.T, s *Scheduler, d Time, fn func()) *Timer {
+	t.Helper()
+	timer := s.NewTimer(fn)
+	if err := timer.At(s.Now() + d); err != nil {
+		t.Fatalf("arm: %v", err)
+	}
+	return timer
+}
+
 func TestSchedulerRunsEventsInTimeOrder(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
 	for i, d := range []time.Duration{30, 10, 20} {
 		i := i
-		if _, err := s.Schedule(d*time.Millisecond, func() { got = append(got, i) }); err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
+		after(t, s, d*time.Millisecond, func() { got = append(got, i) })
 	}
 	s.RunAll()
 	want := []int{1, 2, 0}
@@ -34,9 +43,7 @@ func TestSchedulerSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if _, err := s.Schedule(time.Millisecond, func() { got = append(got, i) }); err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
+		after(t, s, time.Millisecond, func() { got = append(got, i) })
 	}
 	s.RunAll()
 	for i := range got {
@@ -49,9 +56,7 @@ func TestSchedulerSimultaneousEventsFIFO(t *testing.T) {
 func TestSchedulerClockAdvances(t *testing.T) {
 	s := NewScheduler(1)
 	var at Time
-	if _, err := s.Schedule(42*time.Millisecond, func() { at = s.Now() }); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+	after(t, s, 42*time.Millisecond, func() { at = s.Now() })
 	s.RunAll()
 	if at != 42*time.Millisecond {
 		t.Fatalf("event fired at %v, want 42ms", at)
@@ -64,9 +69,7 @@ func TestSchedulerClockAdvances(t *testing.T) {
 func TestSchedulerRunHorizon(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	if _, err := s.Schedule(2*time.Second, func() { fired = true }); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+	after(t, s, 2*time.Second, func() { fired = true })
 	s.Run(time.Second)
 	if fired {
 		t.Fatal("event beyond horizon fired")
@@ -85,28 +88,26 @@ func TestSchedulerRunHorizon(t *testing.T) {
 
 func TestSchedulerScheduleInPast(t *testing.T) {
 	s := NewScheduler(1)
-	if _, err := s.Schedule(-time.Millisecond, func() {}); err == nil {
-		t.Fatal("negative delay accepted")
+	timer := s.NewTimer(func() {})
+	if err := timer.At(-time.Millisecond); !errors.Is(err, ErrScheduleInPast) {
+		t.Fatalf("arming before the epoch: err = %v, want ErrScheduleInPast", err)
 	}
-	if _, err := s.Schedule(time.Second, func() {}); err != nil {
-		t.Fatalf("schedule: %v", err)
+	if timer.Armed() {
+		t.Fatal("timer armed after a rejected At")
 	}
+	after(t, s, time.Second, func() {})
 	s.RunAll()
-	if _, err := s.At(0, func() {}); err == nil {
-		t.Fatal("scheduling before the current clock accepted")
+	if err := timer.At(0); !errors.Is(err, ErrScheduleInPast) {
+		t.Fatalf("arming before the current clock: err = %v, want ErrScheduleInPast", err)
 	}
 }
 
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	ev, err := s.Schedule(time.Millisecond, func() { fired = true })
-	if err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	s.Cancel(ev)
-	s.Cancel(ev) // double cancel is a no-op
-	s.Cancel(nil)
+	timer := after(t, s, time.Millisecond, func() { fired = true })
+	timer.Stop()
+	timer.Stop() // stopping twice is a no-op
 	s.RunAll()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -116,15 +117,9 @@ func TestSchedulerCancel(t *testing.T) {
 func TestSchedulerCancelFromWithinEvent(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	var later *Event
-	if _, err := s.Schedule(time.Millisecond, func() { s.Cancel(later) }); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	var err error
-	later, err = s.Schedule(2*time.Millisecond, func() { fired = true })
-	if err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+	var later *Timer
+	after(t, s, time.Millisecond, func() { later.Stop() })
+	later = after(t, s, 2*time.Millisecond, func() { fired = true })
 	s.RunAll()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
@@ -135,14 +130,12 @@ func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler(1)
 	count := 0
 	for i := 0; i < 5; i++ {
-		if _, err := s.Schedule(time.Duration(i)*time.Millisecond, func() {
+		after(t, s, time.Duration(i)*time.Millisecond, func() {
 			count++
 			if count == 2 {
 				s.Stop()
 			}
-		}); err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
+		})
 	}
 	s.RunAll()
 	if count != 2 {
@@ -153,14 +146,10 @@ func TestSchedulerStop(t *testing.T) {
 func TestSchedulerEventsScheduledDuringRun(t *testing.T) {
 	s := NewScheduler(1)
 	var got []Time
-	if _, err := s.Schedule(time.Millisecond, func() {
+	after(t, s, time.Millisecond, func() {
 		got = append(got, s.Now())
-		if _, err := s.Schedule(time.Millisecond, func() { got = append(got, s.Now()) }); err != nil {
-			t.Errorf("nested schedule: %v", err)
-		}
-	}); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+		after(t, s, time.Millisecond, func() { got = append(got, s.Now()) })
+	})
 	s.RunAll()
 	if len(got) != 2 || got[1] != 2*time.Millisecond {
 		t.Fatalf("nested event timing wrong: %v", got)
@@ -179,9 +168,7 @@ func TestSchedulerDeterministicRand(t *testing.T) {
 func TestSchedulerProcessedCount(t *testing.T) {
 	s := NewScheduler(1)
 	for i := 0; i < 10; i++ {
-		if _, err := s.Schedule(time.Duration(i)*time.Millisecond, func() {}); err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
+		after(t, s, time.Duration(i)*time.Millisecond, func() {})
 	}
 	s.RunAll()
 	if s.Processed() != 10 {
@@ -205,11 +192,9 @@ func TestSchedulerOrderingProperty(t *testing.T) {
 		var fired []firing
 		for i, d := range delaysMs {
 			i := i
-			if _, err := s.Schedule(time.Duration(d)*time.Millisecond, func() {
+			after(t, s, time.Duration(d)*time.Millisecond, func() {
 				fired = append(fired, firing{at: s.Now(), seq: i})
-			}); err != nil {
-				return false
-			}
+			})
 		}
 		s.RunAll()
 		if len(fired) != len(delaysMs) {
@@ -248,21 +233,17 @@ func TestSchedulerCancelProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler(seed)
 		n := 50
-		events := make([]*Event, n)
+		events := make([]*Timer, n)
 		fired := make([]bool, n)
 		for i := 0; i < n; i++ {
 			i := i
-			ev, err := s.Schedule(time.Duration(rng.Intn(1000))*time.Millisecond, func() { fired[i] = true })
-			if err != nil {
-				return false
-			}
-			events[i] = ev
+			events[i] = after(t, s, time.Duration(rng.Intn(1000))*time.Millisecond, func() { fired[i] = true })
 		}
 		cancelled := make([]bool, n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
 				cancelled[i] = true
-				s.Cancel(events[i])
+				events[i].Stop()
 			}
 		}
 		s.RunAll()
@@ -281,7 +262,7 @@ func TestSchedulerCancelProperty(t *testing.T) {
 func TestTimerResetReplacesPending(t *testing.T) {
 	s := NewScheduler(1)
 	count := 0
-	timer := NewTimer(s, func() { count++ })
+	timer := s.NewTimer(func() { count++ })
 	timer.Reset(10 * time.Millisecond)
 	timer.Reset(20 * time.Millisecond)
 	if !timer.Armed() {
@@ -302,7 +283,7 @@ func TestTimerResetReplacesPending(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	timer := NewTimer(s, func() { fired = true })
+	timer := s.NewTimer(func() { fired = true })
 	timer.Reset(10 * time.Millisecond)
 	timer.Stop()
 	timer.Stop() // idempotent
@@ -315,7 +296,7 @@ func TestTimerStop(t *testing.T) {
 func TestTimerNegativeDelayClamped(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	timer := NewTimer(s, func() { fired = true })
+	timer := s.NewTimer(func() { fired = true })
 	timer.Reset(-time.Second)
 	s.RunAll()
 	if !fired {
@@ -327,7 +308,7 @@ func TestTimerRearmsFromCallback(t *testing.T) {
 	s := NewScheduler(1)
 	count := 0
 	var timer *Timer
-	timer = NewTimer(s, func() {
+	timer = s.NewTimer(func() {
 		count++
 		if count < 3 {
 			timer.Reset(time.Millisecond)

@@ -19,20 +19,16 @@ func spinJob(events int) Job {
 		Run: func(seed int64) (any, error) {
 			sched := sim.NewScheduler(seed)
 			acc := seed
-			var tick func()
+			var tick *sim.Timer
 			fired := 0
-			tick = func() {
+			tick = sched.NewTimer(func() {
 				acc = acc*6364136223846793005 + 1442695040888963407
 				fired++
 				if fired < events {
-					if _, err := sched.Schedule(1, tick); err != nil {
-						panic(err)
-					}
+					tick.Reset(1)
 				}
-			}
-			if _, err := sched.Schedule(0, tick); err != nil {
-				return nil, err
-			}
+			})
+			tick.Reset(0)
 			sched.RunAll()
 			return acc, nil
 		},

@@ -138,7 +138,7 @@ func TestReceiverSetOutputRedirects(t *testing.T) {
 
 func TestTimerExpiresAtUnarmed(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	timer := sim.NewTimer(sched, func() {})
+	timer := sched.NewTimer(func() {})
 	if timer.ExpiresAt() != 0 {
 		t.Fatal("unarmed timer has an expiry")
 	}

@@ -100,11 +100,9 @@ func FuzzAckInjection(f *testing.F) {
 		for i := 0; i+8 <= len(data) && i < 64*8; i += 8 {
 			ackNo := int64(le.Uint64(data[i : i+8]))
 			at := sim.Time(time.Duration(i/8) * 50 * time.Millisecond)
-			if _, err := n.sched.Schedule(at, func() {
+			n.sched.NewTimer(func() {
 				n.sender.Receive(&netem.Packet{Kind: netem.Ack, Flow: 0, AckNo: ackNo, Size: 40})
-			}); err != nil {
-				t.Fatal(err)
-			}
+			}).Reset(at)
 		}
 		n.run(600 * time.Second)
 		s := n.sender

@@ -7,23 +7,19 @@ import (
 	"rrtcp/internal/sim"
 )
 
-// spinChain schedules a chain of n events, each 1ms after the last, so
+// spinChain fires a self-rearming timer n times, 1ms apart, so
 // the scheduler processes a known count over a known span of sim time.
 func spinChain(t *testing.T, sched *sim.Scheduler, n int) {
 	t.Helper()
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick *sim.Timer
+	tick = sched.NewTimer(func() {
 		fired++
 		if fired < n {
-			if _, err := sched.Schedule(time.Millisecond, tick); err != nil {
-				t.Fatalf("schedule: %v", err)
-			}
+			tick.Reset(time.Millisecond)
 		}
-	}
-	if _, err := sched.Schedule(0, tick); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+	})
+	tick.Reset(0)
 	sched.RunAll()
 	if fired != n {
 		t.Fatalf("chain fired %d events, want %d", fired, n)

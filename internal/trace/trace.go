@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rrtcp/internal/sim"
@@ -346,14 +345,4 @@ func RenderASCII(pts []Point, width, height int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortSamples orders samples by time then sequence (helper for tests).
-func SortSamples(ss []Sample) {
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].At != ss[j].At {
-			return ss[i].At < ss[j].At
-		}
-		return ss[i].Seq < ss[j].Seq
-	})
 }

@@ -144,18 +144,6 @@ func TestRenderASCII(t *testing.T) {
 	}
 }
 
-func TestSortSamples(t *testing.T) {
-	ss := []Sample{
-		{At: 2, Seq: 1},
-		{At: 1, Seq: 2},
-		{At: 1, Seq: 1},
-	}
-	SortSamples(ss)
-	if ss[0].At != 1 || ss[0].Seq != 1 || ss[2].At != 2 {
-		t.Fatalf("sort wrong: %+v", ss)
-	}
-}
-
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EvSend, EvRetransmit, EvAckRecv, EvDeliver, EvTimeout,
 		EvRecovery, EvExit, EvCwnd, EvDupAck, EvFlowDone, EvFurther, EvPhaseFlip}

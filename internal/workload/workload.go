@@ -192,43 +192,7 @@ func (s FlowSpec) NewStrategy() (tcp.Strategy, error) {
 // Install wires a flow into slot idx of the dumbbell and schedules its
 // start.
 func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
-	if spec.Bytes == 0 {
-		spec.Bytes = tcp.Infinite
-	}
-	strat, err := spec.NewStrategy()
-	if err != nil {
-		return nil, err
-	}
-	var tr *trace.FlowTrace // nil is a valid no-op trace
-	if !spec.NoTrace {
-		tr = trace.New(idx, spec.Kind.String())
-	}
-	recv := tcp.NewReceiver(sched, idx, d.ReceiverPort(idx), tr)
-	recv.SACKEnabled = spec.Kind.NeedsSACKReceiver()
-	recv.DelayedAck = spec.DelayedAck
-	recv.Telemetry = spec.Telemetry
-	recv.Pool = d.Pool()
-	snd, err := tcp.New(sched, d.SenderPort(idx), strat, tcp.Config{
-		Flow:            idx,
-		MSS:             spec.MSS,
-		Window:          spec.Window,
-		InitialSSThresh: spec.InitialSSThresh,
-		TotalBytes:      spec.Bytes,
-		SmoothStart:     spec.SmoothStart,
-		Trace:           tr,
-		Telemetry:       spec.Telemetry,
-		OnDone:          spec.OnDone,
-		Pool:            d.Pool(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("flow %d: %w", idx, err)
-	}
-	d.ConnectReceiver(idx, recv)
-	d.ConnectSender(idx, snd)
-	if err := snd.Start(spec.StartAt); err != nil {
-		return nil, fmt.Errorf("flow %d: %w", idx, err)
-	}
-	return &Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}, nil
+	return install(sched, d, idx, spec, false)
 }
 
 // InstallReverse wires a flow in the opposite direction: the sender
@@ -237,6 +201,10 @@ func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*
 // drop-tail gateways interleave data and ACKs (the ACK-compression
 // effects of Zhang, Shenker & Clark, SIGCOMM'91 — the paper's [22]).
 func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
+	return install(sched, d, idx, spec, true)
+}
+
+func install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (*Flow, error) {
 	if spec.Bytes == 0 {
 		spec.Bytes = tcp.Infinite
 	}
@@ -244,18 +212,26 @@ func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowS
 	if err != nil {
 		return nil, err
 	}
-	var tr *trace.FlowTrace
-	if !spec.NoTrace {
-		tr = trace.New(idx, spec.Kind.String()+"-rev")
+	// A forward flow's data enters at the S side and its ACKs at the K
+	// side; a reverse flow swaps the two hosts.
+	dataIn, ackIn := d.SenderPort(idx), d.ReceiverPort(idx)
+	connectData, connectAcks := d.ConnectReceiver, d.ConnectSender
+	what, traceName := "flow", spec.Kind.String()
+	if reverse {
+		dataIn, ackIn = ackIn, dataIn
+		connectData, connectAcks = connectAcks, connectData
+		what, traceName = "reverse flow", traceName+"-rev"
 	}
-	// The receiver lives at the S side: its ACKs enter via SenderPort.
-	recv := tcp.NewReceiver(sched, idx, d.SenderPort(idx), tr)
+	var tr *trace.FlowTrace // nil is a valid no-op trace
+	if !spec.NoTrace {
+		tr = trace.New(idx, traceName)
+	}
+	recv := tcp.NewReceiver(sched, idx, ackIn, tr)
 	recv.SACKEnabled = spec.Kind.NeedsSACKReceiver()
 	recv.DelayedAck = spec.DelayedAck
 	recv.Telemetry = spec.Telemetry
 	recv.Pool = d.Pool()
-	// The sender lives at the K side: its data enters via ReceiverPort.
-	snd, err := tcp.New(sched, d.ReceiverPort(idx), strat, tcp.Config{
+	snd, err := tcp.New(sched, dataIn, strat, tcp.Config{
 		Flow:            idx,
 		MSS:             spec.MSS,
 		Window:          spec.Window,
@@ -268,13 +244,12 @@ func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowS
 		Pool:            d.Pool(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("reverse flow %d: %w", idx, err)
+		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
 	}
-	// Data arrives at the S side; ACKs arrive back at the K side.
-	d.ConnectSender(idx, recv)
-	d.ConnectReceiver(idx, snd)
+	connectData(idx, recv)
+	connectAcks(idx, snd)
 	if err := snd.Start(spec.StartAt); err != nil {
-		return nil, fmt.Errorf("reverse flow %d: %w", idx, err)
+		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
 	}
 	return &Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}, nil
 }

@@ -18,11 +18,10 @@ type Time = sim.Time
 // randomness derived from seed.
 func NewScheduler(seed int64) *Scheduler { return sim.NewScheduler(seed) }
 
-// Timer is a restartable one-shot timer bound to a scheduler — the
-// preferred way to schedule work. Create one per long-lived event
-// source with Scheduler.NewTimer(handler) and re-arm it with
-// Timer.At/Reset; arming allocates nothing. The closure-based
-// Scheduler.Schedule/At calls remain as deprecated shims.
+// Timer is a restartable one-shot timer bound to a scheduler — the way
+// to schedule work. Create one per long-lived event source with
+// Scheduler.NewTimer(handler) and re-arm it with Timer.At/Reset; arming
+// allocates nothing.
 type Timer = sim.Timer
 
 // ErrScheduleInPast is returned when an event (or timer) is armed

@@ -313,8 +313,11 @@ func BenchmarkEndToEndSimulationThroughput(b *testing.B) {
 // BenchmarkEventsPerSec and BenchmarkPacketsPerSec are the repo's
 // committed performance trajectory (BENCH_core.json): scheduler events
 // and simulated packet transmissions per wall second on the standard
-// 10-flow RED dumbbell, plus heap allocations per event. tools/benchdiff
-// compares these numbers across PRs; see docs/OBSERVABILITY.md.
+// 10-flow RED dumbbell, plus heap allocations per event. Beside them,
+// BenchmarkLinkDeepPipe and BenchmarkLaneUnderParkedTimers pin the two
+// properties of the event queue that world is too small to show.
+// tools/benchdiff compares these numbers across PRs; see
+// docs/OBSERVABILITY.md.
 
 // runHeadlineWorld builds and runs the standard measurement scenario,
 // returning the scheduler (for its counters) and the topology (for its
@@ -397,6 +400,72 @@ func BenchmarkPacketsPerSec(b *testing.B) {
 		b.ReportMetric(float64(after-before)/secs, "packets/sec")
 	}
 	reportHeadlineWorkingSet(b, highWater, poolGets, poolHits)
+}
+
+// BenchmarkLinkDeepPipe is the long-fat-pipe case of the headline set:
+// one link kept full with 1000 packets propagating at once (1 us of
+// serialization against 1 ms of propagation), each delivery feeding its
+// packet straight back in. One op is one packet: a serialization
+// completion plus a delivery. The wire is one lane, so heap-highwater
+// stays at 2 and the cost per packet does not grow with the pipe.
+func BenchmarkLinkDeepPipe(b *testing.B) {
+	sched := sim.NewScheduler(1)
+	var pool netem.PacketPool
+	var link *netem.Link
+	delivered := 0
+	loop := netem.NodeFunc(func(p *netem.Packet) {
+		if delivered++; delivered == b.N {
+			sched.Stop()
+		}
+		link.Receive(p)
+	})
+	link = netem.Must(netem.NewLink(sched, 8e9, time.Millisecond, nil, loop))
+	for i := 0; i < 1000; i++ {
+		p := pool.Get()
+		p.Kind, p.Size, p.Len = netem.Data, 1000, 1000
+		link.Receive(p)
+	}
+	sched.Run(2 * time.Millisecond) // fill the wire, grow the rings
+	delivered = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	sched.RunAll()
+	b.StopTimer()
+	b.ReportMetric(float64(sched.HeapHighWater()), "heap-highwater")
+}
+
+// BenchmarkLaneUnderParkedTimers fires lane events — 32 lanes, each
+// pushing its next event as it fires, the shape of 32 busy links — while
+// N far-future timers sit armed, as every flow's retransmission timer
+// does. One op is one lane event; ns/op must be flat in N, because lane
+// heads and timers live in separate heaps.
+func BenchmarkLaneUnderParkedTimers(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		parked int
+	}{{"0", 0}, {"2k", 2000}, {"100k", 100000}} {
+		b.Run(c.name, func(b *testing.B) {
+			sched := sim.NewScheduler(1)
+			for i := 0; i < c.parked; i++ {
+				sched.NewTimer(func() {}).Reset(time.Hour + time.Duration(i))
+			}
+			var lanes [32]sim.Lane[int]
+			fired := 0
+			for i := range lanes {
+				l := &lanes[i]
+				l.Init(sched, func(v int) {
+					if fired++; fired == b.N {
+						sched.Stop()
+					}
+					l.Push(time.Duration(1+v)*time.Microsecond, v)
+				})
+				l.Push(time.Duration(i), i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			sched.Run(time.Hour - 1)
+		})
+	}
 }
 
 // --- live-introspection overhead ---

@@ -17,17 +17,27 @@ type DRRQueue struct {
 	quantum int
 	limit   int
 
-	queues  map[int][]*Packet
-	deficit map[int]int
-	active  []int // flows with queued packets, round-robin order
-	fresh   map[int]bool
-	total   int
+	flows  map[int]*drrFlow
+	active ring[*drrFlow] // flows with queued packets, round-robin order
+	total  int
 
 	// Drops counts packets rejected, by flow.
 	Drops map[int]uint64
 }
 
 var _ QueueDiscipline = (*DRRQueue)(nil)
+
+// drrFlow is one flow's FIFO and byte credit. It is created when the
+// flow's first packet arrives and kept across idle periods, so a warm
+// queue enqueues and dequeues without allocating.
+type drrFlow struct {
+	id      int
+	q       pktRing
+	deficit int
+	// fresh marks a flow that earns a quantum on its next turn at the
+	// head of the round.
+	fresh bool
+}
 
 // DRRConfig parameterizes a deficit-round-robin fair queue.
 type DRRConfig struct {
@@ -57,9 +67,7 @@ func NewDRR(quantumBytes, limitPackets int) (*DRRQueue, error) {
 	return &DRRQueue{
 		quantum: quantumBytes,
 		limit:   limitPackets,
-		queues:  make(map[int][]*Packet),
-		deficit: make(map[int]int),
-		fresh:   make(map[int]bool),
+		flows:   make(map[int]*drrFlow),
 		Drops:   make(map[int]uint64),
 	}, nil
 }
@@ -70,78 +78,71 @@ func NewDRR(quantumBytes, limitPackets int) (*DRRQueue, error) {
 // ACK streams.
 func (d *DRRQueue) Enqueue(p *Packet, _ sim.Time) bool {
 	if d.total >= d.limit {
-		victim := d.longestFlow()
-		if victim == p.Flow || victim == -1 {
+		i := d.longestActive()
+		if i < 0 || d.active.at(i).id == p.Flow {
 			d.Drops[p.Flow]++
 			return false
 		}
-		q := d.queues[victim]
-		dropped := q[len(q)-1]
-		q[len(q)-1] = nil
-		d.queues[victim] = q[:len(q)-1]
+		victim := d.active.at(i)
+		dropped := victim.q.popTail()
 		d.Drops[dropped.Flow]++
 		dropped.Release()
 		d.total--
-		if len(d.queues[victim]) == 0 {
-			d.deactivate(victim)
+		if victim.q.n == 0 {
+			d.active.removeAt(i)
+			victim.deficit, victim.fresh = 0, false
 		}
 	}
-	if len(d.queues[p.Flow]) == 0 {
-		d.active = append(d.active, p.Flow)
-		d.fresh[p.Flow] = true
+	f := d.flows[p.Flow]
+	if f == nil {
+		f = &drrFlow{id: p.Flow}
+		d.flows[p.Flow] = f
 	}
-	d.queues[p.Flow] = append(d.queues[p.Flow], p)
+	if f.q.n == 0 {
+		d.active.push(f)
+		f.fresh = true
+	}
+	f.q.push(p)
 	d.total++
 	return true
 }
 
-func (d *DRRQueue) longestFlow() int {
+// longestActive returns the round position of the flow with the most
+// queued packets (the first such in round order), or -1 if none has any.
+func (d *DRRQueue) longestActive() int {
 	longest, bestLen := -1, 0
-	for _, f := range d.active {
-		if l := len(d.queues[f]); l > bestLen {
-			longest, bestLen = f, l
+	for i := 0; i < d.active.n; i++ {
+		if l := d.active.at(i).q.n; l > bestLen {
+			longest, bestLen = i, l
 		}
 	}
 	return longest
 }
 
-func (d *DRRQueue) deactivate(flow int) {
-	for i, f := range d.active {
-		if f == flow {
-			d.active = append(d.active[:i], d.active[i+1:]...)
-			break
-		}
-	}
-	d.deficit[flow] = 0
-	delete(d.fresh, flow)
-}
-
-// Dequeue implements QueueDiscipline with the standard DRR round.
+// Dequeue implements QueueDiscipline with the standard DRR round. Every
+// active flow has a packet queued, so total > 0 means the round has a
+// head.
 func (d *DRRQueue) Dequeue() *Packet {
 	for d.total > 0 {
-		if len(d.active) == 0 {
-			return nil
+		f := d.active.at(0)
+		if f.fresh {
+			f.deficit += d.quantum
+			f.fresh = false
 		}
-		flow := d.active[0]
-		if d.fresh[flow] {
-			d.deficit[flow] += d.quantum
-			d.fresh[flow] = false
-		}
-		q := d.queues[flow]
-		if len(q) > 0 && q[0].Size <= d.deficit[flow] {
-			p := q[0]
-			d.queues[flow] = q[1:]
-			d.deficit[flow] -= p.Size
+		if p := f.q.at(0); p.Size <= f.deficit {
+			f.q.pop()
+			f.deficit -= p.Size
 			d.total--
-			if len(d.queues[flow]) == 0 {
-				d.deactivate(flow)
+			if f.q.n == 0 {
+				d.active.pop()
+				f.deficit = 0
 			}
 			return p
 		}
 		// Flow exhausted its deficit: move it to the back of the round
 		// and credit it a fresh quantum on its next turn.
-		d.active = append(d.active[1:], flow)
-		d.fresh[flow] = true
+		d.active.push(d.active.pop())
+		f.fresh = true
 	}
 	return nil
 }
@@ -150,4 +151,9 @@ func (d *DRRQueue) Dequeue() *Packet {
 func (d *DRRQueue) Len() int { return d.total }
 
 // FlowLen reports one flow's queued packets (for tests).
-func (d *DRRQueue) FlowLen(flow int) int { return len(d.queues[flow]) }
+func (d *DRRQueue) FlowLen(flow int) int {
+	if f := d.flows[flow]; f != nil {
+		return f.q.n
+	}
+	return 0
+}

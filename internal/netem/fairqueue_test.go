@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -137,6 +138,128 @@ func TestDRRBehindLink(t *testing.T) {
 	s.RunAll()
 	if len(sink.pkts) != 6 {
 		t.Fatalf("delivered %d, want 6", len(sink.pkts))
+	}
+}
+
+// refDRR is the slice-and-map DRR this package used before the per-flow
+// rings: the behavioural oracle for TestDRRMatchesSliceReference.
+type refDRR struct {
+	quantum, limit, total int
+	queues                map[int][]*Packet
+	deficit               map[int]int
+	fresh                 map[int]bool
+	active                []int
+}
+
+func (d *refDRR) deactivate(flow int) {
+	for i, f := range d.active {
+		if f == flow {
+			d.active = append(d.active[:i:i], d.active[i+1:]...)
+			break
+		}
+	}
+	d.deficit[flow] = 0
+	delete(d.fresh, flow)
+}
+
+func (d *refDRR) enqueue(p *Packet) bool {
+	if d.total >= d.limit {
+		victim, bestLen := -1, 0
+		for _, f := range d.active {
+			if l := len(d.queues[f]); l > bestLen {
+				victim, bestLen = f, l
+			}
+		}
+		if victim == p.Flow || victim == -1 {
+			return false
+		}
+		q := d.queues[victim]
+		d.queues[victim] = q[:len(q)-1]
+		d.total--
+		if len(d.queues[victim]) == 0 {
+			d.deactivate(victim)
+		}
+	}
+	if len(d.queues[p.Flow]) == 0 {
+		d.active = append(d.active, p.Flow)
+		d.fresh[p.Flow] = true
+	}
+	d.queues[p.Flow] = append(d.queues[p.Flow], p)
+	d.total++
+	return true
+}
+
+func (d *refDRR) dequeue() *Packet {
+	for d.total > 0 {
+		flow := d.active[0]
+		if d.fresh[flow] {
+			d.deficit[flow] += d.quantum
+			d.fresh[flow] = false
+		}
+		if q := d.queues[flow]; q[0].Size <= d.deficit[flow] {
+			d.queues[flow] = q[1:]
+			d.deficit[flow] -= q[0].Size
+			d.total--
+			if len(d.queues[flow]) == 0 {
+				d.deactivate(flow)
+			}
+			return q[0]
+		}
+		d.active = append(d.active[1:len(d.active):len(d.active)], flow)
+		d.fresh[flow] = true
+	}
+	return nil
+}
+
+// TestDRRMatchesSliceReference drives random arrivals (mixed sizes,
+// buffers small enough to evict) and departures through the ring-based queue and the old implementation,
+// and requires the same accept/reject decisions and departure order.
+func TestDRRMatchesSliceReference(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		// Limits below the flow count make the longest queue one packet
+		// deep, so evicting its tail empties it mid-round.
+		limit := 3 + int(trial)%10
+		q := Must(NewDRR(500, limit))
+		ref := &refDRR{quantum: 500, limit: limit,
+			queues: map[int][]*Packet{}, deficit: map[int]int{}, fresh: map[int]bool{}}
+		for step := 0; step < 3000; step++ {
+			if rng.Intn(5) < 3 {
+				p := flowPkt(rng.Intn(6), 40+rng.Intn(3)*480)
+				if got, want := q.Enqueue(p, 0), ref.enqueue(p); got != want {
+					t.Fatalf("trial %d step %d: enqueue accepted=%v, reference %v", trial, step, got, want)
+				}
+			} else if got, want := q.Dequeue(), ref.dequeue(); got != want {
+				t.Fatalf("trial %d step %d: dequeued %+v, reference %+v", trial, step, got, want)
+			}
+			if q.Len() != ref.total {
+				t.Fatalf("trial %d step %d: len %d, reference %d", trial, step, q.Len(), ref.total)
+			}
+		}
+	}
+}
+
+// TestDRRSteadyStateZeroAlloc: once every flow has been seen and the
+// rings have grown, enqueue/dequeue cycles — rotation of the round and
+// longest-queue eviction included — allocate nothing.
+func TestDRRSteadyStateZeroAlloc(t *testing.T) {
+	var pp PacketPool
+	q := Must(NewDRR(500, 16))
+	cycle := func() {
+		for i := 0; i < 24; i++ { // 8 over the limit: evicts
+			p := pp.Get()
+			p.Flow, p.Size = i%4, 40+(i%3)*480
+			if !q.Enqueue(p, 0) {
+				p.Release()
+			}
+		}
+		for p := q.Dequeue(); p != nil; p = q.Dequeue() {
+			p.Release()
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("warm DRR enqueue/dequeue allocates %.2f allocs/run, want 0", avg)
 	}
 }
 

@@ -37,14 +37,14 @@ type Link struct {
 	queue *Queue
 	busy  bool
 
-	// txTimer paces serialization: it fires transmitNext once per packet
-	// after the transmission delay. Created once per link, re-armed per
-	// packet with no allocation.
-	txTimer *sim.Timer
-	// flightFree recycles in-flight delivery records (packet + flap
-	// snapshot + delivery timer). The pool's depth is bounded by the
-	// link's bandwidth-delay product in packets.
-	flightFree *flight
+	// wire holds the packets propagating toward Dst, in delivery order:
+	// deliveries are never cancelled (a flap drops them on arrival), so
+	// the whole pipe costs the scheduler one pending event. Its depth is
+	// bounded by the link's bandwidth-delay product in packets.
+	wire sim.Lane[wirePkt]
+	// tx paces serialization: it fires transmitNext once per packet after
+	// the transmission delay, so it never holds more than one event.
+	tx sim.Lane[struct{}]
 
 	// down marks a failed link: nothing serializes while set, and every
 	// packet on the wire when the failure began is lost.
@@ -89,7 +89,8 @@ func NewLink(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, q Queue
 		Delay:        delay,
 		Dst:          dst,
 	}
-	l.txTimer = sched.NewTimer(l.transmitNext)
+	l.wire.Init(sched, l.deliver)
+	l.tx.Init(sched, func(struct{}) { l.transmitNext() })
 	l.queue = newQueue(q, sched)
 	return l, nil
 }
@@ -239,52 +240,25 @@ func (l *Link) transmitNext() {
 	// the link is free to start the next packet after tx delay alone. A
 	// packet on the wire across a carrier loss never arrives: the flap
 	// counter at transmission time is compared at delivery time. The
-	// delivery timer must be armed before the serialization timer so
+	// delivery must be pushed before the serialization completion so
 	// simultaneous firings keep the historical order (delivery first).
-	f := l.getFlight()
-	f.p = p
-	f.flapsAtTx = l.flaps
-	f.timer.Reset(txDelay + l.Delay)
-	l.txTimer.Reset(txDelay)
+	l.wire.Push(txDelay+l.Delay, wirePkt{p: p, flapsAtTx: l.flaps})
+	l.tx.Push(txDelay, struct{}{})
 }
 
-// flight is one packet on the wire: the delivery timer plus the state
-// its expiry needs. Flight records are pooled per link, and each owns
-// its timer (and the one handler closure binding them) for its whole
-// pooled lifetime, so steady-state transmission allocates nothing.
-type flight struct {
-	l         *Link
+// wirePkt is one packet on the wire plus the state its arrival needs.
+type wirePkt struct {
 	p         *Packet
 	flapsAtTx uint64
-	timer     *sim.Timer
-	next      *flight
 }
 
-func (l *Link) getFlight() *flight {
-	f := l.flightFree
-	if f == nil {
-		f = &flight{l: l}
-		f.timer = l.sched.NewTimer(f.deliver)
-		return f
-	}
-	l.flightFree = f.next
-	f.next = nil
-	return f
-}
-
-// deliver fires when the packet finishes propagating. The flight record
-// is recycled before the downstream Receive so a re-entrant transmit
-// can reuse it immediately.
-func (f *flight) deliver() {
-	l, p, flapsAtTx := f.l, f.p, f.flapsAtTx
-	f.p = nil
-	f.next = l.flightFree
-	l.flightFree = f
-	if l.flaps != flapsAtTx {
-		l.dropInFlight(p)
+// deliver fires when the packet finishes propagating.
+func (l *Link) deliver(w wirePkt) {
+	if l.flaps != w.flapsAtTx {
+		l.dropInFlight(w.p)
 		return
 	}
-	l.Dst.Receive(p)
+	l.Dst.Receive(w.p)
 }
 
 // dropInFlight accounts for a wire packet lost to a link flap.

@@ -121,3 +121,108 @@ func TestNodeFuncAdapts(t *testing.T) {
 		t.Fatal("NodeFunc did not forward the packet")
 	}
 }
+
+// The tests below pin the contract of the link's two lanes (in-flight
+// packets and serialization completion): they behave exactly as one
+// cancellable timer per packet did.
+
+// TestLinkSetDelayMidFlightKeepsTimerOrder lowers the propagation delay
+// while packets are on the wire, so later packets are due before earlier
+// ones: each still arrives at its own transmission + propagation time,
+// and a tie goes to the packet that left first.
+func TestLinkSetDelayMidFlightKeepsTimerOrder(t *testing.T) {
+	s := sim.NewScheduler(1)
+	sink := &collector{sched: s}
+	// 8 Mbps: a 1000-byte packet serializes in 1 ms.
+	l := Must(NewLink(s, 8e6, 50*time.Millisecond, Must(NewDropTail(10)), sink))
+	for id := uint64(1); id <= 3; id++ { // leave at 1, 2, 3 ms; due at 51, 52, 53 ms
+		l.Receive(pkt(id))
+	}
+	s.Run(10 * time.Millisecond)
+	if err := l.SetDelay(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	l.Receive(pkt(4)) // leaves at 11 ms, due at 16 ms: overtakes 1-3
+	l.Receive(pkt(5)) // leaves at 12 ms, due at 17 ms
+	s.Run(45 * time.Millisecond)
+	l.Receive(pkt(6)) // leaves at 46 ms, due at 51 ms: ties with 1, which left first
+	s.RunAll()
+
+	wantID := []uint64{4, 5, 1, 6, 2, 3}
+	wantAt := []sim.Time{16, 17, 51, 51, 52, 53}
+	if len(sink.pkts) != len(wantID) {
+		t.Fatalf("delivered %d packets, want %d", len(sink.pkts), len(wantID))
+	}
+	for i, p := range sink.pkts {
+		if pktID(p) != wantID[i] || sink.at[i] != wantAt[i]*time.Millisecond {
+			t.Fatalf("arrival %d: packet %d at %v, want packet %d at %v",
+				i, pktID(p), sink.at[i], wantID[i], wantAt[i]*time.Millisecond)
+		}
+	}
+}
+
+// TestLinkFlapDropsExactlyTheWirePackets flaps the carrier while three
+// packets share the wire and two more wait in the queue: the three are
+// lost on arrival, the queued two survive the outage, and a packet sent
+// after the link is back is delivered.
+func TestLinkFlapDropsExactlyTheWirePackets(t *testing.T) {
+	s := sim.NewScheduler(1)
+	sink := &collector{sched: s}
+	l := Must(NewLink(s, 8e6, 50*time.Millisecond, Must(NewDropTail(10)), sink))
+	for id := uint64(1); id <= 5; id++ {
+		l.Receive(pkt(id))
+	}
+	s.Run(2500 * time.Microsecond) // 1 and 2 fully on the wire, 3 serializing
+	l.SetDown(true)
+	s.Run(20 * time.Millisecond)
+	l.SetDown(false) // resumes with 4 and 5
+	l.Receive(pkt(6))
+	s.RunAll()
+
+	if l.FaultDrops != 3 {
+		t.Fatalf("fault drops = %d, want 3 (the packets on the wire at the flap)", l.FaultDrops)
+	}
+	var got []uint64
+	for _, p := range sink.pkts {
+		got = append(got, pktID(p))
+	}
+	if len(got) != 3 || got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("delivered %v, want [4 5 6]", got)
+	}
+}
+
+// TestLinkReentrantReceiveFromDst has the downstream node answer every
+// arrival by feeding a new packet straight back into the same link, from
+// inside the delivery — while other packets are still on the wire. Every
+// packet and every answer must arrive, in transmission order.
+func TestLinkReentrantReceiveFromDst(t *testing.T) {
+	s := sim.NewScheduler(1)
+	var l *Link
+	var got []uint64
+	echo := NodeFunc(func(p *Packet) {
+		got = append(got, pktID(p))
+		if id := pktID(p); id < 100 {
+			l.Receive(pkt(id + 100)) // re-enters Receive -> transmitNext -> push
+		}
+	})
+	l = Must(NewLink(s, 8e6, 3*time.Millisecond, Must(NewDropTail(10)), echo))
+	for id := uint64(1); id <= 4; id++ {
+		l.Receive(pkt(id))
+	}
+	s.RunAll()
+
+	// 1-4 arrive at 4, 5, 6, 7 ms. The first answer is offered while 4's
+	// serialization completion is still pending, the rest to an idle link.
+	want := []uint64{1, 2, 3, 4, 101, 102, 103, 104}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", got, want)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events still pending after RunAll", s.Pending())
+	}
+}

@@ -65,7 +65,7 @@ func TestPacketPoolSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestLinkSteadyStateZeroAlloc drives pooled packets through a link
-// (serialization timer, flight pool, queue ring) and asserts the whole
+// (serialization and wire lanes, queue ring) and asserts the whole
 // transmission path allocates nothing once warm.
 func TestLinkSteadyStateZeroAlloc(t *testing.T) {
 	s := sim.NewScheduler(1)
@@ -83,7 +83,7 @@ func TestLinkSteadyStateZeroAlloc(t *testing.T) {
 			s.Run(s.Now() + 5*time.Millisecond)
 		}
 	}
-	send(32) // warm: pool, flight free list, heap, queue ring
+	send(32) // warm: pool, lane rings, heap, queue ring
 
 	avg := testing.AllocsPerRun(20, func() { send(10) })
 	if avg != 0 {

@@ -20,42 +20,74 @@ type QueueDiscipline interface {
 	Len() int
 }
 
-// pktRing is a growable circular FIFO of packets. Unlike a slice-of-
-// packets FIFO advanced with fifo[1:], it reuses its backing array
-// forever: steady-state enqueue/dequeue traffic allocates nothing.
-type pktRing struct {
-	buf  []*Packet // capacity always a power of two (or empty)
+// ring is a growable circular FIFO. Unlike a slice FIFO advanced with
+// fifo[1:], it reuses its backing array forever: steady-state
+// push/pop traffic allocates nothing, and a vacated slot is zeroed so
+// the ring never keeps a departed element reachable.
+type ring[T any] struct {
+	buf  []T // capacity always a power of two (or empty)
 	head int
 	n    int
 }
 
-func (r *pktRing) push(p *Packet) {
+// pktRing is the packet FIFO under every queue discipline.
+type pktRing = ring[*Packet]
+
+// slot returns the storage of the i-th element from the head.
+func (r *ring[T]) slot(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// at returns the i-th element from the head, 0 <= i < n.
+func (r *ring[T]) at(i int) T { return *r.slot(i) }
+
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	*r.slot(r.n) = v
 	r.n++
 }
 
-func (r *pktRing) pop() *Packet {
+// pop removes and returns the head, or the zero value when empty.
+func (r *ring[T]) pop() T {
+	var zero T
 	if r.n == 0 {
-		return nil
+		return zero
 	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
+	s := r.slot(0)
+	v := *s
+	*s = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return p
+	return v
 }
 
-func (r *pktRing) grow() {
+// popTail removes and returns the newest element of a non-empty ring.
+func (r *ring[T]) popTail() T {
+	var zero T
+	s := r.slot(r.n - 1)
+	v := *s
+	*s = zero
+	r.n--
+	return v
+}
+
+// removeAt deletes the i-th element from the head, keeping the order of
+// the rest.
+func (r *ring[T]) removeAt(i int) {
+	for ; i < r.n-1; i++ {
+		*r.slot(i) = *r.slot(i + 1)
+	}
+	r.popTail()
+}
+
+func (r *ring[T]) grow() {
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {
 		newCap = 8
 	}
-	buf := make([]*Packet, newCap)
+	buf := make([]T, newCap)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		buf[i] = r.at(i)
 	}
 	r.buf, r.head = buf, 0
 }

@@ -16,7 +16,7 @@ type refEntry struct {
 }
 
 // refHeap is a textbook container/heap min-heap over (time, sequence) —
-// the implementation the index-based 4-ary heap replaced, kept here as
+// the implementation the index-based 4-ary heaps replaced, kept here as
 // the ordering oracle.
 type refHeap []refEntry
 
@@ -37,103 +37,152 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeapMatchesReferenceOrder drives N random arms and stops — of
-// timers armed once and dropped, and of timers re-armed while pending —
-// and checks that the events fire in exactly the (time, sequence) order
-// a reference container/heap implementation pops them. This is the
-// determinism contract the experiment goldens depend on.
+// The ordering script's population: timers and lanes it arms and pushes.
+const scriptTimers, scriptLanes = 40, 6
+
+// eventQueue is what the ordering script drives: the scheduler under
+// test, and the container/heap oracle. Every armTimer and pushLane takes
+// one sequence number; both fire ids in (time, sequence) order.
+type eventQueue interface {
+	now() Time
+	armTimer(k int, at Time, id int) // arm or re-arm timer k; its expiry reports id
+	stopTimer(k int)
+	pushLane(k int, d Time, id int)
+	// run fires every pending event, calling onFire(id) for each; onFire
+	// may arm, stop and push.
+	run(onFire func(id int))
+}
+
+// realQueue is the scheduler: timers in one heap, lane heads in the other.
+type realQueue struct {
+	s      *Scheduler
+	timers []*Timer
+	ids    []int // ids[k] is what timer k reports when it expires
+	lanes  []Lane[int]
+	onFire func(id int)
+}
+
+func newRealQueue() *realQueue {
+	q := &realQueue{s: NewScheduler(1), ids: make([]int, scriptTimers), lanes: make([]Lane[int], scriptLanes)}
+	for k := 0; k < scriptTimers; k++ {
+		k := k
+		q.timers = append(q.timers, q.s.NewTimer(func() { q.onFire(q.ids[k]) }))
+	}
+	for k := range q.lanes {
+		q.lanes[k].Init(q.s, func(id int) { q.onFire(id) })
+	}
+	return q
+}
+
+func (q *realQueue) now() Time { return q.s.Now() }
+func (q *realQueue) armTimer(k int, at Time, id int) {
+	q.ids[k] = id
+	if err := q.timers[k].At(at); err != nil {
+		panic(err)
+	}
+}
+func (q *realQueue) stopTimer(k int)                { q.timers[k].Stop() }
+func (q *realQueue) pushLane(k int, d Time, id int) { q.lanes[k].Push(d, id) }
+func (q *realQueue) run(onFire func(id int)) {
+	q.onFire = onFire
+	q.s.RunAll()
+}
+
+// oracleQueue gives every event, timer expiry or lane push alike, its own
+// entry in one textbook heap. Stopped and re-armed expiries are skipped
+// when they surface.
+type oracleQueue struct {
+	h     refHeap
+	seq   uint64
+	clock Time
+	armed map[int]int // timer -> id of its live expiry
+	dead  map[int]bool
+}
+
+func (q *oracleQueue) now() Time { return q.clock }
+func (q *oracleQueue) add(at Time, id int) {
+	heap.Push(&q.h, refEntry{at: at, seq: q.seq, id: id})
+	q.seq++
+}
+func (q *oracleQueue) armTimer(k int, at Time, id int) {
+	q.stopTimer(k)
+	q.armed[k] = id
+	q.add(at, id)
+}
+func (q *oracleQueue) stopTimer(k int) {
+	if id, ok := q.armed[k]; ok {
+		q.dead[id] = true
+		delete(q.armed, k)
+	}
+}
+func (q *oracleQueue) pushLane(_ int, d Time, id int) { q.add(q.clock+d, id) }
+func (q *oracleQueue) run(onFire func(id int)) {
+	for q.h.Len() > 0 {
+		e := heap.Pop(&q.h).(refEntry)
+		if q.dead[e.id] {
+			continue
+		}
+		q.clock = e.at
+		onFire(e.id)
+	}
+}
+
+// orderingScript issues a seeded random mix of timer arms, re-arms and
+// stops and of lane pushes — due times drawn from a small range, so ties
+// are common and lane pushes arrive out of deadline order — first from
+// outside the run and then from inside handlers (so lanes are pushed
+// while their head is firing), and returns the ids in firing order.
+func orderingScript(q eventQueue, seed int64) []int {
+	const timers, lanes, setupOps, total = scriptTimers, scriptLanes, 1500, 6000
+	rng := rand.New(rand.NewSource(seed))
+	nextID := 0
+	op := func() {
+		id := nextID
+		nextID++
+		d := Time(rng.Intn(200)) * time.Microsecond
+		switch k := rng.Intn(10); {
+		case k < 4:
+			q.pushLane(rng.Intn(lanes), d, id)
+		case k < 8:
+			q.armTimer(rng.Intn(timers), q.now()+d, id)
+		default:
+			q.stopTimer(rng.Intn(timers))
+		}
+	}
+	for i := 0; i < setupOps; i++ {
+		op()
+	}
+	var fired []int
+	q.run(func(id int) {
+		fired = append(fired, id)
+		for n := rng.Intn(3); n > 0 && nextID < total; n-- {
+			op()
+		}
+	})
+	return fired
+}
+
+// TestHeapMatchesReferenceOrder checks that timers and lanes together
+// fire in exactly the (time, sequence) order a reference container/heap
+// holding one entry per event pops them — across re-arms and stops,
+// out-of-order and equal-time lane pushes, and pushes made from inside
+// handlers. This is the determinism contract the experiment goldens
+// depend on, and what lets a link's per-packet timers become a lane
+// without re-pinning anything.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
-	const ops = 2000
-	for trial := int64(0); trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(trial + 100))
-		s := NewScheduler(trial)
-
-		var got []int
-		var seq uint64 // mirrors the scheduler's internal sequence counter
-
-		// live holds the reference model of pending events.
-		live := map[int]refEntry{}
-		nextID := 0
-
-		type oneShot struct {
-			tm *Timer
-			id int
-		}
-		type timerArm struct {
-			tm *Timer
-			id int // id of the currently armed expiry, -1 when stopped
-		}
-		var shots []oneShot
-		var timers []*timerArm
-
-		for i := 0; i < ops; i++ {
-			switch k := rng.Intn(10); {
-			case k < 4: // one-shot: a fresh timer armed once
-				id := nextID
-				nextID++
-				at := Time(rng.Intn(1000)) * time.Microsecond
-				tm := s.NewTimer(func() { got = append(got, id) })
-				if err := tm.At(at); err != nil {
-					t.Fatal(err)
-				}
-				live[id] = refEntry{at: at, seq: seq, id: id}
-				seq++
-				shots = append(shots, oneShot{tm: tm, id: id})
-			case k < 7: // arm (or re-arm) a timer
-				var ta *timerArm
-				if len(timers) == 0 || rng.Intn(3) == 0 {
-					ta = &timerArm{id: -1}
-					ta.tm = s.NewTimer(func() { got = append(got, ta.id) })
-					timers = append(timers, ta)
-				} else {
-					ta = timers[rng.Intn(len(timers))]
-				}
-				if ta.id >= 0 {
-					delete(live, ta.id) // re-arm replaces the pending expiry
-				}
-				id := nextID
-				nextID++
-				at := Time(rng.Intn(1000)) * time.Microsecond
-				if err := ta.tm.At(at); err != nil {
-					t.Fatal(err)
-				}
-				ta.id = id
-				live[id] = refEntry{at: at, seq: seq, id: id}
-				seq++
-			case k < 9 && len(shots) > 0: // cancel a one-shot
-				j := rng.Intn(len(shots))
-				shots[j].tm.Stop()
-				delete(live, shots[j].id)
-				shots = append(shots[:j], shots[j+1:]...)
-			case len(timers) > 0: // stop a timer
-				ta := timers[rng.Intn(len(timers))]
-				ta.tm.Stop()
-				if ta.id >= 0 {
-					delete(live, ta.id)
-					ta.id = -1
-				}
-			}
-		}
-
-		// Reference pop order via container/heap.
-		ref := make(refHeap, 0, len(live))
-		for _, e := range live {
-			ref = append(ref, e)
-		}
-		heap.Init(&ref)
-		want := make([]int, 0, len(ref))
-		for ref.Len() > 0 {
-			want = append(want, heap.Pop(&ref).(refEntry).id)
-		}
-
-		s.RunAll()
+	for seed := int64(100); seed < 110; seed++ {
+		got := orderingScript(newRealQueue(), seed)
+		want := orderingScript(&oracleQueue{armed: map[int]int{}, dead: map[int]bool{}}, seed)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d events, reference popped %d", trial, len(got), len(want))
+			t.Fatalf("seed %d: fired %d events, reference popped %d", seed, len(got), len(want))
+		}
+		if len(got) < 1000 {
+			t.Fatalf("seed %d: only %d events fired; the script is not exercising the queue", seed, len(got))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: fire order diverges at %d: got id %d, reference id %d",
-					trial, i, got[i], want[i])
+				t.Fatalf("seed %d: fire order diverges at %d: got id %d, reference id %d",
+					seed, i, got[i], want[i])
 			}
 		}
 	}

@@ -1,0 +1,121 @@
+package sim
+
+// laneFirer is the scheduler's view of a Lane[T] of any payload type.
+type laneFirer interface {
+	fire()
+}
+
+// laneEvent is one event waiting on a lane: its reserved (time, sequence)
+// key and the payload its handler receives.
+type laneEvent[T any] struct {
+	at  Time
+	seq uint64
+	val T
+}
+
+// Lane is a FIFO event source bound to a scheduler — the building block
+// for pipelines whose events are never cancelled, such as the packets
+// propagating on a link. Every Push fires the handler exactly once, with
+// the pushed payload, in (time, sequence) order; there is no Stop. Only
+// the lane's earliest event occupies the event queue, so a lane costs
+// the scheduler one heap entry however many events wait behind its head,
+// and pushing behind a pending head touches no heap at all.
+//
+// Each Push takes one sequence number, exactly as arming a Timer does,
+// so replacing per-event timers with a lane leaves the global firing
+// order unchanged: a lane keeps its events sorted by that key, its head
+// is their minimum, and pop order depends only on keys.
+type Lane[T any] struct {
+	s  *Scheduler
+	id int32
+	fn func(T)
+
+	// Ring of waiting events, sorted by (at, seq); capacity is a power
+	// of two, allocated on the first Push and doubled as the lane fills.
+	buf  []laneEvent[T]
+	head int
+	n    int
+}
+
+// Init binds an empty lane to s and sets the handler run for each pushed
+// event. A lane is a value its owner embeds (a link has two, and worlds
+// are built by the thousand); the scheduler keeps a pointer to it, so it
+// must be initialised once, in place, and not copied afterwards. Like a
+// Timer, a lane belongs to its scheduler for the scheduler's lifetime:
+// have one per long-lived event source.
+func (l *Lane[T]) Init(s *Scheduler, fn func(T)) {
+	*l = Lane[T]{s: s, id: s.heads.newSlot(nil), fn: fn}
+	s.lanes = append(s.lanes, l)
+}
+
+// Push schedules fn(v) to run after d (a negative d is clamped to zero).
+// Deadlines normally arrive in order and the event joins the tail; one
+// due before events already waiting (a propagation delay lowered
+// mid-flight) is inserted where its key sorts, so the lane fires in the
+// order separate timers would have.
+func (l *Lane[T]) Push(d Time, v T) {
+	if d < 0 {
+		d = 0
+	}
+	s := l.s
+	ev := laneEvent[T]{at: s.now + d, seq: s.nextSeq, val: v}
+	s.nextSeq++
+	s.queued++
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	mask := len(l.buf) - 1
+	// ev has the largest sequence number yet, so it sorts after every
+	// waiting event due at or before ev.at.
+	i := l.n
+	for ; i > 0; i-- {
+		prev := &l.buf[(l.head+i-1)&mask]
+		if prev.at <= ev.at {
+			break
+		}
+		l.buf[(l.head+i)&mask] = *prev
+	}
+	l.buf[(l.head+i)&mask] = ev
+	l.n++
+	if i > 0 {
+		return // still behind the head
+	}
+	x := heapEntry{at: ev.at, seq: ev.seq, idx: l.id}
+	if pos := s.heads.slots[l.id].heapPos; pos >= 0 {
+		s.heads.rekey(int(pos), x)
+		return
+	}
+	s.heads.push(x)
+	s.pushed()
+}
+
+// fire runs the head event. The scheduler calls it with the lane's entry
+// at the top of the lane-head heap; the next head takes that entry over
+// before the handler runs, so a handler that pushes onto its own lane
+// sees it consistent.
+func (l *Lane[T]) fire() {
+	s := l.s
+	mask := len(l.buf) - 1
+	ev := &l.buf[l.head]
+	v := ev.val
+	var zero T
+	ev.val = zero // drop the ring's reference to the payload
+	l.head = (l.head + 1) & mask
+	l.n--
+	s.queued--
+	if l.n > 0 {
+		next := &l.buf[l.head]
+		s.heads.rekey(0, heapEntry{at: next.at, seq: next.seq, idx: l.id})
+	} else {
+		s.heads.remove(0)
+	}
+	l.fn(v)
+}
+
+func (l *Lane[T]) grow() {
+	buf := make([]laneEvent[T], max(2*len(l.buf), 1))
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.head = buf, 0
+}

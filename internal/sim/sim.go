@@ -4,11 +4,19 @@
 // source. It is the substrate on which the network and TCP models run,
 // playing the role ns-2's scheduler plays in the paper's evaluation.
 //
-// The event queue is an index-based 4-ary min-heap over an arena of
-// value slots, one per timer: arming, firing, and stopping a timer
-// allocate nothing, and stop is O(log n) via the slot's tracked heap
-// position. The one scheduling surface is the reusable-timer API
-// (Scheduler.NewTimer plus Timer.At/Reset/Stop, mirroring time.Timer).
+// There are two scheduling primitives. A Timer (Scheduler.NewTimer plus
+// Timer.At/Reset/Stop, mirroring time.Timer) may be stopped or re-armed
+// while pending. A Lane (Lane.Init plus Lane.Push) is a FIFO event source
+// whose events always fire, in order; only its head occupies the event
+// queue, however many events are waiting behind it.
+//
+// The event queue is two index-based 4-ary min-heaps of value entries,
+// one of armed timers and one of lane heads, merged by exact
+// (time, sequence) as each event is taken. Arming, firing, and stopping
+// allocate nothing, and stop is O(log n) via each entry's tracked heap
+// position. The split keeps the events that always fire (packets on the
+// wire) from sifting through the ones that almost never do (every
+// flow's parked retransmission timer).
 package sim
 
 import (
@@ -55,21 +63,37 @@ var ErrScheduleInPast = errors.New("sim: event scheduled in the past")
 
 // heapEntry is one pending event in the priority queue. Entries are
 // pure values (no pointers), so sift operations move them without
-// write barriers; idx names the arena slot holding the handler.
+// write barriers; idx names the owner (a timer's arena slot, or a lane).
 type heapEntry struct {
 	at  Time
 	seq uint64
 	idx int32
 }
 
-// timerSlot is one arena cell, owned by one Timer for the scheduler's
-// lifetime: the handler is written once at NewTimer, so arming and
-// firing touch only pointer-free fields (no write barriers on the hot
-// path). heapPos is the slot's position in the heap, -1 when idle.
-type timerSlot struct {
+// eventHeap is a 4-ary min-heap of entries ordered by (time, sequence),
+// over the arena of its owners' slots. Each slot tracks where its entry
+// sits in e, so an entry can be removed or re-keyed in O(log n) without
+// a search.
+type eventHeap struct {
+	e     []heapEntry
+	slots []slot
+}
+
+// slot is one arena cell, owned by one Timer or one Lane for the
+// scheduler's lifetime. heapPos is the position of the owner's entry in
+// its heap, -1 when it has none. fn is a timer's handler (a lane keeps
+// its own): it is written once at NewTimer and sits beside the position,
+// so a timer event costs one cache line of arena and, arming and firing
+// touching only heapPos, no write barrier.
+type slot struct {
 	fn      func()
-	at      Time
 	heapPos int32
+}
+
+// newSlot appends an idle slot and returns its index.
+func (h *eventHeap) newSlot(fn func()) int32 {
+	h.slots = append(h.slots, slot{fn: fn, heapPos: -1})
+	return int32(len(h.slots) - 1)
 }
 
 // Scheduler owns the virtual clock and the pending event set. The zero
@@ -85,10 +109,13 @@ type Scheduler struct {
 	// process-wide total.
 	unflushedPackets uint64
 
-	// Event queue: 4-ary min-heap of value entries ordered by
-	// (time, sequence), over an arena of per-timer handler slots.
-	heap      []heapEntry
-	slots     []timerSlot
+	// Event queue: armed timers and lane heads, each in its own heap.
+	// queued counts the lane events pushed and not yet fired, heads
+	// included.
+	timers    eventHeap
+	heads     eventHeap
+	lanes     []laneFirer
+	queued    int
 	highWater int
 
 	// Processed counts events that have fired, for diagnostics.
@@ -173,15 +200,19 @@ func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
 // Seed implements rand.Source.
 func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
-// Pending reports the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// Pending reports the number of events waiting to fire: every armed
+// timer plus every event pushed on a lane, whether it is the lane's
+// head (and so in the event queue) or waiting behind it.
+func (s *Scheduler) Pending() int { return len(s.timers.e) + s.queued }
 
 // Processed reports the number of events that have fired so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// HeapHighWater reports the deepest the pending-event heap has been
-// over the scheduler's lifetime — the working-set figure the headline
-// benchmarks publish alongside throughput.
+// HeapHighWater reports the deepest the event queue — the timer heap
+// and the lane-head heap together — has been over the scheduler's
+// lifetime: the working-set figure the headline benchmarks publish
+// alongside throughput. Events waiting behind a lane's head are in no
+// heap and do not count; Pending includes them.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
 
 // SetProfileHook installs fn to be called every `every` processed
@@ -224,26 +255,26 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
-	e := h[i]
+func (h *eventHeap) up(i int) {
+	e, slots := h.e, h.slots
+	x := e[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(e, h[p]) {
+		if !entryLess(x, e[p]) {
 			break
 		}
-		h[i] = h[p]
-		s.slots[h[i].idx].heapPos = int32(i)
+		e[i] = e[p]
+		slots[e[i].idx].heapPos = int32(i)
 		i = p
 	}
-	h[i] = e
-	s.slots[e.idx].heapPos = int32(i)
+	e[i] = x
+	slots[x.idx].heapPos = int32(i)
 }
 
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	e := h[i]
+func (h *eventHeap) down(i int) {
+	e, slots := h.e, h.slots
+	n := len(e)
+	x := e[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -255,87 +286,74 @@ func (s *Scheduler) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if entryLess(h[c], h[best]) {
+			if entryLess(e[c], e[best]) {
 				best = c
 			}
 		}
-		if !entryLess(h[best], e) {
+		if !entryLess(e[best], x) {
 			break
 		}
-		h[i] = h[best]
-		s.slots[h[i].idx].heapPos = int32(i)
+		e[i] = e[best]
+		slots[e[i].idx].heapPos = int32(i)
 		i = best
 	}
-	h[i] = e
-	s.slots[e.idx].heapPos = int32(i)
+	e[i] = x
+	slots[x.idx].heapPos = int32(i)
 }
 
-func (s *Scheduler) heapPush(e heapEntry) {
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap) - 1)
-	if len(s.heap) > s.highWater {
-		s.highWater = len(s.heap)
+func (h *eventHeap) push(x heapEntry) {
+	h.e = append(h.e, x)
+	h.up(len(h.e) - 1)
+}
+
+// rekey replaces the entry at position i with x (same owner, new key):
+// one sift instead of a remove-then-push. That is safe for determinism
+// because pop order depends only on the (time, seq) keys of the live
+// entries, never on how they got there.
+func (h *eventHeap) rekey(i int, x heapEntry) {
+	old := h.e[i]
+	h.e[i] = x
+	if entryLess(x, old) {
+		h.up(i)
+	} else {
+		h.down(i)
 	}
 }
 
-// heapPop removes and returns the minimum entry. The caller marks the
-// entry's slot idle.
-func (s *Scheduler) heapPop() heapEntry {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	if n > 0 {
-		s.slots[s.heap[0].idx].heapPos = 0
-		s.siftDown(0)
+// remove deletes the entry at position i (0 is the minimum) and marks
+// its owner idle.
+func (h *eventHeap) remove(i int) {
+	e := h.e
+	n := len(e) - 1
+	h.slots[e[i].idx].heapPos = -1
+	h.e = e[:n]
+	if i < n {
+		h.rekey(i, e[n])
 	}
-	return top
 }
 
-// heapRemove deletes the entry at heap position pos (a Timer.Stop).
-func (s *Scheduler) heapRemove(pos int) {
-	h := s.heap
-	n := len(h) - 1
-	s.heap = h[:n]
-	if pos == n {
-		return
-	}
-	moved := h[n]
-	h[pos] = moved
-	s.slots[moved.idx].heapPos = int32(pos)
-	s.siftDown(pos)
-	if s.heap[pos].idx == moved.idx {
-		s.siftUp(pos)
+// pushed updates the high-water mark after either heap has grown.
+func (s *Scheduler) pushed() {
+	if d := len(s.timers.e) + len(s.heads.e); d > s.highWater {
+		s.highWater = d
 	}
 }
 
 // armSlot enqueues slot i's handler at absolute instant t, consuming
 // one sequence number. A slot that is already pending is re-keyed in
-// place — one sift instead of a remove-then-push — which is safe for
-// determinism because heap pop order depends only on the (time, seq)
-// keys of the live entries, never on how they got there.
+// place.
 func (s *Scheduler) armSlot(i int32, t Time) error {
 	if t < s.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrScheduleInPast, t, s.now)
 	}
-	sl := &s.slots[i]
-	sl.at = t
-	seq := s.nextSeq
+	x := heapEntry{at: t, seq: s.nextSeq, idx: i}
 	s.nextSeq++
-	if pos := sl.heapPos; pos >= 0 {
-		old := s.heap[pos]
-		s.heap[pos] = heapEntry{at: t, seq: seq, idx: i}
-		// seq only ever grows, so the new key moves toward the leaves
-		// unless the time moved strictly earlier.
-		if t < old.at {
-			s.siftUp(int(pos))
-		} else {
-			s.siftDown(int(pos))
-		}
+	if pos := s.timers.slots[i].heapPos; pos >= 0 {
+		s.timers.rekey(int(pos), x)
 		return nil
 	}
-	s.heapPush(heapEntry{at: t, seq: seq, idx: i})
+	s.timers.push(x)
+	s.pushed()
 	return nil
 }
 
@@ -364,29 +382,44 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		}
 		s.flushPackets()
 	}()
-	for len(s.heap) > 0 && !s.stopped {
-		if s.heap[0].at > until {
+	for !s.stopped {
+		// The next event is the smaller of the two heaps' minima. Keys
+		// are unique (every arm and push takes its own sequence number),
+		// so the merge is exactly the order one heap would give.
+		t, h := s.timers.e, s.heads.e
+		lane := len(h) > 0 && (len(t) == 0 || entryLess(h[0], t[0]))
+		var top heapEntry
+		if lane {
+			top = h[0]
+		} else if len(t) > 0 {
+			top = t[0]
+		} else {
+			break
+		}
+		if top.at > until {
 			s.now = until
 			return
 		}
-		top := s.heapPop()
-		sl := &s.slots[top.idx]
-		fn := sl.fn
 		s.now = top.at
-		// Mark the slot idle so the handler can re-arm its timer.
-		sl.heapPos = -1
 		s.processed++
 		if batch++; batch == globalFlushEvery {
 			globalEvents.Add(batch)
 			batch = 0
 			s.flushPackets()
 		}
-		fn()
+		if lane {
+			s.lanes[top.idx].fire()
+		} else {
+			// The slot reads idle before its handler runs, so the
+			// handler can re-arm its own timer.
+			s.timers.remove(0)
+			s.timers.slots[top.idx].fn()
+		}
 		if s.profHook != nil && s.processed%s.profEvery == 0 {
-			s.profHook(s.now, s.processed, len(s.heap))
+			s.profHook(s.now, s.processed, s.Pending())
 		}
 		if s.guard != nil {
-			if err := s.guard(s.now, s.processed, len(s.heap)); err != nil {
+			if err := s.guard(s.now, s.processed, s.Pending()); err != nil {
 				s.guardErr = err
 				s.stopped = true
 			}
@@ -430,8 +463,7 @@ type Timer struct {
 // timer owns its arena slot for the scheduler's lifetime, so create
 // timers per long-lived event source (or pool them), not per arm.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	s.slots = append(s.slots, timerSlot{fn: fn, heapPos: -1})
-	return &Timer{s: s, slot: int32(len(s.slots) - 1)}
+	return &Timer{s: s, slot: s.timers.newSlot(fn)}
 }
 
 // At arms the timer to fire at the absolute instant at, replacing any
@@ -457,23 +489,21 @@ func (t *Timer) Reset(d Time) {
 // Stop disarms the timer if it is pending. Stopping an expired or
 // already-stopped timer is a no-op.
 func (t *Timer) Stop() {
-	sl := &t.s.slots[t.slot]
-	if sl.heapPos < 0 {
-		return
+	if pos := t.s.timers.slots[t.slot].heapPos; pos >= 0 {
+		t.s.timers.remove(int(pos))
 	}
-	t.s.heapRemove(int(sl.heapPos))
-	sl.heapPos = -1
 }
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool {
-	return t.s.slots[t.slot].heapPos >= 0
+	return t.s.timers.slots[t.slot].heapPos >= 0
 }
 
 // ExpiresAt reports when the timer will fire; valid only when Armed.
 func (t *Timer) ExpiresAt() Time {
-	if !t.Armed() {
+	pos := t.s.timers.slots[t.slot].heapPos
+	if pos < 0 {
 		return 0
 	}
-	return t.s.slots[t.slot].at
+	return t.s.timers.e[pos].at
 }

@@ -17,7 +17,7 @@ type FACKStrategy struct {
 	recover    int64
 	fack       int64
 
-	scoreboard []seqRange
+	scoreboard scoreboard
 	rtxOut     map[int64]bool // retransmitted holes not yet acked/SACKed
 }
 
@@ -67,7 +67,7 @@ func (f *FACKStrategy) OnAck(s *Sender, ev AckEvent) {
 func (f *FACKStrategy) enter(s *Sender) {
 	f.inRecovery = true
 	f.recover = s.MaxSeq()
-	f.rtxOut = make(map[int64]bool)
+	clear(f.rtxOut)
 	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
 	flight := s.FlightPackets()
 	if flight < 2 {
@@ -138,7 +138,7 @@ func (f *FACKStrategy) retransmitHole(s *Sender, seq int64) {
 func (f *FACKStrategy) nextHole(s *Sender) (int64, bool) {
 	mss := int64(s.MSS())
 	for seq := s.SndUna(); seq < f.fack; seq += mss {
-		if f.rtxOut[seq] || f.isSacked(seq) {
+		if f.rtxOut[seq] || f.scoreboard.sacked(seq) {
 			continue
 		}
 		return seq, true
@@ -146,23 +146,11 @@ func (f *FACKStrategy) nextHole(s *Sender) (int64, bool) {
 	return 0, false
 }
 
-func (f *FACKStrategy) isSacked(seq int64) bool {
-	for _, b := range f.scoreboard {
-		if seq >= b.Start && seq < b.End {
-			return true
-		}
-		if b.Start > seq {
-			return false
-		}
-	}
-	return false
-}
-
 // update merges SACK blocks, advances fack, and trims state below the
 // cumulative ACK.
 func (f *FACKStrategy) update(s *Sender, ev AckEvent) {
 	for _, b := range ev.SACK {
-		f.mergeBlock(seqRange{Start: b.Start, End: b.End})
+		f.scoreboard.merge(seqRange{Start: b.Start, End: b.End})
 		if b.End > f.fack {
 			f.fack = b.End
 		}
@@ -177,58 +165,13 @@ func (f *FACKStrategy) update(s *Sender, ev AckEvent) {
 	if ev.AckNo > f.fack {
 		f.fack = ev.AckNo
 	}
-	cut := ev.AckNo
-	if cut < s.SndUna() {
-		cut = s.SndUna()
-	}
-	out := f.scoreboard[:0]
-	for _, b := range f.scoreboard {
-		if b.End <= cut {
-			continue
-		}
-		if b.Start < cut {
-			b.Start = cut
-		}
-		out = append(out, b)
-	}
-	f.scoreboard = out
-}
-
-func (f *FACKStrategy) mergeBlock(nb seqRange) {
-	if nb.End <= nb.Start {
-		return
-	}
-	merged := make([]seqRange, 0, len(f.scoreboard)+1)
-	inserted := false
-	for _, b := range f.scoreboard {
-		switch {
-		case b.End < nb.Start:
-			merged = append(merged, b)
-		case nb.End < b.Start:
-			if !inserted {
-				merged = append(merged, nb)
-				inserted = true
-			}
-			merged = append(merged, b)
-		default:
-			if b.Start < nb.Start {
-				nb.Start = b.Start
-			}
-			if b.End > nb.End {
-				nb.End = b.End
-			}
-		}
-	}
-	if !inserted {
-		merged = append(merged, nb)
-	}
-	f.scoreboard = merged
+	f.scoreboard.trim(max(ev.AckNo, s.SndUna()))
 }
 
 // OnTimeout implements Strategy.
 func (f *FACKStrategy) OnTimeout(s *Sender) {
 	f.inRecovery = false
-	f.scoreboard = nil
+	f.scoreboard.reset()
 	f.fack = s.SndUna()
-	f.rtxOut = make(map[int64]bool)
+	clear(f.rtxOut)
 }

@@ -31,7 +31,7 @@ type SACKStrategy struct {
 	recover    int64
 	pipe       int // incremental estimate (classic mode only)
 
-	scoreboard []seqRange     // SACKed ranges above SndUna, sorted, disjoint
+	scoreboard scoreboard     // SACKed ranges above SndUna
 	rtxDone    map[int64]bool // holes already retransmitted this recovery
 }
 
@@ -74,7 +74,7 @@ func (k *SACKStrategy) pipeFor(s *Sender) int {
 	mss := int64(s.MSS())
 	pipe := 0
 	for seq := s.SndUna(); seq < s.SndNxt(); seq += mss {
-		if k.isSacked(seq) {
+		if k.scoreboard.sacked(seq) {
 			continue
 		}
 		if k.isLost(s, seq) && !k.rtxDone[seq] {
@@ -134,7 +134,7 @@ func (k *SACKStrategy) OnAck(s *Sender, ev AckEvent) {
 func (k *SACKStrategy) enter(s *Sender) {
 	k.inRecovery = true
 	k.recover = s.MaxSeq()
-	k.rtxDone = make(map[int64]bool)
+	clear(k.rtxDone)
 	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
 	flight := s.FlightPackets()
 	if flight < 2 {
@@ -209,7 +209,7 @@ func (k *SACKStrategy) nextHole(s *Sender) (int64, bool) {
 	highest := k.scoreboard[len(k.scoreboard)-1].End
 	mss := int64(s.MSS())
 	for seq := s.SndUna(); seq < highest; seq += mss {
-		if k.rtxDone[seq] || k.isSacked(seq) {
+		if k.rtxDone[seq] || k.scoreboard.sacked(seq) {
 			continue
 		}
 		if k.modern && !k.isLost(s, seq) {
@@ -220,70 +220,13 @@ func (k *SACKStrategy) nextHole(s *Sender) (int64, bool) {
 	return 0, false
 }
 
-func (k *SACKStrategy) isSacked(seq int64) bool {
-	for _, b := range k.scoreboard {
-		if seq >= b.Start && seq < b.End {
-			return true
-		}
-		if b.Start > seq {
-			return false
-		}
-	}
-	return false
-}
-
 // updateScoreboard merges the ACK's SACK blocks and discards ranges at
 // or below the cumulative ACK.
 func (k *SACKStrategy) updateScoreboard(s *Sender, ev AckEvent) {
 	for _, b := range ev.SACK {
-		k.merge(seqRange{Start: b.Start, End: b.End})
+		k.scoreboard.merge(seqRange{Start: b.Start, End: b.End})
 	}
-	cut := ev.AckNo
-	if cut < s.SndUna() {
-		cut = s.SndUna()
-	}
-	out := k.scoreboard[:0]
-	for _, b := range k.scoreboard {
-		if b.End <= cut {
-			continue
-		}
-		if b.Start < cut {
-			b.Start = cut
-		}
-		out = append(out, b)
-	}
-	k.scoreboard = out
-}
-
-func (k *SACKStrategy) merge(nb seqRange) {
-	if nb.End <= nb.Start {
-		return
-	}
-	merged := make([]seqRange, 0, len(k.scoreboard)+1)
-	inserted := false
-	for _, b := range k.scoreboard {
-		switch {
-		case b.End < nb.Start:
-			merged = append(merged, b)
-		case nb.End < b.Start:
-			if !inserted {
-				merged = append(merged, nb)
-				inserted = true
-			}
-			merged = append(merged, b)
-		default:
-			if b.Start < nb.Start {
-				nb.Start = b.Start
-			}
-			if b.End > nb.End {
-				nb.End = b.End
-			}
-		}
-	}
-	if !inserted {
-		merged = append(merged, nb)
-	}
-	k.scoreboard = merged
+	k.scoreboard.trim(max(ev.AckNo, s.SndUna()))
 }
 
 // Scoreboard exposes a copy of the SACKed ranges (for tests).
@@ -298,7 +241,7 @@ func (k *SACKStrategy) Scoreboard() []netem.SACKBlock {
 // OnTimeout implements Strategy.
 func (k *SACKStrategy) OnTimeout(*Sender) {
 	k.inRecovery = false
-	k.scoreboard = nil
+	k.scoreboard.reset()
 	k.pipe = 0
-	k.rtxDone = make(map[int64]bool)
+	clear(k.rtxDone)
 }

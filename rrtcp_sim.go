@@ -1,5 +1,13 @@
 // Simulation-engine surface of the rrtcp facade: the deterministic
 // scheduler, simulated time, and the reusable-timer scheduling API.
+//
+// Timer is the scheduling primitive the facade exports: an event that
+// may be stopped or re-armed while pending. The engine has a second one,
+// the lane (internal/sim.Lane, docs/SIMULATOR.md "Timers and lanes"): a
+// FIFO source whose events always fire, of which only the head occupies
+// the event queue. Links keep their in-flight packets on lanes; code
+// built on the facade gets them with every NewDumbbell and schedules its
+// own work with timers.
 package rrtcp
 
 import (

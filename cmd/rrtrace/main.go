@@ -14,7 +14,7 @@
 //	    a live run serves at /flows.
 //
 //	rrtrace filter [-flow n] [-comp c] [-kind k] [-from s] [-to s] <events.ndjson>
-//	    Re-emit matching records as NDJSON, e.g. for piping into jq.
+//	    Re-emit matching events as NDJSON, e.g. for piping into jq.
 //
 //	rrtrace timeline [-flow n] [-width n] [-height n] <events.ndjson>
 //	    ASCII plot of one flow's cwnd/actnum with a recovery-phase strip.
@@ -29,10 +29,11 @@
 //
 // A path of "-" reads from stdin. If any input lines were malformed the
 // command still runs, but reports the skip count and exits non-zero.
+// Lines whose component or kind this build does not know are left out
+// with a warning, and do not change the exit status.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -72,63 +73,69 @@ func run(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: rrtrace %s [flags] <events.ndjson>", cmd)
 	}
-	records, stats, err := load(fs.Arg(0))
+	events, stats, err := load(fs.Arg(0))
 	if err != nil {
 		return err
+	}
+	// Event streams from crashed or truncated runs routinely end in a
+	// torn line; the decoder skips what doesn't parse. Partial input is
+	// partially answered: the command's output stands, but the exit code
+	// must not pretend the log was whole. Lines of a vocabulary this
+	// build does not know are no damage: warned about, exit status
+	// untouched.
+	var damaged error
+	if stats.Skipped > 0 {
+		damaged = fmt.Errorf("skipped %d malformed line(s) of %d (first: %v)",
+			stats.Skipped, stats.Lines, stats.FirstErr)
+		fmt.Fprintln(os.Stderr, "rrtrace:", damaged)
+	}
+	if stats.Unknown > 0 {
+		fmt.Fprintf(os.Stderr, "rrtrace: ignored %d line(s) of an unknown component or kind (first: %v)\n",
+			stats.Unknown, stats.FirstUnknown)
 	}
 
 	switch cmd {
 	case "summary":
-		fmt.Print(telemetry.Summarize(records).Render())
+		fmt.Print(telemetry.Summarize(events).Render())
 	case "flows":
-		table := flowstats.FromRecords(records, flowstats.Config{
+		table := flowstats.New(flowstats.Config{
 			Exemplars: *exemplars,
 			Seed:      *seed,
 		})
+		telemetry.Replay(events, table)
+		table.Finalize()
 		fmt.Print(table.Report().Render())
 	case "filter":
 		opts := telemetry.FilterOpts{
-			Comp: *comp,
-			Kind: *kind,
-			From: *from,
-			To:   *to,
+			Flow:    int32(*flow),
+			FlowSet: *flow >= 0,
+			Comp:    *comp,
+			Kind:    *kind,
+			From:    *from,
+			To:      *to,
 		}
-		if *flow >= 0 {
-			opts.Flow = int32(*flow)
-			opts.FlowSet = true
-		}
-		enc := json.NewEncoder(os.Stdout)
-		for _, r := range telemetry.Filter(records, opts) {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
+		enc := telemetry.NewNDJSONSink(os.Stdout)
+		telemetry.Replay(telemetry.Filter(events, opts), enc)
+		if err := enc.Close(); err != nil {
+			return err
 		}
 	case "timeline":
-		id := int32(0)
-		if *flow >= 0 {
-			id = int32(*flow)
-		}
-		fmt.Print(telemetry.Timeline(records, id, *width, *height))
+		fmt.Print(telemetry.Timeline(events, int32(max(*flow, 0)), *width, *height))
 	case "spans":
-		fmt.Print(telemetry.RenderSpans(telemetry.AssembleSpans(records)))
+		spans := telemetry.NewSpanSink()
+		telemetry.Replay(events, spans)
+		fmt.Print(telemetry.RenderSpans(spans.Spans()))
 	case "export":
-		if err := export(records, *format, *out); err != nil {
+		if err := export(events, *format, *out); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-
-	// Partial input partially answered: the command's output stands,
-	// but the exit code must not pretend the log was whole.
-	if stats.Skipped > 0 {
-		return fmt.Errorf("skipped %d malformed line(s) of %d (first: %v)",
-			stats.Skipped, stats.Lines, stats.FirstErr)
-	}
-	return nil
+	return damaged
 }
 
-func export(records []telemetry.Record, format, out string) error {
+func export(events []telemetry.Event, format, out string) error {
 	var w io.Writer = os.Stdout
 	if out != "-" {
 		f, err := os.Create(out)
@@ -138,18 +145,19 @@ func export(records []telemetry.Record, format, out string) error {
 		defer f.Close()
 		w = f
 	}
+	spans, series := telemetry.NewSpanSink(), telemetry.NewSeriesSink()
+	telemetry.Replay(events, spans, series)
 	switch format {
 	case "chrome":
-		return telemetry.WriteChromeTrace(w,
-			telemetry.AssembleSpans(records), telemetry.AssembleSeries(records))
+		return telemetry.WriteChromeTrace(w, spans.Spans(), series.Series())
 	case "csv":
-		return telemetry.WriteSeriesCSV(w, telemetry.AssembleSeries(records))
+		return telemetry.WriteSeriesCSV(w, series.Series())
 	default:
 		return fmt.Errorf("unknown export format %q (want chrome or csv)", format)
 	}
 }
 
-func load(path string) ([]telemetry.Record, telemetry.DecodeStats, error) {
+func load(path string) ([]telemetry.Event, telemetry.DecodeStats, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -159,16 +167,5 @@ func load(path string) ([]telemetry.Record, telemetry.DecodeStats, error) {
 		defer f.Close()
 		r = f
 	}
-	// Event streams from crashed or truncated runs routinely end in a
-	// torn line; decode leniently, skip what doesn't parse, and report
-	// the damage (run leaves the final say to the exit code).
-	records, stats, err := telemetry.DecodeNDJSONLenient(r)
-	if err != nil {
-		return nil, stats, err
-	}
-	if stats.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "rrtrace: skipped %d malformed line(s) of %d (first: %v)\n",
-			stats.Skipped, stats.Lines, stats.FirstErr)
-	}
-	return records, stats, nil
+	return telemetry.DecodeNDJSON(r)
 }

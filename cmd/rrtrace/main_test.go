@@ -107,12 +107,12 @@ func TestFilterByComp(t *testing.T) {
 		t.Fatalf("filtered lines = %d, want 3:\n%s", len(lines), out)
 	}
 	// Output must itself be decodable NDJSON.
-	recs, err := telemetry.DecodeNDJSON(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("filter output not valid NDJSON: %v", err)
+	evs, stats, err := telemetry.DecodeNDJSON(strings.NewReader(out))
+	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
+		t.Fatalf("filter output not valid NDJSON: err=%v stats=%+v", err, stats)
 	}
-	if recs[0].Kind != "recovery-enter" {
-		t.Fatalf("first filtered kind = %q", recs[0].Kind)
+	if evs[0].Kind != telemetry.KRecoveryEnter {
+		t.Fatalf("first filtered kind = %v", evs[0].Kind)
 	}
 }
 
@@ -123,9 +123,9 @@ func TestFilterByKindAndTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	recs, err := telemetry.DecodeNDJSON(strings.NewReader(out))
-	if err != nil || len(recs) != 1 || recs[0].Src != "fwd" {
-		t.Fatalf("filter wrong: recs=%+v err=%v", recs, err)
+	evs, stats, err := telemetry.DecodeNDJSON(strings.NewReader(out))
+	if err != nil || stats.Skipped > 0 || len(evs) != 1 || evs[0].Src != "fwd" {
+		t.Fatalf("filter wrong: events=%+v stats=%+v err=%v", evs, stats, err)
 	}
 }
 
@@ -191,21 +191,7 @@ func TestMalformedLinesSkippedWithWarning(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	oldErr := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatalf("pipe: %v", err)
-	}
-	os.Stderr = w
-	out, runErr := capture(t, func() error { return run([]string{"summary", path}) })
-	os.Stderr = oldErr
-	if err := w.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	var errBuf bytes.Buffer
-	if _, err := errBuf.ReadFrom(r); err != nil {
-		t.Fatalf("read stderr: %v", err)
-	}
+	out, warn, runErr := captureBoth(t, "summary", path)
 	if runErr == nil {
 		t.Fatal("damaged log exited zero")
 	}
@@ -215,7 +201,7 @@ func TestMalformedLinesSkippedWithWarning(t *testing.T) {
 	if !strings.Contains(out, "7 events") {
 		t.Fatalf("summary lost good events:\n%s", out)
 	}
-	if warn := errBuf.String(); !strings.Contains(warn, "skipped 3 malformed line(s)") {
+	if !strings.Contains(warn, "skipped 3 malformed line(s)") {
 		t.Fatalf("missing skip warning, got: %q", warn)
 	}
 }

@@ -29,7 +29,7 @@ import (
 // emits exactly one ACK per data segment it processes.
 func ackLossRate(flow *workload.Flow) float64 {
 	acksSent := float64(flow.Receiver.Segments)
-	acksGot := float64(len(flow.Trace.SamplesOf(trace.EvAckRecv)))
+	acksGot := float64(flow.Trace.Count(trace.EvAckRecv))
 	if acksGot >= acksSent {
 		return 0
 	}

@@ -203,11 +203,11 @@ func TestRetryTelemetryVisibleInSummary(t *testing.T) {
 		t.Fatal("fault injection changed the experiment's JSON")
 	}
 
-	recs, err := telemetry.DecodeNDJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, stats, err := telemetry.DecodeNDJSON(&buf)
+	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	sum := telemetry.Summarize(recs)
+	sum := telemetry.Summarize(events)
 	if len(sum.Sweeps) != 1 || sum.Sweeps[0].Retries == 0 {
 		t.Fatalf("summary did not count retries: %+v", sum.Sweeps)
 	}

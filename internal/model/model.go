@@ -27,15 +27,6 @@ func SqrtWindow(p, c float64) float64 {
 	return c / math.Sqrt(p)
 }
 
-// SqrtBandwidthBps returns the model's throughput bound in bits per
-// second: BW = (MSS * C) / (RTT * sqrt(p)).
-func SqrtBandwidthBps(mssBytes int, rttSeconds, p, c float64) float64 {
-	if rttSeconds <= 0 {
-		return 0
-	}
-	return float64(mssBytes*8) * SqrtWindow(p, c) / rttSeconds
-}
-
 // PadhyeThroughputPps returns the Padhye et al. steady-state throughput
 // in packets per second, including the timeout term:
 //

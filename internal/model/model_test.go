@@ -28,18 +28,6 @@ func TestSqrtWindowMonotone(t *testing.T) {
 	}
 }
 
-func TestSqrtBandwidth(t *testing.T) {
-	// BW = MSS*8 * W / RTT: 1000-byte MSS, 200 ms RTT, p=0.01 → ~490 Kbps.
-	got := SqrtBandwidthBps(1000, 0.2, 0.01, CAckEveryPacket)
-	want := 8000 * 12.247448713915889 / 0.2
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("BW = %v, want %v", got, want)
-	}
-	if SqrtBandwidthBps(1000, 0, 0.01, CAckEveryPacket) != 0 {
-		t.Fatal("zero RTT must give 0")
-	}
-}
-
 func TestConstants(t *testing.T) {
 	if math.Abs(CAckEveryPacket-math.Sqrt(1.5)) > 1e-12 {
 		t.Fatalf("CAckEveryPacket = %v, want sqrt(3/2)", CAckEveryPacket)

@@ -123,14 +123,6 @@ func (pp *PacketPool) Get() *Packet {
 	return &Packet{pool: pp}
 }
 
-// HitRate reports the fraction of Gets served from the free list.
-func (pp *PacketPool) HitRate() float64 {
-	if pp == nil || pp.Gets == 0 {
-		return 0
-	}
-	return float64(pp.Hits) / float64(pp.Gets)
-}
-
 // EndSeq returns the sequence number one past the last byte carried.
 func (p *Packet) EndSeq() int64 { return p.Seq + int64(p.Len) }
 

@@ -39,7 +39,7 @@ func IsDegraded(err error) bool {
 // Degraded marker: the sweep records it in results[index] (in place of
 // the job's normal result), publishes a KSweepDegraded event, and does
 // NOT count the job as failed. A Reduce that may see budgets must
-// handle this type; PartitionDegraded is the usual first step.
+// handle this type.
 //
 // Degraded results are not checkpointed: on resume the job re-runs and
 // — the deterministic budgets being functions of the seed — degrades
@@ -58,19 +58,4 @@ type Degraded struct {
 // String summarizes the degradation.
 func (d Degraded) String() string {
 	return fmt.Sprintf("job %d (%s) degraded: %v", d.Index, d.Job, d.Err)
-}
-
-// PartitionDegraded splits a sweep's results into the clean results
-// (with nil at degraded or failed indices, preserving positions) and
-// the degraded entries in index order.
-func PartitionDegraded(results []any) (clean []any, degraded []Degraded) {
-	clean = make([]any, len(results))
-	for i, r := range results {
-		if d, ok := r.(Degraded); ok {
-			degraded = append(degraded, d)
-			continue
-		}
-		clean[i] = r
-	}
-	return clean, degraded
 }

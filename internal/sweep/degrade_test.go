@@ -134,17 +134,6 @@ func TestDegradedJobsAreNotJournaled(t *testing.T) {
 	}
 }
 
-func TestPartitionDegraded(t *testing.T) {
-	d := Degraded{Job: "x", Index: 1}
-	clean, degraded := PartitionDegraded([]any{int64(1), d, int64(2)})
-	if len(clean) != 3 || clean[0] != int64(1) || clean[1] != nil || clean[2] != int64(2) {
-		t.Fatalf("clean = %v, want positions preserved with nil at the degraded index", clean)
-	}
-	if len(degraded) != 1 || degraded[0].Job != "x" {
-		t.Fatalf("degraded = %+v", degraded)
-	}
-}
-
 func TestDegradedString(t *testing.T) {
 	d := Degraded{Job: "cell3", Index: 3, Seed: 42, Err: &budgetErr{resource: "events"}}
 	s := d.String()

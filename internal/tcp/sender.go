@@ -201,10 +201,6 @@ func (s *Sender) onStart() {
 	s.PumpWindow()
 }
 
-// StartedAt returns the simulated instant transmission began (zero
-// until the start delay elapses).
-func (s *Sender) StartedAt() sim.Time { return s.startedAt }
-
 // Retransmits returns the cumulative retransmission count.
 func (s *Sender) Retransmits() uint32 { return s.rtxCount }
 

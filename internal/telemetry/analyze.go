@@ -3,11 +3,14 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"rrtcp/internal/sim"
 )
 
 // This file is the read-side analysis cmd/rrtrace is built on: recovery
-// episode extraction, per-queue drop accounting, record filtering, and
+// episode extraction, per-queue drop accounting, event filtering, and
 // an ASCII timeline of one flow's cwnd/actnum/phase evolution.
 
 // Episode is one recovery pass through the RR (or baseline) state
@@ -79,11 +82,17 @@ type SampleStats struct {
 	Last float64
 }
 
-// sampleKey identifies one sampled series.
-type sampleKey struct {
-	comp, src string
-	flow      int32
+// instKey identifies one instance within a component, and with a flow
+// one sampled series.
+type instKey struct {
+	comp Component
+	src  string
+	flow int32
 }
+
+// secs is t in seconds: one correctly rounded division, so it is the
+// very float64 the log's decimal "t" parses to.
+func secs(t sim.Time) float64 { return float64(t) / 1e9 }
 
 // WorkerStats is one worker's end-of-sweep totals from a sweep-worker
 // event.
@@ -160,13 +169,13 @@ type LogSummary struct {
 }
 
 // Summarize reconstructs per-flow recovery episodes and per-queue drop
-// counts from a decoded event log.
-func Summarize(records []Record) LogSummary {
-	sum := LogSummary{Events: len(records)}
+// counts from an event log.
+func Summarize(events []Event) LogSummary {
+	sum := LogSummary{Events: len(events)}
 	flows := map[int32]*FlowSummary{}
 	open := map[int32]*Episode{} // in-progress episode per flow
-	drops := map[[2]string]*QueueDrops{}
-	samples := map[sampleKey]*SampleStats{}
+	drops := map[instKey]*QueueDrops{}
+	samples := map[instKey]*SampleStats{}
 	overloads := map[string]*OverloadStats{}
 	tdrops := map[string]*TelemetryDropStats{}
 	var curSweep *SweepStats // open sweep, appended to sum.Sweeps on done/EOF
@@ -179,198 +188,178 @@ func Summarize(records []Record) LogSummary {
 		}
 		return f
 	}
-	sweepOf := func(name string) *SweepStats {
+	sweep := func() *SweepStats {
 		if curSweep == nil {
-			curSweep = &SweepStats{Name: name}
+			curSweep = &SweepStats{}
 		}
 		return curSweep
 	}
 
-	for i, r := range records {
-		if i == 0 || r.T < sum.From {
-			sum.From = r.T
+	for i, ev := range events {
+		t := secs(ev.At)
+		if i == 0 || t < sum.From {
+			sum.From = t
 		}
-		if r.T > sum.To {
-			sum.To = r.T
+		if t > sum.To {
+			sum.To = t
 		}
-		switch r.Kind {
-		case KDrop.String():
-			key := [2]string{r.Comp, r.Src}
+		switch ev.Kind {
+		case KDrop, KMark:
+			key := instKey{ev.Comp, ev.Src, NoFlow}
 			d := drops[key]
 			if d == nil {
-				d = &QueueDrops{Comp: r.Comp, Src: r.Src}
+				d = &QueueDrops{Comp: ev.Comp.String(), Src: ev.Src}
 				drops[key] = d
 			}
 			d.Drops++
-			if r.Attr("forced", 0) != 0 {
+			if ev.Kind == KDrop && ev.B != 0 {
 				d.Forced++
 			}
 			continue
-		case KMark.String():
-			key := [2]string{r.Comp, r.Src}
-			d := drops[key]
-			if d == nil {
-				d = &QueueDrops{Comp: r.Comp, Src: r.Src}
-				drops[key] = d
-			}
-			d.Drops++
-			continue
-		case KSample.String():
-			key := sampleKey{r.Comp, r.Src, r.Flow}
+		case KSample:
+			key := instKey{ev.Comp, ev.Src, ev.Flow}
 			s := samples[key]
 			if s == nil {
-				s = &SampleStats{Comp: r.Comp, Src: r.Src, Flow: r.Flow}
+				s = &SampleStats{Comp: ev.Comp.String(), Src: ev.Src, Flow: ev.Flow}
 				samples[key] = s
 			}
-			v := r.Attr("value", 0)
-			if s.N == 0 || v < s.Min {
-				s.Min = v
+			if s.N == 0 || ev.A < s.Min {
+				s.Min = ev.A
 			}
-			if s.N == 0 || v > s.Max {
-				s.Max = v
+			if s.N == 0 || ev.A > s.Max {
+				s.Max = ev.A
 			}
 			s.N++
-			s.Last = v
+			s.Last = ev.A
 			continue
-		case KSchedProfile.String():
+		case KSchedProfile:
 			sum.Sched.Profiles++
-			if r.Seq > sum.Sched.Events {
-				sum.Sched.Events = r.Seq
+			if ev.Seq > sum.Sched.Events {
+				sum.Sched.Events = ev.Seq
 			}
-			if p := r.Attr("pending", 0); p > sum.Sched.MaxPending {
-				sum.Sched.MaxPending = p
+			if ev.A > sum.Sched.MaxPending {
+				sum.Sched.MaxPending = ev.A
 			}
 			continue
-		case KSweepStart.String():
+		case KSweepStart:
 			if curSweep != nil {
 				sum.Sweeps = append(sum.Sweeps, *curSweep)
 			}
-			curSweep = &SweepStats{
-				Name:    r.Src,
-				Jobs:    int(r.Attr("jobs", 0)),
-				Workers: int(r.Attr("workers", 0)),
-			}
+			curSweep = &SweepStats{Name: ev.Src, Jobs: int(ev.A), Workers: int(ev.B)}
 			continue
-		case KSweepJob.String():
-			s := sweepOf("")
-			s.Completed = int(r.Attr("completed", 0))
+		case KSweepJob:
+			s := sweep()
+			s.Completed = int(ev.A)
 			if s.Jobs == 0 {
-				s.Jobs = int(r.Attr("total", 0))
+				s.Jobs = int(ev.B)
 			}
 			continue
-		case KSweepJobTime.String():
-			s := sweepOf("")
-			w := r.Attr("wall_s", 0)
-			s.JobTimeMeanS += w // sum here; divided by N after the loop
+		case KSweepJobTime:
+			s := sweep()
+			s.JobTimeMeanS += ev.A // sum here; divided by N after the loop
 			s.JobTimeN++
-			if w > s.JobTimeMaxS {
-				s.JobTimeMaxS = w
+			if ev.A > s.JobTimeMaxS {
+				s.JobTimeMaxS = ev.A
 			}
 			continue
-		case KSweepRetry.String():
-			sweepOf("").Retries++
+		case KSweepRetry:
+			sweep().Retries++
 			continue
-		case KSweepStall.String():
-			sweepOf("").Stalls++
+		case KSweepStall:
+			sweep().Stalls++
 			continue
-		case KSweepDegraded.String():
-			sweepOf("").Degraded++
+		case KSweepDegraded:
+			sweep().Degraded++
 			continue
-		case KOverload.String():
-			o := overloads[r.Src]
+		case KOverload:
+			o := overloads[ev.Src]
 			if o == nil {
-				o = &OverloadStats{Resource: r.Src}
-				overloads[r.Src] = o
+				o = &OverloadStats{Resource: ev.Src}
+				overloads[ev.Src] = o
 			}
 			o.Trips++
-			o.Observed = r.Attr("observed", 0)
-			o.Limit = r.Attr("limit", 0)
+			o.Observed, o.Limit = ev.A, ev.B
 			continue
-		case KTelemetryDrops.String():
-			d := tdrops[r.Src]
+		case KTelemetryDrops:
+			d := tdrops[ev.Src]
 			if d == nil {
-				d = &TelemetryDropStats{Src: r.Src}
-				tdrops[r.Src] = d
+				d = &TelemetryDropStats{Src: ev.Src}
+				tdrops[ev.Src] = d
 			}
 			// Cumulative counters: the latest marker supersedes.
-			d.Dropped = r.Attr("dropped", 0)
-			d.Kept = r.Attr("kept", 0)
+			d.Dropped, d.Kept = ev.A, ev.B
 			continue
-		case KSweepWorker.String():
-			s := sweepOf("")
-			if w, ok := atoiSafe(r.Src); ok {
-				s.PerWorker = append(s.PerWorker, WorkerStats{
-					Worker: w,
-					Jobs:   int(r.Attr("jobs", 0)),
-					BusyS:  r.Attr("busy_s", 0),
-				})
+		case KSweepWorker:
+			s := sweep()
+			if w, err := strconv.Atoi(ev.Src); err == nil && w >= 0 {
+				s.PerWorker = append(s.PerWorker, WorkerStats{Worker: w, Jobs: int(ev.B), BusyS: ev.A})
 			}
 			continue
-		case KSweepDone.String():
-			s := sweepOf(r.Src)
+		case KSweepDone:
+			s := sweep()
 			if s.Name == "" {
-				s.Name = r.Src
+				s.Name = ev.Src
 			}
-			if j := int(r.Attr("jobs", 0)); j > 0 {
+			if j := int(ev.A); j > 0 {
 				s.Jobs = j
 				s.Completed = j
 			}
-			s.WallS = r.Attr("wall_s", 0)
+			s.WallS = ev.B
 			s.Done = true
 			sum.Sweeps = append(sum.Sweeps, *s)
 			curSweep = nil
 			continue
 		}
-		if r.Flow == NoFlow {
+		if ev.Flow == NoFlow {
 			continue
 		}
-		f := flowOf(r.Flow)
-		switch r.Kind {
-		case KSend.String():
+		f := flowOf(ev.Flow)
+		switch ev.Kind {
+		case KSend:
 			f.Sends++
-		case KRetransmit.String():
+		case KRetransmit:
 			f.Retransmits++
-		case KDupAck.String():
+		case KDupAck:
 			f.DupAcks++
-		case KTimeout.String():
+		case KTimeout:
 			f.Timeouts++
-			if ep := open[r.Flow]; ep != nil {
+			if ep := open[ev.Flow]; ep != nil {
 				ep.Timeout = true
-				ep.End = r.T
+				ep.End = t
 				f.Episodes = append(f.Episodes, *ep)
-				delete(open, r.Flow)
+				delete(open, ev.Flow)
 			}
-		case KFlowDone.String():
+		case KFlowDone:
 			f.Done = true
-			f.DoneAt = r.T
-		case KFlowStart.String():
+			f.DoneAt = t
+		case KFlowStart:
 			sum.FlowsStarted++
-			f.Variant = r.Src
-		case KFlowStats.String():
+			f.Variant = ev.Src
+		case KFlowStats:
 			sum.FlowsCompleted++
 			if f.Variant == "" {
-				f.Variant = r.Src
+				f.Variant = ev.Src
 			}
 			f.Done = true
 			if f.DoneAt < 0 {
-				f.DoneAt = r.T
+				f.DoneAt = t
 			}
-		case KRecoveryEnter.String():
-			open[r.Flow] = &Episode{Flow: r.Flow, Start: r.T, ProbeAt: -1, End: -1}
-		case KRetreatProbe.String():
-			if ep := open[r.Flow]; ep != nil && ep.ProbeAt < 0 {
-				ep.ProbeAt = r.T
+		case KRecoveryEnter:
+			open[ev.Flow] = &Episode{Flow: ev.Flow, Start: t, ProbeAt: -1, End: -1}
+		case KRetreatProbe:
+			if ep := open[ev.Flow]; ep != nil && ep.ProbeAt < 0 {
+				ep.ProbeAt = t
 			}
-		case KFurtherLoss.String():
-			if ep := open[r.Flow]; ep != nil {
+		case KFurtherLoss:
+			if ep := open[ev.Flow]; ep != nil {
 				ep.FurtherLosses++
 			}
-		case KRecoveryExit.String():
-			if ep := open[r.Flow]; ep != nil {
-				ep.End = r.T
-				ep.ExitCwnd = r.Attr("cwnd", 0)
+		case KRecoveryExit:
+			if ep := open[ev.Flow]; ep != nil {
+				ep.End = t
+				ep.ExitCwnd = ev.A
 				f.Episodes = append(f.Episodes, *ep)
-				delete(open, r.Flow)
+				delete(open, ev.Flow)
 			}
 		}
 	}
@@ -538,7 +527,7 @@ func (s LogSummary) Render() string {
 	return b.String()
 }
 
-// FilterOpts selects records; zero values mean "no constraint".
+// FilterOpts selects events; zero values mean "no constraint".
 type FilterOpts struct {
 	Flow     int32 // NoFlow matches everything (use FlowSet for flow 0 etc.)
 	FlowSet  bool
@@ -547,114 +536,114 @@ type FilterOpts struct {
 	From, To float64 // To==0 means unbounded
 }
 
-// Filter returns the records matching every set constraint, in order.
-func Filter(records []Record, opts FilterOpts) []Record {
-	var out []Record
-	for _, r := range records {
-		if opts.FlowSet && r.Flow != opts.Flow {
+// Filter returns the events matching every set constraint, in order. A
+// component or kind name outside the vocabulary matches nothing.
+func Filter(events []Event, opts FilterOpts) []Event {
+	comp, kind := ParseComponent(opts.Comp), ParseKind(opts.Kind)
+	var out []Event
+	for _, ev := range events {
+		if opts.FlowSet && ev.Flow != opts.Flow {
 			continue
 		}
-		if opts.Comp != "" && r.Comp != opts.Comp {
+		if opts.Comp != "" && ev.Comp != comp {
 			continue
 		}
-		if opts.Kind != "" && r.Kind != opts.Kind {
+		if opts.Kind != "" && ev.Kind != kind {
 			continue
 		}
-		if r.T < opts.From {
+		if t := secs(ev.At); t < opts.From || (opts.To > 0 && t > opts.To) {
 			continue
 		}
-		if opts.To > 0 && r.T > opts.To {
-			continue
-		}
-		out = append(out, r)
+		out = append(out, ev)
 	}
 	return out
+}
+
+// ScatterMark is one character of a Scatter plot.
+type ScatterMark struct {
+	X, Y float64
+	Ch   byte
+}
+
+// Scatter draws the marks, in order (a later mark overwrites an earlier
+// one in the same cell), on a width×height character grid scaled to
+// their bounding box — from zero on the Y axis when yFromZero — and
+// returns the rows, top first, and the bounds it used. An axis on which
+// all marks coincide is widened by one so the scale is defined.
+func Scatter(marks []ScatterMark, width, height int, yFromZero bool) (rows [][]byte, minX, maxX, minY, maxY float64) {
+	for i, m := range marks {
+		if i == 0 {
+			minX, maxX, minY, maxY = m.X, m.X, m.Y, m.Y
+		}
+		minX, maxX = min(minX, m.X), max(maxX, m.X)
+		minY, maxY = min(minY, m.Y), max(maxY, m.Y)
+	}
+	if yFromZero {
+		minY = 0
+	}
+	if maxX == minX {
+		maxX = minX + 1
+	}
+	if maxY == minY {
+		maxY = minY + 1
+	}
+	rows = make([][]byte, height)
+	for i := range rows {
+		rows[i] = []byte(strings.Repeat(" ", width))
+	}
+	for _, m := range marks {
+		x := int((m.X - minX) / (maxX - minX) * float64(width-1))
+		y := int((m.Y - minY) / (maxY - minY) * float64(height-1))
+		rows[height-1-y][x] = m.Ch
+	}
+	return rows, minX, maxX, minY, maxY
 }
 
 // Timeline renders one flow's congestion state over time as ASCII:
 // '*' = cwnd samples, '+' = actnum samples, and a phase strip beneath
 // the plot ('r' retreat, 'p' probe, '.' open / outside recovery).
-func Timeline(records []Record, flow int32, width, height int) string {
+func Timeline(events []Event, flow int32, width, height int) string {
 	if width < 8 {
 		width = 72
 	}
 	if height < 4 {
 		height = 16
 	}
-	type pt struct {
-		t, v float64
-		mark byte
-	}
-	var pts []pt
-	var minT, maxT, maxV float64
-	first := true
+	// actnum is drawn after cwnd so it wins a shared cell: the recovery
+	// control variable is the interesting one.
+	var cwnd, actnum []ScatterMark
 	// Phase boundaries for the strip.
 	type flip struct {
 		t     float64
 		phase byte
 	}
 	var flips []flip
-	for _, r := range records {
-		if r.Flow != flow {
+	for _, ev := range events {
+		if ev.Flow != flow {
 			continue
 		}
-		switch r.Kind {
-		case KCwnd.String(), KRecoveryEnter.String(), KRecoveryExit.String():
-			pts = append(pts, pt{r.T, r.Attr("cwnd", 0), '*'})
-		case KActnum.String(), KRetreatProbe.String():
-			pts = append(pts, pt{r.T, r.Attr("actnum", 0), '+'})
-		default:
-			continue
-		}
-		switch r.Kind {
-		case KRecoveryEnter.String():
-			flips = append(flips, flip{r.T, 'r'})
-		case KRetreatProbe.String():
-			flips = append(flips, flip{r.T, 'p'})
-		case KRecoveryExit.String():
-			flips = append(flips, flip{r.T, '.'})
-		}
-		p := pts[len(pts)-1]
-		if first {
-			minT, maxT, maxV = p.t, p.t, p.v
-			first = false
-		}
-		if p.t < minT {
-			minT = p.t
-		}
-		if p.t > maxT {
-			maxT = p.t
-		}
-		if p.v > maxV {
-			maxV = p.v
+		t := secs(ev.At)
+		switch ev.Kind {
+		case KCwnd:
+			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
+		case KRecoveryEnter:
+			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
+			flips = append(flips, flip{t, 'r'})
+		case KRecoveryExit:
+			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
+			flips = append(flips, flip{t, '.'})
+		case KActnum:
+			actnum = append(actnum, ScatterMark{t, ev.A, '+'})
+		case KRetreatProbe:
+			actnum = append(actnum, ScatterMark{t, ev.A, '+'})
+			flips = append(flips, flip{t, 'p'})
 		}
 	}
-	if len(pts) == 0 {
+	marks := append(cwnd, actnum...)
+	if len(marks) == 0 {
 		return fmt.Sprintf("flow %d: no cwnd/actnum samples\n", flow)
 	}
-	if maxT == minT {
-		maxT = minT + 1
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	for _, p := range pts {
-		x := int((p.t - minT) / (maxT - minT) * float64(width-1))
-		y := int(p.v / maxV * float64(height-1))
-		if y > height-1 {
-			y = height - 1
-		}
-		row := grid[height-1-y]
-		// actnum wins over cwnd when both land on a cell: the recovery
-		// control variable is the interesting one.
-		if row[x] != '+' {
-			row[x] = p.mark
-		}
-	}
+	grid, minT, maxT, _, maxV := Scatter(marks, width, height, true)
 	strip := []byte(strings.Repeat(".", width))
 	phase := byte('.')
 	fi := 0

@@ -1,21 +1,23 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"rrtcp/internal/sim"
 )
 
-// srec builds a Record with a source instance, the way DecodeNDJSON
-// produces them for sampler/sweep/scheduler events.
-func srec(t float64, comp Component, kind Kind, src string, flow int32, seq int64, attrs map[string]float64) Record {
-	if attrs == nil {
-		attrs = map[string]float64{}
-	}
-	return Record{T: t, Comp: comp.String(), Kind: kind.String(), Src: src, Flow: flow, Seq: seq, Attrs: attrs}
+// srec builds an Event with a source instance, the way DecodeNDJSON
+// produces them for sampler/sweep/scheduler events: the named
+// attributes land in the kind's A and B slots.
+func srec(t float64, comp Component, kind Kind, src string, flow int32, seq int64, attrs map[string]float64) Event {
+	a, b := kind.attrNames()
+	return Event{At: sim.Time(math.Round(t * 1e9)), Comp: comp, Kind: kind, Src: src, Flow: flow, Seq: seq, A: attrs[a], B: attrs[b]}
 }
 
 func TestSummarizeSamples(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0.1, CompSender, KSample, "cwnd", 0, 0, map[string]float64{"value": 4}),
 		srec(0.2, CompSender, KSample, "cwnd", 0, 0, map[string]float64{"value": 8}),
 		srec(0.3, CompSender, KSample, "cwnd", 0, 0, map[string]float64{"value": 6}),
@@ -48,7 +50,7 @@ func TestSummarizeSamples(t *testing.T) {
 }
 
 func TestSummarizeSweep(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0, CompSweep, KSweepStart, "chaos", NoFlow, 0, map[string]float64{"jobs": 4, "workers": 2}),
 		srec(0, CompSweep, KSweepJobTime, "j0", NoFlow, 0, map[string]float64{"wall_s": 0.1, "worker": 0}),
 		srec(0, CompSweep, KSweepJob, "j0", NoFlow, 0, map[string]float64{"completed": 1, "total": 4}),
@@ -89,7 +91,7 @@ func TestSummarizeSweep(t *testing.T) {
 }
 
 func TestSummarizeSweepTruncatedLog(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0, CompSweep, KSweepStart, "big", NoFlow, 0, map[string]float64{"jobs": 100, "workers": 8}),
 		srec(0, CompSweep, KSweepJob, "j0", NoFlow, 0, map[string]float64{"completed": 7, "total": 100}),
 	}
@@ -107,7 +109,7 @@ func TestSummarizeSweepTruncatedLog(t *testing.T) {
 }
 
 func TestSummarizeSchedProfile(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0.5, CompSim, KSchedProfile, "", NoFlow, 50000, map[string]float64{"pending": 12}),
 		srec(1.0, CompSim, KSchedProfile, "", NoFlow, 100000, map[string]float64{"pending": 40}),
 		srec(1.5, CompSim, KSchedProfile, "", NoFlow, 150000, map[string]float64{"pending": 9}),

@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// rec builds a Record the way DecodeNDJSON would.
-func rec(t float64, comp Component, kind Kind, flow int32, attrs map[string]float64) Record {
-	if attrs == nil {
-		attrs = map[string]float64{}
-	}
-	return Record{T: t, Comp: comp.String(), Kind: kind.String(), Flow: flow, Attrs: attrs}
+// rec builds the Event DecodeNDJSON returns for a line carrying the
+// named attributes.
+func rec(t float64, comp Component, kind Kind, flow int32, attrs map[string]float64) Event {
+	return srec(t, comp, kind, "", flow, 0, attrs)
 }
 
 func TestSummarizeEpisode(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		rec(0.1, CompSender, KSend, 0, nil),
 		rec(1.0, CompRR, KRecoveryEnter, 0, map[string]float64{"cwnd": 13, "ssthresh": 6.5}),
 		rec(1.2, CompRR, KRetreatProbe, 0, map[string]float64{"actnum": 4}),
@@ -51,7 +49,7 @@ func almost(a, b float64) bool {
 }
 
 func TestSummarizeTimeoutEndsEpisode(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		rec(1.0, CompRR, KRecoveryEnter, 0, nil),
 		rec(2.0, CompSender, KTimeout, 0, nil),
 	}
@@ -63,7 +61,7 @@ func TestSummarizeTimeoutEndsEpisode(t *testing.T) {
 }
 
 func TestSummarizeOpenEpisodeAtEOF(t *testing.T) {
-	sum := Summarize([]Record{rec(1.0, CompRR, KRecoveryEnter, 0, nil)})
+	sum := Summarize([]Event{rec(1.0, CompRR, KRecoveryEnter, 0, nil)})
 	ep := sum.Flows[0].Episodes[0]
 	if ep.End >= 0 || ep.Timeout {
 		t.Fatalf("open episode wrong: %+v", ep)
@@ -74,11 +72,11 @@ func TestSummarizeOpenEpisodeAtEOF(t *testing.T) {
 }
 
 func TestSummarizeQueueDrops(t *testing.T) {
-	records := []Record{
-		{T: 1, Comp: "queue", Kind: "drop", Src: "fwd", Flow: 0, Attrs: map[string]float64{"forced": 1}},
-		{T: 2, Comp: "queue", Kind: "drop", Src: "fwd", Flow: 1, Attrs: map[string]float64{}},
-		{T: 3, Comp: "queue", Kind: "mark", Src: "fwd", Flow: 0, Attrs: map[string]float64{}},
-		{T: 4, Comp: "loss", Kind: "drop", Src: "inject", Flow: 0, Attrs: map[string]float64{}},
+	records := []Event{
+		srec(1, CompQueue, KDrop, "fwd", 0, 0, map[string]float64{"forced": 1}),
+		srec(2, CompQueue, KDrop, "fwd", 1, 0, nil),
+		srec(3, CompQueue, KMark, "fwd", 0, 0, map[string]float64{"avg": 2.5}),
+		srec(4, CompLoss, KDrop, "inject", 0, 0, nil),
 	}
 	sum := Summarize(records)
 	if len(sum.Queues) != 2 {
@@ -94,7 +92,7 @@ func TestSummarizeQueueDrops(t *testing.T) {
 }
 
 func TestFilter(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		rec(1, CompSender, KSend, 0, nil),
 		rec(2, CompSender, KSend, 1, nil),
 		rec(3, CompRR, KRecoveryEnter, 0, nil),
@@ -103,7 +101,7 @@ func TestFilter(t *testing.T) {
 	if got := Filter(records, FilterOpts{Flow: 0, FlowSet: true}); len(got) != 3 {
 		t.Fatalf("flow filter: %d, want 3", len(got))
 	}
-	if got := Filter(records, FilterOpts{Comp: "rr"}); len(got) != 1 || got[0].Kind != "recovery-enter" {
+	if got := Filter(records, FilterOpts{Comp: "rr"}); len(got) != 1 || got[0].Kind != KRecoveryEnter {
 		t.Fatalf("comp filter wrong: %+v", got)
 	}
 	if got := Filter(records, FilterOpts{Kind: "send"}); len(got) != 2 {
@@ -118,7 +116,7 @@ func TestFilter(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		rec(0, CompSender, KCwnd, 0, map[string]float64{"cwnd": 2}),
 		rec(1, CompRR, KRecoveryEnter, 0, map[string]float64{"cwnd": 10}),
 		rec(1.5, CompRR, KRetreatProbe, 0, map[string]float64{"actnum": 4}),
@@ -140,13 +138,10 @@ func TestTimeline(t *testing.T) {
 // "flows:" line of the rendering — the only per-flow signal present in
 // aggregate-scale logs.
 func TestSummarizeFlowLifecycle(t *testing.T) {
-	records := []Record{
-		{T: 0, Comp: "sender", Kind: "flow-start", Src: "rr", Flow: 0,
-			Attrs: map[string]float64{"bytes": 4000}},
-		{T: 0, Comp: "sender", Kind: "flow-start", Src: "reno", Flow: 1,
-			Attrs: map[string]float64{"bytes": 4000}},
-		{T: 1.5, Comp: "sender", Kind: "flow-done", Src: "rr", Flow: 0,
-			Attrs: map[string]float64{"rtx": 2, "timeouts": 0}},
+	records := []Event{
+		srec(0, CompSender, KFlowStart, "rr", 0, 0, map[string]float64{"bytes": 4000}),
+		srec(0, CompSender, KFlowStart, "reno", 1, 0, map[string]float64{"bytes": 4000}),
+		srec(1.5, CompSender, KFlowStats, "rr", 0, 0, map[string]float64{"rtx": 2, "timeouts": 0}),
 	}
 	sum := Summarize(records)
 	if sum.FlowsStarted != 2 || sum.FlowsCompleted != 1 {

@@ -33,18 +33,6 @@ func (p DropPolicy) String() string {
 	}
 }
 
-// ParseDropPolicy is the inverse of DropPolicy.String.
-func ParseDropPolicy(s string) (DropPolicy, error) {
-	switch s {
-	case "drop-newest":
-		return DropNewest, nil
-	case "sample-1-in-k", "sample":
-		return SampleOneInK, nil
-	default:
-		return 0, fmt.Errorf("telemetry: unknown drop policy %q", s)
-	}
-}
-
 // BoundedConfig parameterizes a BoundedSink.
 type BoundedConfig struct {
 	// MaxEvents is the budget of events forwarded before Policy engages.

@@ -130,15 +130,3 @@ func TestBoundedSinkIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestParseDropPolicyRoundTrips(t *testing.T) {
-	for _, p := range []DropPolicy{DropNewest, SampleOneInK} {
-		got, err := ParseDropPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round-trip %v: got %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParseDropPolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}

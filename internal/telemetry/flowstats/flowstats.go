@@ -13,7 +13,7 @@
 // KFlowStats, which carry the variant name in Src) plus the ordinary
 // ACK stream for goodput tracking; everything the table needs rides
 // the events themselves, so it works equally over a live bus or over
-// decoded NDJSON (FromRecords).
+// a decoded log (telemetry.Replay, then Finalize).
 //
 // Unlike most sinks, a FlowTable is safe for concurrent use: Emit
 // takes an internal mutex so the obs server's /flows endpoint can
@@ -540,18 +540,4 @@ func (s *Summary) Merge(o Summary) {
 		copy(s.Variants[idx+1:], s.Variants[idx:])
 		s.Variants[idx] = *ov
 	}
-}
-
-// FromRecords replays decoded NDJSON records through a fresh table —
-// how `rrtrace flows` reconstructs the same numbers the live /flows
-// endpoint serves.
-func FromRecords(records []telemetry.Record, cfg Config) *FlowTable {
-	t := New(cfg)
-	for i := range records {
-		if ev, ok := records[i].Event(); ok {
-			t.Emit(ev)
-		}
-	}
-	t.Finalize()
-	return t
 }

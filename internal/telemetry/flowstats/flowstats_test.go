@@ -253,11 +253,13 @@ func TestFromRecordsMatchesLive(t *testing.T) {
 		t.Fatalf("flush ndjson: %v", err)
 	}
 
-	records, err := telemetry.DecodeNDJSON(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	events, stats, err := telemetry.DecodeNDJSON(&buf)
+	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	replay := FromRecords(records, cfg)
+	replay := New(cfg)
+	telemetry.Replay(events, replay)
+	replay.Finalize()
 
 	if got, want := replay.Report().Render(), live.Report().Render(); got != want {
 		t.Fatalf("replay diverges from live table:\n--- replay\n%s--- live\n%s", got, want)

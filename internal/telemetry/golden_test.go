@@ -85,28 +85,23 @@ func TestFig5EventLogGolden(t *testing.T) {
 	}
 }
 
-// TestFig5GoldenRoundTrip decodes the golden log, turns every record
-// back into the bus event it was written from, and re-encodes: the
-// result must be the golden again. This is the property rrtrace's
-// replay paths (spans, flows, export) rest on.
+// TestFig5GoldenRoundTrip decodes the golden log back into the bus
+// events it was written from and re-encodes them: the result must be
+// the golden again. This is the property rrtrace rests on — every
+// subcommand replays decoded events through the live sinks, and filter
+// re-emits them through NDJSONSink.
 func TestFig5GoldenRoundTrip(t *testing.T) {
 	want := readGolden(t)
-	records, err := telemetry.DecodeNDJSON(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
+	events, stats, err := telemetry.DecodeNDJSON(bytes.NewReader(want))
+	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	if lines := bytes.Count(want, []byte("\n")); len(records) != lines || lines < 500 {
-		t.Fatalf("decoded %d records from %d lines (golden should hold at least 500)", len(records), lines)
+	if lines := bytes.Count(want, []byte("\n")); len(events) != lines || lines < 500 {
+		t.Fatalf("decoded %d events from %d lines (golden should hold at least 500)", len(events), lines)
 	}
 	var again bytes.Buffer
 	sink := telemetry.NewNDJSONSink(&again)
-	for i, rec := range records {
-		ev, ok := rec.Event()
-		if !ok {
-			t.Fatalf("record %d (%s/%s) is outside the vocabulary", i+1, rec.Comp, rec.Kind)
-		}
-		sink.Emit(ev)
-	}
+	telemetry.Replay(events, sink)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"rrtcp/internal/sim"
@@ -182,93 +181,8 @@ func (n *NDJSONSink) Close() error { return n.Flush() }
 // Err returns the first write error encountered, if any.
 func (n *NDJSONSink) Err() error { return n.err }
 
-// Record is one decoded NDJSON line — the read-side counterpart of
-// Event, with the kind-specific attributes restored into a map. It is
-// what cmd/rrtrace operates on.
-type Record struct {
-	T     float64            // sim-time in seconds
-	Comp  string             // component name
-	Kind  string             // event kind name
-	Src   string             // instance label, if any
-	Flow  int32              // NoFlow when absent
-	Seq   int64              //
-	Attrs map[string]float64 // kind-specific attributes ("cwnd", "actnum", ...)
-}
-
-// Event converts a decoded record back into the bus event it was
-// written from, restoring A/B from the kind's attribute names. The
-// second return is false when the component or kind name is not part of
-// the current vocabulary (a log from a newer build, or foreign JSON
-// that happened to parse).
-func (r Record) Event() (Event, bool) {
-	comp := ParseComponent(r.Comp)
-	kind := ParseKind(r.Kind)
-	if comp == 0 || kind == 0 {
-		return Event{}, false
-	}
-	ev := Event{
-		At:   sim.Time(math.Round(r.T * 1e9)),
-		Comp: comp,
-		Kind: kind,
-		Src:  r.Src,
-		Flow: r.Flow,
-		Seq:  r.Seq,
-	}
-	aName, bName := kind.attrNames()
-	if aName != "" {
-		ev.A = r.Attrs[aName]
-	}
-	if bName != "" {
-		ev.B = r.Attrs[bName]
-	}
-	return ev, true
-}
-
-// Attr returns a named attribute, or def when absent.
-func (r Record) Attr(name string, def float64) float64 {
-	if v, ok := r.Attrs[name]; ok {
-		return v
-	}
-	return def
-}
-
-// MarshalJSON reproduces the NDJSONSink line shape, so filtered records
-// re-emitted by rrtrace remain valid input for DecodeNDJSON.
-func (r Record) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 128)
-	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, r.T, 'f', 9, 64)
-	b = append(b, `,"comp":`...)
-	b = appendJSONString(b, r.Comp)
-	b = append(b, `,"kind":`...)
-	b = appendJSONString(b, r.Kind)
-	if r.Src != "" {
-		b = append(b, `,"src":`...)
-		b = appendJSONString(b, r.Src)
-	}
-	if r.Flow != NoFlow {
-		b = append(b, `,"flow":`...)
-		b = strconv.AppendInt(b, int64(r.Flow), 10)
-	}
-	if r.Seq != 0 {
-		b = append(b, `,"seq":`...)
-		b = strconv.AppendInt(b, r.Seq, 10)
-	}
-	names := make([]string, 0, len(r.Attrs))
-	for k := range r.Attrs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		b = append(b, ',')
-		b = appendJSONString(b, k)
-		b = append(b, ':')
-		b = appendJSONFloat(b, r.Attrs[k])
-	}
-	return append(b, '}'), nil
-}
-
-// DecodeStats reports what a lenient decode pass saw.
+// DecodeStats reports what a decode pass saw besides the events it
+// returned.
 type DecodeStats struct {
 	// Lines counts non-blank input lines.
 	Lines int
@@ -276,21 +190,12 @@ type DecodeStats struct {
 	Skipped int
 	// FirstErr describes the first malformed line, for diagnostics.
 	FirstErr error
-}
-
-// DecodeNDJSON parses an event log produced by NDJSONSink. Blank lines
-// are skipped; a malformed line aborts with its line number. Use
-// DecodeNDJSONLenient for logs that may be truncated or interleaved
-// with foreign output.
-func DecodeNDJSON(r io.Reader) ([]Record, error) {
-	out, stats, err := DecodeNDJSONLenient(r)
-	if err != nil {
-		return nil, err
-	}
-	if stats.Skipped > 0 {
-		return nil, stats.FirstErr
-	}
-	return out, nil
+	// Unknown counts well-formed lines whose component or kind is not in
+	// this build's vocabulary (a log from a newer build); they are left
+	// out of the result but are not damage.
+	Unknown int
+	// FirstUnknown describes the first such line.
+	FirstUnknown error
 }
 
 // maxDecodeLine caps how much of a single input line the lenient
@@ -299,15 +204,17 @@ func DecodeNDJSON(r io.Reader) ([]Record, error) {
 // like any other malformed line rather than aborting the decode.
 const maxDecodeLine = 1 << 20
 
-// DecodeNDJSONLenient parses an event log, skipping and counting
-// malformed lines instead of aborting — the behavior cmd/rrtrace needs
-// for logs truncated mid-line (a killed run) or polluted by interleaved
-// stderr. Lines longer than maxDecodeLine are likewise skipped and
-// counted, not treated as fatal. The returned error covers only
-// I/O-level failures; parse problems are reported through DecodeStats.
-func DecodeNDJSONLenient(r io.Reader) ([]Record, DecodeStats, error) {
+// DecodeNDJSON parses an event log produced by NDJSONSink back into the
+// events it was written from — the one in-memory shape on both sides of
+// the file, so a decoded log replays through any Sink (see Replay). It
+// skips and counts malformed lines instead of aborting, which is what
+// logs truncated mid-line (a killed run) or polluted by interleaved
+// stderr need; lines longer than maxDecodeLine are likewise skipped and
+// counted. The returned error covers only I/O-level failures; parse
+// problems are reported through DecodeStats.
+func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	var out []Record
+	var out []Event
 	var stats DecodeStats
 	lineNo := 0
 	skip := func(lineNo int, err error) {
@@ -358,36 +265,38 @@ func DecodeNDJSONLenient(r io.Reader) ([]Record, DecodeStats, error) {
 			skip(lineNo, err)
 			continue
 		}
-		rec := Record{Flow: NoFlow, Attrs: map[string]float64{}}
-		for k, v := range raw {
-			switch k {
-			case "t":
-				rec.T, _ = v.(float64)
-			case "comp":
-				rec.Comp, _ = v.(string)
-			case "kind":
-				rec.Kind, _ = v.(string)
-			case "src":
-				rec.Src, _ = v.(string)
-			case "flow":
-				if f, ok := v.(float64); ok {
-					rec.Flow = int32(f)
-				}
-			case "seq":
-				if f, ok := v.(float64); ok {
-					rec.Seq = int64(f)
-				}
-			default:
-				if f, ok := v.(float64); ok {
-					rec.Attrs[k] = f
-				}
-			}
+		num := func(key string) float64 { f, _ := raw[key].(float64); return f }
+		compName, _ := raw["comp"].(string)
+		kindName, _ := raw["kind"].(string)
+		ev := Event{
+			At:   sim.Time(math.Round(num("t") * 1e9)),
+			Comp: ParseComponent(compName),
+			Kind: ParseKind(kindName),
+			Flow: NoFlow,
+			Seq:  int64(num("seq")),
 		}
-		if rec.Kind == "" {
+		ev.Src, _ = raw["src"].(string)
+		if f, ok := raw["flow"].(float64); ok {
+			ev.Flow = int32(f)
+		}
+		switch {
+		case kindName == "":
 			skip(lineNo, fmt.Errorf("missing \"kind\""))
-			continue
+		case ev.Comp == 0 || ev.Kind == 0:
+			stats.Unknown++
+			if stats.FirstUnknown == nil {
+				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s/%s", lineNo, compName, kindName)
+			}
+		default:
+			a, b := ev.Kind.attrNames()
+			if a != "" {
+				ev.A = num(a)
+			}
+			if b != "" {
+				ev.B = num(b)
+			}
+			out = append(out, ev)
 		}
-		out = append(out, rec)
 		if atEOF {
 			break
 		}
@@ -396,4 +305,15 @@ func DecodeNDJSONLenient(r io.Reader) ([]Record, DecodeStats, error) {
 		return out, stats, fmt.Errorf("telemetry: read: %w", readErr)
 	}
 	return out, stats, nil
+}
+
+// Replay feeds decoded events to the sinks in order, each event to every
+// sink as a bus would have published it live: the offline (rrtrace) path
+// to whatever a sink computes.
+func Replay(events []Event, sinks ...Sink) {
+	for i := range events {
+		for _, s := range sinks {
+			s.Emit(events[i])
+		}
+	}
 }

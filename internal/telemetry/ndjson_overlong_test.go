@@ -11,14 +11,14 @@ func TestDecodeLenientSkipsOverlongLines(t *testing.T) {
 	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n" +
 		long + "\n" +
 		`{"t":0.2,"comp":"sender","kind":"cwnd","flow":0,"cwnd":3}` + "\n"
-	out, stats, err := DecodeNDJSONLenient(strings.NewReader(input))
+	out, stats, err := DecodeNDJSON(strings.NewReader(input))
 	if err != nil {
 		t.Fatalf("overlong line treated as I/O failure: %v", err)
 	}
 	if len(out) != 2 {
 		t.Fatalf("decoded %d records, want the 2 good lines", len(out))
 	}
-	if out[0].Attrs["cwnd"] != 2 || out[1].Attrs["cwnd"] != 3 {
+	if out[0].A != 2 || out[1].A != 3 {
 		t.Fatalf("wrong records survived: %+v", out)
 	}
 	if stats.Lines != 3 || stats.Skipped != 1 {
@@ -33,7 +33,7 @@ func TestDecodeLenientOverlongLineAtEOF(t *testing.T) {
 	// A runaway final line with no trailing newline (truncated log).
 	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n" +
 		strings.Repeat("y", maxDecodeLine+100)
-	out, stats, err := DecodeNDJSONLenient(strings.NewReader(input))
+	out, stats, err := DecodeNDJSON(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDecodeLenientStillReportsRealIOErrors(t *testing.T) {
 		data: []byte(`{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n"),
 		err:  ioErr,
 	}
-	out, _, err := DecodeNDJSONLenient(r)
+	out, _, err := DecodeNDJSON(r)
 	if !errors.Is(err, ioErr) {
 		t.Fatalf("err = %v, want the underlying I/O error", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,41 +318,86 @@ func (r *Registry) Snapshot() string {
 type MetricsSink struct {
 	R *Registry
 
-	// recEnter remembers each flow's open recovery-enter time so exit
-	// can feed the episode-duration distribution.
-	recEnter map[int32]sim.Time
+	flows []flowCells // indexed by flow id
+}
+
+// flowCells are one flow's registry cells, each resolved by name on the
+// first event that touches it — a metric appears in the registry only
+// once something counted — and a single atomic operation from then on.
+type flowCells struct {
+	prefix   string                        // "sender.<flow>."
+	counters [len(flowCounters)]CounterVar // by Kind; see flowCounters
+	cwnd     GaugeVar
+	samples  []sampleCell // the sample_<gauge> gauges, by gauge name
+	// enter is the open recovery episode's start (inRecovery says whether
+	// there is one), so exit can feed the episode-duration distribution.
+	enter      sim.Time
+	inRecovery bool
+}
+
+type sampleCell struct {
+	gauge string
+	v     GaugeVar
+}
+
+// flowCounters names the per-flow counter each sender event kind bumps.
+var flowCounters = [...]string{
+	KSend:          "data_sent",
+	KRetransmit:    "retransmits",
+	KTimeout:       "timeouts",
+	KRecoveryEnter: "fast_retransmits",
+	KFurtherLoss:   "further_losses",
 }
 
 // NewMetricsSink returns a sink feeding a fresh registry.
-func NewMetricsSink() *MetricsSink {
-	return &MetricsSink{R: NewRegistry(), recEnter: make(map[int32]sim.Time)}
+func NewMetricsSink() *MetricsSink { return &MetricsSink{R: NewRegistry()} }
+
+// flow returns the cells of a flow-scoped event's flow, growing the
+// table on first sight; nil for an event that names no flow.
+func (m *MetricsSink) flow(id int32) *flowCells {
+	if id < 0 {
+		return nil
+	}
+	if int(id) >= len(m.flows) {
+		m.flows = append(m.flows, make([]flowCells, int(id)+1-len(m.flows))...)
+	}
+	f := &m.flows[id]
+	if f.prefix == "" {
+		f.prefix = "sender." + strconv.Itoa(int(id)) + "."
+	}
+	return f
 }
 
 // Emit implements Sink.
 func (m *MetricsSink) Emit(ev Event) {
 	switch ev.Kind {
-	case KSend:
-		m.R.Inc(flowKey("sender", ev.Flow, "data_sent"), 1)
-	case KRetransmit:
-		m.R.Inc(flowKey("sender", ev.Flow, "retransmits"), 1)
-	case KTimeout:
-		m.R.Inc(flowKey("sender", ev.Flow, "timeouts"), 1)
-	case KRecoveryEnter:
-		m.R.Inc(flowKey("sender", ev.Flow, "fast_retransmits"), 1)
-		if m.recEnter != nil {
-			m.recEnter[ev.Flow] = ev.At
+	case KSend, KRetransmit, KTimeout, KRecoveryEnter, KFurtherLoss:
+		f := m.flow(ev.Flow)
+		if f == nil {
+			return
+		}
+		c := &f.counters[ev.Kind]
+		if c.v == nil {
+			*c = m.R.CounterVarOf(f.prefix + flowCounters[ev.Kind])
+		}
+		c.Add(1)
+		if ev.Kind == KRecoveryEnter {
+			f.enter, f.inRecovery = ev.At, true
 		}
 	case KRecoveryExit:
-		if m.recEnter != nil {
-			if enter, ok := m.recEnter[ev.Flow]; ok {
-				m.R.ObserveLog(flowKey("sender", ev.Flow, "episode_s"), (ev.At - enter).Seconds())
-				delete(m.recEnter, ev.Flow)
-			}
+		if f := m.flow(ev.Flow); f != nil && f.inRecovery {
+			m.R.ObserveLog(f.prefix+"episode_s", (ev.At - f.enter).Seconds())
+			f.inRecovery = false
 		}
-	case KFurtherLoss:
-		m.R.Inc(flowKey("sender", ev.Flow, "further_losses"), 1)
 	case KCwnd:
-		m.R.SetGauge(flowKey("sender", ev.Flow, "cwnd"), ev.A)
+		f := m.flow(ev.Flow)
+		if f == nil {
+			return
+		}
+		if f.cwnd.v == nil {
+			f.cwnd = m.R.GaugeVarOf(f.prefix + "cwnd")
+		}
+		f.cwnd.Set(ev.A)
 	case KEnqueue:
 		m.R.Inc(srcKey("queue", ev.Src, "enqueued"), 1)
 		m.R.SetGauge(srcKey("queue", ev.Src, "occupancy"), ev.A)
@@ -385,11 +431,20 @@ func (m *MetricsSink) Emit(ev Event) {
 	case KSample:
 		// Gauge names join with '_' (not '.') so the dotted path keeps
 		// its comp.instance.metric shape for Prometheus translation.
-		if ev.Flow != NoFlow {
-			m.R.SetGauge(flowKey("sender", ev.Flow, "sample_"+ev.Src), ev.A)
-		} else {
+		f := m.flow(ev.Flow)
+		if f == nil {
 			m.R.SetGauge(srcKey(ev.Comp.String(), ev.Src, "sample"), ev.A)
+			return
 		}
+		for i := range f.samples {
+			if f.samples[i].gauge == ev.Src {
+				f.samples[i].v.Set(ev.A)
+				return
+			}
+		}
+		g := m.R.GaugeVarOf(f.prefix + "sample_" + ev.Src)
+		g.Set(ev.A)
+		f.samples = append(f.samples, sampleCell{ev.Src, g})
 	case KSweepJobTime:
 		m.R.ObserveLog("sweep.job_latency_s", ev.A)
 	case KSweepStart:
@@ -426,10 +481,6 @@ func (m *MetricsSink) Emit(ev Event) {
 		m.R.Inc(srcKey("flows", ev.Src, "completed"), 1)
 		m.R.ObserveLog(srcKey("flows", ev.Src, "rtx"), ev.A)
 	}
-}
-
-func flowKey(comp string, flow int32, metric string) string {
-	return fmt.Sprintf("%s.%d.%s", comp, flow, metric)
 }
 
 func srcKey(comp, src, metric string) string {

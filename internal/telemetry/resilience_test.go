@@ -16,24 +16,19 @@ func TestResilienceKindsRoundTripNDJSON(t *testing.T) {
 	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := DecodeNDJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(buf.String(), `"kind":"sweep-stall","src":"j3","seq":3,"running_s":12.5,"worker":1}`) {
+		t.Fatalf("stall line wrong:\n%s", buf.String())
 	}
-	if len(recs) != 2 {
-		t.Fatalf("%d records, want 2", len(recs))
+	evs := mustDecode(t, &buf)
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want 2", len(evs))
 	}
-	stall, retry := recs[0], recs[1]
-	if stall.Kind != "sweep-stall" || stall.Attr("running_s", 0) != 12.5 || stall.Attr("worker", -1) != 1 {
-		t.Fatalf("stall record wrong: %+v", stall)
+	stall, retry := evs[0], evs[1]
+	if stall.Kind != KSweepStall || stall.A != 12.5 || stall.B != 1 {
+		t.Fatalf("stall event wrong: %+v", stall)
 	}
-	if retry.Kind != "sweep-retry" || retry.Attr("attempt", 0) != 2 || retry.Attr("backoff_s", 0) != 0.2 {
-		t.Fatalf("retry record wrong: %+v", retry)
-	}
-	for _, r := range recs {
-		if _, ok := r.Event(); !ok {
-			t.Fatalf("record %+v does not decode back to an Event", r)
-		}
+	if retry.Kind != KSweepRetry || retry.A != 2 || retry.B != 0.2 {
+		t.Fatalf("retry event wrong: %+v", retry)
 	}
 }
 
@@ -86,7 +81,7 @@ func TestProgressStateTracksStallsAndRetries(t *testing.T) {
 // --- rrtrace summary ---
 
 func TestSummarizeCountsRetriesAndStalls(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0, CompSweep, KSweepStart, "chaos", NoFlow, 0, map[string]float64{"jobs": 4, "workers": 2}),
 		srec(0, CompSweep, KSweepRetry, "j1", NoFlow, 1, map[string]float64{"attempt": 1, "backoff_s": 0.1}),
 		srec(0, CompSweep, KSweepStall, "j2", NoFlow, 2, map[string]float64{"running_s": 7, "worker": 0}),
@@ -108,7 +103,7 @@ func TestSummarizeCountsRetriesAndStalls(t *testing.T) {
 }
 
 func TestSummarizeOmitsResilienceLineWhenClean(t *testing.T) {
-	records := []Record{
+	records := []Event{
 		srec(0, CompSweep, KSweepStart, "fig7", NoFlow, 0, map[string]float64{"jobs": 2, "workers": 1}),
 		srec(0, CompSweep, KSweepDone, "fig7", NoFlow, 0, map[string]float64{"jobs": 2, "wall_s": 0.1}),
 	}

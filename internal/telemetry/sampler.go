@@ -204,19 +204,6 @@ func (s *SeriesSink) Series() []*Series {
 	return s.series
 }
 
-// AssembleSeries runs decoded NDJSON records through a SeriesSink —
-// the offline (rrtrace) path to the same collection the live sink
-// performs.
-func AssembleSeries(records []Record) []*Series {
-	sink := NewSeriesSink()
-	for _, rec := range records {
-		if ev, ok := rec.Event(); ok {
-			sink.Emit(ev)
-		}
-	}
-	return sink.Series()
-}
-
 // WriteSeriesCSV writes series in long form — one row per sample —
 // with a fixed header, deterministic for identical input:
 //

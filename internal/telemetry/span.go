@@ -99,7 +99,7 @@ func (s *Span) attr(name string, v float64) {
 }
 
 // SpanSink assembles spans from the event stream. It is a Sink; attach
-// it to a bus (or feed decoded records through Emit via Record.Event).
+// it to a bus, or Replay a decoded log into it.
 // A nil *SpanSink is a valid no-op, mirroring the nil-bus null default.
 type SpanSink struct {
 	spans Chunked[Span] // the maps below point into it: addresses are stable
@@ -288,18 +288,6 @@ func (s *SpanSink) Spans() []*Span {
 		}
 	}
 	return out
-}
-
-// AssembleSpans runs decoded NDJSON records through a SpanSink — the
-// offline (rrtrace) path to the same assembly the live sink performs.
-func AssembleSpans(records []Record) []*Span {
-	sink := NewSpanSink()
-	for _, rec := range records {
-		if ev, ok := rec.Event(); ok {
-			sink.Emit(ev)
-		}
-	}
-	return sink.Spans()
 }
 
 // RenderSpans formats spans as an indented tree, one segment per block,

@@ -235,11 +235,9 @@ func TestAssembleSpansFromRecords(t *testing.T) {
 		nd.Emit(ev)
 	}
 	nd.Flush()
-	records, err := DecodeNDJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := AssembleSpans(records)
+	sink := NewSpanSink()
+	Replay(mustDecode(t, strings.NewReader(sb.String())), sink)
+	spans := sink.Spans()
 	if len(spansOf(spans, SpanRecovery)) != 1 || len(spansOf(spans, SpanProbe)) != 1 {
 		t.Fatalf("offline assembly differs: %s", RenderSpans(spans))
 	}
@@ -249,28 +247,6 @@ func TestAssembleSpansFromRecords(t *testing.T) {
 type busAdapter struct{ b *Bus }
 
 func (a busAdapter) Emit(ev Event) { a.b.Publish(ev) }
-
-func TestRecordEventRoundTrip(t *testing.T) {
-	in := Event{At: ms(1234), Comp: CompRR, Kind: KActnum, Flow: 3, Seq: 9000, A: 7, B: 2}
-	var sb strings.Builder
-	nd := NewNDJSONSink(&sb)
-	nd.Emit(in)
-	nd.Flush()
-	recs, err := DecodeNDJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, ok := recs[0].Event()
-	if !ok {
-		t.Fatal("Event() rejected a round-tripped record")
-	}
-	if out != in {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
-	}
-	if _, ok := (Record{Comp: "martian", Kind: "ack"}).Event(); ok {
-		t.Fatal("unknown component accepted")
-	}
-}
 
 func BenchmarkRingEventsOf(b *testing.B) {
 	r := NewRing(0)

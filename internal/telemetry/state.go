@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"sync"
 	"time"
 )
@@ -121,7 +122,7 @@ func (p *ProgressState) Emit(ev Event) {
 		}
 	case KSweepWorker:
 		// Authoritative end-of-sweep totals; Src is the worker index.
-		if w, ok := atoiSafe(ev.Src); ok && w >= 0 && w < len(p.snap.PerWorker) {
+		if w, err := strconv.Atoi(ev.Src); err == nil && w >= 0 && w < len(p.snap.PerWorker) {
 			p.snap.PerWorker[w] = WorkerProgress{Jobs: int(ev.B), BusyS: ev.A}
 		}
 	case KSweepStall:
@@ -189,24 +190,4 @@ func (p *ProgressState) Snapshot() ProgressSnapshot {
 		s.JobWallMeanS = s.jobWallSum / float64(s.jobWallN)
 	}
 	return s
-}
-
-// atoiSafe parses a small non-negative decimal without strconv's error
-// allocation on the hot path.
-func atoiSafe(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<24 {
-			return 0, false
-		}
-	}
-	return n, true
 }

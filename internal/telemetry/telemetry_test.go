@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -275,65 +278,52 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	recs, err := DecodeNDJSON(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(recs) != len(events) {
-		t.Fatalf("decoded %d records, want %d", len(recs), len(events))
-	}
-	r := recs[0]
-	if r.T != 1.5 || r.Comp != "rr" || r.Kind != "recovery-enter" || r.Flow != 0 || r.Seq != 60000 {
-		t.Fatalf("record 0 fields wrong: %+v", r)
-	}
-	if r.Attr("cwnd", 0) != 13.6 || r.Attr("ssthresh", 0) != 6.5 {
-		t.Fatalf("record 0 attrs wrong: %v", r.Attrs)
-	}
-	if r.Attr("missing", 42) != 42 {
-		t.Fatal("Attr default not returned")
-	}
-	if recs[1].Src != "fwd" || recs[1].Attr("forced", 0) != 1 {
-		t.Fatalf("record 1 wrong: %+v", recs[1])
-	}
-	if recs[2].Flow != NoFlow {
-		t.Fatalf("flowless event decoded with flow %d", recs[2].Flow)
+	// Decoding returns the very events that were written.
+	if got := mustDecode(t, &buf); !slices.Equal(got, events) {
+		t.Fatalf("decoded %+v\nwant    %+v", got, events)
 	}
 }
 
-func TestRecordMarshalRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewNDJSONSink(&buf)
-	sink.Emit(Event{At: time.Second, Comp: CompRR, Kind: KActnum, Flow: 0, Seq: 61000, A: 4, B: 3})
-	sink.Close()
-	orig := buf.String()
-
-	recs, err := DecodeNDJSON(strings.NewReader(orig))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+// mustDecode decodes a log every line of which must be a well-formed
+// event of the current vocabulary.
+func mustDecode(t *testing.T, r io.Reader) []Event {
+	t.Helper()
+	events, stats, err := DecodeNDJSON(r)
+	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	out, err := json.Marshal(recs[0])
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	again, err := DecodeNDJSON(bytes.NewReader(out))
-	if err != nil {
-		t.Fatalf("re-decode: %v", err)
-	}
-	if len(again) != 1 || again[0].Kind != "actnum" || again[0].Attr("actnum", 0) != 4 || again[0].Attr("ndup", 0) != 3 {
-		t.Fatalf("round trip lost data: %+v", again)
-	}
+	return events
 }
 
 func TestDecodeNDJSONRejectsGarbage(t *testing.T) {
-	if _, err := DecodeNDJSON(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, line := range []string{"not json", `{"t":1}`, `{"t":"not a number"}`} {
+		events, stats, err := DecodeNDJSON(strings.NewReader(line + "\n"))
+		if err != nil || len(events) != 0 || stats.Lines != 1 || stats.Skipped != 1 || stats.FirstErr == nil {
+			t.Fatalf("%q: events=%d stats=%+v err=%v, want one skipped line", line, len(events), stats, err)
+		}
 	}
-	if _, err := DecodeNDJSON(strings.NewReader(`{"t":1}` + "\n")); err == nil {
-		t.Fatal("kind-less record accepted")
+	events, stats, err := DecodeNDJSON(strings.NewReader("\n\n"))
+	if err != nil || len(events) != 0 || stats != (DecodeStats{}) {
+		t.Fatalf("blank input: events=%d stats=%+v err=%v", len(events), stats, err)
 	}
-	recs, err := DecodeNDJSON(strings.NewReader("\n\n"))
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("blank input: recs=%d err=%v", len(recs), err)
+}
+
+// A well-formed line whose component or kind this build does not know
+// is neither an event nor damage: it is counted apart from the skips.
+func TestDecodeNDJSONCountsUnknownVocabulary(t *testing.T) {
+	log := `{"t":1,"comp":"rr","kind":"cwnd","flow":0,"cwnd":4}
+{"t":2,"comp":"rr","kind":"episode-ledger","flow":0,"losses":3}
+{"t":3,"comp":"martian","kind":"ack","flow":0}
+`
+	events, stats, err := DecodeNDJSON(strings.NewReader(log))
+	if err != nil || len(events) != 1 || events[0].A != 4 {
+		t.Fatalf("events=%+v err=%v, want the one known line", events, err)
+	}
+	if stats.Lines != 3 || stats.Skipped != 0 || stats.FirstErr != nil || stats.Unknown != 2 {
+		t.Fatalf("stats = %+v, want 3 lines, none skipped, 2 unknown", stats)
+	}
+	if got := stats.FirstUnknown.Error(); !strings.Contains(got, "line 2") || !strings.Contains(got, "rr/episode-ledger") {
+		t.Fatalf("FirstUnknown = %q", got)
 	}
 }
 
@@ -397,5 +387,76 @@ func TestMetricsSinkAggregates(t *testing.T) {
 	}
 	if got := ms.R.Gauge("queue.fwd.occupancy"); got != 3 {
 		t.Fatalf("occupancy gauge = %v, want 3", got)
+	}
+}
+
+// TestMetricsSinkFig5SnapshotGolden replays the committed fig5 event log
+// into a MetricsSink and compares the registry dump with
+// testdata/metrics_fig5.golden, which the sink that still formatted a
+// metric name per event wrote: resolving a flow's cells once must not
+// move a name or a value.
+func TestMetricsSinkFig5SnapshotGolden(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "fig5_drops3.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ms := NewMetricsSink()
+	Replay(mustDecode(t, f), ms)
+	golden := filepath.Join("testdata", "metrics_fig5.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(ms.R.Snapshot()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := ms.R.Snapshot(); got != string(want) {
+		t.Errorf("registry dump drifted from the golden\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// senderStream is the flow-scoped steady state of a run: what each of
+// ten senders publishes per ACK clock tick, plus a gauge sample.
+func senderStream() []Event {
+	var evs []Event
+	for flow := int32(0); flow < 10; flow++ {
+		evs = append(evs,
+			Event{Comp: CompSender, Kind: KAck, Flow: flow, Seq: 1000},
+			Event{Comp: CompSender, Kind: KCwnd, Flow: flow, A: 8.5},
+			Event{Comp: CompSender, Kind: KSend, Flow: flow, Seq: 9000},
+			Event{Comp: CompSender, Kind: KRetransmit, Flow: flow, Seq: 1000},
+			Event{Comp: CompSender, Kind: KSample, Src: "srtt", Flow: flow, A: 0.117},
+		)
+	}
+	return evs
+}
+
+func TestMetricsSinkFlowEventsDoNotAllocate(t *testing.T) {
+	ms := NewMetricsSink()
+	stream := senderStream()
+	Replay(stream, ms) // first sight of each flow resolves its cells
+	if avg := testing.AllocsPerRun(100, func() { Replay(stream, ms) }); avg != 0 {
+		t.Fatalf("MetricsSink.Emit allocates %.2f times per %d flow-scoped events in steady state, want 0", avg, len(stream))
+	}
+	if got := ms.R.Counter("sender.9.data_sent"); got != 102 {
+		t.Fatalf("sender.9.data_sent = %d, want 102", got)
+	}
+	if got := ms.R.Gauge("sender.3.sample_srtt"); got != 0.117 {
+		t.Fatalf("sender.3.sample_srtt = %v", got)
+	}
+}
+
+// BenchmarkMetricsSinkEmit is the per-event cost of folding the
+// flow-scoped stream (ten flows) into the registry.
+func BenchmarkMetricsSinkEmit(b *testing.B) {
+	ms := NewMetricsSink()
+	stream := senderStream()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms.Emit(stream[i%len(stream)])
 	}
 }

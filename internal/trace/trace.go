@@ -12,56 +12,32 @@ import (
 	"rrtcp/internal/telemetry"
 )
 
-// EventKind classifies a trace sample.
-type EventKind int
+// EventKind classifies a trace sample: it is the telemetry stream's
+// kind, under the names this package has always used for the twelve
+// kinds a trace records.
+type EventKind = telemetry.Kind
 
 // Trace sample kinds.
 const (
-	EvSend EventKind = iota + 1 // data segment transmitted (first time)
-	EvRetransmit
-	EvAckRecv   // ACK processed at the sender
-	EvDeliver   // in-order data delivered to the receiving app
-	EvTimeout   // retransmission timer expired
-	EvRecovery  // sender entered loss recovery (fast retransmit)
-	EvExit      // sender left loss recovery
-	EvCwnd      // congestion window sample
-	EvDupAck    // duplicate ACK processed
-	EvFlowDone  // application transfer completed
-	EvFurther   // RR detected a further loss inside recovery
-	EvPhaseFlip // RR retreat→probe transition
+	EvSend       = telemetry.KSend          // data segment transmitted (first time)
+	EvRetransmit = telemetry.KRetransmit    // data segment retransmitted
+	EvAckRecv    = telemetry.KAck           // ACK processed at the sender
+	EvDeliver    = telemetry.KDeliver       // in-order data delivered to the receiving app
+	EvTimeout    = telemetry.KTimeout       // retransmission timer expired
+	EvRecovery   = telemetry.KRecoveryEnter // sender entered loss recovery (fast retransmit)
+	EvExit       = telemetry.KRecoveryExit  // sender left loss recovery
+	EvCwnd       = telemetry.KCwnd          // congestion window sample
+	EvDupAck     = telemetry.KDupAck        // duplicate ACK processed
+	EvFlowDone   = telemetry.KFlowDone      // application transfer completed
+	EvFurther    = telemetry.KFurtherLoss   // RR detected a further loss inside recovery
+	EvPhaseFlip  = telemetry.KRetreatProbe  // RR retreat→probe transition
 )
 
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvSend:
-		return "send"
-	case EvRetransmit:
-		return "rtx"
-	case EvAckRecv:
-		return "ack"
-	case EvDeliver:
-		return "deliver"
-	case EvTimeout:
-		return "timeout"
-	case EvRecovery:
-		return "recovery"
-	case EvExit:
-		return "exit"
-	case EvCwnd:
-		return "cwnd"
-	case EvDupAck:
-		return "dupack"
-	case EvFlowDone:
-		return "done"
-	case EvFurther:
-		return "further-loss"
-	case EvPhaseFlip:
-		return "probe"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
+// recorded is the set of kinds OnEvent keeps, as a bit per kind; the
+// rest of the stream (actnum updates, substrate events) is not part of
+// a flow's sample series.
+const recorded uint64 = 1<<EvSend | 1<<EvRetransmit | 1<<EvAckRecv | 1<<EvDeliver | 1<<EvTimeout | 1<<EvRecovery |
+	1<<EvExit | 1<<EvCwnd | 1<<EvDupAck | 1<<EvFlowDone | 1<<EvFurther | 1<<EvPhaseFlip
 
 // Sample is one trace record.
 type Sample struct {
@@ -69,7 +45,9 @@ type Sample struct {
 	Kind EventKind
 	// Seq is the byte sequence number involved (send/rtx/ack/deliver).
 	Seq int64
-	// Value carries kind-specific data (cwnd in packets for EvCwnd).
+	// Value is the event's first attribute (telemetry.Event.A): cwnd in
+	// packets for EvCwnd, EvRecovery and EvExit, actnum for EvFurther
+	// and EvPhaseFlip, zero for the kinds that carry none.
 	Value float64
 }
 
@@ -131,46 +109,18 @@ func (t *FlowTrace) Add(at sim.Time, kind EventKind, seq int64, value float64) {
 	}
 }
 
-// Emit implements telemetry.Sink, making FlowTrace a subscriber of the
-// event bus rather than a parallel recording mechanism: the endpoints
-// publish unified telemetry events, and the trace maps the flow-scoped
-// ones onto its legacy sample kinds and counters. Events with no trace
-// equivalent (actnum updates, substrate events) are ignored, so the
-// per-flow sample series keeps its pre-telemetry shape.
+// Emit implements telemetry.Sink: a FlowTrace is a subscriber of the
+// event stream the endpoints publish, not a parallel recording
+// mechanism.
 func (t *FlowTrace) Emit(ev telemetry.Event) { t.OnEvent(ev) }
 
 var _ telemetry.Sink = (*FlowTrace)(nil)
 
-// OnEvent is the typed form of Emit; a nil receiver records nothing.
+// OnEvent is the typed form of Emit: it records the event if its kind
+// is one a trace keeps. A nil receiver records nothing.
 func (t *FlowTrace) OnEvent(ev telemetry.Event) {
-	if t == nil {
-		return
-	}
-	switch ev.Kind {
-	case telemetry.KSend:
-		t.Add(ev.At, EvSend, ev.Seq, 0)
-	case telemetry.KRetransmit:
-		t.Add(ev.At, EvRetransmit, ev.Seq, 0)
-	case telemetry.KAck:
-		t.Add(ev.At, EvAckRecv, ev.Seq, 0)
-	case telemetry.KDupAck:
-		t.Add(ev.At, EvDupAck, ev.Seq, 0)
-	case telemetry.KTimeout:
-		t.Add(ev.At, EvTimeout, ev.Seq, 0)
-	case telemetry.KCwnd:
-		t.Add(ev.At, EvCwnd, ev.Seq, ev.A)
-	case telemetry.KFlowDone:
-		t.Add(ev.At, EvFlowDone, ev.Seq, 0)
-	case telemetry.KDeliver:
-		t.Add(ev.At, EvDeliver, ev.Seq, 0)
-	case telemetry.KRecoveryEnter:
-		t.Add(ev.At, EvRecovery, ev.Seq, ev.A)
-	case telemetry.KRecoveryExit:
-		t.Add(ev.At, EvExit, ev.Seq, ev.A)
-	case telemetry.KFurtherLoss:
-		t.Add(ev.At, EvFurther, ev.Seq, ev.A-ev.B)
-	case telemetry.KRetreatProbe:
-		t.Add(ev.At, EvPhaseFlip, ev.Seq, ev.A)
+	if t != nil && recorded>>ev.Kind&1 != 0 {
+		t.Add(ev.At, ev.Kind, ev.Seq, ev.A)
 	}
 }
 
@@ -204,6 +154,23 @@ func (t *FlowTrace) SamplesOf(kind EventKind) []Sample {
 		}
 	}
 	return out
+}
+
+// Count returns how many samples of one kind were recorded, reading the
+// store in place.
+func (t *FlowTrace) Count(kind EventKind) int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, chunk := range t.samples.Chunks() {
+		for i := range chunk {
+			if chunk[i].Kind == kind {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Finished reports whether the flow's transfer completed, and when.
@@ -307,37 +274,11 @@ func RenderASCII(pts []Point, width, height int) string {
 	if len(pts) == 0 || width < 2 || height < 2 {
 		return "(no data)\n"
 	}
-	minX, maxX := pts[0].X, pts[0].X
-	minY, maxY := pts[0].Y, pts[0].Y
-	for _, p := range pts {
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.Y > maxY {
-			maxY = p.Y
-		}
+	marks := make([]telemetry.ScatterMark, len(pts))
+	for i, p := range pts {
+		marks[i] = telemetry.ScatterMark{X: p.X, Y: p.Y, Ch: '*'}
 	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	for _, p := range pts {
-		x := int((p.X - minX) / (maxX - minX) * float64(width-1))
-		y := int((p.Y - minY) / (maxY - minY) * float64(height-1))
-		grid[height-1-y][x] = '*'
-	}
+	grid, minX, maxX, minY, maxY := telemetry.Scatter(marks, width, height, false)
 	var b strings.Builder
 	fmt.Fprintf(&b, "y: %.1f..%.1f  x: %.2fs..%.2fs\n", minY, maxY, minX, maxX)
 	for _, row := range grid {

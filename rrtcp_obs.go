@@ -109,10 +109,13 @@ type (
 // telemetry bus. The zero FlowStatsConfig is valid (aggregates only).
 func NewFlowTable(cfg FlowStatsConfig) *FlowTable { return flowstats.New(cfg) }
 
-// FlowTableFromRecords replays decoded NDJSON records through a fresh
+// FlowTableFromRecords replays a decoded event log through a fresh
 // table — how `rrtrace flows` rebuilds the live /flows view offline.
-func FlowTableFromRecords(records []telemetry.Record, cfg FlowStatsConfig) *FlowTable {
-	return flowstats.FromRecords(records, cfg)
+func FlowTableFromRecords(events []TelemetryEvent, cfg FlowStatsConfig) *FlowTable {
+	t := flowstats.New(cfg)
+	telemetry.Replay(events, t)
+	t.Finalize()
+	return t
 }
 
 // --- spans, sampled series, and trace export ---
@@ -174,11 +177,19 @@ func NewSampler(s *Scheduler, bus *TelemetryBus, every Time) *Sampler {
 // NewLogHistogram returns an empty log-bucketed histogram.
 func NewLogHistogram() *LogHistogram { return stats.NewLogHistogram() }
 
-// AssembleSpans builds the span tree from decoded NDJSON records.
-func AssembleSpans(records []telemetry.Record) []*Span { return telemetry.AssembleSpans(records) }
+// AssembleSpans builds the span tree from a decoded event log.
+func AssembleSpans(events []TelemetryEvent) []*Span {
+	sink := telemetry.NewSpanSink()
+	telemetry.Replay(events, sink)
+	return sink.Spans()
+}
 
-// AssembleSeries builds sampled series from decoded NDJSON records.
-func AssembleSeries(records []telemetry.Record) []*Series { return telemetry.AssembleSeries(records) }
+// AssembleSeries builds sampled series from a decoded event log.
+func AssembleSeries(events []TelemetryEvent) []*Series {
+	sink := telemetry.NewSeriesSink()
+	telemetry.Replay(events, sink)
+	return sink.Series()
+}
 
 // RenderSpans formats a span tree as an indented text listing.
 func RenderSpans(spans []*Span) string { return telemetry.RenderSpans(spans) }

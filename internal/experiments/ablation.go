@@ -6,6 +6,7 @@ import (
 
 	"rrtcp/internal/core"
 	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
@@ -81,28 +82,25 @@ func NewAblationExperiment(drops int) Experiment {
 }
 
 func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) {
-	sched := sim.NewScheduler(seed)
-	loss := netem.NewSeqLoss(nil)
-	const mss = int64(1000)
+	lost := make([]int64, 0, drops+1)
 	for i := 0; i < drops; i++ {
-		loss.Drop(0, (60+int64(i))*mss)
+		lost = append(lost, 60+int64(i))
 	}
 	// A further loss hits a new data packet sent during recovery: with
 	// the window at ~13 packets when the burst hits, maxseq is ~73 at
 	// entry and the retreat sub-phase injects packets 73+, so drop one
 	// of those.
-	loss.Drop(0, 75*mss)
-
-	dcfg := netem.PaperDropTailConfig(1)
-	dcfg.Loss = loss
-	d, err := netem.NewDumbbell(sched, dcfg)
+	lost = append(lost, 75)
+	w, err := scenario.Build(seed, &scenario.Spec{
+		Loss: &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
+	})
 	if err != nil {
 		return AblationRow{}, err
 	}
 	opts := v.Options
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := w.Install(workload.FlowSpec{
 		Kind:            workload.RR,
-		Bytes:           150 * mss,
+		Bytes:           150 * 1000,
 		Window:          18,
 		InitialSSThresh: 9,
 		RROptions:       &opts,
@@ -110,13 +108,13 @@ func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) 
 	if err != nil {
 		return AblationRow{}, err
 	}
-	sched.Run(120 * time.Second)
+	w.Run(120 * time.Second)
 
 	row := AblationRow{
 		Variant:     v,
 		Timeouts:    flow.Trace.Timeouts,
 		Retransmits: flow.Trace.Retransmits,
-		ExitBurst:   exitBurst(flow, d),
+		ExitBurst:   exitBurst(flow, w.Net),
 	}
 	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
 	return row, nil

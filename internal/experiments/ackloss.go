@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/workload"
 )
@@ -118,33 +119,31 @@ func NewAckLossExperiment(cfg AckLossConfig) Experiment {
 }
 
 func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (ackLossOut, error) {
-	sched := sim.NewScheduler(seed)
-	dataLoss := netem.NewSeqLoss(nil)
-	const mss = int64(1000)
-	for i := 0; i < cfg.Drops; i++ {
-		dataLoss.Drop(0, (35+int64(i))*mss)
+	lost := make([]int64, cfg.Drops)
+	for i := range lost {
+		lost[i] = 35 + int64(i)
 	}
-	dcfg := netem.PaperDropTailConfig(1)
-	dcfg.ForwardQueue = netem.Must(netem.NewDropTail(100))
-	dcfg.Loss = dataLoss
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{
+		Topology: &scenario.TopologySpec{ForwardQueue: &scenario.QueueSpec{Limit: 100}},
+		Loss:     &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
+	})
 	if err != nil {
 		return ackLossOut{}, err
 	}
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := w.Install(workload.FlowSpec{
 		Kind:   kind,
-		Bytes:  int64(cfg.TransferPackets) * mss,
+		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 64,
 	})
 	if err != nil {
 		return ackLossOut{}, err
 	}
 	// Interpose the ACK dropper between the receiver and its uplink.
-	ackLoss := netem.NewUniformLoss(rate, sched.Rand(), d.ReceiverPort(0))
+	ackLoss := netem.NewUniformLoss(rate, w.Sched.Rand(), w.Net.ReceiverPort(0))
 	ackLoss.DropAcks = true
 	flow.Receiver.SetOutput(ackLoss)
 
-	sched.Run(120 * time.Second)
+	w.Run(120 * time.Second)
 	delay, ok := flow.Trace.TransferDelay()
 	return ackLossOut{Delay: delay, Timeouts: flow.Trace.Timeouts, Finished: ok}, nil
 }

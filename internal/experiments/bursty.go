@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
@@ -113,13 +113,11 @@ func NewBurstyExperiment(cfg BurstyConfig) Experiment {
 }
 
 func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (burstyOut, error) {
-	sched := sim.NewScheduler(seed)
-	pG2B, pB2G, err := netem.GilbertParams(cfg.MeanLossRate, burst)
-	if err != nil {
-		return burstyOut{}, err
+	if burst < 1 {
+		return burstyOut{}, fmt.Errorf("burst length %v: a loss burst is at least one packet", burst)
 	}
-	loss := netem.NewGilbertLoss(pG2B, pB2G, 1.0, sched.Rand(), nil)
-	flow, err := fixedRTTRun(sched, loss, 200*time.Millisecond, cfg.Duration, workload.FlowSpec{
+	loss := scenario.LossSpec{Rate: cfg.MeanLossRate, BurstLength: burst}
+	flow, err := fixedRTTRun(seed, loss, 200*time.Millisecond, cfg.Duration, workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  tcp.Infinite,
 		Window: 64,

@@ -13,6 +13,7 @@ import (
 	"rrtcp/internal/faults"
 	"rrtcp/internal/invariant"
 	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
@@ -105,7 +106,11 @@ func (l *liarStrategy) Ndup() int        { return 0 }
 // deterministic in the case value: identical inputs produce identical
 // outcomes, which is what makes repro bundles replayable.
 func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
-	return runChaosCase(c, telemetry.NewRing(chaosRingCap), nil)
+	out, err := runChaosCase(c, telemetry.NewRing(chaosRingCap), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // runChaosCase is RunChaosCase recording the repro tail into the
@@ -113,71 +118,61 @@ func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
 // with extra telemetry sinks subscribed to the run's private bus — the
 // hook the chaos sweep uses to fold flow lifecycle events into a
 // per-case flowstats table. The outcome does not alias the ring.
-func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (*ChaosOutcome, error) {
+func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (ChaosOutcome, error) {
 	kind, err := workload.ParseKind(c.Variant)
 	if err != nil {
-		return nil, err
+		return ChaosOutcome{}, err
 	}
 	if c.Bytes <= 0 {
-		return nil, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
+		return ChaosOutcome{}, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
 	}
 	if c.Horizon <= 0 {
-		return nil, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
+		return ChaosOutcome{}, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
 	}
 
-	sched := sim.NewScheduler(c.Seed)
+	w, err := scenario.Build(c.Seed, &scenario.Spec{}) // Table 3, one slot
+	if err != nil {
+		return ChaosOutcome{}, err
+	}
+	sched := w.Sched
 	ring.Reset()
 	bus := telemetry.NewBus(ring)
 	for _, s := range extra {
 		bus.Subscribe(s)
 	}
-	checker := invariant.NewChecker(sched, bus)
-	bus.Subscribe(checker)
-	// Stop the run at the first violation so the ring tail ends at the
-	// failure, making bundles maximally informative.
-	checker.OnViolation = func(invariant.Violation) { sched.Stop() }
-
-	dcfg := netem.PaperDropTailConfig(1)
-	d, err := netem.NewDumbbell(sched, dcfg)
-	if err != nil {
-		return nil, err
-	}
-	d.Instrument(bus)
-
 	spec := workload.FlowSpec{
 		Kind:      kind,
 		Bytes:     c.Bytes,
 		Window:    64,
 		Telemetry: bus,
 		NoTrace:   true, // nothing reads flow.Trace; the bus carries every event
-		OnDone:    func() { sched.Stop() },
+		OnDone:    sched.Stop,
 	}
 	if c.Breakage != "" {
 		healthy, err := spec.NewStrategy()
 		if err != nil {
-			return nil, err
+			return ChaosOutcome{}, err
 		}
 		broken, err := newBreakage(c, healthy)
 		if err != nil {
-			return nil, err
+			return ChaosOutcome{}, err
 		}
 		spec.Strategy = broken
 	}
-	flow, err := workload.Install(sched, d, 0, spec)
+	flow, err := w.Install(spec)
 	if err != nil {
-		return nil, err
+		return ChaosOutcome{}, err
 	}
-	checker.WatchSender(flow.Sender)
-	if err := checker.StartWatchdog(0, 0, 0); err != nil {
-		return nil, err
+	checker, err := supervise(&w, bus, &c.Plan, sched.DeriveRand("faults"))
+	if err != nil {
+		return ChaosOutcome{}, err
 	}
+	// Stop the run at the first violation so the ring tail ends at the
+	// failure, making bundles maximally informative.
+	checker.OnViolation = func(invariant.Violation) { sched.Stop() }
 
-	if err := c.Plan.Apply(sched, d, sched.DeriveRand("faults"), bus); err != nil {
-		return nil, err
-	}
-
-	sched.Run(c.Horizon.D())
-	out := &ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
+	w.Run(c.Horizon.D())
+	out := ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
 	if len(out.Violations) > 0 {
 		out.Events = ring.Events()
 	}

@@ -127,14 +127,14 @@ func TestChaosRecycledRingLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rings.put(ring)
-		if len(fresh.Events) == 0 || !reflect.DeepEqual(recycled, fresh) {
+		if len(fresh.Events) == 0 || !reflect.DeepEqual(recycled, *fresh) {
 			t.Fatalf("%s on a recycled ring: %d events, on a fresh ring %d", c.Breakage, len(recycled.Events), len(fresh.Events))
 		}
 		// The outcome owns its tail: reusing the ring must not rewrite it.
 		if _, err := runChaosCase(healthy, rings.get(), nil); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(recycled, fresh) {
+		if !reflect.DeepEqual(recycled, *fresh) {
 			t.Fatalf("%s outcome changed when its ring was reused", c.Breakage)
 		}
 	}
@@ -149,7 +149,7 @@ func TestChaosConcurrentJobsShareNothing(t *testing.T) {
 	healthy, wedge, actnum := sharingCases()
 	cases := []ChaosCase{healthy, wedge, actnum}
 	type run struct {
-		outs    []*ChaosOutcome
+		outs    []ChaosOutcome
 		streams [][]telemetry.Event
 	}
 	const workers = 4

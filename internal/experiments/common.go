@@ -1,9 +1,10 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Figure 5, Figure 6, Figure 7, Table 5), plus the
-// ACK-loss robustness scenario of Section 2.3. Each runner builds the
-// scenario from the substrate packages, executes it deterministically,
-// and returns structured results with a text rendering that mirrors
-// what the paper reports.
+// ACK-loss robustness scenario of Section 2.3. Each runner describes
+// its world as a scenario.Spec, has scenario.Build assemble it, installs
+// its flows and whatever else the run needs on the World it gets back,
+// executes it deterministically, and returns structured results with a
+// text rendering that mirrors what the paper reports.
 //
 // Every runner is an Experiment — Name, Jobs, Reduce — executed on the
 // internal/sweep worker pool, so its independent runs fan out across
@@ -17,12 +18,41 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
+	"rrtcp/internal/faults"
+	"rrtcp/internal/invariant"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
+	"rrtcp/internal/telemetry"
 	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
 )
+
+// supervise arms what the robustness experiments (chaos, stress) add to
+// a built world once its flows are installed: the invariant checker,
+// subscribed to bus after the caller's own sinks and watching every
+// sender, its liveness watchdog, and the fault plan. The flows must
+// publish to bus. The bottleneck is instrumented here rather than
+// through Spec.Telemetry, which would also attach the scheduler's
+// wall-clock profile: these runs record their stream (repro bundles,
+// kept/dropped counts), so it has to stay deterministic.
+func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng *rand.Rand) (*invariant.Checker, error) {
+	checker := invariant.NewChecker(w.Sched, bus)
+	bus.Subscribe(checker)
+	w.Net.Instrument(bus)
+	for _, f := range w.Flows {
+		checker.WatchSender(f.Sender)
+	}
+	if err := checker.StartWatchdog(0, 0, 0); err != nil {
+		return nil, err
+	}
+	if err := plan.Apply(w.Sched, w.Net, rng, bus); err != nil {
+		return nil, err
+	}
+	return checker, nil
+}
 
 // ackLossRate is the fraction of the flow's receiver-generated ACKs
 // that never reached its sender. Without delayed ACKs the receiver

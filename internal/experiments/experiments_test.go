@@ -440,12 +440,14 @@ func TestBurstyShape(t *testing.T) {
 }
 
 func TestFigure5TraceRunShowsRRPhases(t *testing.T) {
-	samples, err := figure5TraceRun(Figure5Config{Drops: 3}, workload.RR)
+	cfg := Figure5Config{Drops: 3}
+	cfg.fillDefaults()
+	flow, err := figure5World(cfg, workload.RR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawRecovery, sawProbe, sawExit bool
-	for _, s := range samples {
+	for _, s := range flow.Trace.Samples() {
 		switch s.Kind {
 		case trace.EvRecovery:
 			sawRecovery = true

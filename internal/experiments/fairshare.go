@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/workload"
 )
@@ -100,23 +101,16 @@ func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 }
 
 func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
-	sched := sim.NewScheduler(seed)
-	dcfg := netem.PaperDropTailConfig(1)
-	// Keep the forward path loss-free so the only impairment is the
-	// congested ACK path.
-	dcfg.ForwardQueue = netem.Must(netem.NewDropTail(100))
-	switch disc {
-	case "drr":
-		dcfg.ReverseQueue = netem.Must(netem.NewDRR(500, cfg.ReverseBuffer))
-	default:
-		dcfg.ReverseQueue = netem.Must(netem.NewDropTail(cfg.ReverseBuffer))
-	}
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+		// Keep the forward path loss-free so the only impairment is the
+		// congested ACK path.
+		ForwardQueue: &scenario.QueueSpec{Limit: 100},
+		ReverseQueue: &scenario.QueueSpec{Type: disc, Limit: cfg.ReverseBuffer, Quantum: 500},
+	}})
 	if err != nil {
 		return FairShareRow{}, err
 	}
-
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := w.Install(workload.FlowSpec{
 		Kind:   cfg.Variant,
 		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 18,
@@ -128,12 +122,12 @@ func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, e
 	// Background data saturating the reverse bottleneck. Flow ID 1000
 	// has no route at R1's demux, so the packets vanish after consuming
 	// reverse bandwidth and buffer — pure cross traffic.
-	cbr := netem.NewCBR(sched, 1000, cfg.CBRFraction*dcfg.BottleneckBps, 1000, d.ReverseLink())
+	cbr := netem.NewCBR(w.Sched, 1000, cfg.CBRFraction*w.Net.Config().BottleneckBps, 1000, w.Net.ReverseLink())
 	if err := cbr.Start(0); err != nil {
 		return FairShareRow{}, err
 	}
 
-	sched.Run(cfg.Horizon)
+	w.Run(cfg.Horizon)
 
 	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts, AckLossRate: ackLossRate(flow)}
 	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()

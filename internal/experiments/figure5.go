@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
@@ -189,11 +189,9 @@ func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 					sinks = append(sinks, ring)
 				}
 				sinks = append(sinks, tally.sinks()...)
-				var bus *telemetry.Bus
-				if len(sinks) > 0 {
-					bus = telemetry.NewBus(sinks...)
-				}
-				row, err := figure5Run(cfg, kind, bus)
+				// With no sink the bus is disabled, which the world and
+				// the flow treat exactly as no bus.
+				row, err := figure5Run(cfg, kind, telemetry.NewBus(sinks...))
 				if err != nil {
 					return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
 				}
@@ -229,32 +227,22 @@ func (e *Figure5Experiment) Reduce(results []any) (Renderable, error) {
 // figure5World builds one variant's burst-loss transfer, runs it to the
 // horizon, and returns the flow.
 func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*workload.Flow, error) {
-	sched := sim.NewScheduler(cfg.Seed)
-	loss := netem.NewSeqLoss(nil)
-	mss := int64(tcp.DefaultMSS)
-	for _, pk := range cfg.DropPacketNumbers() {
-		loss.Drop(0, pk*mss)
-	}
-
 	// Paper Table 3: 8-packet bottleneck buffer. The receiver window is
 	// sized to BDP (~10 packets) + buffer so the flow can fill the pipe
-	// without organic drops: the engineered SeqLoss pattern is then the
+	// without organic drops: the engineered drop pattern is then the
 	// only loss event, exactly as the paper's tuned background traffic
 	// arranged (DESIGN.md §3).
-	dcfg := netem.PaperDropTailConfig(1)
-	dcfg.Loss = loss
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(cfg.Seed, &scenario.Spec{
+		Loss:        &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: cfg.DropPacketNumbers()}}},
+		Telemetry:   bus,
+		SampleEvery: cfg.SampleEvery,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if bus.Enabled() {
-		d.Instrument(bus)
-		telemetry.AttachSchedulerProfile(sched, bus, 4096)
-	}
-
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := w.Install(workload.FlowSpec{
 		Kind:            kind,
-		Bytes:           int64(cfg.TransferPackets) * mss,
+		Bytes:           int64(cfg.TransferPackets) * int64(tcp.DefaultMSS),
 		Window:          18,
 		InitialSSThresh: 9,
 		Telemetry:       bus,
@@ -262,15 +250,7 @@ func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*w
 	if err != nil {
 		return nil, err
 	}
-	if bus.Enabled() {
-		sampler := telemetry.NewSampler(sched, bus, cfg.SampleEvery)
-		sampler.AddFlow(0, flow.Sender)
-		sampler.AddInstance(telemetry.CompQueue, "fwd", d.BottleneckQueue())
-		sampler.Start()
-	}
-
-	const horizon = 60 * time.Second
-	sched.Run(horizon)
+	w.Run(60 * time.Second)
 	return flow, nil
 }
 
@@ -297,17 +277,6 @@ func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figu
 		row.RecoveryGoodputBps = flow.Trace.GoodputBps(recs[0].At, doneAt)
 	}
 	return row, nil
-}
-
-// figure5TraceRun repeats one run and returns the raw trace samples,
-// for diagnostics and tests.
-func figure5TraceRun(cfg Figure5Config, kind workload.Kind) ([]trace.Sample, error) {
-	cfg.fillDefaults()
-	flow, err := figure5World(cfg, kind, nil)
-	if err != nil {
-		return nil, err
-	}
-	return flow.Trace.Samples(), nil
 }
 
 // Render returns the Figure 5 result as a text table.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/trace"
@@ -140,48 +141,38 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 }
 
 func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
-	sched := sim.NewScheduler(seed)
-	redCfg := netem.PaperREDConfig()
-	if cfg.RED != nil {
-		redCfg = *cfg.RED
-	}
-	red := netem.Must(netem.NewRED(redCfg, sched.Rand()))
-
-	dcfg := netem.PaperDropTailConfig(cfg.Flows)
-	dcfg.ForwardQueue = red
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+		Flows:        cfg.Flows,
+		ForwardQueue: &scenario.QueueSpec{Type: "red", RED: cfg.RED},
+	}})
 	if err != nil {
 		return Figure6Panel{}, err
 	}
-
-	specs := make([]workload.FlowSpec, cfg.Flows)
-	for i := range specs {
+	for i := 0; i < cfg.Flows; i++ {
 		start := sim.Time(0)
 		// The first five flows start at time 0; then one every 0.5 s.
 		if i >= 5 {
 			start = time.Duration(i-4) * 500 * time.Millisecond
 		}
-		specs[i] = workload.FlowSpec{
+		if _, err := w.Install(workload.FlowSpec{
 			Kind:    kind,
 			StartAt: start,
 			Bytes:   tcp.Infinite,
 			Window:  30,
+		}); err != nil {
+			return Figure6Panel{}, err
 		}
-	}
-	flows, err := workload.InstallAll(sched, d, specs)
-	if err != nil {
-		return Figure6Panel{}, err
 	}
 
 	// Bottleneck utilization: bits forwarded per 100 ms tick over the
 	// link capacity. The first tick only sets the baseline yet counts
 	// in the mean; the fig6 golden pins that definition.
 	const sampleEvery = 100 * time.Millisecond
-	link := d.ForwardLink()
+	link := w.Net.ForwardLink()
 	var firstTx, lastTx uint64
 	var ticks int
 	var tick *sim.Timer
-	tick = sched.NewTimer(func() {
+	tick = w.Sched.NewTimer(func() {
 		lastTx = link.TxBytes
 		if ticks == 0 {
 			firstTx = lastTx
@@ -189,27 +180,28 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 		ticks++
 		tick.Reset(sampleEvery)
 	})
-	if err := tick.At(sched.Now() + sampleEvery); err != nil {
+	if err := tick.At(w.Sched.Now() + sampleEvery); err != nil {
 		return Figure6Panel{}, err
 	}
 
-	sched.Run(cfg.Duration)
+	w.Run(cfg.Duration)
 
+	red := link.Queue().Discipline().(*netem.REDQueue)
 	panel := Figure6Panel{
 		Variant:        kind,
-		Flow0Seq:       flows[0].Trace.SeqSeries(int64(tcp.DefaultMSS)),
-		Flow0Timeouts:  float64(flows[0].Trace.Timeouts),
+		Flow0Seq:       w.Flows[0].Trace.SeqSeries(int64(tcp.DefaultMSS)),
+		Flow0Timeouts:  float64(w.Flows[0].Trace.Timeouts),
 		REDEarlyDrops:  red.EarlyDrops,
 		REDForcedDrops: red.ForcedDrops,
 	}
-	panel.Flow0GoodputBps = flows[0].Trace.GoodputBps(0, cfg.Duration)
-	panel.Flow0Packets = flows[0].Trace.BytesAcked / int64(tcp.DefaultMSS)
-	for _, f := range flows {
+	panel.Flow0GoodputBps = w.Flows[0].Trace.GoodputBps(0, cfg.Duration)
+	panel.Flow0Packets = w.Flows[0].Trace.BytesAcked / int64(tcp.DefaultMSS)
+	for _, f := range w.Flows {
 		panel.AggregateGoodputBps += f.Trace.GoodputBps(0, cfg.Duration)
 	}
 	if ticks > 0 {
 		bitsPerTick := float64(lastTx-firstTx) * 8 / float64(ticks)
-		panel.BottleneckUtilization = bitsPerTick / (dcfg.BottleneckBps * sampleEvery.Seconds())
+		panel.BottleneckUtilization = bitsPerTick / (w.Net.Config().BottleneckBps * sampleEvery.Seconds())
 	}
 	return panel, nil
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/model"
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/workload"
@@ -139,9 +139,7 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 }
 
 func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
-	sched := sim.NewScheduler(seed)
-	loss := netem.NewUniformLoss(p, sched.Rand(), nil)
-	flow, err := fixedRTTRun(sched, loss, cfg.RTT, cfg.Duration, workload.FlowSpec{
+	flow, err := fixedRTTRun(seed, scenario.LossSpec{Rate: p}, cfg.RTT, cfg.Duration, workload.FlowSpec{
 		Kind:  kind,
 		Bytes: tcp.Infinite,
 		// Large enough that the advertised window never binds: the
@@ -160,28 +158,32 @@ func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (f
 
 // fixedRTTRun runs one flow for duration over the Figure 7 topology: an
 // uncongested 10 Mbps bottleneck behind a deep buffer, so the given
-// injector is the only loss process and the RTT stays pinned at rtt.
-func fixedRTTRun(sched *sim.Scheduler, loss netem.Node, rtt, duration sim.Time, spec workload.FlowSpec) (*workload.Flow, error) {
+// loss process is the only one and the RTT stays pinned at rtt.
+func fixedRTTRun(seed int64, loss scenario.LossSpec, rtt, duration sim.Time, spec workload.FlowSpec) (*workload.Flow, error) {
 	// Side links contribute 2 ms per direction; the bottleneck carries
 	// the rest of the fixed RTT.
-	sideDelay := 1 * time.Millisecond
-	d, err := netem.NewDumbbell(sched, netem.DumbbellConfig{
-		Flows:           1,
-		BottleneckBps:   10e6,
-		BottleneckDelay: rtt/2 - 2*sideDelay,
-		SideBps:         100e6,
-		SideDelay:       sideDelay,
-		ForwardQueue:    netem.Must(netem.NewDropTail(1000)),
-		Loss:            loss,
+	const sideDelay = 1 * time.Millisecond
+	if rtt <= 4*sideDelay {
+		return nil, fmt.Errorf("fixed RTT %v leaves no bottleneck delay beyond the %v of side links", rtt, 4*sideDelay)
+	}
+	w, err := scenario.Build(seed, &scenario.Spec{
+		Topology: &scenario.TopologySpec{
+			BottleneckBps:   10e6,
+			BottleneckDelay: scenario.Duration(rtt/2 - 2*sideDelay),
+			SideBps:         100e6,
+			SideDelay:       scenario.Duration(sideDelay),
+			ForwardQueue:    &scenario.QueueSpec{Limit: 1000},
+		},
+		Loss: &loss,
 	})
 	if err != nil {
 		return nil, err
 	}
-	flow, err := workload.Install(sched, d, 0, spec)
+	flow, err := w.Install(spec)
 	if err != nil {
 		return nil, err
 	}
-	sched.Run(duration)
+	w.Run(duration)
 	return flow, nil
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/workload"
 )
@@ -101,13 +101,11 @@ func NewSmoothStartExperiment(cfg SmoothStartConfig) Experiment {
 }
 
 func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStartRow, error) {
-	sched := sim.NewScheduler(seed)
-	dcfg := netem.PaperDropTailConfig(1)
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{}) // Table 3 as is
 	if err != nil {
 		return SmoothStartRow{}, err
 	}
-	flow, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	flow, err := w.Install(workload.FlowSpec{
 		Kind:            cfg.Variant,
 		Bytes:           int64(cfg.TransferPackets) * 1000,
 		Window:          64,
@@ -119,19 +117,20 @@ func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStart
 	}
 
 	// Snapshot drops after the slow-start window.
+	queue := w.Net.BottleneckQueue()
 	var earlyDrops uint64
-	if err := sched.NewTimer(func() {
-		earlyDrops = d.BottleneckQueue().Drops
-	}).At(sched.Now() + time.Second); err != nil {
+	if err := w.Sched.NewTimer(func() {
+		earlyDrops = queue.Drops
+	}).At(w.Sched.Now() + time.Second); err != nil {
 		return SmoothStartRow{}, err
 	}
 
-	sched.Run(cfg.Horizon)
+	w.Run(cfg.Horizon)
 
 	row := SmoothStartRow{
 		Label:          smoothStartLabel(smooth),
 		SlowStartDrops: earlyDrops,
-		TotalDrops:     d.BottleneckQueue().Drops,
+		TotalDrops:     queue.Drops,
 	}
 	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
 	return row, nil

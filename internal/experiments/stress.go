@@ -9,8 +9,7 @@ import (
 
 	"rrtcp/internal/faults"
 	"rrtcp/internal/guard"
-	"rrtcp/internal/invariant"
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/sweep"
 	"rrtcp/internal/telemetry"
@@ -147,7 +146,18 @@ func (e *CellOverload) Unwrap() error { return e.Err }
 // shared dumbbell under a seeded-random fault plan, watched by the
 // invariant checker and guarded by the configured budgets.
 func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) {
-	sched := sim.NewScheduler(seed)
+	// The paper topology, scaled up: the bottleneck (Table 3's 0.8 Mbps)
+	// grows with the flow count so the cell is congested but not parked,
+	// and the shared buffer deepens with the fan-in.
+	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+		Flows:         cfg.Flows,
+		BottleneckBps: 0.8e6 * max(float64(cfg.Flows)/4, 1),
+		ForwardQueue:  &scenario.QueueSpec{Limit: 8 + cfg.Flows},
+	}})
+	if err != nil {
+		return StressCell{}, err
+	}
+	sched := w.Sched
 	ring := telemetry.NewRing(256)
 	bounded := telemetry.NewBoundedSink(ring, telemetry.BoundedConfig{
 		MaxEvents: cfg.TelemetryBudget,
@@ -159,47 +169,21 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 	for _, s := range tally.sinks() {
 		bus.Subscribe(s)
 	}
-	checker := invariant.NewChecker(sched, bus)
-	bus.Subscribe(checker)
-
-	// The paper topology, scaled up: the bottleneck grows with the flow
-	// count so the cell is congested but not parked, and the shared
-	// buffer deepens with the fan-in.
-	dcfg := netem.PaperDropTailConfig(cfg.Flows)
-	if scale := float64(cfg.Flows) / 4; scale > 1 {
-		dcfg.BottleneckBps *= scale
-	}
-	dcfg.ForwardQueue = netem.Must(netem.NewDropTail(8 + cfg.Flows))
-	d, err := netem.NewDumbbell(sched, dcfg)
-	if err != nil {
-		return StressCell{}, err
-	}
-	d.Instrument(bus)
-
-	specs := make([]workload.FlowSpec, cfg.Flows)
-	for i := range specs {
-		specs[i] = workload.FlowSpec{
+	for i := 0; i < cfg.Flows; i++ {
+		if _, err := w.Install(workload.FlowSpec{
 			Kind:      cfg.Variants[i%len(cfg.Variants)],
 			StartAt:   sim.Time(i) * 5 * time.Millisecond,
 			Bytes:     cfg.Bytes,
 			Window:    32,
 			Telemetry: bus,
 			NoTrace:   true, // nothing reads flow.Trace; the bus carries every event
+		}); err != nil {
+			return StressCell{}, err
 		}
 	}
-	flows, err := workload.InstallAll(sched, d, specs)
+	plan := faults.RandomPlanSpec(sched.DeriveRand("stress-plan"), cfg.Horizon, w.Net.Config())
+	checker, err := supervise(&w, bus, &plan, sched.DeriveRand("stress-faults"))
 	if err != nil {
-		return StressCell{}, err
-	}
-	for _, f := range flows {
-		checker.WatchSender(f.Sender)
-	}
-	if err := checker.StartWatchdog(0, 0, 0); err != nil {
-		return StressCell{}, err
-	}
-
-	plan := faults.RandomPlanSpec(sched.DeriveRand("stress-plan"), cfg.Horizon, dcfg)
-	if err := plan.Apply(sched, d, sched.DeriveRand("stress-faults"), bus); err != nil {
 		return StressCell{}, err
 	}
 
@@ -213,7 +197,7 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 		return StressCell{}, err
 	}
 
-	sched.Run(cfg.Horizon)
+	w.Run(cfg.Horizon)
 	bounded.Finalize(sched.Now())
 
 	cell := StressCell{
@@ -224,7 +208,7 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 		TelemetryKept:    bounded.Kept(),
 		TelemetryDropped: bounded.Dropped(),
 	}
-	for _, f := range flows {
+	for _, f := range w.Flows {
 		if f.Sender.Done() {
 			cell.Finished++
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/stats"
 	"rrtcp/internal/tcp"
@@ -147,46 +147,44 @@ func NewTable5Experiment(cfg Table5Config) Experiment {
 }
 
 func table5Run(cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
-	sched := sim.NewScheduler(seed)
-	dcfg := netem.PaperDropTailConfig(cfg.Flows)
-	dcfg.ForwardQueue = netem.Must(netem.NewDropTail(25)) // paper §5: buffer raised to 25
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+		Flows:        cfg.Flows,
+		ForwardQueue: &scenario.QueueSpec{Limit: 25}, // paper §5: buffer raised to 25
+	}})
 	if err != nil {
 		return Table5Row{}, err
 	}
-
-	specs := make([]workload.FlowSpec, cfg.Flows)
 	for i := 0; i < cfg.Flows-1; i++ {
 		// A drop-tail dumbbell is fully deterministic, so averaging over
 		// seeds only helps if the seed perturbs something: jitter each
 		// background start by up to 100 ms to vary the queue phase.
-		jitter := time.Duration(sched.Rand().Int63n(int64(100 * time.Millisecond)))
-		specs[i] = workload.FlowSpec{
+		jitter := time.Duration(w.Sched.Rand().Int63n(int64(100 * time.Millisecond)))
+		if _, err := w.Install(workload.FlowSpec{
 			Kind:    tc.Background,
 			StartAt: time.Duration(i)*cfg.StaggerInterval + jitter,
 			Bytes:   tcp.Infinite,
 			Window:  30,
 			NoTrace: true, // only the targeted flow's trace is read
+		}); err != nil {
+			return Table5Row{}, err
 		}
 	}
-	target := cfg.Flows - 1
-	specs[target] = workload.FlowSpec{
+	target, err := w.Install(workload.FlowSpec{
 		Kind:    tc.Target,
 		StartAt: cfg.TargetStart,
 		Bytes:   cfg.TargetBytes,
 		Window:  30,
 		// Stop the run as soon as the targeted transfer completes; only
 		// the targeted flow is measured.
-		OnDone: sched.Stop,
-	}
-	flows, err := workload.InstallAll(sched, d, specs)
+		OnDone: w.Sched.Stop,
+	})
 	if err != nil {
 		return Table5Row{}, err
 	}
-	sched.Run(cfg.Horizon)
+	w.Run(cfg.Horizon)
 
-	row := Table5Row{Case: tc, LossRate: flows[target].Trace.LossRate()}
-	if delay, ok := flows[target].Trace.TransferDelay(); ok {
+	row := Table5Row{Case: tc, LossRate: target.Trace.LossRate()}
+	if delay, ok := target.Trace.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 		row.GoodputBps = float64(cfg.TargetBytes) * 8 / delay.Seconds()

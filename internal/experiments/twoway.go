@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"rrtcp/internal/netem"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/stats"
 	"rrtcp/internal/tcp"
@@ -133,18 +133,17 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 }
 
 func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
-	sched := sim.NewScheduler(seed)
-	dcfg := netem.PaperDropTailConfig(cfg.ReverseFlows + 1)
-	// Both directions congested: Table 3's 8-packet buffer forward, a
-	// small shared buffer on the reverse path so ACKs compete with the
-	// opposing data for real.
-	dcfg.ReverseQueue = netem.Must(netem.NewDropTail(cfg.ReverseBuffer))
-	d, err := netem.NewDumbbell(sched, dcfg)
+	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+		Flows: cfg.ReverseFlows + 1,
+		// Both directions congested: Table 3's 8-packet buffer forward, a
+		// small shared buffer on the reverse path so ACKs compete with the
+		// opposing data for real.
+		ReverseQueue: &scenario.QueueSpec{Limit: cfg.ReverseBuffer},
+	}})
 	if err != nil {
 		return twoWayOut{}, err
 	}
-
-	fwd, err := workload.Install(sched, d, 0, workload.FlowSpec{
+	fwd, err := w.Install(workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 18,
@@ -152,9 +151,9 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, err
 	if err != nil {
 		return twoWayOut{}, err
 	}
-	for i := 1; i <= cfg.ReverseFlows; i++ {
-		jitter := time.Duration(sched.Rand().Int63n(int64(200 * time.Millisecond)))
-		if _, err := workload.InstallReverse(sched, d, i, workload.FlowSpec{
+	for i := 0; i < cfg.ReverseFlows; i++ {
+		jitter := time.Duration(w.Sched.Rand().Int63n(int64(200 * time.Millisecond)))
+		if _, err := w.InstallReverse(workload.FlowSpec{
 			Kind:    workload.Reno,
 			Bytes:   tcp.Infinite,
 			Window:  18,
@@ -165,7 +164,7 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, err
 		}
 	}
 
-	sched.Run(cfg.Horizon)
+	w.Run(cfg.Horizon)
 
 	out := twoWayOut{Timeouts: fwd.Trace.Timeouts, AckLoss: ackLossRate(fwd)}
 	out.Delay, out.Finished = fwd.Trace.TransferDelay()

@@ -25,7 +25,8 @@ import (
 )
 
 // Duration wraps time.Duration with JSON encoding as a string ("50ms"),
-// so fault plans round-trip through repro bundles legibly.
+// so fault plans round-trip through repro bundles legibly; scenario
+// files use it too (scenario.Duration is this type).
 type Duration time.Duration
 
 // MarshalJSON implements json.Marshaler.
@@ -40,14 +41,14 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err == nil {
 		parsed, err := time.ParseDuration(s)
 		if err != nil {
-			return fmt.Errorf("faults: duration %q: %w", s, err)
+			return fmt.Errorf("duration %q: %w", s, err)
 		}
 		*d = Duration(parsed)
 		return nil
 	}
 	var ns int64
 	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("faults: duration must be a string like \"50ms\" or nanoseconds")
+		return fmt.Errorf("duration must be a string like \"50ms\" or nanoseconds")
 	}
 	*d = Duration(ns)
 	return nil

@@ -1,16 +1,20 @@
-// Package scenario loads and runs user-described simulations from JSON
-// files: topology, queue disciplines, loss injection, and a list of
-// flows. It is the glue that lets rrsim run arbitrary experiments
-// beyond the paper's fixed tables and figures.
+// Package scenario is the one place a simulated world is assembled. A
+// Spec describes it — topology, queue disciplines, loss injection,
+// telemetry, optionally the flows — and Build turns the description into
+// a World of scheduler, dumbbell and installed flows. Every experiment
+// cell builds its world from a Spec literal; rrsim run loads the same
+// Spec from a JSON file, flows and duration included, and runs it.
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"rrtcp/internal/faults"
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
@@ -18,33 +22,9 @@ import (
 	"rrtcp/internal/workload"
 )
 
-// Duration wraps time.Duration with JSON encoding as a string ("50ms").
-type Duration time.Duration
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON implements json.Unmarshaler; accepts "50ms" strings or
-// raw nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		parsed, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("scenario: duration %q: %w", s, err)
-		}
-		*d = Duration(parsed)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("scenario: duration must be a string like \"50ms\" or nanoseconds")
-	}
-	*d = Duration(ns)
-	return nil
-}
+// Duration is a time.Duration that reads and writes as a "50ms" string
+// in JSON; fault plans use the same type.
+type Duration = faults.Duration
 
 // QueueSpec selects a queue discipline.
 type QueueSpec struct {
@@ -58,36 +38,43 @@ type QueueSpec struct {
 	RED *netem.REDConfig `json:"red,omitempty"`
 }
 
-func (q *QueueSpec) build(sched *sim.Scheduler) (netem.QueueDiscipline, error) {
-	limit := q.Limit
-	if limit < 0 {
-		return nil, fmt.Errorf("scenario: negative queue limit %d", limit)
-	}
-	if limit == 0 {
-		limit = 8 // unset: the Table 3 default
+// check reports a queue spec Build could not honour; path is the JSON
+// path of q for the error message. An absent spec is the default queue.
+func (q *QueueSpec) check(path string) error {
+	if q == nil {
+		return nil
 	}
 	switch q.Type {
-	case "", "droptail", "fifo":
-		return netem.NewDropTail(limit)
-	case "red":
+	case "", "droptail", "fifo", "red", "drr":
+	default:
+		return fmt.Errorf("scenario: %s.type: unknown queue type %q", path, q.Type)
+	}
+	if q.Limit < 0 {
+		return fmt.Errorf("scenario: %s.limit: negative buffer size %d", path, q.Limit)
+	}
+	if q.Quantum < 0 {
+		return fmt.Errorf("scenario: %s.quantum: negative DRR quantum %d", path, q.Quantum)
+	}
+	return nil
+}
+
+// build constructs the discipline of a spec that has passed check.
+func (q *QueueSpec) build(sched *sim.Scheduler) (netem.QueueDiscipline, error) {
+	if q.Type == "red" {
 		cfg := netem.PaperREDConfig()
 		if q.RED != nil {
 			cfg = *q.RED
 		}
-		cfg.Limit = limit
+		// An unset limit keeps the RED configuration's own buffer (25 in
+		// Table 4): the drop-tail default of 8 sits below RED's thresholds.
+		cfg.Limit = cmp.Or(q.Limit, cfg.Limit)
 		return netem.NewRED(cfg, sched.Rand())
-	case "drr":
-		quantum := q.Quantum
-		if quantum < 0 {
-			return nil, fmt.Errorf("scenario: negative DRR quantum %d", quantum)
-		}
-		if quantum == 0 {
-			quantum = 1000
-		}
-		return netem.NewDRR(quantum, limit)
-	default:
-		return nil, fmt.Errorf("scenario: unknown queue type %q", q.Type)
 	}
+	limit := cmp.Or(q.Limit, 8) // unset: the Table 3 default
+	if q.Type == "drr" {
+		return netem.NewDRR(cmp.Or(q.Quantum, 1000), limit)
+	}
+	return netem.NewDropTail(limit)
 }
 
 // TopologySpec describes the dumbbell.
@@ -107,16 +94,17 @@ type LossSpec struct {
 	Rate float64 `json:"rate,omitempty"`
 	// DropAcks extends random loss to ACKs.
 	DropAcks bool `json:"dropAcks,omitempty"`
-	// BurstLength, when > 1 together with Rate, switches to a
+	// BurstLength, when set (>= 1) together with Rate, switches to a
 	// Gilbert-Elliott channel with the given mean loss-burst length at
 	// the same stationary rate.
 	BurstLength float64 `json:"burstLength,omitempty"`
-	// Drops lists deterministic per-flow packet-number drops.
+	// Drops lists deterministic per-flow packet-number drops; it cannot
+	// be combined with Rate.
 	Drops []FlowDrops `json:"drops,omitempty"`
 }
 
 // gilbert reports whether the spec selects the Gilbert-Elliott channel.
-func (l *LossSpec) gilbert() bool { return l.Rate > 0 && l.BurstLength > 1 }
+func (l *LossSpec) gilbert() bool { return l.Rate > 0 && l.BurstLength >= 1 }
 
 // FlowDrops pins deterministic losses for one flow.
 type FlowDrops struct {
@@ -220,7 +208,8 @@ func LoadFile(path string) (*Spec, error) {
 	return Load(f)
 }
 
-// Validate checks the spec for obvious mistakes.
+// Validate checks a complete scenario — one that lists its own flows and
+// its own duration — for mistakes; errors name the JSON path at fault.
 func (s *Spec) Validate() error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("scenario: duration must be positive")
@@ -228,78 +217,118 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("scenario: at least one flow required")
 	}
+	return s.check()
+}
+
+// slots is the number of S_i/K_i host pairs the topology gets.
+func (s *Spec) slots() int {
+	if s.Topology != nil && s.Topology.Flows > 0 {
+		return s.Topology.Flows
+	}
+	return cmp.Or(len(s.Flows), 1)
+}
+
+// check is the part of Validate that also holds for a spec whose flows
+// are installed after Build and whose horizon is World.Run's argument.
+func (s *Spec) check() error {
 	for i, f := range s.Flows {
 		if _, err := workload.ParseKind(f.Kind); err != nil {
-			return fmt.Errorf("scenario: flow %d: %w", i, err)
+			return fmt.Errorf("scenario: flows[%d].kind: %w", i, err)
+		}
+		if f.Bytes < tcp.Infinite {
+			return fmt.Errorf("scenario: flows[%d].bytes: negative transfer size %d (0 or -1 is unbounded)", i, f.Bytes)
+		}
+		if f.Packets < 0 {
+			return fmt.Errorf("scenario: flows[%d].packets: negative transfer size %d", i, f.Packets)
+		}
+		if f.StartAt < 0 {
+			return fmt.Errorf("scenario: flows[%d].startAt: negative start time %v", i, time.Duration(f.StartAt))
 		}
 	}
-	if s.Topology != nil {
-		if s.Topology.Flows > 0 && s.Topology.Flows < len(s.Flows) {
-			return fmt.Errorf("scenario: topology has %d slots for %d flows",
-				s.Topology.Flows, len(s.Flows))
+	if t := s.Topology; t != nil {
+		if t.Flows > 0 && t.Flows < len(s.Flows) {
+			return fmt.Errorf("scenario: topology.flows: %d slots for %d flows", t.Flows, len(s.Flows))
 		}
-		if s.Topology.BottleneckBps < 0 || s.Topology.SideBps < 0 {
-			return fmt.Errorf("scenario: negative bandwidth")
+		if t.BottleneckBps < 0 || t.SideBps < 0 || t.BottleneckDelay < 0 || t.SideDelay < 0 {
+			return fmt.Errorf("scenario: topology: negative link bandwidth or delay")
+		}
+		if err := t.ForwardQueue.check("topology.forwardQueue"); err != nil {
+			return err
+		}
+		if err := t.ReverseQueue.check("topology.reverseQueue"); err != nil {
+			return err
 		}
 	}
 	if l := s.Loss; l != nil {
 		if l.Rate < 0 || l.Rate > 1 {
-			return fmt.Errorf("scenario: loss rate %v outside [0,1]", l.Rate)
+			return fmt.Errorf("scenario: loss.rate: %v outside [0,1]", l.Rate)
 		}
-		if l.gilbert() {
+		if l.Rate > 0 && len(l.Drops) > 0 {
+			return fmt.Errorf("scenario: loss.drops: cannot be combined with loss.rate")
+		}
+		if l.BurstLength != 0 {
+			if l.Rate == 0 {
+				return fmt.Errorf("scenario: loss.burstLength: needs loss.rate")
+			}
 			if _, _, err := netem.GilbertParams(l.Rate, l.BurstLength); err != nil {
-				return fmt.Errorf("scenario: loss: %w", err)
+				return fmt.Errorf("scenario: loss.burstLength: %w", err)
+			}
+		}
+		// A spec that lists its flows has exactly those; otherwise any
+		// slot may be filled after Build.
+		flows := cmp.Or(len(s.Flows), s.slots())
+		for i, fd := range l.Drops {
+			if fd.Flow < 0 || fd.Flow >= flows {
+				return fmt.Errorf("scenario: loss.drops[%d].flow: no flow %d (flows are 0..%d)", i, fd.Flow, flows-1)
 			}
 		}
 	}
 	return nil
 }
 
-// Run executes the scenario and returns its report.
-func (s *Spec) Run() (*Report, error) {
-	return s.RunWithTrace(nil)
+// World is a built simulation: the scheduler, the dumbbell and the
+// flows installed on it so far. Anything a run needs beyond what a Spec
+// describes — a timer, a cross-traffic source, an interposed node, a
+// checker — is attached to Sched and Net between Build and Run.
+type World struct {
+	Sched *sim.Scheduler
+	Net   *netem.Dumbbell
+	// Flows holds the installed connections; a flow's index is its slot
+	// in the topology and its flow ID.
+	Flows []*workload.Flow
+
+	sampler *telemetry.Sampler // nil unless the spec samples gauges
 }
 
-// RunWithTrace executes the scenario and additionally streams flow 0's
-// event trace as CSV to w (when non-nil).
-func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
+// Build assembles the world a spec describes on a scheduler seeded with
+// seed: topology, queue disciplines, loss injector, telemetry wiring,
+// and the spec's own flows if it lists any. A spec with no topology is
+// the paper's Table 3 dumbbell; with no flows either, it has one slot.
+// Spec.Seed, Name and Duration are the caller's to apply.
+func Build(seed int64, s *Spec) (World, error) {
+	if err := s.check(); err != nil {
+		return World{}, err
 	}
 	sched := sim.NewScheduler(seed)
 
-	dcfg := netem.PaperDropTailConfig(len(s.Flows))
+	dcfg := netem.PaperDropTailConfig(s.slots())
 	if t := s.Topology; t != nil {
-		if t.Flows > 0 {
-			dcfg.Flows = t.Flows
-		}
-		if t.BottleneckBps > 0 {
-			dcfg.BottleneckBps = t.BottleneckBps
-		}
-		if t.BottleneckDelay > 0 {
-			dcfg.BottleneckDelay = time.Duration(t.BottleneckDelay)
-		}
-		if t.SideBps > 0 {
-			dcfg.SideBps = t.SideBps
-		}
-		if t.SideDelay > 0 {
-			dcfg.SideDelay = time.Duration(t.SideDelay)
-		}
+		// Unset (zero) keeps Table 3; check rejected negatives.
+		dcfg.BottleneckBps = cmp.Or(t.BottleneckBps, dcfg.BottleneckBps)
+		dcfg.BottleneckDelay = cmp.Or(time.Duration(t.BottleneckDelay), dcfg.BottleneckDelay)
+		dcfg.SideBps = cmp.Or(t.SideBps, dcfg.SideBps)
+		dcfg.SideDelay = cmp.Or(time.Duration(t.SideDelay), dcfg.SideDelay)
 		if t.ForwardQueue != nil {
 			q, err := t.ForwardQueue.build(sched)
 			if err != nil {
-				return nil, err
+				return World{}, err
 			}
 			dcfg.ForwardQueue = q
 		}
 		if t.ReverseQueue != nil {
 			q, err := t.ReverseQueue.build(sched)
 			if err != nil {
-				return nil, err
+				return World{}, err
 			}
 			dcfg.ReverseQueue = q
 		}
@@ -307,10 +336,7 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 	if l := s.Loss; l != nil {
 		switch {
 		case l.gilbert():
-			pG2B, pB2G, err := netem.GilbertParams(l.Rate, l.BurstLength)
-			if err != nil {
-				return nil, err
-			}
+			pG2B, pB2G, _ := netem.GilbertParams(l.Rate, l.BurstLength) // check derived them once already
 			dcfg.Loss = netem.NewGilbertLoss(pG2B, pB2G, 1.0, sched.Rand(), nil)
 		case l.Rate > 0:
 			u := netem.NewUniformLoss(l.Rate, sched.Rand(), nil)
@@ -332,61 +358,96 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 
 	d, err := netem.NewDumbbell(sched, dcfg)
 	if err != nil {
-		return nil, err
+		return World{}, err
 	}
+	w := World{Sched: sched, Net: d, Flows: make([]*workload.Flow, 0, dcfg.Flows)}
 	if s.Telemetry.Enabled() {
 		d.Instrument(s.Telemetry)
 		telemetry.AttachSchedulerProfile(sched, s.Telemetry, 4096)
+		w.sampler = telemetry.NewSampler(sched, s.Telemetry, s.SampleEvery)
+		w.sampler.AddInstance(telemetry.CompQueue, "fwd", d.BottleneckQueue())
 	}
 
-	flows := make([]*workload.Flow, 0, len(s.Flows))
-	for i, fs := range s.Flows {
-		kind, err := workload.ParseKind(fs.Kind)
-		if err != nil {
-			return nil, err
-		}
-		bytes := fs.Bytes
-		if fs.Packets > 0 {
-			bytes = fs.Packets * int64(tcp.DefaultMSS)
-		}
-		if bytes == 0 {
-			bytes = tcp.Infinite
-		}
-		spec := workload.FlowSpec{
-			Kind:            kind,
-			Bytes:           bytes,
-			StartAt:         time.Duration(fs.StartAt),
-			Window:          fs.Window,
-			InitialSSThresh: fs.SSThresh,
-			DelayedAck:      fs.DelayedAck,
-			SmoothStart:     fs.SmoothStart,
-			Telemetry:       s.Telemetry,
-		}
-		var flow *workload.Flow
+	for _, fs := range s.Flows {
+		spec := fs.workload(s.Telemetry)
 		if fs.Reverse {
-			flow, err = workload.InstallReverse(sched, d, i, spec)
+			_, err = w.InstallReverse(spec)
 		} else {
-			flow, err = workload.Install(sched, d, i, spec)
+			_, err = w.Install(spec)
 		}
 		if err != nil {
-			return nil, err
+			return World{}, err
 		}
-		flows = append(flows, flow)
 	}
+	return w, nil
+}
 
-	if s.SampleEvery > 0 {
-		sampler := telemetry.NewSampler(sched, s.Telemetry, s.SampleEvery)
-		for i, flow := range flows {
-			sampler.AddFlow(int32(i), flow.Sender)
-		}
-		sampler.AddInstance(telemetry.CompQueue, "fwd", d.BottleneckQueue())
-		sampler.Start()
+// workload converts the JSON flow description to the installer's.
+func (fs *FlowSpec) workload(bus *telemetry.Bus) workload.FlowSpec {
+	kind, _ := workload.ParseKind(fs.Kind) // check parsed it once already
+	bytes := fs.Bytes
+	if fs.Packets > 0 {
+		bytes = fs.Packets * int64(tcp.DefaultMSS)
 	}
+	return workload.FlowSpec{
+		Kind:            kind,
+		Bytes:           bytes, // 0 is unbounded, as the installer reads it
+		StartAt:         time.Duration(fs.StartAt),
+		Window:          fs.Window,
+		InitialSSThresh: fs.SSThresh,
+		DelayedAck:      fs.DelayedAck,
+		SmoothStart:     fs.SmoothStart,
+		Telemetry:       bus,
+	}
+}
 
-	sched.Run(time.Duration(s.Duration))
+// Install wires a flow into the next free slot of the dumbbell, sender
+// on the S side, and schedules its start.
+func (w *World) Install(spec workload.FlowSpec) (*workload.Flow, error) {
+	return w.installed(workload.Install(w.Sched, w.Net, len(w.Flows), spec))
+}
 
-	if w != nil && len(flows) > 0 {
-		if err := flows[0].Trace.WriteCSV(w); err != nil {
+// InstallReverse is Install with the sender on the K side: the flow's
+// data crosses the reverse bottleneck and its ACKs the forward one.
+func (w *World) InstallReverse(spec workload.FlowSpec) (*workload.Flow, error) {
+	return w.installed(workload.InstallReverse(w.Sched, w.Net, len(w.Flows), spec))
+}
+
+func (w *World) installed(flow *workload.Flow, err error) (*workload.Flow, error) {
+	if err != nil {
+		return nil, err
+	}
+	w.sampler.AddFlow(int32(len(w.Flows)), flow.Sender)
+	w.Flows = append(w.Flows, flow)
+	return flow, nil
+}
+
+// Run starts the gauge sampler, if the spec asked for one, and runs the
+// simulation until the horizon, a Stop, or a tripped guard.
+func (w *World) Run(horizon sim.Time) {
+	w.sampler.Start()
+	w.Sched.Run(horizon)
+}
+
+// Run executes the scenario and returns its report.
+func (s *Spec) Run() (*Report, error) {
+	return s.RunWithTrace(nil)
+}
+
+// RunWithTrace executes the scenario and additionally streams flow 0's
+// event trace as CSV to w (when non-nil).
+func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	world, err := Build(cmp.Or(s.Seed, 1), s)
+	if err != nil {
+		return nil, err
+	}
+	world.Run(time.Duration(s.Duration))
+
+	if w != nil {
+		if err := world.Flows[0].Trace.WriteCSV(w); err != nil {
 			return nil, err
 		}
 	}
@@ -394,9 +455,9 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 	rep := &Report{
 		Name:            s.Name,
 		DurationSeconds: time.Duration(s.Duration).Seconds(),
-		BottleneckDrops: d.BottleneckQueue().Drops,
+		BottleneckDrops: world.Net.BottleneckQueue().Drops,
 	}
-	for i, flow := range flows {
+	for i, flow := range world.Flows {
 		fr := FlowReport{
 			Flow:        i,
 			Kind:        flow.Spec.Kind.String(),

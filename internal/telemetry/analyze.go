@@ -49,8 +49,11 @@ func (e Episode) ProbeDur() float64 {
 	return e.End - e.ProbeAt
 }
 
-// FlowSummary aggregates one flow's events.
+// FlowSummary aggregates one flow's events within one stream segment: a
+// republished multi-run log numbers every run's flows from 0, so the
+// same id in another segment is another connection.
 type FlowSummary struct {
+	Seg         int
 	Flow        int32
 	Variant     string // from the flow-start lifecycle event, "" in older logs
 	Sends       int
@@ -159,7 +162,7 @@ type LogSummary struct {
 	// aggregates) rather than the full per-flow streams.
 	FlowsStarted   int
 	FlowsCompleted int
-	Flows          []FlowSummary        // sorted by flow id
+	Flows          []FlowSummary        // sorted by segment, then flow id
 	Queues         []QueueDrops         // sorted by comp then src
 	Samples        []SampleStats        // sorted by comp, src, flow
 	Sweeps         []SweepStats         // in log order
@@ -169,21 +172,27 @@ type LogSummary struct {
 }
 
 // Summarize reconstructs per-flow recovery episodes and per-queue drop
-// counts from an event log.
+// counts from an event log. Flow rows and episodes are per segment (see
+// Segmenter); drops, sampled series and the rest are whole-log totals.
 func Summarize(events []Event) LogSummary {
 	sum := LogSummary{Events: len(events)}
-	flows := map[int32]*FlowSummary{}
-	open := map[int32]*Episode{} // in-progress episode per flow
+	type segFlow struct {
+		seg  int
+		flow int32
+	}
+	var at Segmenter
+	flows := map[segFlow]*FlowSummary{}
+	open := map[segFlow]*Episode{} // in-progress episode per flow
 	drops := map[instKey]*QueueDrops{}
 	samples := map[instKey]*SampleStats{}
 	overloads := map[string]*OverloadStats{}
 	tdrops := map[string]*TelemetryDropStats{}
 	var curSweep *SweepStats // open sweep, appended to sum.Sweeps on done/EOF
 
-	flowOf := func(id int32) *FlowSummary {
+	flowOf := func(id segFlow) *FlowSummary {
 		f := flows[id]
 		if f == nil {
-			f = &FlowSummary{Flow: id, DoneAt: -1}
+			f = &FlowSummary{Seg: id.seg, Flow: id.flow, DoneAt: -1}
 			flows[id] = f
 		}
 		return f
@@ -203,6 +212,7 @@ func Summarize(events []Event) LogSummary {
 		if t > sum.To {
 			sum.To = t
 		}
+		at.Advance(ev)
 		switch ev.Kind {
 		case KDrop, KMark:
 			key := instKey{ev.Comp, ev.Src, NoFlow}
@@ -313,7 +323,8 @@ func Summarize(events []Event) LogSummary {
 		if ev.Flow == NoFlow {
 			continue
 		}
-		f := flowOf(ev.Flow)
+		id := segFlow{at.Seg, ev.Flow}
+		f := flowOf(id)
 		switch ev.Kind {
 		case KSend:
 			f.Sends++
@@ -323,11 +334,11 @@ func Summarize(events []Event) LogSummary {
 			f.DupAcks++
 		case KTimeout:
 			f.Timeouts++
-			if ep := open[ev.Flow]; ep != nil {
+			if ep := open[id]; ep != nil {
 				ep.Timeout = true
 				ep.End = t
 				f.Episodes = append(f.Episodes, *ep)
-				delete(open, ev.Flow)
+				delete(open, id)
 			}
 		case KFlowDone:
 			f.Done = true
@@ -345,21 +356,21 @@ func Summarize(events []Event) LogSummary {
 				f.DoneAt = t
 			}
 		case KRecoveryEnter:
-			open[ev.Flow] = &Episode{Flow: ev.Flow, Start: t, ProbeAt: -1, End: -1}
+			open[id] = &Episode{Flow: ev.Flow, Start: t, ProbeAt: -1, End: -1}
 		case KRetreatProbe:
-			if ep := open[ev.Flow]; ep != nil && ep.ProbeAt < 0 {
+			if ep := open[id]; ep != nil && ep.ProbeAt < 0 {
 				ep.ProbeAt = t
 			}
 		case KFurtherLoss:
-			if ep := open[ev.Flow]; ep != nil {
+			if ep := open[id]; ep != nil {
 				ep.FurtherLosses++
 			}
 		case KRecoveryExit:
-			if ep := open[ev.Flow]; ep != nil {
+			if ep := open[id]; ep != nil {
 				ep.End = t
 				ep.ExitCwnd = ev.A
 				f.Episodes = append(f.Episodes, *ep)
-				delete(open, ev.Flow)
+				delete(open, id)
 			}
 		}
 	}
@@ -372,7 +383,12 @@ func Summarize(events []Event) LogSummary {
 		sort.Slice(f.Episodes, func(i, j int) bool { return f.Episodes[i].Start < f.Episodes[j].Start })
 		sum.Flows = append(sum.Flows, *f)
 	}
-	sort.Slice(sum.Flows, func(i, j int) bool { return sum.Flows[i].Flow < sum.Flows[j].Flow })
+	sort.Slice(sum.Flows, func(i, j int) bool {
+		if sum.Flows[i].Seg != sum.Flows[j].Seg {
+			return sum.Flows[i].Seg < sum.Flows[j].Seg
+		}
+		return sum.Flows[i].Flow < sum.Flows[j].Flow
+	})
 	for _, d := range drops {
 		sum.Queues = append(sum.Queues, *d)
 	}
@@ -424,23 +440,23 @@ func (s LogSummary) Render() string {
 		fmt.Fprintf(&b, "flows: %d started, %d completed\n", s.FlowsStarted, s.FlowsCompleted)
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-5s %-6s %-5s %-9s %-8s %-9s %s\n",
-		"flow", "sends", "rtx", "timeouts", "dupacks", "episodes", "done")
+	fmt.Fprintf(&b, "%-4s %-5s %-6s %-5s %-9s %-8s %-9s %s\n",
+		"seg", "flow", "sends", "rtx", "timeouts", "dupacks", "episodes", "done")
 	for _, f := range s.Flows {
 		done := "-"
 		if f.Done {
 			done = fmt.Sprintf("%.3fs", f.DoneAt)
 		}
-		fmt.Fprintf(&b, "%-5d %-6d %-5d %-9d %-8d %-9d %s\n",
-			f.Flow, f.Sends, f.Retransmits, f.Timeouts, f.DupAcks, len(f.Episodes), done)
+		fmt.Fprintf(&b, "%-4d %-5d %-6d %-5d %-9d %-8d %-9d %s\n",
+			f.Seg, f.Flow, f.Sends, f.Retransmits, f.Timeouts, f.DupAcks, len(f.Episodes), done)
 	}
 	b.WriteByte('\n')
 	any := false
 	for _, f := range s.Flows {
 		for i, ep := range f.Episodes {
 			if !any {
-				fmt.Fprintf(&b, "%-5s %-3s %-9s %-11s %-11s %-9s %-8s %s\n",
-					"flow", "ep", "enter", "retreat", "probe", "further", "exitcwnd", "end")
+				fmt.Fprintf(&b, "%-4s %-5s %-3s %-9s %-11s %-11s %-9s %-8s %s\n",
+					"seg", "flow", "ep", "enter", "retreat", "probe", "further", "exitcwnd", "end")
 				any = true
 			}
 			end := "open"
@@ -454,8 +470,8 @@ func (s LogSummary) Render() string {
 			if ep.ProbeAt >= 0 {
 				probe = fmt.Sprintf("%.3fs", ep.ProbeDur())
 			}
-			fmt.Fprintf(&b, "%-5d %-3d %-9s %-11s %-11s %-9d %-8.1f %s\n",
-				f.Flow, i+1, fmt.Sprintf("%.3fs", ep.Start),
+			fmt.Fprintf(&b, "%-4d %-5d %-3d %-9s %-11s %-11s %-9d %-8.1f %s\n",
+				f.Seg, f.Flow, i+1, fmt.Sprintf("%.3fs", ep.Start),
 				fmt.Sprintf("%.3fs", ep.RetreatDur()), probe,
 				ep.FurtherLosses, ep.ExitCwnd, end)
 		}

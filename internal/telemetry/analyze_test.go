@@ -71,6 +71,43 @@ func TestSummarizeOpenEpisodeAtEOF(t *testing.T) {
 	}
 }
 
+// A republished log holds one run after another, each numbering its
+// flows from 0 and restarting the clock: the runs must not merge into
+// one row, and an episode the first run left open must not be closed by
+// the second run's events. SpanSink splits the same stream at the same
+// place.
+func TestSummarizeKeepsSegmentsApart(t *testing.T) {
+	records := []Event{
+		rec(0.1, CompSender, KSend, 0, nil),
+		rec(1.0, CompRR, KRecoveryEnter, 0, nil),
+		rec(1.1, CompSender, KRetransmit, 0, nil),
+		// second run, time regresses
+		rec(0.1, CompSender, KSend, 0, nil),
+		rec(0.2, CompSender, KSend, 0, nil),
+		rec(0.9, CompRR, KRecoveryEnter, 0, nil),
+		rec(1.4, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 4}),
+	}
+	sum := Summarize(records)
+	if len(sum.Flows) != 2 {
+		t.Fatalf("flow rows = %d, want one per segment", len(sum.Flows))
+	}
+	first, second := sum.Flows[0], sum.Flows[1]
+	if first.Seg != 0 || first.Sends != 1 || first.Retransmits != 1 || second.Seg != 1 || second.Sends != 2 || second.Retransmits != 0 {
+		t.Fatalf("rows merged or misplaced: %+v / %+v", first, second)
+	}
+	if len(first.Episodes) != 1 || first.Episodes[0].End >= 0 {
+		t.Fatalf("segment 0's episode should stay open: %+v", first.Episodes)
+	}
+	if len(second.Episodes) != 1 || second.Episodes[0].Start != 0.9 || second.Episodes[0].End != 1.4 {
+		t.Fatalf("segment 1's episode wrong: %+v", second.Episodes)
+	}
+	spans := NewSpanSink()
+	Replay(records, spans)
+	if last := spans.Spans()[len(spans.Spans())-1]; last.Seg != second.Seg {
+		t.Fatalf("SpanSink ended in segment %d, Summarize in %d", last.Seg, second.Seg)
+	}
+}
+
 func TestSummarizeQueueDrops(t *testing.T) {
 	records := []Event{
 		srec(1, CompQueue, KDrop, "fwd", 0, 0, map[string]float64{"forced": 1}),

@@ -136,9 +136,9 @@ type FlowTable struct {
 
 	// Fairness windowing, driven by event timestamps.
 	windowEnd sim.Time
-	lastAt    sim.Time           // latest event timestamp seen
-	fairness  float64            // last closed overall window
-	overall   stats.LogHistogram // all closed overall windows
+	at        telemetry.Segmenter // clock and segment of the stream seen so far
+	fairness  float64             // last closed overall window
+	overall   stats.LogHistogram  // all closed overall windows
 
 	gLive, gCompleted, gFairness telemetry.GaugeVar
 	hasGauges                    bool
@@ -197,8 +197,7 @@ func (t *FlowTable) Emit(ev telemetry.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	switch {
-	case ev.At < t.lastAt:
+	if t.at.Regressed(ev) {
 		// Timestamps rewound: a new stream segment. A sweep republishes
 		// each job's private capture in job order, every segment starting
 		// over at t=0 — score the fairness accounting at the previous
@@ -206,10 +205,8 @@ func (t *FlowTable) Emit(ev telemetry.Event) {
 		// so a replay of the concatenated stream reproduces the per-job
 		// tables it was merged from.
 		t.rollSegment()
-		t.lastAt = ev.At
-	case ev.At > t.lastAt:
-		t.lastAt = ev.At
 	}
+	t.at.Advance(ev)
 	if t.windowEnd != 0 && ev.At >= t.windowEnd {
 		t.closeWindows(ev.At)
 	}
@@ -418,7 +415,7 @@ func (t *FlowTable) closeWindows(now sim.Time) {
 // sweep's merged summary is built from.
 func (t *FlowTable) rollSegment() {
 	if t.windowEnd != 0 {
-		t.closeWindows(t.lastAt)
+		t.closeWindows(t.at.Last)
 	}
 	t.windowEnd = 0
 	for i := range t.live {
@@ -452,8 +449,8 @@ func (t *FlowTable) Flush(now sim.Time) {
 func (t *FlowTable) Finalize() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.windowEnd != 0 && t.lastAt >= t.windowEnd {
-		t.closeWindows(t.lastAt)
+	if t.windowEnd != 0 && t.at.Last >= t.windowEnd {
+		t.closeWindows(t.at.Last)
 	}
 }
 

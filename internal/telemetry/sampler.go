@@ -147,9 +147,7 @@ type SeriesSink struct {
 
 	series []*Series
 	idx    map[seriesKey]*Series
-	last   sim.Time
-	any    bool
-	seg    int
+	at     Segmenter
 }
 
 type seriesKey struct {
@@ -169,21 +167,14 @@ func (s *SeriesSink) Emit(ev Event) {
 	if s == nil {
 		return
 	}
-	if ev.Comp == CompSweep {
-		return
-	}
-	if s.any && ev.At < s.last {
-		s.seg++
-	}
-	s.any = true
-	s.last = ev.At
+	s.at.Advance(ev)
 	if ev.Kind != KSample {
 		return
 	}
-	key := seriesKey{comp: ev.Comp, src: ev.Src, flow: ev.Flow, seg: s.seg}
+	key := seriesKey{comp: ev.Comp, src: ev.Src, flow: ev.Flow, seg: s.at.Seg}
 	sr := s.idx[key]
 	if sr == nil {
-		sr = &Series{Comp: ev.Comp, Src: ev.Src, Flow: ev.Flow, Seg: s.seg}
+		sr = &Series{Comp: ev.Comp, Src: ev.Src, Flow: ev.Flow, Seg: s.at.Seg}
 		s.idx[key] = sr
 		s.series = append(s.series, sr)
 	}

@@ -104,9 +104,7 @@ func (s *Span) attr(name string, v float64) {
 type SpanSink struct {
 	spans Chunked[Span] // the maps below point into it: addresses are stable
 
-	seg  int
-	last sim.Time
-	any  bool
+	at Segmenter
 
 	conn map[int32]*Span // open connection span per flow
 	rec  map[int32]*Span // open recovery episode per flow
@@ -131,7 +129,7 @@ func (s *SpanSink) open(kind SpanKind, flow int32, src string, parent int, at si
 		Kind:   kind,
 		Flow:   flow,
 		Src:    src,
-		Seg:    s.seg,
+		Seg:    s.at.Seg,
 		Begin:  at,
 		End:    at,
 		Open:   true,
@@ -151,8 +149,8 @@ func closeSpan(sp *Span, at sim.Time) {
 func (s *SpanSink) endOpen() {
 	for _, chunk := range s.spans.Chunks() {
 		for i := range chunk {
-			if sp := &chunk[i]; sp.Open && sp.Seg == s.seg {
-				sp.End = s.last
+			if sp := &chunk[i]; sp.Open && sp.Seg == s.at.Seg {
+				sp.End = s.at.Last
 			}
 		}
 	}
@@ -162,7 +160,6 @@ func (s *SpanSink) endOpen() {
 // last time seen) and starts a fresh segment.
 func (s *SpanSink) rollSegment() {
 	s.endOpen()
-	s.seg++
 	clear(s.conn)
 	clear(s.rec)
 	clear(s.sub)
@@ -179,11 +176,10 @@ func (s *SpanSink) Emit(ev Event) {
 	if ev.Comp == CompSweep {
 		return
 	}
-	if s.any && ev.At < s.last {
+	if s.at.Regressed(ev) {
 		s.rollSegment()
 	}
-	s.any = true
-	s.last = ev.At
+	s.at.Advance(ev)
 
 	// Connection lifetime: opened lazily by the first flow-scoped
 	// sender/receiver/RR event, closed by flow-done. Gauge samples and

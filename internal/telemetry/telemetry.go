@@ -320,6 +320,36 @@ func (b *Bus) Publish(ev Event) {
 	}
 }
 
+// Segmenter splits an event stream into segments: a new one starts
+// whenever sim time regresses. That is how a republished multi-run
+// stream shows its run boundaries — a sweep forwards each job's capture
+// in job order, every run starting over at t=0 — and every consumer
+// that must not merge two runs (SpanSink, SeriesSink, Summarize,
+// flowstats.FlowTable) counts segments with this one rule. Sweep
+// progress events are stamped t=0 on the coordinating goroutine between
+// runs; they are on no run's clock and never move it. The zero value is
+// ready: segment 0, clock at 0.
+type Segmenter struct {
+	Seg  int      // index of the current segment
+	Last sim.Time // time of the latest event observed
+}
+
+// Regressed reports whether ev would start a new segment. A consumer
+// with per-segment state to close calls it before Advance, while Seg and
+// Last still describe the segment that ends.
+func (s *Segmenter) Regressed(ev Event) bool { return ev.At < s.Last && ev.Comp != CompSweep }
+
+// Advance moves the clock to ev, rolling the segment if time regressed.
+func (s *Segmenter) Advance(ev Event) {
+	if ev.Comp == CompSweep {
+		return
+	}
+	if ev.At < s.Last {
+		s.Seg++
+	}
+	s.Last = ev.At
+}
+
 // NullSink discards everything — the explicit form of the default.
 type NullSink struct{}
 

@@ -319,27 +319,78 @@ func BenchmarkEndToEndSimulationThroughput(b *testing.B) {
 // tools/benchdiff compares these numbers across PRs; see
 // docs/OBSERVABILITY.md.
 
-// runHeadlineWorld builds and runs the standard measurement scenario,
-// returning the scheduler (for its counters) and the topology (for its
-// packet pool).
-func runHeadlineWorld(b *testing.B) (*rrtcp.Scheduler, *rrtcp.Dumbbell) {
-	b.Helper()
+// headlineWorld builds the standard measurement scenario: ten RR flows
+// on the paper's dumbbell behind a RED gateway.
+func headlineWorld(tb testing.TB) (*rrtcp.Scheduler, *rrtcp.Dumbbell, []*rrtcp.Flow) {
+	tb.Helper()
 	sched := rrtcp.NewScheduler(1)
 	cfg := rrtcp.PaperDropTailConfig(10)
 	cfg.ForwardQueue = rrtcp.Must(rrtcp.NewREDQueue(sched, rrtcp.PaperREDConfig()))
 	d, err := rrtcp.NewDumbbell(sched, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	specs := make([]rrtcp.FlowSpec, 10)
 	for j := range specs {
 		specs[j] = rrtcp.FlowSpec{Kind: rrtcp.RR, Bytes: rrtcp.Infinite, Window: 30}
 	}
-	if _, err := rrtcp.InstallFlows(sched, d, specs); err != nil {
-		b.Fatal(err)
+	flows, err := rrtcp.InstallFlows(sched, d, specs)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return sched, d, flows
+}
+
+// runHeadlineWorld builds and runs the standard measurement scenario,
+// returning the scheduler (for its counters) and the topology (for its
+// packet pool).
+func runHeadlineWorld(b *testing.B) (*rrtcp.Scheduler, *rrtcp.Dumbbell) {
+	b.Helper()
+	sched, d, _ := headlineWorld(b)
 	sched.Run(6 * time.Second)
 	return sched, d
+}
+
+// A default-installed flow counts and keeps no samples: the headline
+// world allocates what building it takes however long it runs, and every
+// counter reads what it reads with the sample log switched on.
+func TestDefaultFlowKeepsNoSamples(t *testing.T) {
+	const horizon = 120 * time.Second
+	run := func(record bool) []*rrtcp.Flow {
+		sched, _, flows := headlineWorld(t)
+		for _, f := range flows {
+			if record {
+				f.Trace.Record()
+			}
+		}
+		sched.Run(horizon)
+		return flows
+	}
+	run(false) // warm the process-wide pools of the first run
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plain := run(false)
+	runtime.ReadMemStats(&after)
+	// The world itself is ~60 kB; the same run with every flow recorded
+	// allocates ~10 MB of samples.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Fatalf("a %v run of the headline world allocated %d bytes, want under 128 KiB: a default flow is keeping per-event state", horizon, got)
+	}
+	for i, rec := range run(true) {
+		a, b := plain[i].Trace, rec.Trace
+		if a.Acks == 0 || uint64(len(b.SamplesOf(telemetry.KAck))) != b.Acks {
+			t.Fatalf("flow %d: Acks = %d, recorded log holds %d ACKs", i, b.Acks, len(b.SamplesOf(telemetry.KAck)))
+		}
+		type counters struct {
+			dataSent, retransmits, timeouts, recoveries, dupAcks, acks uint64
+			bytesAcked, deliveredSeq                                   int64
+		}
+		ca := counters{a.DataSent, a.Retransmits, a.Timeouts, a.Recoveries, a.DupAcks, a.Acks, a.BytesAcked, a.DeliveredSeq}
+		cb := counters{b.DataSent, b.Retransmits, b.Timeouts, b.Recoveries, b.DupAcks, b.Acks, b.BytesAcked, b.DeliveredSeq}
+		if ca != cb {
+			t.Fatalf("flow %d: counters %+v without a sample log, %+v with one", i, ca, cb)
+		}
+	}
 }
 
 // reportHeadlineWorkingSet publishes the engine working-set metrics the

@@ -28,6 +28,7 @@ func newRRNet(t *testing.T, opts *core.Options, totalPackets int64) *rrNet {
 	t.Helper()
 	sched := sim.NewScheduler(1)
 	tr := trace.New(0, "rr")
+	tr.Record() // the behaviour tests read the sample series
 
 	strat := core.NewRR()
 	if opts != nil {
@@ -194,7 +195,7 @@ func TestRRCwndUnchangedDuringRecovery(t *testing.T) {
 	for _, s := range samples {
 		if s.Kind == trace.EvRecovery && entry < 0 {
 			entry = s.At
-			entryCwnd = s.Value
+			entryCwnd = s.A
 		}
 		if s.Kind == trace.EvExit && exitAt < 0 {
 			exitAt = s.At
@@ -204,7 +205,7 @@ func TestRRCwndUnchangedDuringRecovery(t *testing.T) {
 	// control loop until the exit hand-off).
 	for _, s := range samples {
 		if s.Kind == trace.EvCwnd && s.At > entry && s.At < exitAt {
-			t.Fatalf("cwnd changed during recovery at %v (%.1f→%.1f)", s.At, entryCwnd, s.Value)
+			t.Fatalf("cwnd changed during recovery at %v (%.1f→%.1f)", s.At, entryCwnd, s.A)
 		}
 	}
 }
@@ -220,7 +221,7 @@ func TestRRExitHandsOffActnum(t *testing.T) {
 	}
 	// Exit cwnd equals actnum at exit: a small positive integer well
 	// below the pre-loss window.
-	cw := exits[0].Value
+	cw := exits[0].A
 	if cw < 1 || cw > 20 {
 		t.Fatalf("exit cwnd %.1f implausible", cw)
 	}
@@ -356,8 +357,8 @@ func TestRROptionsExitToSsthresh(t *testing.T) {
 	if len(exits) == 0 {
 		t.Fatal("no exit recorded")
 	}
-	if exits[0].Value != n.sender.Ssthresh() && exits[0].Value < 2 {
-		t.Fatalf("exit cwnd %.1f does not reflect ssthresh hand-off", exits[0].Value)
+	if exits[0].A != n.sender.Ssthresh() && exits[0].A < 2 {
+		t.Fatalf("exit cwnd %.1f does not reflect ssthresh hand-off", exits[0].A)
 	}
 }
 

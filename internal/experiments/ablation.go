@@ -108,6 +108,7 @@ func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) 
 	if err != nil {
 		return AblationRow{}, err
 	}
+	flow.Trace.Record() // exitBurst reads the sends around the first exit
 	w.Run(120 * time.Second)
 
 	row := AblationRow{

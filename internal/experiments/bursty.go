@@ -117,7 +117,7 @@ func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) 
 		return burstyOut{}, fmt.Errorf("burst length %v: a loss burst is at least one packet", burst)
 	}
 	loss := scenario.LossSpec{Rate: cfg.MeanLossRate, BurstLength: burst}
-	flow, err := fixedRTTRun(seed, loss, 200*time.Millisecond, cfg.Duration, workload.FlowSpec{
+	w, err := fixedRTTWorld(seed, loss, 200*time.Millisecond, workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  tcp.Infinite,
 		Window: 64,
@@ -125,10 +125,8 @@ func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) 
 	if err != nil {
 		return burstyOut{}, err
 	}
-	return burstyOut{
-		GoodputBps: flow.Trace.GoodputBps(5*time.Second, cfg.Duration),
-		Timeouts:   flow.Trace.Timeouts,
-	}, nil
+	bps := steadyGoodputBps(&w, 5*time.Second, cfg.Duration)
+	return burstyOut{GoodputBps: bps, Timeouts: w.Flows[0].Trace.Timeouts}, nil
 }
 
 // Render returns the sweep as a table: one row per burst length, one

@@ -26,7 +26,6 @@ import (
 	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
-	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
 )
 
@@ -59,7 +58,7 @@ func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng
 // emits exactly one ACK per data segment it processes.
 func ackLossRate(flow *workload.Flow) float64 {
 	acksSent := float64(flow.Receiver.Segments)
-	acksGot := float64(flow.Trace.Count(trace.EvAckRecv))
+	acksGot := float64(flow.Trace.Acks)
 	if acksGot >= acksSent {
 		return 0
 	}

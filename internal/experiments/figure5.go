@@ -250,6 +250,7 @@ func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*w
 	if err != nil {
 		return nil, err
 	}
+	flow.Trace.Record() // the recovery-period goodput is a windowed scan
 	w.Run(60 * time.Second)
 	return flow, nil
 }

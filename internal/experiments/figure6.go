@@ -140,13 +140,14 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 	}
 }
 
-func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
+// figure6World builds the RED dumbbell and installs its flows.
+func figure6World(cfg Figure6Config, kind workload.Kind, seed int64) (scenario.World, error) {
 	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows:        cfg.Flows,
 		ForwardQueue: &scenario.QueueSpec{Type: "red", RED: cfg.RED},
 	}})
 	if err != nil {
-		return Figure6Panel{}, err
+		return w, err
 	}
 	for i := 0; i < cfg.Flows; i++ {
 		start := sim.Time(0)
@@ -160,9 +161,18 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 			Bytes:   tcp.Infinite,
 			Window:  30,
 		}); err != nil {
-			return Figure6Panel{}, err
+			return w, err
 		}
 	}
+	return w, nil
+}
+
+func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
+	w, err := figure6World(cfg, kind, seed)
+	if err != nil {
+		return Figure6Panel{}, err
+	}
+	w.Flows[0].Trace.Record() // Flow0Seq is the sequence plot
 
 	// Bottleneck utilization: bits forwarded per 100 ms tick over the
 	// link capacity. The first tick only sets the baseline yet counts
@@ -194,10 +204,11 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 		REDEarlyDrops:  red.EarlyDrops,
 		REDForcedDrops: red.ForcedDrops,
 	}
-	panel.Flow0GoodputBps = w.Flows[0].Trace.GoodputBps(0, cfg.Duration)
+	goodputBps := func(f *workload.Flow) float64 { return float64(f.Trace.BytesAcked) * 8 / cfg.Duration.Seconds() }
+	panel.Flow0GoodputBps = goodputBps(w.Flows[0])
 	panel.Flow0Packets = w.Flows[0].Trace.BytesAcked / int64(tcp.DefaultMSS)
 	for _, f := range w.Flows {
-		panel.AggregateGoodputBps += f.Trace.GoodputBps(0, cfg.Duration)
+		panel.AggregateGoodputBps += goodputBps(f)
 	}
 	if ticks > 0 {
 		bitsPerTick := float64(lastTx-firstTx) * 8 / float64(ticks)

@@ -139,7 +139,7 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 }
 
 func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
-	flow, err := fixedRTTRun(seed, scenario.LossSpec{Rate: p}, cfg.RTT, cfg.Duration, workload.FlowSpec{
+	w, err := fixedRTTWorld(seed, scenario.LossSpec{Rate: p}, cfg.RTT, workload.FlowSpec{
 		Kind:  kind,
 		Bytes: tcp.Infinite,
 		// Large enough that the advertised window never binds: the
@@ -151,20 +151,20 @@ func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (f
 	if err != nil {
 		return figure7Out{}, err
 	}
-	bw := flow.Trace.GoodputBps(cfg.WarmUp, cfg.Duration)
+	bw := steadyGoodputBps(&w, cfg.WarmUp, cfg.Duration)
 	window := bw * cfg.RTT.Seconds() / float64(tcp.DefaultMSS*8)
-	return figure7Out{Window: window, Timeouts: flow.Trace.Timeouts}, nil
+	return figure7Out{Window: window, Timeouts: w.Flows[0].Trace.Timeouts}, nil
 }
 
-// fixedRTTRun runs one flow for duration over the Figure 7 topology: an
-// uncongested 10 Mbps bottleneck behind a deep buffer, so the given
-// loss process is the only one and the RTT stays pinned at rtt.
-func fixedRTTRun(seed int64, loss scenario.LossSpec, rtt, duration sim.Time, spec workload.FlowSpec) (*workload.Flow, error) {
+// fixedRTTWorld builds the Figure 7 topology — an uncongested 10 Mbps
+// bottleneck behind a deep buffer, so the given loss process is the
+// only one and the RTT stays pinned at rtt — and installs the one flow.
+func fixedRTTWorld(seed int64, loss scenario.LossSpec, rtt sim.Time, spec workload.FlowSpec) (scenario.World, error) {
 	// Side links contribute 2 ms per direction; the bottleneck carries
 	// the rest of the fixed RTT.
 	const sideDelay = 1 * time.Millisecond
 	if rtt <= 4*sideDelay {
-		return nil, fmt.Errorf("fixed RTT %v leaves no bottleneck delay beyond the %v of side links", rtt, 4*sideDelay)
+		return scenario.World{}, fmt.Errorf("fixed RTT %v leaves no bottleneck delay beyond the %v of side links", rtt, 4*sideDelay)
 	}
 	w, err := scenario.Build(seed, &scenario.Spec{
 		Topology: &scenario.TopologySpec{
@@ -177,14 +177,27 @@ func fixedRTTRun(seed int64, loss scenario.LossSpec, rtt, duration sim.Time, spe
 		Loss: &loss,
 	})
 	if err != nil {
-		return nil, err
+		return w, err
 	}
-	flow, err := w.Install(spec)
-	if err != nil {
-		return nil, err
-	}
+	_, err = w.Install(spec)
+	return w, err
+}
+
+// steadyGoodputBps runs w for duration and returns flow 0's acknowledged
+// bits per second over [warmUp, duration]: the bytes acknowledged by the
+// end less those acknowledged before warmUp. The snapshot timer is armed
+// before any packet is in flight, so at warmUp it fires ahead of an ACK
+// arriving at that same instant, which therefore counts as inside the
+// window.
+func steadyGoodputBps(w *scenario.World, warmUp, duration sim.Time) float64 {
+	tr := w.Flows[0].Trace
+	var base int64
+	w.Sched.NewTimer(func() { base = tr.BytesAcked }).Reset(warmUp)
 	w.Run(duration)
-	return flow, nil
+	if duration <= warmUp {
+		return 0
+	}
+	return float64(tr.BytesAcked-base) * 8 / (duration - warmUp).Seconds()
 }
 
 // Render returns the sweep as a table of measured vs model windows.

@@ -164,7 +164,6 @@ func table5Run(cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
 			StartAt: time.Duration(i)*cfg.StaggerInterval + jitter,
 			Bytes:   tcp.Infinite,
 			Window:  30,
-			NoTrace: true, // only the targeted flow's trace is read
 		}); err != nil {
 			return Table5Row{}, err
 		}

@@ -158,7 +158,6 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, err
 			Bytes:   tcp.Infinite,
 			Window:  18,
 			StartAt: jitter,
-			NoTrace: true, // the handle is discarded; only fwd.Trace is read
 		}); err != nil {
 			return twoWayOut{}, err
 		}

@@ -444,6 +444,9 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if w != nil {
+		world.Flows[0].Trace.Record()
+	}
 	world.Run(time.Duration(s.Duration))
 
 	if w != nil {
@@ -462,7 +465,7 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 			Flow:        i,
 			Kind:        flow.Spec.Kind.String(),
 			Reverse:     s.Flows[i].Reverse,
-			GoodputBps:  flow.Trace.GoodputBps(0, time.Duration(s.Duration)),
+			GoodputBps:  float64(flow.Trace.BytesAcked) * 8 / time.Duration(s.Duration).Seconds(),
 			BytesAcked:  flow.Trace.BytesAcked,
 			Retransmits: flow.Trace.Retransmits,
 			Timeouts:    flow.Trace.Timeouts,

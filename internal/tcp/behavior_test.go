@@ -21,13 +21,13 @@ func TestRenoEntryInflatesByThree(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no recovery")
 	}
-	entryCwnd := recs[0].Value
+	entryCwnd := recs[0].A
 	// The first cwnd sample after entry is ssthresh + 3 where
 	// ssthresh = flight/2; flight ≈ cwnd at entry.
 	var after float64 = -1
 	for _, s := range n.tr.SamplesOf(trace.EvCwnd) {
 		if s.At >= recs[0].At {
-			after = s.Value
+			after = s.A
 			break
 		}
 	}
@@ -57,10 +57,10 @@ func TestRenoInflationPerDupAck(t *testing.T) {
 		if s.At <= recs[0].At || s.At >= exits[0].At {
 			continue
 		}
-		if last >= 0 && s.Value > last {
+		if last >= 0 && s.A > last {
 			increments++
 		}
-		last = s.Value
+		last = s.A
 	}
 	dupsInRecovery := 0
 	for _, s := range n.tr.SamplesOf(trace.EvDupAck) {
@@ -89,7 +89,7 @@ func TestNewRenoPartialDeflation(t *testing.T) {
 	if len(exits) != 1 {
 		t.Fatalf("%d exits, want 1", len(exits))
 	}
-	if got, want := exits[0].Value, n.sender.Ssthresh(); got != want {
+	if got, want := exits[0].A, n.sender.Ssthresh(); got != want {
 		// ssthresh may have been re-derived after exit; compare to the
 		// recovery-time value recorded in the exit sample instead.
 		if got < 2 {
@@ -109,7 +109,7 @@ func TestTahoeSsthreshHalvesFlight(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no fast retransmit")
 	}
-	entryCwnd := recs[0].Value // ≈ flight at entry
+	entryCwnd := recs[0].A // ≈ flight at entry
 	got := n.sender.Ssthresh()
 	// ssthresh was set to flight/2 at entry and must still be within a
 	// couple packets of it (growth after recovery only raises cwnd).

@@ -34,6 +34,7 @@ func newTestNet(t *testing.T, strat Strategy, cfg testNetConfig) *testNet {
 	t.Helper()
 	sched := sim.NewScheduler(1)
 	tr := trace.New(0, strat.Name())
+	tr.Record() // the behaviour tests read the sample series
 
 	n := &testNet{sched: sched, tr: tr}
 

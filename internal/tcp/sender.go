@@ -291,9 +291,6 @@ func (s *Sender) Strategy() Strategy { return s.strat }
 // Trace returns the attached flow trace (may be nil).
 func (s *Sender) Trace() *trace.FlowTrace { return s.tr }
 
-// Telemetry returns the attached event bus (may be nil).
-func (s *Sender) Telemetry() *telemetry.Bus { return s.bus }
-
 // Emit publishes one structured event for this flow: to the attached
 // FlowTrace (a direct subscriber of the same stream) and to the shared
 // telemetry bus. Strategies use it for recovery phase transitions; the

@@ -56,7 +56,7 @@ func TestTahoeFastRetransmitCollapsesWindow(t *testing.T) {
 	// restarts slow start).
 	var sawCollapse bool
 	for _, s := range n.tr.SamplesOf(trace.EvCwnd) {
-		if s.At >= recs[0].At && s.Value == 1 {
+		if s.At >= recs[0].At && s.A == 1 {
 			sawCollapse = true
 			break
 		}
@@ -176,8 +176,8 @@ func TestVariantsWindowHalvedAfterRecovery(t *testing.T) {
 				t.Fatal("no recovery exit recorded")
 			}
 			recs := n.tr.SamplesOf(trace.EvRecovery)
-			entryCwnd := recs[0].Value
-			exitCwnd := exits[0].Value
+			entryCwnd := recs[0].A
+			exitCwnd := exits[0].A
 			if exitCwnd > entryCwnd*0.75 {
 				t.Fatalf("exit cwnd %.1f not roughly half of entry %.1f", exitCwnd, entryCwnd)
 			}

@@ -19,7 +19,7 @@ type Episode struct {
 	Flow    int32
 	Start   float64 // recovery-enter time (s)
 	ProbeAt float64 // retreat→probe flip time (s); <0 if never reached
-	End     float64 // recovery-exit time (s); <0 if cut short (timeout/EOF)
+	End     float64 // when it ended (s): recovery-exit, timeout, next enter or flow-done; <0 if open at EOF
 	// ExitCwnd is the hand-off window at exit (RR: actnum×MSS in packets).
 	ExitCwnd float64
 	// FurtherLosses counts ndup<actnum detections inside the episode.
@@ -197,6 +197,21 @@ func Summarize(events []Event) LogSummary {
 		}
 		return f
 	}
+	// endEpisode ends the flow's open episode at t and returns it as
+	// filed under the flow, or nil if none was open: an episode ends at
+	// its recovery-exit, a timeout, the next recovery-enter or flow-done,
+	// the same four events that close SpanSink's recovery span.
+	endEpisode := func(id segFlow, t float64) *Episode {
+		ep := open[id]
+		if ep == nil {
+			return nil
+		}
+		delete(open, id)
+		ep.End = t
+		f := flowOf(id)
+		f.Episodes = append(f.Episodes, *ep)
+		return &f.Episodes[len(f.Episodes)-1]
+	}
 	sweep := func() *SweepStats {
 		if curSweep == nil {
 			curSweep = &SweepStats{}
@@ -334,15 +349,13 @@ func Summarize(events []Event) LogSummary {
 			f.DupAcks++
 		case KTimeout:
 			f.Timeouts++
-			if ep := open[id]; ep != nil {
+			if ep := endEpisode(id, t); ep != nil {
 				ep.Timeout = true
-				ep.End = t
-				f.Episodes = append(f.Episodes, *ep)
-				delete(open, id)
 			}
 		case KFlowDone:
 			f.Done = true
 			f.DoneAt = t
+			endEpisode(id, t)
 		case KFlowStart:
 			sum.FlowsStarted++
 			f.Variant = ev.Src
@@ -356,6 +369,7 @@ func Summarize(events []Event) LogSummary {
 				f.DoneAt = t
 			}
 		case KRecoveryEnter:
+			endEpisode(id, t) // the previous one never exited (Tahoe)
 			open[id] = &Episode{Flow: ev.Flow, Start: t, ProbeAt: -1, End: -1}
 		case KRetreatProbe:
 			if ep := open[id]; ep != nil && ep.ProbeAt < 0 {
@@ -366,11 +380,8 @@ func Summarize(events []Event) LogSummary {
 				ep.FurtherLosses++
 			}
 		case KRecoveryExit:
-			if ep := open[id]; ep != nil {
-				ep.End = t
+			if ep := endEpisode(id, t); ep != nil {
 				ep.ExitCwnd = ev.A
-				f.Episodes = append(f.Episodes, *ep)
-				delete(open, id)
 			}
 		}
 	}

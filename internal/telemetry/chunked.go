@@ -1,12 +1,12 @@
 package telemetry
 
-// Chunked is the append-only store under every per-event recorder
-// (FlowTrace samples, the unbounded Ring, SpanSink spans). Records live
-// in chunks that are never moved: growth allocates one new chunk and
-// copies nothing, slack is at most one chunk, and the address Append
-// returns stays valid for the store's lifetime. Chunk capacities ramp
-// 64, 128, … 4096 so short sequences stay small. The zero value is an
-// empty store.
+// Chunked is the append-only store under every per-event recorder (the
+// unbounded Ring, and through it a recorded FlowTrace; SpanSink spans).
+// Records live in chunks that are never moved: growth allocates one new
+// chunk and copies nothing, slack is at most one chunk, and the address
+// Append returns stays valid for the store's lifetime. Chunk capacities
+// ramp 64, 128, … 4096 so short sequences stay small. The zero value is
+// an empty store.
 type Chunked[T any] struct {
 	chunks [][]T
 	n      int
@@ -37,11 +37,3 @@ func (c *Chunked[T]) Len() int { return c.n }
 // walk without flattening. The chunks belong to the store: callers may
 // update records through them but must not append or reslice.
 func (c *Chunked[T]) Chunks() [][]T { return c.chunks }
-
-// AppendTo appends every record to dst, in order, and returns it.
-func (c *Chunked[T]) AppendTo(dst []T) []T {
-	for _, ch := range c.chunks {
-		dst = append(dst, ch...)
-	}
-	return dst
-}

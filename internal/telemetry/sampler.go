@@ -140,11 +140,6 @@ type Series struct {
 // so multi-run republished streams produce one series set per run.
 // A nil *SeriesSink is a valid no-op.
 type SeriesSink struct {
-	// Downsample, when positive, keeps at most one point per series
-	// per that much sim time (the first one); extra samples are
-	// dropped. Zero keeps everything.
-	Downsample sim.Time
-
 	series []*Series
 	idx    map[seriesKey]*Series
 	at     Segmenter
@@ -177,11 +172,6 @@ func (s *SeriesSink) Emit(ev Event) {
 		sr = &Series{Comp: ev.Comp, Src: ev.Src, Flow: ev.Flow, Seg: s.at.Seg}
 		s.idx[key] = sr
 		s.series = append(s.series, sr)
-	}
-	if s.Downsample > 0 && len(sr.T) > 0 {
-		if ev.At.Seconds()-sr.T[len(sr.T)-1] < s.Downsample.Seconds() {
-			return
-		}
 	}
 	sr.T = append(sr.T, ev.At.Seconds())
 	sr.V = append(sr.V, ev.A)

@@ -112,21 +112,6 @@ func TestSeriesSinkCollectsAndSegments(t *testing.T) {
 	}
 }
 
-func TestSeriesSinkDownsample(t *testing.T) {
-	sink := NewSeriesSink()
-	sink.Downsample = 50 * time.Millisecond
-	for i := 0; i < 10; i++ {
-		sink.Emit(Event{At: ms(10 * i), Comp: CompSender, Kind: KSample, Src: "cwnd", Flow: 0, A: float64(i)})
-	}
-	sr := sink.Series()[0]
-	if len(sr.T) != 2 {
-		t.Fatalf("kept %d points, want 2 (t=0 and t=50ms)", len(sr.T))
-	}
-	if sr.V[1] != 5 {
-		t.Fatalf("second kept point = %g, want 5", sr.V[1])
-	}
-}
-
 func TestSeriesSinkNilSafe(t *testing.T) {
 	var sink *SeriesSink
 	sink.Emit(Event{Kind: KSample})

@@ -102,24 +102,43 @@ func (s *Span) attr(name string, v float64) {
 // it to a bus, or Replay a decoded log into it.
 // A nil *SpanSink is a valid no-op, mirroring the nil-bus null default.
 type SpanSink struct {
-	spans Chunked[Span] // the maps below point into it: addresses are stable
+	spans Chunked[Span] // flows and busy point into it: addresses are stable
 
 	at Segmenter
 
-	conn map[int32]*Span // open connection span per flow
-	rec  map[int32]*Span // open recovery episode per flow
-	sub  map[int32]*Span // open retreat/probe child per flow
-	busy map[string]*Span
+	flows []flowSpans // indexed by flow id, grown on first sight of a flow
+	busy  map[string]*Span
+}
+
+// flowSpans are one flow's open spans; nil where none is open.
+type flowSpans struct {
+	conn *Span // connection lifetime
+	rec  *Span // recovery episode
+	sub  *Span // retreat/probe child of rec
+}
+
+// endRecovery closes the flow's open recovery episode, sub-phase first.
+func (f *flowSpans) endRecovery(at sim.Time) {
+	closeSpan(f.sub, at)
+	closeSpan(f.rec, at)
+	f.sub, f.rec = nil, nil
 }
 
 // NewSpanSink returns an empty span assembler.
 func NewSpanSink() *SpanSink {
-	return &SpanSink{
-		conn: make(map[int32]*Span),
-		rec:  make(map[int32]*Span),
-		sub:  make(map[int32]*Span),
-		busy: make(map[string]*Span),
+	return &SpanSink{busy: make(map[string]*Span)}
+}
+
+// flow returns the open spans of a flow-scoped event's flow, growing the
+// table on first sight; nil for an event that names no flow.
+func (s *SpanSink) flow(id int32) *flowSpans {
+	if id < 0 {
+		return nil
 	}
+	if int(id) >= len(s.flows) {
+		s.flows = append(s.flows, make([]flowSpans, int(id)+1-len(s.flows))...)
+	}
+	return &s.flows[id]
 }
 
 func (s *SpanSink) open(kind SpanKind, flow int32, src string, parent int, at sim.Time) *Span {
@@ -160,9 +179,7 @@ func (s *SpanSink) endOpen() {
 // last time seen) and starts a fresh segment.
 func (s *SpanSink) rollSegment() {
 	s.endOpen()
-	clear(s.conn)
-	clear(s.rec)
-	clear(s.sub)
+	clear(s.flows)
 	clear(s.busy)
 }
 
@@ -181,83 +198,12 @@ func (s *SpanSink) Emit(ev Event) {
 	}
 	s.at.Advance(ev)
 
-	// Connection lifetime: opened lazily by the first flow-scoped
-	// sender/receiver/RR event, closed by flow-done. Gauge samples and
-	// flow accounting are passive instrumentation, not connection
-	// activity — a sampler tick or a stats event landing after flow-done
-	// must not resurrect the span.
-	if ev.Flow != NoFlow && ev.Kind != KSample && ev.Kind != KFlowStats {
-		switch ev.Comp {
-		case CompSender, CompRecv, CompRR:
-			if s.conn[ev.Flow] == nil {
-				s.conn[ev.Flow] = s.open(SpanConn, ev.Flow, "", -1, ev.At)
-			}
-		}
-	}
-
 	switch ev.Kind {
-	case KFlowDone:
-		closeSpan(s.conn[ev.Flow], ev.At)
-		delete(s.conn, ev.Flow)
-
-	case KRecoveryEnter:
-		parent := -1
-		if c := s.conn[ev.Flow]; c != nil {
-			parent = c.ID
-		}
-		rec := s.open(SpanRecovery, ev.Flow, "", parent, ev.At)
-		rec.attr("enter_cwnd", ev.A)
-		rec.attr("ssthresh", ev.B)
-		s.rec[ev.Flow] = rec
-		// Only RR has the retreat/probe split; baseline variants emit
-		// recovery-enter from the sender path and get a flat episode.
-		if ev.Comp == CompRR {
-			s.sub[ev.Flow] = s.open(SpanRetreat, ev.Flow, "", rec.ID, ev.At)
-		}
-
-	case KRetreatProbe:
-		rec := s.rec[ev.Flow]
-		if rec == nil {
-			return
-		}
-		closeSpan(s.sub[ev.Flow], ev.At)
-		probe := s.open(SpanProbe, ev.Flow, "", rec.ID, ev.At)
-		probe.attr("actnum", ev.A)
-		s.sub[ev.Flow] = probe
-
-	case KFurtherLoss, KActnum:
-		rec := s.rec[ev.Flow]
-		if rec == nil {
-			return
-		}
-		// Instants attach to the innermost open span — the retreat or
-		// probe sub-phase when RR is active — so the exported trace
-		// keeps them inside the slice they occurred in.
-		target := rec
-		if sub := s.sub[ev.Flow]; sub != nil {
-			target = sub
-		}
-		target.Events = append(target.Events, SpanEvent{At: ev.At, Name: ev.Kind.String(), A: ev.A, B: ev.B})
-		if ev.Kind == KFurtherLoss {
-			rec.attr("further_losses", rec.Attrs["further_losses"]+1)
-		}
-
-	case KRecoveryExit:
-		rec := s.rec[ev.Flow]
-		if rec == nil {
-			return
-		}
-		closeSpan(s.sub[ev.Flow], ev.At)
-		delete(s.sub, ev.Flow)
-		rec.attr("exit_cwnd", ev.A)
-		closeSpan(rec, ev.At)
-		delete(s.rec, ev.Flow)
-
 	case KEnqueue:
 		if ev.Comp == CompQueue && s.busy[ev.Src] == nil {
 			s.busy[ev.Src] = s.open(SpanQueueBusy, NoFlow, ev.Src, -1, ev.At)
 		}
-
+		return
 	case KLinkTx:
 		// The link leaving zero occupancy behind ends the busy period.
 		if ev.B == 0 {
@@ -265,6 +211,85 @@ func (s *SpanSink) Emit(ev Event) {
 				closeSpan(sp, ev.At)
 				delete(s.busy, ev.Src)
 			}
+		}
+		return
+	}
+
+	fl := s.flow(ev.Flow)
+	if fl == nil {
+		return
+	}
+	// Connection lifetime: opened lazily by the first flow-scoped
+	// sender/receiver/RR event, closed by flow-done. Gauge samples and
+	// flow accounting are passive instrumentation, not connection
+	// activity — a sampler tick or a stats event landing after flow-done
+	// must not resurrect the span.
+	if fl.conn == nil && ev.Kind != KSample && ev.Kind != KFlowStats {
+		switch ev.Comp {
+		case CompSender, CompRecv, CompRR:
+			fl.conn = s.open(SpanConn, ev.Flow, "", -1, ev.At)
+		}
+	}
+
+	// A recovery episode ends at its recovery-exit, or is cut short: by a
+	// retransmission timeout (no strategy emits an exit then), by the
+	// next recovery-enter (Tahoe never emits one) or by the end of the
+	// flow. No span outlives its connection.
+	switch ev.Kind {
+	case KFlowDone:
+		fl.endRecovery(ev.At)
+		closeSpan(fl.conn, ev.At)
+		fl.conn = nil
+
+	case KTimeout:
+		if fl.rec != nil {
+			fl.rec.attr("timeout", 1)
+			fl.endRecovery(ev.At)
+		}
+
+	case KRecoveryEnter:
+		fl.endRecovery(ev.At)
+		parent := -1
+		if fl.conn != nil {
+			parent = fl.conn.ID
+		}
+		fl.rec = s.open(SpanRecovery, ev.Flow, "", parent, ev.At)
+		fl.rec.attr("enter_cwnd", ev.A)
+		fl.rec.attr("ssthresh", ev.B)
+		// Only RR has the retreat/probe split; baseline variants emit
+		// recovery-enter from the sender path and get a flat episode.
+		if ev.Comp == CompRR {
+			fl.sub = s.open(SpanRetreat, ev.Flow, "", fl.rec.ID, ev.At)
+		}
+
+	case KRetreatProbe:
+		if fl.rec == nil {
+			return
+		}
+		closeSpan(fl.sub, ev.At)
+		fl.sub = s.open(SpanProbe, ev.Flow, "", fl.rec.ID, ev.At)
+		fl.sub.attr("actnum", ev.A)
+
+	case KFurtherLoss, KActnum:
+		if fl.rec == nil {
+			return
+		}
+		// Instants attach to the innermost open span — the retreat or
+		// probe sub-phase when RR is active — so the exported trace
+		// keeps them inside the slice they occurred in.
+		target := fl.rec
+		if fl.sub != nil {
+			target = fl.sub
+		}
+		target.Events = append(target.Events, SpanEvent{At: ev.At, Name: ev.Kind.String(), A: ev.A, B: ev.B})
+		if ev.Kind == KFurtherLoss {
+			fl.rec.attr("further_losses", fl.rec.Attrs["further_losses"]+1)
+		}
+
+	case KRecoveryExit:
+		if fl.rec != nil {
+			fl.rec.attr("exit_cwnd", ev.A)
+			fl.endRecovery(ev.At)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
@@ -24,7 +23,7 @@ func TestWriteCSVNilReceiver(t *testing.T) {
 }
 
 func TestWriteCSVEmptyTrace(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	var b strings.Builder
 	if err := tr.WriteCSV(&b); err != nil {
 		t.Fatalf("empty trace: %v", err)
@@ -35,7 +34,7 @@ func TestWriteCSVEmptyTrace(t *testing.T) {
 }
 
 func TestWriteCSVRows(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	tr.Add(time.Second, EvSend, 1000, 0)
 	tr.Add(2*time.Second, EvCwnd, 2000, 8.5)
 	var b strings.Builder
@@ -61,7 +60,7 @@ func TestWriteCSVRows(t *testing.T) {
 // the CSV is what the same event is called in an NDJSON log, and the
 // value column carries the event's first attribute as the log does.
 func TestWriteCSVUsesStreamVocabulary(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	tr.OnEvent(telemetry.Event{At: 2 * time.Second, Kind: telemetry.KRecoveryEnter, Seq: 2000, A: 13, B: 6.5})
 	tr.OnEvent(telemetry.Event{At: 3 * time.Second, Kind: telemetry.KRetreatProbe, Seq: 2500, A: 4})
 	tr.OnEvent(telemetry.Event{At: 4 * time.Second, Kind: telemetry.KFurtherLoss, Seq: 3000, A: 4, B: 1})
@@ -81,7 +80,7 @@ func TestWriteCSVUsesStreamVocabulary(t *testing.T) {
 }
 
 func TestOnEventMapsTelemetryKinds(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	tr.OnEvent(telemetry.Event{At: time.Second, Kind: telemetry.KCwnd, Seq: 1000, A: 7})
 	tr.OnEvent(telemetry.Event{At: 2 * time.Second, Kind: telemetry.KRecoveryEnter, Seq: 2000, A: 13, B: 6.5})
 	tr.OnEvent(telemetry.Event{At: 3 * time.Second, Kind: telemetry.KFurtherLoss, Seq: 3000, A: 4, B: 1})
@@ -98,11 +97,11 @@ func TestOnEventMapsTelemetryKinds(t *testing.T) {
 	}
 	for _, c := range checks {
 		ss := tr.SamplesOf(c.kind)
-		if len(ss) != 1 || tr.Count(c.kind) != 1 {
-			t.Fatalf("%v samples = %d, Count = %d, want 1", c.kind, len(ss), tr.Count(c.kind))
+		if len(ss) != 1 {
+			t.Fatalf("%v samples = %d, want 1", c.kind, len(ss))
 		}
-		if ss[0].Value != c.value {
-			t.Fatalf("%v value = %v, want %v", c.kind, ss[0].Value, c.value)
+		if ss[0].A != c.value {
+			t.Fatalf("%v value = %v, want %v", c.kind, ss[0].A, c.value)
 		}
 	}
 	// Everything else on the stream — per-RTT actnum updates, flow
@@ -134,24 +133,19 @@ func TestKindAliasesRoundTripThroughTheVocabulary(t *testing.T) {
 	}
 }
 
-func TestSampleIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Sample{}); got != 32 {
-		t.Fatalf("Sample is %d bytes, want 32 (steady10's retained MB is made of these)", got)
-	}
-}
-
-func TestCountMatchesSamplesOf(t *testing.T) {
-	var nilTrace *FlowTrace
-	if nilTrace.Count(EvSend) != 0 {
-		t.Fatal("nil trace counted samples")
-	}
-	tr := New(0, "rr")
+// Every counter is the number of samples of its kind a recorded trace
+// keeps, so a counters-only trace answers what a scan of the log would.
+func TestCountersMatchSamplesOf(t *testing.T) {
+	tr := newRecorded(0, "rr")
 	for i := 0; i < 9000; i++ { // across chunk boundaries
-		tr.Add(sim.Time(i), EventKind(1+i%3), int64(i), 0)
+		tr.Add(sim.Time(i), EventKind(1+i%int(EvPhaseFlip)), int64(i), 0)
 	}
-	for kind := EvSend; kind <= EvPhaseFlip; kind++ {
-		if got, want := tr.Count(kind), len(tr.SamplesOf(kind)); got != want {
-			t.Fatalf("Count(%v) = %d, SamplesOf has %d", kind, got, want)
+	for kind, got := range map[EventKind]uint64{
+		EvSend: tr.DataSent, EvRetransmit: tr.Retransmits, EvTimeout: tr.Timeouts,
+		EvRecovery: tr.Recoveries, EvDupAck: tr.DupAcks, EvAckRecv: tr.Acks,
+	} {
+		if want := len(tr.SamplesOf(kind)); got != uint64(want) || want == 0 {
+			t.Fatalf("counter of %v = %d, SamplesOf has %d", kind, got, want)
 		}
 	}
 }
@@ -171,7 +165,7 @@ func TestRenderASCIIExact(t *testing.T) {
 }
 
 func TestOnEventWithinAChunkDoesNotAllocate(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	ev := telemetry.Event{Comp: telemetry.CompSender, Kind: telemetry.KAck}
 	emit := func() {
 		ev.At += time.Millisecond

@@ -10,14 +10,15 @@ import (
 	"time"
 
 	"rrtcp/internal/sim"
+	"rrtcp/internal/telemetry"
 )
 
-// flatTrace is the reference the chunk-walking readers are checked
+// flatTrace is the reference the readers of the recorded log are checked
 // against: the same samples in one plain slice, read the obvious way.
-type flatTrace []Sample
+type flatTrace []telemetry.Event
 
-func (f flatTrace) samplesOf(kind EventKind) []Sample {
-	var out []Sample
+func (f flatTrace) samplesOf(kind EventKind) []telemetry.Event {
+	var out []telemetry.Event
 	for _, s := range f {
 		if s.Kind == kind {
 			out = append(out, s)
@@ -67,7 +68,7 @@ func (f flatTrace) csv() string {
 	b.WriteString(csvHeader)
 	for _, s := range f {
 		fmt.Fprintf(&b, "%s,%s,%d,%s\n", strconv.FormatFloat(s.At.Seconds(), 'f', 6, 64),
-			s.Kind, s.Seq, strconv.FormatFloat(s.Value, 'f', 3, 64))
+			s.Kind, s.Seq, strconv.FormatFloat(s.A, 'f', 3, 64))
 	}
 	return b.String()
 }
@@ -75,13 +76,13 @@ func (f flatTrace) csv() string {
 // randomTrace records n samples of a plausible flow — time and the ACK
 // point only move forward — into a FlowTrace and a flat reference.
 func randomTrace(rng *rand.Rand, n int) (*FlowTrace, flatTrace) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	flat := make(flatTrace, 0, n)
 	var at sim.Time
 	var sent, acked int64
 	for i := 0; i < n; i++ {
 		at += sim.Time(rng.Int63n(int64(3 * time.Millisecond)))
-		s := Sample{At: at, Kind: EventKind(1 + rng.Intn(int(EvPhaseFlip))), Value: float64(rng.Intn(40)) / 3}
+		s := telemetry.Event{At: at, Kind: EventKind(1 + rng.Intn(int(EvPhaseFlip))), A: float64(rng.Intn(40)) / 3}
 		switch s.Kind {
 		case EvSend:
 			sent += 1000
@@ -94,13 +95,13 @@ func randomTrace(rng *rand.Rand, n int) (*FlowTrace, flatTrace) {
 		case EvFlowDone: // ends a trace; keep these ones running
 			s.Kind = EvCwnd
 		}
-		tr.Add(s.At, s.Kind, s.Seq, s.Value)
+		tr.OnEvent(s)
 		flat = append(flat, s)
 	}
 	return tr, flat
 }
 
-// Every FlowTrace reader walks the chunked store in place; on traces of
+// Every FlowTrace reader answers from the recorded log; on traces of
 // every interesting size — empty, inside one chunk, on and around chunk
 // boundaries, deep into 4096-chunks — each must return exactly what the
 // flat reference does.
@@ -108,12 +109,13 @@ func TestReadersMatchFlatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 63, 64, 65, 192, 193, 8128, 8129, 8128 + 4096 + 7, 30_000} {
 		tr, flat := randomTrace(rng, n)
-		if !slices.Equal(tr.Samples(), []Sample(flat)) {
+		if !slices.Equal(tr.Samples(), []telemetry.Event(flat)) {
 			t.Fatalf("n=%d: Samples() differs from what was added", n)
 		}
 		if n > 0 {
-			if got := tr.Samples(); &got[0] == &tr.samples.Chunks()[0][0] {
-				t.Fatalf("n=%d: Samples() aliases the store instead of copying", n)
+			tr.Samples()[0].Seq = -1
+			if tr.Samples()[0] != flat[0] {
+				t.Fatalf("n=%d: Samples() aliases the log instead of copying", n)
 			}
 		}
 		for kind := EvSend; kind <= EvPhaseFlip; kind++ {
@@ -149,7 +151,7 @@ func TestReadersMatchFlatReference(t *testing.T) {
 }
 
 func TestAddWithinAChunkDoesNotAllocate(t *testing.T) {
-	tr := New(0, "rr")
+	tr := newRecorded(0, "rr")
 	at := sim.Time(0)
 	add := func() {
 		at += time.Millisecond

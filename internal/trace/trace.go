@@ -39,25 +39,18 @@ const (
 const recorded uint64 = 1<<EvSend | 1<<EvRetransmit | 1<<EvAckRecv | 1<<EvDeliver | 1<<EvTimeout | 1<<EvRecovery |
 	1<<EvExit | 1<<EvCwnd | 1<<EvDupAck | 1<<EvFlowDone | 1<<EvFurther | 1<<EvPhaseFlip
 
-// Sample is one trace record.
-type Sample struct {
-	At   sim.Time
-	Kind EventKind
-	// Seq is the byte sequence number involved (send/rtx/ack/deliver).
-	Seq int64
-	// Value is the event's first attribute (telemetry.Event.A): cwnd in
-	// packets for EvCwnd, EvRecovery and EvExit, actnum for EvFurther
-	// and EvPhaseFlip, zero for the kinds that carry none.
-	Value float64
-}
-
-// FlowTrace accumulates samples and counters for one TCP connection.
-// A nil *FlowTrace is valid and records nothing, so endpoints can trace
+// FlowTrace counts one TCP connection's events: the counters behind the
+// three scalars the paper reports per connection (effective throughput,
+// transfer delay, packet-loss rate). It keeps no per-event state unless
+// Record was called before the run; then it also logs every event of a
+// recorded kind, for the readers that need the series itself (Samples,
+// SamplesOf, SeqSeries, GoodputBps, WriteCSV).
+// A nil *FlowTrace is valid and counts nothing, so endpoints can trace
 // unconditionally.
 type FlowTrace struct {
-	Flow    int
-	Name    string
-	samples telemetry.Chunked[Sample]
+	Flow int
+	Name string
+	log  *telemetry.Ring // nil until Record
 
 	// Counters.
 	DataSent     uint64 // first transmissions
@@ -65,6 +58,7 @@ type FlowTrace struct {
 	Timeouts     uint64
 	Recoveries   uint64
 	DupAcks      uint64
+	Acks         uint64 // ACKs processed at the sender, duplicates included
 	BytesAcked   int64
 	DeliveredSeq int64
 
@@ -73,18 +67,35 @@ type FlowTrace struct {
 	finished bool
 }
 
-// New returns an empty trace for the flow.
+// New returns an empty, counters-only trace for the flow.
 func New(flow int, name string) *FlowTrace {
 	return &FlowTrace{Flow: flow, Name: name, doneAt: -1}
 }
 
-// Add appends a sample and updates counters.
-func (t *FlowTrace) Add(at sim.Time, kind EventKind, seq int64, value float64) {
+// Record makes the trace keep a sample log from here on. Call it before
+// the run on the flows whose samples will be read: a sequence plot, a
+// goodput over a window, a CSV export.
+func (t *FlowTrace) Record() {
+	if t != nil && t.log == nil {
+		t.log = telemetry.NewRing(0)
+	}
+}
+
+// Emit implements telemetry.Sink: a FlowTrace is a subscriber of the
+// event stream the endpoints publish, not a parallel recording
+// mechanism.
+func (t *FlowTrace) Emit(ev telemetry.Event) { t.OnEvent(ev) }
+
+var _ telemetry.Sink = (*FlowTrace)(nil)
+
+// OnEvent is the typed form of Emit: it counts the event and, on a
+// recorded trace, logs it if its kind is one a trace keeps. A nil
+// receiver does nothing.
+func (t *FlowTrace) OnEvent(ev telemetry.Event) {
 	if t == nil {
 		return
 	}
-	t.samples.Append(Sample{At: at, Kind: kind, Seq: seq, Value: value})
-	switch kind {
+	switch ev.Kind {
 	case EvSend:
 		t.DataSent++
 	case EvRetransmit:
@@ -96,31 +107,20 @@ func (t *FlowTrace) Add(at sim.Time, kind EventKind, seq int64, value float64) {
 	case EvDupAck:
 		t.DupAcks++
 	case EvDeliver:
-		if seq > t.DeliveredSeq {
-			t.DeliveredSeq = seq
+		if ev.Seq > t.DeliveredSeq {
+			t.DeliveredSeq = ev.Seq
 		}
 	case EvAckRecv:
-		if seq > t.BytesAcked {
-			t.BytesAcked = seq
+		t.Acks++
+		if ev.Seq > t.BytesAcked {
+			t.BytesAcked = ev.Seq
 		}
 	case EvFlowDone:
 		t.finished = true
-		t.doneAt = at
+		t.doneAt = ev.At
 	}
-}
-
-// Emit implements telemetry.Sink: a FlowTrace is a subscriber of the
-// event stream the endpoints publish, not a parallel recording
-// mechanism.
-func (t *FlowTrace) Emit(ev telemetry.Event) { t.OnEvent(ev) }
-
-var _ telemetry.Sink = (*FlowTrace)(nil)
-
-// OnEvent is the typed form of Emit: it records the event if its kind
-// is one a trace keeps. A nil receiver records nothing.
-func (t *FlowTrace) OnEvent(ev telemetry.Event) {
-	if t != nil && recorded>>ev.Kind&1 != 0 {
-		t.Add(ev.At, ev.Kind, ev.Seq, ev.A)
+	if t.log != nil && recorded>>ev.Kind&1 != 0 {
+		t.log.Emit(ev)
 	}
 }
 
@@ -132,45 +132,32 @@ func (t *FlowTrace) SetStart(at sim.Time) {
 	t.startAt = at
 }
 
-// Samples returns a copy of the recorded samples.
-func (t *FlowTrace) Samples() []Sample {
+// samples returns the sample log. Asking a trace that never recorded
+// for its samples is a bug in the caller — an empty answer would read as
+// "nothing happened" — so it panics.
+func (t *FlowTrace) samples() *telemetry.Ring {
+	if t.log == nil {
+		panic(fmt.Sprintf("trace: flow %d (%s) kept no samples: call Record() on the trace before the run", t.Flow, t.Name))
+	}
+	return t.log
+}
+
+// Samples returns a copy of the recorded samples; a sample's A is the
+// event's first attribute: cwnd in packets for EvCwnd, EvRecovery and
+// EvExit, actnum for EvFurther and EvPhaseFlip.
+func (t *FlowTrace) Samples() []telemetry.Event {
 	if t == nil {
 		return nil
 	}
-	return t.samples.AppendTo(make([]Sample, 0, t.samples.Len()))
+	return t.samples().Events()
 }
 
 // SamplesOf returns the samples of one kind, in time order.
-func (t *FlowTrace) SamplesOf(kind EventKind) []Sample {
+func (t *FlowTrace) SamplesOf(kind EventKind) []telemetry.Event {
 	if t == nil {
 		return nil
 	}
-	var out []Sample
-	for _, chunk := range t.samples.Chunks() {
-		for i := range chunk {
-			if chunk[i].Kind == kind {
-				out = append(out, chunk[i])
-			}
-		}
-	}
-	return out
-}
-
-// Count returns how many samples of one kind were recorded, reading the
-// store in place.
-func (t *FlowTrace) Count(kind EventKind) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, chunk := range t.samples.Chunks() {
-		for i := range chunk {
-			if chunk[i].Kind == kind {
-				n++
-			}
-		}
-	}
-	return n
+	return t.samples().EventsOf(kind)
 }
 
 // Finished reports whether the flow's transfer completed, and when.
@@ -211,28 +198,21 @@ func (t *FlowTrace) GoodputBps(from, to sim.Time) float64 {
 		return 0
 	}
 	var lo, hi int64 = -1, 0
-scan:
-	for _, chunk := range t.samples.Chunks() {
-		for i := range chunk {
-			s := &chunk[i]
-			if s.Kind != EvAckRecv {
-				continue
+	for _, s := range t.SamplesOf(EvAckRecv) {
+		if s.At < from {
+			if s.Seq > lo {
+				lo = s.Seq
 			}
-			if s.At < from {
-				if s.Seq > lo {
-					lo = s.Seq
-				}
-				continue
-			}
-			if s.At > to {
-				break scan
-			}
-			if lo < 0 {
-				lo = 0
-			}
-			if s.Seq > hi {
-				hi = s.Seq
-			}
+			continue
+		}
+		if s.At > to {
+			break
+		}
+		if lo < 0 {
+			lo = 0
+		}
+		if s.Seq > hi {
+			hi = s.Seq
 		}
 	}
 	if lo < 0 {
@@ -248,15 +228,13 @@ scan:
 // retransmit events — the standard TCP sequence plot of Figure 6 —
 // with sequence numbers scaled to packets of the given size.
 func (t *FlowTrace) SeqSeries(packetSize int64) []Point {
-	if t == nil || packetSize <= 0 {
+	if packetSize <= 0 {
 		return nil
 	}
 	var pts []Point
-	for _, chunk := range t.samples.Chunks() {
-		for _, s := range chunk {
-			if s.Kind == EvSend || s.Kind == EvRetransmit {
-				pts = append(pts, Point{X: s.At.Seconds(), Y: float64(s.Seq) / float64(packetSize)})
-			}
+	for _, s := range t.Samples() {
+		if s.Kind == EvSend || s.Kind == EvRetransmit {
+			pts = append(pts, Point{X: s.At.Seconds(), Y: float64(s.Seq) / float64(packetSize)})
 		}
 	}
 	return pts

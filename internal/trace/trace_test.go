@@ -5,13 +5,30 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rrtcp/internal/sim"
+	"rrtcp/internal/telemetry"
 )
+
+// Add feeds the trace one event the way the tests have always written
+// them: kind, sequence number and first attribute.
+func (t *FlowTrace) Add(at sim.Time, kind EventKind, seq int64, value float64) {
+	t.OnEvent(telemetry.Event{At: at, Kind: kind, Seq: seq, A: value})
+}
+
+// newRecorded returns a trace that keeps its sample log.
+func newRecorded(flow int, name string) *FlowTrace {
+	tr := New(flow, name)
+	tr.Record()
+	return tr
+}
 
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *FlowTrace
 	tr.Add(0, EvSend, 0, 0) // must not panic
 	tr.SetStart(0)
-	if tr.Samples() != nil {
+	tr.Record()
+	if tr.Samples() != nil || tr.SamplesOf(EvSend) != nil || tr.SeqSeries(1000) != nil {
 		t.Fatal("nil trace returned samples")
 	}
 	if tr.LossRate() != 0 {
@@ -71,7 +88,7 @@ func TestTransferDelay(t *testing.T) {
 }
 
 func TestGoodputBps(t *testing.T) {
-	tr := New(1, "test")
+	tr := newRecorded(1, "test")
 	// Acks: 10 KB acked at t=1s, 20 KB at t=2s.
 	tr.Add(time.Second, EvAckRecv, 10_000, 0)
 	tr.Add(2*time.Second, EvAckRecv, 20_000, 0)
@@ -86,7 +103,7 @@ func TestGoodputBps(t *testing.T) {
 }
 
 func TestGoodputEmptyWindow(t *testing.T) {
-	tr := New(1, "test")
+	tr := newRecorded(1, "test")
 	if tr.GoodputBps(time.Second, time.Second) != 0 {
 		t.Fatal("zero-width window produced goodput")
 	}
@@ -96,7 +113,7 @@ func TestGoodputEmptyWindow(t *testing.T) {
 }
 
 func TestSamplesOfFiltersKind(t *testing.T) {
-	tr := New(1, "test")
+	tr := newRecorded(1, "test")
 	tr.Add(0, EvSend, 0, 0)
 	tr.Add(1, EvRetransmit, 1000, 0)
 	tr.Add(2, EvSend, 2000, 0)
@@ -109,7 +126,7 @@ func TestSamplesOfFiltersKind(t *testing.T) {
 }
 
 func TestSeqSeries(t *testing.T) {
-	tr := New(1, "test")
+	tr := newRecorded(1, "test")
 	tr.Add(time.Second, EvSend, 5000, 0)
 	tr.Add(2*time.Second, EvRetransmit, 5000, 0)
 	tr.Add(3*time.Second, EvAckRecv, 6000, 0) // not part of the series
@@ -180,7 +197,7 @@ func TestBytesAckedProperty(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	tr := New(1, "test")
+	tr := newRecorded(1, "test")
 	tr.Add(time.Second, EvSend, 1000, 0)
 	tr.Add(2*time.Second, EvCwnd, 1000, 4.5)
 	var sb strings.Builder
@@ -229,5 +246,47 @@ func TestRenderASCIIProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A trace that was never told to Record has counters and nothing else:
+// counting allocates nothing from the first event on, and asking it for
+// samples is a bug that must not read as "nothing happened".
+func TestUnrecordedTraceCountsWithoutAllocating(t *testing.T) {
+	tr := New(0, "rr")
+	at := sim.Time(0)
+	add := func() {
+		at += time.Millisecond
+		tr.Add(at, EvSend, int64(at), 0)
+		tr.Add(at, EvAckRecv, int64(at), 0)
+	}
+	if avg := testing.AllocsPerRun(1000, add); avg != 0 {
+		t.Fatalf("counters-only FlowTrace allocates %.2f times per event pair, want 0", avg)
+	}
+	if tr.DataSent != 1001 || tr.Acks != 1001 || tr.BytesAcked != int64(at) {
+		t.Fatalf("counters wrong: sent %d acks %d acked %d at %d", tr.DataSent, tr.Acks, tr.BytesAcked, at)
+	}
+}
+
+func TestSampleReadersPanicOnUnrecordedTrace(t *testing.T) {
+	readers := map[string]func(tr *FlowTrace){
+		"Samples":    func(tr *FlowTrace) { tr.Samples() },
+		"SamplesOf":  func(tr *FlowTrace) { tr.SamplesOf(EvAckRecv) },
+		"SeqSeries":  func(tr *FlowTrace) { tr.SeqSeries(1000) },
+		"GoodputBps": func(tr *FlowTrace) { tr.GoodputBps(0, time.Second) },
+		"WriteCSV":   func(tr *FlowTrace) { tr.WriteCSV(&strings.Builder{}) }, //nolint:errcheck // panics first
+	}
+	for name, read := range readers {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Record") {
+					t.Fatalf("%s on an unrecorded trace: recovered %q, want a panic naming Record", name, msg)
+				}
+			}()
+			tr := New(3, "rr")
+			tr.Add(0, EvAckRecv, 1000, 0)
+			read(tr)
+		})
 	}
 }

@@ -139,11 +139,12 @@ type FlowSpec struct {
 	// Telemetry, when non-nil, receives the flow's structured events
 	// (sender, receiver, and recovery state machine).
 	Telemetry *telemetry.Bus
-	// NoTrace skips the per-flow FlowTrace ring entirely. Rings retain
-	// every event of the connection — O(events) memory per flow — which
-	// many-flow workloads replace with aggregate accounting (a
-	// flowstats.FlowTable on the Telemetry bus) plus its sampled
-	// exemplars.
+	// NoTrace installs the flow with a nil FlowTrace, so not even its
+	// counters are kept: for worlds that read no Flow.Trace at all and
+	// build flows by the thousand (chaos, stress, many-flow workloads
+	// with a flowstats.FlowTable on the Telemetry bus). A default trace
+	// is counters only; call Flow.Trace.Record() before the run to keep
+	// the sample log too.
 	NoTrace bool
 	// OnDone runs when the transfer completes.
 	OnDone func()

@@ -16,6 +16,16 @@
 //	sched.Run(30 * time.Second)
 //	delay, _ := flow.Trace.TransferDelay()
 //
+// A flow's Trace always counts (transfer delay, retransmits, timeouts,
+// bytes acknowledged, loss rate) and logs no samples. The readers of the
+// sample series — SeqSeries for a sequence plot, GoodputBps over a
+// window, WriteCSV — need the log, which is kept only from a call made
+// before the run:
+//
+//	flow.Trace.Record()
+//	sched.Run(30 * time.Second)
+//	bps := flow.Trace.GoodputBps(10*time.Second, 30*time.Second)
+//
 // See the examples/ directory for complete programs.
 package rrtcp
 
@@ -69,7 +79,7 @@ type (
 	FlowSpec = workload.FlowSpec
 	// Flow is an installed connection.
 	Flow = workload.Flow
-	// FlowTrace records a flow's time series and counters.
+	// FlowTrace holds a flow's counters and, after Record, its samples.
 	FlowTrace = trace.FlowTrace
 )
 

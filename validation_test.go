@@ -49,6 +49,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
+	flow.Trace.Record()
 	sched.Run(60 * time.Second)
 
 	got := flow.Trace.GoodputBps(10*time.Second, 60*time.Second)
@@ -79,6 +80,7 @@ func TestBottleneckLimitedThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
+	flow.Trace.Record()
 	sched.Run(60 * time.Second)
 
 	got := flow.Trace.GoodputBps(10*time.Second, 60*time.Second)
@@ -143,6 +145,8 @@ func TestTwoFlowSharing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("install: %v", err)
 		}
+		flows[0].Trace.Record()
+		flows[1].Trace.Record()
 		sched.Run(120 * time.Second)
 		return flows[0].Trace.GoodputBps(20*time.Second, 120*time.Second),
 			flows[1].Trace.GoodputBps(20*time.Second, 120*time.Second)

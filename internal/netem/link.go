@@ -37,14 +37,21 @@ type Link struct {
 	queue *Queue
 	busy  bool
 
-	// wire holds the packets propagating toward Dst, in delivery order:
-	// deliveries are never cancelled (a flap drops them on arrival), so
-	// the whole pipe costs the scheduler one pending event. Its depth is
-	// bounded by the link's bandwidth-delay product in packets.
-	wire sim.Lane[wirePkt]
-	// tx paces serialization: it fires transmitNext once per packet after
-	// the transmission delay, so it never holds more than one event.
-	tx sim.Lane[struct{}]
+	// wires and txs are the world's lanes, shared by all its links: wires
+	// holds the packets propagating toward their Dst (never cancelled; a
+	// flap drops them on arrival), one lane per distinct tx+propagation
+	// delay, and txs the serialization completions that fire
+	// transmitNext, one lane per distinct tx delay. last is what the
+	// previous packet used: its size, that size's transmission delay at
+	// the current rate, and the lanes it was pushed on.
+	wires *sim.Lanes[wirePkt]
+	txs   *sim.Lanes[*Link]
+	last  struct {
+		size    int
+		txDelay sim.Time
+		wire    *sim.DelayLane[wirePkt]
+		tx      *sim.DelayLane[*Link]
+	}
 
 	// down marks a failed link: nothing serializes while set, and every
 	// packet on the wire when the failure began is lost.
@@ -88,9 +95,9 @@ func NewLink(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, q Queue
 		BandwidthBps: bandwidthBps,
 		Delay:        delay,
 		Dst:          dst,
+		wires:        sim.LanesOf(sched, deliver),
+		txs:          sim.LanesOf(sched, (*Link).transmitNext),
 	}
-	l.wire.Init(sched, l.deliver)
-	l.tx.Init(sched, func(struct{}) { l.transmitNext() })
 	l.queue = newQueue(q, sched)
 	return l, nil
 }
@@ -170,6 +177,7 @@ func (l *Link) SetBandwidth(bps float64) error {
 		return err
 	}
 	l.BandwidthBps = bps
+	l.last.size = -1 // its transmission delay was at the old rate
 	l.emitParam()
 	return nil
 }
@@ -220,7 +228,10 @@ func (l *Link) transmitNext() {
 		return
 	}
 	l.busy = true
-	txDelay := l.TransmissionDelay(p.Size)
+	if p.Size != l.last.size {
+		l.last.size, l.last.txDelay = p.Size, l.TransmissionDelay(p.Size)
+	}
+	txDelay := l.last.txDelay
 	l.TxPackets++
 	l.TxBytes += uint64(p.Size)
 	l.sched.CountPacket()
@@ -242,18 +253,20 @@ func (l *Link) transmitNext() {
 	// counter at transmission time is compared at delivery time. The
 	// delivery must be pushed before the serialization completion so
 	// simultaneous firings keep the historical order (delivery first).
-	l.wire.Push(txDelay+l.Delay, wirePkt{p: p, flapsAtTx: l.flaps})
-	l.tx.Push(txDelay, struct{}{})
+	l.last.wire = l.wires.Push(l.last.wire, txDelay+l.Delay, wirePkt{l: l, p: p, flapsAtTx: l.flaps})
+	l.last.tx = l.txs.Push(l.last.tx, txDelay, l)
 }
 
 // wirePkt is one packet on the wire plus the state its arrival needs.
 type wirePkt struct {
+	l         *Link
 	p         *Packet
 	flapsAtTx uint64
 }
 
 // deliver fires when the packet finishes propagating.
-func (l *Link) deliver(w wirePkt) {
+func deliver(w wirePkt) {
+	l := w.l
 	if l.flaps != w.flapsAtTx {
 		l.dropInFlight(w.p)
 		return

@@ -9,20 +9,25 @@ import (
 	"rrtcp/internal/workload"
 )
 
+// A dumbbell's links push with eight distinct delays — two rates, two
+// packet sizes, with and without the propagation delay — so its packets
+// ride at most eight lanes, and a connection has three timers (start,
+// retransmission, delayed ACK).
+const dumbbellLanes, flowTimers = 8, 3
+
 // TestEventQueueDepthIndependentOfWindow runs one flow over a long-fat
-// dumbbell with a 30-packet and a 1000-packet window. In the second run
-// a thousand events are pending at once (the pipe is full of packets),
-// yet the event queue stays within the same topology bound: each of the
-// six links contributes at most its wire lane's head and its
-// serialization completion, whatever is queued behind them, plus the
-// connection's handful of timers.
+// dumbbell with a 30-packet and a 1000-packet window, and then 200 flows
+// of all nine variants over it. In the second run a thousand events are
+// pending at once (the pipe is full of packets), and the third has 802
+// links, yet the event queue stays within the same bound: one lane head
+// per distinct delay the world's links push with, whatever is queued
+// behind them and however many links are pushing, plus each
+// connection's timers.
 func TestEventQueueDepthIndependentOfWindow(t *testing.T) {
-	const links = 6 // sender, forward, receiver, ack, reverse, return
-	const bound = 2*links + 4
-	run := func(window int) (highWater, peakPending int) {
-		s := sim.NewScheduler(1)
+	run := func(flows, window int, kinds ...workload.Kind) (s *sim.Scheduler, peakPending int) {
+		s = sim.NewScheduler(1)
 		d, err := netem.NewDumbbell(s, netem.DumbbellConfig{
-			Flows:           1,
+			Flows:           flows,
 			BottleneckBps:   100e6,
 			BottleneckDelay: 50 * time.Millisecond, // ~1250 packets of pipe
 			SideBps:         1e9,
@@ -32,26 +37,38 @@ func TestEventQueueDepthIndependentOfWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = workload.Install(s, d, 0, workload.FlowSpec{
-			Kind: workload.RR, Bytes: 20e6, Window: window, NoTrace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < flows; i++ {
+			_, err = workload.Install(s, d, i, workload.FlowSpec{
+				Kind: kinds[i%len(kinds)], Bytes: 20e6 / int64(flows), Window: window, NoTrace: true,
+				StartAt: time.Duration(i) * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		s.SetProfileHook(1, func(_ sim.Time, _ uint64, pending int) {
 			peakPending = max(peakPending, pending)
 		})
 		s.Run(30 * time.Second)
-		return s.HeapHighWater(), peakPending
+		return s, peakPending
 	}
-	small, smallPending := run(30)
-	large, largePending := run(1000)
-	if smallPending > 2*30+bound || largePending < 1000 {
-		t.Fatalf("peak pending events %d at window 30, %d at window 1000: the windows are not what fills the pipe",
-			smallPending, largePending)
+	small, smallPending := run(1, 30, workload.RR)
+	large, largePending := run(1, 1000, workload.RR)
+	many, manyPending := run(200, 30, workload.Kinds()...)
+	if smallPending > 2*30+dumbbellLanes+flowTimers || largePending < 1000 || manyPending < 1000 {
+		t.Fatalf("peak pending events %d at window 30, %d at window 1000, %d with 200 flows: windows and flows are not what fills the pipe",
+			smallPending, largePending, manyPending)
 	}
-	if small > bound || large > bound {
-		t.Fatalf("heap high-water %d at window 30, %d at window 1000; want both <= %d",
-			small, large, bound)
+	check := func(name string, s *sim.Scheduler, flows int) {
+		if n := s.LaneCount(); n > dumbbellLanes {
+			t.Errorf("%s: %d lanes, want <= %d", name, n, dumbbellLanes)
+		}
+		if hw, bound := s.HeapHighWater(), dumbbellLanes+flowTimers*flows; hw > bound {
+			t.Errorf("%s: heap high-water %d, want <= %d (%d lanes + %d timers a flow)",
+				name, hw, bound, dumbbellLanes, flowTimers)
+		}
 	}
+	check("window 30", small, 1)
+	check("window 1000", large, 1)
+	check("200 flows", many, 200)
 }

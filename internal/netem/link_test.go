@@ -122,7 +122,7 @@ func TestNodeFuncAdapts(t *testing.T) {
 	}
 }
 
-// The tests below pin the contract of the link's two lanes (in-flight
+// The tests below pin the contract of the lanes a link pushes on (in-flight
 // packets and serialization completion): they behave exactly as one
 // cancellable timer per packet did.
 

@@ -37,8 +37,16 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// The ordering script's population: timers and lanes it arms and pushes.
-const scriptTimers, scriptLanes = 40, 6
+// The ordering script's population: timers and lanes it arms and pushes,
+// and sources that push on one shared Lanes set with a few delays.
+const scriptTimers, scriptLanes, scriptSources = 40, 6, 50
+
+// scriptDelays are what the sources push with: few, tied (0 twice over
+// with the lanes' and timers' draws) and interleaving.
+var scriptDelays = [...]Time{0, 7 * time.Microsecond, 20 * time.Microsecond, 20*time.Microsecond + 1, 150 * time.Microsecond}
+
+// sharedID is the payload type of the script's shared set.
+type sharedID int
 
 // eventQueue is what the ordering script drives: the scheduler under
 // test, and the container/heap oracle. Every armTimer and pushLane takes
@@ -48,6 +56,7 @@ type eventQueue interface {
 	armTimer(k int, at Time, id int) // arm or re-arm timer k; its expiry reports id
 	stopTimer(k int)
 	pushLane(k int, d Time, id int)
+	pushShared(src int, d Time, id int) // source src pushes on the shared set
 	// run fires every pending event, calling onFire(id) for each; onFire
 	// may arm, stop and push.
 	run(onFire func(id int))
@@ -59,11 +68,13 @@ type realQueue struct {
 	timers []*Timer
 	ids    []int // ids[k] is what timer k reports when it expires
 	lanes  []Lane[int]
+	last   []*DelayLane[sharedID] // last[src] is the shared lane source src pushed on last
 	onFire func(id int)
 }
 
 func newRealQueue() *realQueue {
-	q := &realQueue{s: NewScheduler(1), ids: make([]int, scriptTimers), lanes: make([]Lane[int], scriptLanes)}
+	q := &realQueue{s: NewScheduler(1), ids: make([]int, scriptTimers), lanes: make([]Lane[int], scriptLanes),
+		last: make([]*DelayLane[sharedID], scriptSources)}
 	for k := 0; k < scriptTimers; k++ {
 		k := k
 		q.timers = append(q.timers, q.s.NewTimer(func() { q.onFire(q.ids[k]) }))
@@ -83,6 +94,11 @@ func (q *realQueue) armTimer(k int, at Time, id int) {
 }
 func (q *realQueue) stopTimer(k int)                { q.timers[k].Stop() }
 func (q *realQueue) pushLane(k int, d Time, id int) { q.lanes[k].Push(d, id) }
+func (q *realQueue) pushShared(src int, d Time, id int) {
+	// Every source looks the set up for itself, as every link does.
+	shared := LanesOf(q.s, func(id sharedID) { q.onFire(int(id)) })
+	q.last[src] = shared.Push(q.last[src], d, sharedID(id))
+}
 func (q *realQueue) run(onFire func(id int)) {
 	q.onFire = onFire
 	q.s.RunAll()
@@ -115,7 +131,8 @@ func (q *oracleQueue) stopTimer(k int) {
 		delete(q.armed, k)
 	}
 }
-func (q *oracleQueue) pushLane(_ int, d Time, id int) { q.add(q.clock+d, id) }
+func (q *oracleQueue) pushLane(_ int, d Time, id int)   { q.add(q.clock+d, id) }
+func (q *oracleQueue) pushShared(_ int, d Time, id int) { q.add(q.clock+d, id) }
 func (q *oracleQueue) run(onFire func(id int)) {
 	for q.h.Len() > 0 {
 		e := heap.Pop(&q.h).(refEntry)
@@ -129,24 +146,28 @@ func (q *oracleQueue) run(onFire func(id int)) {
 
 // orderingScript issues a seeded random mix of timer arms, re-arms and
 // stops and of lane pushes — due times drawn from a small range, so ties
-// are common and lane pushes arrive out of deadline order — first from
-// outside the run and then from inside handlers (so lanes are pushed
-// while their head is firing), and returns the ids in firing order.
+// are common and lane pushes arrive out of deadline order — and of pushes
+// on the shared set from many sources with the few scriptDelays, first
+// from outside the run and then from inside handlers (so lanes are
+// pushed while their head is firing, and a shared lane that has just
+// drained is re-keyed), and returns the ids in firing order.
 func orderingScript(q eventQueue, seed int64) []int {
-	const timers, lanes, setupOps, total = scriptTimers, scriptLanes, 1500, 6000
+	const timers, lanes, setupOps, total = scriptTimers, scriptLanes, 1500, 9000
 	rng := rand.New(rand.NewSource(seed))
 	nextID := 0
 	op := func() {
 		id := nextID
 		nextID++
 		d := Time(rng.Intn(200)) * time.Microsecond
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(16); {
 		case k < 4:
 			q.pushLane(rng.Intn(lanes), d, id)
 		case k < 8:
 			q.armTimer(rng.Intn(timers), q.now()+d, id)
-		default:
+		case k < 10:
 			q.stopTimer(rng.Intn(timers))
+		default:
+			q.pushShared(rng.Intn(scriptSources), scriptDelays[rng.Intn(len(scriptDelays))], id)
 		}
 	}
 	for i := 0; i < setupOps; i++ {
@@ -165,13 +186,19 @@ func orderingScript(q eventQueue, seed int64) []int {
 // TestHeapMatchesReferenceOrder checks that timers and lanes together
 // fire in exactly the (time, sequence) order a reference container/heap
 // holding one entry per event pops them — across re-arms and stops,
-// out-of-order and equal-time lane pushes, and pushes made from inside
-// handlers. This is the determinism contract the experiment goldens
-// depend on, and what lets a link's per-packet timers become a lane
-// without re-pinning anything.
+// out-of-order and equal-time lane pushes, many sources sharing a few
+// delay-keyed lanes, and pushes made from inside handlers. This is the
+// determinism contract the experiment goldens depend on, and what lets a
+// link's per-packet timers become a lane, and every link's lanes the
+// world's few, without re-pinning anything.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
-		got := orderingScript(newRealQueue(), seed)
+		real := newRealQueue()
+		got := orderingScript(real, seed)
+		if n, max := real.s.LaneCount(), scriptLanes+len(scriptDelays); n > max {
+			t.Fatalf("seed %d: %d lanes bound to the scheduler, want at most %d (%d of its own, one per shared delay)",
+				seed, n, max, scriptLanes)
+		}
 		want := orderingScript(&oracleQueue{armed: map[int]int{}, dead: map[int]bool{}}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d events, reference popped %d", seed, len(got), len(want))

@@ -31,18 +31,19 @@ type Lane[T any] struct {
 	fn func(T)
 
 	// Ring of waiting events, sorted by (at, seq); capacity is a power
-	// of two, allocated on the first Push and doubled as the lane fills.
+	// of two, eight on the first Push and doubled as the lane fills.
 	buf  []laneEvent[T]
 	head int
 	n    int
 }
 
 // Init binds an empty lane to s and sets the handler run for each pushed
-// event. A lane is a value its owner embeds (a link has two, and worlds
-// are built by the thousand); the scheduler keeps a pointer to it, so it
-// must be initialised once, in place, and not copied afterwards. Like a
-// Timer, a lane belongs to its scheduler for the scheduler's lifetime:
-// have one per long-lived event source.
+// event. A lane is a value its owner embeds; the scheduler keeps a
+// pointer to it, so it must be initialised once, in place, and not
+// copied afterwards. Like a Timer, a lane belongs to its scheduler for
+// the scheduler's lifetime: have one per long-lived event source, or,
+// where many sources push with few distinct delays (a world's links),
+// share a Lanes set among them.
 func (l *Lane[T]) Init(s *Scheduler, fn func(T)) {
 	*l = Lane[T]{s: s, id: s.heads.newSlot(nil), fn: fn}
 	s.lanes = append(s.lanes, l)
@@ -113,9 +114,80 @@ func (l *Lane[T]) fire() {
 }
 
 func (l *Lane[T]) grow() {
-	buf := make([]laneEvent[T], max(2*len(l.buf), 1))
+	buf := make([]laneEvent[T], max(2*len(l.buf), 8))
 	for i := 0; i < l.n; i++ {
 		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 	}
 	l.buf, l.head = buf, 0
+}
+
+// Lanes is a scheduler's set of lanes for one kind of event, shared by
+// every source of that kind and keyed by the delay being pushed. Events
+// pushed with one delay are due in the order they were pushed, whoever
+// pushed them, so each lane only ever appends and the event queue holds
+// one entry per distinct delay pending rather than one per source: a
+// world of thousands of links with a few rates and packet sizes keeps a
+// handful of lanes. Firing order is Lane.Push's guarantee and does not
+// depend on how events are spread over lanes.
+type Lanes[T any] struct {
+	s     *Scheduler
+	fn    func(T)
+	lanes []*DelayLane[T]
+}
+
+// DelayLane is one lane of a Lanes set and the delay its waiting events
+// were all pushed with.
+type DelayLane[T any] struct {
+	lane  Lane[T]
+	delay Time
+}
+
+// LanesOf returns s's set of lanes with payload type T, made on the
+// first call with fn as the handler of every event pushed on it. There
+// is one set per payload type and scheduler, so a kind of event has a
+// payload type of its own.
+func LanesOf[T any](s *Scheduler, fn func(T)) *Lanes[T] {
+	for _, v := range s.laneSets {
+		if ls, ok := v.(*Lanes[T]); ok {
+			return ls
+		}
+	}
+	ls := &Lanes[T]{s: s, fn: fn}
+	s.laneSets = append(s.laneSets, ls)
+	return ls
+}
+
+// Push schedules fn(v) to run after d, exactly as Lane.Push does, on the
+// set's lane for d, and returns that lane. A source passes back the lane
+// its previous push returned (nil at first), which is the right one
+// again unless d changed or the lane drained and was given to another
+// delay.
+func (ls *Lanes[T]) Push(last *DelayLane[T], d Time, v T) *DelayLane[T] {
+	if last == nil || last.delay != d {
+		last = ls.lane(d)
+	}
+	last.lane.Push(d, v)
+	return last
+}
+
+// lane finds the lane keyed d. When there is none an empty lane is
+// re-keyed before a new one is made, so the set never has more lanes
+// than distinct delays have been pending at once.
+func (ls *Lanes[T]) lane(d Time) *DelayLane[T] {
+	var idle *DelayLane[T]
+	for _, l := range ls.lanes {
+		if l.delay == d {
+			return l
+		}
+		if l.lane.n == 0 {
+			idle = l
+		}
+	}
+	if idle == nil {
+		idle = new(DelayLane[T])
+		idle.lane.Init(ls.s, ls.fn)
+		ls.lanes = append(ls.lanes, idle)
+	}
+	idle.delay = d
+	return idle
 }

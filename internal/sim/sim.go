@@ -8,7 +8,9 @@
 // Timer.At/Reset/Stop, mirroring time.Timer) may be stopped or re-armed
 // while pending. A Lane (Lane.Init plus Lane.Push) is a FIFO event source
 // whose events always fire, in order; only its head occupies the event
-// queue, however many events are waiting behind it.
+// queue, however many events are waiting behind it. Sources that push
+// with few distinct delays share a Lanes set (LanesOf plus Lanes.Push),
+// one lane per delay.
 //
 // The event queue is two index-based 4-ary min-heaps of value entries,
 // one of armed timers and one of lane heads, merged by exact
@@ -115,6 +117,7 @@ type Scheduler struct {
 	timers    eventHeap
 	heads     eventHeap
 	lanes     []laneFirer
+	laneSets  []any // one *Lanes[T] per payload type, see LanesOf
 	queued    int
 	highWater int
 
@@ -214,6 +217,10 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // alongside throughput. Events waiting behind a lane's head are in no
 // heap and do not count; Pending includes them.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
+
+// LaneCount reports how many lanes have been bound to the scheduler,
+// shared or not: the bound on the lane-head half of the event queue.
+func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 
 // SetProfileHook installs fn to be called every `every` processed
 // events with the current time, the total processed count, and the

@@ -5,9 +5,10 @@
 // may be stopped or re-armed while pending. The engine has a second one,
 // the lane (internal/sim.Lane, docs/SIMULATOR.md "Timers and lanes"): a
 // FIFO source whose events always fire, of which only the head occupies
-// the event queue. Links keep their in-flight packets on lanes; code
-// built on the facade gets them with every NewDumbbell and schedules its
-// own work with timers.
+// the event queue. A world's links share one lane per distinct delay
+// they push with, eight on a dumbbell whatever its size; code built on
+// the facade gets them with every NewDumbbell and schedules its own work
+// with timers.
 package rrtcp
 
 import (

@@ -1,8 +1,8 @@
-// Customcc shows the extension surface: any congestion-control /
-// loss-recovery state machine that implements rrtcp.Strategy can drive
-// the TCP sender. Here we race the published RR algorithm against its
-// "right-edge" ablation (one new packet per duplicate ACK during the
-// retreat sub-phase) on the burst-loss scenario.
+// Customcc tunes RR without writing a Strategy: it passes
+// rrtcp.RROptions on the flow spec and races the published RR algorithm
+// against its "right-edge" ablation (one new packet per duplicate ACK
+// during the retreat sub-phase) on the burst-loss scenario. (A scheme
+// of your own implements rrtcp.Strategy and goes in FlowSpec.Strategy.)
 package main
 
 import (

@@ -123,26 +123,11 @@ func (r *RRStrategy) OnAck(s *tcp.Sender, ev tcp.AckEvent) {
 	case phaseProbe:
 		r.onAckProbe(s, ev)
 	default:
-		r.onAckOpen(s, ev)
-	}
-}
-
-// onAckOpen handles ACKs outside recovery: standard slow start /
-// congestion avoidance, entering RR on the third duplicate ACK.
-func (r *RRStrategy) onAckOpen(s *tcp.Sender, ev tcp.AckEvent) {
-	if !ev.IsDup {
-		s.SetDupAcks(0)
-		s.GrowWindow()
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
+		// Outside recovery: standard slow start / congestion avoidance,
+		// entering RR on the third duplicate ACK.
+		if s.OpenAck(ev) && s.SndUna() >= r.noRetransmitBelow {
+			r.enter(s)
 		}
-		s.PumpWindow()
-		return
-	}
-	s.SetDupAcks(s.DupAcks() + 1)
-	if s.DupAcks() == tcp.DupThresh && s.SndUna() >= r.noRetransmitBelow {
-		r.enter(s)
 	}
 }
 
@@ -158,13 +143,11 @@ func (r *RRStrategy) enter(s *tcp.Sender) {
 	// the three that triggered fast retransmit are already in ndup.
 	r.ndup = s.DupAcks()
 	r.retreatSent = 0
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
+	s.HalveSsthresh()
 	// enter-recovery marks the start of the retreat sub-phase; cwnd is
-	// reported untouched — it is out of the control loop until exit.
+	// reported untouched — it is out of the control loop until exit —
+	// and ssthresh already halved (tcp.Recovery.Begin, the baselines'
+	// entry, reports the threshold the loss found).
 	s.Emit(telemetry.CompRR, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
 	s.Retransmit(s.SndUna())
 	s.RestartTimer()
@@ -276,11 +259,7 @@ func (r *RRStrategy) exit(s *tcp.Sender, ackNo int64) {
 	// big-ACK burst.
 	s.Emit(telemetry.CompRR, telemetry.KRecoveryExit, ackNo, s.Cwnd(), 0)
 	s.SetDupAcks(0)
-	s.AdvanceUna(ackNo)
-	if s.Done() {
-		return
-	}
-	s.PumpWindow()
+	s.AckNew(ackNo)
 }
 
 // OnTimeout implements tcp.Strategy: a retransmission loss inside

@@ -1,7 +1,5 @@
 package tcp
 
-import "rrtcp/internal/telemetry"
-
 // FACKStrategy implements FACK TCP (Mathis & Mahdavi, SIGCOMM'96 — the
 // paper's [13]): forward acknowledgment refines SACK recovery by
 // tracking `fack`, the forward-most SACKed byte. Outstanding data is
@@ -13,11 +11,10 @@ import "rrtcp/internal/telemetry"
 // groups FACK with SACK: efficient multi-loss recovery, but requiring
 // cooperative (SACK-capable) receivers.
 type FACKStrategy struct {
-	inRecovery bool
-	recover    int64
-	fack       int64
+	Recovery
+	fack int64
 
-	scoreboard scoreboard
+	scoreboard rangeSet
 	rtxOut     map[int64]bool // retransmitted holes not yet acked/SACKed
 }
 
@@ -32,78 +29,44 @@ func NewFACK() *FACKStrategy {
 // Name implements Strategy.
 func (f *FACKStrategy) Name() string { return "fack" }
 
-// InRecovery reports whether recovery is active (for tests).
-func (f *FACKStrategy) InRecovery() bool { return f.inRecovery }
-
 // Fack exposes the forward-most acknowledged byte (for tests).
 func (f *FACKStrategy) Fack() int64 { return f.fack }
 
-// OnAck implements Strategy.
+// OnAck implements Strategy. As for SACK there is no re-entry guard.
 func (f *FACKStrategy) OnAck(s *Sender, ev AckEvent) {
 	f.update(s, ev)
 	switch {
-	case !ev.IsDup && f.inRecovery:
-		f.onNewAckInRecovery(s, ev)
-	case !ev.IsDup:
-		s.SetDupAcks(0)
-		s.GrowWindow()
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
+	case !f.in:
+		// FACK trigger: the classic dup count, or the hole between una
+		// and fack already spans more than DupThresh segments.
+		third := s.OpenAck(ev)
+		if ev.IsDup && (third || f.fack-s.SndUna() > int64(DupThresh*s.MSS())) {
+			clear(f.rtxOut)
+			f.Begin(s)
+			s.SetCwnd(s.Ssthresh())
+			f.retransmitHole(s, s.SndUna())
+			s.RestartTimer()
+			f.fill(s)
 		}
-		s.PumpWindow()
-	case f.inRecovery:
+	case ev.IsDup:
 		f.fill(s)
 	default:
-		s.SetDupAcks(s.DupAcks() + 1)
-		// FACK trigger: the hole between una and fack already spans
-		// more than DupThresh segments, or the classic dup count.
-		if f.fack-s.SndUna() > int64(DupThresh*s.MSS()) || s.DupAcks() == DupThresh {
-			f.enter(s)
+		for seq := range f.rtxOut {
+			if seq < ev.AckNo {
+				delete(f.rtxOut, seq)
+			}
 		}
-	}
-}
-
-func (f *FACKStrategy) enter(s *Sender) {
-	f.inRecovery = true
-	f.recover = s.MaxSeq()
-	clear(f.rtxOut)
-	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
-	s.SetCwnd(s.Ssthresh())
-	f.retransmitHole(s, s.SndUna())
-	s.RestartTimer()
-	f.fill(s)
-}
-
-func (f *FACKStrategy) onNewAckInRecovery(s *Sender, ev AckEvent) {
-	for seq := range f.rtxOut {
-		if seq < ev.AckNo {
-			delete(f.rtxOut, seq)
+		if ev.AckNo >= f.recover {
+			f.Finish(s, ev.AckNo)
+			return
 		}
-	}
-	if ev.AckNo >= f.recover {
-		f.inRecovery = false
-		s.SetDupAcks(0)
-		s.SetCwnd(s.Ssthresh())
-		s.Emit(telemetry.CompSender, telemetry.KRecoveryExit, ev.AckNo, s.Cwnd(), 0)
 		s.AdvanceUna(ev.AckNo)
 		if s.Done() {
 			return
 		}
-		s.PumpWindow()
-		return
+		s.RestartTimer()
+		f.fill(s)
 	}
-	s.AdvanceUna(ev.AckNo)
-	if s.Done() {
-		return
-	}
-	s.RestartTimer()
-	f.fill(s)
 }
 
 // pipe is FACK's in-flight estimate: (snd.nxt − fack) plus outstanding
@@ -154,11 +117,9 @@ func (f *FACKStrategy) update(s *Sender, ev AckEvent) {
 		if b.End > f.fack {
 			f.fack = b.End
 		}
-		if f.rtxOut != nil {
-			for seq := range f.rtxOut {
-				if seq >= b.Start && seq < b.End {
-					delete(f.rtxOut, seq)
-				}
+		for seq := range f.rtxOut {
+			if seq >= b.Start && seq < b.End {
+				delete(f.rtxOut, seq)
 			}
 		}
 	}
@@ -170,7 +131,7 @@ func (f *FACKStrategy) update(s *Sender, ev AckEvent) {
 
 // OnTimeout implements Strategy.
 func (f *FACKStrategy) OnTimeout(s *Sender) {
-	f.inRecovery = false
+	f.in = false
 	f.scoreboard.reset()
 	f.fack = s.SndUna()
 	clear(f.rtxOut)

@@ -1,20 +1,18 @@
 package tcp
 
-import "rrtcp/internal/telemetry"
-
 // NewRenoStrategy implements the modified fast recovery of Hoe / RFC
-// 2582: a partial ACK retransmits the next hole immediately and keeps
-// the sender in fast recovery (with partial window deflation) until the
-// ACK passes `recover`, the highest sequence outstanding when the first
-// loss was detected. It recovers one loss per RTT and — per the paper —
-// sends roughly one new packet per two duplicate ACKs, exponentially
+// 2582: Reno's entry and window inflation, but a partial ACK
+// retransmits the next hole immediately and keeps the sender in fast
+// recovery (with partial window deflation) until the ACK passes
+// `recover`, the highest sequence outstanding when the first loss was
+// detected. It recovers one loss per RTT and — per the paper — sends
+// roughly one new packet per two duplicate ACKs, exponentially
 // shrinking the transfer rate for the whole recovery period.
 type NewRenoStrategy struct {
-	inRecovery bool
-	recover    int64
-	// exitUnderflow guards against multiple cwnd cuts for one window
-	// of losses after a timeout (RFC 2582 "avoiding multiple fast
-	// retransmits" heuristic).
+	Reno
+	// noRetransmitBelow guards against multiple cwnd cuts for one
+	// window of losses after a timeout (RFC 2582 "avoiding multiple
+	// fast retransmits" heuristic).
 	noRetransmitBelow int64
 }
 
@@ -29,83 +27,35 @@ func (*NewRenoStrategy) Name() string { return "newreno" }
 // OnAck implements Strategy.
 func (n *NewRenoStrategy) OnAck(s *Sender, ev AckEvent) {
 	switch {
-	case !ev.IsDup && n.inRecovery:
-		n.onNewAckInRecovery(s, ev)
-	case !ev.IsDup:
-		s.SetDupAcks(0)
-		s.GrowWindow()
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
-		}
-		s.PumpWindow()
-	case n.inRecovery:
-		s.SetCwnd(s.Cwnd() + 1) // inflation
-		s.PumpWindow()
-	default:
-		s.SetDupAcks(s.DupAcks() + 1)
-		if s.DupAcks() == DupThresh && s.SndUna() >= n.noRetransmitBelow {
+	case !n.in:
+		if s.OpenAck(ev) && s.SndUna() >= n.noRetransmitBelow {
 			n.enter(s)
 		}
-	}
-}
-
-func (n *NewRenoStrategy) onNewAckInRecovery(s *Sender, ev AckEvent) {
-	if ev.AckNo >= n.recover {
+	case ev.IsDup:
+		n.inflate(s)
+	case ev.AckNo >= n.recover:
 		// Full ACK: deflate and exit.
-		n.inRecovery = false
-		s.SetDupAcks(0)
-		s.SetCwnd(s.Ssthresh())
-		s.Emit(telemetry.CompSender, telemetry.KRecoveryExit, ev.AckNo, s.Cwnd(), 0)
+		n.Finish(s, ev.AckNo)
+	default:
+		// Partial ACK: retransmit the next hole without leaving
+		// recovery, and apply partial window deflation (deflate by the
+		// amount of new data acknowledged, then add back one segment).
+		ackedPkts := float64(ev.AckNo-s.SndUna()) / float64(s.MSS())
 		s.AdvanceUna(ev.AckNo)
 		if s.Done() {
 			return
 		}
+		s.SetCwnd(s.Cwnd() - ackedPkts + 1) // SetCwnd floors at one segment
+		s.Retransmit(ev.AckNo)
+		s.RestartTimer()
 		s.PumpWindow()
-		return
 	}
-	// Partial ACK: retransmit the next hole without leaving recovery,
-	// and apply partial window deflation (deflate by the amount of new
-	// data acknowledged, then add back one segment).
-	ackedPkts := float64(ev.AckNo-s.SndUna()) / float64(s.MSS())
-	s.AdvanceUna(ev.AckNo)
-	if s.Done() {
-		return
-	}
-	cw := s.Cwnd() - ackedPkts + 1
-	if cw < 1 {
-		cw = 1
-	}
-	s.SetCwnd(cw)
-	s.Retransmit(ev.AckNo)
-	s.RestartTimer()
-	s.PumpWindow()
-}
-
-func (n *NewRenoStrategy) enter(s *Sender) {
-	n.inRecovery = true
-	n.recover = s.MaxSeq()
-	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
-	s.SetCwnd(s.Ssthresh() + DupThresh)
-	s.Retransmit(s.SndUna())
-	s.RestartTimer()
 }
 
 // OnTimeout implements Strategy.
 func (n *NewRenoStrategy) OnTimeout(s *Sender) {
-	n.inRecovery = false
+	n.in = false
 	// After a timeout, suppress fast retransmit until the whole
 	// pre-timeout window is acknowledged.
 	n.noRetransmitBelow = s.MaxSeq()
 }
-
-// InRecovery reports whether fast recovery is active (for tests).
-func (n *NewRenoStrategy) InRecovery() bool { return n.inRecovery }
-
-// Recover exposes the recovery exit threshold (for tests).
-func (n *NewRenoStrategy) Recover() int64 { return n.recover }

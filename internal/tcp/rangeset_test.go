@@ -8,7 +8,8 @@ import (
 
 // copyingMerge is the merge SACKStrategy and FACKStrategy each carried
 // before they shared a scoreboard: it builds a fresh slice per block.
-// Kept as the oracle for the in-place one.
+// Kept as the oracle for the in-place rangeSet.merge, for the senders
+// and (through refReassembly in receiver_test.go) the receiver.
 func copyingMerge(sb []seqRange, nb seqRange) []seqRange {
 	if nb.End <= nb.Start {
 		return sb
@@ -47,7 +48,7 @@ func copyingMerge(sb []seqRange, nb seqRange) []seqRange {
 func TestScoreboardMatchesCopyingMerge(t *testing.T) {
 	for trial := int64(0); trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		var sb scoreboard
+		var sb rangeSet
 		var ref []seqRange
 		for step := 0; step < 400; step++ {
 			switch k := rng.Intn(20); {
@@ -82,7 +83,7 @@ func TestScoreboardMatchesCopyingMerge(t *testing.T) {
 // TestScoreboardSteadyStateZeroAlloc: once the scoreboard has been as
 // deep as it gets, merging, trimming and resetting allocate nothing.
 func TestScoreboardSteadyStateZeroAlloc(t *testing.T) {
-	var sb scoreboard
+	var sb rangeSet
 	churn := func() {
 		for i := int64(0); i < 32; i++ {
 			sb.merge(seqRange{Start: 4 * i, End: 4*i + 2}) // 32 islands

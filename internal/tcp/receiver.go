@@ -36,7 +36,7 @@ type Receiver struct {
 	AckDelay sim.Time
 
 	rcvNxt  int64
-	blocks  []seqRange  // out-of-order data, sorted by Start, disjoint
+	blocks  rangeSet    // out-of-order data
 	recent  [6]seqRange // recency order for SACK block selection
 	nrecent int         // entries of recent in use
 
@@ -58,11 +58,6 @@ type Receiver struct {
 	Segments uint64
 	// DupSegments counts arrivals fully below rcvNxt.
 	DupSegments uint64
-}
-
-type seqRange struct {
-	Start int64
-	End   int64
 }
 
 var _ netem.Node = (*Receiver)(nil)
@@ -169,42 +164,28 @@ func (r *Receiver) advance(end int64) {
 	r.Telemetry.Publish(ev)
 }
 
-// insert merges nb into the sorted disjoint block list, in place: the
-// blocks nb overlaps or touches (blocks[lo:hi]) collapse into it.
+// insert buffers the out-of-order range nb. The block it becomes goes
+// to the head of the recency list in place of the blocks it absorbed —
+// an entry is always one current block, so those are the entries inside
+// the merged block; the oldest falls off the end when the list is full.
 func (r *Receiver) insert(nb seqRange) {
-	lo := 0
-	for lo < len(r.blocks) && r.blocks[lo].End < nb.Start {
-		lo++
-	}
-	hi := lo
-	for ; hi < len(r.blocks) && r.blocks[hi].Start <= nb.End; hi++ {
-		b := r.blocks[hi]
-		r.dropRecent(b)
-		nb.Start = min(nb.Start, b.Start)
-		nb.End = max(nb.End, b.End)
-	}
-	if hi == lo {
-		r.blocks = append(r.blocks, seqRange{})
-		copy(r.blocks[lo+1:], r.blocks[lo:])
-	} else {
-		r.blocks = append(r.blocks[:lo+1], r.blocks[hi:]...)
-	}
-	r.blocks[lo] = nb
-	// Most-recently-updated block goes to the head of the recency list;
-	// the oldest falls off the end when it is full.
+	nb = r.blocks.merge(nb)
+	r.dropRecent(nb)
 	r.nrecent = min(r.nrecent+1, len(r.recent))
 	copy(r.recent[1:r.nrecent], r.recent[:])
 	r.recent[0] = nb
 }
 
+// dropRecent forgets the recency entries of the blocks inside b.
 func (r *Receiver) dropRecent(b seqRange) {
-	for i, rb := range r.recent[:r.nrecent] {
-		if rb.Start >= b.Start && rb.End <= b.End {
-			copy(r.recent[i:], r.recent[i+1:r.nrecent])
-			r.nrecent--
-			return
+	kept := 0
+	for _, rb := range r.recent[:r.nrecent] {
+		if rb.Start < b.Start || rb.End > b.End {
+			r.recent[kept] = rb
+			kept++
 		}
 	}
+	r.nrecent = kept
 }
 
 func (r *Receiver) sendAck() {

@@ -247,8 +247,8 @@ func TestReceiverManyDistinctHoles(t *testing.T) {
 }
 
 // refReassembly is the receiver's reassembly state kept the
-// allocate-freely way (a fresh merged slice per insert, the recency
-// list rebuilt by prepending) — the reference the in-place version must
+// allocate-freely way (a fresh merged slice per insert, one recency
+// entry dropped per absorbed block, the list rebuilt by prepending) — the reference the in-place version must
 // agree with after every arrival.
 type refReassembly struct {
 	rcvNxt         int64
@@ -276,26 +276,15 @@ func (m *refReassembly) receive(seq, end int64) {
 		}
 	default:
 		nb := seqRange{Start: seq, End: end}
-		var merged []seqRange
-		placed := false
 		for _, b := range m.blocks {
-			switch {
-			case b.End < nb.Start:
-				merged = append(merged, b)
-			case nb.End < b.Start:
-				if !placed {
-					merged, placed = append(merged, nb), true
-				}
-				merged = append(merged, b)
-			default:
+			if b.End >= nb.Start && b.Start <= nb.End {
 				m.dropRecent(b)
 				nb.Start, nb.End = min(nb.Start, b.Start), max(nb.End, b.End)
 			}
 		}
-		if !placed {
-			merged = append(merged, nb)
-		}
-		m.blocks = merged
+		// The blocks themselves: the oracle the senders' scoreboard is
+		// held to (rangeset_test.go).
+		m.blocks = copyingMerge(m.blocks, seqRange{Start: seq, End: end})
 		m.recent = append([]seqRange{nb}, m.recent...)
 		if len(m.recent) > 6 {
 			m.recent = m.recent[:6]
@@ -323,7 +312,7 @@ func TestReceiverReassemblyMatchesReference(t *testing.T) {
 			if r.rcvNxt != ref.rcvNxt || sink.last().AckNo != ref.rcvNxt {
 				t.Fatalf("trial %d step %d: rcvNxt %d (ACK %d), reference %d", trial, i, r.rcvNxt, sink.last().AckNo, ref.rcvNxt)
 			}
-			if !slices.Equal(r.blocks, ref.blocks) {
+			if !slices.Equal([]seqRange(r.blocks), ref.blocks) {
 				t.Fatalf("trial %d step %d: blocks %v, reference %v", trial, i, r.blocks, ref.blocks)
 			}
 			if !slices.Equal(r.recent[:r.nrecent], ref.recent) {

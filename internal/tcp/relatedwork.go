@@ -1,7 +1,5 @@
 package tcp
 
-import "rrtcp/internal/telemetry"
-
 // The two related-work enhancements the paper's introduction analyzes
 // and argues against. Both keep TCP aggressive around loss detection;
 // the paper's criticism is that packets transmitted on the verge of a
@@ -14,8 +12,7 @@ import "rrtcp/internal/telemetry"
 // second one, keeping the right edge of the window moving to avoid
 // coarse timeouts under tiny windows.
 type RightEdge struct {
-	inRecovery        bool
-	recover           int64
+	Recovery
 	noRetransmitBelow int64
 }
 
@@ -30,71 +27,34 @@ func (*RightEdge) Name() string { return "rightedge" }
 // OnAck implements Strategy.
 func (e *RightEdge) OnAck(s *Sender, ev AckEvent) {
 	switch {
-	case !ev.IsDup && e.inRecovery:
-		e.onNewAckInRecovery(s, ev)
-	case !ev.IsDup:
-		s.SetDupAcks(0)
-		s.GrowWindow()
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
+	case !e.in:
+		if s.OpenAck(ev) && s.SndUna() >= e.noRetransmitBelow {
+			e.Begin(s)
+			s.SetCwnd(s.Ssthresh())
+			s.Retransmit(s.SndUna())
+			s.RestartTimer()
 		}
-		s.PumpWindow()
-	case e.inRecovery:
+	case ev.IsDup:
 		// One new packet per duplicate ACK: the defining rule.
 		s.SendNewSegment()
+	case ev.AckNo >= e.recover:
+		e.Finish(s, ev.AckNo)
 	default:
-		s.SetDupAcks(s.DupAcks() + 1)
-		if s.DupAcks() == DupThresh && s.SndUna() >= e.noRetransmitBelow {
-			e.enter(s)
-		}
-	}
-}
-
-func (e *RightEdge) enter(s *Sender) {
-	e.inRecovery = true
-	e.recover = s.MaxSeq()
-	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
-	s.SetCwnd(s.Ssthresh())
-	s.Retransmit(s.SndUna())
-	s.RestartTimer()
-}
-
-func (e *RightEdge) onNewAckInRecovery(s *Sender, ev AckEvent) {
-	if ev.AckNo >= e.recover {
-		e.inRecovery = false
-		s.SetDupAcks(0)
-		s.SetCwnd(s.Ssthresh())
-		s.Emit(telemetry.CompSender, telemetry.KRecoveryExit, ev.AckNo, s.Cwnd(), 0)
+		// Partial ACK: New-Reno-style hole retransmission.
 		s.AdvanceUna(ev.AckNo)
 		if s.Done() {
 			return
 		}
-		s.PumpWindow()
-		return
+		s.Retransmit(s.SndUna())
+		s.RestartTimer()
 	}
-	// Partial ACK: New-Reno-style hole retransmission.
-	s.AdvanceUna(ev.AckNo)
-	if s.Done() {
-		return
-	}
-	s.Retransmit(s.SndUna())
-	s.RestartTimer()
 }
 
 // OnTimeout implements Strategy.
 func (e *RightEdge) OnTimeout(s *Sender) {
-	e.inRecovery = false
+	e.in = false
 	e.noRetransmitBelow = s.MaxSeq()
 }
-
-// InRecovery reports whether fast recovery is active (for tests).
-func (e *RightEdge) InRecovery() bool { return e.inRecovery }
 
 // LinKung implements the Lin & Kung (INFOCOM'98, the paper's [12])
 // refinement: a new data packet is generated upon each arrival of the
@@ -102,7 +62,7 @@ func (e *RightEdge) InRecovery() bool { return e.inRecovery }
 // TCP stays aggressive while a loss is still only suspected. Recovery
 // itself proceeds as in New-Reno.
 type LinKung struct {
-	newreno NewRenoStrategy
+	NewRenoStrategy
 }
 
 var _ Strategy = (*LinKung)(nil)
@@ -115,15 +75,9 @@ func (*LinKung) Name() string { return "linkung" }
 
 // OnAck implements Strategy.
 func (l *LinKung) OnAck(s *Sender, ev AckEvent) {
-	if ev.IsDup && !l.newreno.InRecovery() && s.DupAcks() < DupThresh-1 {
+	if ev.IsDup && !l.in && s.DupAcks() < DupThresh-1 {
 		// First two duplicate ACKs each clock out one new packet.
 		s.SendNewSegment()
 	}
-	l.newreno.OnAck(s, ev)
+	l.NewRenoStrategy.OnAck(s, ev)
 }
-
-// OnTimeout implements Strategy.
-func (l *LinKung) OnTimeout(s *Sender) { l.newreno.OnTimeout(s) }
-
-// InRecovery reports whether fast recovery is active (for tests).
-func (l *LinKung) InRecovery() bool { return l.newreno.InRecovery() }

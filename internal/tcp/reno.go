@@ -1,23 +1,17 @@
 package tcp
 
-import "rrtcp/internal/telemetry"
-
 // Reno implements 4.3BSD-Reno fast recovery: on the third duplicate
 // ACK the sender retransmits the hole, halves the window, and inflates
 // cwnd by one segment per additional duplicate ACK so new data keeps
 // flowing; ANY new ACK — even a partial one — deflates the window and
-// exits recovery. With multiple losses in one window this halves cwnd
-// once per loss and usually ends in a coarse timeout, the weakness the
-// paper's Section 1 describes.
+// exits recovery. As in ns-2's default "bugfix" behavior, a second fast
+// retransmit is suppressed until the cumulative ACK passes `recover`,
+// so a burst of losses in one window halves cwnd once per loss and
+// usually ends in a coarse timeout, the weakness the paper's Section 1
+// describes.
 type Reno struct {
-	inRecovery bool
-	recover    int64
+	Recovery
 }
-
-// As in ns-2's default "bugfix" behavior, Reno suppresses a second fast
-// retransmit until the cumulative ACK passes `recover`, so a burst of
-// losses in one window usually costs it a coarse timeout — the weakness
-// the paper's Section 1 describes.
 
 var _ Strategy = (*Reno)(nil)
 
@@ -30,56 +24,37 @@ func (*Reno) Name() string { return "reno" }
 
 // OnAck implements Strategy.
 func (r *Reno) OnAck(s *Sender, ev AckEvent) {
-	if !ev.IsDup {
-		if r.inRecovery {
-			// Reno deflates and leaves recovery on the first new ACK,
-			// partial or not.
-			r.inRecovery = false
-			s.SetCwnd(s.Ssthresh())
-			s.Emit(telemetry.CompSender, telemetry.KRecoveryExit, ev.AckNo, s.Cwnd(), 0)
-		} else {
-			s.GrowWindow()
+	switch {
+	case !r.in:
+		if s.OpenAck(ev) && s.SndUna() > r.recover {
+			r.enter(s)
 		}
-		s.SetDupAcks(0)
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
-		}
-		s.PumpWindow()
-		return
+	case ev.IsDup:
+		r.inflate(s)
+	default:
+		// Reno deflates and leaves recovery on the first new ACK,
+		// partial or not.
+		r.Finish(s, ev.AckNo)
 	}
-	if r.inRecovery {
-		// Window inflation: each duplicate ACK signals a departure.
-		s.SetCwnd(s.Cwnd() + 1)
-		s.PumpWindow()
-		return
-	}
-	s.SetDupAcks(s.DupAcks() + 1)
-	if s.DupAcks() != DupThresh || s.SndUna() <= r.recover {
-		return
-	}
-	r.enter(s)
 }
 
+// enter retransmits the hole into a halved window inflated by the
+// three segments known to have left.
 func (r *Reno) enter(s *Sender) {
-	r.inRecovery = true
-	r.recover = s.MaxSeq()
-	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
+	r.Begin(s)
 	s.SetCwnd(s.Ssthresh() + DupThresh)
 	s.Retransmit(s.SndUna())
 	s.RestartTimer()
 }
 
-// OnTimeout implements Strategy.
-func (r *Reno) OnTimeout(s *Sender) {
-	r.inRecovery = false
-	r.recover = s.MaxSeq()
+// inflate is window inflation: each duplicate ACK signals a departure.
+func (*Reno) inflate(s *Sender) {
+	s.SetCwnd(s.Cwnd() + 1)
+	s.PumpWindow()
 }
 
-// InRecovery reports whether fast recovery is active (for tests).
-func (r *Reno) InRecovery() bool { return r.inRecovery }
+// OnTimeout implements Strategy.
+func (r *Reno) OnTimeout(s *Sender) {
+	r.in = false
+	r.recover = s.MaxSeq()
+}

@@ -1,9 +1,6 @@
 package tcp
 
-import (
-	"rrtcp/internal/netem"
-	"rrtcp/internal/telemetry"
-)
+import "rrtcp/internal/netem"
 
 // SACKStrategy implements SACK TCP. Two modes are provided:
 //
@@ -27,11 +24,10 @@ import (
 type SACKStrategy struct {
 	modern bool
 
-	inRecovery bool
-	recover    int64
-	pipe       int // incremental estimate (classic mode only)
+	Recovery
+	pipe int // incremental estimate (classic mode only)
 
-	scoreboard scoreboard     // SACKed ranges above SndUna
+	scoreboard rangeSet       // SACKed ranges above SndUna
 	rtxDone    map[int64]bool // holes already retransmitted this recovery
 }
 
@@ -60,9 +56,6 @@ func (k *SACKStrategy) Name() string {
 
 // Pipe exposes the in-flight estimate (for tests).
 func (k *SACKStrategy) Pipe(s *Sender) int { return k.pipeFor(s) }
-
-// InRecovery reports whether fast recovery is active (for tests).
-func (k *SACKStrategy) InRecovery() bool { return k.inRecovery }
 
 // pipeFor returns the current in-flight estimate for the active mode.
 func (k *SACKStrategy) pipeFor(s *Sender) int {
@@ -103,78 +96,41 @@ func (k *SACKStrategy) isLost(s *Sender, seq int64) bool {
 	return sackedAbove >= DupThresh*mss
 }
 
-// OnAck implements Strategy.
+// OnAck implements Strategy. There is no re-entry guard: the
+// scoreboard, not the dup-ACK count, decides what is retransmitted.
 func (k *SACKStrategy) OnAck(s *Sender, ev AckEvent) {
 	k.updateScoreboard(s, ev)
 	switch {
-	case !ev.IsDup && k.inRecovery:
-		k.onNewAckInRecovery(s, ev)
-	case !ev.IsDup:
-		s.SetDupAcks(0)
-		s.GrowWindow()
+	case !k.in:
+		if s.OpenAck(ev) {
+			k.enter(s)
+		}
+	case ev.IsDup:
+		// Each duplicate ACK signals one departure from the path.
+		k.pipe = max(k.pipe-1, 0)
+		k.fill(s)
+	case ev.AckNo >= k.recover:
+		k.Finish(s, ev.AckNo)
+	default:
+		// Partial ACK: both the original transmission and its
+		// retransmission have left the path.
+		k.pipe = max(k.pipe-2, 0)
 		s.AdvanceUna(ev.AckNo)
 		if s.Done() {
 			return
 		}
-		s.PumpWindow()
-	case k.inRecovery:
-		// Each duplicate ACK signals one departure from the path.
-		if k.pipe > 0 {
-			k.pipe--
-		}
+		s.RestartTimer()
 		k.fill(s)
-	default:
-		s.SetDupAcks(s.DupAcks() + 1)
-		if s.DupAcks() == DupThresh {
-			k.enter(s)
-		}
 	}
 }
 
 func (k *SACKStrategy) enter(s *Sender) {
-	k.inRecovery = true
-	k.recover = s.MaxSeq()
 	clear(k.rtxDone)
-	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
+	flight := k.Begin(s)
 	s.SetCwnd(s.Ssthresh())
 	// Three duplicate ACKs mean three packets have left the path.
-	k.pipe = flight - DupThresh
-	if k.pipe < 0 {
-		k.pipe = 0
-	}
+	k.pipe = max(flight-DupThresh, 0)
 	k.retransmitHole(s, s.SndUna())
-	s.RestartTimer()
-	k.fill(s)
-}
-
-func (k *SACKStrategy) onNewAckInRecovery(s *Sender, ev AckEvent) {
-	if ev.AckNo >= k.recover {
-		k.inRecovery = false
-		s.SetDupAcks(0)
-		s.SetCwnd(s.Ssthresh())
-		s.Emit(telemetry.CompSender, telemetry.KRecoveryExit, ev.AckNo, s.Cwnd(), 0)
-		s.AdvanceUna(ev.AckNo)
-		if s.Done() {
-			return
-		}
-		s.PumpWindow()
-		return
-	}
-	// Partial ACK: both the original transmission and its
-	// retransmission have left the path.
-	k.pipe -= 2
-	if k.pipe < 0 {
-		k.pipe = 0
-	}
-	s.AdvanceUna(ev.AckNo)
-	if s.Done() {
-		return
-	}
 	s.RestartTimer()
 	k.fill(s)
 }
@@ -240,7 +196,7 @@ func (k *SACKStrategy) Scoreboard() []netem.SACKBlock {
 
 // OnTimeout implements Strategy.
 func (k *SACKStrategy) OnTimeout(*Sender) {
-	k.inRecovery = false
+	k.in = false
 	k.scoreboard.reset()
 	k.pipe = 0
 	clear(k.rtxDone)

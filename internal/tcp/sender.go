@@ -1,10 +1,13 @@
 // Package tcp implements the sender- and receiver-side TCP machinery
 // the paper's evaluation depends on: segment/ACK generation, RTT
 // estimation with a coarse-grained retransmission timer, slow start and
-// congestion avoidance, and the four loss-recovery baselines — Tahoe,
-// Reno, New-Reno, and SACK TCP. The paper's own contribution, Robust
-// Recovery, plugs into the same Sender through the Strategy interface
-// and lives in internal/core.
+// congestion avoidance, and the eight loss-recovery baselines — Tahoe,
+// Reno, New-Reno, SACK TCP (1996 and RFC 6675 pipe), FACK, right-edge
+// recovery and Lin-Kung. Entering and leaving fast recovery is written
+// once (Recovery, recovery.go); each baseline holds only the rule that
+// distinguishes it. The paper's own contribution, Robust Recovery, plugs
+// into the same Sender through the Strategy interface and lives in
+// internal/core.
 package tcp
 
 import (
@@ -570,11 +573,7 @@ func (s *Sender) onTimeout() {
 	}
 	s.timeoutCount++
 	s.Emit(telemetry.CompSender, telemetry.KTimeout, s.sndUna, 0, 0)
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
+	s.HalveSsthresh()
 	s.SetCwnd(1)
 	s.dupAcks = 0
 	s.sndNxt = s.sndUna // go-back-N

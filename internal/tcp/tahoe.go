@@ -29,6 +29,8 @@ func (*Tahoe) Name() string { return "tahoe" }
 // OnAck implements Strategy.
 func (t *Tahoe) OnAck(s *Sender, ev AckEvent) {
 	if !ev.IsDup {
+		// Not OpenAck: Tahoe advances the left edge before it grows the
+		// window, the others after.
 		s.SetDupAcks(0)
 		s.AdvanceUna(ev.AckNo)
 		if s.Done() {
@@ -38,18 +40,13 @@ func (t *Tahoe) OnAck(s *Sender, ev AckEvent) {
 		s.PumpWindow()
 		return
 	}
-	s.SetDupAcks(s.DupAcks() + 1)
-	if s.DupAcks() != DupThresh || s.SndUna() <= t.recover {
+	if !s.OpenAck(ev) || s.SndUna() <= t.recover {
 		return
 	}
 	// Fast retransmit, Tahoe style: slow start over from the hole.
 	t.recover = s.MaxSeq()
 	s.Emit(telemetry.CompSender, telemetry.KRecoveryEnter, s.SndUna(), s.Cwnd(), s.Ssthresh())
-	flight := s.FlightPackets()
-	if flight < 2 {
-		flight = 2
-	}
-	s.SetSsthresh(float64(flight) / 2)
+	s.HalveSsthresh()
 	s.SetCwnd(1)
 	s.GoBackN()
 	s.Retransmit(s.SndUna())

@@ -1,0 +1,99 @@
+package experiments
+
+import (
+	"testing"
+	"time"
+
+	"rrtcp/internal/faults"
+	"rrtcp/internal/telemetry"
+)
+
+// allocCeilings is the most allocations the first job of each registered
+// experiment may make: about a tenth over what it makes now (the count
+// is exact and repeats; the margin is for a Go release moving a map or a
+// closure). A world costs a few dozen blocks — scheduler, links, lane and
+// queue rings, packet slabs, a sender and a receiver per flow — whatever
+// it then simulates, so one source left off the world's pool, or one
+// per-event allocation, overshoots these by orders of magnitude: before
+// its CBR source drew from the pool the fairshare job made 37 627.
+var allocCeilings = map[string]float64{
+	"fig5":        90,  // tahoe, one recorded flow
+	"fig6":        260, // 10 flows on RED
+	"fig7":        220, // sack at p = 0.001, 30 s
+	"table5":      385, // 20 flows
+	"ackloss":     92,
+	"fairshare":   88, // one flow and a CBR source saturating the ACK path
+	"twoway":      124,
+	"smoothstart": 76,
+	"bursty":      99,
+	"ablation":    90,
+	"chaos":       117, // tahoe under schedule 0
+	"stress":      300, // one cell of 8 flows
+}
+
+// TestAllocationBudgets runs one job of every registered experiment and
+// holds its allocation count to the committed ceiling.
+func TestAllocationBudgets(t *testing.T) {
+	for _, reg := range Experiments() {
+		ceiling, ok := allocCeilings[reg.Name]
+		if !ok {
+			t.Errorf("%s: registered experiment without an allocation ceiling", reg.Name)
+			continue
+		}
+		e, err := reg.Build(Options{Quick: true, Cells: 1, Flows: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := e.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := jobs[0]
+		got := testing.AllocsPerRun(1, func() {
+			if _, err := job.Run(job.Seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s, job %q: %.0f allocations, ceiling %.0f", reg.Name, job.Name, got, ceiling)
+		}
+		if got < ceiling*0.8 {
+			t.Errorf("%s, job %q: %.0f allocations, well under the ceiling of %.0f: lower it", reg.Name, job.Name, got, ceiling)
+		}
+	}
+}
+
+// TestChaosCaseAllocationBudget holds one world under every kind of
+// fault at once — flap, renegotiation, reordering, duplication (whose
+// copies must come from the pool too), corruption, ACK compression — to
+// a ceiling, per variant family.
+func TestChaosCaseAllocationBudget(t *testing.T) {
+	c := ChaosCase{
+		Seed:    42,
+		Bytes:   200 * 1000,
+		Horizon: faults.Duration(120 * time.Second),
+		Plan: faults.PlanSpec{
+			Flaps:           []faults.FlapSpec{{At: faults.Duration(2 * time.Second), Down: faults.Duration(300 * time.Millisecond)}},
+			Renegotiations:  []faults.RenegSpec{{At: faults.Duration(3 * time.Second), BandwidthBps: 0.4e6}},
+			ReorderRate:     0.03,
+			ReorderMinDelay: faults.Duration(5 * time.Millisecond),
+			ReorderMaxDelay: faults.Duration(30 * time.Millisecond),
+			DuplicateRate:   0.05,
+			CorruptRate:     0.01,
+			Ack:             &faults.AckSpec{Hold: faults.Duration(20 * time.Millisecond), Max: 4},
+		},
+	}
+	ring := telemetry.NewRing(chaosRingCap)
+	for variant, ceiling := range map[string]float64{"reno": 105, "rr": 106, "sack": 120} {
+		c.Variant = variant
+		got := testing.AllocsPerRun(1, func() {
+			out, err := runChaosCase(c, ring, nil)
+			if err != nil || !out.Finished || len(out.Violations) > 0 {
+				t.Fatalf("%s: finished %v, violations %v, err %v", variant, out.Finished, out.Violations, err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocations for one chaos world, ceiling %.0f", variant, got, ceiling)
+		}
+	}
+}

@@ -119,20 +119,35 @@ func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
 // hook the chaos sweep uses to fold flow lifecycle events into a
 // per-case flowstats table. The outcome does not alias the ring.
 func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (ChaosOutcome, error) {
+	w, flow, checker, err := chaosWorld(c, ring, extra)
+	if err != nil {
+		return ChaosOutcome{}, err
+	}
+	w.Run(c.Horizon.D())
+	out := ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
+	if len(out.Violations) > 0 {
+		out.Events = ring.Events()
+	}
+	return out, nil
+}
+
+// chaosWorld assembles the case's world, ready to run: one flow under
+// the fault plan and the invariant checker.
+func chaosWorld(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (w scenario.World, flow *workload.Flow, checker *invariant.Checker, err error) {
 	kind, err := workload.ParseKind(c.Variant)
 	if err != nil {
-		return ChaosOutcome{}, err
+		return w, nil, nil, err
 	}
 	if c.Bytes <= 0 {
-		return ChaosOutcome{}, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
+		return w, nil, nil, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
 	}
 	if c.Horizon <= 0 {
-		return ChaosOutcome{}, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
+		return w, nil, nil, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
 	}
 
-	w, err := scenario.Build(c.Seed, &scenario.Spec{}) // Table 3, one slot
+	w, err = scenario.Build(c.Seed, &scenario.Spec{}) // Table 3, one slot
 	if err != nil {
-		return ChaosOutcome{}, err
+		return w, nil, nil, err
 	}
 	sched := w.Sched
 	ring.Reset()
@@ -151,32 +166,24 @@ func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (Ch
 	if c.Breakage != "" {
 		healthy, err := spec.NewStrategy()
 		if err != nil {
-			return ChaosOutcome{}, err
+			return w, nil, nil, err
 		}
 		broken, err := newBreakage(c, healthy)
 		if err != nil {
-			return ChaosOutcome{}, err
+			return w, nil, nil, err
 		}
 		spec.Strategy = broken
 	}
-	flow, err := w.Install(spec)
-	if err != nil {
-		return ChaosOutcome{}, err
+	if flow, err = w.Install(spec); err != nil {
+		return w, nil, nil, err
 	}
-	checker, err := supervise(&w, bus, &c.Plan, sched.DeriveRand("faults"))
-	if err != nil {
-		return ChaosOutcome{}, err
+	if checker, err = supervise(&w, bus, &c.Plan, sched.DeriveRand("faults")); err != nil {
+		return w, nil, nil, err
 	}
 	// Stop the run at the first violation so the ring tail ends at the
 	// failure, making bundles maximally informative.
 	checker.OnViolation = func(invariant.Violation) { sched.Stop() }
-
-	w.Run(c.Horizon.D())
-	out := ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
-	if len(out.Violations) > 0 {
-		out.Events = ring.Events()
-	}
-	return out, nil
+	return w, flow, checker, nil
 }
 
 // ChaosConfig parameterizes a chaos sweep: N seeded-random fault

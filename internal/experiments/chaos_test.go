@@ -163,3 +163,35 @@ func TestChaosCaseDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosCorpusLaneBound: the scheduler scans one head per lane for
+// every event it takes, so the lane count has to stay small under every
+// fault plan the chaos sweep draws, not only on a plain dumbbell (eight,
+// netem's link_depth_test). A renegotiation changes the bottleneck's rate
+// or delay while packets pushed with the old ones are still on the wire;
+// the shared sets re-key a lane as soon as it drains, so the delays that
+// overlap stay few (the corpus peaks at eight; the bound leaves room for
+// a plan that overlaps two renegotiations).
+func TestChaosCorpusLaneBound(t *testing.T) {
+	const bound = 16
+	ring := telemetry.NewRing(chaosRingCap)
+	renegotiated := 0
+	for _, seed := range []int64{1, 7} {
+		for _, c := range NewChaosExperiment(ChaosConfig{Schedules: 40, Seed: seed}).cases {
+			w, _, _, err := chaosWorld(c, ring, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Run(c.Horizon.D())
+			if n := w.Sched.LaneCount(); n > bound {
+				t.Errorf("seed %d, %s under %+v: %d lanes, want <= %d", seed, c.Variant, c.Plan, n, bound)
+			}
+			if len(c.Plan.Renegotiations) > 0 {
+				renegotiated++
+			}
+		}
+	}
+	if renegotiated < 100 {
+		t.Fatalf("only %d worlds were renegotiated: the corpus is not exercising the bound", renegotiated)
+	}
+}

@@ -122,7 +122,7 @@ func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, e
 	// Background data saturating the reverse bottleneck. Flow ID 1000
 	// has no route at R1's demux, so the packets vanish after consuming
 	// reverse bandwidth and buffer — pure cross traffic.
-	cbr := netem.NewCBR(w.Sched, 1000, cfg.CBRFraction*w.Net.Config().BottleneckBps, 1000, w.Net.ReverseLink())
+	cbr := netem.NewCBR(w.Sched, w.Net.Pool(), 1000, cfg.CBRFraction*w.Net.Config().BottleneckBps, 1000, w.Net.ReverseLink())
 	if err := cbr.Start(0); err != nil {
 		return FairShareRow{}, err
 	}

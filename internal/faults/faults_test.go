@@ -192,6 +192,29 @@ func TestAckCompressorBatchesAcks(t *testing.T) {
 	}
 }
 
+// A duplicate is drawn from the pool its original came from, so a
+// duplicating path allocates nothing once the pool is warm.
+func TestDuplicatorCopiesComeFromThePool(t *testing.T) {
+	var pool netem.PacketPool
+	du, err := NewDuplicator(sim.NewScheduler(1), rand.New(rand.NewSource(7)), 1, netem.NodeFunc((*netem.Packet).Release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		p := pool.Get()
+		p.Kind = netem.Ack
+		p.SACK = append(p.SACK, netem.SACKBlock{Start: 1000, End: 2000})
+		du.Receive(p)
+	}
+	send() // warm: two packets and their SACK arrays
+	if avg := testing.AllocsPerRun(50, send); avg != 0 || du.Duplicated != 52 {
+		t.Fatalf("%d duplicates allocated %v objects each, want 52 and 0", du.Duplicated, avg)
+	}
+	if pool.Gets != 2*du.Duplicated || pool.Gets-pool.Hits != 2 {
+		t.Fatalf("pool served %d Gets with %d misses, want %d and 2", pool.Gets, pool.Gets-pool.Hits, 2*du.Duplicated)
+	}
+}
+
 // Steady-state batching reuses two buffers: neither a max-triggered nor
 // a timer-triggered release allocates, and a delivered batch leaves no
 // packet pinned in the idle buffer.

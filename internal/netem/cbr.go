@@ -11,6 +11,7 @@ import (
 // a link without TCP dynamics.
 type CBRSource struct {
 	sched *sim.Scheduler
+	pool  *PacketPool
 	dst   Node
 	flow  int
 	size  int
@@ -20,15 +21,13 @@ type CBRSource struct {
 	running bool
 	stopped bool
 
-	// Pool, when non-nil, supplies the emitted packets.
-	Pool *PacketPool
-
 	// Sent counts emitted packets.
 	Sent uint64
 }
 
-// NewCBR builds a source sending size-byte packets at rateBps into dst.
-func NewCBR(sched *sim.Scheduler, flow int, rateBps float64, size int, dst Node) *CBRSource {
+// NewCBR builds a source sending size-byte packets at rateBps into dst,
+// drawn from pool: the pool of the topology dst belongs to.
+func NewCBR(sched *sim.Scheduler, pool *PacketPool, flow int, rateBps float64, size int, dst Node) *CBRSource {
 	if size < 1 {
 		size = 1
 	}
@@ -36,7 +35,7 @@ func NewCBR(sched *sim.Scheduler, flow int, rateBps float64, size int, dst Node)
 	if gap < 1 {
 		gap = 1
 	}
-	c := &CBRSource{sched: sched, dst: dst, flow: flow, size: size, gap: gap}
+	c := &CBRSource{sched: sched, pool: pool, dst: dst, flow: flow, size: size, gap: gap}
 	c.tick = sched.NewTimer(c.emit)
 	return c
 }
@@ -58,7 +57,7 @@ func (c *CBRSource) emit() {
 		return
 	}
 	c.Sent++
-	p := c.Pool.Get()
+	p := c.pool.Get()
 	p.Flow = c.flow
 	p.Kind = Data
 	p.Seq = int64(c.Sent) * int64(c.size)

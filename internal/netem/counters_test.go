@@ -25,8 +25,7 @@ func echoWorld(t *testing.T, s *sim.Scheduler, flows int) *Dumbbell {
 			d.ReceiverPort(i).Receive(ack)
 		}))
 		d.ConnectSender(i, NodeFunc(func(p *Packet) { p.Release() }))
-		src := NewCBR(s, i, 400e3, 1000, d.SenderPort(i))
-		src.Pool = d.Pool()
+		src := NewCBR(s, d.Pool(), i, 400e3, 1000, d.SenderPort(i))
 		if err := src.Start(time.Duration(i) * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +35,9 @@ func echoWorld(t *testing.T, s *sim.Scheduler, flows int) *Dumbbell {
 
 // txPackets sums TxPackets over every link of the dumbbell.
 func txPackets(d *Dumbbell) uint64 {
-	n := d.forward.TxPackets + d.reverse.TxPackets
-	for _, links := range [][]*Link{d.senderLinks, d.receiverLinks, d.ackLinks, d.returnLinks} {
-		for _, l := range links {
-			n += l.TxPackets
-		}
+	var n uint64
+	for i := range d.links {
+		n += d.links[i].TxPackets
 	}
 	return n
 }

@@ -267,7 +267,7 @@ func TestCBRRateAndSize(t *testing.T) {
 	s := sim.NewScheduler(1)
 	sink := &collector{sched: s}
 	// 0.8 Mbps with 1000-byte packets = 100 packets/s.
-	src := NewCBR(s, 7, 0.8e6, 1000, sink)
+	src := NewCBR(s, nil, 7, 0.8e6, 1000, sink)
 	if err := src.Start(0); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestCBRRateAndSize(t *testing.T) {
 func TestCBRStop(t *testing.T) {
 	s := sim.NewScheduler(1)
 	sink := &collector{sched: s}
-	src := NewCBR(s, 7, 0.8e6, 1000, sink)
+	src := NewCBR(s, nil, 7, 0.8e6, 1000, sink)
 	if err := src.Start(0); err != nil {
 		t.Fatalf("start: %v", err)
 	}

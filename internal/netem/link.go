@@ -34,7 +34,11 @@ type Link struct {
 	// Dst receives packets after transmission + propagation.
 	Dst Node
 
-	queue *Queue
+	// queue wraps the discipline the link drains. fifo is the drop-tail
+	// of a link given no discipline of its own. Both are held by value,
+	// so a topology lays each link out as one piece of one block.
+	queue Queue
+	fifo  DropTail
 	busy  bool
 
 	// wires and txs are the world's lanes, shared by all its links: wires
@@ -87,19 +91,23 @@ func NewLink(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, q Queue
 	if err := validateLinkParams(bandwidthBps, delay); err != nil {
 		return nil, err
 	}
-	if q == nil {
-		q = &DropTail{limit: 1 << 30}
-	}
-	l := &Link{
-		sched:        sched,
-		BandwidthBps: bandwidthBps,
-		Delay:        delay,
-		Dst:          dst,
-		wires:        sim.LanesOf(sched, deliver),
-		txs:          sim.LanesOf(sched, (*Link).transmitNext),
-	}
-	l.queue = newQueue(q, sched)
+	l := new(Link)
+	l.init(sched, bandwidthBps, delay, q, 1<<30, dst)
 	return l, nil
+}
+
+// init sets up a zero link where it will stay: the world's lanes and,
+// when the discipline is its own fifo, the queue point back into it. A
+// nil q is the link's own drop-tail of the given limit.
+func (l *Link) init(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, q QueueDiscipline, limit int, dst Node) {
+	if q == nil {
+		l.fifo.limit = limit
+		q = &l.fifo
+	}
+	l.sched, l.BandwidthBps, l.Delay, l.Dst = sched, bandwidthBps, delay, dst
+	l.wires = sim.LanesOf(sched, deliver)
+	l.txs = sim.LanesOf(sched, (*Link).transmitNext)
+	l.queue.init(q, sched)
 }
 
 func validateLinkParams(bandwidthBps float64, delay sim.Time) error {
@@ -114,7 +122,7 @@ func validateLinkParams(bandwidthBps float64, delay sim.Time) error {
 
 // Queue returns the link's attached queue, for inspection in tests and
 // traces.
-func (l *Link) Queue() *Queue { return l.queue }
+func (l *Link) Queue() *Queue { return &l.queue }
 
 // Instrument attaches the telemetry bus to the link and its queue
 // under the given instance name: the link publishes a link-tx event
@@ -311,12 +319,11 @@ type Queue struct {
 	Enqueued uint64
 }
 
-// newQueue wraps a discipline, caching its optional capabilities.
-func newQueue(disc QueueDiscipline, sched *sim.Scheduler) *Queue {
-	q := &Queue{disc: disc, sched: sched}
+// init wraps a discipline, caching its optional capabilities.
+func (q *Queue) init(disc QueueDiscipline, sched *sim.Scheduler) {
+	q.disc, q.sched = disc, sched
 	q.idle, _ = disc.(idleMarker)
 	q.red, _ = disc.(*REDQueue)
-	return q
 }
 
 // Instrument attaches the telemetry bus under the given instance name.

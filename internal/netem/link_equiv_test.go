@@ -17,7 +17,7 @@ type laneLink struct {
 	bps   float64
 	delay sim.Time
 	dst   Node
-	queue *Queue
+	queue Queue
 	wire  sim.Lane[laneWire]
 	tx    sim.Lane[struct{}]
 
@@ -31,7 +31,8 @@ type laneWire struct {
 }
 
 func newLaneLink(s *sim.Scheduler, bps float64, delay sim.Time, q QueueDiscipline, dst Node) *laneLink {
-	l := &laneLink{bps: bps, delay: delay, dst: dst, queue: newQueue(q, s)}
+	l := &laneLink{bps: bps, delay: delay, dst: dst}
+	l.queue.init(q, s)
 	l.wire.Init(s, func(w laneWire) {
 		if l.flaps != w.flaps {
 			l.faultDrops++

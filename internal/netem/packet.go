@@ -58,8 +58,10 @@ type Packet struct {
 	// Retransmit marks retransmitted data segments, for tracing.
 	Retransmit bool
 
-	// pool, when non-nil, is where Release returns the packet.
+	// pool, when non-nil, is where Release returns the packet; next
+	// links it into that pool's free list afterwards.
 	pool *PacketPool
+	next *Packet
 }
 
 // Release returns a pooled packet to its pool once its ownership chain
@@ -73,29 +75,35 @@ func (p *Packet) Release() {
 		return
 	}
 	p.pool = nil
-	pp.free = append(pp.free, p)
+	p.next, pp.free = pp.free, p
 }
 
-// Clone returns an independent copy of p. The SACK blocks are
-// deep-copied and the clone is detached from any pool, so the original
-// can be released without invalidating the copy.
+// Clone returns an independent copy of p, drawn from the pool p came
+// from (plainly allocated when p has none). The SACK blocks are
+// deep-copied, so the original can be released without invalidating the
+// copy.
 func (p *Packet) Clone() *Packet {
-	c := *p
-	c.pool = nil
-	if len(p.SACK) > 0 {
-		c.SACK = append([]SACKBlock(nil), p.SACK...)
-	}
-	return &c
+	c := p.pool.Get()
+	sack := append(c.SACK, p.SACK...)
+	*c = *p
+	c.SACK = sack
+	return c
 }
 
 // PacketPool recycles Packet values through a free list so steady-state
-// traffic allocates no packets. All Get/Release traffic happens on the
-// single simulation goroutine, so the pool needs no locking; each
-// topology owns one. The zero value and a nil pool are both usable (a
-// nil pool's Get falls back to plain allocation), which keeps hand-built
-// test fixtures working unchanged.
+// traffic allocates no packets, and carves the packets it has to make
+// from slabs, so a world allocates them a block at a time. All
+// Get/Release traffic happens on the single simulation goroutine, so the
+// pool needs no locking; each topology owns one. The zero value is
+// usable. A nil pool's Get falls back to plain allocation, for hand-built
+// test fixtures; nothing scenario.Build assembles has one.
 type PacketPool struct {
-	free []*Packet
+	free *Packet // released packets, linked through Packet.next
+	// slab is the uncarved rest of the newest block. Each block is a
+	// quarter of all the packets carved before it, within the slab
+	// bounds: a one-flow world that keeps a dozen packets in flight does
+	// not pay for a big block, a world of thousands of flows makes few.
+	slab []Packet
 
 	// Gets counts Get calls and Hits the subset served from the free
 	// list; Hits/Gets is the pool hit rate the benchmarks report.
@@ -111,17 +119,25 @@ func (pp *PacketPool) Get() *Packet {
 		return &Packet{}
 	}
 	pp.Gets++
-	if n := len(pp.free); n > 0 {
-		p := pp.free[n-1]
-		pp.free[n-1] = nil
-		pp.free = pp.free[:n-1]
+	if p := pp.free; p != nil {
+		pp.free = p.next
 		pp.Hits++
 		sack := p.SACK[:0]
 		*p = Packet{SACK: sack, pool: pp}
 		return p
 	}
-	return &Packet{pool: pp}
+	if len(pp.slab) == 0 {
+		n := min(max(int(pp.Gets-pp.Hits-1)/4, minSlab), maxSlab)
+		pp.slab = make([]Packet, n)
+	}
+	p := &pp.slab[0]
+	pp.slab = pp.slab[1:]
+	p.pool = pp
+	return p
 }
+
+// Slab bounds, in packets.
+const minSlab, maxSlab = 4, 64
 
 // EndSeq returns the sequence number one past the last byte carried.
 func (p *Packet) EndSeq() int64 { return p.Seq + int64(p.Len) }

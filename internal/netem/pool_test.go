@@ -44,8 +44,8 @@ func TestPacketPoolDoubleReleaseIsNoOp(t *testing.T) {
 	p := pp.Get()
 	p.Release()
 	p.Release()
-	if len(pp.free) != 1 {
-		t.Fatalf("double release grew the free list to %d", len(pp.free))
+	if pp.free != p || p.next != nil {
+		t.Fatal("double release linked the packet into the free list twice")
 	}
 }
 
@@ -88,5 +88,36 @@ func TestLinkSteadyStateZeroAlloc(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() { send(10) })
 	if avg != 0 {
 		t.Fatalf("warm link transmission allocates %.2f allocs/run, want 0", avg)
+	}
+}
+
+// TestPacketPoolCarvesMissesFromSlabs: packets the free list cannot
+// supply come a block at a time, each its own packet, and a released one
+// is handed out again before another is carved.
+func TestPacketPoolCarvesMissesFromSlabs(t *testing.T) {
+	const n = 1000
+	var held []*Packet
+	blocks := testing.AllocsPerRun(3, func() {
+		pp := new(PacketPool)
+		held = held[:0]
+		for i := 0; i < n; i++ {
+			held = append(held, pp.Get())
+		}
+	})
+	if blocks > n/16 {
+		t.Fatalf("%d packets took %.0f allocations", n, blocks)
+	}
+	distinct := make(map[*Packet]bool, n)
+	for _, p := range held {
+		distinct[p] = true
+	}
+	pp := held[0].pool
+	if len(distinct) != n || pp.Gets != n || pp.Hits != 0 {
+		t.Fatalf("%d Gets (%d hits) handed out %d distinct packets, want %d/0/%d", pp.Gets, pp.Hits, len(distinct), n, n)
+	}
+	held[3].Release()
+	held[7].Release()
+	if a, b := pp.Get(), pp.Get(); a != held[7] || b != held[3] {
+		t.Fatal("released packets were not the next ones handed out")
 	}
 }

@@ -105,14 +105,13 @@ type Dumbbell struct {
 	cfg   DumbbellConfig
 	sched *sim.Scheduler
 
-	senderLinks   []*Link // S_i -> R1
-	receiverLinks []*Link // R2 -> K_i
-	ackLinks      []*Link // K_i -> R2
-	returnLinks   []*Link // R1 -> S_i
-	forward       *Link   // R1 -> R2 (bottleneck, congested)
-	reverse       *Link   // R2 -> R1 (bottleneck, ACK path)
-	fwdDemux      *Demux  // at R2, to receivers
-	revDemux      *Demux  // at R1, to senders
+	// links is every link of the topology in one block: the two
+	// bottleneck links, then each flow's four side links together.
+	links    []Link
+	forward  *Link // R1 -> R2 (bottleneck, congested)
+	reverse  *Link // R2 -> R1 (bottleneck, ACK path)
+	fwdDemux Demux // at R2, to receivers
+	revDemux Demux // at R1, to senders
 
 	// fwdEntry and revEntry are the first nodes on each bottleneck path
 	// (the links themselves, or the head of an injector chain in front
@@ -124,6 +123,19 @@ type Dumbbell struct {
 	// the dumbbell allocate from and release to it.
 	pool PacketPool
 }
+
+// The side links of a flow, in the order they sit in Dumbbell.links.
+const (
+	senderLink   = iota // S_i -> R1
+	receiverLink        // R2 -> K_i
+	ackLink             // K_i -> R2
+	returnLink          // R1 -> S_i
+	sideLinks
+)
+
+// side returns flow i's side link of the given kind. Indexing past the
+// bottleneck links first makes every i outside the topology panic.
+func (d *Dumbbell) side(i, kind int) *Link { return &d.links[2:][sideLinks*i+kind] }
 
 // Pool returns the topology's packet pool. Endpoints wired onto the
 // dumbbell draw their packets from it so steady-state traffic allocates
@@ -141,29 +153,26 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) (*Dumbbell, error) {
 	if err := validateLinkParams(cfg.SideBps, cfg.SideDelay); err != nil {
 		return nil, fmt.Errorf("side link: %w", err)
 	}
-	fq := cfg.ForwardQueue
-	if fq == nil {
-		fq = Must(NewDropTail(8))
-	}
 	revLimit := cfg.ReverseQueueLimit
 	if revLimit <= 0 {
 		revLimit = 1000
 	}
 
+	// Everything the flow count sizes is one block each: the links (with
+	// their queues and drop-tails inside them), the side links' first
+	// packet rings, the two routing tables.
+	n := cfg.Flows
+	routes := make([]Node, 2*n)
 	d := &Dumbbell{
 		cfg:      cfg,
 		sched:    sched,
-		fwdDemux: NewDemux(),
-		revDemux: NewDemux(),
+		links:    make([]Link, 2+sideLinks*n),
+		fwdDemux: Demux{dst: routes[:n:n]},
+		revDemux: Demux{dst: routes[n:]},
 	}
-	rq := cfg.ReverseQueue
-	if rq == nil {
-		rq = Must(NewDropTail(revLimit))
-	}
-	// The parameters were validated above, so per-link construction
-	// cannot fail; the panic path in Must is unreachable here.
-	d.forward = Must(NewLink(sched, cfg.BottleneckBps, cfg.BottleneckDelay, fq, d.fwdDemux))
-	d.reverse = Must(NewLink(sched, cfg.BottleneckBps, cfg.BottleneckDelay, rq, d.revDemux))
+	d.forward, d.reverse = &d.links[0], &d.links[1]
+	d.forward.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ForwardQueue, 8, &d.fwdDemux)
+	d.reverse.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ReverseQueue, revLimit, &d.revDemux)
 	d.revEntry = d.reverse
 
 	// Entry into the forward bottleneck, optionally via a loss module.
@@ -175,35 +184,36 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) (*Dumbbell, error) {
 		d.fwdEntry = cfg.Loss
 	}
 
-	sideQueue := func() QueueDiscipline { return Must(NewDropTail(1000)) }
-	d.senderLinks = make([]*Link, cfg.Flows)
-	d.receiverLinks = make([]*Link, cfg.Flows)
-	d.ackLinks = make([]*Link, cfg.Flows)
-	d.returnLinks = make([]*Link, cfg.Flows)
-	for i := 0; i < cfg.Flows; i++ {
-		d.senderLinks[i] = Must(NewLink(sched, cfg.SideBps, cfg.SideDelay, sideQueue(), d.fwdEntry))
-		d.receiverLinks[i] = Must(NewLink(sched, cfg.SideBps, cfg.SideDelay, sideQueue(), nil))
-		d.ackLinks[i] = Must(NewLink(sched, cfg.SideBps, cfg.SideDelay, sideQueue(), d.revEntry))
-		d.returnLinks[i] = Must(NewLink(sched, cfg.SideBps, cfg.SideDelay, sideQueue(), nil))
-		d.fwdDemux.Route(i, d.receiverLinks[i])
-		d.revDemux.Route(i, d.returnLinks[i])
+	rings := make([]*Packet, sideLinks*n*sideRing)
+	for i := 0; i < n; i++ {
+		d.fwdDemux.Route(i, d.side(i, receiverLink))
+		d.revDemux.Route(i, d.side(i, returnLink))
+		for kind, dst := range [sideLinks]Node{senderLink: d.fwdEntry, ackLink: d.revEntry} {
+			l := d.side(i, kind)
+			l.fifo.fifo.buf, rings = rings[:sideRing:sideRing], rings[sideRing:]
+			l.init(sched, cfg.SideBps, cfg.SideDelay, nil, 1000, dst)
+		}
 	}
 	return d, nil
 }
 
+// sideRing is the ring a side link's drop-tail starts with, in packets;
+// one that fills grows on its own.
+const sideRing = 8
+
 // SenderPort returns the node into which sender i transmits data.
-func (d *Dumbbell) SenderPort(i int) Node { return d.senderLinks[i] }
+func (d *Dumbbell) SenderPort(i int) Node { return d.side(i, senderLink) }
 
 // ReceiverPort returns the node into which receiver i transmits ACKs.
-func (d *Dumbbell) ReceiverPort(i int) Node { return d.ackLinks[i] }
+func (d *Dumbbell) ReceiverPort(i int) Node { return d.side(i, ackLink) }
 
 // ConnectReceiver registers the endpoint that consumes flow i's data
 // packets at host K_i.
-func (d *Dumbbell) ConnectReceiver(i int, n Node) { d.receiverLinks[i].Dst = n }
+func (d *Dumbbell) ConnectReceiver(i int, n Node) { d.side(i, receiverLink).Dst = n }
 
 // ConnectSender registers the endpoint that consumes flow i's ACKs back
 // at host S_i.
-func (d *Dumbbell) ConnectSender(i int, n Node) { d.returnLinks[i].Dst = n }
+func (d *Dumbbell) ConnectSender(i int, n Node) { d.side(i, returnLink).Dst = n }
 
 // ForwardEntry returns the first node on the forward bottleneck path —
 // the forward link itself, or the head of whatever injector chain has
@@ -216,8 +226,8 @@ func (d *Dumbbell) ForwardEntry() Node { return d.fwdEntry }
 // previous ForwardEntry.
 func (d *Dumbbell) SetForwardEntry(n Node) {
 	d.fwdEntry = n
-	for _, l := range d.senderLinks {
-		l.Dst = n
+	for i := 0; i < d.cfg.Flows; i++ {
+		d.side(i, senderLink).Dst = n
 	}
 }
 
@@ -229,8 +239,8 @@ func (d *Dumbbell) ReverseEntry() Node { return d.revEntry }
 // path, rewiring every receiver-side ACK link to feed it.
 func (d *Dumbbell) SetReverseEntry(n Node) {
 	d.revEntry = n
-	for _, l := range d.ackLinks {
-		l.Dst = n
+	for i := 0; i < d.cfg.Flows; i++ {
+		d.side(i, ackLink).Dst = n
 	}
 }
 

@@ -169,3 +169,77 @@ func TestPaperDropTailConfigMatchesTable3(t *testing.T) {
 		t.Fatalf("forward queue %T limit, want 8-packet drop-tail", cfg.ForwardQueue)
 	}
 }
+
+// TestNewDumbbellAllocationsIndependentOfFlows: what the flow count
+// sizes — 4n+2 links with their queues and drop-tails, the side links'
+// first rings, the routing tables — is a fixed number of blocks, so
+// building a 300-flow dumbbell makes exactly as many allocations as
+// building a one-flow one, and running traffic over its side links
+// grows no ring.
+func TestNewDumbbellAllocationsIndependentOfFlows(t *testing.T) {
+	sched := sim.NewScheduler(1) // the warm-up call makes its two lane sets
+	build := func(flows int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewDumbbell(sched, DumbbellConfig{
+				Flows: flows, BottleneckBps: 0.8e6, BottleneckDelay: 50 * time.Millisecond,
+				SideBps: 10e6, SideDelay: time.Millisecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := build(1), build(300); one != many || one > 4 {
+		t.Fatalf("NewDumbbell allocates %.0f times for 1 flow, %.0f for 300: want the same four blocks", one, many)
+	}
+
+	s := sim.NewScheduler(1)
+	d := Must(NewDumbbell(s, PaperDropTailConfig(50)))
+	for i := 0; i < 50; i++ {
+		d.ConnectReceiver(i, NodeFunc((*Packet).Release))
+		d.ConnectSender(i, NodeFunc((*Packet).Release))
+	}
+	send := func() {
+		for i := 0; i < 50; i++ {
+			for k := 0; k < 4; k++ {
+				p := d.Pool().Get()
+				p.Flow, p.Kind, p.Size = i, Ack, 40
+				d.ReceiverPort(i).Receive(p)
+			}
+		}
+		s.RunAll()
+	}
+	send() // warm: the pool, the lanes, the two bottleneck rings
+	if avg := testing.AllocsPerRun(5, send); avg != 0 {
+		t.Fatalf("traffic over 100 already-built side links allocates %.1f times a round, want 0", avg)
+	}
+}
+
+// TestDumbbellSourcesDrawFromThePool: every packet source netem itself
+// provides hands a dumbbell link packets of the dumbbell's pool — a
+// packet with no pool is one allocation per packet that nothing ever
+// reuses.
+func TestDumbbellSourcesDrawFromThePool(t *testing.T) {
+	s := sim.NewScheduler(1)
+	d := Must(NewDumbbell(s, PaperDropTailConfig(1)))
+	seen := 0
+	d.SetReverseEntry(NodeFunc(func(p *Packet) {
+		if seen++; p.pool != d.Pool() {
+			t.Fatalf("packet %d reached the reverse bottleneck with pool %p, want the dumbbell's", seen, p.pool)
+		}
+		d.ReverseLink().Receive(p.Clone()) // a copy is drawn from the same pool
+		p.Release()
+	}))
+	cbr := NewCBR(s, d.Pool(), 1000, 0.4e6, 1000, d.ReverseEntry())
+	if err := cbr.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * time.Second)
+	if seen < 50 {
+		t.Fatalf("only %d packets emitted", seen)
+	}
+	// The link holds at most a queue and a wire of clones at once; every
+	// other Get was a packet coming back.
+	if pp := d.Pool(); pp.Gets != 2*uint64(seen) || pp.Gets-pp.Hits > 16 {
+		t.Fatalf("pool served %d Gets for %d packets and their clones with %d misses", pp.Gets, seen, pp.Gets-pp.Hits)
+	}
+}

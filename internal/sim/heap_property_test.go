@@ -60,9 +60,12 @@ type eventQueue interface {
 	// run fires every pending event, calling onFire(id) for each; onFire
 	// may arm, stop and push.
 	run(onFire func(id int))
+	// depth reports Pending and HeapHighWater as they stand.
+	depth() (pending, highWater int)
 }
 
-// realQueue is the scheduler: timers in one heap, lane heads in the other.
+// realQueue is the scheduler: timers in a heap, lane heads in a flat
+// array scanned for each event.
 type realQueue struct {
 	s      *Scheduler
 	timers []*Timer
@@ -70,6 +73,7 @@ type realQueue struct {
 	lanes  []Lane[int]
 	last   []*DelayLane[sharedID] // last[src] is the shared lane source src pushed on last
 	onFire func(id int)
+	sliced bool // run in 30 µs Run(until) slices instead of one RunAll
 }
 
 func newRealQueue() *realQueue {
@@ -101,24 +105,46 @@ func (q *realQueue) pushShared(src int, d Time, id int) {
 }
 func (q *realQueue) run(onFire func(id int)) {
 	q.onFire = onFire
+	if q.sliced {
+		// Bounded runs: most slices end between two events, some on one.
+		for q.s.Pending() > 0 {
+			q.s.Run(q.s.Now() + 30*time.Microsecond)
+		}
+		return
+	}
 	q.s.RunAll()
 }
+func (q *realQueue) depth() (int, int) { return q.s.Pending(), q.s.HeapHighWater() }
 
 // oracleQueue gives every event, timer expiry or lane push alike, its own
 // entry in one textbook heap. Stopped and re-armed expiries are skipped
-// when they surface.
+// when they surface. It also keeps the two depth figures by their
+// definitions: Pending is every live entry; the event queue holds one
+// entry per armed timer and one per lane with anything waiting, a shared
+// set having a lane for each delay it has events pending with.
 type oracleQueue struct {
 	h     refHeap
 	seq   uint64
 	clock Time
 	armed map[int]int // timer -> id of its live expiry
 	dead  map[int]bool
+
+	live      int         // entries neither fired nor stopped
+	laneOf    map[int]int // lane event id -> its lane
+	waiting   map[int]int // lane -> events waiting on it
+	highWater int
+}
+
+func newOracleQueue() *oracleQueue {
+	return &oracleQueue{armed: map[int]int{}, dead: map[int]bool{}, laneOf: map[int]int{}, waiting: map[int]int{}}
 }
 
 func (q *oracleQueue) now() Time { return q.clock }
 func (q *oracleQueue) add(at Time, id int) {
 	heap.Push(&q.h, refEntry{at: at, seq: q.seq, id: id})
 	q.seq++
+	q.live++
+	q.highWater = max(q.highWater, len(q.armed)+len(q.waiting))
 }
 func (q *oracleQueue) armTimer(k int, at Time, id int) {
 	q.stopTimer(k)
@@ -129,20 +155,41 @@ func (q *oracleQueue) stopTimer(k int) {
 	if id, ok := q.armed[k]; ok {
 		q.dead[id] = true
 		delete(q.armed, k)
+		q.live--
 	}
 }
-func (q *oracleQueue) pushLane(_ int, d Time, id int)   { q.add(q.clock+d, id) }
-func (q *oracleQueue) pushShared(_ int, d Time, id int) { q.add(q.clock+d, id) }
+func (q *oracleQueue) addLane(lane int, d Time, id int) {
+	q.laneOf[id] = lane
+	q.waiting[lane]++
+	q.add(q.clock+d, id)
+}
+func (q *oracleQueue) pushLane(k int, d Time, id int) { q.addLane(k, d, id) }
+
+// A shared lane is named by its delay, offset past the lanes' own numbers.
+func (q *oracleQueue) pushShared(_ int, d Time, id int) { q.addLane(scriptLanes+int(d), d, id) }
 func (q *oracleQueue) run(onFire func(id int)) {
 	for q.h.Len() > 0 {
 		e := heap.Pop(&q.h).(refEntry)
 		if q.dead[e.id] {
 			continue
 		}
+		q.live--
+		if lane, ok := q.laneOf[e.id]; ok {
+			if q.waiting[lane]--; q.waiting[lane] == 0 {
+				delete(q.waiting, lane)
+			}
+		} else {
+			for k, id := range q.armed {
+				if id == e.id {
+					delete(q.armed, k)
+				}
+			}
+		}
 		q.clock = e.at
 		onFire(e.id)
 	}
 }
+func (q *oracleQueue) depth() (int, int) { return q.live, q.highWater }
 
 // orderingScript issues a seeded random mix of timer arms, re-arms and
 // stops and of lane pushes — due times drawn from a small range, so ties
@@ -150,7 +197,8 @@ func (q *oracleQueue) run(onFire func(id int)) {
 // on the shared set from many sources with the few scriptDelays, first
 // from outside the run and then from inside handlers (so lanes are
 // pushed while their head is firing, and a shared lane that has just
-// drained is re-keyed), and returns the ids in firing order.
+// drained is re-keyed), and returns the ids in firing order, each followed
+// by what Pending read as it fired, and HeapHighWater at the end.
 func orderingScript(q eventQueue, seed int64) []int {
 	const timers, lanes, setupOps, total = scriptTimers, scriptLanes, 1500, 9000
 	rng := rand.New(rand.NewSource(seed))
@@ -175,41 +223,53 @@ func orderingScript(q eventQueue, seed int64) []int {
 	}
 	var fired []int
 	q.run(func(id int) {
-		fired = append(fired, id)
+		pending, _ := q.depth()
+		fired = append(fired, id, pending)
 		for n := rng.Intn(3); n > 0 && nextID < total; n-- {
 			op()
 		}
 	})
-	return fired
+	_, highWater := q.depth()
+	return append(fired, highWater)
 }
 
-// TestHeapMatchesReferenceOrder checks that timers and lanes together
-// fire in exactly the (time, sequence) order a reference container/heap
-// holding one entry per event pops them — across re-arms and stops,
-// out-of-order and equal-time lane pushes, many sources sharing a few
-// delay-keyed lanes, and pushes made from inside handlers. This is the
+// TestHeapMatchesReferenceOrder checks that the timer heap and the flat
+// lane heads together fire in exactly the (time, sequence) order a
+// reference container/heap holding one entry per event pops them — across
+// re-arms and stops, out-of-order and equal-time lane pushes, many
+// sources sharing a few delay-keyed lanes, lanes that drain and refill,
+// pushes made from inside handlers, and runs cut into bounded slices —
+// and that Pending at every event and HeapHighWater at the end are what
+// their definitions give on the reference. This is the
 // determinism contract the experiment goldens depend on, and what lets a
 // link's per-packet timers become a lane, and every link's lanes the
 // world's few, without re-pinning anything.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		real := newRealQueue()
+		real.sliced = seed%2 == 1
 		got := orderingScript(real, seed)
 		if n, max := real.s.LaneCount(), scriptLanes+len(scriptDelays); n > max {
 			t.Fatalf("seed %d: %d lanes bound to the scheduler, want at most %d (%d of its own, one per shared delay)",
 				seed, n, max, scriptLanes)
 		}
-		want := orderingScript(&oracleQueue{armed: map[int]int{}, dead: map[int]bool{}}, seed)
+		want := orderingScript(newOracleQueue(), seed)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference popped %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: fired %d events, reference popped %d", seed, len(got)/2, len(want)/2)
 		}
-		if len(got) < 1000 {
-			t.Fatalf("seed %d: only %d events fired; the script is not exercising the queue", seed, len(got))
+		if len(got) < 2000 {
+			t.Fatalf("seed %d: only %d events fired; the script is not exercising the queue", seed, len(got)/2)
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			switch {
+			case got[i] == want[i]:
+			case i == len(want)-1:
+				t.Fatalf("seed %d: HeapHighWater = %d, reference %d", seed, got[i], want[i])
+			case i%2 == 1:
+				t.Fatalf("seed %d: Pending = %d at event %d, reference %d", seed, got[i], i/2, want[i])
+			default:
 				t.Fatalf("seed %d: fire order diverges at %d: got id %d, reference id %d",
-					seed, i, got[i], want[i])
+					seed, i/2, got[i], want[i])
 			}
 		}
 	}

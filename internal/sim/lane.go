@@ -8,8 +8,7 @@ type laneFirer interface {
 // laneEvent is one event waiting on a lane: its reserved (time, sequence)
 // key and the payload its handler receives.
 type laneEvent[T any] struct {
-	at  Time
-	seq uint64
+	key
 	val T
 }
 
@@ -18,8 +17,8 @@ type laneEvent[T any] struct {
 // propagating on a link. Every Push fires the handler exactly once, with
 // the pushed payload, in (time, sequence) order; there is no Stop. Only
 // the lane's earliest event occupies the event queue, so a lane costs
-// the scheduler one heap entry however many events wait behind its head,
-// and pushing behind a pending head touches no heap at all.
+// the scheduler one head to scan however many events wait behind it, and
+// pushing behind a pending head touches the ring alone.
 //
 // Each Push takes one sequence number, exactly as arming a Timer does,
 // so replacing per-event timers with a lane leaves the global firing
@@ -27,7 +26,7 @@ type laneEvent[T any] struct {
 // is their minimum, and pop order depends only on keys.
 type Lane[T any] struct {
 	s  *Scheduler
-	id int32
+	id int // index of the lane, and of its head, in the scheduler
 	fn func(T)
 
 	// Ring of waiting events, sorted by (at, seq); capacity is a power
@@ -45,8 +44,9 @@ type Lane[T any] struct {
 // where many sources push with few distinct delays (a world's links),
 // share a Lanes set among them.
 func (l *Lane[T]) Init(s *Scheduler, fn func(T)) {
-	*l = Lane[T]{s: s, id: s.heads.newSlot(nil), fn: fn}
+	*l = Lane[T]{s: s, id: len(s.lanes), fn: fn}
 	s.lanes = append(s.lanes, l)
+	s.heads = append(s.heads, noHead)
 }
 
 // Push schedules fn(v) to run after d (a negative d is clamped to zero).
@@ -59,41 +59,43 @@ func (l *Lane[T]) Push(d Time, v T) {
 		d = 0
 	}
 	s := l.s
-	ev := laneEvent[T]{at: s.now + d, seq: s.nextSeq, val: v}
+	at, seq := s.now+d, s.nextSeq
 	s.nextSeq++
 	s.queued++
 	if l.n == len(l.buf) {
 		l.grow()
 	}
 	mask := len(l.buf) - 1
-	// ev has the largest sequence number yet, so it sorts after every
-	// waiting event due at or before ev.at.
+	// The event has the largest sequence number yet, so it sorts after
+	// every waiting event due at or before at.
 	i := l.n
 	for ; i > 0; i-- {
 		prev := &l.buf[(l.head+i-1)&mask]
-		if prev.at <= ev.at {
+		if prev.at <= at {
 			break
 		}
 		l.buf[(l.head+i)&mask] = *prev
 	}
-	l.buf[(l.head+i)&mask] = ev
+	// Written field by field into the ring: building the event first and
+	// copying it in reloads 16 bytes just stored as two words, a
+	// store-forwarding stall on every push.
+	ev := &l.buf[(l.head+i)&mask]
+	ev.at, ev.seq, ev.val = at, seq, v
 	l.n++
 	if i > 0 {
 		return // still behind the head
 	}
-	x := heapEntry{at: ev.at, seq: ev.seq, idx: l.id}
-	if pos := s.heads.slots[l.id].heapPos; pos >= 0 {
-		s.heads.rekey(int(pos), x)
-		return
+	s.heads[l.id] = key{at, seq}
+	if l.n == 1 {
+		s.busy++
+		s.pushed()
 	}
-	s.heads.push(x)
-	s.pushed()
 }
 
-// fire runs the head event. The scheduler calls it with the lane's entry
-// at the top of the lane-head heap; the next head takes that entry over
-// before the handler runs, so a handler that pushes onto its own lane
-// sees it consistent.
+// fire runs the head event. The scheduler calls it when the lane's head
+// is the earliest event pending; the next head replaces it before the
+// handler runs, so a handler that pushes onto its own lane sees it
+// consistent.
 func (l *Lane[T]) fire() {
 	s := l.s
 	mask := len(l.buf) - 1
@@ -105,10 +107,10 @@ func (l *Lane[T]) fire() {
 	l.n--
 	s.queued--
 	if l.n > 0 {
-		next := &l.buf[l.head]
-		s.heads.rekey(0, heapEntry{at: next.at, seq: next.seq, idx: l.id})
+		s.heads[l.id] = l.buf[l.head].key
 	} else {
-		s.heads.remove(0)
+		s.heads[l.id] = noHead
+		s.busy--
 	}
 	l.fn(v)
 }

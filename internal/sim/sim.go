@@ -12,13 +12,14 @@
 // with few distinct delays share a Lanes set (LanesOf plus Lanes.Push),
 // one lane per delay.
 //
-// The event queue is two index-based 4-ary min-heaps of value entries,
-// one of armed timers and one of lane heads, merged by exact
+// The event queue is an index-based 4-ary min-heap of armed timers and a
+// flat array of lane heads, one per lane, merged by exact
 // (time, sequence) as each event is taken. Arming, firing, and stopping
 // allocate nothing, and stop is O(log n) via each entry's tracked heap
 // position. The split keeps the events that always fire (packets on the
 // wire) from sifting through the ones that almost never do (every
-// flow's parked retransmission timer).
+// flow's parked retransmission timer); a world has a handful of lanes,
+// so their heads are scanned, not sifted.
 package sim
 
 import (
@@ -63,12 +64,27 @@ type Time = time.Duration
 // current simulated time.
 var ErrScheduleInPast = errors.New("sim: event scheduled in the past")
 
-// heapEntry is one pending event in the priority queue. Entries are
-// pure values (no pointers), so sift operations move them without
-// write barriers; idx names the owner (a timer's arena slot, or a lane).
-type heapEntry struct {
+// key orders pending events: by due time, then by the sequence number
+// taken when the event was armed or pushed. No two events share a key.
+type key struct {
 	at  Time
 	seq uint64
+}
+
+func (a key) less(b key) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// noHead is the head of an empty lane. It sorts after every real key (no
+// event takes the last sequence number), so the scan for the earliest
+// head needs no test for emptiness.
+var noHead = key{at: 1<<63 - 1, seq: 1<<64 - 1}
+
+// heapEntry is one armed timer in the priority queue. Entries are pure
+// values (no pointers), so sift operations move them without write
+// barriers; idx names the timer's arena slot.
+type heapEntry struct {
+	key
 	idx int32
 }
 
@@ -81,21 +97,15 @@ type eventHeap struct {
 	slots []slot
 }
 
-// slot is one arena cell, owned by one Timer or one Lane for the
-// scheduler's lifetime. heapPos is the position of the owner's entry in
-// its heap, -1 when it has none. fn is a timer's handler (a lane keeps
-// its own): it is written once at NewTimer and sits beside the position,
-// so a timer event costs one cache line of arena and, arming and firing
-// touching only heapPos, no write barrier.
+// slot is one arena cell, owned by one Timer for the scheduler's
+// lifetime. heapPos is the position of the timer's entry in the heap, -1
+// when it has none. fn is the timer's handler: it is written once at
+// NewTimer and sits beside the position, so a timer event costs one
+// cache line of arena and, arming and firing touching only heapPos, no
+// write barrier.
 type slot struct {
 	fn      func()
 	heapPos int32
-}
-
-// newSlot appends an idle slot and returns its index.
-func (h *eventHeap) newSlot(fn func()) int32 {
-	h.slots = append(h.slots, slot{fn: fn, heapPos: -1})
-	return int32(len(h.slots) - 1)
 }
 
 // Scheduler owns the virtual clock and the pending event set. The zero
@@ -111,13 +121,15 @@ type Scheduler struct {
 	// process-wide total.
 	unflushedPackets uint64
 
-	// Event queue: armed timers and lane heads, each in its own heap.
-	// queued counts the lane events pushed and not yet fired, heads
-	// included.
+	// Event queue: armed timers in a heap, and heads[i] the earliest
+	// event of lanes[i] (noHead while it is empty). busy counts the
+	// non-empty lanes; queued the lane events pushed and not yet fired,
+	// heads included.
 	timers    eventHeap
-	heads     eventHeap
+	heads     []key
 	lanes     []laneFirer
 	laneSets  []any // one *Lanes[T] per payload type, see LanesOf
+	busy      int
 	queued    int
 	highWater int
 
@@ -212,14 +224,15 @@ func (s *Scheduler) Pending() int { return len(s.timers.e) + s.queued }
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // HeapHighWater reports the deepest the event queue — the timer heap
-// and the lane-head heap together — has been over the scheduler's
-// lifetime: the working-set figure the headline benchmarks publish
-// alongside throughput. Events waiting behind a lane's head are in no
-// heap and do not count; Pending includes them.
+// and the heads of the non-empty lanes together — has been over the
+// scheduler's lifetime: the working-set figure the headline benchmarks
+// publish alongside throughput. Events waiting behind a lane's head do
+// not count; Pending includes them.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
 
 // LaneCount reports how many lanes have been bound to the scheduler,
-// shared or not: the bound on the lane-head half of the event queue.
+// shared or not: the bound on the lane-head half of the event queue,
+// and what taking one event costs to scan.
 func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 
 // SetProfileHook installs fn to be called every `every` processed
@@ -255,19 +268,12 @@ func (s *Scheduler) GuardErr() error { return s.guardErr }
 
 // ---- heap + arena internals -------------------------------------------------
 
-func entryLess(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 func (h *eventHeap) up(i int) {
 	e, slots := h.e, h.slots
 	x := e[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(x, e[p]) {
+		if !x.less(e[p].key) {
 			break
 		}
 		e[i] = e[p]
@@ -293,11 +299,11 @@ func (h *eventHeap) down(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if entryLess(e[c], e[best]) {
+			if e[c].less(e[best].key) {
 				best = c
 			}
 		}
-		if !entryLess(e[best], x) {
+		if !e[best].less(x.key) {
 			break
 		}
 		e[i] = e[best]
@@ -320,7 +326,7 @@ func (h *eventHeap) push(x heapEntry) {
 func (h *eventHeap) rekey(i int, x heapEntry) {
 	old := h.e[i]
 	h.e[i] = x
-	if entryLess(x, old) {
+	if x.less(old.key) {
 		h.up(i)
 	} else {
 		h.down(i)
@@ -339,9 +345,10 @@ func (h *eventHeap) remove(i int) {
 	}
 }
 
-// pushed updates the high-water mark after either heap has grown.
+// pushed updates the high-water mark after a timer was armed or a lane
+// got its first event.
 func (s *Scheduler) pushed() {
-	if d := len(s.timers.e) + len(s.heads.e); d > s.highWater {
+	if d := len(s.timers.e) + s.busy; d > s.highWater {
 		s.highWater = d
 	}
 }
@@ -353,7 +360,7 @@ func (s *Scheduler) armSlot(i int32, t Time) error {
 	if t < s.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrScheduleInPast, t, s.now)
 	}
-	x := heapEntry{at: t, seq: s.nextSeq, idx: i}
+	x := heapEntry{key{t, s.nextSeq}, i}
 	s.nextSeq++
 	if pos := s.timers.slots[i].heapPos; pos >= 0 {
 		s.timers.rekey(int(pos), x)
@@ -390,17 +397,19 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		s.flushPackets()
 	}()
 	for !s.stopped {
-		// The next event is the smaller of the two heaps' minima. Keys
-		// are unique (every arm and push takes its own sequence number),
-		// so the merge is exactly the order one heap would give.
-		t, h := s.timers.e, s.heads.e
-		lane := len(h) > 0 && (len(t) == 0 || entryLess(h[0], t[0]))
-		var top heapEntry
-		if lane {
-			top = h[0]
-		} else if len(t) > 0 {
-			top = t[0]
-		} else {
+		// The next event is the earliest lane head or the timer heap's
+		// minimum, whichever is smaller. Keys are unique (every arm and
+		// push takes its own sequence number), so the merge is exactly
+		// the order one heap would give.
+		lane, top := -1, noHead
+		for i, h := range s.heads {
+			if h.less(top) {
+				lane, top = i, h
+			}
+		}
+		if t := s.timers.e; len(t) > 0 && t[0].less(top) {
+			lane, top = -1, t[0].key
+		} else if lane < 0 {
 			break
 		}
 		if top.at > until {
@@ -414,13 +423,14 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			batch = 0
 			s.flushPackets()
 		}
-		if lane {
-			s.lanes[top.idx].fire()
+		if lane >= 0 {
+			s.lanes[lane].fire()
 		} else {
 			// The slot reads idle before its handler runs, so the
 			// handler can re-arm its own timer.
+			idx := s.timers.e[0].idx
 			s.timers.remove(0)
-			s.timers.slots[top.idx].fn()
+			s.timers.slots[idx].fn()
 		}
 		if s.profHook != nil && s.processed%s.profEvery == 0 {
 			s.profHook(s.now, s.processed, s.Pending())
@@ -470,7 +480,8 @@ type Timer struct {
 // timer owns its arena slot for the scheduler's lifetime, so create
 // timers per long-lived event source (or pool them), not per arm.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	return &Timer{s: s, slot: s.timers.newSlot(fn)}
+	s.timers.slots = append(s.timers.slots, slot{fn: fn, heapPos: -1})
+	return &Timer{s: s, slot: int32(len(s.timers.slots) - 1)}
 }
 
 // At arms the timer to fire at the absolute instant at, replacing any

@@ -217,6 +217,10 @@ func (r *Receiver) appendSACKBlocks(dst []netem.SACKBlock) []netem.SACKBlock {
 			}
 		}
 		seen[len(out)-len(dst)] = q
+		if cap(out) == 0 {
+			// A fresh packet: room for all three blocks in one step.
+			out = make([]netem.SACKBlock, 0, 3)
+		}
 		out = append(out, netem.SACKBlock{Start: q.Start, End: q.End})
 	}
 	for _, q := range r.recent[:r.nrecent] {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +37,7 @@ func runDiff(t *testing.T, oldJSON, newJSON string, threshold float64, warn bool
 	code, err := run(&out,
 		writeJSON(t, "old.json", oldJSON),
 		writeJSON(t, "new.json", newJSON),
-		threshold, warn)
+		threshold, 0, warn)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -137,6 +138,42 @@ func TestAllocsPerEventRegressionFails(t *testing.T) {
 	}
 }
 
+// With -counts the rows that count rather than time gate at their own,
+// tight tolerance while the timing rows stay on the threshold: 2% more
+// allocations or one more heap entry fails at 1%, a 5% slower ns/op
+// does not at 8%; without -counts the same file passes.
+func TestCountRowsGateAtTheirOwnTolerance(t *testing.T) {
+	doc := func(ns, allocs, bytes, highWater float64) string {
+		return fmt.Sprintf(`{"BenchmarkEventsPerSec": {"ns_per_op": %v, "allocs_per_op": %v, "bytes_per_op": %v,
+  "iterations": 3, "metrics": {"events/sec": 2500000, "allocs/event": 0.058, "heap-highwater": %v}}}`, ns, allocs, bytes, highWater)
+	}
+	base := doc(400000, 200, 45000, 16)
+	diffAt := func(newJSON string, counts float64) (int, string) {
+		var out strings.Builder
+		code, err := run(&out, writeJSON(t, "old.json", base), writeJSON(t, "new.json", newJSON), 0.08, counts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code, out.String()
+	}
+	for name, c := range map[string]struct {
+		doc          string
+		counts       float64
+		code, failed int
+	}{
+		"slower only":         {doc(420000, 200, 45000, 16), 0.01, 0, 0},
+		"more allocations":    {doc(400000, 204, 45000, 16), 0.01, 1, 1},
+		"more bytes and heap": {doc(400000, 200, 46000, 17), 0.01, 1, 2},
+		"within 1%":           {doc(400000, 201, 45100, 16), 0.01, 0, 0},
+		"counts off":          {doc(400000, 204, 46000, 17), 0, 0, 0},
+	} {
+		code, out := diffAt(c.doc, c.counts)
+		if code != c.code || strings.Count(out, "REGRESSION") != c.failed {
+			t.Errorf("%s: exit %d with %d regressions, want %d and %d:\n%s", name, code, strings.Count(out, "REGRESSION"), c.code, c.failed, out)
+		}
+	}
+}
+
 func TestDisjointBenchmarksListedNotGated(t *testing.T) {
 	newOnly := `{
   "BenchmarkEventsPerSec-8": {
@@ -181,14 +218,14 @@ func TestBadInputErrors(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out strings.Builder
-			_, err := run(&out, writeJSON(t, "old.json", content), writeJSON(t, "new.json", baseline), 0.10, false)
+			_, err := run(&out, writeJSON(t, "old.json", content), writeJSON(t, "new.json", baseline), 0.10, 0, false)
 			if err == nil {
 				t.Errorf("accepted %s old file", name)
 			}
 		})
 	}
 	var out strings.Builder
-	if _, err := run(&out, filepath.Join(t.TempDir(), "missing.json"), writeJSON(t, "new.json", baseline), 0.10, false); err == nil {
+	if _, err := run(&out, filepath.Join(t.TempDir(), "missing.json"), writeJSON(t, "new.json", baseline), 0.10, 0, false); err == nil {
 		t.Error("accepted missing old file")
 	}
 }
@@ -233,7 +270,7 @@ func TestEnvStampSkippedAndGOMAXPROCSWarned(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if _, err := run(&out, writeJSON(t, "old.json", `{"_env": {"gomaxprocs": 4}}`), writeJSON(t, "new.json", baseline), 0.10, false); err == nil {
+	if _, err := run(&out, writeJSON(t, "old.json", `{"_env": {"gomaxprocs": 4}}`), writeJSON(t, "new.json", baseline), 0.10, 0, false); err == nil {
 		t.Error("a file holding only the stamp was accepted as having benchmarks")
 	}
 }

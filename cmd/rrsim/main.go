@@ -25,21 +25,21 @@
 // output is byte-identical at any setting. -progress renders a live
 // status line on stderr.
 //
-// Resilience flags harden long sweeps: -checkpoint DIR journals each
-// completed job so a killed run can continue with -resume (the merged
-// output stays byte-identical to an uninterrupted run); -job-timeout
-// bounds a job's wall-clock time; -retries re-runs transiently failed
-// jobs (timeouts, panics) with capped exponential backoff; -stall-after
-// reports hung jobs on stderr and /progress; -progress-events writes
-// the sweep lifecycle stream (including stalls and retries) as NDJSON
-// for rrtrace summary. SIGINT/SIGTERM shut down gracefully — dispatch
-// stops, in-flight jobs drain, the journal and telemetry sinks flush —
-// and a second signal aborts immediately.
+// A job's outcome is its seed's: each runs once, and a failure (error,
+// panic, invariant violation) is reported with the seed that replays
+// it. Resilience flags guard against the host, never change an output
+// byte: -checkpoint DIR journals each completed job so a killed run can
+// continue with -resume (the merged output stays byte-identical to an
+// uninterrupted run); -stall-after reports hung jobs on stderr and
+// /progress; -progress-events writes the sweep lifecycle stream
+// (including stalls) as NDJSON for rrtrace summary. SIGINT/SIGTERM shut
+// down gracefully — dispatch stops, in-flight jobs drain, the journal
+// and telemetry sinks flush — and a second signal aborts immediately.
 //
-// Overload guardrails (stress, and any budget-aware run): -budget-events,
-// -budget-wall, and -budget-heap arm per-cell resource budgets; a cell
-// that trips one degrades into a reported outcome instead of failing or
-// OOMing the sweep. -cells and -flows size the stress soak.
+// Overload guardrails (stress): -budget-events arms a per-cell
+// processed-event budget; a cell that trips it, or the always-armed
+// event-storm detector, degrades into a reported outcome instead of
+// failing the sweep. -cells and -flows size the stress soak.
 //
 // Observability flags shared by the experiments and scenario runs:
 // -events streams structured telemetry as NDJSON (for rrtrace),
@@ -113,15 +113,11 @@ func run(args []string) error {
 	httpAddr := fs.String("http", "", "serve live introspection (/metrics, /progress, /healthz, /debug/pprof) on this address, e.g. :8080")
 	checkpoint := fs.String("checkpoint", "", "journal completed sweep jobs under this directory so an interrupted run can resume")
 	resume := fs.Bool("resume", false, "restore jobs journaled by a previous interrupted run (requires -checkpoint)")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock deadline; overruns count as transient failures (0 = off)")
-	retries := fs.Int("retries", 1, "attempts per job for transient failures (timeouts, panics), with capped exponential backoff; 1 = no retry")
 	stallAfter := fs.Duration("stall-after", 0, "report jobs in flight longer than this as stalled, on stderr and /progress (0 = off)")
-	progressEvents := fs.String("progress-events", "", "stream sweep lifecycle events (start/job/done, stalls, retries) as NDJSON to this file, for rrtrace summary")
+	progressEvents := fs.String("progress-events", "", "stream sweep lifecycle events (start/job/done, stalls) as NDJSON to this file, for rrtrace summary")
 	cells := fs.Int("cells", 0, "independent simulation cells (stress, 0 = default)")
 	flows := fs.Int("flows", 0, "concurrent flows per cell (stress, 0 = default)")
 	budgetEvents := fs.Uint64("budget-events", 0, "per-cell processed-event budget; a cell exceeding it degrades (stress, 0 = off)")
-	budgetWall := fs.Duration("budget-wall", 0, "per-cell wall-clock budget, sampled (stress, 0 = off)")
-	budgetHeap := fs.Uint64("budget-heap", 0, "heap ceiling in bytes, sampled per cell; a cell over it degrades instead of OOMing (stress, 0 = off)")
 	flowStats := fs.Bool("flow-stats", false, "fold flow lifecycle events into the aggregate flow-analytics layer; the result gains a per-variant FCT/goodput/fairness report (fig5/chaos/stress)")
 	flowExemplars := fs.Int("flow-exemplars", 0, "reservoir of exemplar flows kept in full detail by -flow-stats (0 = aggregates only)")
 	flowCSV := fs.String("flow-csv", "", "write the -flow-stats per-variant report as CSV to this file")
@@ -146,8 +142,6 @@ func run(args []string) error {
 		Cells:         *cells,
 		Flows:         *flows,
 		MaxEvents:     *budgetEvents,
-		MaxWall:       *budgetWall,
-		MaxHeapBytes:  *budgetHeap,
 		FlowStats:     *flowStats,
 		FlowExemplars: *flowExemplars,
 	}
@@ -165,13 +159,9 @@ func run(args []string) error {
 	}
 	runOpt := rrtcp.ExperimentRunOptions{
 		Parallel:      *parallel,
-		JobTimeout:    *jobTimeout,
 		StallAfter:    *stallAfter,
 		CheckpointDir: *checkpoint,
 		Resume:        *resume,
-	}
-	if *retries > 1 {
-		runOpt.Retry = rrtcp.SweepRetryPolicy{MaxAttempts: *retries}
 	}
 	if *checkpoint != "" {
 		runOpt.OnCheckpoint = func(dir string, restored, skipped int) {

@@ -436,7 +436,7 @@ func TestRunResumeRequiresCheckpoint(t *testing.T) {
 
 // TestRunProgressEventsNDJSON pins the -progress-events flag: the
 // sweep lifecycle stream lands in its own NDJSON file (where rrtrace
-// summary reads retries and stalls from), not in stdout.
+// summary reads stalls from), not in stdout.
 func TestRunProgressEventsNDJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ndjson")
 	if _, err := capture(t, func() error {

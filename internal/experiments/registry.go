@@ -61,11 +61,9 @@ type Options struct {
 	// cells, and concurrent flows per cell.
 	Cells int
 	Flows int
-	// MaxEvents / MaxWall / MaxHeapBytes are the per-cell guard budgets
-	// for the stress soak; zero disables each.
-	MaxEvents    uint64
-	MaxWall      time.Duration
-	MaxHeapBytes uint64
+	// MaxEvents is the per-cell event budget for the stress soak; zero
+	// disables it.
+	MaxEvents uint64
 	// FlowStats enables the aggregate flow-analytics layer where an
 	// experiment supports it (fig5, chaos, stress); FlowExemplars caps
 	// the reservoir of fully-detailed exemplar flows.
@@ -139,8 +137,7 @@ var registry = []Registration{
 		return NewStressExperiment(StressConfig{
 			Cells: o.Cells, Flows: o.Flows, Seed: o.Seed, Bytes: o.Bytes,
 			Horizon: o.Horizon, Variants: o.Variants, Telemetry: o.Telemetry,
-			MaxEvents: o.MaxEvents, MaxWall: o.MaxWall, MaxHeapBytes: o.MaxHeapBytes,
-			FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
+			MaxEvents: o.MaxEvents, FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
 		}), nil
 	}},
 }
@@ -161,33 +158,24 @@ func Build(name string, o Options) (Experiment, error) {
 }
 
 // RunOptions parameterizes experiment execution, as opposed to the
-// experiment definition itself. The zero value of every resilience
-// field means "off", matching sweep.Config.
+// experiment definition itself. None of it can change a result byte;
+// the zero value of every harness field means "off", matching
+// sweep.Config.
 type RunOptions struct {
 	// Parallel bounds the sweep worker pool; <= 0 means GOMAXPROCS and
 	// 1 forces sequential execution. The result is byte-identical
 	// either way.
 	Parallel int
 	// Progress, when non-nil, receives the sweep's progress events
-	// (telemetry.KSweepStart/KSweepJob/KSweepDone, and the resilience
-	// kinds KSweepStall/KSweepRetry).
+	// (telemetry.KSweepStart/KSweepJob/KSweepDone, and KSweepStall).
 	Progress *telemetry.Bus
 	// Context, when non-nil, cancels the sweep: dispatch stops,
 	// in-flight jobs drain, and Run returns an error wrapping
 	// context.Cause. Completed jobs are still journaled when a
 	// checkpoint is active, so a canceled run can be resumed.
 	Context context.Context
-	// JobTimeout bounds each job attempt's wall-clock time; overruns
-	// are transient and retried under Retry.
-	JobTimeout time.Duration
 	// StallAfter arms the sweep's hung-job watchdog.
 	StallAfter time.Duration
-	// Retry re-executes transiently failed jobs with capped
-	// exponential backoff.
-	Retry sweep.RetryPolicy
-	// FaultInjector injects environmental faults per (job, attempt) —
-	// the chaos hook for exercising the retry path.
-	FaultInjector func(index, attempt int) error
 	// CheckpointDir, when non-empty, journals completed job results
 	// under this directory (content-addressed per sweep identity). The
 	// experiment must implement ResultCodec.
@@ -220,14 +208,11 @@ func Run(e Experiment, opt RunOptions) (Renderable, error) {
 		return nil, err
 	}
 	cfg := sweep.Config{
-		Name:          e.Name(),
-		Workers:       opt.Parallel,
-		Telemetry:     opt.Progress,
-		Context:       opt.Context,
-		JobTimeout:    opt.JobTimeout,
-		StallAfter:    opt.StallAfter,
-		Retry:         opt.Retry,
-		FaultInjector: opt.FaultInjector,
+		Name:       e.Name(),
+		Workers:    opt.Parallel,
+		Telemetry:  opt.Progress,
+		Context:    opt.Context,
+		StallAfter: opt.StallAfter,
 	}
 	if opt.CheckpointDir != "" {
 		codec, ok := e.(ResultCodec)

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -169,50 +173,70 @@ func TestFigure5ResumeTelemetryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRetryTelemetryVisibleInSummary drives the acceptance path for the
-// retry harness: a sweep under injected environmental faults completes
-// with correct results, and the KSweepRetry events land in the NDJSON
-// progress stream where rrtrace's Summarize surfaces them.
-func TestRetryTelemetryVisibleInSummary(t *testing.T) {
-	build := func() Experiment {
-		return NewFigure5Experiment(Figure5Config{
-			Variants: []workload.Kind{workload.NewReno, workload.RR},
-		})
+// TestResumeParentJournal resumes a journal committed as written by an
+// earlier build (`rrsim fig5 -variants rr -events ... -checkpoint ...`).
+// Its captured events carry telemetry kinds as JSON numbers, flow-start
+// and flow-done among them, numbered after the retired sweep-retry
+// slot: the resumed run must restore the job and republish the same
+// NDJSON stream, byte for byte, as a fresh run.
+func TestResumeParentJournal(t *testing.T) {
+	build := func(bus *telemetry.Bus) Experiment {
+		return NewFigure5Experiment(Figure5Config{Drops: 3, Variants: []workload.Kind{workload.RR}, Telemetry: bus})
 	}
-	baseRender, baseJSON := runAt(t, build, 2)
+	capture := func(opt RunOptions) (string, string) {
+		t.Helper()
+		var buf bytes.Buffer
+		nd := telemetry.NewNDJSONSink(&buf)
+		res, err := Run(build(telemetry.NewBus(nd)), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res.Render(), buf.String()
+	}
+	baseRender, baseEvents := capture(RunOptions{Parallel: 1})
 
-	var buf bytes.Buffer
-	nd := telemetry.NewNDJSONSink(&buf)
-	res, err := Run(build(), RunOptions{
-		Parallel:      2,
-		Progress:      telemetry.NewBus(nd),
-		Retry:         sweep.RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}},
-		FaultInjector: sweep.NewFaultInjector(9, 0.5),
-	})
+	f, err := os.Open(filepath.Join("testdata", "fig5_rr_journal.ndjson.gz"))
 	if err != nil {
-		t.Fatalf("sweep under injected faults: %v", err)
-	}
-	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Render() != baseRender {
-		t.Fatal("fault injection changed the experiment's output")
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, _ := json.Marshal(res)
-	if string(b) != baseJSON {
-		t.Fatal("fault injection changed the experiment's JSON")
+	journal, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := build(nil).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "sweep-fig5-"+sweep.SweepKey("fig5", 0, jobs))
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jdir, "journal.ndjson"), journal, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	events, stats, err := telemetry.DecodeNDJSON(&buf)
-	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
-		t.Fatalf("decode: err=%v stats=%+v", err, stats)
+	var restored int
+	render, events := capture(RunOptions{
+		CheckpointDir: dir, Resume: true,
+		OnCheckpoint: func(_ string, r, _ int) { restored = r },
+	})
+	if restored != 1 {
+		t.Fatalf("resume restored %d jobs from the committed journal, want 1", restored)
 	}
-	sum := telemetry.Summarize(events)
-	if len(sum.Sweeps) != 1 || sum.Sweeps[0].Retries == 0 {
-		t.Fatalf("summary did not count retries: %+v", sum.Sweeps)
+	if render != baseRender {
+		t.Fatalf("resumed rendering differs:\n--- fresh ---\n%s\n--- resumed ---\n%s", baseRender, render)
 	}
-	if !bytes.Contains([]byte(sum.Render()), []byte("resilience:")) {
-		t.Fatalf("summary render missing the resilience line:\n%s", sum.Render())
+	if events != baseEvents {
+		t.Fatal("resumed NDJSON telemetry differs from a fresh run: a kind changed its number")
 	}
 }
 

@@ -42,13 +42,11 @@ type StressConfig struct {
 	// Variants cycle across a cell's flows (default: all).
 	Variants []workload.Kind `json:"variants"`
 
-	// MaxEvents / MaxWall / MaxHeapBytes are the per-cell guard budgets;
-	// zero disables each. StormEvents is the Zeno detector and is always
-	// armed (default 1<<20 consecutive events at a frozen clock).
-	MaxEvents    uint64        `json:"maxEvents,omitempty"`
-	MaxWall      time.Duration `json:"maxWallNs,omitempty"`
-	MaxHeapBytes uint64        `json:"maxHeapBytes,omitempty"`
-	StormEvents  uint64        `json:"stormEvents,omitempty"`
+	// MaxEvents is the per-cell event budget; zero disables it.
+	// StormEvents is the Zeno detector and is always armed (default
+	// 1<<20 consecutive events at a frozen clock).
+	MaxEvents   uint64 `json:"maxEvents,omitempty"`
+	StormEvents uint64 `json:"stormEvents,omitempty"`
 
 	// TelemetryBudget bounds each cell's event stream through a
 	// BoundedSink (SampleOneInK past the budget); zero selects 10000.
@@ -98,8 +96,8 @@ func (c *StressConfig) fillDefaults() {
 
 // StressCell is one cell's outcome. All fields derive from the
 // deterministic simulation, so a cell report reproduces bit-for-bit
-// under its seed (wall/heap trips excepted — those budgets are sampled
-// from the machine).
+// under its seed — budget trips included, since every budget counts
+// simulated events or time.
 type StressCell struct {
 	Cell     int     `json:"cell"`
 	Flows    int     `json:"flows"`
@@ -187,12 +185,7 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 		return StressCell{}, err
 	}
 
-	mon, err := guard.Attach(sched, guard.Limits{
-		MaxEvents:    cfg.MaxEvents,
-		StormEvents:  cfg.StormEvents,
-		MaxWall:      cfg.MaxWall,
-		MaxHeapBytes: cfg.MaxHeapBytes,
-	}, bus)
+	mon, err := guard.Attach(sched, guard.Limits{MaxEvents: cfg.MaxEvents, StormEvents: cfg.StormEvents}, bus)
 	if err != nil {
 		return StressCell{}, err
 	}

@@ -1,8 +1,7 @@
 // Package guard is the simulator's overload-robustness layer: resource
 // budgets attached to a sim.Scheduler that convert runaway runs —
-// event storms, frozen clocks, unbounded heaps, wall-clock wedges —
-// into a typed *OverloadError and a clean stop, instead of an OOM kill
-// or a hang.
+// event storms, frozen clocks, unbounded event counts — into a typed
+// *OverloadError and a clean stop, instead of an OOM kill or a hang.
 //
 // The paper's evaluation scales to regimes (thousands of concurrent
 // flows, adversarial fault schedules) where a single pathological run
@@ -10,23 +9,18 @@
 // blew its budget" a first-class, reportable outcome: the scheduler
 // stops after the in-flight event, the monitor retains the typed error,
 // a telemetry event records what tripped, and internal/sweep converts
-// the failure into a non-retried Degraded result so the sweep completes
-// and reports rather than crashing.
+// the failure into a Degraded result so the sweep completes and reports
+// rather than crashing.
 //
-// Determinism: the event-count, sim-time, and event-storm budgets are
-// functions of the event sequence alone, so a given seed trips at the
-// same event every run. The wall-clock and heap ceilings are sampled
-// from the machine and inherently nondeterministic; they exist as
-// last-resort backstops, and a run they stop is already outside the
-// deterministic regime. With no budget tripped the guard observes but
-// never steers, so guarded and unguarded runs process byte-identical
-// event sequences.
+// Determinism: every budget is a function of the event sequence alone —
+// the guard reads no clock and no memory statistic of the host — so a
+// given seed trips at the same event on every machine. With no budget
+// tripped the guard observes but never steers, so guarded and
+// unguarded runs process byte-identical event sequences.
 package guard
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
@@ -42,10 +36,6 @@ const (
 	// ResourceStorm is the event-storm/Zeno detector: too many events
 	// processed without the simulated clock advancing.
 	ResourceStorm = "event-storm"
-	// ResourceWall is the wall-clock budget (sampled, nondeterministic).
-	ResourceWall = "wall-clock"
-	// ResourceHeap is the sampled heap ceiling (nondeterministic).
-	ResourceHeap = "heap"
 )
 
 // Limits is a set of resource budgets; every zero field means "no
@@ -64,39 +54,17 @@ type Limits struct {
 	// invariant.StartWatchdog, whose ticks are themselves sim-time
 	// scheduled). Deterministic.
 	StormEvents uint64
-	// MaxWall bounds the run's wall-clock time, checked every
-	// SampleEvery events. Nondeterministic by nature; a backstop.
-	MaxWall time.Duration
-	// MaxHeapBytes bounds the process heap (runtime.MemStats.HeapAlloc),
-	// sampled every SampleEvery events. Nondeterministic; a backstop
-	// against OOM, not an accounting tool.
-	MaxHeapBytes uint64
-	// SampleEvery is the cadence (in processed events) of the wall and
-	// heap checks; zero selects DefaultSampleEvery. The deterministic
-	// budgets are checked on every event regardless.
-	SampleEvery uint64
 }
-
-// DefaultSampleEvery is the wall/heap sampling cadence when
-// Limits.SampleEvery is zero: frequent enough to catch a blow-up within
-// a few milliseconds of simulation, rare enough that ReadMemStats cost
-// stays invisible.
-const DefaultSampleEvery = 16384
 
 // Enabled reports whether any budget is set.
 func (l Limits) Enabled() bool {
-	return l.MaxEvents > 0 || l.MaxSimTime > 0 || l.StormEvents > 0 ||
-		l.MaxWall > 0 || l.MaxHeapBytes > 0
+	return l.MaxEvents > 0 || l.MaxSimTime > 0 || l.StormEvents > 0
 }
 
-// Validate rejects negative budgets (durations are the only signed
-// fields).
+// Validate rejects a negative MaxSimTime, the one signed budget.
 func (l Limits) Validate() error {
 	if l.MaxSimTime < 0 {
 		return fmt.Errorf("guard: MaxSimTime must be non-negative, got %v", l.MaxSimTime)
-	}
-	if l.MaxWall < 0 {
-		return fmt.Errorf("guard: MaxWall must be non-negative, got %v", l.MaxWall)
 	}
 	return nil
 }
@@ -109,7 +77,7 @@ type OverloadError struct {
 	// Resource names the budget that tripped (the Resource* constants).
 	Resource string `json:"resource"`
 	// Observed and Limit quantify the trip in the resource's own unit
-	// (events, seconds, bytes).
+	// (events or simulated seconds).
 	Observed float64 `json:"observed"`
 	Limit    float64 `json:"limit"`
 	// At is the simulated instant of the trip; Events the processed
@@ -126,8 +94,8 @@ func (e *OverloadError) Error() string {
 
 // Degraded marks the error as a budget trip: the run degraded by
 // design rather than failing. internal/sweep discovers the marker
-// structurally (like its Transient taxonomy) and converts the job into
-// a Degraded result instead of a sweep failure.
+// structurally and converts the job into a Degraded result instead of
+// a sweep failure.
 func (e *OverloadError) Degraded() bool { return true }
 
 // Monitor attaches a Limits set to one scheduler via its guard hook.
@@ -142,10 +110,6 @@ type Monitor struct {
 	// consecutive events processed at it.
 	lastNow  sim.Time
 	stormRun uint64
-
-	// Wall-clock origin, set at the first guarded event so setup cost
-	// (topology construction) doesn't count against the run.
-	wallStart time.Time
 }
 
 // Attach validates the limits and installs a monitor on the scheduler's
@@ -157,9 +121,6 @@ type Monitor struct {
 func Attach(sched *sim.Scheduler, limits Limits, bus *telemetry.Bus) (*Monitor, error) {
 	if err := limits.Validate(); err != nil {
 		return nil, err
-	}
-	if limits.SampleEvery == 0 {
-		limits.SampleEvery = DefaultSampleEvery
 	}
 	m := &Monitor{limits: limits, bus: bus}
 	if !limits.Enabled() {
@@ -181,13 +142,11 @@ func (m *Monitor) Err() *OverloadError {
 // Tripped reports whether any budget has tripped. Nil-safe.
 func (m *Monitor) Tripped() bool { return m.Err() != nil }
 
-// check is the scheduler guard hook. The deterministic budgets (events,
-// sim-time, storm) are evaluated on every event, in a fixed order so
-// simultaneous trips resolve identically every run; the sampled
-// backstops (wall, heap) run every SampleEvery events. Once tripped the
-// monitor keeps returning the same error, so a caller that ignores the
-// stop and calls Run again stops immediately instead of burning more
-// budget.
+// check is the scheduler guard hook. The budgets (events, sim-time,
+// storm) are evaluated on every event, in a fixed order so simultaneous
+// trips resolve identically every run. Once tripped the monitor keeps
+// returning the same error, so a caller that ignores the stop and calls
+// Run again stops immediately instead of burning more budget.
 func (m *Monitor) check(now sim.Time, processed uint64, pending int) error {
 	if m.err != nil {
 		return m.err
@@ -206,22 +165,6 @@ func (m *Monitor) check(now sim.Time, processed uint64, pending int) error {
 		return m.trip(ResourceSimTime, now.Seconds(), l.MaxSimTime.Seconds(), now, processed)
 	case l.StormEvents > 0 && m.stormRun >= l.StormEvents:
 		return m.trip(ResourceStorm, float64(m.stormRun), float64(l.StormEvents), now, processed)
-	}
-	if (l.MaxWall > 0 || l.MaxHeapBytes > 0) && processed%l.SampleEvery == 0 {
-		if l.MaxWall > 0 {
-			if m.wallStart.IsZero() {
-				m.wallStart = time.Now()
-			} else if wall := time.Since(m.wallStart); wall >= l.MaxWall {
-				return m.trip(ResourceWall, wall.Seconds(), l.MaxWall.Seconds(), now, processed)
-			}
-		}
-		if l.MaxHeapBytes > 0 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc >= l.MaxHeapBytes {
-				return m.trip(ResourceHeap, float64(ms.HeapAlloc), float64(l.MaxHeapBytes), now, processed)
-			}
-		}
 	}
 	return nil
 }

@@ -110,33 +110,6 @@ func TestStormResetsWhenClockAdvances(t *testing.T) {
 	}
 }
 
-func TestSampledBackstops(t *testing.T) {
-	t.Run("heap", func(t *testing.T) {
-		sched := sim.NewScheduler(1)
-		tickChain(sched, time.Millisecond)
-		mon, err := Attach(sched, Limits{MaxHeapBytes: 1, SampleEvery: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched.Run(time.Hour)
-		if oe := mon.Err(); oe == nil || oe.Resource != ResourceHeap {
-			t.Fatalf("got %v, want a %s trip (any live heap exceeds 1 byte)", oe, ResourceHeap)
-		}
-	})
-	t.Run("wall", func(t *testing.T) {
-		sched := sim.NewScheduler(1)
-		tickChain(sched, time.Millisecond)
-		mon, err := Attach(sched, Limits{MaxWall: time.Nanosecond, SampleEvery: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched.Run(time.Hour)
-		if oe := mon.Err(); oe == nil || oe.Resource != ResourceWall {
-			t.Fatalf("got %v, want a %s trip", oe, ResourceWall)
-		}
-	})
-}
-
 func TestTripPublishesOverloadEvent(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	tickChain(sched, time.Millisecond)
@@ -213,9 +186,6 @@ func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	if _, err := Attach(sched, Limits{MaxSimTime: -1}, nil); err == nil {
 		t.Fatal("negative MaxSimTime accepted")
-	}
-	if _, err := Attach(sched, Limits{MaxWall: -time.Second}, nil); err == nil {
-		t.Fatal("negative MaxWall accepted")
 	}
 }
 

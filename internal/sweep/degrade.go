@@ -7,25 +7,21 @@ import (
 
 // Graceful degradation: a job that trips a resource budget
 // (internal/guard's *OverloadError, or anything else carrying the
-// structural Degraded marker) is neither a deterministic simulation
-// failure nor a transient environmental one — it is a *reportable
-// outcome*. Re-running it reproduces the same trip (the deterministic
-// budgets are functions of the seed), so retry is waste; failing the
-// whole sweep over it defeats the point of budgets, which is to let a
-// scale experiment survive its pathological cells. The engine therefore
-// converts such jobs into Degraded results: the sweep completes, Reduce
-// sees every index, and the report says which cells degraded and why.
+// structural Degraded marker) has not failed — it has produced a
+// *reportable outcome*. Re-running it reproduces the same trip (the
+// budgets are functions of the seed); failing the whole sweep over it
+// defeats the point of budgets, which is to let a scale experiment
+// survive its pathological cells. The engine therefore converts such
+// jobs into Degraded results: the sweep completes, Reduce sees every
+// index, and the report says which cells degraded and why.
 
 // degrader is the structural marker for budget-tripped errors,
-// discovered on the Unwrap chain exactly like the transienter taxonomy
-// in retry.go.
+// discovered on the Unwrap chain by IsDegraded.
 type degrader interface{ Degraded() bool }
 
 // IsDegraded reports whether err carries the Degraded marker anywhere
 // in its Unwrap chain — a resource-budget trip that should become a
-// Degraded result rather than a sweep failure. Degraded errors are
-// never retried, even if something in the chain also claims to be
-// transient: the budget trip is deterministic in the seed.
+// Degraded result rather than a sweep failure.
 func IsDegraded(err error) bool {
 	for e := err; e != nil; e = errors.Unwrap(e) {
 		if d, ok := e.(degrader); ok {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,122 +16,7 @@ import (
 	"rrtcp/internal/telemetry"
 )
 
-// --- retry policy and error taxonomy ---
-
-func TestBackoffCappedExponential(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
-	}
-	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
-			t.Fatalf("Backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	// Zero knobs resolve to the defaults.
-	var zero RetryPolicy
-	if got := zero.Backoff(1); got != DefaultBaseBackoff {
-		t.Fatalf("zero-policy Backoff(1) = %v, want %v", got, DefaultBaseBackoff)
-	}
-	// Deep attempts must not overflow into negative durations.
-	if got := zero.Backoff(200); got != DefaultMaxBackoff {
-		t.Fatalf("zero-policy Backoff(200) = %v, want cap %v", got, DefaultMaxBackoff)
-	}
-}
-
-func TestTransientClassification(t *testing.T) {
-	deterministic := errors.New("cwnd invariant violated")
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{deterministic, false},
-		{fmt.Errorf("wrapped: %w", deterministic), false},
-		{&PanicError{Value: "boom"}, true},
-		{&TimeoutError{Job: "j", Index: 3, After: time.Second}, true},
-		{&FaultError{Err: errors.New("injected")}, true},
-		{fmt.Errorf("job 3: %w", &TimeoutError{}), true},
-	}
-	for i, c := range cases {
-		if got := Transient(c.err); got != c.want {
-			t.Fatalf("case %d: Transient(%v) = %v, want %v", i, c.err, got, c.want)
-		}
-	}
-}
-
-func TestRunRetriesTransientFailures(t *testing.T) {
-	// Jobs 1 and 3 fail transiently on their first two attempts and then
-	// succeed; the sweep must complete with the same results a clean run
-	// produces, publishing one KSweepRetry event per failed attempt.
-	var (
-		mu       sync.Mutex // Sleep runs on whichever worker is retrying
-		backoffs []time.Duration
-	)
-	ring := telemetry.NewRing(0)
-	attempts := make([]atomic.Int32, 4)
-	jobs := make([]Job, 4)
-	for i := range jobs {
-		jobs[i] = Job{
-			Name: fmt.Sprintf("j%d", i),
-			Run: func(seed int64) (any, error) {
-				n := attempts[i].Add(1)
-				if (i == 1 || i == 3) && n <= 2 {
-					return nil, &FaultError{Err: fmt.Errorf("flake %d", n)}
-				}
-				return seed, nil
-			},
-		}
-	}
-	res, err := Run(Config{
-		Name: "retry", Seed: 5, Workers: 2, Telemetry: telemetry.NewBus(ring),
-		Retry: RetryPolicy{MaxAttempts: 3, Sleep: func(d time.Duration) {
-			mu.Lock()
-			backoffs = append(backoffs, d)
-			mu.Unlock()
-		}},
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if res[i].(int64) != DeriveSeed(5, i) {
-			t.Fatalf("result %d = %v after retries, want derived seed", i, res[i])
-		}
-	}
-	retries := ring.EventsOf(telemetry.KSweepRetry)
-	if len(retries) != 4 {
-		t.Fatalf("%d retry events, want 4 (2 jobs x 2 failed attempts)", len(retries))
-	}
-	for _, ev := range retries {
-		if ev.Seq != 1 && ev.Seq != 3 {
-			t.Fatalf("retry event for job %d, want 1 or 3", ev.Seq)
-		}
-		if ev.B <= 0 {
-			t.Fatalf("retry event backoff %v, want > 0", ev.B)
-		}
-	}
-	// The Sleep hook observed the deterministic backoff ladder. Order
-	// across jobs is scheduling-dependent; per-attempt values are not.
-	if len(backoffs) != 4 {
-		t.Fatalf("%d backoff sleeps, want 4", len(backoffs))
-	}
-	first, second := 0, 0
-	for _, d := range backoffs {
-		switch d {
-		case DefaultBaseBackoff:
-			first++
-		case 2 * DefaultBaseBackoff:
-			second++
-		default:
-			t.Fatalf("unexpected backoff %v", d)
-		}
-	}
-	if first != 2 || second != 2 {
-		t.Fatalf("backoff ladder = %v, want two first-step and two second-step delays", backoffs)
-	}
-}
+// --- a failure is the seed's: reported once, never re-run ---
 
 func TestRunNeverRetriesDeterministicErrors(t *testing.T) {
 	var attempts atomic.Int32
@@ -141,7 +25,7 @@ func TestRunNeverRetriesDeterministicErrors(t *testing.T) {
 		attempts.Add(1)
 		return nil, boom
 	}}}
-	_, err := Run(Config{Name: "det", Workers: 1, Retry: RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}}}, jobs)
+	_, err := Run(Config{Name: "det", Workers: 1}, jobs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the job error", err)
 	}
@@ -150,65 +34,7 @@ func TestRunNeverRetriesDeterministicErrors(t *testing.T) {
 	}
 }
 
-func TestRunRetriesExhaustSurfaceLastError(t *testing.T) {
-	var attempts atomic.Int32
-	jobs := []Job{{Name: "always-flaky", Run: func(int64) (any, error) {
-		return nil, &FaultError{Err: fmt.Errorf("attempt %d", attempts.Add(1))}
-	}}}
-	_, err := Run(Config{Name: "exhaust", Workers: 1, Retry: RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}}, jobs)
-	if err == nil || !strings.Contains(err.Error(), "attempt 3") {
-		t.Fatalf("got %v, want the final attempt's error", err)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Fatalf("%d attempts, want MaxAttempts=3", n)
-	}
-}
-
-// --- wall-clock deadlines and the stall watchdog ---
-
-func TestRunJobTimeoutRetriesAndSucceeds(t *testing.T) {
-	var attempts atomic.Int32
-	release := make(chan struct{})
-	defer close(release)
-	jobs := []Job{{Name: "slow-once", Run: func(seed int64) (any, error) {
-		if attempts.Add(1) == 1 {
-			<-release // first attempt hangs until the test ends
-		}
-		return seed, nil
-	}}}
-	ring := telemetry.NewRing(0)
-	res, err := Run(Config{
-		Name: "deadline", Seed: 3, Workers: 1, Telemetry: telemetry.NewBus(ring),
-		JobTimeout: 30 * time.Millisecond,
-		Retry:      RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}},
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].(int64) != DeriveSeed(3, 0) {
-		t.Fatalf("result %v, want derived seed", res[0])
-	}
-	if n := len(ring.EventsOf(telemetry.KSweepRetry)); n != 1 {
-		t.Fatalf("%d retry events, want 1 (the timed-out attempt)", n)
-	}
-}
-
-func TestRunJobTimeoutExhaustedIsTimeoutError(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	jobs := []Job{{Name: "wedged", Run: func(int64) (any, error) {
-		<-release
-		return nil, nil
-	}}}
-	_, err := Run(Config{Name: "deadline", Workers: 1, JobTimeout: 20 * time.Millisecond}, jobs)
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("got %v, want a *TimeoutError", err)
-	}
-	if te.Index != 0 || te.Job != "wedged" || te.After != 20*time.Millisecond {
-		t.Fatalf("timeout error %+v mislabeled", te)
-	}
-}
+// --- the stall watchdog ---
 
 func TestRunWatchdogReportsStalledJobs(t *testing.T) {
 	gate := make(chan struct{})
@@ -271,6 +97,47 @@ func TestRunPanicCarriesStack(t *testing.T) {
 	}
 	if len(pe.Stack) > 2048+128 {
 		t.Fatalf("stack snippet %d bytes, want truncated near 2048", len(pe.Stack))
+	}
+}
+
+// A panic is the seed's outcome, like any job error: the job runs
+// exactly once, the sweep error names the seed that replays it, and the
+// jobs around it keep their results.
+func TestRunPanicIsReplayableJobError(t *testing.T) {
+	const sweepSeed = 13
+	bad := DeriveSeed(sweepSeed, 2)
+	for _, workers := range []int{1, 4} {
+		runs := make([]atomic.Int32, 6)
+		jobs := make([]Job, len(runs))
+		for i := range jobs {
+			jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(seed int64) (any, error) {
+				runs[i].Add(1)
+				if seed == bad {
+					panic(fmt.Sprintf("bad seed %d", seed))
+				}
+				return seed, nil
+			}}
+		}
+		res, err := Run(Config{Name: "panics", Seed: sweepSeed, Workers: workers}, jobs)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: got %v, want a *PanicError", workers, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("job 2 (j2, seed %d)", bad)) || !strings.Contains(msg, "goroutine") {
+			t.Fatalf("workers=%d: error lacks the replay seed or the stack snippet:\n%s", workers, msg)
+		}
+		for i := range runs {
+			if n := runs[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: job %d ran %d times, want exactly once", workers, i, n)
+			}
+			switch {
+			case i == 2 && res[i] != nil:
+				t.Fatalf("workers=%d: panicked job left result %v", workers, res[i])
+			case i != 2 && res[i] != DeriveSeed(sweepSeed, i):
+				t.Fatalf("workers=%d: result %d = %v, want its derived seed", workers, i, res[i])
+			}
+		}
 	}
 }
 
@@ -369,55 +236,6 @@ func TestRunCancelBeforeStart(t *testing.T) {
 	}
 	if res == nil || res[0] != nil {
 		t.Fatalf("results %v, want an all-nil slice", res)
-	}
-}
-
-// --- fault injection: chaos-testing the retry path itself ---
-
-func TestRunFaultInjectorExercisesRetries(t *testing.T) {
-	jobs := make([]Job, 24)
-	for i := range jobs {
-		jobs[i] = spinJob(40 + i)
-	}
-	clean, err := Run(Config{Name: "fi", Seed: 11, Workers: 4}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := telemetry.NewRing(0)
-	faulty, err := Run(Config{
-		Name: "fi", Seed: 11, Workers: 4, Telemetry: telemetry.NewBus(ring),
-		Retry:         RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}},
-		FaultInjector: NewFaultInjector(42, 0.4),
-	}, jobs)
-	if err != nil {
-		t.Fatalf("sweep under 40%% injected faults failed: %v", err)
-	}
-	for i := range clean {
-		if clean[i] != faulty[i] {
-			t.Fatalf("result %d differs under fault injection: %v vs %v", i, faulty[i], clean[i])
-		}
-	}
-	if n := len(ring.EventsOf(telemetry.KSweepRetry)); n == 0 {
-		t.Fatal("a 40% fault rate produced no retry events")
-	}
-}
-
-func TestFaultInjectorDeterministic(t *testing.T) {
-	a, b := NewFaultInjector(7, 0.5), NewFaultInjector(7, 0.5)
-	fired := 0
-	for i := 0; i < 64; i++ {
-		for attempt := 1; attempt <= 3; attempt++ {
-			ea, eb := a(i, attempt), b(i, attempt)
-			if (ea == nil) != (eb == nil) {
-				t.Fatalf("injector not deterministic at (%d,%d)", i, attempt)
-			}
-			if ea != nil {
-				fired++
-			}
-		}
-	}
-	if fired == 0 || fired == 64*3 {
-		t.Fatalf("rate-0.5 injector fired %d/192 times; want a nontrivial fraction", fired)
 	}
 }
 

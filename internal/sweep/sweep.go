@@ -25,23 +25,23 @@
 //     field, or DeriveSeed(cfg.Seed, index) when the field is zero —
 //     never anything drawn during execution.
 //
-// Around that contract sits a fault-tolerance layer, all of it opt-in
-// via Config and none of it able to change what a successful job
-// computes: Context cancels dispatch and drains in-flight work,
-// JobTimeout bounds each attempt's wall clock, Retry re-runs
-// transiently failed attempts with capped exponential backoff (see
-// retry.go for the transient/deterministic error taxonomy), StallAfter
-// arms a watchdog that reports hung jobs, and Checkpoint journals
-// completed results so an interrupted sweep resumes instead of
-// restarting (see checkpoint.go). Orthogonal to all of these, a job
-// whose error carries the structural Degraded marker (an
-// internal/guard resource-budget trip) is converted into a Degraded
-// result instead of a failure, so a sweep at hostile scale completes
-// and reports its pathological cells rather than dying on them (see
-// degrade.go).
+// A job's outcome is a function of its seed, never of the host: each
+// job runs exactly once, on one worker goroutine, to completion. An
+// error or a recovered panic (*PanicError) is the job's deterministic
+// result — re-running the seed reproduces it — so it is reported, never
+// retried. Around that sits a harness layer, all of it opt-in via
+// Config and none of it able to change an output byte: Context cancels
+// dispatch and drains in-flight work, StallAfter arms a watchdog that
+// reports hung jobs, and Checkpoint journals completed results so an
+// interrupted sweep resumes instead of restarting (see checkpoint.go).
+// A job whose error carries the structural Degraded marker (an
+// internal/guard budget trip or a liveness stall, both computed from
+// the seed) becomes a Degraded result instead of a failure, so a sweep
+// at hostile scale completes and reports its pathological cells rather
+// than dying on them (see degrade.go).
 //
 // Progress events (telemetry.KSweepStart/KSweepJob/KSweepDone), the
-// resilience kinds (KSweepStall, KSweepRetry), and the engine's
+// stall kind (KSweepStall), and the engine's
 // performance telemetry (KSweepJobTime per job, KSweepWorker per
 // worker, wall seconds on KSweepDone) are published on the
 // coordinating goroutine only, in completion order; they exist for
@@ -50,10 +50,12 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -74,10 +76,9 @@ type Job struct {
 	Run func(seed int64) (any, error)
 }
 
-// Config parameterizes one Run call. The zero value of every
-// resilience field means "off": no cancellation, no deadline, no
-// retry, no watchdog, no checkpoint — the engine then behaves exactly
-// like a plain worker pool.
+// Config parameterizes one Run call. The zero value of every harness
+// field means "off": no cancellation, no watchdog, no checkpoint — the
+// engine then behaves exactly like a plain worker pool.
 type Config struct {
 	// Name labels the sweep in progress events and error messages.
 	Name string
@@ -95,27 +96,12 @@ type Config struct {
 	// Run returns the partial results together with an error wrapping
 	// context.Cause. A nil Context never cancels.
 	Context context.Context
-	// JobTimeout, when positive, bounds each job attempt's wall-clock
-	// time. An attempt that overruns fails with a *TimeoutError
-	// (transient, so it retries under a Retry policy); the attempt's
-	// goroutine is abandoned, not killed — see attemptJob.
-	JobTimeout time.Duration
 	// StallAfter, when positive, arms a wall-clock watchdog: any job
 	// in flight longer than this is reported once via a KSweepStall
 	// event (surfaced on /progress and by rrtrace summary) without
 	// being interrupted. It is the harness-level analogue of the
 	// sim-time invariant.StartWatchdog.
 	StallAfter time.Duration
-	// Retry re-executes transiently failed jobs (panics, timeouts,
-	// injected faults) with capped exponential backoff. Deterministic
-	// simulation errors are never retried. The zero value disables
-	// retry.
-	Retry RetryPolicy
-	// FaultInjector, when non-nil, is consulted before every attempt
-	// and can fail it with an injected environmental fault — the chaos
-	// hook for testing the engine's own retry path. Use
-	// NewFaultInjector for a deterministic seeded injector.
-	FaultInjector func(index, attempt int) error
 	// Checkpoint, when non-nil, journals each completed job's result
 	// and pre-fills results restored by OpenJournal, so an interrupted
 	// sweep resumes where it stopped. The engine touches the journal
@@ -147,16 +133,13 @@ type sweepMsg struct {
 	index   int
 	name    string
 	worker  int
-	attempt int           // msgRetry: the attempt that just failed
-	backoff time.Duration // msgRetry: delay before the next attempt
-	running float64       // msgStall: seconds in flight
+	running float64 // msgStall: seconds in flight
 }
 
 type msgKind int
 
 const (
 	msgDone msgKind = iota
-	msgRetry
 	msgStall
 )
 
@@ -255,14 +238,13 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				notify := func(m sweepMsg) { msgc <- m }
 				for i := range idx {
 					track.begin(w, i, jobs[i].Name)
 					var start time.Time
 					if timed {
 						start = time.Now()
 					}
-					results[i], errs[i] = executeJob(ctx, cfg, jobs[i], i, seeds[i], notify)
+					results[i], errs[i] = runJob(jobs[i], seeds[i])
 					if timed {
 						jobWall[i] = time.Since(start).Seconds()
 						jobWorker[i] = w
@@ -377,12 +359,6 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 							Src: jobs[i].Name, Flow: telemetry.NoFlow, Seq: int64(i),
 						})
 					}
-				case msgRetry:
-					cfg.Telemetry.Publish(telemetry.Event{
-						Comp: telemetry.CompSweep, Kind: telemetry.KSweepRetry,
-						Src: m.name, Flow: telemetry.NoFlow, Seq: int64(m.index),
-						A: float64(m.attempt), B: m.backoff.Seconds(),
-					})
 				case msgStall:
 					cfg.Telemetry.Publish(telemetry.Event{
 						Comp: telemetry.CompSweep, Kind: telemetry.KSweepStall,
@@ -417,9 +393,9 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	})
 
 	// Error assembly: cancellation first (only when it actually cut the
-	// sweep short), then per-job failures lowest-index-first, then any
-	// journal write failure. errors.Join keeps every cause reachable by
-	// errors.Is/As.
+	// sweep short), then per-job failures lowest-index-first, each naming
+	// the seed that replays it, then any journal write failure.
+	// errors.Join keeps every cause reachable by errors.Is/As.
 	var fail []error
 	if ctx.Err() != nil {
 		skipped := 0
@@ -435,7 +411,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	}
 	for i, err := range errs {
 		if err != nil {
-			fail = append(fail, fmt.Errorf("sweep %s: job %d (%s): %w", cfg.Name, i, jobs[i].Name, err))
+			fail = append(fail, fmt.Errorf("sweep %s: job %d (%s, seed %d): %w", cfg.Name, i, jobs[i].Name, seeds[i], err))
 		}
 	}
 	if journalErr != nil {
@@ -444,64 +420,64 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	return results, errors.Join(fail...)
 }
 
-// executeJob runs one job through the retry policy: transient failures
-// (panics, deadline overruns, injected faults) back off and retry up to
-// Retry.MaxAttempts; deterministic simulation errors return
-// immediately. Cancellation stops further retries but never interrupts
-// an attempt in progress.
-func executeJob(ctx context.Context, cfg Config, j Job, index int, seed int64, notify func(sweepMsg)) (any, error) {
-	max := cfg.Retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	for attempt := 1; ; attempt++ {
-		res, err := attemptJob(cfg, j, index, seed, attempt)
-		if err == nil {
-			return res, nil
-		}
-		if attempt >= max || IsDegraded(err) || !Transient(err) || ctx.Err() != nil {
-			return nil, err
-		}
-		backoff := cfg.Retry.Backoff(attempt)
-		notify(sweepMsg{kind: msgRetry, index: index, name: j.Name, attempt: attempt, backoff: backoff})
-		cfg.Retry.sleep(ctx, backoff)
-	}
+// PanicError is a panic recovered from a job, carrying the panic value
+// and a stack snippet for repro bundles. It is an ordinary job error:
+// a job is a function of its seed, so the panic recurs on every run of
+// that seed, which the sweep's error wrapper names. A nil panic —
+// panic(nil) — is represented by a *runtime.PanicNilError value, never
+// by a bare nil, so the message stays diagnosable.
+type PanicError struct {
+	// Value is what the job passed to panic.
+	Value any
+	// Stack is a truncated goroutine stack captured at recovery.
+	Stack []byte
 }
 
-// attemptJob makes one attempt: the fault injector gets first refusal,
-// then the job runs — under a wall-clock deadline when JobTimeout is
-// set. A simulation run cannot be preempted (the sim API is
-// synchronous), so a timed-out attempt's goroutine is abandoned: it
-// keeps the CPU until its sim finishes, then delivers into a buffered
-// channel nobody reads and becomes garbage. That leak is deliberate —
-// bounded by MaxAttempts per job — and the price of a deadline over
-// uninterruptible work.
-func attemptJob(cfg Config, j Job, index int, seed int64, attempt int) (any, error) {
-	if cfg.FaultInjector != nil {
-		if ferr := cfg.FaultInjector(index, attempt); ferr != nil {
-			return nil, &FaultError{Err: ferr}
+// Error includes the panic value and the stack snippet.
+func (e *PanicError) Error() string {
+	if len(e.Stack) == 0 {
+		return fmt.Sprintf("job panicked: %v", e.Value)
+	}
+	return fmt.Sprintf("job panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// stackSnippet captures the current goroutine stack, truncated at the
+// first line boundary past limit bytes — enough frames to locate a
+// panic without flooding a repro bundle.
+func stackSnippet(limit int) []byte {
+	s := debug.Stack()
+	if len(s) <= limit {
+		return s
+	}
+	if i := bytes.IndexByte(s[limit:], '\n'); i >= 0 {
+		s = s[:limit+i]
+	} else {
+		s = s[:limit]
+	}
+	return append(s, []byte("\n... (stack truncated)")...)
+}
+
+// runJob executes one job, converting a panic into a *PanicError (stack
+// snippet included) so a broken job cannot deadlock the pool. panic(nil)
+// is normalized to *runtime.PanicNilError rather than surfacing as a
+// misleading "<nil>".
+func runJob(j Job, seed int64) (res any, err error) {
+	returned := false
+	defer func() {
+		if returned {
+			return
 		}
-	}
-	if cfg.JobTimeout <= 0 {
-		return runJob(j, seed)
-	}
-	type outcome struct {
-		res any
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := runJob(j, seed)
-		ch <- outcome{res, err}
+		r := recover()
+		if r == nil {
+			// Only reachable under GODEBUG=panicnil=1, where recover
+			// hands panic(nil) back as a literal nil.
+			r = new(runtime.PanicNilError)
+		}
+		res, err = nil, &PanicError{Value: r, Stack: stackSnippet(2048)}
 	}()
-	t := time.NewTimer(cfg.JobTimeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-t.C:
-		return nil, &TimeoutError{Job: j.Name, Index: index, After: cfg.JobTimeout}
-	}
+	res, err = j.Run(seed)
+	returned = true
+	return res, err
 }
 
 // inflightTracker records which job each worker is running and since

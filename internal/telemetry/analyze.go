@@ -119,11 +119,9 @@ type SweepStats struct {
 	JobTimeMeanS float64
 	JobTimeMaxS  float64
 	PerWorker    []WorkerStats // sorted by worker index
-	// Resilience counters: transient-failure retries, hung-job stall
-	// detections, and budget-tripped jobs converted into Degraded
-	// results, published by the sweep engine's harness telemetry
-	// (sweep-retry / sweep-stall / sweep-degraded).
-	Retries  int
+	// Resilience counters: hung-job stall detections and budget-tripped
+	// jobs converted into Degraded results, published by the sweep
+	// engine's harness telemetry (sweep-stall / sweep-degraded).
 	Stalls   int
 	Degraded int
 }
@@ -286,9 +284,6 @@ func Summarize(events []Event) LogSummary {
 			if ev.A > s.JobTimeMaxS {
 				s.JobTimeMaxS = ev.A
 			}
-			continue
-		case KSweepRetry:
-			sweep().Retries++
 			continue
 		case KSweepStall:
 			sweep().Stalls++
@@ -524,9 +519,8 @@ func (s LogSummary) Render() string {
 			fmt.Fprintf(&b, "  job wall: n=%d mean=%.4fs max=%.4fs\n",
 				sw.JobTimeN, sw.JobTimeMeanS, sw.JobTimeMaxS)
 		}
-		if sw.Retries > 0 || sw.Stalls > 0 || sw.Degraded > 0 {
-			fmt.Fprintf(&b, "  resilience: %d retries, %d stall events, %d degraded\n",
-				sw.Retries, sw.Stalls, sw.Degraded)
+		if sw.Stalls > 0 || sw.Degraded > 0 {
+			fmt.Fprintf(&b, "  resilience: %d stall events, %d degraded\n", sw.Stalls, sw.Degraded)
 		}
 		for _, w := range sw.PerWorker {
 			fmt.Fprintf(&b, "  worker %d: %d jobs, %.4fs busy\n", w.Worker, w.Jobs, w.BusyS)

@@ -30,9 +30,6 @@ func (p *ProgressSink) Emit(ev Event) {
 	case KSweepStall:
 		fmt.Fprintf(p.w, "\rstall: job %d (%s) running %.1fs on worker %d%-10s\n",
 			ev.Seq, ev.Src, ev.A, int(ev.B), "")
-	case KSweepRetry:
-		fmt.Fprintf(p.w, "\rretry: job %d (%s) attempt %d failed, backing off %.2gs%-10s\n",
-			ev.Seq, ev.Src, int(ev.A), ev.B, "")
 	case KSweepDegraded:
 		fmt.Fprintf(p.w, "\rdegraded: job %d (%s) hit its resource budget%-10s\n",
 			ev.Seq, ev.Src, "")

@@ -453,8 +453,6 @@ func (m *MetricsSink) Emit(ev Event) {
 		m.R.SetGauge("sweep.workers", ev.B)
 	case KSweepJob:
 		m.R.SetGauge("sweep.jobs_completed", ev.A)
-	case KSweepRetry:
-		m.R.Inc("sweep.retries", 1)
 	case KSweepStall:
 		m.R.Inc("sweep.stalls", 1)
 	case KSweepWorker:

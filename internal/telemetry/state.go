@@ -64,9 +64,6 @@ type ProgressSnapshot struct {
 	JobWallMaxS  float64 `json:"job_wall_max_s"`
 	// PerWorker is indexed by worker id.
 	PerWorker []WorkerProgress `json:"per_worker,omitempty"`
-	// Retries counts job attempts that failed transiently and were
-	// re-executed (KSweepRetry events).
-	Retries int `json:"retries,omitempty"`
 	// Degraded counts jobs whose resource-budget trips were converted
 	// into Degraded results (KSweepDegraded events).
 	Degraded int `json:"degraded,omitempty"`
@@ -139,10 +136,6 @@ func (p *ProgressState) Emit(ev Event) {
 		p.snap.Stalled = append(p.snap.Stalled, StalledJob{
 			Job: ev.Src, Index: idx, Worker: int(ev.B), RunningS: ev.A,
 		})
-	case KSweepRetry:
-		p.snap.Retries++
-		// The wedged attempt was abandoned; the job is live again.
-		p.dropStalled(int(ev.Seq))
 	case KSweepDegraded:
 		p.snap.Degraded++
 		p.dropStalled(int(ev.Seq))

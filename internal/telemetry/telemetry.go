@@ -143,11 +143,15 @@ const (
 	KSweepWorker  // one worker's totals at sweep end (Src=worker index, A=busy seconds, B=jobs run)
 
 	// Sweep-engine resilience telemetry: the harness watching itself.
-	// Like the other sweep kinds they fire on the coordinating goroutine
+	// Like the other sweep kinds it fires on the coordinating goroutine
 	// with wall-clock measurements, exempt from the determinism
 	// contract.
 	KSweepStall // an in-flight job exceeded the stall threshold (Src=job name, Seq=index, A=running seconds, B=worker)
-	KSweepRetry // a job attempt failed transiently and will be retried (Src=job name, Seq=index, A=attempt, B=backoff seconds)
+	// Retired slot (it was "sweep-retry"): kinds are JSON-encoded as
+	// numbers in chaos repro bundles and checkpoint journals, so every
+	// later kind keeps its number. The slot has no name and parses from
+	// none.
+	_
 
 	// Overload guardrails (internal/guard and the BoundedSink).
 	// KOverload fires on the simulation goroutine at the instant a
@@ -214,7 +218,6 @@ var kindTable = [kindSentinel]kindInfo{
 	KSweepJobTime:   {name: "sweep-job-time", a: "wall_s", b: "worker"},
 	KSweepWorker:    {name: "sweep-worker", a: "busy_s", b: "jobs"},
 	KSweepStall:     {name: "sweep-stall", a: "running_s", b: "worker"},
-	KSweepRetry:     {name: "sweep-retry", a: "attempt", b: "backoff_s"},
 	KOverload:       {name: "overload", a: "observed", b: "limit"},
 	KTelemetryDrops: {name: "telemetry-drops", a: "dropped", b: "kept"},
 	KSweepDegraded:  {name: "sweep-degraded"},
@@ -224,7 +227,7 @@ var kindTable = [kindSentinel]kindInfo{
 
 // String implements fmt.Stringer; the names are the NDJSON vocabulary.
 func (k Kind) String() string {
-	if k == 0 || k >= kindSentinel {
+	if k >= kindSentinel || kindTable[k].name == "" {
 		return "?"
 	}
 	return kindTable[k].name
@@ -232,8 +235,11 @@ func (k Kind) String() string {
 
 // ParseKind is the inverse of Kind.String; unknown names return 0.
 func ParseKind(s string) Kind {
+	if s == "" {
+		return 0 // the retired slot's empty name is not a name
+	}
 	for k := KSend; k < kindSentinel; k++ {
-		if k.String() == s {
+		if kindTable[k].name == s {
 			return k
 		}
 	}

@@ -222,6 +222,9 @@ func TestRingBeforeFirstEmitAndUnboundedAcrossChunks(t *testing.T) {
 func TestKindNamesRoundTrip(t *testing.T) {
 	for k := KSend; k < kindSentinel; k++ {
 		name := k.String()
+		if k == KSweepStall+1 {
+			continue // the retired slot; TestResilienceKindsRoundTripNDJSON pins it
+		}
 		if name == "?" || name == "" {
 			t.Fatalf("kind %d has no name", k)
 		}

@@ -133,10 +133,6 @@ type (
 	ExperimentRegistration = experiments.Registration
 	// ProgressSink renders sweep progress events as a status line.
 	ProgressSink = telemetry.ProgressSink
-	// SweepRetryPolicy governs re-execution of transiently failed sweep
-	// jobs with capped exponential backoff; the zero value disables
-	// retry.
-	SweepRetryPolicy = sweep.RetryPolicy
 	// SweepJournal is a sweep checkpoint: an append-only NDJSON log of
 	// completed job results that lets an interrupted sweep resume.
 	SweepJournal = sweep.Journal
@@ -162,18 +158,6 @@ func DeriveSweepSeed(seed int64, index int) int64 { return sweep.DeriveSeed(seed
 func OpenSweepJournal(dir string, cfg SweepConfig, jobs []SweepJob, resume bool,
 	decode func([]byte) (any, error)) (*SweepJournal, error) {
 	return sweep.OpenJournal(dir, cfg, jobs, resume, decode)
-}
-
-// SweepTransient reports whether a sweep job failure is environmental
-// (timeout, panic, injected fault — worth retrying) as opposed to a
-// deterministic simulation error.
-func SweepTransient(err error) bool { return sweep.Transient(err) }
-
-// NewSweepFaultInjector returns a deterministic seeded fault injector
-// for SweepConfig.FaultInjector, failing each (job, attempt) pair with
-// the given probability — the chaos hook for testing retry handling.
-func NewSweepFaultInjector(seed int64, rate float64) func(index, attempt int) error {
-	return sweep.NewFaultInjector(seed, rate)
 }
 
 // Experiments lists every registered experiment in canonical order.

@@ -17,7 +17,8 @@
 //	    Re-emit matching events as NDJSON, e.g. for piping into jq.
 //
 //	rrtrace timeline [-flow n] [-width n] [-height n] <events.ndjson>
-//	    ASCII plot of one flow's cwnd/actnum with a recovery-phase strip.
+//	    ASCII plot of one flow's cwnd/actnum with a recovery-phase strip,
+//	    one panel per run of a multi-run log.
 //
 //	rrtrace spans <events.ndjson>
 //	    Assemble and print the span tree: connection lifetimes, recovery

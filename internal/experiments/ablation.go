@@ -52,15 +52,10 @@ type AblationResult struct {
 	Rows  []AblationRow `json:"rows"`
 }
 
-// Ablation runs the Figure-5 burst-loss transfer (with an extra loss
-// injected during recovery so the further-loss machinery is exercised)
-// once per design variant.
-func Ablation(drops int) (*AblationResult, error) {
-	return runAs[*AblationResult](NewAblationExperiment(drops), 0)
-}
-
 // NewAblationExperiment returns the experiment (drops <= 0 means 3):
-// one job per design variant, all on the same engineered scenario.
+// one job per design variant, all on the same engineered scenario — the
+// Figure-5 burst-loss transfer with an extra loss injected during
+// recovery so the further-loss machinery is exercised.
 func NewAblationExperiment(drops int) Experiment {
 	if drops <= 0 {
 		drops = 3

@@ -26,8 +26,6 @@ type AckLossConfig struct {
 	TransferPackets int `json:"transferPackets"`
 	// Seeds to average over.
 	Seeds []int64 `json:"seeds"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *AckLossConfig) fillDefaults() {
@@ -67,11 +65,6 @@ type AckLossPoint struct {
 type AckLossResult struct {
 	Config AckLossConfig  `json:"config"`
 	Points []AckLossPoint `json:"points"`
-}
-
-// AckLoss runs the ACK-loss robustness sweep.
-func AckLoss(cfg AckLossConfig) (*AckLossResult, error) {
-	return runAs[*AckLossResult](NewAckLossExperiment(cfg), cfg.Parallel)
 }
 
 // ackLossOut is one (variant, rate, seed) run's raw measurement.

@@ -27,8 +27,6 @@ type BurstyConfig struct {
 	Duration sim.Time `json:"durationNs"`
 	// Seeds to average over.
 	Seeds []int64 `json:"seeds"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *BurstyConfig) fillDefaults() {
@@ -66,12 +64,6 @@ type BurstyResult struct {
 	Points []BurstyPoint `json:"points"`
 }
 
-// Bursty runs the sweep on the Figure 7 fixed-RTT topology so goodput
-// differences come only from the loss process and the recovery scheme.
-func Bursty(cfg BurstyConfig) (*BurstyResult, error) {
-	return runAs[*BurstyResult](NewBurstyExperiment(cfg), cfg.Parallel)
-}
-
 // burstyOut is one (variant, burst, seed) run's raw measurement.
 type burstyOut struct {
 	GoodputBps float64
@@ -79,7 +71,9 @@ type burstyOut struct {
 }
 
 // NewBurstyExperiment fills defaults and returns the experiment: one
-// job per (variant, burst length, seed).
+// job per (variant, burst length, seed), on the Figure 7 fixed-RTT
+// topology so goodput differences come only from the loss process and
+// the recovery scheme.
 func NewBurstyExperiment(cfg BurstyConfig) Experiment {
 	cfg.fillDefaults()
 	cells := crossKinds(cfg.Variants, cfg.BurstLengths)

@@ -209,8 +209,6 @@ type ChaosConfig struct {
 	// FlowExemplars caps the reservoir of exemplar flows each case's
 	// table retains in full detail (0: aggregates only).
 	FlowExemplars int `json:"flowExemplars,omitempty"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *ChaosConfig) fillDefaults() {
@@ -264,19 +262,14 @@ func (r *ChaosResult) FlowReport() flowstats.Report { return flowReport(r.Flows)
 // Violated reports the total number of violating runs.
 func (r *ChaosResult) Violated() int { return len(r.Failures) }
 
-// Chaos sweeps seeded-random fault schedules across the TCP variants,
-// watching every run with the invariant checker. Each schedule is
-// generated once and run against every variant, so a violation isolates
-// to the variant rather than the weather.
-func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
-	return runAs[*ChaosResult](NewChaosExperiment(cfg), cfg.Parallel)
-}
-
-// ChaosExperiment adapts the chaos sweep to the Experiment interface.
-// Every case — the fault plan and the case seed — is drawn from the
-// master randomness up front, during construction, so the job list is
-// fixed before any worker starts and the sweep stays deterministic at
-// any worker count. One job per (schedule, variant) case.
+// ChaosExperiment sweeps seeded-random fault schedules across the TCP
+// variants, watching every run with the invariant checker. Each
+// schedule is generated once and run against every variant, so a
+// violation isolates to the variant rather than the weather. Every
+// case — the fault plan and the case seed — is drawn from the master
+// randomness up front, during construction, so the job list is fixed
+// before any worker starts and the sweep stays deterministic at any
+// worker count. One job per (schedule, variant) case.
 type ChaosExperiment struct {
 	cfg   ChaosConfig
 	cases []ChaosCase

@@ -12,7 +12,7 @@ import (
 // A modest sweep across every variant must complete with zero
 // invariant violations: the checker trusts the healthy senders.
 func TestChaosSweepClean(t *testing.T) {
-	res, err := Chaos(ChaosConfig{Schedules: 4, Seed: 7, Bytes: 100 * 1000, Horizon: 60 * time.Second})
+	res, err := runResult[*ChaosResult](NewChaosExperiment(ChaosConfig{Schedules: 4, Seed: 7, Bytes: 100 * 1000, Horizon: 60 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@
 // execution (see docs/SWEEP.md). Nine of them are one grid literal each
 // (grid.go: cells × seeds, folded cell by cell); fig5, chaos and stress
 // write Jobs and Reduce by hand. The registry in registry.go lists the
-// experiments in canonical order; the classic entry points (Figure5,
-// Table5, Chaos, ...) remain as thin wrappers over Run.
+// experiments in canonical order. There is one way to run an
+// experiment: build it (NewFigure5Experiment, or Build by name) and
+// hand it to Run; the worker count is a RunOptions field, never part of
+// the experiment's config.
 package experiments
 
 import (

@@ -13,8 +13,19 @@ import (
 // who wins, who times out, where the crossovers fall. Absolute numbers
 // are environment-specific (DESIGN.md §4).
 
+// runResult runs e with default options and returns its concrete
+// result.
+func runResult[R Renderable](e Experiment) (R, error) {
+	res, err := Run(e, RunOptions{})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return res.(R), nil
+}
+
 func TestFigure5ThreeDropsShape(t *testing.T) {
-	res, err := Figure5(Figure5Config{Drops: 3})
+	res, err := runResult[*Figure5Result](NewFigure5Experiment(Figure5Config{Drops: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +60,7 @@ func TestFigure5ThreeDropsShape(t *testing.T) {
 }
 
 func TestFigure5SixDropsShape(t *testing.T) {
-	res, err := Figure5(Figure5Config{Drops: 6})
+	res, err := runResult[*Figure5Result](NewFigure5Experiment(Figure5Config{Drops: 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestFigure5SixDropsShape(t *testing.T) {
 func TestFigure5HeavyBurstRRWinsOutright(t *testing.T) {
 	// Beyond half the window the classic SACK pipe stalls into a
 	// timeout while RR keeps its ACK clock — the robustness headline.
-	res, err := Figure5(Figure5Config{Drops: 8})
+	res, err := runResult[*Figure5Result](NewFigure5Experiment(Figure5Config{Drops: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +121,7 @@ func TestFigure5DropPattern(t *testing.T) {
 }
 
 func TestFigure5Render(t *testing.T) {
-	res, err := Figure5(Figure5Config{Drops: 3})
+	res, err := runResult[*Figure5Result](NewFigure5Experiment(Figure5Config{Drops: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestFigure5Render(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	res, err := Figure6(Figure6Config{})
+	res, err := runResult[*Figure6Result](NewFigure6Experiment(Figure6Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +163,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure6RenderIncludesPlots(t *testing.T) {
-	res, err := Figure6(Figure6Config{Seeds: []int64{42}})
+	res, err := runResult[*Figure6Result](NewFigure6Experiment(Figure6Config{Seeds: []int64{42}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +174,11 @@ func TestFigure6RenderIncludesPlots(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	res, err := Figure7(Figure7Config{
+	res, err := runResult[*Figure7Result](NewFigure7Experiment(Figure7Config{
 		LossRates: []float64{0.001, 0.01, 0.1},
 		Duration:  40 * time.Second,
 		Seeds:     []int64{1, 2},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +207,11 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure7RRMatchesSACKFitness(t *testing.T) {
-	res, err := Figure7(Figure7Config{
+	res, err := runResult[*Figure7Result](NewFigure7Experiment(Figure7Config{
 		LossRates: []float64{0.005},
 		Duration:  60 * time.Second,
 		Seeds:     []int64{1, 2, 3},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +224,7 @@ func TestFigure7RRMatchesSACKFitness(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	res, err := Table5(Table5Config{})
+	res, err := runResult[*Table5Result](NewTable5Experiment(Table5Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +251,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable5Render(t *testing.T) {
-	res, err := Table5(Table5Config{Seeds: []int64{1}})
+	res, err := runResult[*Table5Result](NewTable5Experiment(Table5Config{Seeds: []int64{1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +262,10 @@ func TestTable5Render(t *testing.T) {
 }
 
 func TestAckLossShape(t *testing.T) {
-	res, err := AckLoss(AckLossConfig{
+	res, err := runResult[*AckLossResult](NewAckLossExperiment(AckLossConfig{
 		AckLossRates: []float64{0, 0.1},
 		Seeds:        []int64{1, 2, 3},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +292,7 @@ func TestAckLossShape(t *testing.T) {
 }
 
 func TestAblationShape(t *testing.T) {
-	res, err := Ablation(3)
+	res, err := runResult[*AblationResult](NewAblationExperiment(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +336,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFairShareShape(t *testing.T) {
-	res, err := FairShare(FairShareConfig{})
+	res, err := runResult[*FairShareResult](NewFairShareExperiment(FairShareConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +361,7 @@ func TestFairShareShape(t *testing.T) {
 }
 
 func TestTwoWayShape(t *testing.T) {
-	res, err := TwoWay(TwoWayConfig{Seeds: []int64{1, 2, 3}})
+	res, err := runResult[*TwoWayResult](NewTwoWayExperiment(TwoWayConfig{Seeds: []int64{1, 2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +379,7 @@ func TestTwoWayShape(t *testing.T) {
 }
 
 func TestSmoothStartShape(t *testing.T) {
-	res, err := SmoothStart(SmoothStartConfig{})
+	res, err := runResult[*SmoothStartResult](NewSmoothStartExperiment(SmoothStartConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,12 +403,12 @@ func TestSmoothStartShape(t *testing.T) {
 }
 
 func TestFigure7DelayedAckFitsOwnConstant(t *testing.T) {
-	res, err := Figure7(Figure7Config{
+	res, err := runResult[*Figure7Result](NewFigure7Experiment(Figure7Config{
 		LossRates:  []float64{0.005},
 		Duration:   60 * time.Second,
 		Seeds:      []int64{1, 2},
 		DelayedAck: true,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +425,7 @@ func TestFigure7DelayedAckFitsOwnConstant(t *testing.T) {
 }
 
 func TestBurstyShape(t *testing.T) {
-	res, err := Bursty(BurstyConfig{})
+	res, err := runResult[*BurstyResult](NewBurstyExperiment(BurstyConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,6 @@ type FairShareConfig struct {
 	Horizon sim.Time `json:"horizonNs"`
 	// Seed drives the scheduler.
 	Seed int64 `json:"seed"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *FairShareConfig) fillDefaults() {
@@ -75,11 +73,6 @@ type FairShareRow struct {
 type FairShareResult struct {
 	Config FairShareConfig `json:"config"`
 	Rows   []FairShareRow  `json:"rows"`
-}
-
-// FairShare runs the experiment once per gateway discipline.
-func FairShare(cfg FairShareConfig) (*FairShareResult, error) {
-	return runAs[*FairShareResult](NewFairShareExperiment(cfg), cfg.Parallel)
 }
 
 // NewFairShareExperiment fills defaults and returns the experiment: one

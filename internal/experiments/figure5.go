@@ -53,8 +53,6 @@ type Figure5Config struct {
 	// FlowExemplars caps the reservoir of exemplar flows each job's
 	// table retains in full detail (0: aggregates only).
 	FlowExemplars int `json:"flowExemplars,omitempty"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *Figure5Config) fillDefaults() {
@@ -122,21 +120,15 @@ type Figure5Result struct {
 // flow stats were not enabled.
 func (r *Figure5Result) FlowReport() flowstats.Report { return flowReport(r.Flows) }
 
-// Figure5 runs the burst-loss comparison for one drop count.
-//
-// The paper tuned background traffic against an 8-packet buffer purely
-// to make flow 1 lose exactly 3 (or 6) packets within a window; we pin
-// the identical pattern with a deterministic per-sequence loss injector
-// on an otherwise clean path (see DESIGN.md §3).
-func Figure5(cfg Figure5Config) (*Figure5Result, error) {
-	return runAs[*Figure5Result](NewFigure5Experiment(cfg), cfg.Parallel)
-}
-
-// Figure5Experiment adapts the burst-loss comparison to the Experiment
-// interface: one job per variant. When the config carries a telemetry
-// bus, each job captures its event stream into a private ring and
-// Reduce republishes the streams in variant order — the bus itself is
-// never touched from a worker goroutine.
+// Figure5Experiment is the burst-loss comparison for one drop count:
+// one job per variant. The paper tuned background traffic against an
+// 8-packet buffer purely to make flow 1 lose exactly 3 (or 6) packets
+// within a window; we pin the identical pattern with a deterministic
+// per-sequence loss injector on an otherwise clean path (see
+// DESIGN.md §3). When the config carries a telemetry bus, each job
+// captures its event stream into a private ring and Reduce
+// republishes the streams in variant order — the bus itself is never
+// touched from a worker goroutine.
 type Figure5Experiment struct {
 	cfg Figure5Config
 }

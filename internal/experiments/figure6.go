@@ -32,8 +32,6 @@ type Figure6Config struct {
 	Seeds []int64 `json:"seeds"`
 	// RED overrides the Table 4 gateway parameters when non-nil.
 	RED *netem.REDConfig `json:"red,omitempty"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *Figure6Config) fillDefaults() {
@@ -86,18 +84,12 @@ type Figure6Result struct {
 	Panels []Figure6Panel `json:"panels"`
 }
 
-// Figure6 runs the RED scenario once per variant and seed. All flows
-// in one run use the same recovery scheme, as in the paper. The first
-// five flows start at t=0 and a new flow starts every 0.5 s afterwards;
-// all flows have infinite data. Throughput columns are means across
-// seeds; the sequence plot comes from the primary seed.
-func Figure6(cfg Figure6Config) (*Figure6Result, error) {
-	return runAs[*Figure6Result](NewFigure6Experiment(cfg), cfg.Parallel)
-}
-
 // NewFigure6Experiment fills defaults and returns the experiment: one
-// job per (variant, seed). Throughput columns average across the seeds;
-// the sequence plot comes from the primary seed's run.
+// job per (variant, seed). All flows in one run use the same recovery
+// scheme, as in the paper. The first five flows start at t=0 and a new
+// flow starts every 0.5 s afterwards; all flows have infinite data.
+// Throughput columns average across the seeds; the sequence plot comes
+// from the primary seed's run.
 func NewFigure6Experiment(cfg Figure6Config) Experiment {
 	cfg.fillDefaults()
 	return &grid[workload.Kind, Figure6Panel]{

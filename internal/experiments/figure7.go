@@ -33,8 +33,6 @@ type Figure7Config struct {
 	// which case the model constant becomes C = sqrt(3/4) (extension;
 	// the paper's receivers ACK every packet, C = sqrt(3/2)).
 	DelayedAck bool `json:"delayedAck"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *Figure7Config) fillDefaults() {
@@ -81,14 +79,6 @@ type Figure7Result struct {
 	Points []Figure7Point `json:"points"`
 }
 
-// Figure7 runs the model-fitness sweep. The topology keeps the
-// bottleneck uncongested (10 Mbps, deep buffer) so that the injected
-// uniform losses are the only loss process and the RTT stays pinned at
-// the configured value, as the model assumes.
-func Figure7(cfg Figure7Config) (*Figure7Result, error) {
-	return runAs[*Figure7Result](NewFigure7Experiment(cfg), cfg.Parallel)
-}
-
 // figure7Out is one (variant, rate, seed) run's raw measurement.
 type figure7Out struct {
 	Window   float64
@@ -97,7 +87,10 @@ type figure7Out struct {
 
 // NewFigure7Experiment fills defaults and returns the experiment: one
 // job per (variant, loss rate, seed), averaged over the seeds into one
-// point per (variant, loss rate).
+// point per (variant, loss rate). The topology keeps the bottleneck
+// uncongested (10 Mbps, deep buffer) so that the injected uniform losses
+// are the only loss process and the RTT stays pinned at the configured
+// value, as the model assumes.
 func NewFigure7Experiment(cfg Figure7Config) Experiment {
 	cfg.fillDefaults()
 	cells := crossKinds(cfg.Variants, cfg.LossRates)

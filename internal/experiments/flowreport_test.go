@@ -61,8 +61,8 @@ func TestChaosFlowReportParallelIdentical(t *testing.T) {
 	})
 }
 
-// Stress drives its own parallelism knob; the flow summary merged from
-// cell tables must be worker-count invariant too, and present even
+// The stress soak's flow summary, merged from cell tables, must be
+// worker-count invariant too, and present even
 // though cells run under bounded telemetry (the table subscribes ahead
 // of the sampling sink, so accounting stays exact under overload).
 func TestStressFlowReportParallelIdentical(t *testing.T) {

@@ -90,14 +90,3 @@ func firstSeed[O any](outs [][]O) []O {
 	}
 	return rows
 }
-
-// runAs is the classic entry points' body: run e on a pool of the given
-// size and return its concrete result type.
-func runAs[R Renderable](e Experiment, parallel int) (R, error) {
-	res, err := Run(e, RunOptions{Parallel: parallel})
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return res.(R), nil
-}

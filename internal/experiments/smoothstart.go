@@ -27,8 +27,6 @@ type SmoothStartConfig struct {
 	Horizon sim.Time `json:"horizonNs"`
 	// Seed drives the scheduler.
 	Seed int64 `json:"seed"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 func (c *SmoothStartConfig) fillDefaults() {
@@ -67,11 +65,6 @@ type SmoothStartRow struct {
 type SmoothStartResult struct {
 	Config SmoothStartConfig `json:"config"`
 	Rows   []SmoothStartRow  `json:"rows"`
-}
-
-// SmoothStart runs the comparison.
-func SmoothStart(cfg SmoothStartConfig) (*SmoothStartResult, error) {
-	return runAs[*SmoothStartResult](NewSmoothStartExperiment(cfg), cfg.Parallel)
 }
 
 // smoothStartLabel names a slow-start flavour in the result rows.

@@ -18,7 +18,7 @@ func figure5Spans(t *testing.T, drops int, kind workload.Kind) ([]*telemetry.Spa
 		Variants:  []workload.Kind{kind},
 		Telemetry: telemetry.NewBus(ring),
 	}
-	if _, err := Figure5(cfg); err != nil {
+	if _, err := Run(NewFigure5Experiment(cfg), RunOptions{}); err != nil {
 		t.Fatalf("figure5 (%v, drops=%d): %v", kind, drops, err)
 	}
 	sink := telemetry.NewSpanSink()
@@ -225,7 +225,7 @@ func TestFigure5ChromeTraceExport(t *testing.T) {
 		Variants:  []workload.Kind{workload.NewReno, workload.RR},
 		Telemetry: telemetry.NewBus(ring),
 	}
-	if _, err := Figure5(cfg); err != nil {
+	if _, err := Run(NewFigure5Experiment(cfg), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	spanSink := telemetry.NewSpanSink()

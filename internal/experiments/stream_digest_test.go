@@ -22,12 +22,11 @@ func fig5StreamDigests(t *testing.T, drops, workers int) map[string]string {
 	t.Helper()
 	ring := telemetry.NewRing(0)
 	kinds := workload.Kinds()
-	_, err := Figure5(Figure5Config{
+	_, err := Run(NewFigure5Experiment(Figure5Config{
 		Drops:     drops,
 		Variants:  kinds,
 		Telemetry: telemetry.NewBus(ring),
-		Parallel:  workers,
-	})
+	}), RunOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -403,8 +403,3 @@ func (e *StressExperiment) Reduce(results []any) (Renderable, error) {
 	}
 	return res, nil
 }
-
-// Stress runs a soak end to end with default execution options.
-func Stress(cfg StressConfig) (*StressResult, error) {
-	return runAs[*StressResult](NewStressExperiment(cfg), 0)
-}

@@ -22,7 +22,7 @@ func smallStress() StressConfig {
 
 func TestStressCleanRunIsDeterministic(t *testing.T) {
 	run := func() string {
-		res, err := Stress(smallStress())
+		res, err := runResult[*StressResult](NewStressExperiment(smallStress()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestStressBudgetTripDegradesDeterministically(t *testing.T) {
 	cfg := smallStress()
 	cfg.MaxEvents = 800
 	run := func() *StressResult {
-		res, err := Stress(cfg)
+		res, err := runResult[*StressResult](NewStressExperiment(cfg))
 		if err != nil {
 			t.Fatalf("a budget trip must degrade, not fail the sweep: %v", err)
 		}
@@ -73,7 +73,7 @@ func TestStressRenderReportsDegradedCells(t *testing.T) {
 	cfg := smallStress()
 	cfg.Cells = 1
 	cfg.MaxEvents = 500
-	res, err := Stress(cfg)
+	res, err := runResult[*StressResult](NewStressExperiment(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStressReducePublishesAccounting(t *testing.T) {
 	cfg.MaxEvents = 500
 	cfg.TelemetryBudget = 50 // force drops well before the budget trip
 	cfg.Telemetry = telemetry.NewBus(metrics)
-	res, err := Stress(cfg)
+	res, err := runResult[*StressResult](NewStressExperiment(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStressCellTelemetryStaysBounded(t *testing.T) {
 	cfg := smallStress()
 	cfg.Cells = 1
 	cfg.TelemetryBudget = 100
-	res, err := Stress(cfg)
+	res, err := runResult[*StressResult](NewStressExperiment(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ type Table5Config struct {
 	Seeds []int64 `json:"seeds"`
 	// Cases overrides the four default combinations.
 	Cases []Table5Case `json:"cases"`
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int `json:"-"`
 }
 
 // Table5Case names one background/target variant combination.
@@ -98,12 +96,6 @@ type Table5Row struct {
 type Table5Result struct {
 	Config Table5Config `json:"config"`
 	Rows   []Table5Row  `json:"rows"`
-}
-
-// Table5 runs the fairness matrix, averaging each case over the
-// configured seeds.
-func Table5(cfg Table5Config) (*Table5Result, error) {
-	return runAs[*Table5Result](NewTable5Experiment(cfg), cfg.Parallel)
 }
 
 // NewTable5Experiment fills defaults and returns the experiment: one

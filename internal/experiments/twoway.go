@@ -31,8 +31,6 @@ type TwoWayConfig struct {
 	Horizon sim.Time
 	// Seeds to average over (start phases are jittered per seed).
 	Seeds []int64
-	// Parallel bounds the sweep worker pool (<= 0: GOMAXPROCS).
-	Parallel int
 }
 
 func (c *TwoWayConfig) fillDefaults() {
@@ -77,11 +75,6 @@ type TwoWayRow struct {
 type TwoWayResult struct {
 	Config TwoWayConfig `json:"config"`
 	Rows   []TwoWayRow  `json:"rows"`
-}
-
-// TwoWay runs the experiment for each variant and seed.
-func TwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
-	return runAs[*TwoWayResult](NewTwoWayExperiment(cfg), cfg.Parallel)
 }
 
 // twoWayOut is one (variant, seed) run's raw measurement.

@@ -620,9 +620,14 @@ func Scatter(marks []ScatterMark, width, height int, yFromZero bool) (rows [][]b
 	return rows, minX, maxX, minY, maxY
 }
 
-// Timeline renders one flow's congestion state over time as ASCII:
-// '*' = cwnd samples, '+' = actnum samples, and a phase strip beneath
-// the plot ('r' retreat, 'p' probe, '.' open / outside recovery).
+// Timeline renders one flow's congestion state over time as ASCII, one
+// panel per stream segment the flow appears in (see Segmenter), so the
+// runs of a multi-variant log are never overlaid. Each panel is labelled
+// with the variant its flow-start event names and plots '*' = cwnd and
+// '+' = actnum samples above a phase strip ('r' recovery — RR's retreat
+// — 'p' probe, '.' outside recovery). The strip is read off SpanSink's
+// recovery spans, so a phase ends where an episode ends: at
+// recovery-exit, a timeout, the next recovery-enter or flow-done.
 func Timeline(events []Event, flow int32, width, height int) string {
 	if width < 8 {
 		width = 72
@@ -630,59 +635,70 @@ func Timeline(events []Event, flow int32, width, height int) string {
 	if height < 4 {
 		height = 16
 	}
-	// actnum is drawn after cwnd so it wins a shared cell: the recovery
-	// control variable is the interesting one.
-	var cwnd, actnum []ScatterMark
-	// Phase boundaries for the strip.
-	type flip struct {
-		t     float64
-		phase byte
+	type panel struct {
+		seg   int
+		label string // " (variant)" from flow-start; "" in older logs
+		// actnum is drawn after cwnd so it wins a shared cell: the
+		// recovery control variable is the interesting one.
+		cwnd, actnum []ScatterMark
 	}
-	var flips []flip
+	var panels []*panel
+	var at Segmenter
 	for _, ev := range events {
-		if ev.Flow != flow {
+		at.Advance(ev)
+		if ev.Flow != flow || ev.Comp == CompSweep {
 			continue
 		}
-		t := secs(ev.At)
+		if len(panels) == 0 || panels[len(panels)-1].seg != at.Seg {
+			panels = append(panels, &panel{seg: at.Seg})
+		}
+		p, t := panels[len(panels)-1], secs(ev.At)
 		switch ev.Kind {
-		case KCwnd:
-			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
-		case KRecoveryEnter:
-			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
-			flips = append(flips, flip{t, 'r'})
-		case KRecoveryExit:
-			cwnd = append(cwnd, ScatterMark{t, ev.A, '*'})
-			flips = append(flips, flip{t, '.'})
-		case KActnum:
-			actnum = append(actnum, ScatterMark{t, ev.A, '+'})
-		case KRetreatProbe:
-			actnum = append(actnum, ScatterMark{t, ev.A, '+'})
-			flips = append(flips, flip{t, 'p'})
+		case KFlowStart:
+			p.label = " (" + ev.Src + ")"
+		case KCwnd, KRecoveryEnter, KRecoveryExit:
+			p.cwnd = append(p.cwnd, ScatterMark{t, ev.A, '*'})
+		case KActnum, KRetreatProbe:
+			p.actnum = append(p.actnum, ScatterMark{t, ev.A, '+'})
 		}
 	}
-	marks := append(cwnd, actnum...)
-	if len(marks) == 0 {
+	sink := NewSpanSink()
+	Replay(events, sink)
+	spans := sink.Spans()
+	phase := map[SpanKind]byte{SpanRecovery: 'r', SpanRetreat: 'r', SpanProbe: 'p'}
+	var b strings.Builder
+	for _, p := range panels {
+		marks := append(p.cwnd, p.actnum...)
+		if len(marks) == 0 {
+			continue
+		}
+		grid, minT, maxT, _, maxV := Scatter(marks, width, height, true)
+		strip := []byte(strings.Repeat(".", width))
+		// Sub-phases open after their episode, so they overdraw it.
+		for _, sp := range spans {
+			if ch := phase[sp.Kind]; ch != 0 && sp.Seg == p.seg && sp.Flow == flow {
+				for x := range strip {
+					t := minT + (maxT-minT)*float64(x)/float64(width-1)
+					if t >= sp.Begin.Seconds() && (t < sp.End.Seconds() || sp.Open) {
+						strip[x] = ch
+					}
+				}
+			}
+		}
+		if b.Len() > 0 {
+			b.WriteByte('\n')
+		}
+		fmt.Fprintf(&b, "seg %d flow %d%s  cwnd(*)/actnum(+) 0..%.1f pkts  %.3fs..%.3fs\n",
+			p.seg, flow, p.label, maxV, minT, maxT)
+		for _, row := range grid {
+			b.Write(row)
+			b.WriteByte('\n')
+		}
+		b.Write(strip)
+		b.WriteString("\nphase: r=recovery (rr: retreat) p=probe .=open\n")
+	}
+	if b.Len() == 0 {
 		return fmt.Sprintf("flow %d: no cwnd/actnum samples\n", flow)
 	}
-	grid, minT, maxT, _, maxV := Scatter(marks, width, height, true)
-	strip := []byte(strings.Repeat(".", width))
-	phase := byte('.')
-	fi := 0
-	for x := 0; x < width; x++ {
-		t := minT + (maxT-minT)*float64(x)/float64(width-1)
-		for fi < len(flips) && flips[fi].t <= t {
-			phase = flips[fi].phase
-			fi++
-		}
-		strip[x] = phase
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "flow %d  cwnd(*)/actnum(+) 0..%.1f pkts  %.3fs..%.3fs\n", flow, maxV, minT, maxT)
-	for _, row := range grid {
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	b.Write(strip)
-	b.WriteString("\nphase: r=retreat p=probe .=open\n")
 	return b.String()
 }

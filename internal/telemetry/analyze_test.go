@@ -170,6 +170,60 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
+// A multi-run log — four runs republished back to back, every one flow
+// 0 from t=0 — draws one panel per run, labelled with its variant. Each
+// strip ends a phase where SpanSink ends the episode: at a timeout
+// (newreno), flow-done (tahoe, which never exits) or recovery-exit.
+func TestTimelinePanelPerSegment(t *testing.T) {
+	run := func(variant string, comp Component, recovery ...Event) []Event {
+		evs := []Event{
+			srec(0, CompSender, KFlowStart, variant, 0, 0, nil),
+			rec(0, CompSender, KCwnd, 0, map[string]float64{"cwnd": 2}),
+		}
+		evs = append(evs, rec(1, comp, KRecoveryEnter, 0, map[string]float64{"cwnd": 10}))
+		evs = append(evs, recovery...)
+		return append(evs, rec(4, CompSender, KCwnd, 0, map[string]float64{"cwnd": 8}))
+	}
+	var log []Event
+	log = append(log, run("tahoe", CompSender, rec(3, CompSender, KFlowDone, 0, nil))...)
+	log = append(log, run("newreno", CompSender, rec(2, CompSender, KTimeout, 0, nil))...)
+	log = append(log, run("sack", CompSender, rec(3, CompSender, KRecoveryExit, 0, map[string]float64{"cwnd": 5}))...)
+	log = append(log, run("rr", CompRR,
+		rec(2, CompRR, KRetreatProbe, 0, map[string]float64{"actnum": 4}),
+		rec(3, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 5}))...)
+
+	// 41 columns over 0..4 s: column x is t = x/10 s.
+	out := Timeline(log, 0, 41, 6)
+	var headers, strips []string
+	lines := strings.Split(out, "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "seg ") {
+			headers = append(headers, l)
+		}
+		if strings.HasPrefix(l, "phase:") {
+			strips = append(strips, lines[i-1])
+		}
+	}
+	dots, r, p := strings.Repeat(".", 10), strings.Repeat("r", 10), strings.Repeat("p", 10)
+	want := []struct{ header, strip string }{
+		{"seg 0 flow 0 (tahoe) ", dots + r + r + dots + "."},
+		{"seg 1 flow 0 (newreno) ", dots + r + dots + dots + "."},
+		{"seg 2 flow 0 (sack) ", dots + r + r + dots + "."},
+		{"seg 3 flow 0 (rr) ", dots + r + p + dots + "."},
+	}
+	if len(headers) != len(want) || len(strips) != len(want) {
+		t.Fatalf("%d panels, %d strips, want %d:\n%s", len(headers), len(strips), len(want), out)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(headers[i], w.header) {
+			t.Errorf("panel %d header %q, want prefix %q", i, headers[i], w.header)
+		}
+		if strips[i] != w.strip {
+			t.Errorf("panel %d strip\n got %s\nwant %s", i, strips[i], w.strip)
+		}
+	}
+}
+
 // The summary learns the flow lifecycle kinds: flow-start carries the
 // variant name, flow-done counts completions, and both surface as the
 // "flows:" line of the rendering — the only per-flow signal present in

@@ -23,7 +23,7 @@ func fig5EventLog(t *testing.T, workers int) []byte {
 	t.Helper()
 	var log bytes.Buffer
 	sink := telemetry.NewNDJSONSink(&log)
-	_, err := experiments.Figure5(experiments.Figure5Config{
+	_, err := experiments.Run(experiments.NewFigure5Experiment(experiments.Figure5Config{
 		Drops:           3,
 		FirstDropPacket: 20,
 		TransferPackets: 40,
@@ -31,8 +31,7 @@ func fig5EventLog(t *testing.T, workers int) []byte {
 		Seed:            1,
 		Telemetry:       telemetry.NewBus(sink),
 		SampleEvery:     250 * time.Millisecond,
-		Parallel:        workers,
-	})
+	}), experiments.RunOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ import (
 	"rrtcp/internal/core"
 	"rrtcp/internal/netem"
 	"rrtcp/internal/tcp"
-	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
 )
 
@@ -48,8 +47,6 @@ func Must[T any](v T, err error) T { return netem.Must(v, err) }
 type (
 	// Sender is one connection's sending side.
 	Sender = tcp.Sender
-	// Receiver is the data sink; it never needs modification for RR.
-	Receiver = tcp.Receiver
 	// Strategy is the pluggable congestion-control state machine.
 	Strategy = tcp.Strategy
 	// RROptions exposes RR's ablation knobs.
@@ -65,11 +62,6 @@ const DefaultMSS = tcp.DefaultMSS
 // NewRRStrategy returns the paper's Robust Recovery algorithm.
 func NewRRStrategy() Strategy { return core.NewRR() }
 
-// NewRRStrategyWithOptions returns RR with design knobs overridden.
-func NewRRStrategyWithOptions(opts RROptions) Strategy {
-	return core.NewRRWithOptions(opts)
-}
-
 // --- flows and workloads ---
 
 type (
@@ -79,23 +71,21 @@ type (
 	FlowSpec = workload.FlowSpec
 	// Flow is an installed connection.
 	Flow = workload.Flow
-	// FlowTrace holds a flow's counters and, after Record, its samples.
-	FlowTrace = trace.FlowTrace
 )
 
 // The TCP variants under evaluation: the paper's lineup plus the
 // related-work schemes its introduction analyzes (right-edge recovery,
-// Lin-Kung) and a modern RFC 6675-style SACK.
+// Lin-Kung). Kinds also lists a modern RFC 6675-style SACK, which
+// ParseKind("sack6675") names.
 const (
-	Tahoe      = workload.Tahoe
-	Reno       = workload.Reno
-	NewReno    = workload.NewReno
-	SACK       = workload.SACK
-	SACKModern = workload.SACKModern
-	RR         = workload.RR
-	RightEdge  = workload.RightEdge
-	LinKung    = workload.LinKung
-	FACK       = workload.FACK
+	Tahoe     = workload.Tahoe
+	Reno      = workload.Reno
+	NewReno   = workload.NewReno
+	SACK      = workload.SACK
+	RR        = workload.RR
+	RightEdge = workload.RightEdge
+	LinKung   = workload.LinKung
+	FACK      = workload.FACK
 )
 
 // Kinds lists every variant in evaluation order.
@@ -112,10 +102,4 @@ func InstallFlow(s *Scheduler, d *Dumbbell, idx int, spec FlowSpec) (*Flow, erro
 // InstallFlows installs one flow per spec.
 func InstallFlows(s *Scheduler, d *Dumbbell, specs []FlowSpec) ([]*Flow, error) {
 	return workload.InstallAll(s, d, specs)
-}
-
-// InstallReverseFlow wires a flow whose data crosses the bottleneck in
-// the opposite direction, for two-way-traffic scenarios.
-func InstallReverseFlow(s *Scheduler, d *Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
-	return workload.InstallReverse(s, d, idx, spec)
 }

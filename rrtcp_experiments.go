@@ -1,16 +1,14 @@
 // Experiment surface of the rrtcp facade: analytic models, the
-// table/figure runners, parallel sweeps, scenarios, and chaos.
+// table/figure runners, the experiment registry, scenarios, and chaos
+// repro bundles.
 package rrtcp
 
 import (
 	"io"
 
 	"rrtcp/internal/experiments"
-	"rrtcp/internal/faults"
-	"rrtcp/internal/invariant"
 	"rrtcp/internal/model"
 	"rrtcp/internal/scenario"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/telemetry"
 )
 
@@ -63,62 +61,75 @@ type (
 	BurstyResult = experiments.BurstyResult
 	// AblationResult: RR design-choice matrix.
 	AblationResult = experiments.AblationResult
-	// ChaosConfig / ChaosResult: seeded-random fault sweep with runtime
-	// invariant checking; ChaosCase and ChaosBundle are the replayable
-	// units behind repro bundles.
-	ChaosConfig = experiments.ChaosConfig
-	ChaosResult = experiments.ChaosResult
-	ChaosCase   = experiments.ChaosCase
+	// ChaosBundle is a chaos sweep's repro bundle: one violating case,
+	// replayable byte for byte.
 	ChaosBundle = experiments.Bundle
-	// FaultPlan is a serializable fault schedule (link flaps, reordering,
-	// duplication, corruption, ACK compression) for a netem topology.
-	FaultPlan = faults.PlanSpec
-	// InvariantViolation is one runtime TCP-invariant breach.
-	InvariantViolation = invariant.Violation
 )
 
 // RunFigure5 regenerates one Figure 5 panel.
-func RunFigure5(cfg Figure5Config) (*Figure5Result, error) { return experiments.Figure5(cfg) }
+func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
+	return run[*Figure5Result](experiments.NewFigure5Experiment(cfg))
+}
 
 // RunFigure6 regenerates the Figure 6 panels.
-func RunFigure6(cfg Figure6Config) (*Figure6Result, error) { return experiments.Figure6(cfg) }
+func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
+	return run[*Figure6Result](experiments.NewFigure6Experiment(cfg))
+}
 
 // RunFigure7 regenerates the Figure 7 sweep.
-func RunFigure7(cfg Figure7Config) (*Figure7Result, error) { return experiments.Figure7(cfg) }
+func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
+	return run[*Figure7Result](experiments.NewFigure7Experiment(cfg))
+}
 
 // RunTable5 regenerates the Table 5 fairness matrix.
-func RunTable5(cfg Table5Config) (*Table5Result, error) { return experiments.Table5(cfg) }
+func RunTable5(cfg Table5Config) (*Table5Result, error) {
+	return run[*Table5Result](experiments.NewTable5Experiment(cfg))
+}
 
 // RunAckLoss runs the §2.3 ACK-loss robustness sweep.
-func RunAckLoss(cfg AckLossConfig) (*AckLossResult, error) { return experiments.AckLoss(cfg) }
+func RunAckLoss(cfg AckLossConfig) (*AckLossResult, error) {
+	return run[*AckLossResult](experiments.NewAckLossExperiment(cfg))
+}
 
 // RunFairShare runs the §2.3 fair-share gateway comparison.
 func RunFairShare(cfg FairShareConfig) (*FairShareResult, error) {
-	return experiments.FairShare(cfg)
+	return run[*FairShareResult](experiments.NewFairShareExperiment(cfg))
 }
 
 // RunTwoWay runs the two-way-traffic extension experiment.
 func RunTwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
-	return experiments.TwoWay(cfg)
+	return run[*TwoWayResult](experiments.NewTwoWayExperiment(cfg))
 }
 
 // RunSmoothStart runs the slow-start overshoot comparison.
 func RunSmoothStart(cfg SmoothStartConfig) (*SmoothStartResult, error) {
-	return experiments.SmoothStart(cfg)
+	return run[*SmoothStartResult](experiments.NewSmoothStartExperiment(cfg))
 }
 
 // RunBursty runs the Gilbert-Elliott correlated-loss sweep.
 func RunBursty(cfg BurstyConfig) (*BurstyResult, error) {
-	return experiments.Bursty(cfg)
+	return run[*BurstyResult](experiments.NewBurstyExperiment(cfg))
 }
 
-// --- parallel sweeps and the unified Experiment API ---
+// RunAblation runs the RR design ablation matrix.
+func RunAblation(drops int) (*AblationResult, error) {
+	return run[*AblationResult](experiments.NewAblationExperiment(drops))
+}
+
+// run executes e on the default worker pool and returns its concrete
+// result; the worker count never changes a result byte.
+func run[R ExperimentResult](e Experiment) (R, error) {
+	res, err := experiments.Run(e, experiments.RunOptions{})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return res.(R), nil
+}
+
+// --- the unified Experiment API ---
 
 type (
-	// SweepJob is one independent simulation run inside a sweep.
-	SweepJob = sweep.Job
-	// SweepConfig parameterizes a RunSweep call.
-	SweepConfig = sweep.Config
 	// Experiment is the unified interface every experiment runner
 	// implements: Name, Jobs, Reduce.
 	Experiment = experiments.Experiment
@@ -133,32 +144,7 @@ type (
 	ExperimentRegistration = experiments.Registration
 	// ProgressSink renders sweep progress events as a status line.
 	ProgressSink = telemetry.ProgressSink
-	// SweepJournal is a sweep checkpoint: an append-only NDJSON log of
-	// completed job results that lets an interrupted sweep resume.
-	SweepJournal = sweep.Journal
-	// ExperimentResultCodec is implemented by experiments whose job
-	// results survive a JSON round-trip — the prerequisite for
-	// checkpoint/resume.
-	ExperimentResultCodec = experiments.ResultCodec
 )
-
-// RunSweep fans the jobs out across a worker pool and returns their
-// results in job-index order, byte-identical to sequential execution;
-// see internal/sweep for the determinism contract.
-func RunSweep(cfg SweepConfig, jobs []SweepJob) ([]any, error) { return sweep.Run(cfg, jobs) }
-
-// DeriveSweepSeed returns the deterministic per-job seed the sweep
-// engine uses for the job at index under a master seed.
-func DeriveSweepSeed(seed int64, index int) int64 { return sweep.DeriveSeed(seed, index) }
-
-// OpenSweepJournal opens (resume) or creates the checkpoint journal for
-// the sweep identified by (cfg.Name, cfg.Seed, jobs) under dir; decode
-// reconstructs one job's result from its stored JSON. Hand the journal
-// to RunSweep via SweepConfig.Checkpoint and Close it afterwards.
-func OpenSweepJournal(dir string, cfg SweepConfig, jobs []SweepJob, resume bool,
-	decode func([]byte) (any, error)) (*SweepJournal, error) {
-	return sweep.OpenJournal(dir, cfg, jobs, resume, decode)
-}
 
 // Experiments lists every registered experiment in canonical order.
 func Experiments() []ExperimentRegistration { return experiments.Experiments() }
@@ -180,32 +166,13 @@ func NewProgressSink(w io.Writer) *ProgressSink { return telemetry.NewProgressSi
 
 // --- user-defined scenarios ---
 
-type (
-	// Scenario is a JSON-described simulation: topology, losses, flows.
-	Scenario = scenario.Spec
-	// ScenarioReport is a completed scenario's per-flow outcome.
-	ScenarioReport = scenario.Report
-)
-
-// LoadScenario parses a scenario from JSON.
-func LoadScenario(r io.Reader) (*Scenario, error) { return scenario.Load(r) }
+// Scenario is a JSON-described simulation: topology, losses, flows.
+type Scenario = scenario.Spec
 
 // LoadScenarioFile parses a scenario from a file.
 func LoadScenarioFile(path string) (*Scenario, error) { return scenario.LoadFile(path) }
 
-// RunAblation runs the RR design ablation matrix.
-func RunAblation(drops int) (*AblationResult, error) { return experiments.Ablation(drops) }
-
-// --- chaos / robustness ---
-
-// RunChaos sweeps seeded-random fault schedules across the TCP
-// variants under runtime invariant checking.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) { return experiments.Chaos(cfg) }
-
-// RunChaosCase replays one chaos case (e.g. from a repro bundle).
-func RunChaosCase(c ChaosCase) (*experiments.ChaosOutcome, error) {
-	return experiments.RunChaosCase(c)
-}
+// --- chaos repro bundles ---
 
 // LoadChaosBundle reads a repro bundle written by a chaos sweep.
 func LoadChaosBundle(path string) (*ChaosBundle, error) { return experiments.LoadBundle(path) }

@@ -11,8 +11,6 @@ import (
 type (
 	// Packet is a simulated TCP segment or acknowledgment.
 	Packet = netem.Packet
-	// Node consumes packets; all network elements implement it.
-	Node = netem.Node
 	// Link is a point-to-point link with bandwidth and delay.
 	Link = netem.Link
 	// DumbbellConfig describes the paper's Figure 4 topology.
@@ -21,8 +19,6 @@ type (
 	Dumbbell = netem.Dumbbell
 	// REDConfig carries the RED gateway parameters of Table 4.
 	REDConfig = netem.REDConfig
-	// SACKBlock is a selective-acknowledgment block.
-	SACKBlock = netem.SACKBlock
 )
 
 type (
@@ -47,20 +43,8 @@ func NewUniformLoss(s *Scheduler, rate float64) *UniformLoss {
 	return netem.NewUniformLoss(rate, s.Rand(), nil)
 }
 
-// GilbertLoss is the two-state correlated (bursty) loss channel.
-type GilbertLoss = netem.GilbertLoss
-
-// NewGilbertLoss returns a Gilbert-Elliott loss channel; see the netem
-// documentation for the stationary rate and burst-length formulas.
-func NewGilbertLoss(s *Scheduler, pGoodToBad, pBadToGood, pDropBad float64) *GilbertLoss {
-	return netem.NewGilbertLoss(pGoodToBad, pBadToGood, pDropBad, s.Rand(), nil)
-}
-
 // QueueDiscipline is a gateway buffer policy (drop-tail or RED).
 type QueueDiscipline = netem.QueueDiscipline
-
-// DRRConfig parameterizes a deficit-round-robin fair queue.
-type DRRConfig = netem.DRRConfig
 
 // NewDropTailQueue returns a finite FIFO measured in packets, or an
 // error for a non-positive limit. Like every queue constructor it is
@@ -69,13 +53,6 @@ type DRRConfig = netem.DRRConfig
 // replacements for each other.
 func NewDropTailQueue(_ *Scheduler, limit int) (QueueDiscipline, error) {
 	return netem.NewDropTail(limit)
-}
-
-// NewDRRQueue returns a deficit-round-robin fair queue, or an error
-// for a non-positive quantum or limit. DRR draws no randomness; see
-// NewDropTailQueue for why it still takes the scheduler.
-func NewDRRQueue(_ *Scheduler, cfg DRRConfig) (QueueDiscipline, error) {
-	return netem.NewDRRConfig(cfg)
 }
 
 // NewREDQueue returns a RED gateway queue whose drop decisions draw

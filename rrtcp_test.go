@@ -1,11 +1,13 @@
 package rrtcp_test
 
 import (
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"rrtcp"
+	"rrtcp/internal/tcp"
 )
 
 func TestQuickstartTransfer(t *testing.T) {
@@ -121,10 +123,6 @@ func TestStrategyConstructors(t *testing.T) {
 	if rrtcp.NewRRStrategy().Name() != "rr" {
 		t.Fatal("NewRRStrategy name")
 	}
-	s := rrtcp.NewRRStrategyWithOptions(rrtcp.RROptions{RetreatDupsPerSegment: 1})
-	if s.Name() != "rr" {
-		t.Fatal("NewRRStrategyWithOptions name")
-	}
 }
 
 func TestFacadeQueueConstructors(t *testing.T) {
@@ -132,17 +130,11 @@ func TestFacadeQueueConstructors(t *testing.T) {
 	if q, err := rrtcp.NewDropTailQueue(sched, 8); err != nil || q == nil || q.Len() != 0 {
 		t.Fatalf("drop-tail constructor: %v", err)
 	}
-	if q, err := rrtcp.NewDRRQueue(sched, rrtcp.DRRConfig{QuantumBytes: 500, LimitPackets: 8}); err != nil || q == nil || q.Len() != 0 {
-		t.Fatalf("DRR constructor: %v", err)
-	}
 	if q, err := rrtcp.NewREDQueue(sched, rrtcp.PaperREDConfig()); err != nil || q == nil || q.Len() != 0 {
 		t.Fatalf("RED constructor: %v", err)
 	}
 	if _, err := rrtcp.NewDropTailQueue(sched, 0); err == nil {
 		t.Fatal("drop-tail accepted zero limit")
-	}
-	if _, err := rrtcp.NewDRRQueue(sched, rrtcp.DRRConfig{QuantumBytes: 0, LimitPackets: 8}); err == nil {
-		t.Fatal("DRR accepted zero quantum")
 	}
 }
 
@@ -164,8 +156,11 @@ func TestFacadeKinds(t *testing.T) {
 }
 
 func TestFacadeScenario(t *testing.T) {
-	spec, err := rrtcp.LoadScenario(strings.NewReader(
-		`{"duration":"5s","flows":[{"kind":"rr","packets":20,"window":18}]}`))
+	path := filepath.Join(t.TempDir(), "rr.json")
+	if err := os.WriteFile(path, []byte(`{"duration":"5s","flows":[{"kind":"rr","packets":20,"window":18}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := rrtcp.LoadScenarioFile(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -178,24 +173,6 @@ func TestFacadeScenario(t *testing.T) {
 	}
 	if _, err := rrtcp.LoadScenarioFile("/nonexistent.json"); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestFacadeReverseFlow(t *testing.T) {
-	sched := rrtcp.NewScheduler(1)
-	d, err := rrtcp.NewDumbbell(sched, rrtcp.PaperDropTailConfig(1))
-	if err != nil {
-		t.Fatalf("dumbbell: %v", err)
-	}
-	f, err := rrtcp.InstallReverseFlow(sched, d, 0, rrtcp.FlowSpec{
-		Kind: rrtcp.RR, Bytes: 20 * 1000, Window: 18,
-	})
-	if err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	sched.Run(20 * time.Second)
-	if !f.Sender.Done() {
-		t.Fatal("reverse flow incomplete")
 	}
 }
 
@@ -231,23 +208,37 @@ func TestFacadeExperimentWrappers(t *testing.T) {
 	}
 }
 
+// countingStrategy wraps a Strategy and counts the ACKs it is handed.
+type countingStrategy struct {
+	rrtcp.Strategy
+	acks int
+}
+
+func (c *countingStrategy) OnAck(s *rrtcp.Sender, ev tcp.AckEvent) {
+	c.acks++
+	c.Strategy.OnAck(s, ev)
+}
+
+// TestFacadeStrategyPlugsIn: a Strategy built through the facade and
+// handed over in FlowSpec.Strategy drives the Sender end to end.
 func TestFacadeStrategyPlugsIn(t *testing.T) {
-	// A Strategy built through the facade drives a Sender end to end.
 	sched := rrtcp.NewScheduler(1)
 	d, err := rrtcp.NewDumbbell(sched, rrtcp.PaperDropTailConfig(1))
 	if err != nil {
 		t.Fatalf("dumbbell: %v", err)
 	}
-	strat := rrtcp.NewRRStrategyWithOptions(rrtcp.RROptions{RetreatDupsPerSegment: 1})
+	strat := &countingStrategy{Strategy: rrtcp.NewRRStrategy()}
 	flow, err := rrtcp.InstallFlow(sched, d, 0, rrtcp.FlowSpec{
-		Kind: rrtcp.RR, Bytes: 20 * 1000, Window: 18,
+		Bytes: 20 * 1000, Window: 18, Strategy: strat,
 	})
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
-	_ = strat // constructed strategies are exercised via RROptions in FlowSpec
 	sched.Run(20 * time.Second)
 	if !flow.Sender.Done() {
 		t.Fatal("flow incomplete")
+	}
+	if strat.acks == 0 {
+		t.Fatal("the wrapped strategy saw no ACKs")
 	}
 }

@@ -33,7 +33,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Inc("queue.fwd.drops", 3)
 	reg.SetGauge("queue.fwd.occupancy", 7)
-	reg.Observe("sender.0.episode", 0.25)
+	reg.ObserveLog("sender.0.episode", 0.25)
 	ps := telemetry.NewProgressState()
 
 	srv := New(Config{Registry: reg, Progress: ps})

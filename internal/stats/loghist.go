@@ -14,8 +14,8 @@ import (
 // It is the summary structure for quantities that span orders of
 // magnitude — recovery-episode durations (milliseconds through the
 // 64-second max-RTO regime) and sweep job latencies (microsecond jobs
-// next to multi-second chaos runs) — where retaining raw samples (the
-// Registry's exact Histogram) would grow without bound on long sweeps.
+// next to multi-second chaos runs) — where retaining raw samples would
+// grow without bound on long sweeps.
 //
 // Layout: a value's binary exponent selects a decade row and its
 // mantissa selects one of logSubBuckets linear sub-buckets within the

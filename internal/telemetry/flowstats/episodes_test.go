@@ -1,6 +1,7 @@
 package flowstats
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 // timeout, by the next recovery-enter (Tahoe emits no exit) or by the
 // end of the flow — is one episode with the same bounds for every
 // consumer of the stream: SpanSink's recovery spans, Summarize's
-// episodes, and FlowTable's count.
+// episodes, FlowTable's count and MetricsSink's episode_s distribution.
 func TestEpisodesAgreeAcrossConsumers(t *testing.T) {
 	const K = telemetry.KRecoveryEnter
 	type bounds struct{ begin, end float64 } // seconds
@@ -94,19 +95,29 @@ func TestEpisodesAgreeAcrossConsumers(t *testing.T) {
 			stream = append(stream, c.events...)
 			stream = append(stream, e(2000, telemetry.KFlowDone, 0, 0), done(2, 0, "tahoe", 1e6, 0, 0))
 
-			spans, table := telemetry.NewSpanSink(), New(Config{})
-			telemetry.Replay(stream, spans, table)
+			spans, table, metrics := telemetry.NewSpanSink(), New(Config{}), telemetry.NewMetricsSink()
+			telemetry.Replay(stream, spans, table, metrics)
 			table.Finalize()
 			sum := telemetry.Summarize(stream)
 
 			var fromSpans []bounds
+			var spanSecs float64
 			for _, sp := range spans.Spans() {
 				if sp.Open {
 					t.Errorf("%v span %v..%v left open past flow-done", sp.Kind, sp.Begin, sp.End)
 				}
 				if sp.Kind == telemetry.SpanRecovery {
 					fromSpans = append(fromSpans, bounds{sp.Begin.Seconds(), sp.End.Seconds()})
+					spanSecs += sp.Duration().Seconds()
 				}
+			}
+			if h := metrics.R.LogHist("sender.0.episode_s"); h == nil || h.Count() != uint64(len(fromSpans)) || math.Abs(h.Sum()-spanSecs) > 1e-9 {
+				var n uint64
+				var s float64
+				if h != nil {
+					n, s = h.Count(), h.Sum()
+				}
+				t.Errorf("MetricsSink: episode_s n=%d sum=%gs, recovery spans n=%d sum=%gs", n, s, len(fromSpans), spanSecs)
 			}
 			var fromSummary []bounds
 			for _, ep := range sum.Flows[0].Episodes {

@@ -42,6 +42,23 @@ func emitAll(t *FlowTable, evs []telemetry.Event) {
 	}
 }
 
+// With rrsim -http -flow-stats the live table and the metrics sink feed
+// one registry: each completed flow lands in flows.<variant>.rtx once,
+// from the metrics sink, while the table adds FCT and goodput.
+func TestSharedRegistryCountsEachFlowOnce(t *testing.T) {
+	ms := telemetry.NewMetricsSink()
+	tab := New(Config{Registry: ms.R})
+	telemetry.Replay([]telemetry.Event{start(0, 0, "rr", 1e6), done(2, 0, "rr", 1e6, 3, 0)}, ms, tab)
+	for name, want := range map[string]float64{"flows.rr.rtx": 3, "flows.rr.fct_s": 2} {
+		h := ms.R.LogHist(name)
+		if h == nil {
+			t.Errorf("%s missing", name)
+		} else if h.Count() != 1 || h.Sum() != want {
+			t.Errorf("%s: count=%d sum=%g, want one sample of %g", name, h.Count(), h.Sum(), want)
+		}
+	}
+}
+
 // Aggregation: lifecycle events fold into per-variant counts, FCT,
 // goodput, and retransmission load, with variants reported in sorted
 // order regardless of arrival order.

@@ -19,10 +19,9 @@ import (
 //	queue.fwd.occupancy    -> rrsim_queue_occupancy{instance="fwd"}
 //	sweep.job_latency_s    -> rrsim_sweep_job_latency_s{quantile=...}
 //
-// Counters gain the conventional _total suffix; exact and log-bucketed
-// histograms are exposed as summaries (quantile series plus _sum and
-// _count). Everything is written sorted, so scrapes of an idle registry
-// are byte-stable.
+// Counters gain the conventional _total suffix; histograms are exposed
+// as summaries (quantile series plus _sum and _count). Everything is
+// written sorted, so scrapes of an idle registry are byte-stable.
 
 // promNamespace prefixes every exposed family.
 const promNamespace = "rrsim"
@@ -144,20 +143,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				labels: promLabels([2]string{"instance", instance}),
 				value:  r.Gauge(name),
 			})
-		case "h":
-			h := r.Hist(name)
-			fam := promNamespace + "_" + family
-			for _, q := range summaryQuantiles {
-				add(fam, "summary", promSample{
-					labels: promLabels([2]string{"instance", instance}, [2]string{"quantile", q.label}),
-					value:  h.Quantile(q.p),
-				})
-			}
-			add(fam, "summary", promSample{suffix: "_sum",
-				labels: promLabels([2]string{"instance", instance}), value: h.Sum()})
-			add(fam, "summary", promSample{suffix: "_count",
-				labels: promLabels([2]string{"instance", instance}),
-				value:  float64(h.Count()), intVal: true})
 		case "l":
 			h := r.LogHist(name)
 			fam := promNamespace + "_" + family

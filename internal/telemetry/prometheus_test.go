@@ -25,7 +25,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.SetGauge("queue.fwd.occupancy", 7)
 	r.SetGauge("sim.heap_depth", 33)
 	for _, v := range []float64{1, 2, 3, 4, 100} {
-		r.Observe("queue.fwd.occupancy_hist", v)
+		r.ObserveLog("queue.fwd.occupancy_hist", v)
 	}
 	for _, v := range []float64{0.01, 0.02, 0.04} {
 		r.ObserveLog("sweep.job_latency_s", v)
@@ -69,7 +69,7 @@ func TestWritePrometheusWhileWriting(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			r.Inc("queue.fwd.drops", 1)
 			r.SetGauge("sender.0.cwnd", float64(i))
-			r.Observe("queue.fwd.occupancy_hist", float64(i%40))
+			r.ObserveLog("queue.fwd.occupancy_hist", float64(i%40))
 			r.ObserveLog("sweep.job_latency_s", float64(i%7+1))
 		}
 	}()

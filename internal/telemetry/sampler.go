@@ -162,7 +162,7 @@ func (s *SeriesSink) Emit(ev Event) {
 	if s == nil {
 		return
 	}
-	s.at.Advance(ev)
+	s.at.Advance(&ev)
 	if ev.Kind != KSample {
 		return
 	}

@@ -106,22 +106,22 @@ type SpanSink struct {
 
 	at Segmenter
 
-	flows []flowSpans // indexed by flow id, grown on first sight of a flow
-	busy  map[string]*Span
+	flows  []flowSpans          // indexed by flow id, grown on first sight of a flow
+	sparse map[int32]*flowSpans // flows with an id of maxDenseFlow or more
+	busy   map[string]*Span
 }
+
+// maxDenseFlow bounds the flow-indexed table. A simulation numbers its
+// flows densely from 0; a larger id can only come from a hand-made or
+// damaged log, and its spans live in a map so that one such id cannot
+// make the sink allocate in proportion to it.
+const maxDenseFlow = 1 << 16
 
 // flowSpans are one flow's open spans; nil where none is open.
 type flowSpans struct {
 	conn *Span // connection lifetime
 	rec  *Span // recovery episode
 	sub  *Span // retreat/probe child of rec
-}
-
-// endRecovery closes the flow's open recovery episode, sub-phase first.
-func (f *flowSpans) endRecovery(at sim.Time) {
-	closeSpan(f.sub, at)
-	closeSpan(f.rec, at)
-	f.sub, f.rec = nil, nil
 }
 
 // NewSpanSink returns an empty span assembler.
@@ -135,9 +135,21 @@ func (s *SpanSink) flow(id int32) *flowSpans {
 	if id < 0 {
 		return nil
 	}
-	if int(id) >= len(s.flows) {
-		s.flows = append(s.flows, make([]flowSpans, int(id)+1-len(s.flows))...)
+	if int(id) < len(s.flows) {
+		return &s.flows[id]
 	}
+	if id >= maxDenseFlow {
+		f := s.sparse[id]
+		if f == nil {
+			if s.sparse == nil {
+				s.sparse = make(map[int32]*flowSpans)
+			}
+			f = new(flowSpans)
+			s.sparse[id] = f
+		}
+		return f
+	}
+	s.flows = append(s.flows, make([]flowSpans, int(id)+1-len(s.flows))...)
 	return &s.flows[id]
 }
 
@@ -180,6 +192,7 @@ func (s *SpanSink) endOpen() {
 func (s *SpanSink) rollSegment() {
 	s.endOpen()
 	clear(s.flows)
+	clear(s.sparse)
 	clear(s.busy)
 }
 
@@ -193,10 +206,10 @@ func (s *SpanSink) Emit(ev Event) {
 	if ev.Comp == CompSweep {
 		return
 	}
-	if s.at.Regressed(ev) {
+	if s.at.Regressed(&ev) {
 		s.rollSegment()
 	}
-	s.at.Advance(ev)
+	s.at.Advance(&ev)
 
 	switch ev.Kind {
 	case KEnqueue:
@@ -231,24 +244,23 @@ func (s *SpanSink) Emit(ev Event) {
 		}
 	}
 
-	// A recovery episode ends at its recovery-exit, or is cut short: by a
-	// retransmission timeout (no strategy emits an exit then), by the
-	// next recovery-enter (Tahoe never emits one) or by the end of the
-	// flow. No span outlives its connection.
+	if endsEpisode(ev.Kind) && fl.rec != nil {
+		switch ev.Kind {
+		case KRecoveryExit:
+			fl.rec.attr("exit_cwnd", ev.A)
+		case KTimeout:
+			fl.rec.attr("timeout", 1)
+		}
+		closeSpan(fl.sub, ev.At) // sub-phase first
+		closeSpan(fl.rec, ev.At)
+		fl.sub, fl.rec = nil, nil
+	}
 	switch ev.Kind {
 	case KFlowDone:
-		fl.endRecovery(ev.At)
-		closeSpan(fl.conn, ev.At)
+		closeSpan(fl.conn, ev.At) // no span outlives its connection
 		fl.conn = nil
 
-	case KTimeout:
-		if fl.rec != nil {
-			fl.rec.attr("timeout", 1)
-			fl.endRecovery(ev.At)
-		}
-
 	case KRecoveryEnter:
-		fl.endRecovery(ev.At)
 		parent := -1
 		if fl.conn != nil {
 			parent = fl.conn.ID
@@ -285,13 +297,21 @@ func (s *SpanSink) Emit(ev Event) {
 		if ev.Kind == KFurtherLoss {
 			fl.rec.attr("further_losses", fl.rec.Attrs["further_losses"]+1)
 		}
-
-	case KRecoveryExit:
-		if fl.rec != nil {
-			fl.rec.attr("exit_cwnd", ev.A)
-			fl.endRecovery(ev.At)
-		}
 	}
+}
+
+// endsEpisode reports whether an event of kind k ends its flow's open
+// recovery episode: at its recovery-exit, or cut short by a
+// retransmission timeout (no strategy emits an exit then), by the next
+// recovery-enter (Tahoe never emits one) or by the end of the flow.
+// SpanSink's recovery spans and MetricsSink's episode_s both end an
+// episode by this one rule.
+func endsEpisode(k Kind) bool {
+	switch k {
+	case KRecoveryExit, KTimeout, KRecoveryEnter, KFlowDone:
+		return true
+	}
+	return false
 }
 
 // Spans returns the assembled spans in open order. Spans still open

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +193,40 @@ func TestSpanSinkSegmentsOnTimeRegression(t *testing.T) {
 	}
 	if recs[1].Open {
 		t.Fatal("second segment's episode should be closed")
+	}
+}
+
+// A log from outside the program may carry any flow id. One near
+// MaxInt32 must cost what a small one does, in SpanSink and so in
+// Summarize, and a segment roll must forget its open episode as it does
+// a small id's.
+func TestSpanSinkLargeFlowIDStaysSmall(t *testing.T) {
+	const id = math.MaxInt32
+	events := []Event{
+		{At: ms(0), Comp: CompSender, Kind: KSend, Flow: id},
+		{At: ms(100), Comp: CompSender, Kind: KRecoveryEnter, Flow: id},
+		{At: ms(300), Comp: CompSender, Kind: KRecoveryExit, Flow: id, A: 9},
+		{At: ms(400), Comp: CompSender, Kind: KRecoveryEnter, Flow: id},
+		// The next run: the clock restarts, the open episode is abandoned.
+		{At: ms(50), Comp: CompSender, Kind: KRecoveryExit, Flow: id},
+		{At: ms(500), Comp: CompSender, Kind: KFlowDone, Flow: id},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum := Summarize(events)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Summarize allocated %d bytes for one flow", grew)
+	}
+	if len(sum.Flows) != 2 {
+		t.Fatalf("flow rows = %+v, want one per segment", sum.Flows)
+	}
+	eps := sum.Flows[0].Episodes
+	if len(eps) != 2 || eps[0].End != 0.3 || eps[0].ExitCwnd != 9 || eps[1].End != -1 {
+		t.Fatalf("segment 0 episodes = %+v, want one closed at 0.3 s and one left open", eps)
+	}
+	if eps := sum.Flows[1].Episodes; len(eps) != 0 {
+		t.Fatalf("segment 1 episodes = %+v, want none", eps)
 	}
 }
 

@@ -1,5 +1,7 @@
 package telemetry
 
+import "math/bits"
+
 // Chunked is the append-only store under every per-event recorder (the
 // unbounded Ring, and through it a recorded FlowTrace; SpanSink spans).
 // Records live in chunks that are never moved: growth allocates one new
@@ -28,6 +30,19 @@ func (c *Chunked[T]) Append(v T) *T {
 	c.chunks[last] = ch
 	c.n++
 	return &ch[len(ch)-1]
+}
+
+// At returns the address of record i, 0 <= i < Len(): chunk k of the
+// ramp starts at chunkMin·(2^k − 1), every later chunk holds the steady
+// chunkMin<<chunkRamps.
+func (c *Chunked[T]) At(i int) *T {
+	const ramp = chunkMin<<chunkRamps - chunkMin // records in the ramp chunks: 64+128+…+2048
+	if i < ramp {
+		k := bits.Len(uint(i/chunkMin+1)) - 1
+		return &c.chunks[k][i-chunkMin*(1<<k-1)]
+	}
+	i -= ramp
+	return &c.chunks[chunkRamps+i/(chunkMin<<chunkRamps)][i%(chunkMin<<chunkRamps)]
 }
 
 // Len reports how many records the store holds.

@@ -50,7 +50,8 @@ func TestChunkedRampAndSlack(t *testing.T) {
 }
 
 // Addresses handed out by Append must survive any amount of later
-// growth: SpanSink keeps them in its open-span maps.
+// growth, and At(i) must find record i where the chunk walk does:
+// SpanSink names its open spans by position.
 func TestChunkedAddressStability(t *testing.T) {
 	var c Chunked[int]
 	const n = 8128 + 4096 + 10
@@ -63,6 +64,9 @@ func TestChunkedAddressStability(t *testing.T) {
 		for j := range chunk {
 			if ptrs[i] != &chunk[j] {
 				t.Fatalf("record %d moved after growth", i)
+			}
+			if c.At(i) != &chunk[j] {
+				t.Fatalf("At(%d) does not address record %d", i, i)
 			}
 			if *ptrs[i] != i {
 				t.Fatalf("record %d reads %d through its Append address", i, *ptrs[i])

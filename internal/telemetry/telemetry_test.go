@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -440,6 +442,37 @@ func TestMetricsSinkEpisodeNeverSpansSegments(t *testing.T) {
 	}
 }
 
+// A log from outside the program may carry any flow id. One at 2^24 or
+// near MaxInt32 must cost what a small one does, and a segment roll
+// must drop its open episode as it does a small id's.
+func TestMetricsSinkLargeFlowIDStaysSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ms := NewMetricsSink()
+	for _, id := range []int32{1 << 24, math.MaxInt32} {
+		Replay([]Event{
+			{At: 0, Comp: CompSender, Kind: KSend, Flow: id},
+			{At: 1e9, Comp: CompSender, Kind: KRecoveryEnter, Flow: id},
+			{At: 15e8, Comp: CompSender, Kind: KRecoveryExit, Flow: id},
+			{At: 2e9, Comp: CompSender, Kind: KRecoveryEnter, Flow: id},
+			// The next run: the clock restarts.
+			{At: 1e8, Comp: CompSender, Kind: KRecoveryExit, Flow: id},
+		}, ms)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("MetricsSink allocated %d bytes for two flows", grew)
+	}
+	for _, name := range []string{"sender.16777216.", "sender.2147483647."} {
+		if got := ms.R.Counter(name + "fast_retransmits"); got != 2 {
+			t.Errorf("%sfast_retransmits = %d, want 2", name, got)
+		}
+		if h := ms.R.LogHist(name + "episode_s"); h == nil || h.Count() != 1 || h.Sum() != 0.5 {
+			t.Errorf("%sepisode_s:\n%s\nwant one 0.5 s episode", name, ms.R.Snapshot())
+		}
+	}
+}
+
 // senderStream is the flow-scoped steady state of a run: what each of
 // ten senders publishes per ACK clock tick, plus a gauge sample.
 func senderStream() []Event {
@@ -471,6 +504,34 @@ func TestMetricsSinkFlowEventsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// A queue's, a link's and an episode's cells are resolved once too: the
+// sink builds no metric name per enqueue, transmission or episode end.
+func TestMetricsSinkQueueLinkAndEpisodeEventsDoNotAllocate(t *testing.T) {
+	ms := NewMetricsSink()
+	stream := []Event{
+		{Comp: CompQueue, Kind: KEnqueue, Src: "fwd", Flow: NoFlow, A: 3},
+		{Comp: CompLink, Kind: KLinkTx, Src: "fwd", Flow: NoFlow, A: 1000},
+		{Comp: CompSender, Kind: KRecoveryEnter, Flow: 0},
+		{Comp: CompSender, Kind: KRecoveryExit, Flow: 0},
+	}
+	cycle := func() {
+		for i := range stream {
+			stream[i].At += time.Millisecond
+		}
+		Replay(stream, ms)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("MetricsSink.Emit allocates %.2f times per %d queue, link and episode events, want 0", avg, len(stream))
+	}
+	if got := ms.R.Counter("link.fwd.tx_bytes"); got != 102*1000 {
+		t.Fatalf("link.fwd.tx_bytes = %d, want %d", got, 102*1000)
+	}
+	if h := ms.R.LogHist("sender.0.episode_s"); h == nil || h.Count() != 102 {
+		t.Fatalf("episode_s:\n%s\nwant 102 episodes", ms.R.Snapshot())
+	}
+}
+
 // BenchmarkMetricsSinkEmit is the per-event cost of folding the
 // flow-scoped stream (ten flows) into the registry.
 func BenchmarkMetricsSinkEmit(b *testing.B) {
@@ -488,6 +549,24 @@ func BenchmarkMetricsSinkEmitInRecovery(b *testing.B) {
 
 func benchmarkMetricsSinkEmit(b *testing.B, ms *MetricsSink) {
 	stream := senderStream()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms.Emit(stream[i%len(stream)])
+	}
+}
+
+// BenchmarkMetricsSinkEmitQueue is the per-event cost of the queue and
+// link stream: a packet's enqueue at a bottleneck and its transmission,
+// on the forward and the reverse path.
+func BenchmarkMetricsSinkEmitQueue(b *testing.B) {
+	stream := []Event{
+		{Comp: CompQueue, Kind: KEnqueue, Src: "fwd", Flow: 0, A: 3},
+		{Comp: CompLink, Kind: KLinkTx, Src: "fwd", Flow: 0, A: 1000, B: 2},
+		{Comp: CompQueue, Kind: KEnqueue, Src: "rev", Flow: 0, A: 1},
+		{Comp: CompLink, Kind: KLinkTx, Src: "rev", Flow: 0, A: 40, B: 0},
+	}
+	ms := NewMetricsSink()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -348,28 +348,28 @@ func Summarize(events []Event) LogSummary {
 	}
 	// Spans come in open order, so each flow's episodes are in time order
 	// and a probe sub-phase follows the episode it belongs to.
-	for _, sp := range spans.Spans() {
-		id := segFlow{sp.Seg, sp.Flow}
-		switch sp.Kind {
+	spans.records(func(sp *spanRec) {
+		id := segFlow{int(sp.seg), sp.flow}
+		switch sp.kind {
 		case SpanRecovery:
 			ep := Episode{
-				Flow: sp.Flow, Start: secs(sp.Begin), ProbeAt: -1, End: -1,
-				ExitCwnd:      sp.Attrs["exit_cwnd"],
-				FurtherLosses: int(sp.Attrs["further_losses"]),
-				Timeout:       sp.Attrs["timeout"] != 0,
+				Flow: sp.flow, Start: secs(sp.begin), ProbeAt: -1, End: -1,
+				ExitCwnd:      spans.attrOf(sp, attrExitCwnd),
+				FurtherLosses: int(spans.attrOf(sp, attrFurtherLosses)),
+				Timeout:       spans.attrOf(sp, attrTimeout) != 0,
 			}
-			if !sp.Open {
-				ep.End = secs(sp.End)
+			if !sp.open {
+				ep.End = secs(sp.end)
 			}
 			f := flowOf(id)
 			f.Episodes = append(f.Episodes, ep)
 		case SpanProbe:
 			eps := flows[id].Episodes
 			if ep := &eps[len(eps)-1]; ep.ProbeAt < 0 {
-				ep.ProbeAt = secs(sp.Begin)
+				ep.ProbeAt = secs(sp.begin)
 			}
 		}
-	}
+	})
 
 	for _, f := range flows {
 		sum.Flows = append(sum.Flows, *f)
@@ -647,9 +647,8 @@ func Timeline(events []Event, flow int32, width, height int) string {
 			p.actnum = append(p.actnum, ScatterMark{t, ev.A, '+'})
 		}
 	}
-	sink := NewSpanSink()
-	Replay(events, sink)
-	spans := sink.Spans()
+	spans := NewSpanSink()
+	Replay(events, spans)
 	phase := map[SpanKind]byte{SpanRecovery: 'r', SpanRetreat: 'r', SpanProbe: 'p'}
 	var b strings.Builder
 	for _, p := range panels {
@@ -660,16 +659,16 @@ func Timeline(events []Event, flow int32, width, height int) string {
 		grid, minT, maxT, _, maxV := Scatter(marks, width, height, true)
 		strip := []byte(strings.Repeat(".", width))
 		// Sub-phases open after their episode, so they overdraw it.
-		for _, sp := range spans {
-			if ch := phase[sp.Kind]; ch != 0 && sp.Seg == p.seg && sp.Flow == flow {
+		spans.records(func(sp *spanRec) {
+			if ch := phase[sp.kind]; ch != 0 && int(sp.seg) == p.seg && sp.flow == flow {
 				for x := range strip {
 					t := minT + (maxT-minT)*float64(x)/float64(width-1)
-					if t >= sp.Begin.Seconds() && (t < sp.End.Seconds() || sp.Open) {
+					if t >= sp.begin.Seconds() && (t < sp.end.Seconds() || sp.open) {
 						strip[x] = ch
 					}
 				}
 			}
-		}
+		})
 		if b.Len() > 0 {
 			b.WriteByte('\n')
 		}

@@ -276,12 +276,17 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 			Seq:  int64(num("seq")),
 		}
 		ev.Src, _ = raw["src"].(string)
-		if f, ok := raw["flow"].(float64); ok {
-			ev.Flow = int32(f)
+		flow, hasFlow := raw["flow"].(float64)
+		if hasFlow {
+			ev.Flow = int32(flow)
 		}
 		switch {
 		case kindName == "":
 			skip(lineNo, fmt.Errorf("missing \"kind\""))
+		case hasFlow && (flow < math.MinInt32 || flow > math.MaxInt32):
+			// No writer numbers a flow outside int32, and converting
+			// such a number is implementation-defined.
+			skip(lineNo, fmt.Errorf("flow %g out of range", flow))
 		case ev.Comp == 0 || ev.Kind == 0:
 			stats.Unknown++
 			if stats.FirstUnknown == nil {

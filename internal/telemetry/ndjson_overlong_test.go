@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,5 +70,23 @@ func TestDecodeLenientStillReportsRealIOErrors(t *testing.T) {
 	}
 	if len(out) != 1 {
 		t.Fatalf("lost the %d complete lines read before the failure", 1)
+	}
+}
+
+// A flow number outside int32 is damage, not a flow: converting it would
+// give an implementation-defined id.
+func TestDecodeLenientSkipsOutOfRangeFlow(t *testing.T) {
+	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":3e9,"cwnd":2}` + "\n" +
+		`{"t":0.2,"comp":"sender","kind":"cwnd","flow":-3e9,"cwnd":2}` + "\n" +
+		`{"t":0.3,"comp":"sender","kind":"cwnd","flow":-2147483648,"cwnd":3}` + "\n"
+	out, stats, err := DecodeNDJSON(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Flow != math.MinInt32 || stats.Skipped != 2 {
+		t.Fatalf("got %+v, %d skipped; want only the in-range line", out, stats.Skipped)
+	}
+	if stats.FirstErr == nil || !strings.Contains(stats.FirstErr.Error(), "out of range") {
+		t.Fatalf("FirstErr = %v, want the range diagnostic", stats.FirstErr)
 	}
 }

@@ -67,8 +67,8 @@ func NewAblationExperiment(drops int) Experiment {
 		// fixed seed so rows differ only by the design knob.
 		seeds: []int64{1},
 		label: func(v AblationVariant) string { return v.Label },
-		run: func(v AblationVariant, seed int64) (AblationRow, error) {
-			return ablationRun(drops, v, seed)
+		run: func(w *scenario.World, v AblationVariant, seed int64) (AblationRow, error) {
+			return ablationRun(w, drops, v, seed)
 		},
 		fold: func(outs [][]AblationRow) Renderable {
 			return &AblationResult{Drops: drops, Rows: firstSeed(outs)}
@@ -76,7 +76,7 @@ func NewAblationExperiment(drops int) Experiment {
 	}
 }
 
-func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) {
+func ablationRun(w *scenario.World, drops int, v AblationVariant, seed int64) (AblationRow, error) {
 	lost := make([]int64, 0, drops+1)
 	for i := 0; i < drops; i++ {
 		lost = append(lost, 60+int64(i))
@@ -86,7 +86,7 @@ func ablationRun(drops int, v AblationVariant, seed int64) (AblationRow, error) 
 	// entry and the retreat sub-phase injects packets 73+, so drop one
 	// of those.
 	lost = append(lost, 75)
-	w, err := scenario.Build(seed, &scenario.Spec{
+	err := w.Rebuild(seed, &scenario.Spec{
 		Loss: &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
 	})
 	if err != nil {

@@ -84,8 +84,8 @@ func NewAckLossExperiment(cfg AckLossConfig) Experiment {
 		cells: cells,
 		seeds: cfg.Seeds,
 		label: func(c kindAt) string { return fmt.Sprintf("%v ackloss=%g", c.kind, c.x) },
-		run: func(c kindAt, seed int64) (ackLossOut, error) {
-			return ackLossRun(cfg, c.kind, c.x, seed)
+		run: func(w *scenario.World, c kindAt, seed int64) (ackLossOut, error) {
+			return ackLossRun(w, cfg, c.kind, c.x, seed)
 		},
 		fold: func(outs [][]ackLossOut) Renderable {
 			res := &AckLossResult{Config: cfg}
@@ -111,12 +111,12 @@ func NewAckLossExperiment(cfg AckLossConfig) Experiment {
 	}
 }
 
-func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (ackLossOut, error) {
+func ackLossRun(w *scenario.World, cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (ackLossOut, error) {
 	lost := make([]int64, cfg.Drops)
 	for i := range lost {
 		lost[i] = 35 + int64(i)
 	}
-	w, err := scenario.Build(seed, &scenario.Spec{
+	err := w.Rebuild(seed, &scenario.Spec{
 		Topology: &scenario.TopologySpec{ForwardQueue: &scenario.QueueSpec{Limit: 100}},
 		Loss:     &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
 	})

@@ -5,30 +5,35 @@ import (
 	"time"
 
 	"rrtcp/internal/faults"
-	"rrtcp/internal/telemetry"
 )
 
 // allocCeilings is the most allocations the first job of each registered
 // experiment may make: about a tenth over what it makes now (the count
 // is exact and repeats; the margin is for a Go release moving a map or a
-// closure). A world costs a few dozen blocks — scheduler, links, lane and
-// queue rings, packet slabs, a sender and a receiver per flow — whatever
-// it then simulates, so one source left off the world's pool, or one
-// per-event allocation, overshoots these by orders of magnitude: before
-// its CBR source drew from the pool the fairshare job made 37 627.
+// closure). The job is measured on its second run, which — as every job
+// of a sweep after a worker's first — rebuilds the world the first run
+// left on the sweep's free list. A rebuilt world reuses its scheduler,
+// link block, lane and queue rings, packet slabs, Timer handles and
+// generator tables, so what it costs is a few dozen small objects — a
+// sender and a receiver per flow, their strategies and traces, the
+// disciplines and injectors the spec names, the run's checker and bus —
+// whatever it then simulates. One source left off the world's pool, or
+// one per-event allocation, overshoots these by orders of magnitude:
+// before its CBR source drew from the pool the fairshare job made
+// 37 627.
 var allocCeilings = map[string]float64{
-	"fig5":        90,  // tahoe, one recorded flow
-	"fig6":        260, // 10 flows on RED
-	"fig7":        220, // sack at p = 0.001, 30 s
-	"table5":      385, // 20 flows
-	"ackloss":     92,
-	"fairshare":   88, // one flow and a CBR source saturating the ACK path
-	"twoway":      124,
-	"smoothstart": 76,
-	"bursty":      99,
-	"ablation":    90,
-	"chaos":       117, // tahoe under schedule 0
-	"stress":      300, // one cell of 8 flows
+	"fig5":        40,  // tahoe, one recorded flow
+	"fig6":        164, // 10 flows on RED
+	"fig7":        42,  // sack at p = 0.001, 30 s
+	"table5":      251, // 20 flows
+	"ackloss":     37,
+	"fairshare":   26, // one flow and a CBR source saturating the ACK path
+	"twoway":      53,
+	"smoothstart": 22,
+	"bursty":      37,
+	"ablation":    39,
+	"chaos":       51,  // tahoe under schedule 0
+	"stress":      173, // one cell of 8 flows
 }
 
 // TestAllocationBudgets runs one job of every registered experiment and
@@ -49,7 +54,7 @@ func TestAllocationBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := jobs[0]
-		got := testing.AllocsPerRun(1, func() {
+		got := testing.AllocsPerRun(1, func() { // the warm-up run leaves a world to rebuild
 			if _, err := job.Run(job.Seed); err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +71,8 @@ func TestAllocationBudgets(t *testing.T) {
 // TestChaosCaseAllocationBudget holds one world under every kind of
 // fault at once — flap, renegotiation, reordering, duplication (whose
 // copies must come from the pool too), corruption, ACK compression — to
-// a ceiling, per variant family.
+// a ceiling, per variant family. Every measured run rebuilds the world
+// of the run before, as a chaos sweep's jobs do.
 func TestChaosCaseAllocationBudget(t *testing.T) {
 	c := ChaosCase{
 		Seed:    42,
@@ -83,11 +89,11 @@ func TestChaosCaseAllocationBudget(t *testing.T) {
 			Ack:             &faults.AckSpec{Hold: faults.Duration(20 * time.Millisecond), Max: 4},
 		},
 	}
-	ring := telemetry.NewRing(chaosRingCap)
-	for variant, ceiling := range map[string]float64{"reno": 105, "rr": 106, "sack": 120} {
+	sc := &chaosScratch{}
+	for variant, ceiling := range map[string]float64{"reno": 46, "rr": 43, "sack": 46} {
 		c.Variant = variant
 		got := testing.AllocsPerRun(1, func() {
-			out, err := runChaosCase(c, ring, nil)
+			out, err := runChaosCase(c, sc, nil)
 			if err != nil || !out.Finished || len(out.Violations) > 0 {
 				t.Fatalf("%s: finished %v, violations %v, err %v", variant, out.Finished, out.Violations, err)
 			}

@@ -82,8 +82,8 @@ func NewBurstyExperiment(cfg BurstyConfig) Experiment {
 		cells: cells,
 		seeds: cfg.Seeds,
 		label: func(c kindAt) string { return fmt.Sprintf("%v L=%g", c.kind, c.x) },
-		run: func(c kindAt, seed int64) (burstyOut, error) {
-			return burstyRun(cfg, c.kind, c.x, seed)
+		run: func(w *scenario.World, c kindAt, seed int64) (burstyOut, error) {
+			return burstyRun(w, cfg, c.kind, c.x, seed)
 		},
 		fold: func(outs [][]burstyOut) Renderable {
 			res := &BurstyResult{Config: cfg}
@@ -106,12 +106,12 @@ func NewBurstyExperiment(cfg BurstyConfig) Experiment {
 	}
 }
 
-func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (burstyOut, error) {
+func burstyRun(w *scenario.World, cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (burstyOut, error) {
 	if burst < 1 {
 		return burstyOut{}, fmt.Errorf("burst length %v: a loss burst is at least one packet", burst)
 	}
 	loss := scenario.LossSpec{Rate: cfg.MeanLossRate, BurstLength: burst}
-	w, err := fixedRTTWorld(seed, loss, 200*time.Millisecond, workload.FlowSpec{
+	err := fixedRTTWorld(w, seed, loss, 200*time.Millisecond, workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  tcp.Infinite,
 		Window: 64,
@@ -119,7 +119,7 @@ func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) 
 	if err != nil {
 		return burstyOut{}, err
 	}
-	bps := steadyGoodputBps(&w, 5*time.Second, cfg.Duration)
+	bps := steadyGoodputBps(w, 5*time.Second, cfg.Duration)
 	return burstyOut{GoodputBps: bps, Timeouts: w.Flows[0].Trace.Timeouts}, nil
 }
 

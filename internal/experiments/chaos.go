@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"rrtcp/internal/faults"
@@ -106,48 +105,58 @@ func (l *liarStrategy) Ndup() int        { return 0 }
 // deterministic in the case value: identical inputs produce identical
 // outcomes, which is what makes repro bundles replayable.
 func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
-	out, err := runChaosCase(c, telemetry.NewRing(chaosRingCap), nil)
+	out, err := runChaosCase(c, &chaosScratch{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// runChaosCase is RunChaosCase recording the repro tail into the
-// caller's ring (reset first, so a recycled ring carries nothing over),
-// with extra telemetry sinks subscribed to the run's private bus — the
-// hook the chaos sweep uses to fold flow lifecycle events into a
-// per-case flowstats table. The outcome does not alias the ring.
-func runChaosCase(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (ChaosOutcome, error) {
-	w, flow, checker, err := chaosWorld(c, ring, extra)
+// chaosScratch is what a chaos job hands on to the next through its
+// sweep's free list: the world it ran, to be rebuilt, and its repro ring.
+type chaosScratch struct {
+	world scenario.World
+	ring  *telemetry.Ring
+}
+
+// runChaosCase is RunChaosCase on the world and repro ring of the
+// caller's scratch (the world rebuilt and the ring reset first, so
+// recycled scratch carries nothing over), with extra telemetry sinks
+// subscribed to the run's private bus — the hook the chaos sweep uses to
+// fold flow lifecycle events into a per-case flowstats table. The
+// outcome does not alias the scratch.
+func runChaosCase(c ChaosCase, sc *chaosScratch, extra []telemetry.Sink) (ChaosOutcome, error) {
+	if sc.ring == nil {
+		sc.ring = telemetry.NewRing(chaosRingCap)
+	}
+	flow, checker, err := chaosWorld(&sc.world, c, sc.ring, extra)
 	if err != nil {
 		return ChaosOutcome{}, err
 	}
-	w.Run(c.Horizon.D())
+	sc.world.Run(c.Horizon.D())
 	out := ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
 	if len(out.Violations) > 0 {
-		out.Events = ring.Events()
+		out.Events = sc.ring.Events()
 	}
 	return out, nil
 }
 
-// chaosWorld assembles the case's world, ready to run: one flow under
-// the fault plan and the invariant checker.
-func chaosWorld(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (w scenario.World, flow *workload.Flow, checker *invariant.Checker, err error) {
+// chaosWorld rebuilds w as the case's world, ready to run: one flow
+// under the fault plan and the invariant checker.
+func chaosWorld(w *scenario.World, c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (flow *workload.Flow, checker *invariant.Checker, err error) {
 	kind, err := workload.ParseKind(c.Variant)
 	if err != nil {
-		return w, nil, nil, err
+		return nil, nil, err
 	}
 	if c.Bytes <= 0 {
-		return w, nil, nil, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
+		return nil, nil, fmt.Errorf("chaos: transfer size must be positive, got %d", c.Bytes)
 	}
 	if c.Horizon <= 0 {
-		return w, nil, nil, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
+		return nil, nil, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
 	}
 
-	w, err = scenario.Build(c.Seed, &scenario.Spec{}) // Table 3, one slot
-	if err != nil {
-		return w, nil, nil, err
+	if err = w.Rebuild(c.Seed, &scenario.Spec{}); err != nil { // Table 3, one slot
+		return nil, nil, err
 	}
 	sched := w.Sched
 	ring.Reset()
@@ -166,24 +175,24 @@ func chaosWorld(c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (w sc
 	if c.Breakage != "" {
 		healthy, err := spec.NewStrategy()
 		if err != nil {
-			return w, nil, nil, err
+			return nil, nil, err
 		}
 		broken, err := newBreakage(c, healthy)
 		if err != nil {
-			return w, nil, nil, err
+			return nil, nil, err
 		}
 		spec.Strategy = broken
 	}
 	if flow, err = w.Install(spec); err != nil {
-		return w, nil, nil, err
+		return nil, nil, err
 	}
-	if checker, err = supervise(&w, bus, &c.Plan, sched.DeriveRand("faults")); err != nil {
-		return w, nil, nil, err
+	if checker, err = supervise(w, bus, &c.Plan, sched.DeriveRand("faults")); err != nil {
+		return nil, nil, err
 	}
 	// Stop the run at the first violation so the ring tail ends at the
 	// failure, making bundles maximally informative.
 	checker.OnViolation = func(invariant.Violation) { sched.Stop() }
-	return w, flow, checker, nil
+	return flow, checker, nil
 }
 
 // ChaosConfig parameterizes a chaos sweep: N seeded-random fault
@@ -323,56 +332,31 @@ func (e *ChaosExperiment) DecodeResult(data []byte) (any, error) {
 	return out, nil
 }
 
-// ringFreeList recycles repro rings between the jobs of one sweep, so
-// the sweep allocates one ring per worker instead of one per case. It
-// belongs to the experiment, not the package: nothing outlives the
-// sweep, and separate sweeps share nothing.
-type ringFreeList struct {
-	mu   sync.Mutex
-	free []*telemetry.Ring
-}
-
-func (l *ringFreeList) get() *telemetry.Ring {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		r := l.free[n-1]
-		l.free = l.free[:n-1]
-		return r
-	}
-	return telemetry.NewRing(chaosRingCap)
-}
-
-func (l *ringFreeList) put(r *telemetry.Ring) {
-	l.mu.Lock()
-	l.free = append(l.free, r)
-	l.mu.Unlock()
-}
-
-// Jobs implements Experiment.
+// Jobs implements Experiment. The jobs rebuild the worlds, and reuse
+// the repro rings, of a free list their sweep owns.
 func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 	cfg := e.cfg
 	variants := len(cfg.Variants)
 	jobs := make([]sweep.Job, len(e.cases))
-	rings := &ringFreeList{}
+	scratch := &freeList[chaosScratch]{}
 	for i, c := range e.cases {
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
 			Seed: c.Seed,
 			Run: func(int64) (any, error) {
-				tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, c.Seed)
-				ring := rings.get()
-				defer rings.put(ring)
-				out, err := runChaosCase(c, ring, tally.sinks())
-				if err != nil {
-					return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
-				}
-				return chaosOut{
-					Finished:   out.Finished,
-					Violations: out.Violations,
-					Events:     out.Events,
-					Flow:       tally.summary(),
-				}, nil
+				return scratch.run(func(sc *chaosScratch) (any, error) {
+					tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, c.Seed)
+					out, err := runChaosCase(c, sc, tally.sinks())
+					if err != nil {
+						return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
+					}
+					return chaosOut{
+						Finished:   out.Finished,
+						Violations: out.Violations,
+						Events:     out.Events,
+						Flow:       tally.summary(),
+					}, nil
+				})
 			},
 		}
 	}

@@ -100,48 +100,133 @@ func TestChaosEventsOnlyForViolations(t *testing.T) {
 	}
 }
 
-// A ring that has been through a healthy job hands the next job a
-// clean tail: the actnum case violates on its first events, so anything
-// left over from the 512 events before it would show.
+// runScratch runs c as a job of a sweep whose free list is scratch does,
+// with extra sinks on its bus, and returns its outcome and the scratch it
+// ran on.
+func runScratch(t *testing.T, scratch *freeList[chaosScratch], c ChaosCase, extra ...telemetry.Sink) (ChaosOutcome, *chaosScratch) {
+	t.Helper()
+	var out ChaosOutcome
+	var used *chaosScratch
+	if _, err := scratch.run(func(sc *chaosScratch) (any, error) {
+		used = sc
+		var err error
+		out, err = runChaosCase(c, sc, extra)
+		return nil, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out, used
+}
+
+// Scratch that has been through a healthy job — a world run to its end,
+// a ring that wrapped — hands the next job a world and a tail as clean
+// as new ones: each case gives the outcome and the event stream it gives
+// on fresh scratch. The actnum case violates on its first events, so
+// anything left over from the 512 events before it would show.
 func TestChaosRecycledRingLeaksNothing(t *testing.T) {
 	healthy, wedge, actnum := sharingCases()
-	rings := &ringFreeList{}
-	for _, c := range []ChaosCase{actnum, wedge} {
-		fresh, err := RunChaosCase(c)
+	scratch := &freeList[chaosScratch]{}
+	for _, c := range []ChaosCase{actnum, wedge, healthy} {
+		all := telemetry.NewRing(0)
+		fresh, err := runChaosCase(c, &chaosScratch{}, []telemetry.Sink{all})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := rings.get()
-		if _, err := runChaosCase(healthy, ring, nil); err != nil {
-			t.Fatal(err)
+		freshStream := all.Events()
+
+		_, sc := runScratch(t, scratch, healthy)
+		if sc.ring.Total() < chaosRingCap {
+			t.Fatalf("healthy case published only %d events: the ring never wrapped", sc.ring.Total())
 		}
-		if ring.Total() < chaosRingCap {
-			t.Fatalf("healthy case published only %d events: the ring never wrapped", ring.Total())
+		all = telemetry.NewRing(0)
+		recycled, again := runScratch(t, scratch, c, all)
+		if again != sc {
+			t.Fatal("free list did not hand the scratch back")
 		}
-		rings.put(ring)
-		if again := rings.get(); again != ring {
-			t.Fatal("free list did not hand the ring back")
+		if c.Breakage != "" && len(fresh.Events) == 0 {
+			t.Fatalf("%s: no event tail on fresh scratch", c.Breakage)
 		}
-		recycled, err := runChaosCase(c, ring, nil)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(recycled, fresh) {
+			t.Fatalf("%s%s on recycled scratch: %d events, on fresh scratch %d", c.Variant, c.Breakage, len(recycled.Events), len(fresh.Events))
 		}
-		rings.put(ring)
-		if len(fresh.Events) == 0 || !reflect.DeepEqual(recycled, *fresh) {
-			t.Fatalf("%s on a recycled ring: %d events, on a fresh ring %d", c.Breakage, len(recycled.Events), len(fresh.Events))
+		if !reflect.DeepEqual(all.Events(), freshStream) {
+			t.Fatalf("%s%s: event stream on recycled scratch differs from fresh", c.Variant, c.Breakage)
 		}
-		// The outcome owns its tail: reusing the ring must not rewrite it.
-		if _, err := runChaosCase(healthy, rings.get(), nil); err != nil {
-			t.Fatal(err)
+		// The outcome owns its tail: reusing the scratch must not rewrite it.
+		runScratch(t, scratch, healthy)
+		if !reflect.DeepEqual(recycled, fresh) {
+			t.Fatalf("%s%s outcome changed when its scratch was reused", c.Variant, c.Breakage)
 		}
-		if !reflect.DeepEqual(recycled, *fresh) {
-			t.Fatalf("%s outcome changed when its ring was reused", c.Breakage)
+	}
+}
+
+// panicSink panics at its nth event: a job that dies mid-run.
+type panicSink struct{ n int }
+
+func (p *panicSink) Emit(telemetry.Event) {
+	if p.n--; p.n == 0 {
+		panic("sink gave up")
+	}
+}
+
+// A job that fails — an error after its world was built and its flow
+// installed, or a panic mid-run — does not hand its scratch on: the free
+// list stays empty, and the next job, on new scratch, gives the outcome
+// and the stream a fresh world gives.
+func TestChaosFailedJobDropsItsScratch(t *testing.T) {
+	healthy, _, _ := sharingCases()
+	all := telemetry.NewRing(0)
+	want, err := runChaosCase(healthy, &chaosScratch{}, []telemetry.Sink{all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStream := all.Events()
+
+	badPlan := healthy
+	badPlan.Plan.DuplicateRate = 1.5 // the plan is checked after the flow is installed
+	failures := map[string]func(scratch *freeList[chaosScratch]) *chaosScratch{
+		"error": func(scratch *freeList[chaosScratch]) (used *chaosScratch) {
+			if _, err := scratch.run(func(sc *chaosScratch) (any, error) {
+				used = sc
+				return runChaosCase(badPlan, sc, nil)
+			}); err == nil {
+				t.Fatal("a plan with a duplicate rate of 1.5 was accepted")
+			}
+			return used
+		},
+		"panic": func(scratch *freeList[chaosScratch]) (used *chaosScratch) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the job did not panic")
+				}
+			}()
+			scratch.run(func(sc *chaosScratch) (any, error) {
+				used = sc
+				return runChaosCase(healthy, sc, []telemetry.Sink{&panicSink{n: 300}})
+			})
+			return used
+		},
+	}
+	for name, fail := range failures {
+		scratch := &freeList[chaosScratch]{}
+		runScratch(t, scratch, healthy) // the failing job gets used scratch
+		failed := fail(scratch)
+		if failed == nil || len(scratch.free) != 0 {
+			t.Fatalf("%s: the failed job's scratch went back on the free list", name)
+		}
+		all := telemetry.NewRing(0)
+		got, sc := runScratch(t, scratch, healthy, all)
+		if sc == failed {
+			t.Fatalf("%s: the next job ran on the failed job's scratch", name)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(all.Events(), wantStream) {
+			t.Fatalf("%s: the job after a failed one diverged from a fresh world", name)
 		}
 	}
 }
 
 // Jobs share nothing a simulation writes: the same cases run on four
-// goroutines at once, rings drawn from one free list as in a sweep,
+// goroutines at once, scratch drawn from one free list as in a sweep,
 // produce identical outcomes and identical event streams. Run under
 // -race (CI repeats it) this is also the check that no package-level
 // state crept back onto the packet path.
@@ -154,7 +239,7 @@ func TestChaosConcurrentJobsShareNothing(t *testing.T) {
 	}
 	const workers = 4
 	runs := make([]run, workers)
-	rings := &ringFreeList{}
+	scratch := &freeList[chaosScratch]{}
 	var wg sync.WaitGroup
 	for w := range runs {
 		wg.Add(1)
@@ -162,10 +247,13 @@ func TestChaosConcurrentJobsShareNothing(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for _, c := range cases {
-					ring := rings.get()
 					all := telemetry.NewRing(0)
-					out, err := runChaosCase(c, ring, []telemetry.Sink{all})
-					rings.put(ring)
+					var out ChaosOutcome
+					_, err := scratch.run(func(sc *chaosScratch) (any, error) {
+						var err error
+						out, err = runChaosCase(c, sc, []telemetry.Sink{all})
+						return nil, err
+					})
 					if err != nil {
 						t.Error(err)
 						return

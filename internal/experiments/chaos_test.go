@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/faults"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/telemetry"
 	"rrtcp/internal/workload"
 )
@@ -147,7 +148,7 @@ func TestChaosCaseDeterministic(t *testing.T) {
 	var finished [2]bool
 	for i := range streams {
 		all := telemetry.NewRing(0)
-		out, err := runChaosCase(c, telemetry.NewRing(chaosRingCap), []telemetry.Sink{all})
+		out, err := runChaosCase(c, &chaosScratch{}, []telemetry.Sink{all})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +176,11 @@ func TestChaosCaseDeterministic(t *testing.T) {
 func TestChaosCorpusLaneBound(t *testing.T) {
 	const bound = 16
 	ring := telemetry.NewRing(chaosRingCap)
+	var w scenario.World // rebuilt for every case, as a sweep's worker does
 	renegotiated := 0
 	for _, seed := range []int64{1, 7} {
 		for _, c := range NewChaosExperiment(ChaosConfig{Schedules: 40, Seed: seed}).cases {
-			w, _, _, err := chaosWorld(c, ring, nil)
+			_, _, err := chaosWorld(&w, c, ring, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,11 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Figure 5, Figure 6, Figure 7, Table 5), plus the
 // ACK-loss robustness scenario of Section 2.3. Each runner describes
-// its world as a scenario.Spec, has scenario.Build assemble it, installs
-// its flows and whatever else the run needs on the World it gets back,
-// executes it deterministically, and returns structured results with a
-// text rendering that mirrors what the paper reports.
+// its world as a scenario.Spec, has World.Rebuild assemble it in the
+// world its sweep worker ran last, installs its flows and whatever else
+// the run needs on that World, executes it deterministically, and
+// returns structured results with a text rendering that mirrors what
+// the paper reports.
 //
 // Every runner is an Experiment — Name, Jobs, Reduce — executed on the
 // internal/sweep worker pool, so its independent runs fan out across

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/trace"
 	"rrtcp/internal/workload"
 )
@@ -453,7 +454,7 @@ func TestBurstyShape(t *testing.T) {
 func TestFigure5TraceRunShowsRRPhases(t *testing.T) {
 	cfg := Figure5Config{Drops: 3}
 	cfg.fillDefaults()
-	flow, err := figure5World(cfg, workload.RR, nil)
+	flow, err := figure5World(&scenario.World{}, cfg, workload.RR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,8 @@ func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 		cells: []string{"fifo", "drr"},
 		seeds: []int64{cfg.Seed},
 		label: func(disc string) string { return disc },
-		run: func(disc string, seed int64) (FairShareRow, error) {
-			return fairShareRun(cfg, disc, seed)
+		run: func(w *scenario.World, disc string, seed int64) (FairShareRow, error) {
+			return fairShareRun(w, cfg, disc, seed)
 		},
 		fold: func(outs [][]FairShareRow) Renderable {
 			return &FairShareResult{Config: cfg, Rows: firstSeed(outs)}
@@ -93,8 +93,8 @@ func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 	}
 }
 
-func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
-	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+func fairShareRun(w *scenario.World, cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
+	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		// Keep the forward path loss-free so the only impairment is the
 		// congested ACK path.
 		ForwardQueue: &scenario.QueueSpec{Limit: 100},

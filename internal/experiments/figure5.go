@@ -163,35 +163,39 @@ func (e *Figure5Experiment) DecodeResult(data []byte) (any, error) {
 	return out, nil
 }
 
-// Jobs implements Experiment.
+// Jobs implements Experiment. The jobs rebuild the worlds of a free
+// list their sweep owns.
 func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 	cfg := e.cfg
 	capture := cfg.Telemetry.Enabled()
 	var jobs []sweep.Job
+	worlds := &freeList[scenario.World]{}
 	for _, kind := range cfg.Variants {
 		jobs = append(jobs, sweep.Job{
 			Name: kind.String(),
 			Seed: cfg.Seed,
 			Run: func(int64) (any, error) {
-				tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, cfg.Seed)
-				var ring *telemetry.Ring
-				var sinks []telemetry.Sink
-				if capture {
-					ring = telemetry.NewRing(0)
-					sinks = append(sinks, ring)
-				}
-				sinks = append(sinks, tally.sinks()...)
-				// With no sink the bus is disabled, which the world and
-				// the flow treat exactly as no bus.
-				row, err := figure5Run(cfg, kind, telemetry.NewBus(sinks...))
-				if err != nil {
-					return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
-				}
-				out := figure5Out{Row: row, Flow: tally.summary()}
-				if ring != nil {
-					out.Events = ring.Events()
-				}
-				return out, nil
+				return worlds.run(func(w *scenario.World) (any, error) {
+					tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, cfg.Seed)
+					var ring *telemetry.Ring
+					var sinks []telemetry.Sink
+					if capture {
+						ring = telemetry.NewRing(0)
+						sinks = append(sinks, ring)
+					}
+					sinks = append(sinks, tally.sinks()...)
+					// With no sink the bus is disabled, which the world and
+					// the flow treat exactly as no bus.
+					row, err := figure5Run(w, cfg, kind, telemetry.NewBus(sinks...))
+					if err != nil {
+						return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
+					}
+					out := figure5Out{Row: row, Flow: tally.summary()}
+					if ring != nil {
+						out.Events = ring.Events()
+					}
+					return out, nil
+				})
 			},
 		})
 	}
@@ -216,15 +220,15 @@ func (e *Figure5Experiment) Reduce(results []any) (Renderable, error) {
 	return res, nil
 }
 
-// figure5World builds one variant's burst-loss transfer, runs it to the
-// horizon, and returns the flow.
-func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*workload.Flow, error) {
+// figure5World rebuilds w as one variant's burst-loss transfer, runs it
+// to the horizon, and returns the flow.
+func figure5World(w *scenario.World, cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*workload.Flow, error) {
 	// Paper Table 3: 8-packet bottleneck buffer. The receiver window is
 	// sized to BDP (~10 packets) + buffer so the flow can fill the pipe
 	// without organic drops: the engineered drop pattern is then the
 	// only loss event, exactly as the paper's tuned background traffic
 	// arranged (DESIGN.md §3).
-	w, err := scenario.Build(cfg.Seed, &scenario.Spec{
+	err := w.Rebuild(cfg.Seed, &scenario.Spec{
 		Loss:        &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: cfg.DropPacketNumbers()}}},
 		Telemetry:   bus,
 		SampleEvery: cfg.SampleEvery,
@@ -247,8 +251,8 @@ func figure5World(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (*w
 	return flow, nil
 }
 
-func figure5Run(cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figure5Row, error) {
-	flow, err := figure5World(cfg, kind, bus)
+func figure5Run(w *scenario.World, cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figure5Row, error) {
+	flow, err := figure5World(w, cfg, kind, bus)
 	if err != nil {
 		return Figure5Row{}, err
 	}

@@ -97,8 +97,8 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 		cells: cfg.Variants,
 		seeds: cfg.Seeds,
 		label: workload.Kind.String,
-		run: func(kind workload.Kind, seed int64) (Figure6Panel, error) {
-			return figure6Run(cfg, kind, seed)
+		run: func(w *scenario.World, kind workload.Kind, seed int64) (Figure6Panel, error) {
+			return figure6Run(w, cfg, kind, seed)
 		},
 		fold: func(outs [][]Figure6Panel) Renderable {
 			res := &Figure6Result{Config: cfg}
@@ -132,14 +132,14 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 	}
 }
 
-// figure6World builds the RED dumbbell and installs its flows.
-func figure6World(cfg Figure6Config, kind workload.Kind, seed int64) (scenario.World, error) {
-	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+// figure6World rebuilds w as the RED dumbbell and installs its flows.
+func figure6World(w *scenario.World, cfg Figure6Config, kind workload.Kind, seed int64) error {
+	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows:        cfg.Flows,
 		ForwardQueue: &scenario.QueueSpec{Type: "red", RED: cfg.RED},
 	}})
 	if err != nil {
-		return w, err
+		return err
 	}
 	for i := 0; i < cfg.Flows; i++ {
 		start := sim.Time(0)
@@ -153,15 +153,14 @@ func figure6World(cfg Figure6Config, kind workload.Kind, seed int64) (scenario.W
 			Bytes:   tcp.Infinite,
 			Window:  30,
 		}); err != nil {
-			return w, err
+			return err
 		}
 	}
-	return w, nil
+	return nil
 }
 
-func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
-	w, err := figure6World(cfg, kind, seed)
-	if err != nil {
+func figure6Run(w *scenario.World, cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
+	if err := figure6World(w, cfg, kind, seed); err != nil {
 		return Figure6Panel{}, err
 	}
 	w.Flows[0].Trace.Record() // Flow0Seq is the sequence plot

@@ -99,8 +99,8 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 		cells: cells,
 		seeds: cfg.Seeds,
 		label: func(c kindAt) string { return fmt.Sprintf("%v p=%g", c.kind, c.x) },
-		run: func(c kindAt, seed int64) (figure7Out, error) {
-			return figure7Run(cfg, c.kind, c.x, seed)
+		run: func(w *scenario.World, c kindAt, seed int64) (figure7Out, error) {
+			return figure7Run(w, cfg, c.kind, c.x, seed)
 		},
 		fold: func(outs [][]figure7Out) Renderable {
 			modelC := model.CAckEveryPacket
@@ -131,8 +131,8 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 	}
 }
 
-func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
-	w, err := fixedRTTWorld(seed, scenario.LossSpec{Rate: p}, cfg.RTT, workload.FlowSpec{
+func figure7Run(w *scenario.World, cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
+	err := fixedRTTWorld(w, seed, scenario.LossSpec{Rate: p}, cfg.RTT, workload.FlowSpec{
 		Kind:  kind,
 		Bytes: tcp.Infinite,
 		// Large enough that the advertised window never binds: the
@@ -144,22 +144,23 @@ func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (f
 	if err != nil {
 		return figure7Out{}, err
 	}
-	bw := steadyGoodputBps(&w, cfg.WarmUp, cfg.Duration)
+	bw := steadyGoodputBps(w, cfg.WarmUp, cfg.Duration)
 	window := bw * cfg.RTT.Seconds() / float64(tcp.DefaultMSS*8)
 	return figure7Out{Window: window, Timeouts: w.Flows[0].Trace.Timeouts}, nil
 }
 
 // fixedRTTWorld builds the Figure 7 topology — an uncongested 10 Mbps
 // bottleneck behind a deep buffer, so the given loss process is the
-// only one and the RTT stays pinned at rtt — and installs the one flow.
-func fixedRTTWorld(seed int64, loss scenario.LossSpec, rtt sim.Time, spec workload.FlowSpec) (scenario.World, error) {
+// only one and the RTT stays pinned at rtt — as w, and installs the one
+// flow.
+func fixedRTTWorld(w *scenario.World, seed int64, loss scenario.LossSpec, rtt sim.Time, spec workload.FlowSpec) error {
 	// Side links contribute 2 ms per direction; the bottleneck carries
 	// the rest of the fixed RTT.
 	const sideDelay = 1 * time.Millisecond
 	if rtt <= 4*sideDelay {
-		return scenario.World{}, fmt.Errorf("fixed RTT %v leaves no bottleneck delay beyond the %v of side links", rtt, 4*sideDelay)
+		return fmt.Errorf("fixed RTT %v leaves no bottleneck delay beyond the %v of side links", rtt, 4*sideDelay)
 	}
-	w, err := scenario.Build(seed, &scenario.Spec{
+	err := w.Rebuild(seed, &scenario.Spec{
 		Topology: &scenario.TopologySpec{
 			BottleneckBps:   10e6,
 			BottleneckDelay: scenario.Duration(rtt/2 - 2*sideDelay),
@@ -170,10 +171,10 @@ func fixedRTTWorld(seed int64, loss scenario.LossSpec, rtt sim.Time, spec worklo
 		Loss: &loss,
 	})
 	if err != nil {
-		return w, err
+		return err
 	}
 	_, err = w.Install(spec)
-	return w, err
+	return err
 }
 
 // steadyGoodputBps runs w for duration and returns flow 0's acknowledged

@@ -92,12 +92,12 @@ func TestSteadyGoodputEqualsScan(t *testing.T) {
 	for _, c := range cells {
 		for seed := int64(1); seed <= 3; seed++ {
 			measure := func(warmUp sim.Time) (float64, *trace.FlowTrace) {
-				w, err := fixedRTTWorld(seed, c.loss, c.rtt, c.spec)
-				if err != nil {
+				w := &scenario.World{}
+				if err := fixedRTTWorld(w, seed, c.loss, c.rtt, c.spec); err != nil {
 					t.Fatal(err)
 				}
 				w.Flows[0].Trace.Record()
-				return steadyGoodputBps(&w, warmUp, c.horizon), w.Flows[0].Trace
+				return steadyGoodputBps(w, warmUp, c.horizon), w.Flows[0].Trace
 			}
 			got, tr := measure(c.warmUp)
 			samples := tr.Samples()
@@ -126,12 +126,12 @@ func TestWholeRunGoodputEqualsScan(t *testing.T) {
 		for _, kind := range []workload.Kind{workload.RR, workload.NewReno} {
 			cfg := Figure6Config{}
 			cfg.fillDefaults()
-			panel, err := figure6Run(cfg, kind, seed)
+			panel, err := figure6Run(&scenario.World{}, cfg, kind, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := figure6World(cfg, kind, seed)
-			if err != nil {
+			w := &scenario.World{}
+			if err := figure6World(w, cfg, kind, seed); err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range w.Flows {

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/sweep"
 	"rrtcp/internal/workload"
 )
@@ -17,8 +19,9 @@ type grid[C, O any] struct {
 	seeds []int64
 	// label names a cell in job names and error messages.
 	label func(C) string
-	// run executes one (cell, seed) job on a worker goroutine.
-	run func(cell C, seed int64) (O, error)
+	// run executes one (cell, seed) job on a worker goroutine, building
+	// its world by rebuilding w (see freeList).
+	run func(w *scenario.World, cell C, seed int64) (O, error)
 	// fold reduces outs[cell][seed] — indexed like cells and seeds
 	// whatever order the jobs finished in — into the result.
 	fold func(outs [][]O) Renderable
@@ -27,9 +30,11 @@ type grid[C, O any] struct {
 // Name implements Experiment.
 func (g *grid[C, O]) Name() string { return g.name }
 
-// Jobs implements Experiment: cell-major, seeds innermost.
+// Jobs implements Experiment: cell-major, seeds innermost. The jobs
+// rebuild the worlds of a free list their sweep owns.
 func (g *grid[C, O]) Jobs() ([]sweep.Job, error) {
 	jobs := make([]sweep.Job, 0, len(g.cells)*len(g.seeds))
+	worlds := &freeList[scenario.World]{}
 	for _, c := range g.cells {
 		label := g.label(c)
 		for _, seed := range g.seeds {
@@ -37,16 +42,60 @@ func (g *grid[C, O]) Jobs() ([]sweep.Job, error) {
 				Name: fmt.Sprintf("%s seed=%d", label, seed),
 				Seed: seed,
 				Run: func(seed int64) (any, error) {
-					out, err := g.run(c, seed)
-					if err != nil {
-						return nil, fmt.Errorf("%s (%s): %w", g.name, label, err)
-					}
-					return out, nil
+					return worlds.run(func(w *scenario.World) (any, error) {
+						out, err := g.run(w, c, seed)
+						if err != nil {
+							return nil, fmt.Errorf("%s (%s): %w", g.name, label, err)
+						}
+						return out, nil
+					})
 				},
 			})
 		}
 	}
 	return jobs, nil
+}
+
+// freeList hands a job of a sweep the scratch an earlier job of the same
+// sweep finished with — above all a world, which the job rebuilds
+// (scenario.World.Rebuild) rather than building a new one — so a sweep
+// allocates scratch once per worker rather than once per job. It belongs
+// to the Jobs call that made it: nothing outlives the sweep, and
+// separate sweeps share nothing (docs/SWEEP.md, "What a job may share").
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// run calls job with scratch from the list, a new zero T when it is
+// empty. The scratch goes back only when job returns cleanly: one that
+// failed or panicked may have left it half built or mid-run, so it is
+// dropped. Nothing job returns may reference the scratch.
+func (l *freeList[T]) run(job func(*T) (any, error)) (any, error) {
+	x := l.get()
+	out, err := job(x)
+	if err == nil {
+		l.put(x)
+	}
+	return out, err
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free = l.free[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
 }
 
 // Reduce implements Experiment.

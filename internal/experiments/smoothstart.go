@@ -84,8 +84,8 @@ func NewSmoothStartExperiment(cfg SmoothStartConfig) Experiment {
 		cells: []bool{false, true},
 		seeds: []int64{cfg.Seed},
 		label: smoothStartLabel,
-		run: func(smooth bool, seed int64) (SmoothStartRow, error) {
-			return smoothStartRun(cfg, smooth, seed)
+		run: func(w *scenario.World, smooth bool, seed int64) (SmoothStartRow, error) {
+			return smoothStartRun(w, cfg, smooth, seed)
 		},
 		fold: func(outs [][]SmoothStartRow) Renderable {
 			return &SmoothStartResult{Config: cfg, Rows: firstSeed(outs)}
@@ -93,8 +93,8 @@ func NewSmoothStartExperiment(cfg SmoothStartConfig) Experiment {
 	}
 }
 
-func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStartRow, error) {
-	w, err := scenario.Build(seed, &scenario.Spec{}) // Table 3 as is
+func smoothStartRun(w *scenario.World, cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStartRow, error) {
+	err := w.Rebuild(seed, &scenario.Spec{}) // Table 3 as is
 	if err != nil {
 		return SmoothStartRow{}, err
 	}

@@ -140,14 +140,15 @@ func (e *CellOverload) Error() string {
 // Degraded-marker walk.
 func (e *CellOverload) Unwrap() error { return e.Err }
 
-// runStressCell executes one cell: Flows concurrent transfers on a
-// shared dumbbell under a seeded-random fault plan, watched by the
-// invariant checker and guarded by the configured budgets.
-func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) {
+// runStressCell executes one cell, rebuilding w as its world: Flows
+// concurrent transfers on a shared dumbbell under a seeded-random fault
+// plan, watched by the invariant checker and guarded by the configured
+// budgets.
+func runStressCell(w *scenario.World, cfg StressConfig, index int, seed int64) (StressCell, error) {
 	// The paper topology, scaled up: the bottleneck (Table 3's 0.8 Mbps)
 	// grows with the flow count so the cell is congested but not parked,
 	// and the shared buffer deepens with the fan-in.
-	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows:         cfg.Flows,
 		BottleneckBps: 0.8e6 * max(float64(cfg.Flows)/4, 1),
 		ForwardQueue:  &scenario.QueueSpec{Limit: 8 + cfg.Flows},
@@ -180,7 +181,7 @@ func runStressCell(cfg StressConfig, index int, seed int64) (StressCell, error) 
 		}
 	}
 	plan := faults.RandomPlanSpec(sched.DeriveRand("stress-plan"), cfg.Horizon, w.Net.Config())
-	checker, err := supervise(&w, bus, &plan, sched.DeriveRand("stress-faults"))
+	checker, err := supervise(w, bus, &plan, sched.DeriveRand("stress-faults"))
 	if err != nil {
 		return StressCell{}, err
 	}
@@ -330,19 +331,23 @@ func (e *StressExperiment) DecodeResult(data []byte) (any, error) {
 	return c, nil
 }
 
-// Jobs implements Experiment.
+// Jobs implements Experiment. The jobs rebuild the worlds of a free
+// list their sweep owns.
 func (e *StressExperiment) Jobs() ([]sweep.Job, error) {
 	jobs := make([]sweep.Job, e.cfg.Cells)
+	worlds := &freeList[scenario.World]{}
 	for i := range jobs {
 		cell := i
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("cell%d", cell),
 			Run: func(seed int64) (any, error) {
-				c, err := runStressCell(e.cfg, cell, seed)
-				if err != nil {
-					return nil, err
-				}
-				return c, nil
+				return worlds.run(func(w *scenario.World) (any, error) {
+					c, err := runStressCell(w, e.cfg, cell, seed)
+					if err != nil {
+						return nil, err
+					}
+					return c, nil
+				})
 			},
 		}
 	}

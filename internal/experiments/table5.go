@@ -108,8 +108,8 @@ func NewTable5Experiment(cfg Table5Config) Experiment {
 		cells: cfg.Cases,
 		seeds: cfg.Seeds,
 		label: func(tc Table5Case) string { return tc.Label },
-		run: func(tc Table5Case, seed int64) (Table5Row, error) {
-			return table5Run(cfg, tc, seed)
+		run: func(w *scenario.World, tc Table5Case, seed int64) (Table5Row, error) {
+			return table5Run(w, cfg, tc, seed)
 		},
 		fold: func(outs [][]Table5Row) Renderable {
 			res := &Table5Result{Config: cfg}
@@ -138,8 +138,8 @@ func NewTable5Experiment(cfg Table5Config) Experiment {
 	}
 }
 
-func table5Run(cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
-	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+func table5Run(w *scenario.World, cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
+	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows:        cfg.Flows,
 		ForwardQueue: &scenario.QueueSpec{Limit: 25}, // paper §5: buffer raised to 25
 	}})

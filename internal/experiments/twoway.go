@@ -94,8 +94,8 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 		cells: cfg.Variants,
 		seeds: cfg.Seeds,
 		label: workload.Kind.String,
-		run: func(kind workload.Kind, seed int64) (twoWayOut, error) {
-			return twoWayRun(cfg, kind, seed)
+		run: func(w *scenario.World, kind workload.Kind, seed int64) (twoWayOut, error) {
+			return twoWayRun(w, cfg, kind, seed)
 		},
 		fold: func(outs [][]twoWayOut) Renderable {
 			res := &TwoWayResult{Config: cfg}
@@ -125,8 +125,8 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 	}
 }
 
-func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
-	w, err := scenario.Build(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
+func twoWayRun(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
+	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows: cfg.ReverseFlows + 1,
 		// Both directions congested: Table 3's 8-packet buffer forward, a
 		// small shared buffer on the reverse path so ACKs compete with the

@@ -110,6 +110,14 @@ func (l *Link) init(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, 
 	l.queue.init(q, sched)
 }
 
+// clear zeroes the link for a rebuild, keeping its drop-tail's ring.
+func (l *Link) clear() {
+	buf := l.fifo.fifo.buf
+	clear(buf)
+	*l = Link{}
+	l.fifo.fifo.buf = buf
+}
+
 func validateLinkParams(bandwidthBps float64, delay sim.Time) error {
 	if bandwidthBps <= 0 || math.IsInf(bandwidthBps, 0) || math.IsNaN(bandwidthBps) {
 		return fmt.Errorf("netem: link bandwidth must be positive and finite, got %v", bandwidthBps)

@@ -99,11 +99,15 @@ func (p *Packet) Clone() *Packet {
 // test fixtures; nothing scenario.Build assembles has one.
 type PacketPool struct {
 	free *Packet // released packets, linked through Packet.next
-	// slab is the uncarved rest of the newest block. Each block is a
-	// quarter of all the packets carved before it, within the slab
-	// bounds: a one-flow world that keeps a dozen packets in flight does
-	// not pay for a big block, a world of thousands of flows makes few.
-	slab []Packet
+	// blocks are the slabs carved so far, and slab the uncarved rest of
+	// blocks[next-1]. A new block is a quarter of all the packets carved
+	// before it, within the slab bounds: a one-flow world that keeps a
+	// dozen packets in flight does not pay for a big block, a world of
+	// thousands of flows makes few. A pool reset for a rebuilt world
+	// carves the blocks it has again before it makes any.
+	blocks [][]Packet
+	next   int
+	slab   []Packet
 
 	// Gets counts Get calls and Hits the subset served from the free
 	// list; Hits/Gets is the pool hit rate the benchmarks report.
@@ -127,13 +131,30 @@ func (pp *PacketPool) Get() *Packet {
 		return p
 	}
 	if len(pp.slab) == 0 {
-		n := min(max(int(pp.Gets-pp.Hits-1)/4, minSlab), maxSlab)
-		pp.slab = make([]Packet, n)
+		if pp.next == len(pp.blocks) {
+			n := min(max(int(pp.Gets-pp.Hits-1)/4, minSlab), maxSlab)
+			pp.blocks = append(pp.blocks, make([]Packet, n))
+		}
+		pp.slab = pp.blocks[pp.next]
+		pp.next++
 	}
 	p := &pp.slab[0]
 	pp.slab = pp.slab[1:]
 	p.pool = pp
 	return p
+}
+
+// reset empties the pool for a rebuilt world: every packet it carved is
+// zeroed as Get zeroes a released one, SACK array kept, and carving
+// starts again from the first block. A packet of the previous world is
+// no longer the pool's; releasing one does nothing.
+func (pp *PacketPool) reset() {
+	for _, blk := range pp.blocks[:pp.next] {
+		for i := range blk {
+			blk[i] = Packet{SACK: blk[i].SACK[:0]}
+		}
+	}
+	*pp = PacketPool{blocks: pp.blocks}
 }
 
 // Slab bounds, in packets.

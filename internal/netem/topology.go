@@ -108,10 +108,11 @@ type Dumbbell struct {
 	// links is every link of the topology in one block: the two
 	// bottleneck links, then each flow's four side links together.
 	links    []Link
-	forward  *Link // R1 -> R2 (bottleneck, congested)
-	reverse  *Link // R2 -> R1 (bottleneck, ACK path)
-	fwdDemux Demux // at R2, to receivers
-	revDemux Demux // at R1, to senders
+	forward  *Link  // R1 -> R2 (bottleneck, congested)
+	reverse  *Link  // R2 -> R1 (bottleneck, ACK path)
+	fwdDemux Demux  // at R2, to receivers
+	revDemux Demux  // at R1, to senders
+	routes   []Node // the two demuxes' tables, in one block
 
 	// fwdEntry and revEntry are the first nodes on each bottleneck path
 	// (the links themselves, or the head of an injector chain in front
@@ -142,16 +143,32 @@ func (d *Dumbbell) side(i, kind int) *Link { return &d.links[2:][sideLinks*i+kin
 // nothing; every drop or consumption site releases back into it.
 func (d *Dumbbell) Pool() *PacketPool { return &d.pool }
 
-// NewDumbbell wires up the topology on the given scheduler.
+// NewDumbbell wires up the topology on the given scheduler: Rebuild on
+// a zero Dumbbell.
 func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) (*Dumbbell, error) {
+	d := new(Dumbbell)
+	if err := d.Rebuild(sched, cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Rebuild wires the topology cfg describes on sched in place of the one
+// d held. sched must be new or Reset since d's topology last ran on it.
+// The result is what NewDumbbell(sched, cfg) builds, laid out in the
+// memory d already has — its link block, side-link rings, routing table
+// and packet slabs, re-carved and zeroed — so rebuilding a topology of
+// the same shape allocates nothing. Every packet and link of the previous
+// topology is invalid afterwards. On error d is left unchanged.
+func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 	if cfg.Flows < 1 {
-		return nil, fmt.Errorf("netem: dumbbell needs at least one flow, got %d", cfg.Flows)
+		return fmt.Errorf("netem: dumbbell needs at least one flow, got %d", cfg.Flows)
 	}
 	if err := validateLinkParams(cfg.BottleneckBps, cfg.BottleneckDelay); err != nil {
-		return nil, fmt.Errorf("bottleneck: %w", err)
+		return fmt.Errorf("bottleneck: %w", err)
 	}
 	if err := validateLinkParams(cfg.SideBps, cfg.SideDelay); err != nil {
-		return nil, fmt.Errorf("side link: %w", err)
+		return fmt.Errorf("side link: %w", err)
 	}
 	revLimit := cfg.ReverseQueueLimit
 	if revLimit <= 0 {
@@ -160,15 +177,30 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) (*Dumbbell, error) {
 
 	// Everything the flow count sizes is one block each: the links (with
 	// their queues and drop-tails inside them), the side links' first
-	// packet rings, the two routing tables.
+	// packet rings, the two routing tables. A rebuild keeps the blocks
+	// it has room in.
 	n := cfg.Flows
-	routes := make([]Node, 2*n)
-	d := &Dumbbell{
+	links := d.links[:cap(d.links)]
+	for i := range links {
+		links[i].clear()
+	}
+	if len(links) < 2+sideLinks*n {
+		links = make([]Link, 2+sideLinks*n)
+	}
+	routes := d.routes[:cap(d.routes)]
+	clear(routes)
+	if len(routes) < 2*n {
+		routes = make([]Node, 2*n)
+	}
+	d.pool.reset()
+	*d = Dumbbell{
 		cfg:      cfg,
 		sched:    sched,
-		links:    make([]Link, 2+sideLinks*n),
+		links:    links[:2+sideLinks*n],
 		fwdDemux: Demux{dst: routes[:n:n]},
-		revDemux: Demux{dst: routes[n:]},
+		revDemux: Demux{dst: routes[n : 2*n : 2*n]},
+		routes:   routes,
+		pool:     d.pool,
 	}
 	d.forward, d.reverse = &d.links[0], &d.links[1]
 	d.forward.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ForwardQueue, 8, &d.fwdDemux)
@@ -184,17 +216,22 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) (*Dumbbell, error) {
 		d.fwdEntry = cfg.Loss
 	}
 
-	rings := make([]*Packet, sideLinks*n*sideRing)
+	var rings []*Packet
 	for i := 0; i < n; i++ {
 		d.fwdDemux.Route(i, d.side(i, receiverLink))
 		d.revDemux.Route(i, d.side(i, returnLink))
 		for kind, dst := range [sideLinks]Node{senderLink: d.fwdEntry, ackLink: d.revEntry} {
 			l := d.side(i, kind)
-			l.fifo.fifo.buf, rings = rings[:sideRing:sideRing], rings[sideRing:]
+			if l.fifo.fifo.buf == nil {
+				if len(rings) == 0 {
+					rings = make([]*Packet, sideLinks*(n-i)*sideRing)
+				}
+				l.fifo.fifo.buf, rings = rings[:sideRing:sideRing], rings[sideRing:]
+			}
 			l.init(sched, cfg.SideBps, cfg.SideDelay, nil, 1000, dst)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // sideRing is the ring a side link's drop-tail starts with, in packets;

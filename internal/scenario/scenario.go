@@ -301,15 +301,38 @@ type World struct {
 }
 
 // Build assembles the world a spec describes on a scheduler seeded with
-// seed: topology, queue disciplines, loss injector, telemetry wiring,
-// and the spec's own flows if it lists any. A spec with no topology is
-// the paper's Table 3 dumbbell; with no flows either, it has one slot.
-// Spec.Seed, Name and Duration are the caller's to apply.
+// seed: Rebuild on a zero World.
 func Build(seed int64, s *Spec) (World, error) {
-	if err := s.check(); err != nil {
+	var w World
+	if err := w.Rebuild(seed, s); err != nil {
 		return World{}, err
 	}
-	sched := sim.NewScheduler(seed)
+	return w, nil
+}
+
+// Rebuild assembles the world a spec describes on a scheduler seeded
+// with seed: topology, queue disciplines, loss injector, telemetry
+// wiring, and the spec's own flows if it lists any. A spec with no
+// topology is the paper's Table 3 dumbbell; with no flows either, it has
+// one slot. Spec.Seed, Name and Duration are the caller's to apply.
+//
+// A World that has been built before is rebuilt in its own memory: its
+// scheduler is Reset and its dumbbell rebuilt in place, so the new world
+// runs exactly as a freshly built one while allocating little of what
+// the old one grew. Everything of the old world — flows, timers, random
+// sources, packets, anything attached to it — is invalid afterwards,
+// and a caller must not rebuild a world something still reads. After an
+// error the World must be rebuilt before it is used.
+func (w *World) Rebuild(seed int64, s *Spec) error {
+	if err := s.check(); err != nil {
+		return err
+	}
+	if w.Sched == nil {
+		w.Sched = sim.NewScheduler(seed)
+	} else {
+		w.Sched.Reset(seed)
+	}
+	sched := w.Sched
 
 	dcfg := netem.PaperDropTailConfig(s.slots())
 	if t := s.Topology; t != nil {
@@ -321,14 +344,14 @@ func Build(seed int64, s *Spec) (World, error) {
 		if t.ForwardQueue != nil {
 			q, err := t.ForwardQueue.build(sched)
 			if err != nil {
-				return World{}, err
+				return err
 			}
 			dcfg.ForwardQueue = q
 		}
 		if t.ReverseQueue != nil {
 			q, err := t.ReverseQueue.build(sched)
 			if err != nil {
-				return World{}, err
+				return err
 			}
 			dcfg.ReverseQueue = q
 		}
@@ -356,30 +379,37 @@ func Build(seed int64, s *Spec) (World, error) {
 		}
 	}
 
-	d, err := netem.NewDumbbell(sched, dcfg)
-	if err != nil {
-		return World{}, err
+	if w.Net == nil {
+		w.Net = new(netem.Dumbbell)
 	}
-	w := World{Sched: sched, Net: d, Flows: make([]*workload.Flow, 0, dcfg.Flows)}
+	if err := w.Net.Rebuild(sched, dcfg); err != nil {
+		return err
+	}
+	clear(w.Flows)
+	w.Flows, w.sampler = w.Flows[:0], nil
+	if cap(w.Flows) < dcfg.Flows {
+		w.Flows = make([]*workload.Flow, 0, dcfg.Flows)
+	}
 	if s.Telemetry.Enabled() {
-		d.Instrument(s.Telemetry)
+		w.Net.Instrument(s.Telemetry)
 		telemetry.AttachSchedulerProfile(sched, s.Telemetry, 4096)
 		w.sampler = telemetry.NewSampler(sched, s.Telemetry, s.SampleEvery)
-		w.sampler.AddInstance(telemetry.CompQueue, "fwd", d.BottleneckQueue())
+		w.sampler.AddInstance(telemetry.CompQueue, "fwd", w.Net.BottleneckQueue())
 	}
 
 	for _, fs := range s.Flows {
 		spec := fs.workload(s.Telemetry)
+		var err error
 		if fs.Reverse {
 			_, err = w.InstallReverse(spec)
 		} else {
 			_, err = w.Install(spec)
 		}
 		if err != nil {
-			return World{}, err
+			return err
 		}
 	}
-	return w, nil
+	return nil
 }
 
 // workload converts the JSON flow description to the installer's.

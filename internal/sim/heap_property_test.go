@@ -76,8 +76,11 @@ type realQueue struct {
 	sliced bool // run in 30 µs Run(until) slices instead of one RunAll
 }
 
-func newRealQueue() *realQueue {
-	q := &realQueue{s: NewScheduler(1), ids: make([]int, scriptTimers), lanes: make([]Lane[int], scriptLanes),
+func newRealQueue() *realQueue { return newRealQueueOn(NewScheduler(1)) }
+
+// newRealQueueOn binds the script's timers and lanes to s.
+func newRealQueueOn(s *Scheduler) *realQueue {
+	q := &realQueue{s: s, ids: make([]int, scriptTimers), lanes: make([]Lane[int], scriptLanes),
 		last: make([]*DelayLane[sharedID], scriptSources)}
 	for k := 0; k < scriptTimers; k++ {
 		k := k

@@ -3,6 +3,12 @@ package sim
 // laneFirer is the scheduler's view of a Lane[T] of any payload type.
 type laneFirer interface {
 	fire()
+	unbind()
+}
+
+// laneSet is the scheduler's view of a Lanes[T] of any payload type.
+type laneSet interface {
+	unbind()
 }
 
 // laneEvent is one event waiting on a lane: its reserved (time, sequence)
@@ -39,14 +45,27 @@ type Lane[T any] struct {
 // Init binds an empty lane to s and sets the handler run for each pushed
 // event. A lane is a value its owner embeds; the scheduler keeps a
 // pointer to it, so it must be initialised once, in place, and not
-// copied afterwards. Like a Timer, a lane belongs to its scheduler for
-// the scheduler's lifetime: have one per long-lived event source, or,
+// copied afterwards. Like a Timer, a lane belongs to its scheduler until
+// the scheduler is Reset: have one per long-lived event source, or,
 // where many sources push with few distinct delays (a world's links),
 // share a Lanes set among them.
 func (l *Lane[T]) Init(s *Scheduler, fn func(T)) {
-	*l = Lane[T]{s: s, id: len(s.lanes), fn: fn}
+	*l = Lane[T]{}
+	l.bind(s, fn)
+}
+
+// bind adds an empty lane to s, keeping whatever ring it has.
+func (l *Lane[T]) bind(s *Scheduler, fn func(T)) {
+	l.s, l.id, l.fn = s, len(s.lanes), fn
 	s.lanes = append(s.lanes, l)
 	s.heads = append(s.heads, noHead)
+}
+
+// unbind empties the lane and detaches it from its scheduler, keeping
+// its ring; Scheduler.Reset calls it. Pushing on an unbound lane panics.
+func (l *Lane[T]) unbind() {
+	clear(l.buf)
+	l.s, l.fn, l.head, l.n = nil, nil, 0, 0
 }
 
 // Push schedules fn(v) to run after d (a negative d is clamped to zero).
@@ -133,8 +152,11 @@ func (l *Lane[T]) grow() {
 // depend on how events are spread over lanes.
 type Lanes[T any] struct {
 	s     *Scheduler
-	fn    func(T)
+	fn    func(T) // nil while unbound by a Reset
 	lanes []*DelayLane[T]
+	// spare holds the lanes of the world before the last Reset, rings
+	// kept, until the set needs them again.
+	spare []*DelayLane[T]
 }
 
 // DelayLane is one lane of a Lanes set and the delay its waiting events
@@ -147,16 +169,28 @@ type DelayLane[T any] struct {
 // LanesOf returns s's set of lanes with payload type T, made on the
 // first call with fn as the handler of every event pushed on it. There
 // is one set per payload type and scheduler, so a kind of event has a
-// payload type of its own.
+// payload type of its own. A set survives Reset with its lanes' rings;
+// the first call after it gives the set fn again.
 func LanesOf[T any](s *Scheduler, fn func(T)) *Lanes[T] {
 	for _, v := range s.laneSets {
 		if ls, ok := v.(*Lanes[T]); ok {
+			if ls.fn == nil {
+				ls.fn = fn
+			}
 			return ls
 		}
 	}
 	ls := &Lanes[T]{s: s, fn: fn}
 	s.laneSets = append(s.laneSets, ls)
 	return ls
+}
+
+// unbind moves the set's lanes, which Reset has already emptied, to its
+// spares.
+func (ls *Lanes[T]) unbind() {
+	ls.spare = append(ls.spare, ls.lanes...)
+	clear(ls.lanes)
+	ls.lanes, ls.fn = ls.lanes[:0], nil
 }
 
 // Push schedules fn(v) to run after d, exactly as Lane.Push does, on the
@@ -173,8 +207,8 @@ func (ls *Lanes[T]) Push(last *DelayLane[T], d Time, v T) *DelayLane[T] {
 }
 
 // lane finds the lane keyed d. When there is none an empty lane is
-// re-keyed before a new one is made, so the set never has more lanes
-// than distinct delays have been pending at once.
+// re-keyed before another is bound, a spare before a new one, so the set
+// never has more lanes than distinct delays have been pending at once.
 func (ls *Lanes[T]) lane(d Time) *DelayLane[T] {
 	var idle *DelayLane[T]
 	for _, l := range ls.lanes {
@@ -186,8 +220,14 @@ func (ls *Lanes[T]) lane(d Time) *DelayLane[T] {
 		}
 	}
 	if idle == nil {
-		idle = new(DelayLane[T])
-		idle.lane.Init(ls.s, ls.fn)
+		if n := len(ls.spare); n > 0 {
+			idle = ls.spare[n-1]
+			ls.spare[n-1] = nil
+			ls.spare = ls.spare[:n-1]
+		} else {
+			idle = new(DelayLane[T])
+		}
+		idle.lane.bind(ls.s, ls.fn)
 		ls.lanes = append(ls.lanes, idle)
 	}
 	idle.delay = d

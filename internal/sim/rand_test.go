@@ -102,5 +102,17 @@ func FuzzLazyRand(f *testing.F) {
 		s := NewScheduler(seed)
 		sameStream(t, s.Rand(), rand.New(rand.NewSource(seed)), 200)
 		sameStream(t, s.DeriveRand(tag), rand.New(rand.NewSource(derivedSeed(seed, tag))), 200)
+		// Reset hands the tables just seeded on to the next world, which
+		// reseeds them in place: after k more draws, the next seed's
+		// streams are still rand.NewSource's.
+		k := int(uint64(seed) % 300)
+		next := seed ^ int64(derivedSeed(seed, tag))
+		s.Rand().Int63n(1 + int64(k))
+		for i := 0; i < k; i++ {
+			s.DeriveRand(tag).Uint64()
+		}
+		s.Reset(next)
+		sameStream(t, s.DeriveRand(tag), rand.New(rand.NewSource(derivedSeed(next, tag))), 200)
+		sameStream(t, s.Rand(), rand.New(rand.NewSource(next)), 200)
 	})
 }

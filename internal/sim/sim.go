@@ -97,8 +97,8 @@ type eventHeap struct {
 	slots []slot
 }
 
-// slot is one arena cell, owned by one Timer for the scheduler's
-// lifetime. heapPos is the position of the timer's entry in the heap, -1
+// slot is one arena cell, owned by one Timer until the scheduler is
+// Reset. heapPos is the position of the timer's entry in the heap, -1
 // when it has none. fn is the timer's handler: it is written once at
 // NewTimer and sits beside the position, so a timer event costs one
 // cache line of arena and, arming and firing touching only heapPos, no
@@ -128,7 +128,7 @@ type Scheduler struct {
 	timers    eventHeap
 	heads     []key
 	lanes     []laneFirer
-	laneSets  []any // one *Lanes[T] per payload type, see LanesOf
+	laneSets  []laneSet // one *Lanes[T] per payload type, see LanesOf
 	busy      int
 	queued    int
 	highWater int
@@ -144,6 +144,14 @@ type Scheduler struct {
 	// return stops the run and is retained as guardErr.
 	guard    func(now Time, processed uint64, pending int) error
 	guardErr error
+
+	// What Reset hands on to the next world besides the queue's own
+	// storage: the sources Rand and DeriveRand gave out (detached at
+	// Reset), the generator tables the ones that drew had seeded, and
+	// the blocks Timer handles are carved from.
+	sources []*lazySource
+	tables  []rand.Source64
+	handles timerBlocks
 }
 
 // NewScheduler returns a scheduler whose clock reads zero and whose
@@ -153,17 +161,62 @@ func NewScheduler(seed int64) *Scheduler {
 	return &Scheduler{seed: seed}
 }
 
+// Reset puts the scheduler back in the state NewScheduler(seed) gives —
+// clock at zero, no event pending, no hook, nothing counted — keeping
+// the memory the previous world grew: the timer heap and slot arena,
+// the lane rings of every LanesOf set, the Timer handle blocks and the
+// generator table of every source that drew. The next world then runs
+// exactly as on a new scheduler while allocating little of it again.
+//
+// Everything the previous world held on the scheduler becomes invalid:
+// its Timers are zeroed and its random sources detached, so using one
+// panics rather than arming a slot in, or drawing from, the next world
+// (a handle is zeroed until a later NewTimer carves it again). Its lanes
+// are emptied and unbound; a Lanes set comes back on its next LanesOf.
+// Reset must not be called from inside Run.
+func (s *Scheduler) Reset(seed int64) {
+	s.flushPackets()
+	tables := s.tables
+	for _, l := range s.sources {
+		if l.src != nil {
+			tables = append(tables, l.src)
+		}
+		*l = lazySource{} // detached: a stale *rand.Rand panics
+	}
+	for _, l := range s.lanes {
+		l.unbind()
+	}
+	for _, set := range s.laneSets {
+		set.unbind()
+	}
+	// Drop the previous world's sources, lanes and handlers.
+	clear(s.sources)
+	clear(s.lanes)
+	clear(s.timers.slots)
+	s.handles.reset()
+	*s = Scheduler{
+		seed:     seed,
+		timers:   eventHeap{e: s.timers.e[:0], slots: s.timers.slots[:0]},
+		heads:    s.heads[:0],
+		lanes:    s.lanes[:0],
+		laneSets: s.laneSets,
+		sources:  s.sources[:0],
+		tables:   tables,
+		handles:  s.handles,
+	}
+}
+
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Seed reports the seed the scheduler was constructed with.
+// Seed reports the seed the scheduler was constructed or last Reset with.
 func (s *Scheduler) Seed() int64 { return s.seed }
 
 // Rand exposes the scheduler's deterministic random source: the stream
 // of rand.NewSource(Seed()), seeded when the first value is drawn.
 func (s *Scheduler) Rand() *rand.Rand {
 	if s.rng == nil {
-		s.rng = newLazyRand(s.seed)
+		s.rng = s.newRand(s.seed)
 	}
 	return s.rng
 }
@@ -183,24 +236,51 @@ func (s *Scheduler) DeriveRand(tag string) *rand.Rand {
 	}
 	h.Write(b[:])
 	h.Write([]byte(tag))
-	return newLazyRand(int64(h.Sum64()))
+	return s.newRand(int64(h.Sum64()))
 }
 
 // lazySource is rand.NewSource(seed) deferred to the first draw.
 // Seeding the runtime's generator fills a 4.9 KB table, which a world
 // that never draws (a drop-tail dumbbell with no loss model, a fault
 // plan with no random injector) need not pay for; the values drawn are
-// exactly those of the eager source.
+// exactly those of the eager source. The table comes from the owning
+// scheduler, which hands on the tables of one world to the next.
 type lazySource struct {
+	s    *Scheduler // nil once the scheduler is Reset
 	seed int64
 	src  rand.Source64
 }
 
-func newLazyRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+// newRand returns a generator for the stream of rand.NewSource(seed),
+// owned by s until the next Reset.
+func (s *Scheduler) newRand(seed int64) *rand.Rand {
+	l := &lazySource{s: s, seed: seed}
+	s.sources = append(s.sources, l)
+	return rand.New(l)
+}
+
+// table returns a generator table seeded with seed: one a previous
+// world seeded, reseeded in place, or a new one. Seeding a table
+// rewrites all of it, so either way it yields rand.NewSource(seed)'s
+// stream.
+func (s *Scheduler) table(seed int64) rand.Source64 {
+	n := len(s.tables)
+	if n == 0 {
+		return rand.NewSource(seed).(rand.Source64)
+	}
+	t := s.tables[n-1]
+	s.tables[n-1] = nil
+	s.tables = s.tables[:n-1]
+	t.Seed(seed)
+	return t
+}
 
 func (l *lazySource) source() rand.Source64 {
 	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
+		if l.s == nil {
+			panic("sim: random source used after its Scheduler was Reset")
+		}
+		l.src = l.s.table(l.seed)
 	}
 	return l.src
 }
@@ -212,8 +292,13 @@ func (l *lazySource) Int63() int64 { return l.source().Int63() }
 // through this source as through the one it wraps.
 func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
 
-// Seed implements rand.Source.
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+// Seed implements rand.Source. A table already made is reseeded in place.
+func (l *lazySource) Seed(seed int64) {
+	l.seed = seed
+	if l.src != nil {
+		l.src.Seed(seed)
+	}
+}
 
 // Pending reports the number of events waiting to fire: every armed
 // timer plus every event pushed on a lane, whether it is the lane's
@@ -224,8 +309,8 @@ func (s *Scheduler) Pending() int { return len(s.timers.e) + s.queued }
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // HeapHighWater reports the deepest the event queue — the timer heap
-// and the heads of the non-empty lanes together — has been over the
-// scheduler's lifetime: the working-set figure the headline benchmarks
+// and the heads of the non-empty lanes together — has been since the
+// scheduler was made or Reset: the working-set figure the headline benchmarks
 // publish alongside throughput. Events waiting behind a lane's head do
 // not count; Pending includes them.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
@@ -477,18 +562,28 @@ type Timer struct {
 }
 
 // NewTimer returns a stopped timer that runs fn when it expires. The
-// timer owns its arena slot for the scheduler's lifetime, so create
+// timer owns its arena slot until the scheduler is Reset, so create
 // timers per long-lived event source (or pool them), not per arm.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
 	s.timers.slots = append(s.timers.slots, slot{fn: fn, heapPos: -1})
-	return &Timer{s: s, slot: int32(len(s.timers.slots) - 1)}
+	t := s.handles.carve()
+	t.s, t.slot = s, int32(len(s.timers.slots)-1)
+	return t
+}
+
+// sched returns the timer's scheduler. A handle Reset zeroed has none.
+func (t *Timer) sched() *Scheduler {
+	if t.s == nil {
+		panic("sim: Timer used after its Scheduler was Reset")
+	}
+	return t.s
 }
 
 // At arms the timer to fire at the absolute instant at, replacing any
 // pending expiry. Arming before the current simulated time returns
 // ErrScheduleInPast and leaves the timer stopped.
 func (t *Timer) At(at Time) error {
-	if err := t.s.armSlot(t.slot, at); err != nil {
+	if err := t.sched().armSlot(t.slot, at); err != nil {
 		t.Stop()
 		return err
 	}
@@ -501,27 +596,65 @@ func (t *Timer) Reset(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	t.At(t.s.now + d) //nolint:errcheck // now+d with d >= 0 is never in the past
+	t.At(t.sched().now + d) //nolint:errcheck // now+d with d >= 0 is never in the past
 }
 
 // Stop disarms the timer if it is pending. Stopping an expired or
 // already-stopped timer is a no-op.
 func (t *Timer) Stop() {
-	if pos := t.s.timers.slots[t.slot].heapPos; pos >= 0 {
-		t.s.timers.remove(int(pos))
+	s := t.sched()
+	if pos := s.timers.slots[t.slot].heapPos; pos >= 0 {
+		s.timers.remove(int(pos))
 	}
 }
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool {
-	return t.s.timers.slots[t.slot].heapPos >= 0
+	return t.sched().timers.slots[t.slot].heapPos >= 0
 }
 
 // ExpiresAt reports when the timer will fire; valid only when Armed.
 func (t *Timer) ExpiresAt() Time {
-	pos := t.s.timers.slots[t.slot].heapPos
+	s := t.sched()
+	pos := s.timers.slots[t.slot].heapPos
 	if pos < 0 {
 		return 0
 	}
-	return t.s.timers.e[pos].at
+	return s.timers.e[pos].at
+}
+
+// timerBlocks carves Timer handles from blocks, so a world of many
+// flows makes a score of allocations for its timers rather than one
+// each. A new block is half as large as all the handles carved before
+// it, between 8 and maxTimerBlock, so at most a third of the handles
+// made go unused. Reset zeroes every handle carved and carving starts
+// again from the first block.
+type timerBlocks struct {
+	blocks [][]Timer
+	next   int     // blocks[next] is the block carved after rest
+	rest   []Timer // the uncarved rest of blocks[next-1]
+	carved int
+}
+
+const maxTimerBlock = 1024
+
+func (b *timerBlocks) carve() *Timer {
+	if len(b.rest) == 0 {
+		if b.next == len(b.blocks) {
+			b.blocks = append(b.blocks, make([]Timer, min(max(b.carved/2, 8), maxTimerBlock)))
+		}
+		b.rest = b.blocks[b.next]
+		b.next++
+	}
+	t := &b.rest[0]
+	b.rest = b.rest[1:]
+	b.carved++
+	return t
+}
+
+func (b *timerBlocks) reset() {
+	for _, blk := range b.blocks[:b.next] {
+		clear(blk)
+	}
+	b.next, b.rest, b.carved = 0, nil, 0
 }

@@ -56,9 +56,18 @@ func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng
 	return checker, nil
 }
 
-// ackLossRate is the fraction of the flow's receiver-generated ACKs
-// that never reached its sender. Without delayed ACKs the receiver
-// emits exactly one ACK per data segment it processes.
+// ackLossRate is the fraction of the ACKs the flow's receiver generated
+// before its transfer completed that the sender never processed.
+// Without delayed ACKs the receiver emits exactly one ACK per data
+// segment it processes, so the receiver's segment count stands for the
+// ACKs generated.
+//
+// Precondition: the run ended at completion (the flow's OnDone stops
+// the scheduler) or the flow never completed. A sender drops every ACK
+// once it is done, yet its receiver keeps counting, so a segment that
+// arrives after completion — a go-back-N resend or a spurious
+// retransmission still in flight — would count its ACK as lost even
+// when that ACK arrives.
 func ackLossRate(flow *workload.Flow) float64 {
 	acksSent := float64(flow.Receiver.Segments)
 	acksGot := float64(flow.Trace.Acks)

@@ -28,7 +28,8 @@ type FairShareConfig struct {
 	CBRFraction float64 `json:"cbrFraction"`
 	// ReverseBuffer is the reverse gateway buffer in packets.
 	ReverseBuffer int `json:"reverseBuffer"`
-	// Horizon caps each run.
+	// Horizon caps a run whose transfer never completes; every other
+	// run ends when the transfer does.
 	Horizon sim.Time `json:"horizonNs"`
 	// Seed drives the scheduler.
 	Seed int64 `json:"seed"`
@@ -58,8 +59,8 @@ func (c *FairShareConfig) fillDefaults() {
 // FairShareRow is one gateway discipline's outcome.
 type FairShareRow struct {
 	Discipline string `json:"discipline"`
-	// AckLossRate is the fraction of receiver-generated ACKs that never
-	// reached the sender.
+	// AckLossRate is the fraction of the ACKs the receiver generated
+	// before the transfer completed that never reached the sender.
 	AckLossRate float64 `json:"ackLossRate"`
 	// TransferDelay is the forward transfer's completion time.
 	TransferDelay sim.Time `json:"transferDelayNs"`
@@ -93,7 +94,20 @@ func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 	}
 }
 
+// fairShareRun measures one discipline's run, which ends when the
+// transfer completes: nothing reads the CBR source after that.
 func fairShareRun(w *scenario.World, cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
+	flow, err := fairShareWorld(w, cfg, disc, seed)
+	if err != nil {
+		return FairShareRow{}, err
+	}
+	w.Run(cfg.Horizon)
+	return fairShareRead(flow, disc), nil
+}
+
+// fairShareWorld rebuilds w as the world of one discipline's run and
+// returns its measured flow, whose completion stops the scheduler.
+func fairShareWorld(w *scenario.World, cfg FairShareConfig, disc string, seed int64) (*workload.Flow, error) {
 	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		// Keep the forward path loss-free so the only impairment is the
 		// congested ACK path.
@@ -101,15 +115,16 @@ func fairShareRun(w *scenario.World, cfg FairShareConfig, disc string, seed int6
 		ReverseQueue: &scenario.QueueSpec{Type: disc, Limit: cfg.ReverseBuffer, Quantum: 500},
 	}})
 	if err != nil {
-		return FairShareRow{}, err
+		return nil, err
 	}
 	flow, err := w.Install(workload.FlowSpec{
 		Kind:   cfg.Variant,
 		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 18,
+		OnDone: w.Sched.Stop,
 	})
 	if err != nil {
-		return FairShareRow{}, err
+		return nil, err
 	}
 
 	// Background data saturating the reverse bottleneck. Flow ID 1000
@@ -117,14 +132,16 @@ func fairShareRun(w *scenario.World, cfg FairShareConfig, disc string, seed int6
 	// reverse bandwidth and buffer — pure cross traffic.
 	cbr := netem.NewCBR(w.Sched, w.Net.Pool(), 1000, cfg.CBRFraction*w.Net.Config().BottleneckBps, 1000, w.Net.ReverseLink())
 	if err := cbr.Start(0); err != nil {
-		return FairShareRow{}, err
+		return nil, err
 	}
+	return flow, nil
+}
 
-	w.Run(cfg.Horizon)
-
+// fairShareRead reads a run's row off its measured flow.
+func fairShareRead(flow *workload.Flow, disc string) FairShareRow {
 	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts, AckLossRate: ackLossRate(flow)}
 	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
-	return row, nil
+	return row
 }
 
 // Render returns the comparison as a text table.

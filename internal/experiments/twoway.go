@@ -27,7 +27,8 @@ type TwoWayConfig struct {
 	TransferPackets int
 	// ReverseBuffer is the shared R2→R1 buffer in packets.
 	ReverseBuffer int
-	// Horizon caps each run.
+	// Horizon caps a run whose transfer never completes; every other
+	// run ends when the forward transfer does.
 	Horizon sim.Time
 	// Seeds to average over (start phases are jittered per seed).
 	Seeds []int64
@@ -59,8 +60,8 @@ type TwoWayRow struct {
 	Variant workload.Kind `json:"variant"`
 	// MeanDelay is the forward transfer's mean completion time.
 	MeanDelay sim.Time `json:"meanDelayNs"`
-	// MeanAckLoss is the mean fraction of ACKs lost on the shared
-	// reverse path.
+	// MeanAckLoss is the mean fraction of the ACKs generated before
+	// the transfer completed that were lost on the shared reverse path.
 	MeanAckLoss float64 `json:"meanAckLoss"`
 	// MeanTimeouts is the forward flow's mean coarse-timeout count.
 	MeanTimeouts float64 `json:"meanTimeouts"`
@@ -125,7 +126,21 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 	}
 }
 
+// twoWayRun measures one (variant, seed) run. The run ends when the
+// forward transfer completes: nothing reads the reverse flows after
+// that, and ackLossRate counts only the ACKs generated before it.
 func twoWayRun(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
+	fwd, err := twoWayWorld(w, cfg, kind, seed)
+	if err != nil {
+		return twoWayOut{}, err
+	}
+	w.Run(cfg.Horizon)
+	return twoWayRead(fwd), nil
+}
+
+// twoWayWorld rebuilds w as the world of one (variant, seed) run and
+// returns its forward flow, whose completion stops the scheduler.
+func twoWayWorld(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int64) (*workload.Flow, error) {
 	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows: cfg.ReverseFlows + 1,
 		// Both directions congested: Table 3's 8-packet buffer forward, a
@@ -134,15 +149,16 @@ func twoWayRun(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int
 		ReverseQueue: &scenario.QueueSpec{Limit: cfg.ReverseBuffer},
 	}})
 	if err != nil {
-		return twoWayOut{}, err
+		return nil, err
 	}
 	fwd, err := w.Install(workload.FlowSpec{
 		Kind:   kind,
 		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 18,
+		OnDone: w.Sched.Stop,
 	})
 	if err != nil {
-		return twoWayOut{}, err
+		return nil, err
 	}
 	for i := 0; i < cfg.ReverseFlows; i++ {
 		jitter := time.Duration(w.Sched.Rand().Int63n(int64(200 * time.Millisecond)))
@@ -152,15 +168,17 @@ func twoWayRun(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int
 			Window:  18,
 			StartAt: jitter,
 		}); err != nil {
-			return twoWayOut{}, err
+			return nil, err
 		}
 	}
+	return fwd, nil
+}
 
-	w.Run(cfg.Horizon)
-
+// twoWayRead reads a run's measurement off its forward flow.
+func twoWayRead(fwd *workload.Flow) twoWayOut {
 	out := twoWayOut{Timeouts: fwd.Trace.Timeouts, AckLoss: ackLossRate(fwd)}
 	out.Delay, out.Finished = fwd.Trace.TransferDelay()
-	return out, nil
+	return out
 }
 
 // Render returns the comparison as a text table.

@@ -197,7 +197,7 @@ func TestProgressLiveDuringSweep(t *testing.T) {
 	}()
 	<-started
 	snap := ps.Snapshot()
-	if !snap.Active || snap.Sweep != "live" || snap.Jobs != 2 {
+	if !snap.Active || snap.Name != "live" || snap.Jobs != 2 {
 		t.Errorf("mid-sweep snapshot = %+v, want active sweep %q with 2 jobs", snap, "live")
 	}
 	if snap.WallS < 0 {

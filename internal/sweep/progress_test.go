@@ -3,8 +3,10 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rrtcp/internal/telemetry"
 )
@@ -90,7 +92,7 @@ func TestProgressStateConcurrentWorkers(t *testing.T) {
 	if snap.Active {
 		t.Error("sweep still active after Run returned")
 	}
-	if snap.Sweep != "state" || snap.Jobs != n || snap.Workers != workers || snap.Completed != n {
+	if snap.Name != "state" || snap.Jobs != n || snap.Workers != workers || snap.Completed != n {
 		t.Errorf("snapshot totals off: %+v", snap)
 	}
 	if len(snap.PerWorker) != workers {
@@ -106,8 +108,8 @@ func TestProgressStateConcurrentWorkers(t *testing.T) {
 	if sum != n {
 		t.Errorf("per-worker jobs sum to %d, want %d", sum, n)
 	}
-	if snap.JobWallMeanS < 0 || snap.JobWallMaxS < snap.JobWallMeanS {
-		t.Errorf("job wall stats incoherent: mean=%v max=%v", snap.JobWallMeanS, snap.JobWallMaxS)
+	if snap.JobTimeMeanS < 0 || snap.JobTimeMaxS < snap.JobTimeMeanS {
+		t.Errorf("job wall stats incoherent: mean=%v max=%v", snap.JobTimeMeanS, snap.JobTimeMaxS)
 	}
 	if snap.WallS <= 0 {
 		t.Errorf("wall time not recorded: %v", snap.WallS)
@@ -158,5 +160,77 @@ func TestMetricsSinkSweepLifecycle(t *testing.T) {
 	}
 	if int(workerJobs) != n {
 		t.Errorf("per-worker job gauges sum to %v, want %d", workerJobs, n)
+	}
+}
+
+// TestSweepsAgreeAcrossConsumers publishes one real sweep — four
+// workers, a job held past the stall threshold and one degraded job —
+// to an NDJSON log, a ProgressState and a MetricsSink at once. rrtrace
+// summary's reading of the log must be /progress's final document, and
+// both must agree with the registry's sweep metrics.
+func TestSweepsAgreeAcrossConsumers(t *testing.T) {
+	var log bytes.Buffer
+	nd := telemetry.NewNDJSONSink(&log)
+	ps := telemetry.NewProgressState()
+	ms := telemetry.NewMetricsSink()
+	bus := telemetry.NewBus(nd, ps, ms)
+
+	const n, workers = 12, 4
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{Name: fmt.Sprintf("cell-%02d", i), Run: func(int64) (any, error) {
+			switch i {
+			case 3:
+				time.Sleep(100 * time.Millisecond) // several watchdog ticks past StallAfter
+			case 7:
+				return nil, &budgetErr{resource: "events"}
+			}
+			return i, nil
+		}}
+	}
+	cfg := Config{Name: "agree", Workers: workers, Telemetry: bus, StallAfter: 5 * time.Millisecond}
+	if _, err := Run(cfg, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, stats, err := telemetry.DecodeNDJSON(&log)
+	if err != nil || stats.Skipped != 0 {
+		t.Fatalf("decode: %+v, %v", stats, err)
+	}
+	sum := telemetry.Summarize(evs)
+	if len(sum.Sweeps) != 1 {
+		t.Fatalf("summary has %d sweeps, want 1", len(sum.Sweeps))
+	}
+	got := sum.Sweeps[0]
+	snap := ps.Snapshot()
+	if snap.Active || snap.SweepsDone != 1 {
+		t.Fatalf("progress after Run: active=%v sweeps_done=%d", snap.Active, snap.SweepsDone)
+	}
+	if !reflect.DeepEqual(got, snap.SweepStats) {
+		t.Fatalf("summary and /progress disagree:\n summary: %+v\nprogress: %+v", got, snap.SweepStats)
+	}
+	if got.Jobs != n || got.Completed != n || got.Workers != workers || got.Stalls < 1 || got.Degraded != 1 || len(got.PerWorker) != workers {
+		t.Fatalf("sweep stats: %+v", got)
+	}
+	r := ms.R
+	for name, want := range map[string]float64{
+		"sweep.jobs_total":     float64(got.Jobs),
+		"sweep.workers":        float64(got.Workers),
+		"sweep.jobs_completed": float64(got.Completed),
+	} {
+		if g := r.Gauge(name); g != want {
+			t.Errorf("%s = %v, the fold read %v", name, g, want)
+		}
+	}
+	if r.Counter("sweep.stalls") != uint64(got.Stalls) || r.Counter("sweep.degraded") != uint64(got.Degraded) {
+		t.Errorf("registry counts %d stalls, %d degraded; the fold %d, %d",
+			r.Counter("sweep.stalls"), r.Counter("sweep.degraded"), got.Stalls, got.Degraded)
+	}
+	for _, w := range got.PerWorker {
+		if g := r.Gauge(fmt.Sprintf("sweep.%d.worker_jobs", w.Worker)); g != float64(w.Jobs) {
+			t.Errorf("sweep.%d.worker_jobs = %v, the fold read %d", w.Worker, g, w.Jobs)
+		}
 	}
 }

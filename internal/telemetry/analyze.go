@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"rrtcp/internal/sim"
@@ -97,35 +96,6 @@ type instKey struct {
 // very float64 the log's decimal "t" parses to.
 func secs(t sim.Time) float64 { return float64(t) / 1e9 }
 
-// WorkerStats is one worker's end-of-sweep totals from a sweep-worker
-// event.
-type WorkerStats struct {
-	Worker int
-	Jobs   int
-	BusyS  float64
-}
-
-// SweepStats aggregates one sweep's progress and timing stream
-// (sweep-start/sweep-job/sweep-job-time/sweep-worker/sweep-done).
-type SweepStats struct {
-	Name      string
-	Jobs      int
-	Completed int // jobs finished by the last event in the log
-	Workers   int
-	WallS     float64 // from sweep-done; 0 when the log ends mid-sweep
-	Done      bool
-	// Per-job wall-latency distribution from sweep-job-time events.
-	JobTimeN     int
-	JobTimeMeanS float64
-	JobTimeMaxS  float64
-	PerWorker    []WorkerStats // sorted by worker index
-	// Resilience counters: hung-job stall detections and budget-tripped
-	// jobs converted into Degraded results, published by the sweep
-	// engine's harness telemetry (sweep-stall / sweep-degraded).
-	Stalls   int
-	Degraded int
-}
-
 // OverloadStats aggregates one resource's guard "overload" events: how
 // often the budget tripped and the last observed/limit pair.
 type OverloadStats struct {
@@ -186,7 +156,7 @@ func Summarize(events []Event) LogSummary {
 	samples := map[instKey]*SampleStats{}
 	overloads := map[string]*OverloadStats{}
 	tdrops := map[string]*TelemetryDropStats{}
-	var curSweep *SweepStats // open sweep, appended to sum.Sweeps on done/EOF
+	var sweep SweepStats // kept in sum.Sweeps when it ends, at the next start or at EOF
 
 	flowOf := func(id segFlow) *FlowSummary {
 		f := flows[id]
@@ -195,12 +165,6 @@ func Summarize(events []Event) LogSummary {
 			flows[id] = f
 		}
 		return f
-	}
-	sweep := func() *SweepStats {
-		if curSweep == nil {
-			curSweep = &SweepStats{}
-		}
-		return curSweep
 	}
 
 	for i, ev := range events {
@@ -250,32 +214,13 @@ func Summarize(events []Event) LogSummary {
 				sum.Sched.MaxPending = ev.A
 			}
 			continue
-		case KSweepStart:
-			if curSweep != nil {
-				sum.Sweeps = append(sum.Sweeps, *curSweep)
+		case KSweepStart, KSweepJob, KSweepJobTime, KSweepWorker, KSweepStall, KSweepDegraded, KSweepDone:
+			if ev.Kind == KSweepStart && sweep.open() {
+				sum.Sweeps = append(sum.Sweeps, sweep)
 			}
-			curSweep = &SweepStats{Name: ev.Src, Jobs: int(ev.A), Workers: int(ev.B)}
-			continue
-		case KSweepJob:
-			s := sweep()
-			s.Completed = int(ev.A)
-			if s.Jobs == 0 {
-				s.Jobs = int(ev.B)
+			if sweep.apply(ev); sweep.Done {
+				sum.Sweeps = append(sum.Sweeps, sweep)
 			}
-			continue
-		case KSweepJobTime:
-			s := sweep()
-			s.JobTimeMeanS += ev.A // sum here; divided by N after the loop
-			s.JobTimeN++
-			if ev.A > s.JobTimeMaxS {
-				s.JobTimeMaxS = ev.A
-			}
-			continue
-		case KSweepStall:
-			sweep().Stalls++
-			continue
-		case KSweepDegraded:
-			sweep().Degraded++
 			continue
 		case KOverload:
 			o := overloads[ev.Src]
@@ -294,26 +239,6 @@ func Summarize(events []Event) LogSummary {
 			}
 			// Cumulative counters: the latest marker supersedes.
 			d.Dropped, d.Kept = ev.A, ev.B
-			continue
-		case KSweepWorker:
-			s := sweep()
-			if w, err := strconv.Atoi(ev.Src); err == nil && w >= 0 {
-				s.PerWorker = append(s.PerWorker, WorkerStats{Worker: w, Jobs: int(ev.B), BusyS: ev.A})
-			}
-			continue
-		case KSweepDone:
-			s := sweep()
-			if s.Name == "" {
-				s.Name = ev.Src
-			}
-			if j := int(ev.A); j > 0 {
-				s.Jobs = j
-				s.Completed = j
-			}
-			s.WallS = ev.B
-			s.Done = true
-			sum.Sweeps = append(sum.Sweeps, *s)
-			curSweep = nil
 			continue
 		}
 		if ev.Flow == NoFlow {
@@ -410,15 +335,8 @@ func Summarize(events []Event) LogSummary {
 		sum.Drops = append(sum.Drops, *d)
 	}
 	sort.Slice(sum.Drops, func(i, j int) bool { return sum.Drops[i].Src < sum.Drops[j].Src })
-	if curSweep != nil { // log ended mid-sweep
-		sum.Sweeps = append(sum.Sweeps, *curSweep)
-	}
-	for i := range sum.Sweeps {
-		s := &sum.Sweeps[i]
-		if s.JobTimeN > 0 {
-			s.JobTimeMeanS /= float64(s.JobTimeN)
-		}
-		sort.Slice(s.PerWorker, func(a, b int) bool { return s.PerWorker[a].Worker < s.PerWorker[b].Worker })
+	if sweep.open() { // log ended mid-sweep
+		sum.Sweeps = append(sum.Sweeps, sweep)
 	}
 	return sum
 }
@@ -495,7 +413,10 @@ func (s LogSummary) Render() string {
 	for _, sw := range s.Sweeps {
 		b.WriteByte('\n')
 		state := fmt.Sprintf("(log ended mid-sweep at %d/%d)", sw.Completed, sw.Jobs)
-		if sw.Done {
+		switch {
+		case sw.Done && sw.Completed < sw.Jobs:
+			state = fmt.Sprintf("stopped at %d/%d in %.3fs", sw.Completed, sw.Jobs, sw.WallS)
+		case sw.Done:
 			state = fmt.Sprintf("in %.3fs", sw.WallS)
 		}
 		fmt.Fprintf(&b, "sweep %s: %d jobs on %d workers %s\n",

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,56 @@ func TestSummarizeSweepTruncatedLog(t *testing.T) {
 	}
 	if !strings.Contains(sum.Render(), "mid-sweep at 7/100") {
 		t.Errorf("Render missing truncation notice:\n%s", sum.Render())
+	}
+}
+
+// An interrupted sweep's sweep-done carries the jobs completed, not the
+// total: the summary keeps sweep-start's total and says where it stopped.
+func TestSummarizeInterruptedSweepKeepsJobTotal(t *testing.T) {
+	records := []Event{
+		srec(0, CompSweep, KSweepStart, "big", NoFlow, 0, map[string]float64{"jobs": 100, "workers": 8}),
+		srec(0, CompSweep, KSweepJob, "j6", NoFlow, 6, map[string]float64{"completed": 7, "total": 100}),
+		srec(0, CompSweep, KSweepDone, "big", NoFlow, 0, map[string]float64{"jobs": 7, "wall_s": 1.2}),
+	}
+	sum := Summarize(records)
+	if len(sum.Sweeps) != 1 {
+		t.Fatalf("sweeps = %d, want 1", len(sum.Sweeps))
+	}
+	if sw := sum.Sweeps[0]; !sw.Done || sw.Jobs != 100 || sw.Completed != 7 {
+		t.Errorf("interrupted sweep wrong: %+v", sw)
+	}
+	if want := "sweep big: 100 jobs on 8 workers stopped at 7/100 in 1.200s\n"; !strings.Contains(sum.Render(), want) {
+		t.Errorf("Render missing %q:\n%s", want, sum.Render())
+	}
+}
+
+// rrtrace reads logs written elsewhere: a worker count or worker id in
+// one must not size anything. Summarize's allocation follows the lines.
+func TestSummarizeHostileWorkerCounts(t *testing.T) {
+	const log = `{"t":0,"comp":"sweep","kind":"sweep-start","src":"big","jobs":1099511627776,"workers":1099511627776}
+{"t":0,"comp":"sweep","kind":"sweep-job","src":"j","seq":1,"completed":1,"total":1099511627776}
+{"t":0,"comp":"sweep","kind":"sweep-job-time","src":"j","seq":1,"wall_s":0.5,"worker":1099511627775}
+{"t":0,"comp":"sweep","kind":"sweep-worker","src":"1099511627776","busy_s":0.5,"jobs":1}
+{"t":0,"comp":"sweep","kind":"sweep-done","src":"big","jobs":1,"wall_s":1}
+`
+	evs, stats, err := DecodeNDJSON(strings.NewReader(log))
+	if err != nil || stats.Skipped != 0 || len(evs) != 5 {
+		t.Fatalf("decode: %d events, %+v, %v", len(evs), stats, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum := Summarize(evs)
+	runtime.ReadMemStats(&after)
+	// A per-worker slice sized to the claim would take 24 TB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Summarize allocated %d bytes for five lines", grew)
+	}
+	sw := sum.Sweeps[0]
+	if len(sw.PerWorker) != 2 || sw.PerWorker[0].Worker != 1<<40-1 || sw.PerWorker[1].Worker != 1<<40 {
+		t.Fatalf("per-worker rows = %+v, want the two named workers", sw.PerWorker)
+	}
+	if want := "  worker 1099511627776: 1 jobs, 0.5000s busy\n"; !strings.Contains(sum.Render(), want) {
+		t.Errorf("Render missing %q:\n%s", want, sum.Render())
 	}
 }
 

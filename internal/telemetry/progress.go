@@ -7,10 +7,10 @@ import (
 
 // ProgressSink renders sweep-engine progress events as a single
 // carriage-return-updated status line, for interactive stderr feedback
-// while a long sweep runs. Events from other components are ignored.
+// while a long sweep runs. Each line is drawn from one event alone;
+// events from other components are ignored.
 type ProgressSink struct {
-	w       io.Writer
-	started bool
+	w io.Writer
 }
 
 // NewProgressSink returns a sink writing sweep progress to w.
@@ -24,7 +24,6 @@ func (p *ProgressSink) Emit(ev Event) {
 	switch ev.Kind {
 	case KSweepStart:
 		fmt.Fprintf(p.w, "%s: %d jobs on %d workers\n", label(ev.Src), int(ev.A), int(ev.B))
-		p.started = true
 	case KSweepJob:
 		fmt.Fprintf(p.w, "\r%d/%d %-40s", int(ev.A), int(ev.B), ev.Src)
 	case KSweepStall:
@@ -34,10 +33,7 @@ func (p *ProgressSink) Emit(ev Event) {
 		fmt.Fprintf(p.w, "\rdegraded: job %d (%s) hit its resource budget%-10s\n",
 			ev.Seq, ev.Src, "")
 	case KSweepDone:
-		if p.started {
-			fmt.Fprintf(p.w, "\r%s: %d jobs done%-30s\n", label(ev.Src), int(ev.A), "")
-			p.started = false
-		}
+		fmt.Fprintf(p.w, "\r%s: %d jobs done%-30s\n", label(ev.Src), int(ev.A), "")
 	}
 }
 

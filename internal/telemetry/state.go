@@ -1,81 +1,145 @@
 package telemetry
 
 import (
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// ProgressState is a concurrency-safe materialized view of the sweep
-// progress stream (KSweepStart/KSweepJob/KSweepJobTime/KSweepWorker/
-// KSweepDone): the sink the introspection server's /progress endpoint
-// reads. Emit follows the usual sink contract (one goroutine at a
-// time, the sweep coordinator); Snapshot may be called concurrently
-// from any goroutine — typically an HTTP handler — so the state locks
-// where the event-bus sinks normally need not.
-type ProgressState struct {
-	mu    sync.Mutex
-	snap  ProgressSnapshot
-	start time.Time // wall clock at KSweepStart, for live elapsed time
-}
-
-// StalledJob is one in-flight job currently past the sweep engine's
-// stall threshold — the /progress view of a KSweepStall event. A job
-// leaves the list when it completes (KSweepJob for its index).
-type StalledJob struct {
-	// Job names the stuck job; Index is its position in the job list.
-	Job   string `json:"job"`
-	Index int    `json:"index"`
-	// Worker is the worker the attempt is wedged on.
-	Worker int `json:"worker"`
-	// RunningS is how long the attempt had been running at the last
-	// stall event.
-	RunningS float64 `json:"running_s"`
-}
-
-// WorkerProgress is one worker's accumulated share of a sweep.
-type WorkerProgress struct {
-	// Jobs counts jobs the worker has finished.
-	Jobs int `json:"jobs"`
-	// BusyS is wall-clock seconds the worker spent inside jobs.
-	BusyS float64 `json:"busy_s"`
-}
-
-// ProgressSnapshot is a point-in-time copy of sweep progress, shaped
-// for JSON.
-type ProgressSnapshot struct {
-	// Active reports whether a sweep is currently running.
-	Active bool `json:"active"`
-	// Sweep is the running (or last finished) sweep's name.
-	Sweep string `json:"sweep,omitempty"`
-	// Jobs and Workers are the sweep's totals from KSweepStart.
+// SweepStats is the one fold of the sweep lifecycle stream
+// (sweep-start/-job/-job-time/-worker/-stall/-degraded/-done): rrtrace
+// summary keeps one per sweep of a -progress-events log, and /progress
+// serves the latest. The JSON tags are /progress's keys.
+type SweepStats struct {
+	Name string `json:"sweep,omitempty"`
+	// Jobs and Workers are the sweep's totals from sweep-start.
 	Jobs    int `json:"jobs"`
 	Workers int `json:"workers"`
-	// Completed counts finished jobs so far.
+	// Completed counts finished jobs, restored ones included; below Jobs
+	// after sweep-done when the sweep was interrupted.
 	Completed int `json:"completed"`
 	// LastJob names the most recently finished job; LastIndex is its
 	// position in the job list.
-	LastJob   string `json:"last_job,omitempty"`
-	LastIndex int    `json:"last_index"`
-	// WallS is elapsed wall seconds: live while Active, final after.
-	WallS float64 `json:"wall_s"`
-	// JobWallMeanS / JobWallMaxS summarize per-job wall latency.
-	JobWallMeanS float64 `json:"job_wall_mean_s"`
-	JobWallMaxS  float64 `json:"job_wall_max_s"`
-	// PerWorker is indexed by worker id.
-	PerWorker []WorkerProgress `json:"per_worker,omitempty"`
-	// Degraded counts jobs whose resource-budget trips were converted
-	// into Degraded results (KSweepDegraded events).
-	Degraded int `json:"degraded,omitempty"`
-	// Stalled lists in-flight jobs currently past the stall threshold,
-	// in stall-event order.
-	Stalled []StalledJob `json:"stalled,omitempty"`
-	// SweepsDone counts completed sweeps over the process lifetime
-	// (rrsim all runs several back to back).
-	SweepsDone int `json:"sweeps_done"`
+	LastJob   string  `json:"last_job,omitempty"`
+	LastIndex int     `json:"last_index"`
+	WallS     float64 `json:"wall_s"` // from sweep-done; live on /progress while active
+	// Per-job wall-latency distribution from sweep-job-time events.
+	JobTimeMeanS float64       `json:"job_wall_mean_s"`
+	JobTimeMaxS  float64       `json:"job_wall_max_s"`
+	PerWorker    []WorkerStats `json:"per_worker,omitempty"` // sorted by worker
+	// Degraded counts budget-tripped jobs converted into Degraded
+	// results; Stalls counts stall detections; Stalled lists the jobs
+	// still in flight past the stall threshold, in stall-event order.
+	Degraded int          `json:"degraded,omitempty"`
+	Stalled  []StalledJob `json:"stalled,omitempty"`
+	Stalls   int          `json:"-"`
+	JobTimeN int          `json:"-"`
+	Done     bool         `json:"-"`
 
-	jobWallSum float64
-	jobWallN   int
+	seq        int // sweeps begun in the stream, this one included
+	jobTimeSum float64
+}
+
+// WorkerStats is one worker's share of a sweep: summed from its
+// sweep-job-time events, then replaced by its sweep-worker totals.
+type WorkerStats struct {
+	Worker int     `json:"-"`
+	Jobs   int     `json:"jobs"`
+	BusyS  float64 `json:"busy_s"` // wall-clock seconds spent inside jobs
+}
+
+// StalledJob is one in-flight job past the sweep engine's stall
+// threshold (a sweep-stall event). It leaves the list when the job
+// completes.
+type StalledJob struct {
+	Job      string  `json:"job"`
+	Index    int     `json:"index"`
+	Worker   int     `json:"worker"`
+	RunningS float64 `json:"running_s"` // at the latest stall event
+}
+
+// open reports whether a sweep has begun and not yet ended.
+func (s *SweepStats) open() bool { return s.seq > 0 && !s.Done }
+
+// apply folds one sweep event into s. A sweep-start begins the next
+// sweep in place; so does any other event when no sweep is open (a log
+// cut at its head, or a sweep-start lost to damage).
+func (s *SweepStats) apply(ev Event) {
+	if ev.Kind == KSweepStart || !s.open() {
+		*s = SweepStats{seq: s.seq + 1, LastIndex: -1}
+	}
+	switch ev.Kind {
+	case KSweepStart:
+		s.Name, s.Jobs, s.Workers = ev.Src, int(ev.A), int(ev.B)
+	case KSweepJob:
+		s.Completed, s.LastJob, s.LastIndex = int(ev.A), ev.Src, int(ev.Seq)
+		if s.Jobs == 0 {
+			s.Jobs = int(ev.B)
+		}
+		s.Stalled = slices.DeleteFunc(s.Stalled, func(j StalledJob) bool { return j.Index == int(ev.Seq) })
+	case KSweepJobTime:
+		s.jobTimeSum += ev.A
+		s.JobTimeN++
+		s.JobTimeMeanS = s.jobTimeSum / float64(s.JobTimeN)
+		s.JobTimeMaxS = max(s.JobTimeMaxS, ev.A)
+		if w := int(ev.B); w >= 0 {
+			ws := s.worker(w)
+			ws.Jobs++
+			ws.BusyS += ev.A
+		}
+	case KSweepWorker:
+		if w, err := strconv.Atoi(ev.Src); err == nil && w >= 0 {
+			*s.worker(w) = WorkerStats{Worker: w, Jobs: int(ev.B), BusyS: ev.A}
+		}
+	case KSweepStall:
+		s.Stalls++
+		// Repeated stalls of one attempt refresh its entry.
+		j := StalledJob{Job: ev.Src, Index: int(ev.Seq), Worker: int(ev.B), RunningS: ev.A}
+		if i := slices.IndexFunc(s.Stalled, func(o StalledJob) bool { return o.Index == j.Index }); i >= 0 {
+			s.Stalled[i] = j
+		} else {
+			s.Stalled = append(s.Stalled, j)
+		}
+	case KSweepDegraded:
+		s.Degraded++
+	case KSweepDone:
+		if s.Name == "" {
+			s.Name = ev.Src
+		}
+		s.Completed, s.WallS, s.Done, s.Stalled = int(ev.A), ev.B, true, nil
+	}
+}
+
+// worker returns worker w's entry, added in order on first sight. The
+// list grows with the events naming workers, never with a claimed
+// worker count or id.
+func (s *SweepStats) worker(w int) *WorkerStats {
+	i := sort.Search(len(s.PerWorker), func(i int) bool { return s.PerWorker[i].Worker >= w })
+	if i == len(s.PerWorker) || s.PerWorker[i].Worker != w {
+		s.PerWorker = slices.Insert(s.PerWorker, i, WorkerStats{Worker: w})
+	}
+	return &s.PerWorker[i]
+}
+
+// ProgressState is the sink the introspection server's /progress
+// endpoint reads: the latest sweep's SweepStats behind a lock. Emit
+// follows the usual sink contract (the sweep coordinator publishes);
+// Snapshot may be called concurrently from any goroutine.
+type ProgressState struct {
+	mu    sync.Mutex
+	sweep SweepStats
+	start time.Time // wall clock at sweep-start, for live elapsed time
+}
+
+// ProgressSnapshot is /progress's document: the running (or last
+// finished) sweep and how many sweeps have finished in this process
+// (rrsim all runs several back to back).
+type ProgressSnapshot struct {
+	Active bool `json:"active"`
+	SweepStats
+	SweepsDone int `json:"sweeps_done"`
 }
 
 // NewProgressState returns an empty state, ready to subscribe to the
@@ -89,98 +153,35 @@ func (p *ProgressState) Emit(ev Event) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch ev.Kind {
-	case KSweepStart:
-		done := p.snap.SweepsDone
-		p.snap = ProgressSnapshot{
-			Active:     true,
-			Sweep:      ev.Src,
-			Jobs:       int(ev.A),
-			Workers:    int(ev.B),
-			LastIndex:  -1,
-			SweepsDone: done,
-			PerWorker:  make([]WorkerProgress, int(ev.B)),
-		}
+	if ev.Kind == KSweepStart {
 		p.start = time.Now()
-	case KSweepJob:
-		p.snap.Completed = int(ev.A)
-		p.snap.LastJob = ev.Src
-		p.snap.LastIndex = int(ev.Seq)
-		p.dropStalled(int(ev.Seq))
-	case KSweepJobTime:
-		p.snap.jobWallSum += ev.A
-		p.snap.jobWallN++
-		if ev.A > p.snap.JobWallMaxS {
-			p.snap.JobWallMaxS = ev.A
-		}
-		if w := int(ev.B); w >= 0 && w < len(p.snap.PerWorker) {
-			p.snap.PerWorker[w].Jobs++
-			p.snap.PerWorker[w].BusyS += ev.A
-		}
-	case KSweepWorker:
-		// Authoritative end-of-sweep totals; Src is the worker index.
-		if w, err := strconv.Atoi(ev.Src); err == nil && w >= 0 && w < len(p.snap.PerWorker) {
-			p.snap.PerWorker[w] = WorkerProgress{Jobs: int(ev.B), BusyS: ev.A}
-		}
-	case KSweepStall:
-		// Upsert by index: repeated stall events for the same wedged
-		// attempt refresh the running time instead of duplicating.
-		idx := int(ev.Seq)
-		for i := range p.snap.Stalled {
-			if p.snap.Stalled[i].Index == idx {
-				p.snap.Stalled[i].RunningS = ev.A
-				p.snap.Stalled[i].Worker = int(ev.B)
-				return
-			}
-		}
-		p.snap.Stalled = append(p.snap.Stalled, StalledJob{
-			Job: ev.Src, Index: idx, Worker: int(ev.B), RunningS: ev.A,
-		})
-	case KSweepDegraded:
-		p.snap.Degraded++
-		p.dropStalled(int(ev.Seq))
-	case KSweepDone:
-		p.snap.Active = false
-		p.snap.Completed = int(ev.A)
-		p.snap.Stalled = nil
-		if ev.B > 0 {
-			p.snap.WallS = ev.B
-		} else if !p.start.IsZero() {
-			p.snap.WallS = time.Since(p.start).Seconds()
-		}
-		p.snap.SweepsDone++
 	}
+	p.sweep.apply(ev)
 }
 
-// dropStalled removes the stalled entry for a job index, if present.
-// Callers hold p.mu.
-func (p *ProgressState) dropStalled(index int) {
-	for i := range p.snap.Stalled {
-		if p.snap.Stalled[i].Index == index {
-			p.snap.Stalled = append(p.snap.Stalled[:i], p.snap.Stalled[i+1:]...)
-			return
-		}
-	}
-}
-
-// Snapshot returns a copy of the current state; safe to call from any
-// goroutine while the sweep keeps publishing.
+// Snapshot returns a copy of the current state, with per_worker padded
+// to one entry per worker; safe to call from any goroutine while the
+// sweep keeps publishing.
 func (p *ProgressState) Snapshot() ProgressSnapshot {
 	if p == nil {
 		return ProgressSnapshot{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.snap
-	s.PerWorker = append([]WorkerProgress(nil), p.snap.PerWorker...)
-	if len(p.snap.Stalled) > 0 {
-		s.Stalled = append([]StalledJob(nil), p.snap.Stalled...)
-	}
-	if s.Active && !p.start.IsZero() {
+	s := ProgressSnapshot{Active: p.sweep.open(), SweepStats: p.sweep, SweepsDone: p.sweep.seq}
+	if s.Active {
+		s.SweepsDone--
 		s.WallS = time.Since(p.start).Seconds()
 	}
-	if s.jobWallN > 0 {
-		s.JobWallMeanS = s.jobWallSum / float64(s.jobWallN)
+	s.PerWorker = make([]WorkerStats, s.Workers)
+	for i := range s.PerWorker {
+		s.PerWorker[i].Worker = i
 	}
+	for _, w := range p.sweep.PerWorker {
+		if w.Worker < s.Workers {
+			s.PerWorker[w.Worker] = w
+		}
+	}
+	s.Stalled = slices.Clone(p.sweep.Stalled)
 	return s
 }

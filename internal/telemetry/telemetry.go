@@ -331,10 +331,12 @@ func (b *Bus) Publish(ev Event) {
 // stream shows its run boundaries — a sweep forwards each job's capture
 // in job order, every run starting over at t=0 — and every consumer
 // that must not merge two runs (SpanSink, SeriesSink, MetricsSink,
-// Summarize, flowstats.FlowTable) counts segments with this one rule. Sweep
-// progress events are stamped t=0 on the coordinating goroutine between
-// runs; they are on no run's clock and never move it. The zero value is
-// ready: segment 0, clock at 0.
+// Summarize's flow rows and episodes, Timeline, flowstats.FlowTable)
+// counts segments with this one rule. Sweep progress events are stamped
+// t=0 on the coordinating goroutine between runs; they are on no run's
+// clock and never move it, and their one fold, SweepStats.apply, splits
+// the stream at sweep-start instead. The zero value is ready: segment 0,
+// clock at 0.
 type Segmenter struct {
 	Seg  int      // index of the current segment
 	Last sim.Time // time of the latest event observed

@@ -94,7 +94,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	runs := fs.Int("runs", 100, "independent repetitions where the experiment takes a count (chaos: fault schedules)")
 	drops := fs.Int("drops", 3, "packets lost within one window (fig5/ablation)")
-	seed := fs.Int64("seed", 0, "simulation seed (0 = experiment default)")
+	seed := fs.Int64("seed", 0, "simulation seed for fig5, fig6, table5, fairshare, smoothstart, chaos and stress (0 = experiment default); fig7, ackloss, twoway, bursty and ablation run their fixed seed lists")
 	quick := fs.Bool("quick", false, "smaller sweeps for fast runs (fig7/all)")
 	variants := fs.String("variants", "", "comma-separated variant list, e.g. tahoe,rr,fack")
 	delack := fs.Bool("delack", false, "run receivers with delayed ACKs (fig7)")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/faults"
+	"rrtcp/internal/scenario"
 )
 
 // allocCeilings is the most allocations the first job of each registered
@@ -89,11 +90,11 @@ func TestChaosCaseAllocationBudget(t *testing.T) {
 			Ack:             &faults.AckSpec{Hold: faults.Duration(20 * time.Millisecond), Max: 4},
 		},
 	}
-	sc := &chaosScratch{}
+	w := &scenario.World{}
 	for variant, ceiling := range map[string]float64{"reno": 46, "rr": 43, "sack": 46} {
 		c.Variant = variant
 		got := testing.AllocsPerRun(1, func() {
-			out, err := runChaosCase(c, sc, nil)
+			out, err := runChaosCase(c, w, nil)
 			if err != nil || !out.Finished || len(out.Violations) > 0 {
 				t.Fatalf("%s: finished %v, violations %v, err %v", variant, out.Finished, out.Violations, err)
 			}

@@ -45,8 +45,7 @@ type ChaosOutcome struct {
 	Violations []invariant.Violation `json:"violations,omitempty"`
 	// Events is the tail of the run's event stream (the repro ring),
 	// for a repro bundle. It is populated only when Violations is
-	// non-empty: a healthy run has nothing to reproduce, so its ring is
-	// not copied out.
+	// non-empty: a healthy run has nothing to reproduce.
 	Events []telemetry.Event `json:"-"`
 }
 
@@ -101,49 +100,37 @@ func (l *liarStrategy) InProbe() bool    { return false }
 func (l *liarStrategy) Actnum() int      { return -1 }
 func (l *liarStrategy) Ndup() int        { return 0 }
 
-// RunChaosCase executes one case and reports what happened. The run is
+// RunChaosCase executes one case and reports what happened, with the
+// tail of its event stream when it violated an invariant. The run is
 // deterministic in the case value: identical inputs produce identical
 // outcomes, which is what makes repro bundles replayable.
 func RunChaosCase(c ChaosCase) (*ChaosOutcome, error) {
-	out, err := runChaosCase(c, &chaosScratch{}, nil)
+	ring := telemetry.NewRing(chaosRingCap)
+	out, err := runChaosCase(c, &scenario.World{}, []telemetry.Sink{ring})
 	if err != nil {
 		return nil, err
+	}
+	if len(out.Violations) > 0 {
+		out.Events = ring.Events()
 	}
 	return &out, nil
 }
 
-// chaosScratch is what a chaos job hands on to the next through its
-// sweep's free list: the world it ran, to be rebuilt, and its repro ring.
-type chaosScratch struct {
-	world scenario.World
-	ring  *telemetry.Ring
-}
-
-// runChaosCase is RunChaosCase on the world and repro ring of the
-// caller's scratch (the world rebuilt and the ring reset first, so
-// recycled scratch carries nothing over), with extra telemetry sinks
-// subscribed to the run's private bus — the hook the chaos sweep uses to
-// fold flow lifecycle events into a per-case flowstats table. The
-// outcome does not alias the scratch.
-func runChaosCase(c ChaosCase, sc *chaosScratch, extra []telemetry.Sink) (ChaosOutcome, error) {
-	if sc.ring == nil {
-		sc.ring = telemetry.NewRing(chaosRingCap)
-	}
-	flow, checker, err := chaosWorld(&sc.world, c, sc.ring, extra)
+// runChaosCase runs the case on w, rebuilt first, with sinks subscribed
+// to the run's private bus ahead of the invariant checker. The outcome
+// carries no event tail and does not alias w.
+func runChaosCase(c ChaosCase, w *scenario.World, sinks []telemetry.Sink) (ChaosOutcome, error) {
+	flow, checker, err := chaosWorld(w, c, sinks)
 	if err != nil {
 		return ChaosOutcome{}, err
 	}
-	sc.world.Run(c.Horizon.D())
-	out := ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}
-	if len(out.Violations) > 0 {
-		out.Events = sc.ring.Events()
-	}
-	return out, nil
+	w.Run(c.Horizon.D())
+	return ChaosOutcome{Finished: flow.Sender.Done(), Violations: checker.Violations()}, nil
 }
 
 // chaosWorld rebuilds w as the case's world, ready to run: one flow
 // under the fault plan and the invariant checker.
-func chaosWorld(w *scenario.World, c ChaosCase, ring *telemetry.Ring, extra []telemetry.Sink) (flow *workload.Flow, checker *invariant.Checker, err error) {
+func chaosWorld(w *scenario.World, c ChaosCase, sinks []telemetry.Sink) (flow *workload.Flow, checker *invariant.Checker, err error) {
 	kind, err := workload.ParseKind(c.Variant)
 	if err != nil {
 		return nil, nil, err
@@ -159,11 +146,7 @@ func chaosWorld(w *scenario.World, c ChaosCase, ring *telemetry.Ring, extra []te
 		return nil, nil, err
 	}
 	sched := w.Sched
-	ring.Reset()
-	bus := telemetry.NewBus(ring)
-	for _, s := range extra {
-		bus.Subscribe(s)
-	}
+	bus := telemetry.NewBus(sinks...)
 	spec := workload.FlowSpec{
 		Kind:      kind,
 		Bytes:     c.Bytes,
@@ -189,8 +172,8 @@ func chaosWorld(w *scenario.World, c ChaosCase, ring *telemetry.Ring, extra []te
 	if checker, err = supervise(w, bus, &c.Plan, sched.DeriveRand("faults")); err != nil {
 		return nil, nil, err
 	}
-	// Stop the run at the first violation so the ring tail ends at the
-	// failure, making bundles maximally informative.
+	// Stop the run at the first violation so a repro ring's tail ends
+	// at the failure, making bundles maximally informative.
 	checker.OnViolation = func(invariant.Violation) { sched.Stop() }
 	return flow, checker, nil
 }
@@ -332,21 +315,30 @@ func (e *ChaosExperiment) DecodeResult(data []byte) (any, error) {
 	return out, nil
 }
 
-// Jobs implements Experiment. The jobs rebuild the worlds, and reuse
-// the repro rings, of a free list their sweep owns.
+// Jobs implements Experiment. The jobs rebuild the worlds of a free
+// list their sweep owns. A job records no event tail: only a case that
+// violates an invariant runs again, through RunChaosCase, to capture
+// the tail its bundle carries, and that capture must reproduce the
+// sweep run's first violation or the job fails.
 func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 	cfg := e.cfg
 	variants := len(cfg.Variants)
 	jobs := make([]sweep.Job, len(e.cases))
-	scratch := &freeList[chaosScratch]{}
+	worlds := &freeList[scenario.World]{}
 	for i, c := range e.cases {
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
 			Seed: c.Seed,
 			Run: func(int64) (any, error) {
-				return scratch.run(func(sc *chaosScratch) (any, error) {
+				return worlds.run(func(w *scenario.World) (any, error) {
 					tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, c.Seed)
-					out, err := runChaosCase(c, sc, tally.sinks())
+					out, err := runChaosCase(c, w, tally.sinks())
+					if err == nil && len(out.Violations) > 0 {
+						var capture *ChaosOutcome
+						if capture, err = rerun(c, out.Violations[0], "capture run", "sweep run"); err == nil {
+							out.Events = capture.Events
+						}
+					}
 					if err != nil {
 						return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
 					}
@@ -480,17 +472,22 @@ func LoadBundle(path string) (*Bundle, error) {
 // violation reproduces: same rule, same flow, same simulated instant.
 // It returns the fresh outcome.
 func ReplayBundle(b *Bundle) (*ChaosOutcome, error) {
-	out, err := RunChaosCase(b.Case)
+	return rerun(b.Case, b.Violation, "replay", "stored")
+}
+
+// rerun runs c through RunChaosCase and checks that its first violation
+// is want: the same rule, flow and simulated instant. run and wantName
+// label the two sides in the error.
+func rerun(c ChaosCase, want invariant.Violation, run, wantName string) (*ChaosOutcome, error) {
+	out, err := RunChaosCase(c)
 	if err != nil {
 		return nil, err
 	}
 	if len(out.Violations) == 0 {
-		return out, fmt.Errorf("chaos: replay produced no violation (stored: %s)", b.Violation)
+		return out, fmt.Errorf("chaos: %s produced no violation (%s: %s)", run, wantName, want)
 	}
-	got := out.Violations[0]
-	want := b.Violation
-	if got.Rule != want.Rule || got.Flow != want.Flow || got.At != want.At {
-		return out, fmt.Errorf("chaos: replay diverged: got %s, stored %s", got, want)
+	if got := out.Violations[0]; got.Rule != want.Rule || got.Flow != want.Flow || got.At != want.At {
+		return out, fmt.Errorf("chaos: %s diverged: got %s, %s %s", run, got, wantName, want)
 	}
 	return out, nil
 }

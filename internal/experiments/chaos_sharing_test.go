@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rrtcp/internal/faults"
+	"rrtcp/internal/scenario"
 	"rrtcp/internal/telemetry"
 	"rrtcp/internal/workload"
 )
@@ -100,17 +101,17 @@ func TestChaosEventsOnlyForViolations(t *testing.T) {
 	}
 }
 
-// runScratch runs c as a job of a sweep whose free list is scratch does,
-// with extra sinks on its bus, and returns its outcome and the scratch it
+// runWorld runs c as a job of a sweep whose free list is worlds does,
+// with extra sinks on its bus, and returns its outcome and the world it
 // ran on.
-func runScratch(t *testing.T, scratch *freeList[chaosScratch], c ChaosCase, extra ...telemetry.Sink) (ChaosOutcome, *chaosScratch) {
+func runWorld(t *testing.T, worlds *freeList[scenario.World], c ChaosCase, extra ...telemetry.Sink) (ChaosOutcome, *scenario.World) {
 	t.Helper()
 	var out ChaosOutcome
-	var used *chaosScratch
-	if _, err := scratch.run(func(sc *chaosScratch) (any, error) {
-		used = sc
+	var used *scenario.World
+	if _, err := worlds.run(func(w *scenario.World) (any, error) {
+		used = w
 		var err error
-		out, err = runChaosCase(c, sc, extra)
+		out, err = runChaosCase(c, w, extra)
 		return nil, err
 	}); err != nil {
 		t.Fatal(err)
@@ -118,44 +119,45 @@ func runScratch(t *testing.T, scratch *freeList[chaosScratch], c ChaosCase, extr
 	return out, used
 }
 
-// Scratch that has been through a healthy job — a world run to its end,
-// a ring that wrapped — hands the next job a world and a tail as clean
-// as new ones: each case gives the outcome and the event stream it gives
-// on fresh scratch. The actnum case violates on its first events, so
-// anything left over from the 512 events before it would show.
-func TestChaosRecycledRingLeaksNothing(t *testing.T) {
+// A world that has been through a healthy job — run to its end — hands
+// the next job a world as clean as a new one: each case gives the
+// outcome and the event stream it gives on a fresh world. The actnum
+// case violates on its first events, so anything left over from the
+// run before it would show.
+func TestChaosRecycledWorldLeaksNothing(t *testing.T) {
 	healthy, wedge, actnum := sharingCases()
-	scratch := &freeList[chaosScratch]{}
+	worlds := &freeList[scenario.World]{}
 	for _, c := range []ChaosCase{actnum, wedge, healthy} {
 		all := telemetry.NewRing(0)
-		fresh, err := runChaosCase(c, &chaosScratch{}, []telemetry.Sink{all})
+		fresh, err := runChaosCase(c, &scenario.World{}, []telemetry.Sink{all})
 		if err != nil {
 			t.Fatal(err)
 		}
 		freshStream := all.Events()
 
-		_, sc := runScratch(t, scratch, healthy)
-		if sc.ring.Total() < chaosRingCap {
-			t.Fatalf("healthy case published only %d events: the ring never wrapped", sc.ring.Total())
+		_, w := runWorld(t, worlds, healthy)
+		if w.Sched.Processed() < chaosRingCap {
+			t.Fatalf("healthy case processed only %d events", w.Sched.Processed())
 		}
 		all = telemetry.NewRing(0)
-		recycled, again := runScratch(t, scratch, c, all)
-		if again != sc {
-			t.Fatal("free list did not hand the scratch back")
+		recycled, again := runWorld(t, worlds, c, all)
+		if again != w {
+			t.Fatal("free list did not hand the world back")
 		}
-		if c.Breakage != "" && len(fresh.Events) == 0 {
-			t.Fatalf("%s: no event tail on fresh scratch", c.Breakage)
+		if c.Breakage != "" && len(fresh.Violations) == 0 {
+			t.Fatalf("%s: no violation on a fresh world", c.Breakage)
 		}
 		if !reflect.DeepEqual(recycled, fresh) {
-			t.Fatalf("%s%s on recycled scratch: %d events, on fresh scratch %d", c.Variant, c.Breakage, len(recycled.Events), len(fresh.Events))
+			t.Fatalf("%s%s on a recycled world: %v, on a fresh world %v", c.Variant, c.Breakage, recycled, fresh)
 		}
 		if !reflect.DeepEqual(all.Events(), freshStream) {
-			t.Fatalf("%s%s: event stream on recycled scratch differs from fresh", c.Variant, c.Breakage)
+			t.Fatalf("%s%s: event stream on a recycled world differs from fresh", c.Variant, c.Breakage)
 		}
-		// The outcome owns its tail: reusing the scratch must not rewrite it.
-		runScratch(t, scratch, healthy)
+		// The outcome does not alias the world: reusing it must not
+		// rewrite the outcome.
+		runWorld(t, worlds, healthy)
 		if !reflect.DeepEqual(recycled, fresh) {
-			t.Fatalf("%s%s outcome changed when its scratch was reused", c.Variant, c.Breakage)
+			t.Fatalf("%s%s outcome changed when its world was reused", c.Variant, c.Breakage)
 		}
 	}
 }
@@ -170,13 +172,13 @@ func (p *panicSink) Emit(telemetry.Event) {
 }
 
 // A job that fails — an error after its world was built and its flow
-// installed, or a panic mid-run — does not hand its scratch on: the free
-// list stays empty, and the next job, on new scratch, gives the outcome
+// installed, or a panic mid-run — does not hand its world on: the free
+// list stays empty, and the next job, on a new world, gives the outcome
 // and the stream a fresh world gives.
 func TestChaosFailedJobDropsItsScratch(t *testing.T) {
 	healthy, _, _ := sharingCases()
 	all := telemetry.NewRing(0)
-	want, err := runChaosCase(healthy, &chaosScratch{}, []telemetry.Sink{all})
+	want, err := runChaosCase(healthy, &scenario.World{}, []telemetry.Sink{all})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,40 +186,40 @@ func TestChaosFailedJobDropsItsScratch(t *testing.T) {
 
 	badPlan := healthy
 	badPlan.Plan.DuplicateRate = 1.5 // the plan is checked after the flow is installed
-	failures := map[string]func(scratch *freeList[chaosScratch]) *chaosScratch{
-		"error": func(scratch *freeList[chaosScratch]) (used *chaosScratch) {
-			if _, err := scratch.run(func(sc *chaosScratch) (any, error) {
-				used = sc
-				return runChaosCase(badPlan, sc, nil)
+	failures := map[string]func(worlds *freeList[scenario.World]) *scenario.World{
+		"error": func(worlds *freeList[scenario.World]) (used *scenario.World) {
+			if _, err := worlds.run(func(w *scenario.World) (any, error) {
+				used = w
+				return runChaosCase(badPlan, w, nil)
 			}); err == nil {
 				t.Fatal("a plan with a duplicate rate of 1.5 was accepted")
 			}
 			return used
 		},
-		"panic": func(scratch *freeList[chaosScratch]) (used *chaosScratch) {
+		"panic": func(worlds *freeList[scenario.World]) (used *scenario.World) {
 			defer func() {
 				if recover() == nil {
 					t.Fatal("the job did not panic")
 				}
 			}()
-			scratch.run(func(sc *chaosScratch) (any, error) {
-				used = sc
-				return runChaosCase(healthy, sc, []telemetry.Sink{&panicSink{n: 300}})
+			worlds.run(func(w *scenario.World) (any, error) {
+				used = w
+				return runChaosCase(healthy, w, []telemetry.Sink{&panicSink{n: 300}})
 			})
 			return used
 		},
 	}
 	for name, fail := range failures {
-		scratch := &freeList[chaosScratch]{}
-		runScratch(t, scratch, healthy) // the failing job gets used scratch
-		failed := fail(scratch)
-		if failed == nil || len(scratch.free) != 0 {
-			t.Fatalf("%s: the failed job's scratch went back on the free list", name)
+		worlds := &freeList[scenario.World]{}
+		runWorld(t, worlds, healthy) // the failing job gets a used world
+		failed := fail(worlds)
+		if failed == nil || len(worlds.free) != 0 {
+			t.Fatalf("%s: the failed job's world went back on the free list", name)
 		}
 		all := telemetry.NewRing(0)
-		got, sc := runScratch(t, scratch, healthy, all)
-		if sc == failed {
-			t.Fatalf("%s: the next job ran on the failed job's scratch", name)
+		got, w := runWorld(t, worlds, healthy, all)
+		if w == failed {
+			t.Fatalf("%s: the next job ran on the failed job's world", name)
 		}
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(all.Events(), wantStream) {
 			t.Fatalf("%s: the job after a failed one diverged from a fresh world", name)
@@ -226,7 +228,7 @@ func TestChaosFailedJobDropsItsScratch(t *testing.T) {
 }
 
 // Jobs share nothing a simulation writes: the same cases run on four
-// goroutines at once, scratch drawn from one free list as in a sweep,
+// goroutines at once, worlds drawn from one free list as in a sweep,
 // produce identical outcomes and identical event streams. Run under
 // -race (CI repeats it) this is also the check that no package-level
 // state crept back onto the packet path.
@@ -239,7 +241,7 @@ func TestChaosConcurrentJobsShareNothing(t *testing.T) {
 	}
 	const workers = 4
 	runs := make([]run, workers)
-	scratch := &freeList[chaosScratch]{}
+	worlds := &freeList[scenario.World]{}
 	var wg sync.WaitGroup
 	for w := range runs {
 		wg.Add(1)
@@ -249,9 +251,9 @@ func TestChaosConcurrentJobsShareNothing(t *testing.T) {
 				for _, c := range cases {
 					all := telemetry.NewRing(0)
 					var out ChaosOutcome
-					_, err := scratch.run(func(sc *chaosScratch) (any, error) {
+					_, err := worlds.run(func(w *scenario.World) (any, error) {
 						var err error
-						out, err = runChaosCase(c, sc, []telemetry.Sink{all})
+						out, err = runChaosCase(c, w, []telemetry.Sink{all})
 						return nil, err
 					})
 					if err != nil {

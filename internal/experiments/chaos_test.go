@@ -128,6 +128,40 @@ func TestChaosBundleReplaysDeterministically(t *testing.T) {
 	}
 }
 
+// A chaos job records no tail; a violating case runs again for it, and
+// that capture run must reproduce the sweep run's first violation — the
+// same rule, flow and instant — or the job fails naming both.
+func TestChaosCaptureReproducesSweepViolation(t *testing.T) {
+	c := wedgeCase()
+	out, err := runChaosCase(c, &scenario.World{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Violations) == 0 || out.Events != nil {
+		t.Fatalf("sweep run: %d violations, %d events; want a violation and no tail", len(out.Violations), len(out.Events))
+	}
+	first := out.Violations[0]
+	capture, err := rerun(c, first, "capture run", "sweep run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(capture.Events) != chaosRingCap {
+		t.Fatalf("capture carries %d events, want a full ring of %d", len(capture.Events), chaosRingCap)
+	}
+	moved := first
+	moved.At++
+	if _, err := rerun(c, moved, "capture run", "sweep run"); err == nil ||
+		!containsAll(err.Error(), "capture run diverged", first.String(), moved.String()) {
+		t.Fatalf("a capture at another instant gave %v, want an error naming both violations", err)
+	}
+	healthy := c
+	healthy.Breakage = ""
+	if _, err := rerun(healthy, first, "capture run", "sweep run"); err == nil ||
+		!containsAll(err.Error(), "capture run produced no violation", first.String()) {
+		t.Fatalf("a clean capture gave %v, want an error naming the sweep run's violation", err)
+	}
+}
+
 // A healthy case must produce the byte-identical outcome on every run —
 // the determinism that repro bundles stand on.
 func TestChaosCaseDeterministic(t *testing.T) {
@@ -148,7 +182,7 @@ func TestChaosCaseDeterministic(t *testing.T) {
 	var finished [2]bool
 	for i := range streams {
 		all := telemetry.NewRing(0)
-		out, err := runChaosCase(c, &chaosScratch{}, []telemetry.Sink{all})
+		out, err := runChaosCase(c, &scenario.World{}, []telemetry.Sink{all})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +209,11 @@ func TestChaosCaseDeterministic(t *testing.T) {
 // a plan that overlaps two renegotiations).
 func TestChaosCorpusLaneBound(t *testing.T) {
 	const bound = 16
-	ring := telemetry.NewRing(chaosRingCap)
 	var w scenario.World // rebuilt for every case, as a sweep's worker does
 	renegotiated := 0
 	for _, seed := range []int64{1, 7} {
 		for _, c := range NewChaosExperiment(ChaosConfig{Schedules: 40, Seed: seed}).cases {
-			_, _, err := chaosWorld(&w, c, ring, nil)
+			_, _, err := chaosWorld(&w, c, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

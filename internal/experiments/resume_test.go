@@ -216,7 +216,7 @@ func TestResumeParentJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	jdir := filepath.Join(dir, "sweep-fig5-"+sweep.SweepKey("fig5", 0, jobs))
+	jdir := filepath.Join(dir, "sweep-fig5-"+sweep.SweepKey("fig5", jobs))
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,8 @@ type StressConfig struct {
 	Cells int `json:"cells"`
 	// Flows is the number of concurrent flows per cell (default 64).
 	Flows int `json:"flows"`
-	// Seed drives per-cell seeds (default 1).
+	// Seed drives per-cell seeds (default 1): cell i runs
+	// sweep.DeriveSeed(Seed-1, i).
 	Seed int64 `json:"seed"`
 	// Bytes is the per-flow transfer size (default 32 kB).
 	Bytes int64 `json:"bytes"`
@@ -97,7 +98,7 @@ func (c *StressConfig) fillDefaults() {
 // StressCell is one cell's outcome. All fields derive from the
 // deterministic simulation, so a cell report reproduces bit-for-bit
 // under its seed — budget trips included, since every budget counts
-// simulated events or time.
+// simulated events.
 type StressCell struct {
 	Cell     int     `json:"cell"`
 	Flows    int     `json:"flows"`
@@ -157,8 +158,7 @@ func runStressCell(w *scenario.World, cfg StressConfig, index int, seed int64) (
 		return StressCell{}, err
 	}
 	sched := w.Sched
-	ring := telemetry.NewRing(256)
-	bounded := telemetry.NewBoundedSink(ring, telemetry.BoundedConfig{
+	bounded := telemetry.NewBoundedSink(telemetry.NullSink{}, telemetry.BoundedConfig{
 		MaxEvents: cfg.TelemetryBudget,
 		Policy:    telemetry.SampleOneInK,
 		Src:       fmt.Sprintf("cell%d", index),
@@ -186,10 +186,7 @@ func runStressCell(w *scenario.World, cfg StressConfig, index int, seed int64) (
 		return StressCell{}, err
 	}
 
-	mon, err := guard.Attach(sched, guard.Limits{MaxEvents: cfg.MaxEvents, StormEvents: cfg.StormEvents}, bus)
-	if err != nil {
-		return StressCell{}, err
-	}
+	mon := guard.Attach(sched, guard.Limits{MaxEvents: cfg.MaxEvents, StormEvents: cfg.StormEvents}, bus)
 
 	w.Run(cfg.Horizon)
 	bounded.Finalize(sched.Now())
@@ -306,7 +303,9 @@ func (r *StressResult) Render() string {
 }
 
 // StressExperiment adapts the soak to the Experiment interface: one
-// sweep job per cell, seeds derived by the engine from Config.Seed.
+// sweep job per cell, cell i seeded sweep.DeriveSeed(Config.Seed-1, i).
+// The -1 keeps the default seed 1 on the cells its checkpoint journals
+// and goldens were written with.
 type StressExperiment struct {
 	cfg StressConfig
 }
@@ -340,6 +339,7 @@ func (e *StressExperiment) Jobs() ([]sweep.Job, error) {
 		cell := i
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("cell%d", cell),
+			Seed: sweep.DeriveSeed(e.cfg.Seed-1, cell),
 			Run: func(seed int64) (any, error) {
 				return worlds.run(func(w *scenario.World) (any, error) {
 					c, err := runStressCell(w, e.cfg, cell, seed)

@@ -37,6 +37,38 @@ func TestStressCleanRunIsDeterministic(t *testing.T) {
 	}
 }
 
+// stressRows renders `rrsim stress -cells 2 -flows 8 -horizon 10s` at
+// the given -seed and returns its cell rows.
+func stressRows(t *testing.T, seed int64) string {
+	t.Helper()
+	e, err := Build("stress", Options{Runs: 100, Drops: 3, Cells: 2, Flows: 8, Seed: seed, Horizon: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, RunOptions{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(res.Render(), "\n")
+	return strings.Join(lines[2:4], "\n")
+}
+
+// -seed picks the cells: the default seed and seed 1 run the cells
+// pinned here, and seed 2 runs others.
+func TestStressHonoursSeed(t *testing.T) {
+	const seed1Rows = "" +
+		"0          8         8       3225    10.00s     2154        0 ok\n" +
+		"1          8         8       3337    10.00s     2208        0 ok"
+	for _, seed := range []int64{0, 1} {
+		if got := stressRows(t, seed); got != seed1Rows {
+			t.Errorf("seed %d rows:\n%s\nwant\n%s", seed, got, seed1Rows)
+		}
+	}
+	if got := stressRows(t, 2); got == seed1Rows {
+		t.Errorf("seed 2 runs seed 1's cells:\n%s", got)
+	}
+}
+
 func TestStressBudgetTripDegradesDeterministically(t *testing.T) {
 	cfg := smallStress()
 	cfg.MaxEvents = 800

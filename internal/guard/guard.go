@@ -31,8 +31,6 @@ import (
 const (
 	// ResourceEvents is the processed-event-count budget.
 	ResourceEvents = "events"
-	// ResourceSimTime is the simulated-clock budget.
-	ResourceSimTime = "sim-time"
 	// ResourceStorm is the event-storm/Zeno detector: too many events
 	// processed without the simulated clock advancing.
 	ResourceStorm = "event-storm"
@@ -44,9 +42,6 @@ type Limits struct {
 	// MaxEvents bounds the total number of processed events.
 	// Deterministic: a run trips at exactly this count.
 	MaxEvents uint64
-	// MaxSimTime bounds the simulated clock — the budget form of a run
-	// horizon, for RunAll-style executions that have none. Deterministic.
-	MaxSimTime sim.Time
 	// StormEvents is the event-storm/Zeno detector: the run trips after
 	// this many consecutive events fire without the simulated clock
 	// advancing (a zero-delay self-rescheduling loop would otherwise
@@ -58,15 +53,7 @@ type Limits struct {
 
 // Enabled reports whether any budget is set.
 func (l Limits) Enabled() bool {
-	return l.MaxEvents > 0 || l.MaxSimTime > 0 || l.StormEvents > 0
-}
-
-// Validate rejects a negative MaxSimTime, the one signed budget.
-func (l Limits) Validate() error {
-	if l.MaxSimTime < 0 {
-		return fmt.Errorf("guard: MaxSimTime must be non-negative, got %v", l.MaxSimTime)
-	}
-	return nil
+	return l.MaxEvents > 0 || l.StormEvents > 0
 }
 
 // OverloadError reports a tripped resource budget. It implements the
@@ -76,8 +63,9 @@ func (l Limits) Validate() error {
 type OverloadError struct {
 	// Resource names the budget that tripped (the Resource* constants).
 	Resource string `json:"resource"`
-	// Observed and Limit quantify the trip in the resource's own unit
-	// (events or simulated seconds).
+	// Observed and Limit quantify the trip in events: processed events
+	// for the events budget, events at a frozen clock for the storm
+	// detector.
 	Observed float64 `json:"observed"`
 	Limit    float64 `json:"limit"`
 	// At is the simulated instant of the trip; Events the processed
@@ -112,23 +100,19 @@ type Monitor struct {
 	stormRun uint64
 }
 
-// Attach validates the limits and installs a monitor on the scheduler's
-// guard hook. A tripped budget stops the scheduler after the in-flight
-// event, records the typed *OverloadError (retrievable via Err and
-// sim.Scheduler.GuardErr), and publishes a telemetry "overload" event
-// on bus (which may be nil). Attaching an empty Limits removes any
-// installed guard, restoring the zero-cost path.
-func Attach(sched *sim.Scheduler, limits Limits, bus *telemetry.Bus) (*Monitor, error) {
-	if err := limits.Validate(); err != nil {
-		return nil, err
-	}
+// Attach installs a monitor on the scheduler's guard hook. A tripped
+// budget stops the scheduler after the in-flight event, records the
+// typed *OverloadError (retrievable via Err), and publishes a telemetry
+// "overload" event on bus (which may be nil). Attaching an empty Limits
+// removes any installed guard, restoring the zero-cost path.
+func Attach(sched *sim.Scheduler, limits Limits, bus *telemetry.Bus) *Monitor {
 	m := &Monitor{limits: limits, bus: bus}
 	if !limits.Enabled() {
 		sched.SetGuard(nil)
-		return m, nil
+		return m
 	}
 	sched.SetGuard(m.check)
-	return m, nil
+	return m
 }
 
 // Err returns the budget trip that stopped the run, or nil. Nil-safe.
@@ -142,8 +126,8 @@ func (m *Monitor) Err() *OverloadError {
 // Tripped reports whether any budget has tripped. Nil-safe.
 func (m *Monitor) Tripped() bool { return m.Err() != nil }
 
-// check is the scheduler guard hook. The budgets (events, sim-time,
-// storm) are evaluated on every event, in a fixed order so simultaneous
+// check is the scheduler guard hook. The budgets (events, storm) are
+// evaluated on every event, in a fixed order so simultaneous
 // trips resolve identically every run. Once tripped the monitor keeps
 // returning the same error, so a caller that ignores the stop and calls
 // Run again stops immediately instead of burning more budget.
@@ -161,8 +145,6 @@ func (m *Monitor) check(now sim.Time, processed uint64, pending int) error {
 	switch {
 	case l.MaxEvents > 0 && processed >= l.MaxEvents:
 		return m.trip(ResourceEvents, float64(processed), float64(l.MaxEvents), now, processed)
-	case l.MaxSimTime > 0 && now >= l.MaxSimTime:
-		return m.trip(ResourceSimTime, now.Seconds(), l.MaxSimTime.Seconds(), now, processed)
 	case l.StormEvents > 0 && m.stormRun >= l.StormEvents:
 		return m.trip(ResourceStorm, float64(m.stormRun), float64(l.StormEvents), now, processed)
 	}

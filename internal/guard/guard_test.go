@@ -26,10 +26,7 @@ func TestMaxEventsTripsDeterministically(t *testing.T) {
 	run := func() *OverloadError {
 		sched := sim.NewScheduler(1)
 		tickChain(sched, time.Millisecond)
-		mon, err := Attach(sched, Limits{MaxEvents: 100}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mon := Attach(sched, Limits{MaxEvents: 100}, nil)
 		sched.Run(time.Hour)
 		return mon.Err()
 	}
@@ -48,35 +45,12 @@ func TestMaxEventsTripsDeterministically(t *testing.T) {
 	}
 }
 
-func TestMaxSimTimeTrips(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	tickChain(sched, time.Millisecond)
-	mon, err := Attach(sched, Limits{MaxSimTime: 50 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(time.Hour)
-	oe := mon.Err()
-	if oe == nil || oe.Resource != ResourceSimTime {
-		t.Fatalf("got %v, want a %s trip", oe, ResourceSimTime)
-	}
-	if oe.At < 50*time.Millisecond {
-		t.Fatalf("tripped at %v, before the %v budget", oe.At, 50*time.Millisecond)
-	}
-	if got := sched.GuardErr(); got != error(oe) {
-		t.Fatalf("scheduler retained %v, monitor %v", got, oe)
-	}
-}
-
 func TestStormDetectorTripsOnFrozenClock(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	// A zero-delay self-rescheduling loop: the clock never advances, so
 	// no horizon and no sim-time watchdog can end this run.
 	tickChain(sched, 0)
-	mon, err := Attach(sched, Limits{StormEvents: 500}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := Attach(sched, Limits{StormEvents: 500}, nil)
 	done := make(chan struct{})
 	go func() {
 		sched.Run(time.Second)
@@ -99,10 +73,7 @@ func TestStormDetectorTripsOnFrozenClock(t *testing.T) {
 func TestStormResetsWhenClockAdvances(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	tickChain(sched, time.Millisecond) // clock advances every event
-	mon, err := Attach(sched, Limits{StormEvents: 2, MaxEvents: 1000}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := Attach(sched, Limits{StormEvents: 2, MaxEvents: 1000}, nil)
 	sched.Run(time.Hour)
 	oe := mon.Err()
 	if oe == nil || oe.Resource != ResourceEvents {
@@ -115,9 +86,7 @@ func TestTripPublishesOverloadEvent(t *testing.T) {
 	tickChain(sched, time.Millisecond)
 	var col collector
 	bus := telemetry.NewBus(&col)
-	if _, err := Attach(sched, Limits{MaxEvents: 10}, bus); err != nil {
-		t.Fatal(err)
-	}
+	Attach(sched, Limits{MaxEvents: 10}, bus)
 	sched.Run(time.Hour)
 	var got *telemetry.Event
 	for i := range col.events {
@@ -148,10 +117,7 @@ func TestUntrippedGuardDoesNotSteer(t *testing.T) {
 			}
 		})
 		tick.Reset(1)
-		mon, err := Attach(sched, limits, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mon := Attach(sched, limits, nil)
 		sched.RunAll()
 		if mon.Tripped() {
 			t.Fatalf("budget tripped unexpectedly: %v", mon.Err())
@@ -159,7 +125,7 @@ func TestUntrippedGuardDoesNotSteer(t *testing.T) {
 		return sched.Processed(), sched.Now()
 	}
 	freeEvents, freeNow := run(Limits{})
-	guardedEvents, guardedNow := run(Limits{MaxEvents: 1 << 30, StormEvents: 1 << 30, MaxSimTime: time.Hour})
+	guardedEvents, guardedNow := run(Limits{MaxEvents: 1 << 30, StormEvents: 1 << 30})
 	if freeEvents != guardedEvents || freeNow != guardedNow {
 		t.Fatalf("guarded run diverged: %d events at %v vs unguarded %d at %v",
 			guardedEvents, guardedNow, freeEvents, freeNow)
@@ -168,24 +134,12 @@ func TestUntrippedGuardDoesNotSteer(t *testing.T) {
 
 func TestAttachEmptyLimitsRemovesGuard(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	if _, err := Attach(sched, Limits{MaxEvents: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	mon, err := Attach(sched, Limits{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Attach(sched, Limits{MaxEvents: 1}, nil)
+	mon := Attach(sched, Limits{}, nil)
 	tickChain(sched, time.Millisecond)
 	sched.Run(10 * time.Millisecond)
-	if mon.Tripped() || sched.GuardErr() != nil {
-		t.Fatalf("removed guard still tripped: %v / %v", mon.Err(), sched.GuardErr())
-	}
-}
-
-func TestValidateRejectsNegativeBudgets(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	if _, err := Attach(sched, Limits{MaxSimTime: -1}, nil); err == nil {
-		t.Fatal("negative MaxSimTime accepted")
+	if mon.Tripped() || sched.Processed() != 10 {
+		t.Fatalf("removed guard still tripped: %v after %d events", mon.Err(), sched.Processed())
 	}
 }
 

@@ -50,10 +50,7 @@ func wedgeWinner(t *testing.T, limits guard.Limits, frozenClock bool) (string, *
 	spin = sched.NewTimer(func() { spin.Reset(step) })
 	spin.Reset(step)
 
-	mon, err := guard.Attach(sched, limits, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := guard.Attach(sched, limits, bus)
 	sched.Run(sim.Time(time.Second))
 
 	oerr := mon.Err()

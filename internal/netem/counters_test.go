@@ -66,8 +66,8 @@ func TestGlobalPacketsMatchLinkCounts(t *testing.T) {
 			d := echoWorld(t, s, 3)
 			arm(s)
 			s.Run(5 * time.Second)
-			if tripped := s.GuardErr() != nil; tripped != (name == "guard-trip") {
-				t.Fatalf("guard tripped = %v", tripped)
+			if tripped := s.Processed() == 5000; tripped != (name == "guard-trip") {
+				t.Fatalf("guard tripped = %v after %d events", tripped, s.Processed())
 			}
 			if s.Now() == 5*time.Second && name != "horizon" {
 				t.Fatal("run was not cut short")
@@ -89,14 +89,14 @@ func TestGlobalPacketsExactAcrossSweep(t *testing.T) {
 	_, before := sim.GlobalCounters()
 	jobs := make([]sweep.Job, 16)
 	for i := range jobs {
-		jobs[i] = sweep.Job{Run: func(seed int64) (any, error) {
+		jobs[i] = sweep.Job{Seed: sweep.DeriveSeed(1, i), Run: func(seed int64) (any, error) {
 			s := sim.NewScheduler(seed)
 			d := echoWorld(t, s, 2)
 			s.Run(3 * time.Second)
 			return txPackets(d), nil
 		}}
 	}
-	results, err := sweep.Run(sweep.Config{Seed: 1, Workers: 4}, jobs)
+	results, err := sweep.Run(sweep.Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,20 +39,6 @@ type drrFlow struct {
 	fresh bool
 }
 
-// DRRConfig parameterizes a deficit-round-robin fair queue.
-type DRRConfig struct {
-	// QuantumBytes is the per-round byte credit each active flow earns.
-	QuantumBytes int
-	// LimitPackets bounds the shared buffer, in packets.
-	LimitPackets int
-}
-
-// NewDRRConfig builds a fair queue from a DRRConfig; see NewDRR for
-// the parameter constraints.
-func NewDRRConfig(cfg DRRConfig) (*DRRQueue, error) {
-	return NewDRR(cfg.QuantumBytes, cfg.LimitPackets)
-}
-
 // NewDRR builds a fair queue with the given per-round byte quantum and
 // a total buffer limit in packets. Both must be at least one: a
 // non-positive quantum never earns any flow a transmission credit, and

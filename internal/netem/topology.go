@@ -71,12 +71,10 @@ type DumbbellConfig struct {
 	// ForwardQueue supplies the discipline for the congested R1→R2
 	// buffer. nil defaults to an 8-packet drop-tail (Table 3).
 	ForwardQueue QueueDiscipline
-	// ReverseQueueLimit bounds the R2→R1 ACK-path drop-tail buffer;
-	// zero means a generous default (ACKs are tiny).
-	ReverseQueueLimit int
-	// ReverseQueue overrides the reverse-path discipline entirely
-	// (e.g. a DRR fair queue for the §2.3 fair-share experiment). When
-	// set, ReverseQueueLimit is ignored.
+	// ReverseQueue supplies the discipline for the R2→R1 ACK-path
+	// buffer (e.g. a DRR fair queue for the §2.3 fair-share
+	// experiment). nil defaults to a generous 1000-packet drop-tail:
+	// ACKs are tiny.
 	ReverseQueue QueueDiscipline
 	// Loss, when non-nil, is inserted at R1 in front of the forward
 	// bottleneck queue (where the paper injects artificial losses).
@@ -170,10 +168,6 @@ func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 	if err := validateLinkParams(cfg.SideBps, cfg.SideDelay); err != nil {
 		return fmt.Errorf("side link: %w", err)
 	}
-	revLimit := cfg.ReverseQueueLimit
-	if revLimit <= 0 {
-		revLimit = 1000
-	}
 
 	// Everything the flow count sizes is one block each: the links (with
 	// their queues and drop-tails inside them), the side links' first
@@ -204,7 +198,7 @@ func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 	}
 	d.forward, d.reverse = &d.links[0], &d.links[1]
 	d.forward.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ForwardQueue, 8, &d.fwdDemux)
-	d.reverse.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ReverseQueue, revLimit, &d.revDemux)
+	d.reverse.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ReverseQueue, 1000, &d.revDemux)
 	d.revEntry = d.reverse
 
 	// Entry into the forward bottleneck, optionally via a loss module.

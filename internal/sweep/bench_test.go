@@ -16,7 +16,7 @@ func benchmarkEngine(b *testing.B, workers int) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Name: "bench", Seed: 1, Workers: workers}, jobs); err != nil {
+		if _, err := Run(Config{Name: "bench", Workers: workers}, jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,8 +20,7 @@ import (
 // uninterrupted one — the determinism contract survives a kill -9.
 //
 // Journals live in a content-addressed directory: the sweep identity
-// (experiment name, master seed, and every job's name and resolved
-// seed) hashes to a key, and the journal sits under
+// (experiment name and every job's name and seed) hashes to a key, and the journal sits under
 // <dir>/sweep-<name>-<key>/. A resumed run that changed anything about
 // the job list lands in a different directory and starts fresh instead
 // of merging records from a different sweep.
@@ -39,25 +38,20 @@ type journalRecord struct {
 // journal, describing the sweep the records belong to.
 type journalMeta struct {
 	Experiment string `json:"experiment"`
-	Seed       int64  `json:"seed"`
 	Jobs       int    `json:"jobs"`
 	Key        string `json:"key"`
 }
 
 // SweepKey returns the content hash identifying a sweep for
-// checkpointing: a SHA-256 over the sweep name, master seed, job
-// count, and every job's name and resolved seed, truncated to 16 hex
-// digits. Jobs with Seed == 0 hash their derived seed, so the key is
-// independent of whether derivation already happened.
-func SweepKey(name string, seed int64, jobs []Job) string {
+// checkpointing: a SHA-256 over the sweep name, job count, and every
+// job's name and seed, truncated to 16 hex digits. The 0 hashed after
+// the name keeps the key of every journal already written, which
+// hashed a master seed of 0 there, so those journals still resume.
+func SweepKey(name string, jobs []Job) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%d\n%d\n", name, seed, len(jobs))
+	fmt.Fprintf(h, "%s\n0\n%d\n", name, len(jobs))
 	for i, j := range jobs {
-		s := j.Seed
-		if s == 0 {
-			s = DeriveSeed(seed, i)
-		}
-		fmt.Fprintf(h, "%d %q %d\n", i, j.Name, s)
+		fmt.Fprintf(h, "%d %q %d\n", i, j.Name, j.Seed)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -77,13 +71,12 @@ type Journal struct {
 	// restored maps job index to its decoded result from a previous
 	// run's records.
 	restored map[int]any
-	seeds    map[int]int64 // resolved seed per index, for key validation
-	skipped  int           // malformed or mismatched records dropped on load
+	skipped  int // malformed or mismatched records dropped on load
 }
 
 // OpenJournal opens (resume == true) or creates afresh (resume ==
 // false) the checkpoint journal for the sweep identified by (cfg.Name,
-// cfg.Seed, jobs) under dir. decode reconstructs one job's concrete
+// jobs) under dir. decode reconstructs one job's concrete
 // result value from its stored JSON — it must invert json.Marshal of
 // whatever Job.Run returns, or resumed results will not satisfy the
 // experiment's Reduce.
@@ -96,7 +89,7 @@ func OpenJournal(dir string, cfg Config, jobs []Job, resume bool, decode func([]
 	if decode == nil {
 		return nil, fmt.Errorf("sweep: journal needs a result decoder")
 	}
-	key := SweepKey(cfg.Name, cfg.Seed, jobs)
+	key := SweepKey(cfg.Name, jobs)
 	name := cfg.Name
 	if name == "" {
 		name = "sweep"
@@ -111,22 +104,14 @@ func OpenJournal(dir string, cfg Config, jobs []Job, resume bool, decode func([]
 		key:      key,
 		decode:   decode,
 		restored: map[int]any{},
-		seeds:    make(map[int]int64, len(jobs)),
-	}
-	for i, job := range jobs {
-		s := job.Seed
-		if s == 0 {
-			s = DeriveSeed(cfg.Seed, i)
-		}
-		j.seeds[i] = s
 	}
 	if resume {
-		if err := j.load(len(jobs)); err != nil {
+		if err := j.load(jobs); err != nil {
 			return nil, err
 		}
 	}
 	meta, err := json.MarshalIndent(journalMeta{
-		Experiment: cfg.Name, Seed: cfg.Seed, Jobs: len(jobs), Key: key,
+		Experiment: cfg.Name, Jobs: len(jobs), Key: key,
 	}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("sweep: journal meta: %w", err)
@@ -152,7 +137,7 @@ func OpenJournal(dir string, cfg Config, jobs []Job, resume bool, decode func([]
 // load reads a previous run's records. Malformed lines (a process
 // killed mid-write leaves at most one) and records that no longer
 // match the job list are counted in skipped and dropped.
-func (j *Journal) load(n int) error {
+func (j *Journal) load(jobs []Job) error {
 	data, err := os.ReadFile(j.path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -170,7 +155,7 @@ func (j *Journal) load(n int) error {
 			j.skipped++
 			continue
 		}
-		if rec.Job < 0 || rec.Job >= n || j.seeds[rec.Job] != rec.Seed {
+		if rec.Job < 0 || rec.Job >= len(jobs) || jobs[rec.Job].Seed != rec.Seed {
 			j.skipped++
 			continue
 		}

@@ -47,7 +47,7 @@ func TestSweepConvertsDegradedJobsToResults(t *testing.T) {
 		}},
 		spinJob(20),
 	}
-	results, err := Run(Config{Name: "t", Seed: 3, Workers: 1, Telemetry: bus}, jobs)
+	results, err := Run(Config{Name: "t", Workers: 1, Telemetry: bus}, jobs)
 	if err != nil {
 		t.Fatalf("a degraded job must not fail the sweep: %v", err)
 	}
@@ -83,10 +83,10 @@ func TestDegradedJobsAreNotJournaled(t *testing.T) {
 	jobs := []Job{
 		spinJob(10),
 		{Name: "blown", Run: func(seed int64) (any, error) {
-			return nil, &budgetErr{resource: "sim-time"}
+			return nil, &budgetErr{resource: "event-storm"}
 		}},
 	}
-	cfg := Config{Name: "t", Seed: 5, Workers: 1}
+	cfg := Config{Name: "t", Workers: 1}
 	decode := func(data []byte) (any, error) {
 		var v int64
 		_, err := fmt.Sscan(string(data), &v)
@@ -107,7 +107,7 @@ func TestDegradedJobsAreNotJournaled(t *testing.T) {
 	reran := false
 	jobs[1].Run = func(seed int64) (any, error) {
 		reran = true
-		return nil, &budgetErr{resource: "sim-time"}
+		return nil, &budgetErr{resource: "event-storm"}
 	}
 	journal, err = OpenJournal(dir, cfg, jobs, true, decode)
 	if err != nil {

@@ -110,7 +110,7 @@ func TestRunPanicIsReplayableJobError(t *testing.T) {
 		runs := make([]atomic.Int32, 6)
 		jobs := make([]Job, len(runs))
 		for i := range jobs {
-			jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(seed int64) (any, error) {
+			jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Seed: DeriveSeed(sweepSeed, i), Run: func(seed int64) (any, error) {
 				runs[i].Add(1)
 				if seed == bad {
 					panic(fmt.Sprintf("bad seed %d", seed))
@@ -118,7 +118,7 @@ func TestRunPanicIsReplayableJobError(t *testing.T) {
 				return seed, nil
 			}}
 		}
-		res, err := Run(Config{Name: "panics", Seed: sweepSeed, Workers: workers}, jobs)
+		res, err := Run(Config{Name: "panics", Workers: workers}, jobs)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: got %v, want a *PanicError", workers, err)
@@ -179,7 +179,7 @@ func TestRunCancellationDrainsAndReturnsPartial(t *testing.T) {
 	started := make(chan int, 8)
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(seed int64) (any, error) {
+		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Seed: DeriveSeed(9, i), Run: func(seed int64) (any, error) {
 			started <- i
 			<-gate
 			return seed, nil
@@ -188,7 +188,7 @@ func TestRunCancellationDrainsAndReturnsPartial(t *testing.T) {
 	errc := make(chan error, 1)
 	resc := make(chan []any, 1)
 	go func() {
-		res, err := Run(Config{Name: "cancel", Seed: 9, Workers: 2, Context: ctx}, jobs)
+		res, err := Run(Config{Name: "cancel", Workers: 2, Context: ctx}, jobs)
 		resc <- res
 		errc <- err
 	}()
@@ -213,7 +213,7 @@ func TestRunCancellationDrainsAndReturnsPartial(t *testing.T) {
 				t.Fatalf("job %d has a result but was never started (started %d, %d)", i, a, b)
 			}
 			if r.(int64) != DeriveSeed(9, i) {
-				t.Fatalf("drained job %d result %v, want derived seed", i, r)
+				t.Fatalf("drained job %d result %v, want its seed", i, r)
 			}
 		}
 	}
@@ -256,51 +256,49 @@ func decodeInt64(data []byte) (any, error) {
 	return v, nil
 }
 
-func seedJobs(n int) []Job {
+// seedJobs returns n jobs seeded DeriveSeed(seed, i), each returning
+// its seed.
+func seedJobs(seed int64, n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(seed int64) (any, error) { return seed, nil }}
+		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Seed: DeriveSeed(seed, i), Run: func(seed int64) (any, error) { return seed, nil }}
 	}
 	return jobs
 }
 
 func TestSweepKeyContentAddressing(t *testing.T) {
-	jobs := seedJobs(4)
-	base := SweepKey("exp", 7, jobs)
-	if base != SweepKey("exp", 7, seedJobs(4)) {
+	jobs := seedJobs(7, 4)
+	base := SweepKey("exp", jobs)
+	if base != SweepKey("exp", seedJobs(7, 4)) {
 		t.Fatal("key not stable for identical sweeps")
 	}
-	if base == SweepKey("exp", 8, jobs) {
-		t.Fatal("key ignores the master seed")
+	// Pinned: the key journals already on disk carry for this sweep,
+	// which hashed a master seed of 0, so they still resume.
+	if base != "3a58bc71c12c0b5c" {
+		t.Fatalf("key %s, journals on disk carry 3a58bc71c12c0b5c", base)
 	}
-	if base == SweepKey("other", 7, jobs) {
+	if base == SweepKey("other", jobs) {
 		t.Fatal("key ignores the sweep name")
 	}
-	if base == SweepKey("exp", 7, seedJobs(5)) {
+	if base == SweepKey("exp", seedJobs(7, 5)) {
 		t.Fatal("key ignores the job count")
 	}
-	renamed := seedJobs(4)
+	renamed := seedJobs(7, 4)
 	renamed[2].Name = "renamed"
-	if base == SweepKey("exp", 7, renamed) {
+	if base == SweepKey("exp", renamed) {
 		t.Fatal("key ignores job names")
 	}
-	pinned := seedJobs(4)
+	pinned := seedJobs(7, 4)
 	pinned[1].Seed = 1234
-	if base == SweepKey("exp", 7, pinned) {
-		t.Fatal("key ignores pinned job seeds")
-	}
-	// Pinning a job to its derived seed is the same sweep.
-	derived := seedJobs(4)
-	derived[1].Seed = DeriveSeed(7, 1)
-	if base != SweepKey("exp", 7, derived) {
-		t.Fatal("key distinguishes derived from explicitly pinned derived seeds")
+	if base == SweepKey("exp", pinned) {
+		t.Fatal("key ignores job seeds")
 	}
 }
 
 func TestJournalResumeProducesIdenticalResults(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Name: "ckpt", Seed: 21, Workers: 2}
-	jobs := seedJobs(10)
+	cfg := Config{Name: "ckpt", Workers: 2}
+	jobs := seedJobs(21, 10)
 
 	baseline, err := Run(cfg, jobs)
 	if err != nil {
@@ -364,8 +362,8 @@ func TestJournalResumeProducesIdenticalResults(t *testing.T) {
 
 func TestJournalToleratesTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Name: "trunc", Seed: 5, Workers: 1}
-	jobs := seedJobs(4)
+	cfg := Config{Name: "trunc", Workers: 1}
+	jobs := seedJobs(5, 4)
 	j, err := OpenJournal(dir, cfg, jobs, false, decodeInt64)
 	if err != nil {
 		t.Fatal(err)
@@ -412,23 +410,22 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 
 func TestJournalRejectsForeignRecords(t *testing.T) {
 	dir := t.TempDir()
-	jobs := seedJobs(3)
-	cfgA := Config{Name: "exp", Seed: 1, Workers: 1}
-	j, err := OpenJournal(dir, cfgA, jobs, false, decodeInt64)
+	jobs := seedJobs(1, 3)
+	cfg := Config{Name: "exp", Workers: 1}
+	j, err := OpenJournal(dir, cfg, jobs, false, decodeInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cfgA
+	c := cfg
 	c.Checkpoint = j
 	if _, err := Run(c, jobs); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 
-	// A different master seed is a different sweep: it must land in its
-	// own directory and restore nothing.
-	cfgB := Config{Name: "exp", Seed: 2, Workers: 1}
-	j2, err := OpenJournal(dir, cfgB, jobs, true, decodeInt64)
+	// Other job seeds make a different sweep: it must land in its own
+	// directory and restore nothing.
+	j2, err := OpenJournal(dir, cfg, seedJobs(2, 3), true, decodeInt64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,9 @@
 //     derived from that slice is byte-identical at any worker count,
 //     including 1.
 //   - Seeds are fixed before execution starts: a job's seed is its Seed
-//     field, or DeriveSeed(cfg.Seed, index) when the field is zero —
-//     never anything drawn during execution.
+//     field, set when the job list is built — never anything drawn
+//     during execution. DeriveSeed is there for experiments that spread
+//     one seed over their jobs.
 //
 // A job's outcome is a function of its seed, never of the host: each
 // job runs exactly once, on one worker goroutine, to completion. An
@@ -67,12 +68,12 @@ import (
 type Job struct {
 	// Name labels the job in progress events and error messages.
 	Name string
-	// Seed drives the job's scheduler. Zero means "derive": the engine
-	// fills it with DeriveSeed(Config.Seed, index) before execution.
+	// Seed drives the job's scheduler; the engine hands it to Run
+	// unchanged.
 	Seed int64
-	// Run executes the job with the resolved seed and returns its
-	// result. It runs on a worker goroutine and must not share mutable
-	// state with any other job.
+	// Run executes the job with its seed and returns its result. It
+	// runs on a worker goroutine and must not share mutable state with
+	// any other job.
 	Run func(seed int64) (any, error)
 }
 
@@ -82,9 +83,6 @@ type Job struct {
 type Config struct {
 	// Name labels the sweep in progress events and error messages.
 	Name string
-	// Seed is the sweep master seed, used to derive per-job seeds for
-	// jobs that do not pin their own.
-	Seed int64
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// Telemetry, when non-nil, receives sweep progress events. They are
@@ -109,9 +107,9 @@ type Config struct {
 	Checkpoint *Journal
 }
 
-// DeriveSeed returns the deterministic seed for the job at index under
-// the sweep master seed, via a splitmix64-style derivation: the index
-// steps a Weyl sequence from the master seed and the splitmix64
+// DeriveSeed returns a deterministic seed for the job at index under a
+// master seed, via a splitmix64-style derivation: the index steps a
+// Weyl sequence from the master seed and the splitmix64
 // finalizer scrambles it. Nearby (seed, index) pairs therefore yield
 // statistically independent streams, and the mapping is stable across
 // runs, platforms, and worker counts.
@@ -159,14 +157,6 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	seeds := make([]int64, n)
-	for i, j := range jobs {
-		seeds[i] = j.Seed
-		if seeds[i] == 0 {
-			seeds[i] = DeriveSeed(cfg.Seed, i)
-		}
-	}
-
 	results := make([]any, n)
 	errs := make([]error, n)
 	finished := make([]bool, n) // completed this run or restored from checkpoint
@@ -244,7 +234,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 					if timed {
 						start = time.Now()
 					}
-					results[i], errs[i] = runJob(jobs[i], seeds[i])
+					results[i], errs[i] = runJob(jobs[i])
 					if timed {
 						jobWall[i] = time.Since(start).Seconds()
 						jobWorker[i] = w
@@ -342,7 +332,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 					}
 					switch {
 					case errs[i] == nil:
-						if jerr := cfg.Checkpoint.Append(i, jobs[i].Name, seeds[i], results[i]); jerr != nil && journalErr == nil {
+						if jerr := cfg.Checkpoint.Append(i, jobs[i].Name, jobs[i].Seed, results[i]); jerr != nil && journalErr == nil {
 							journalErr = jerr
 						}
 					case IsDegraded(errs[i]):
@@ -352,7 +342,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 						// journal — on resume the job re-runs and degrades
 						// identically, since deterministic budgets are
 						// functions of the seed.
-						results[i] = Degraded{Job: jobs[i].Name, Index: i, Seed: seeds[i], Err: errs[i]}
+						results[i] = Degraded{Job: jobs[i].Name, Index: i, Seed: jobs[i].Seed, Err: errs[i]}
 						errs[i] = nil
 						cfg.Telemetry.Publish(telemetry.Event{
 							Comp: telemetry.CompSweep, Kind: telemetry.KSweepDegraded,
@@ -411,7 +401,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	}
 	for i, err := range errs {
 		if err != nil {
-			fail = append(fail, fmt.Errorf("sweep %s: job %d (%s, seed %d): %w", cfg.Name, i, jobs[i].Name, seeds[i], err))
+			fail = append(fail, fmt.Errorf("sweep %s: job %d (%s, seed %d): %w", cfg.Name, i, jobs[i].Name, jobs[i].Seed, err))
 		}
 	}
 	if journalErr != nil {
@@ -461,7 +451,7 @@ func stackSnippet(limit int) []byte {
 // snippet included) so a broken job cannot deadlock the pool. panic(nil)
 // is normalized to *runtime.PanicNilError rather than surfacing as a
 // misleading "<nil>".
-func runJob(j Job, seed int64) (res any, err error) {
+func runJob(j Job) (res any, err error) {
 	returned := false
 	defer func() {
 		if returned {
@@ -475,7 +465,7 @@ func runJob(j Job, seed int64) (res any, err error) {
 		}
 		res, err = nil, &PanicError{Value: r, Stack: stackSnippet(2048)}
 	}()
-	res, err = j.Run(seed)
+	res, err = j.Run(j.Seed)
 	returned = true
 	return res, err
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // spinJob simulates a small deterministic workload: a scheduler seeded
-// from the engine-resolved seed processes a chain of events and the
-// result folds the seed into every firing.
+// from the job's seed processes a chain of events and the result folds
+// the seed into every firing.
 func spinJob(events int) Job {
 	return Job{
 		Name: fmt.Sprintf("spin-%d", events),
+		Seed: DeriveSeed(7, events),
 		Run: func(seed int64) (any, error) {
 			sched := sim.NewScheduler(seed)
 			acc := seed
@@ -40,12 +41,12 @@ func TestRunOrdersResultsByJobIndex(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = spinJob(50 + i)
 	}
-	seq, err := Run(Config{Name: "t", Seed: 7, Workers: 1}, jobs)
+	seq, err := Run(Config{Name: "t", Workers: 1}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 9} {
-		par, err := Run(Config{Name: "t", Seed: 7, Workers: workers}, jobs)
+		par, err := Run(Config{Name: "t", Workers: workers}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,30 +58,22 @@ func TestRunOrdersResultsByJobIndex(t *testing.T) {
 	}
 }
 
-func TestRunDerivesSeedsWhenUnset(t *testing.T) {
-	var got [4]int64
-	jobs := make([]Job, len(got))
-	for i := range jobs {
-		jobs[i] = Job{Run: func(seed int64) (any, error) { return seed, nil }}
+// A job runs with its Seed field, zero included: the engine derives
+// nothing.
+func TestRunHandsJobsTheirSeeds(t *testing.T) {
+	seeds := []int64{0, 1234, -5, DeriveSeed(99, 3)}
+	jobs := make([]Job, len(seeds))
+	for i, seed := range seeds {
+		jobs[i] = Job{Seed: seed, Run: func(seed int64) (any, error) { return seed, nil }}
 	}
-	res, err := Run(Config{Seed: 99, Workers: 1}, jobs)
+	res, err := Run(Config{Workers: 1}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		want := DeriveSeed(99, i)
+	for i, want := range seeds {
 		if res[i].(int64) != want {
-			t.Fatalf("job %d seed %d, want DeriveSeed(99,%d)=%d", i, res[i], i, want)
+			t.Fatalf("job %d ran with seed %d, want its Seed field %d", i, res[i], want)
 		}
-	}
-	// A pinned seed wins over derivation.
-	pinned := []Job{{Seed: 1234, Run: func(seed int64) (any, error) { return seed, nil }}}
-	res, err = Run(Config{Seed: 99, Workers: 1}, pinned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].(int64) != 1234 {
-		t.Fatalf("pinned seed not honored: got %v", res[0])
 	}
 }
 

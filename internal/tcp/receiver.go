@@ -22,18 +22,13 @@ type Receiver struct {
 
 	// SACKEnabled makes ACKs carry up to three SACK blocks.
 	SACKEnabled bool
-	// AckSize is the wire size of generated ACKs (paper: 40 bytes).
-	AckSize int
 	// DelayedAck enables RFC 1122-style delayed acknowledgments for
-	// in-order data: one ACK per two segments, or after AckDelay. The
+	// in-order data: one ACK per two segments, or after ackDelay. The
 	// paper runs with this OFF ("the receiver sends an ACK for every
 	// data packet"); it is provided for the delayed-ACK extension
 	// experiments. Out-of-order arrivals and hole fills are always
 	// acknowledged immediately, per RFC 5681.
 	DelayedAck bool
-	// AckDelay bounds how long an acknowledgment may be withheld
-	// (default 200 ms).
-	AckDelay sim.Time
 
 	rcvNxt  int64
 	blocks  rangeSet    // out-of-order data
@@ -62,15 +57,20 @@ type Receiver struct {
 
 var _ netem.Node = (*Receiver)(nil)
 
+const (
+	// ackSize is the wire size of generated ACKs (paper: 40 bytes).
+	ackSize = 40
+	// ackDelay bounds how long a delayed acknowledgment may be withheld.
+	ackDelay = 200 * time.Millisecond
+)
+
 // NewReceiver builds a receiver whose ACKs go to out.
 func NewReceiver(sched *sim.Scheduler, flow int, out netem.Node, tr *trace.FlowTrace) *Receiver {
 	r := &Receiver{
-		sched:    sched,
-		out:      out,
-		flow:     flow,
-		AckSize:  40,
-		AckDelay: 200 * time.Millisecond,
-		tr:       tr,
+		sched: sched,
+		out:   out,
+		flow:  flow,
+		tr:    tr,
 	}
 	r.ackTimer = sched.NewTimer(r.flushAck)
 	return r
@@ -119,7 +119,7 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		if r.unacked >= 2 {
 			r.flushAck()
 		} else if !r.ackTimer.Armed() {
-			r.ackTimer.Reset(r.AckDelay)
+			r.ackTimer.Reset(ackDelay)
 		}
 	default:
 		// Out of order: buffer and emit an immediate duplicate ACK.
@@ -193,7 +193,7 @@ func (r *Receiver) sendAck() {
 	ack.Flow = r.flow
 	ack.Kind = netem.Ack
 	ack.AckNo = r.rcvNxt
-	ack.Size = r.AckSize
+	ack.Size = ackSize
 	if r.SACKEnabled {
 		ack.SACK = r.appendSACKBlocks(ack.SACK[:0])
 	}

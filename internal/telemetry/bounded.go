@@ -16,9 +16,18 @@ const (
 	// early dynamics live.
 	DropNewest DropPolicy = iota
 	// SampleOneInK forwards the first MaxEvents events and then every
-	// K-th event — the log thins to a sketch of the tail instead of
-	// going silent.
+	// sampleK-th event — the log thins to a sketch of the tail instead
+	// of going silent.
 	SampleOneInK
+)
+
+const (
+	// sampleK is the SampleOneInK modulus.
+	sampleK = 16
+	// markEvery is the cadence, in dropped events, of drop-marker
+	// injection after the first. The first drop is always marked, so a
+	// reader knows immediately that the stream is thinned.
+	markEvery = 8192
 )
 
 // String implements fmt.Stringer.
@@ -40,16 +49,9 @@ type BoundedConfig struct {
 	MaxEvents uint64
 	// Policy selects the over-budget behavior.
 	Policy DropPolicy
-	// K is the SampleOneInK modulus; zero selects 16.
-	K uint64
 	// Src labels this sink's drop-marker events (the "src" field of the
 	// telemetry-drops lines); empty selects "bounded".
 	Src string
-	// MarkEvery is the cadence (in dropped events) of drop-marker
-	// injection after the first; zero selects 8192. The first drop is
-	// always marked, so a reader knows immediately that the stream is
-	// thinned.
-	MarkEvery uint64
 }
 
 // BoundedSink wraps another sink with an explicit event budget and drop
@@ -72,14 +74,8 @@ type BoundedSink struct {
 
 // NewBoundedSink wraps inner with the given budget and policy.
 func NewBoundedSink(inner Sink, cfg BoundedConfig) *BoundedSink {
-	if cfg.K == 0 {
-		cfg.K = 16
-	}
 	if cfg.Src == "" {
 		cfg.Src = "bounded"
-	}
-	if cfg.MarkEvery == 0 {
-		cfg.MarkEvery = 8192
 	}
 	return &BoundedSink{inner: inner, cfg: cfg}
 }
@@ -92,13 +88,13 @@ func (b *BoundedSink) Emit(ev Event) {
 		b.inner.Emit(ev)
 		return
 	}
-	if b.cfg.Policy == SampleOneInK && (b.seen-b.cfg.MaxEvents)%b.cfg.K == 0 {
+	if b.cfg.Policy == SampleOneInK && (b.seen-b.cfg.MaxEvents)%sampleK == 0 {
 		b.kept++
 		b.inner.Emit(ev)
 		return
 	}
 	b.dropped++
-	if b.dropped == 1 || b.dropped%b.cfg.MarkEvery == 0 {
+	if b.dropped == 1 || b.dropped%markEvery == 0 {
 		b.mark(ev.At)
 	}
 }

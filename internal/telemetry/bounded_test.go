@@ -58,16 +58,16 @@ func TestBoundedSinkDropNewest(t *testing.T) {
 
 func TestBoundedSinkSampleOneInK(t *testing.T) {
 	var inner capture
-	b := NewBoundedSink(&inner, BoundedConfig{MaxEvents: 4, Policy: SampleOneInK, K: 2})
-	emitN(b, 10)
-	// Head 0..3 kept; overflow events 4..9 are positions 1..6 past the
-	// budget, and every 2nd one (positions 2, 4, 6 = events 5, 7, 9) is
-	// sampled through.
+	b := NewBoundedSink(&inner, BoundedConfig{MaxEvents: 4, Policy: SampleOneInK})
+	emitN(b, 4+3*sampleK)
+	// Head 0..3 kept; overflow events 4..51 are positions 1..48 past the
+	// budget, and every 16th one (positions 16, 32, 48 = events 19, 35,
+	// 51) is sampled through.
 	var got []float64
 	for _, ev := range payload(inner.events) {
 		got = append(got, ev.A)
 	}
-	want := []float64{0, 1, 2, 3, 5, 7, 9}
+	want := []float64{0, 1, 2, 3, 19, 35, 51}
 	if len(got) != len(want) {
 		t.Fatalf("kept %v, want %v", got, want)
 	}
@@ -76,8 +76,8 @@ func TestBoundedSinkSampleOneInK(t *testing.T) {
 			t.Fatalf("kept %v, want %v", got, want)
 		}
 	}
-	if b.Kept() != 7 || b.Dropped() != 3 {
-		t.Fatalf("accounting kept=%d dropped=%d, want 7/3", b.Kept(), b.Dropped())
+	if b.Kept() != 7 || b.Dropped() != 45 {
+		t.Fatalf("accounting kept=%d dropped=%d, want 7/45", b.Kept(), b.Dropped())
 	}
 }
 
@@ -112,10 +112,34 @@ func TestBoundedSinkMarksFirstDropAndFinalize(t *testing.T) {
 	}
 }
 
+// Past the first drop, a marker lands every markEvery drops, stamped at
+// the dropped event and carrying the cumulative counts.
+func TestBoundedSinkMarkerCadence(t *testing.T) {
+	var inner capture
+	b := NewBoundedSink(&inner, BoundedConfig{MaxEvents: 1, Policy: DropNewest, Src: "cell0"})
+	emitN(b, 1+2*markEvery+1)
+	var marks []Event
+	for _, ev := range inner.events {
+		if ev.Kind == KTelemetryDrops {
+			marks = append(marks, ev)
+		}
+	}
+	want := []float64{1, 8192, 16384}
+	if len(marks) != len(want) {
+		t.Fatalf("%d drop markers over %d drops, want %d", len(marks), b.Dropped(), len(want))
+	}
+	for i, m := range marks {
+		// Event d is the d-th dropped one: event 0 fills the budget.
+		if m.A != want[i] || m.B != 1 || m.At != sim.Time(want[i]) || m.Src != "cell0" {
+			t.Fatalf("marker %d = %+v, want dropped=%g kept=1 at t=%g", i, m, want[i], want[i])
+		}
+	}
+}
+
 func TestBoundedSinkIsDeterministic(t *testing.T) {
 	run := func() []Event {
 		var inner capture
-		b := NewBoundedSink(&inner, BoundedConfig{MaxEvents: 7, Policy: SampleOneInK, K: 3})
+		b := NewBoundedSink(&inner, BoundedConfig{MaxEvents: 7, Policy: SampleOneInK})
 		emitN(b, 100)
 		b.Finalize(sim.Time(100))
 		return inner.events

@@ -37,17 +37,14 @@ import (
 // zero: one simulated second of goodput per Jain-index sample.
 const DefaultWindow = sim.Time(1e9)
 
-// DefaultExemplarRing bounds each exemplar flow's retained event ring
-// when Config.ExemplarRing is zero.
-const DefaultExemplarRing = 512
+// exemplarEvents bounds each exemplar flow's retained event ring.
+const exemplarEvents = 512
 
 // Config parameterizes a FlowTable.
 type Config struct {
 	// Exemplars is K, the reservoir size: how many flows retain full
 	// event detail. Zero keeps aggregates only.
 	Exemplars int
-	// ExemplarRing caps each exemplar's event ring (<=0: DefaultExemplarRing).
-	ExemplarRing int
 	// Seed drives the reservoir's RNG; the same seed over the same
 	// event stream always samples the same flows.
 	Seed int64
@@ -150,9 +147,6 @@ var _ telemetry.Sink = (*FlowTable)(nil)
 func New(cfg Config) *FlowTable {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.ExemplarRing <= 0 {
-		cfg.ExemplarRing = DefaultExemplarRing
 	}
 	t := &FlowTable{
 		cfg:  cfg,
@@ -311,7 +305,7 @@ func (t *FlowTable) sample(lf *liveFlow, ev telemetry.Event) {
 		Flow:    ev.Flow,
 		Variant: ev.Src,
 		StartAt: ev.At,
-		Ring:    telemetry.NewRing(t.cfg.ExemplarRing),
+		Ring:    telemetry.NewRing(exemplarEvents),
 	}
 	ex.Ring.Emit(ev)
 	t.exemplars[slot] = ex

@@ -512,12 +512,12 @@ func TestTenThousandFlowPoissonSmoke(t *testing.T) {
 	retained := 0
 	for _, ex := range exs {
 		n := len(ex.Ring.Events())
-		if n == 0 || n > DefaultExemplarRing {
-			t.Fatalf("exemplar %d ring holds %d events (cap %d)", ex.Flow, n, DefaultExemplarRing)
+		if n == 0 || n > exemplarEvents {
+			t.Fatalf("exemplar %d ring holds %d events (cap %d)", ex.Flow, n, exemplarEvents)
 		}
 		retained += n
 	}
-	if max := k * DefaultExemplarRing; retained > max {
+	if max := k * exemplarEvents; retained > max {
 		t.Fatalf("retained %d events, reservoir bound is %d", retained, max)
 	}
 

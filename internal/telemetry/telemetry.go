@@ -401,15 +401,6 @@ func (r *Ring) Emit(ev Event) {
 // Total reports how many events were published, including evicted ones.
 func (r *Ring) Total() uint64 { return r.total }
 
-// Reset empties the ring for another run. A bounded ring keeps its
-// storage, so a reused ring allocates nothing; an unbounded ring
-// releases its chunks.
-func (r *Ring) Reset() {
-	r.evs = r.evs[:0]
-	r.all = Chunked[Event]{}
-	r.start, r.total = 0, 0
-}
-
 // runs returns the retained events in publication order as the
 // contiguous runs they are stored in, to be read in place.
 func (r *Ring) runs() [][]Event {

@@ -131,64 +131,6 @@ func TestBoundedRingAllocatesOnceAndKeepsOrder(t *testing.T) {
 	}
 }
 
-// Reset returns a ring to its just-constructed behaviour, whatever
-// state it was left in: nothing of the earlier run is readable, a
-// bounded ring reuses its buffer, an unbounded one starts over.
-func TestRingReset(t *testing.T) {
-	fill := func(r *Ring, n int, base int64) {
-		for i := 0; i < n; i++ {
-			r.Emit(Event{Kind: KSend, Seq: base + int64(i)})
-		}
-	}
-	check := func(r *Ring, n int, base int64, retained int) {
-		t.Helper()
-		evs := r.Events()
-		if len(evs) != retained || r.Total() != uint64(n) {
-			t.Fatalf("cap %d: retained %d (total %d), want %d (total %d)", r.Cap, len(evs), r.Total(), retained, n)
-		}
-		for i, ev := range evs {
-			if want := base + int64(n-retained+i); ev.Seq != want {
-				t.Fatalf("cap %d: Events()[%d].Seq = %d, want %d", r.Cap, i, ev.Seq, want)
-			}
-		}
-		if got := len(r.EventsOf(KSend)); got != retained {
-			t.Fatalf("cap %d: EventsOf sees %d events, want %d", r.Cap, got, retained)
-		}
-	}
-
-	const capacity = 8
-	b := NewRing(capacity)
-	b.Reset() // before the first Emit: nothing to keep, nothing to break
-	check(b, 0, 0, 0)
-	for _, first := range []int{3, capacity, 2*capacity + 3} { // part full, exactly full, wrapped with the head mid-buffer
-		fill(b, first, 100)
-		buf := &b.evs[:1][0]
-		b.Reset()
-		check(b, 0, 0, 0)
-		fill(b, 5, 1000) // fewer than were retained: stale slots must stay out of sight
-		check(b, 5, 1000, 5)
-		if &b.evs[0] != buf {
-			t.Fatal("bounded ring reallocated its buffer across Reset")
-		}
-		fill(b, capacity, 1005) // and wrap again from a clean head
-		check(b, 5+capacity, 1000, capacity)
-		b.Reset()
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		b.Reset()
-		fill(b, 3*capacity, 0)
-	}); avg != 0 {
-		t.Fatalf("a reused bounded ring allocates %.0f objects per run, want 0", avg)
-	}
-
-	u := NewRing(0)
-	fill(u, 64+128+5, 100) // three chunks
-	u.Reset()
-	check(u, 0, 0, 0)
-	fill(u, 70, 1000)
-	check(u, 70, 1000, 70)
-}
-
 func TestRingBeforeFirstEmitAndUnboundedAcrossChunks(t *testing.T) {
 	for _, capacity := range []int{0, 8} {
 		r := NewRing(capacity)

@@ -28,10 +28,12 @@
 // A job's outcome is its seed's: each runs once, and a failure (error,
 // panic, invariant violation) is reported with the seed that replays
 // it. Resilience flags guard against the host, never change an output
-// byte: -checkpoint DIR journals each completed job so a killed run can
-// continue with -resume (the merged output stays byte-identical to an
-// uninterrupted run); -stall-after reports hung jobs on stderr and
-// /progress; -progress-events writes the sweep lifecycle stream
+// byte: -checkpoint DIR journals each completed job of any experiment,
+// all included, so a killed run can continue with -resume (the merged
+// output stays byte-identical to an uninterrupted run; a journal
+// resumes only the experiment configuration that wrote it);
+// -stall-after reports hung jobs on stderr and /progress;
+// -progress-events writes the sweep lifecycle stream
 // (including stalls) as NDJSON for rrtrace summary. SIGINT/SIGTERM shut
 // down gracefully — dispatch stops, in-flight jobs drain, the journal
 // and telemetry sinks flush — and a second signal aborts immediately.
@@ -46,14 +48,16 @@
 // -trace-out assembles the same stream into spans + sampled series and
 // writes Chrome trace-event JSON openable in Perfetto, -metrics prints
 // the aggregated metrics snapshot, and -pprof writes cpu.pprof and
-// heap.pprof runtime profiles of the simulator itself.
+// heap.pprof runtime profiles of the simulator itself. Of the
+// experiments only fig5 and stress publish telemetry; -events,
+// -trace-out and -metrics on any other (or on all) are an error.
 //
-// Flow-scale analytics (fig5, chaos, stress): -flow-stats folds every
-// flow's lifecycle events into aggregate per-variant accounting — FCT
-// quantiles, goodput, retransmission load, windowed Jain fairness —
-// appended to the result as a flow report; -flow-exemplars K keeps a
-// seeded reservoir of K flows in full detail; -flow-csv FILE writes the
-// per-variant rows as CSV.
+// Flow-scale analytics (fig5, chaos, stress; an error on any other):
+// -flow-stats folds every flow's lifecycle events into aggregate
+// per-variant accounting — FCT quantiles, goodput, retransmission load,
+// windowed Jain fairness — appended to the result as a flow report;
+// -flow-exemplars K keeps a seeded reservoir of K flows in full detail;
+// -flow-csv FILE writes the per-variant rows as CSV.
 //
 // -http :PORT serves live introspection while the run executes:
 // /metrics (Prometheus text format), /progress (sweep progress as
@@ -99,9 +103,9 @@ func run(args []string) error {
 	variants := fs.String("variants", "", "comma-separated variant list, e.g. tahoe,rr,fack")
 	delack := fs.Bool("delack", false, "run receivers with delayed ACKs (fig7)")
 	traceOut := fs.String("trace", "", "write flow 0's event trace as CSV to this file (run)")
-	events := fs.String("events", "", "stream structured telemetry as NDJSON to this file, for rrtrace (fig5/run)")
-	metrics := fs.Bool("metrics", false, "print the aggregated metrics snapshot to stderr (fig5/run)")
-	traceJSON := fs.String("trace-out", "", "write spans + sampled series as Chrome trace-event JSON (Perfetto-openable) to this file (fig5/run)")
+	events := fs.String("events", "", "stream structured telemetry as NDJSON to this file, for rrtrace (fig5/stress/run)")
+	metrics := fs.Bool("metrics", false, "print the aggregated metrics snapshot to stderr (fig5/stress/run)")
+	traceJSON := fs.String("trace-out", "", "write spans + sampled series as Chrome trace-event JSON (Perfetto-openable) to this file (fig5/stress/run)")
 	pprofDir := fs.String("pprof", "", "write cpu.pprof and heap.pprof runtime profiles into this directory")
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of a table")
 	bytes := fs.Int64("bytes", 0, "per-flow transfer size in bytes (chaos, 0 = default)")
@@ -111,7 +115,7 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = sequential)")
 	progress := fs.Bool("progress", false, "render live sweep progress on stderr")
 	httpAddr := fs.String("http", "", "serve live introspection (/metrics, /progress, /healthz, /debug/pprof) on this address, e.g. :8080")
-	checkpoint := fs.String("checkpoint", "", "journal completed sweep jobs under this directory so an interrupted run can resume")
+	checkpoint := fs.String("checkpoint", "", "journal completed sweep jobs under this directory so an interrupted run can resume (every experiment, all included)")
 	resume := fs.Bool("resume", false, "restore jobs journaled by a previous interrupted run (requires -checkpoint)")
 	stallAfter := fs.Duration("stall-after", 0, "report jobs in flight longer than this as stalled, on stderr and /progress (0 = off)")
 	progressEvents := fs.String("progress-events", "", "stream sweep lifecycle events (start/job/done, stalls) as NDJSON to this file, for rrtrace summary")
@@ -260,7 +264,7 @@ func run(args []string) error {
 				return runChaosReplay(*replay)
 			}
 		case "all":
-			return runAll(emit, opts, runOpt)
+			return runAll(emit, opts, runOpt, tel)
 		}
 		return runExperiment(cmd, emit, opts, runOpt, tel)
 	}
@@ -358,6 +362,13 @@ func usage() string {
 // report invariant violations (chaos) turn into a non-zero exit.
 func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 	runOpt rrtcp.ExperimentRunOptions, tel telemetryOpts) error {
+	for _, r := range rrtcp.Experiments() {
+		if r.Name == name {
+			if err := refuseIgnored(r, tel, opts); err != nil {
+				return err
+			}
+		}
+	}
 	bus, finish, err := telemetrySetup(tel)
 	if err != nil {
 		return err
@@ -405,14 +416,22 @@ func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 // runAll reproduces the whole evaluation: every registered experiment
 // in canonical order, with fig5 at both burst sizes the paper plots.
 // The chaos sweep is skipped — it is a robustness harness, not a paper
-// figure.
-func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.ExperimentRunOptions) error {
+// figure. Telemetry and flow-analytics flags are refused before the
+// first experiment starts, since most of the experiments ignore them.
+func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.ExperimentRunOptions, tel telemetryOpts) error {
+	var all []rrtcp.ExperimentRegistration
 	for _, r := range rrtcp.Experiments() {
-		drops := []int{opts.Drops}
-		switch r.Name {
-		case "chaos":
+		if r.Name == "chaos" {
 			continue
-		case "fig5":
+		}
+		if err := refuseIgnored(r, tel, opts); err != nil {
+			return fmt.Errorf("all: %w", err)
+		}
+		all = append(all, r)
+	}
+	for _, r := range all {
+		drops := []int{opts.Drops}
+		if r.Name == "fig5" {
 			drops = []int{3, 6}
 		}
 		for _, d := range drops {
@@ -421,6 +440,26 @@ func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.Experiment
 			if err := runExperiment(r.Name, emit, o, runOpt, telemetryOpts{}); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// refuseIgnored names the first telemetry or flow-analytics flag that
+// experiment r would ignore: the registry says which options each
+// experiment reads.
+func refuseIgnored(r rrtcp.ExperimentRegistration, tel telemetryOpts, opts rrtcp.ExperimentOptions) error {
+	for _, f := range []struct {
+		flag, what string
+		set, read  bool
+	}{
+		{"-events", "publishes no telemetry", tel.events != "", r.ReadsTelemetry},
+		{"-metrics", "publishes no telemetry", tel.metrics, r.ReadsTelemetry},
+		{"-trace-out", "publishes no telemetry", tel.traceOut != "", r.ReadsTelemetry},
+		{"-flow-stats", "keeps no flow statistics", opts.FlowStats, r.ReadsFlowStats},
+	} {
+		if f.set && !f.read {
+			return fmt.Errorf("%s %s (%s)", r.Name, f.what, f.flag)
 		}
 	}
 	return nil

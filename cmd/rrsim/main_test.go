@@ -377,54 +377,97 @@ func TestRunBurstySubcommand(t *testing.T) {
 }
 
 // TestRunCheckpointResume drives the crash-recovery workflow end to
-// end through the CLI: checkpoint a chaos sweep, chop the journal to
-// simulate a mid-run kill, resume, and demand stdout byte-identical to
-// an uninterrupted run.
+// end through the CLI: checkpoint a run, chop its journals to simulate
+// a mid-run kill, resume, and demand stdout byte-identical to an
+// uninterrupted run — for a chaos sweep, and for all -quick, which
+// journals every experiment it runs (fig5 once per drop count).
 func TestRunCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	args := []string{"chaos", "-runs", "1", "-seed", "3", "-bytes", "50000", "-horizon", "30s", "-parallel", "2"}
+	for _, c := range []struct {
+		args     []string
+		journals int
+	}{
+		{[]string{"chaos", "-runs", "1", "-seed", "3", "-bytes", "50000", "-horizon", "30s", "-parallel", "2"}, 1},
+		{[]string{"all", "-quick", "-parallel", "2"}, 12},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "ckpt")
+		args := c.args
+		baseline, err := capture(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("%s baseline: %v", args[0], err)
+		}
 
-	baseline, err := capture(t, func() error { return run(args) })
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
+		full, err := capture(t, func() error { return run(append(args, "-checkpoint", ckpt)) })
+		if err != nil {
+			t.Fatalf("%s checkpointed run: %v", args[0], err)
+		}
+		if full != baseline {
+			t.Fatalf("%s: checkpointing changed the output", args[0])
+		}
 
-	full, err := capture(t, func() error { return run(append(args, "-checkpoint", ckpt)) })
-	if err != nil {
-		t.Fatalf("checkpointed run: %v", err)
-	}
-	if full != baseline {
-		t.Fatal("checkpointing changed the output")
-	}
+		// Simulate a kill partway: keep only the first half of each
+		// journal's records, plus a torn final line (the usual crash
+		// scar).
+		matches, err := filepath.Glob(filepath.Join(ckpt, "sweep-*", "journal.ndjson"))
+		if err != nil || len(matches) != c.journals {
+			t.Fatalf("%s: journal glob: %v %v, want %d journals", args[0], matches, err, c.journals)
+		}
+		for _, path := range matches {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(data, []byte{'\n'})
+			if len(lines) < 3 {
+				t.Fatalf("%s has %d records, want more to truncate meaningfully", path, len(lines))
+			}
+			keep := len(lines) / 2
+			torn := append(bytes.Join(lines[:keep], nil), lines[keep][:len(lines[keep])/2]...)
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	// Simulate a kill partway through: keep only the first few journal
-	// records (plus a torn final line, the usual crash scar).
-	matches, err := filepath.Glob(filepath.Join(ckpt, "sweep-chaos-*", "journal.ndjson"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("journal glob: %v %v", matches, err)
+		resumed, err := capture(t, func() error {
+			return run(append(args, "-checkpoint", ckpt, "-resume"))
+		})
+		if err != nil {
+			t.Fatalf("%s resumed run: %v", args[0], err)
+		}
+		if resumed != baseline {
+			t.Fatalf("%s: resumed output differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s",
+				args[0], baseline, resumed)
+		}
 	}
-	data, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte{'\n'})
-	if len(lines) < 5 {
-		t.Fatalf("journal has %d records, want more to truncate meaningfully", len(lines))
-	}
-	torn := append(bytes.Join(lines[:3], nil), lines[3][:len(lines[3])/2]...)
-	if err := os.WriteFile(matches[0], torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	resumed, err := capture(t, func() error {
-		return run(append(args, "-checkpoint", ckpt, "-resume"))
-	})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
+// The telemetry and flow-analytics flags are an error, naming the flag
+// and the experiment, where the experiment would ignore them — and on
+// all, before it starts — rather than an empty file or a missing
+// report.
+func TestRunRefusesIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"ablation", "-events", filepath.Join(dir, "ab.ndjson")}, "ablation publishes no telemetry (-events)"},
+		{[]string{"ablation", "-metrics"}, "ablation publishes no telemetry (-metrics)"},
+		{[]string{"fig6", "-trace-out", filepath.Join(dir, "t.json")}, "fig6 publishes no telemetry (-trace-out)"},
+		{[]string{"chaos", "-runs", "1", "-events", filepath.Join(dir, "c.ndjson")}, "chaos publishes no telemetry (-events)"},
+		{[]string{"table5", "-flow-stats"}, "table5 keeps no flow statistics (-flow-stats)"},
+		{[]string{"all", "-quick", "-events", filepath.Join(dir, "all.ndjson")}, "all: fig6 publishes no telemetry (-events)"},
+		{[]string{"all", "-quick", "-flow-stats"}, "all: fig6 keeps no flow statistics (-flow-stats)"},
+	} {
+		out, err := capture(t, func() error { return run(c.args) })
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%v: got error %v, want %q", c.args, err, c.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q before refusing", c.args, out)
+		}
 	}
-	if resumed != baseline {
-		t.Fatalf("resumed output differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s",
-			baseline, resumed)
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused runs created %d file(s)", len(entries))
 	}
 }
 

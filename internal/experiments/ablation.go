@@ -65,55 +65,52 @@ func NewAblationExperiment(drops int) Experiment {
 		cells: AblationVariants(),
 		// The scenario is fully engineered; every variant runs the same
 		// fixed seed so rows differ only by the design knob.
-		seeds: []int64{1},
+		seeds: func(AblationVariant) []int64 { return []int64{1} },
 		label: func(v AblationVariant) string { return v.Label },
 		run: func(w *scenario.World, v AblationVariant, seed int64) (AblationRow, error) {
-			return ablationRun(w, drops, v, seed)
-		},
-		fold: func(outs [][]AblationRow) Renderable {
-			return &AblationResult{Drops: drops, Rows: firstSeed(outs)}
-		},
-	}
-}
+			lost := make([]int64, 0, drops+1)
+			for i := 0; i < drops; i++ {
+				lost = append(lost, 60+int64(i))
+			}
+			// A further loss hits a new data packet sent during recovery: with
+			// the window at ~13 packets when the burst hits, maxseq is ~73 at
+			// entry and the retreat sub-phase injects packets 73+, so drop one
+			// of those.
+			lost = append(lost, 75)
+			err := w.Rebuild(seed, &scenario.Spec{
+				Loss: &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
+			})
+			if err != nil {
+				return AblationRow{}, err
+			}
+			opts := v.Options
+			flow, err := w.Install(workload.FlowSpec{
+				Kind:            workload.RR,
+				Bytes:           150 * 1000,
+				Window:          18,
+				InitialSSThresh: 9,
+				RROptions:       &opts,
+			})
+			if err != nil {
+				return AblationRow{}, err
+			}
+			flow.Trace.Record() // exitBurst reads the sends around the first exit
+			w.Run(120 * time.Second)
 
-func ablationRun(w *scenario.World, drops int, v AblationVariant, seed int64) (AblationRow, error) {
-	lost := make([]int64, 0, drops+1)
-	for i := 0; i < drops; i++ {
-		lost = append(lost, 60+int64(i))
+			row := AblationRow{
+				Variant:     v,
+				Timeouts:    flow.Trace.Timeouts,
+				Retransmits: flow.Trace.Retransmits,
+				ExitBurst:   exitBurst(flow, w.Net),
+			}
+			row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
+			return row, nil
+		},
+		fold: func(outs [][]AblationRow) (Renderable, error) {
+			return &AblationResult{Drops: drops, Rows: firstSeed(outs)}, nil
+		},
+		Config: drops,
 	}
-	// A further loss hits a new data packet sent during recovery: with
-	// the window at ~13 packets when the burst hits, maxseq is ~73 at
-	// entry and the retreat sub-phase injects packets 73+, so drop one
-	// of those.
-	lost = append(lost, 75)
-	err := w.Rebuild(seed, &scenario.Spec{
-		Loss: &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: lost}}},
-	})
-	if err != nil {
-		return AblationRow{}, err
-	}
-	opts := v.Options
-	flow, err := w.Install(workload.FlowSpec{
-		Kind:            workload.RR,
-		Bytes:           150 * 1000,
-		Window:          18,
-		InitialSSThresh: 9,
-		RROptions:       &opts,
-	})
-	if err != nil {
-		return AblationRow{}, err
-	}
-	flow.Trace.Record() // exitBurst reads the sends around the first exit
-	w.Run(120 * time.Second)
-
-	row := AblationRow{
-		Variant:     v,
-		Timeouts:    flow.Trace.Timeouts,
-		Retransmits: flow.Trace.Retransmits,
-		ExitBurst:   exitBurst(flow, w.Net),
-	}
-	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
-	return row, nil
 }
 
 // exitBurst counts data packets sent within one bottleneck transmission

@@ -82,19 +82,15 @@ func NewAckLossExperiment(cfg AckLossConfig) Experiment {
 	return &grid[kindAt, ackLossOut]{
 		name:  "ackloss",
 		cells: cells,
-		seeds: cfg.Seeds,
+		seeds: func(kindAt) []int64 { return cfg.Seeds },
 		label: func(c kindAt) string { return fmt.Sprintf("%v ackloss=%g", c.kind, c.x) },
-		run: func(w *scenario.World, c kindAt, seed int64) (ackLossOut, error) {
-			return ackLossRun(w, cfg, c.kind, c.x, seed)
-		},
-		fold: func(outs [][]ackLossOut) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]ackLossOut) (Renderable, error) {
 			res := &AckLossResult{Config: cfg}
 			for i, c := range cells {
 				pt := AckLossPoint{Variant: c.kind, AckLossRate: c.x, Runs: len(cfg.Seeds)}
 				var delaySum sim.Time
-				var timeoutSum float64
 				for _, out := range outs[i] {
-					timeoutSum += float64(out.Timeouts)
 					if out.Finished {
 						pt.Completed++
 						delaySum += out.Delay
@@ -103,15 +99,16 @@ func NewAckLossExperiment(cfg AckLossConfig) Experiment {
 				if pt.Completed > 0 {
 					pt.MeanDelay = delaySum / sim.Time(pt.Completed)
 				}
-				pt.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
+				pt.MeanTimeouts = mean(outs[i], func(o ackLossOut) float64 { return float64(o.Timeouts) })
 				res.Points = append(res.Points, pt)
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
-func ackLossRun(w *scenario.World, cfg AckLossConfig, kind workload.Kind, rate float64, seed int64) (ackLossOut, error) {
+func (cfg AckLossConfig) run(w *scenario.World, c kindAt, seed int64) (ackLossOut, error) {
 	lost := make([]int64, cfg.Drops)
 	for i := range lost {
 		lost[i] = 35 + int64(i)
@@ -124,7 +121,7 @@ func ackLossRun(w *scenario.World, cfg AckLossConfig, kind workload.Kind, rate f
 		return ackLossOut{}, err
 	}
 	flow, err := w.Install(workload.FlowSpec{
-		Kind:   kind,
+		Kind:   c.kind,
 		Bytes:  int64(cfg.TransferPackets) * 1000,
 		Window: 64,
 	})
@@ -132,7 +129,7 @@ func ackLossRun(w *scenario.World, cfg AckLossConfig, kind workload.Kind, rate f
 		return ackLossOut{}, err
 	}
 	// Interpose the ACK dropper between the receiver and its uplink.
-	ackLoss := netem.NewUniformLoss(rate, w.Sched.Rand(), w.Net.ReceiverPort(0))
+	ackLoss := netem.NewUniformLoss(c.x, w.Sched.Rand(), w.Net.ReceiverPort(0))
 	ackLoss.DropAcks = true
 	flow.Receiver.SetOutput(ackLoss)
 

@@ -80,39 +80,32 @@ func NewBurstyExperiment(cfg BurstyConfig) Experiment {
 	return &grid[kindAt, burstyOut]{
 		name:  "bursty",
 		cells: cells,
-		seeds: cfg.Seeds,
+		seeds: func(kindAt) []int64 { return cfg.Seeds },
 		label: func(c kindAt) string { return fmt.Sprintf("%v L=%g", c.kind, c.x) },
-		run: func(w *scenario.World, c kindAt, seed int64) (burstyOut, error) {
-			return burstyRun(w, cfg, c.kind, c.x, seed)
-		},
-		fold: func(outs [][]burstyOut) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]burstyOut) (Renderable, error) {
 			res := &BurstyResult{Config: cfg}
-			n := float64(len(cfg.Seeds))
 			for i, c := range cells {
-				var goodputSum, timeoutSum float64
-				for _, out := range outs[i] {
-					goodputSum += out.GoodputBps
-					timeoutSum += float64(out.Timeouts)
-				}
 				res.Points = append(res.Points, BurstyPoint{
 					Variant:     c.kind,
 					BurstLength: c.x,
-					GoodputBps:  goodputSum / n,
-					Timeouts:    timeoutSum / n,
+					GoodputBps:  mean(outs[i], func(o burstyOut) float64 { return o.GoodputBps }),
+					Timeouts:    mean(outs[i], func(o burstyOut) float64 { return float64(o.Timeouts) }),
 				})
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
-func burstyRun(w *scenario.World, cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) (burstyOut, error) {
-	if burst < 1 {
-		return burstyOut{}, fmt.Errorf("burst length %v: a loss burst is at least one packet", burst)
+func (cfg BurstyConfig) run(w *scenario.World, c kindAt, seed int64) (burstyOut, error) {
+	if c.x < 1 {
+		return burstyOut{}, fmt.Errorf("burst length %v: a loss burst is at least one packet", c.x)
 	}
-	loss := scenario.LossSpec{Rate: cfg.MeanLossRate, BurstLength: burst}
+	loss := scenario.LossSpec{Rate: cfg.MeanLossRate, BurstLength: c.x}
 	err := fixedRTTWorld(w, seed, loss, 200*time.Millisecond, workload.FlowSpec{
-		Kind:   kind,
+		Kind:   c.kind,
 		Bytes:  tcp.Infinite,
 		Window: 64,
 	})

@@ -14,7 +14,6 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/telemetry"
 	"rrtcp/internal/telemetry/flowstats"
@@ -254,31 +253,29 @@ func (r *ChaosResult) FlowReport() flowstats.Report { return flowReport(r.Flows)
 // Violated reports the total number of violating runs.
 func (r *ChaosResult) Violated() int { return len(r.Failures) }
 
-// ChaosExperiment sweeps seeded-random fault schedules across the TCP
-// variants, watching every run with the invariant checker. Each
-// schedule is generated once and run against every variant, so a
-// violation isolates to the variant rather than the weather. Every
-// case — the fault plan and the case seed — is drawn from the master
-// randomness up front, during construction, so the job list is fixed
-// before any worker starts and the sweep stays deterministic at any
-// worker count. One job per (schedule, variant) case.
-type ChaosExperiment struct {
-	cfg   ChaosConfig
-	cases []ChaosCase
+// NewChaosExperiment fills defaults and returns the sweep of the
+// config's cases (chaosCases), one job each, every run watched by the
+// invariant checker.
+func NewChaosExperiment(cfg ChaosConfig) Experiment {
+	cfg.fillDefaults()
+	return newChaosExperiment(cfg, chaosCases(cfg))
 }
 
-// NewChaosExperiment fills defaults, generates every case, and returns
-// the experiment.
-func NewChaosExperiment(cfg ChaosConfig) *ChaosExperiment {
-	cfg.fillDefaults()
+// chaosCases draws a sweep's cases from the master randomness of cfg,
+// whose defaults are filled: each schedule — a fault plan and a case
+// seed — once, run against every variant, so a violation isolates to
+// the variant rather than the weather. The cases are fixed before any
+// worker starts, which keeps the sweep deterministic at any worker
+// count.
+func chaosCases(cfg ChaosConfig) []ChaosCase {
 	master := rand.New(rand.NewSource(cfg.Seed))
 	dcfg := netem.PaperDropTailConfig(1)
-	e := &ChaosExperiment{cfg: cfg}
+	cases := make([]ChaosCase, 0, cfg.Schedules*len(cfg.Variants))
 	for s := 0; s < cfg.Schedules; s++ {
 		plan := faults.RandomPlanSpec(master, cfg.Horizon, dcfg)
 		caseSeed := master.Int63()
 		for _, v := range cfg.Variants {
-			e.cases = append(e.cases, ChaosCase{
+			cases = append(cases, ChaosCase{
 				Variant: v.String(),
 				Seed:    caseSeed,
 				Bytes:   cfg.Bytes,
@@ -287,11 +284,8 @@ func NewChaosExperiment(cfg ChaosConfig) *ChaosExperiment {
 			})
 		}
 	}
-	return e
+	return cases
 }
-
-// Name implements Experiment.
-func (e *ChaosExperiment) Name() string { return "chaos" }
 
 // chaosOut is one case's outcome; the event tail is present only for
 // violating runs, where a bundle may need it.
@@ -302,100 +296,70 @@ type chaosOut struct {
 	Flow       *flowstats.Summary `json:",omitempty"`
 }
 
-// DecodeResult implements ResultCodec: it reconstructs one job's
-// chaosOut from a checkpoint-journal record, so an interrupted chaos
-// sweep can resume. chaosOut round-trips through JSON exactly —
-// invariant.Violation and telemetry.Event are both plain exported-field
-// structs — which is what keeps the resumed reduce byte-identical.
-func (e *ChaosExperiment) DecodeResult(data []byte) (any, error) {
-	var out chaosOut
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("chaos: decode checkpointed result: %w", err)
-	}
-	return out, nil
-}
-
-// Jobs implements Experiment. The jobs rebuild the worlds of a free
-// list their sweep owns. A job records no event tail: only a case that
-// violates an invariant runs again, through RunChaosCase, to capture
-// the tail its bundle carries, and that capture must reproduce the
-// sweep run's first violation or the job fails.
-func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	variants := len(cfg.Variants)
-	jobs := make([]sweep.Job, len(e.cases))
-	worlds := &freeList[scenario.World]{}
-	for i, c := range e.cases {
-		jobs[i] = sweep.Job{
-			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
-			Seed: c.Seed,
-			Run: func(int64) (any, error) {
-				return worlds.run(func(w *scenario.World) (any, error) {
-					tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, c.Seed)
-					out, err := runChaosCase(c, w, tally.sinks())
-					if err == nil && len(out.Violations) > 0 {
-						var capture *ChaosOutcome
-						if capture, err = rerun(c, out.Violations[0], "capture run", "sweep run"); err == nil {
-							out.Events = capture.Events
-						}
-					}
-					if err != nil {
-						return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
-					}
-					return chaosOut{
-						Finished:   out.Finished,
-						Violations: out.Violations,
-						Events:     out.Events,
-						Flow:       tally.summary(),
-					}, nil
-				})
-			},
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment: per-variant stats accumulate in case
-// order and repro bundles are written sequentially here, never from a
+// newChaosExperiment sweeps cases, case i being variant i mod
+// len(cfg.Variants) of schedule i / len(cfg.Variants), under its own
+// seed. A job records no event tail: only a case that violates an
+// invariant runs again, through RunChaosCase, to capture the tail its
+// bundle carries, and that capture must reproduce the sweep run's
+// first violation or the job fails. Per-variant stats accumulate in
+// case order and repro bundles are written by fold, never from a
 // worker goroutine.
-func (e *ChaosExperiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[chaosOut](results)
-	if err != nil {
-		return nil, err
-	}
-	cfg := e.cfg
-	res := &ChaosResult{Config: cfg}
-	stats := make([]ChaosVariantStats, len(cfg.Variants))
-	for i, v := range cfg.Variants {
-		stats[i] = ChaosVariantStats{Variant: v}
-	}
-	for idx, out := range outs {
-		i := idx % len(cfg.Variants)
-		c := e.cases[idx]
-		stats[i].Runs++
-		if out.Finished {
-			stats[i].Finished++
-		}
-		mergeFlows(&res.Flows, out.Flow)
-		if len(out.Violations) > 0 {
-			stats[i].Violated++
-			f := ChaosFailure{Case: c, Violation: out.Violations[0]}
-			if cfg.BundleDir != "" {
-				path, err := WriteBundle(cfg.BundleDir, &Bundle{
-					Case:      c,
-					Violation: out.Violations[0],
-					Events:    out.Events,
-				})
-				if err != nil {
-					return nil, err
-				}
-				f.Bundle = path
+func newChaosExperiment(cfg ChaosConfig, cases []ChaosCase) Experiment {
+	variants := len(cfg.Variants)
+	cells, seedOf := ownSeeds(len(cases), func(i int) int64 { return cases[i].Seed })
+	return &grid[int, chaosOut]{
+		name:  "chaos",
+		cells: cells,
+		seeds: seedOf,
+		label: func(i int) string { return fmt.Sprintf("s%d %s", i/variants, cases[i].Variant) },
+		run: func(w *scenario.World, i int, seed int64) (chaosOut, error) {
+			tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, seed)
+			ran, err := runChaosCase(cases[i], w, tally.sinks())
+			if err != nil {
+				return chaosOut{}, err
 			}
-			res.Failures = append(res.Failures, f)
-		}
+			out := chaosOut{Finished: ran.Finished, Violations: ran.Violations, Flow: tally.summary()}
+			if len(out.Violations) > 0 {
+				capture, err := rerun(cases[i], out.Violations[0], "capture run", "sweep run")
+				if err != nil {
+					return chaosOut{}, err
+				}
+				out.Events = capture.Events
+			}
+			return out, nil
+		},
+		fold: func(outs [][]chaosOut) (Renderable, error) {
+			res := &ChaosResult{Config: cfg, Stats: make([]ChaosVariantStats, variants)}
+			for i, o := range outs {
+				out, st := o[0], &res.Stats[i%variants]
+				st.Variant = cfg.Variants[i%variants]
+				st.Runs++
+				if out.Finished {
+					st.Finished++
+				}
+				mergeFlows(&res.Flows, out.Flow)
+				if len(out.Violations) == 0 {
+					continue
+				}
+				st.Violated++
+				f := ChaosFailure{Case: cases[i], Violation: out.Violations[0]}
+				if cfg.BundleDir != "" {
+					path, err := WriteBundle(cfg.BundleDir, &Bundle{
+						Case:      cases[i],
+						Violation: out.Violations[0],
+						Events:    out.Events,
+					})
+					if err != nil {
+						return nil, err
+					}
+					f.Bundle = path
+				}
+				res.Failures = append(res.Failures, f)
+			}
+			return res, nil
+		},
+		Config: cfg,
 	}
-	res.Stats = stats
-	return res, nil
 }
 
 // Render formats the sweep as a table.

@@ -52,13 +52,10 @@ func TestChaosBundlesMatchParentCommit(t *testing.T) {
 	healthy.Plan = faults.PlanSpec{} // as pinned: the parent's healthy case ran no plan
 	for _, workers := range []int{1, 4} {
 		dir := t.TempDir()
-		e := &ChaosExperiment{
-			cfg: ChaosConfig{
-				Schedules: 1, Seed: 1, Bytes: healthy.Bytes, Horizon: 60 * time.Second, BundleDir: dir,
-				Variants: []workload.Kind{workload.Reno, workload.Reno, workload.RR},
-			},
-			cases: []ChaosCase{healthy, wedge, actnum},
-		}
+		e := newChaosExperiment(ChaosConfig{
+			Schedules: 1, Seed: 1, Bytes: healthy.Bytes, Horizon: 60 * time.Second, BundleDir: dir,
+			Variants: []workload.Kind{workload.Reno, workload.Reno, workload.RR},
+		}, []ChaosCase{healthy, wedge, actnum})
 		res, err := Run(e, RunOptions{Parallel: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -212,7 +212,9 @@ func TestChaosCorpusLaneBound(t *testing.T) {
 	var w scenario.World // rebuilt for every case, as a sweep's worker does
 	renegotiated := 0
 	for _, seed := range []int64{1, 7} {
-		for _, c := range NewChaosExperiment(ChaosConfig{Schedules: 40, Seed: seed}).cases {
+		cfg := ChaosConfig{Schedules: 40, Seed: seed}
+		cfg.fillDefaults()
+		for _, c := range chaosCases(cfg) {
 			_, _, err := chaosWorld(&w, c, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -10,13 +10,15 @@
 // Every runner is an Experiment — Name, Jobs, Reduce — executed on the
 // internal/sweep worker pool, so its independent runs fan out across
 // CPUs while the merged result stays byte-identical to sequential
-// execution (see docs/SWEEP.md). Nine of them are one grid literal each
-// (grid.go: cells × seeds, folded cell by cell); fig5, chaos and stress
-// write Jobs and Reduce by hand. The registry in registry.go lists the
-// experiments in canonical order. There is one way to run an
-// experiment: build it (NewFigure5Experiment, or Build by name) and
-// hand it to Run; the worker count is a RunOptions field, never part of
-// the experiment's config.
+// execution (see docs/SWEEP.md). Each is one grid literal (grid.go:
+// cells, each run under its seeds, folded cell by cell), and every one
+// checkpoints: a journal is keyed by the experiment's configuration and
+// job list, and a resumed run is byte-identical to an uninterrupted
+// one. The registry in registry.go lists the experiments in canonical
+// order and which of the shared options each reads. There is one way to
+// run an experiment: build it (NewFigure5Experiment, or Build by name)
+// and hand it to Run; the worker count is a RunOptions field, never
+// part of the experiment's config.
 package experiments
 
 import (

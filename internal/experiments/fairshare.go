@@ -83,20 +83,19 @@ func NewFairShareExperiment(cfg FairShareConfig) Experiment {
 	return &grid[string, FairShareRow]{
 		name:  "fairshare",
 		cells: []string{"fifo", "drr"},
-		seeds: []int64{cfg.Seed},
+		seeds: func(string) []int64 { return []int64{cfg.Seed} },
 		label: func(disc string) string { return disc },
-		run: func(w *scenario.World, disc string, seed int64) (FairShareRow, error) {
-			return fairShareRun(w, cfg, disc, seed)
+		run:   cfg.run,
+		fold: func(outs [][]FairShareRow) (Renderable, error) {
+			return &FairShareResult{Config: cfg, Rows: firstSeed(outs)}, nil
 		},
-		fold: func(outs [][]FairShareRow) Renderable {
-			return &FairShareResult{Config: cfg, Rows: firstSeed(outs)}
-		},
+		Config: cfg,
 	}
 }
 
-// fairShareRun measures one discipline's run, which ends when the
+// run measures one discipline's run, which ends when the
 // transfer completes: nothing reads the CBR source after that.
-func fairShareRun(w *scenario.World, cfg FairShareConfig, disc string, seed int64) (FairShareRow, error) {
+func (cfg FairShareConfig) run(w *scenario.World, disc string, seed int64) (FairShareRow, error) {
 	flow, err := fairShareWorld(w, cfg, disc, seed)
 	if err != nil {
 		return FairShareRow{}, err

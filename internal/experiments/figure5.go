@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/telemetry"
 	"rrtcp/internal/telemetry/flowstats"
@@ -120,104 +118,48 @@ type Figure5Result struct {
 // flow stats were not enabled.
 func (r *Figure5Result) FlowReport() flowstats.Report { return flowReport(r.Flows) }
 
-// Figure5Experiment is the burst-loss comparison for one drop count:
-// one job per variant. The paper tuned background traffic against an
-// 8-packet buffer purely to make flow 1 lose exactly 3 (or 6) packets
-// within a window; we pin the identical pattern with a deterministic
-// per-sequence loss injector on an otherwise clean path (see
-// DESIGN.md §3). When the config carries a telemetry bus, each job
-// captures its event stream into a private ring and Reduce
-// republishes the streams in variant order — the bus itself is never
-// touched from a worker goroutine.
-type Figure5Experiment struct {
-	cfg Figure5Config
-}
-
-// NewFigure5Experiment fills defaults and returns the experiment.
-func NewFigure5Experiment(cfg Figure5Config) *Figure5Experiment {
-	cfg.fillDefaults()
-	return &Figure5Experiment{cfg: cfg}
-}
-
-// Name implements Experiment.
-func (e *Figure5Experiment) Name() string { return "fig5" }
-
 // figure5Out is one variant's outcome plus its captured event stream
-// and, when flow analytics are on, the variant's flow summary.
+// and, when flow analytics are on, the variant's flow summary. The
+// stream rides in the output, so a job restored from a checkpoint
+// republishes the NDJSON telemetry an uninterrupted run does.
 type figure5Out struct {
 	Row    Figure5Row
 	Events []telemetry.Event
 	Flow   *flowstats.Summary `json:",omitempty"`
 }
 
-// DecodeResult implements ResultCodec: it reconstructs one job's
-// figure5Out from a checkpoint-journal record, so an interrupted fig5
-// sweep can resume. The captured event stream rides along, which is
-// why a resumed run's republished NDJSON telemetry stays byte-identical
-// to an uninterrupted one.
-func (e *Figure5Experiment) DecodeResult(data []byte) (any, error) {
-	var out figure5Out
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("figure 5: decode checkpointed result: %w", err)
+// NewFigure5Experiment fills defaults and returns the burst-loss
+// comparison for one drop count: one job per variant, each under the
+// config's seed. The paper tuned background traffic against an
+// 8-packet buffer purely to make flow 1 lose exactly 3 (or 6) packets
+// within a window; we pin the identical pattern with a deterministic
+// per-sequence loss injector on an otherwise clean path (see
+// DESIGN.md §3). When the config carries a telemetry bus, each job
+// captures its event stream into a private ring and fold republishes
+// the streams in variant order — the bus itself is never touched from
+// a worker goroutine.
+func NewFigure5Experiment(cfg Figure5Config) Experiment {
+	cfg.fillDefaults()
+	seeds := []int64{cfg.Seed}
+	return &grid[workload.Kind, figure5Out]{
+		name:  "fig5",
+		cells: cfg.Variants,
+		seeds: func(workload.Kind) []int64 { return seeds },
+		label: workload.Kind.String,
+		run:   cfg.run,
+		fold: func(outs [][]figure5Out) (Renderable, error) {
+			res := &Figure5Result{Config: cfg}
+			for _, out := range firstSeed(outs) {
+				res.Rows = append(res.Rows, out.Row)
+				for _, ev := range out.Events {
+					cfg.Telemetry.Publish(ev)
+				}
+				mergeFlows(&res.Flows, out.Flow)
+			}
+			return res, nil
+		},
+		Config: cfg,
 	}
-	return out, nil
-}
-
-// Jobs implements Experiment. The jobs rebuild the worlds of a free
-// list their sweep owns.
-func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
-	cfg := e.cfg
-	capture := cfg.Telemetry.Enabled()
-	var jobs []sweep.Job
-	worlds := &freeList[scenario.World]{}
-	for _, kind := range cfg.Variants {
-		jobs = append(jobs, sweep.Job{
-			Name: kind.String(),
-			Seed: cfg.Seed,
-			Run: func(int64) (any, error) {
-				return worlds.run(func(w *scenario.World) (any, error) {
-					tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, cfg.Seed)
-					var ring *telemetry.Ring
-					var sinks []telemetry.Sink
-					if capture {
-						ring = telemetry.NewRing(0)
-						sinks = append(sinks, ring)
-					}
-					sinks = append(sinks, tally.sinks()...)
-					// With no sink the bus is disabled, which the world and
-					// the flow treat exactly as no bus.
-					row, err := figure5Run(w, cfg, kind, telemetry.NewBus(sinks...))
-					if err != nil {
-						return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
-					}
-					out := figure5Out{Row: row, Flow: tally.summary()}
-					if ring != nil {
-						out.Events = ring.Events()
-					}
-					return out, nil
-				})
-			},
-		})
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment: it collects the rows in variant order
-// and forwards each job's captured events to the configured bus.
-func (e *Figure5Experiment) Reduce(results []any) (Renderable, error) {
-	outs, err := sweep.Collect[figure5Out](results)
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure5Result{Config: e.cfg}
-	for _, out := range outs {
-		res.Rows = append(res.Rows, out.Row)
-		for _, ev := range out.Events {
-			e.cfg.Telemetry.Publish(ev)
-		}
-		mergeFlows(&res.Flows, out.Flow)
-	}
-	return res, nil
 }
 
 // figure5World rebuilds w as one variant's burst-loss transfer, runs it
@@ -251,10 +193,22 @@ func figure5World(w *scenario.World, cfg Figure5Config, kind workload.Kind, bus 
 	return flow, nil
 }
 
-func figure5Run(w *scenario.World, cfg Figure5Config, kind workload.Kind, bus *telemetry.Bus) (Figure5Row, error) {
-	flow, err := figure5World(w, cfg, kind, bus)
+// run measures one variant, capturing its event stream when the
+// config carries a telemetry bus.
+func (cfg Figure5Config) run(w *scenario.World, kind workload.Kind, seed int64) (figure5Out, error) {
+	tally := newFlowTally(cfg.FlowStats, cfg.FlowExemplars, seed)
+	var ring *telemetry.Ring
+	var sinks []telemetry.Sink
+	if cfg.Telemetry.Enabled() {
+		ring = telemetry.NewRing(0)
+		sinks = append(sinks, ring)
+	}
+	sinks = append(sinks, tally.sinks()...)
+	// With no sink the bus is disabled, which the world and the flow
+	// treat exactly as no bus.
+	flow, err := figure5World(w, cfg, kind, telemetry.NewBus(sinks...))
 	if err != nil {
-		return Figure5Row{}, err
+		return figure5Out{}, err
 	}
 	row := Figure5Row{
 		Variant:     kind,
@@ -273,7 +227,11 @@ func figure5Run(w *scenario.World, cfg Figure5Config, kind workload.Kind, bus *t
 		_, doneAt := flow.Trace.Finished()
 		row.RecoveryGoodputBps = flow.Trace.GoodputBps(recs[0].At, doneAt)
 	}
-	return row, nil
+	out := figure5Out{Row: row, Flow: tally.summary()}
+	if ring != nil {
+		out.Events = ring.Events()
+	}
+	return out, nil
 }
 
 // Render returns the Figure 5 result as a text table.

@@ -95,12 +95,10 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 	return &grid[workload.Kind, Figure6Panel]{
 		name:  "fig6",
 		cells: cfg.Variants,
-		seeds: cfg.Seeds,
+		seeds: func(workload.Kind) []int64 { return cfg.Seeds },
 		label: workload.Kind.String,
-		run: func(w *scenario.World, kind workload.Kind, seed int64) (Figure6Panel, error) {
-			return figure6Run(w, cfg, kind, seed)
-		},
-		fold: func(outs [][]Figure6Panel) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]Figure6Panel) (Renderable, error) {
 			res := &Figure6Result{Config: cfg}
 			for _, panels := range outs {
 				var agg Figure6Panel
@@ -127,8 +125,9 @@ func NewFigure6Experiment(cfg Figure6Config) Experiment {
 				agg.BottleneckUtilization /= float64(n)
 				res.Panels = append(res.Panels, agg)
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
@@ -159,7 +158,7 @@ func figure6World(w *scenario.World, cfg Figure6Config, kind workload.Kind, seed
 	return nil
 }
 
-func figure6Run(w *scenario.World, cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel, error) {
+func (cfg Figure6Config) run(w *scenario.World, kind workload.Kind, seed int64) (Figure6Panel, error) {
 	if err := figure6World(w, cfg, kind, seed); err != nil {
 		return Figure6Panel{}, err
 	}

@@ -97,12 +97,10 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 	return &grid[kindAt, figure7Out]{
 		name:  "fig7",
 		cells: cells,
-		seeds: cfg.Seeds,
+		seeds: func(kindAt) []int64 { return cfg.Seeds },
 		label: func(c kindAt) string { return fmt.Sprintf("%v p=%g", c.kind, c.x) },
-		run: func(w *scenario.World, c kindAt, seed int64) (figure7Out, error) {
-			return figure7Run(w, cfg, c.kind, c.x, seed)
-		},
-		fold: func(outs [][]figure7Out) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]figure7Out) (Renderable, error) {
 			modelC := model.CAckEveryPacket
 			ackPerPacket := 1
 			if cfg.DelayedAck {
@@ -110,30 +108,25 @@ func NewFigure7Experiment(cfg Figure7Config) Experiment {
 				ackPerPacket = 2
 			}
 			res := &Figure7Result{Config: cfg}
-			n := float64(len(cfg.Seeds))
 			for i, c := range cells {
-				var windowSum, timeoutSum float64
-				for _, out := range outs[i] {
-					windowSum += out.Window
-					timeoutSum += float64(out.Timeouts)
-				}
 				res.Points = append(res.Points, Figure7Point{
 					Variant:      c.kind,
 					LossRate:     c.x,
-					Window:       windowSum / n,
+					Window:       mean(outs[i], func(o figure7Out) float64 { return o.Window }),
 					ModelWindow:  model.SqrtWindow(c.x, modelC),
 					PadhyeWindow: model.PadhyeWindow(cfg.RTT.Seconds(), 1.0, c.x, ackPerPacket),
-					Timeouts:     timeoutSum / n,
+					Timeouts:     mean(outs[i], func(o figure7Out) float64 { return float64(o.Timeouts) }),
 				})
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
-func figure7Run(w *scenario.World, cfg Figure7Config, kind workload.Kind, p float64, seed int64) (figure7Out, error) {
-	err := fixedRTTWorld(w, seed, scenario.LossSpec{Rate: p}, cfg.RTT, workload.FlowSpec{
-		Kind:  kind,
+func (cfg Figure7Config) run(w *scenario.World, c kindAt, seed int64) (figure7Out, error) {
+	err := fixedRTTWorld(w, seed, scenario.LossSpec{Rate: c.x}, cfg.RTT, workload.FlowSpec{
+		Kind:  c.kind,
 		Bytes: tcp.Infinite,
 		// Large enough that the advertised window never binds: the
 		// injected loss process must be the only throughput constraint,

@@ -126,7 +126,7 @@ func TestWholeRunGoodputEqualsScan(t *testing.T) {
 		for _, kind := range []workload.Kind{workload.RR, workload.NewReno} {
 			cfg := Figure6Config{}
 			cfg.fillDefaults()
-			panel, err := figure6Run(&scenario.World{}, cfg, kind, seed)
+			panel, err := cfg.run(&scenario.World{}, kind, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

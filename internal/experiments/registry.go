@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -80,6 +81,11 @@ type Registration struct {
 	Name string
 	// Desc is a one-line description for usage text.
 	Desc string
+	// ReadsTelemetry and ReadsFlowStats report whether Build reads
+	// Options.Telemetry and Options.FlowStats/FlowExemplars. A caller
+	// that was asked for telemetry or flow analytics refuses an
+	// experiment that would ignore the option rather than ignore it too.
+	ReadsTelemetry, ReadsFlowStats bool
 	// Build constructs the experiment.
 	Build Builder
 }
@@ -87,16 +93,16 @@ type Registration struct {
 // registry holds every experiment in canonical (paper) order; rrsim
 // derives its dispatch table and usage text from it.
 var registry = []Registration{
-	{"fig5", "Figure 5: drop-tail burst-loss throughput", func(o Options) (Experiment, error) {
+	{Name: "fig5", Desc: "Figure 5: drop-tail burst-loss throughput", ReadsTelemetry: true, ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
 		return NewFigure5Experiment(Figure5Config{
 			Drops: o.Drops, Seed: o.Seed, Variants: o.Variants, Telemetry: o.Telemetry,
 			FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
 		}), nil
 	}},
-	{"fig6", "Figure 6: RED-gateway sequence traces", func(o Options) (Experiment, error) {
+	{Name: "fig6", Desc: "Figure 6: RED-gateway sequence traces", Build: func(o Options) (Experiment, error) {
 		return NewFigure6Experiment(Figure6Config{Seed: o.Seed, Variants: o.Variants}), nil
 	}},
-	{"fig7", "Figure 7: square-root-model fitness", func(o Options) (Experiment, error) {
+	{Name: "fig7", Desc: "Figure 7: square-root-model fitness", Build: func(o Options) (Experiment, error) {
 		cfg := Figure7Config{DelayedAck: o.DelayedAck, Variants: o.Variants}
 		if o.Quick {
 			cfg.LossRates = []float64{0.001, 0.01, 0.05, 0.1}
@@ -105,35 +111,35 @@ var registry = []Registration{
 		}
 		return NewFigure7Experiment(cfg), nil
 	}},
-	{"table5", "Table 5: fairness matrix", func(o Options) (Experiment, error) {
+	{Name: "table5", Desc: "Table 5: fairness matrix", Build: func(o Options) (Experiment, error) {
 		return NewTable5Experiment(Table5Config{Seed: o.Seed}), nil
 	}},
-	{"ackloss", "§2.3 ACK-loss robustness sweep", func(o Options) (Experiment, error) {
+	{Name: "ackloss", Desc: "§2.3 ACK-loss robustness sweep", Build: func(o Options) (Experiment, error) {
 		return NewAckLossExperiment(AckLossConfig{Variants: o.Variants}), nil
 	}},
-	{"fairshare", "§2.3 fair-share gateways (FIFO vs DRR)", func(o Options) (Experiment, error) {
+	{Name: "fairshare", Desc: "§2.3 fair-share gateways (FIFO vs DRR)", Build: func(o Options) (Experiment, error) {
 		return NewFairShareExperiment(FairShareConfig{Seed: o.Seed}), nil
 	}},
-	{"twoway", "two-way traffic extension", func(o Options) (Experiment, error) {
+	{Name: "twoway", Desc: "two-way traffic extension", Build: func(o Options) (Experiment, error) {
 		return NewTwoWayExperiment(TwoWayConfig{Variants: o.Variants}), nil
 	}},
-	{"smoothstart", "slow-start overshoot vs Smooth-start [21]", func(o Options) (Experiment, error) {
+	{Name: "smoothstart", Desc: "slow-start overshoot vs Smooth-start [21]", Build: func(o Options) (Experiment, error) {
 		return NewSmoothStartExperiment(SmoothStartConfig{Seed: o.Seed}), nil
 	}},
-	{"bursty", "Gilbert-Elliott correlated-loss sweep", func(o Options) (Experiment, error) {
+	{Name: "bursty", Desc: "Gilbert-Elliott correlated-loss sweep", Build: func(o Options) (Experiment, error) {
 		return NewBurstyExperiment(BurstyConfig{Variants: o.Variants}), nil
 	}},
-	{"ablation", "RR design-choice ablations", func(o Options) (Experiment, error) {
+	{Name: "ablation", Desc: "RR design-choice ablations", Build: func(o Options) (Experiment, error) {
 		return NewAblationExperiment(o.Drops), nil
 	}},
-	{"chaos", "seeded-random fault sweep under invariant checking", func(o Options) (Experiment, error) {
+	{Name: "chaos", Desc: "seeded-random fault sweep under invariant checking", ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
 		return NewChaosExperiment(ChaosConfig{
 			Schedules: o.Runs, Seed: o.Seed, Variants: o.Variants,
 			Bytes: o.Bytes, Horizon: o.Horizon, BundleDir: o.BundleDir,
 			FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
 		}), nil
 	}},
-	{"stress", "overload soak: many-flow cells under chaos, budgets, and graceful degradation", func(o Options) (Experiment, error) {
+	{Name: "stress", Desc: "overload soak: many-flow cells under chaos, budgets, and graceful degradation", ReadsTelemetry: true, ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
 		return NewStressExperiment(StressConfig{
 			Cells: o.Cells, Flows: o.Flows, Seed: o.Seed, Bytes: o.Bytes,
 			Horizon: o.Horizon, Variants: o.Variants, Telemetry: o.Telemetry,
@@ -177,8 +183,9 @@ type RunOptions struct {
 	// StallAfter arms the sweep's hung-job watchdog.
 	StallAfter time.Duration
 	// CheckpointDir, when non-empty, journals completed job results
-	// under this directory (content-addressed per sweep identity). The
-	// experiment must implement ResultCodec.
+	// under this directory, in a journal of the sweep's own: its key
+	// covers the experiment's name and configuration and every job's
+	// name and seed (see journalJobs).
 	CheckpointDir string
 	// Resume restores results journaled by a previous interrupted run
 	// instead of starting the checkpoint afresh.
@@ -186,15 +193,6 @@ type RunOptions struct {
 	// OnCheckpoint, when non-nil, is told where the journal lives and
 	// what a resume restored, before the sweep starts.
 	OnCheckpoint func(dir string, restored, skipped int)
-}
-
-// ResultCodec is implemented by experiments whose job results survive a
-// JSON round-trip: DecodeResult must invert json.Marshal of whatever
-// the experiment's jobs return, reconstructing the concrete value its
-// Reduce expects. Only such experiments can be checkpointed and
-// resumed.
-type ResultCodec interface {
-	DecodeResult(data []byte) (any, error)
 }
 
 // Run executes an experiment end to end: expand jobs, sweep them across
@@ -215,11 +213,11 @@ func Run(e Experiment, opt RunOptions) (Renderable, error) {
 		StallAfter: opt.StallAfter,
 	}
 	if opt.CheckpointDir != "" {
-		codec, ok := e.(ResultCodec)
-		if !ok {
-			return nil, fmt.Errorf("experiments: %s does not support checkpointing (no result codec)", e.Name())
+		keyed, err := journalJobs(e, jobs)
+		if err != nil {
+			return nil, err
 		}
-		journal, err := sweep.OpenJournal(opt.CheckpointDir, cfg, jobs, opt.Resume, codec.DecodeResult)
+		journal, err := sweep.OpenJournal(opt.CheckpointDir, cfg, keyed, opt.Resume, restore)
 		if err != nil {
 			return nil, err
 		}
@@ -235,3 +233,22 @@ func Run(e Experiment, opt RunOptions) (Renderable, error) {
 	}
 	return e.Reduce(results)
 }
+
+// journalJobs is the job list a checkpoint journal is keyed by: jobs
+// and, after them, an entry named by the experiment's JSON — for a
+// grid, the configuration its result prints. A run whose options
+// change that configuration (fig5's drops, chaos's transfer size, the
+// stress soak's flow count) opens a journal of its own rather than
+// resuming another configuration's results. The journal's meta.json
+// counts the entry among its jobs; no job ever runs under it.
+func journalJobs(e Experiment, jobs []sweep.Job) ([]sweep.Job, error) {
+	config, err := json.Marshal(e)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: checkpoint key: %w", e.Name(), err)
+	}
+	return append(jobs[:len(jobs):len(jobs)], sweep.Job{Name: string(config)}), nil
+}
+
+// restore hands a journaled result to Reduce as the JSON it was
+// journaled as; grid.Reduce decodes it into the experiment's output.
+func restore(data []byte) (any, error) { return json.RawMessage(data), nil }

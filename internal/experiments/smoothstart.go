@@ -82,18 +82,17 @@ func NewSmoothStartExperiment(cfg SmoothStartConfig) Experiment {
 	return &grid[bool, SmoothStartRow]{
 		name:  "smoothstart",
 		cells: []bool{false, true},
-		seeds: []int64{cfg.Seed},
+		seeds: func(bool) []int64 { return []int64{cfg.Seed} },
 		label: smoothStartLabel,
-		run: func(w *scenario.World, smooth bool, seed int64) (SmoothStartRow, error) {
-			return smoothStartRun(w, cfg, smooth, seed)
+		run:   cfg.run,
+		fold: func(outs [][]SmoothStartRow) (Renderable, error) {
+			return &SmoothStartResult{Config: cfg, Rows: firstSeed(outs)}, nil
 		},
-		fold: func(outs [][]SmoothStartRow) Renderable {
-			return &SmoothStartResult{Config: cfg, Rows: firstSeed(outs)}
-		},
+		Config: cfg,
 	}
 }
 
-func smoothStartRun(w *scenario.World, cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStartRow, error) {
+func (cfg SmoothStartConfig) run(w *scenario.World, smooth bool, seed int64) (SmoothStartRow, error) {
 	err := w.Rebuild(seed, &scenario.Spec{}) // Table 3 as is
 	if err != nil {
 		return SmoothStartRow{}, err

@@ -41,7 +41,7 @@ func TestStopAtCompletionMovesNoResult(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3, 4} {
 				for _, cfg := range twoWay {
 					name := fmt.Sprintf("twoway %d/%d seed %d", cfg.ReverseFlows, cfg.ReverseBuffer, seed)
-					stopped, err := twoWayRun(&scenario.World{}, cfg, kind, seed)
+					stopped, err := cfg.run(&scenario.World{}, kind, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -59,7 +59,7 @@ func TestStopAtCompletionMovesNoResult(t *testing.T) {
 					cfg := FairShareConfig{Variant: kind, Seed: seed}
 					cfg.fillDefaults()
 					name := fmt.Sprintf("fairshare %s seed %d", disc, seed)
-					stopped, err := fairShareRun(&scenario.World{}, cfg, disc, seed)
+					stopped, err := cfg.run(&scenario.World{}, disc, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +97,7 @@ func TestAckLossOverTheTransfer(t *testing.T) {
 	for _, c := range cases {
 		c.cfg.fillDefaults()
 		name := fmt.Sprintf("%v %d/%d seed %d", c.kind, c.cfg.ReverseFlows, c.cfg.ReverseBuffer, c.seed)
-		got, err := twoWayRun(&scenario.World{}, c.cfg, c.kind, c.seed)
+		got, err := c.cfg.run(&scenario.World{}, c.kind, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -64,7 +62,7 @@ type StressConfig struct {
 	FlowExemplars int `json:"flowExemplars,omitempty"`
 
 	// Telemetry, when non-nil, receives each cell's final overload and
-	// drop accounting, republished in cell order by Reduce.
+	// drop accounting, republished in cell order by the soak's fold.
 	Telemetry *telemetry.Bus `json:"-"`
 }
 
@@ -121,31 +119,17 @@ type StressCell struct {
 	// StressConfig.FlowStats is on. Degraded cells carry it too — the
 	// accounting up to the budget trip.
 	Flow *flowstats.Summary `json:"flow,omitempty"`
+	// detail is a degraded cell's cause (a tripped guard budget or a
+	// liveness stall), for the report's StressDegrade.
+	detail string
 }
 
-// CellOverload is the error a budget-tripped cell returns: it carries
-// the partial cell statistics alongside the typed cause, and unwraps to
-// it, so the sweep's structural Degraded detection fires and Reduce can
-// still report the cell.
-type CellOverload struct {
-	Cell StressCell
-	Err  error // *guard.OverloadError or *invariant.StallError
-}
-
-// Error implements error.
-func (e *CellOverload) Error() string {
-	return fmt.Sprintf("stress: cell %d degraded: %v", e.Cell.Cell, e.Err)
-}
-
-// Unwrap exposes the typed cause to errors.As and to internal/sweep's
-// Degraded-marker walk.
-func (e *CellOverload) Unwrap() error { return e.Err }
-
-// runStressCell executes one cell, rebuilding w as its world: Flows
+// run executes one cell, rebuilding w as its world: Flows
 // concurrent transfers on a shared dumbbell under a seeded-random fault
 // plan, watched by the invariant checker and guarded by the configured
-// budgets.
-func runStressCell(w *scenario.World, cfg StressConfig, index int, seed int64) (StressCell, error) {
+// budgets. A cell that trips a budget or stalls returns its report with
+// the typed cause, which carries the sweep's Degraded marker.
+func (cfg StressConfig) run(w *scenario.World, index int, seed int64) (StressCell, error) {
 	// The paper topology, scaled up: the bottleneck (Table 3's 0.8 Mbps)
 	// grows with the flow count so the cell is congested but not parked,
 	// and the shared buffer deepens with the fan-in.
@@ -222,12 +206,12 @@ func runStressCell(w *scenario.World, cfg StressConfig, index int, seed int64) (
 	// and wins; a liveness stall with no guard trip degrades too (the
 	// cell wedged but stayed inside its budgets).
 	if oerr := mon.Err(); oerr != nil {
-		cell.Degraded = oerr.Resource
-		return cell, &CellOverload{Cell: cell, Err: oerr}
+		cell.Degraded, cell.detail = oerr.Resource, oerr.Error()
+		return cell, oerr
 	}
 	if serr := checker.StallError(); serr != nil {
-		cell.Degraded = "liveness"
-		return cell, &CellOverload{Cell: cell, Err: serr}
+		cell.Degraded, cell.detail = "liveness", serr.Error()
+		return cell, serr
 	}
 	return cell, nil
 }
@@ -302,109 +286,57 @@ func (r *StressResult) Render() string {
 	return b.String()
 }
 
-// StressExperiment adapts the soak to the Experiment interface: one
-// sweep job per cell, cell i seeded sweep.DeriveSeed(Config.Seed-1, i).
-// The -1 keeps the default seed 1 on the cells its checkpoint journals
-// and goldens were written with.
-type StressExperiment struct {
-	cfg StressConfig
-}
-
-// NewStressExperiment fills defaults and returns the experiment.
-func NewStressExperiment(cfg StressConfig) *StressExperiment {
+// NewStressExperiment fills defaults and returns the soak: one job per
+// cell, cell i seeded sweep.DeriveSeed(Config.Seed-1, i). The -1 keeps
+// the default seed 1 on the cells its goldens were written with. A
+// degraded cell's report reaches fold like any other; fold lists its
+// cause and republishes each cell's final overload and drop accounting
+// onto the configured telemetry bus — in cell order, so the aggregate
+// metrics stream is deterministic.
+func NewStressExperiment(cfg StressConfig) Experiment {
 	cfg.fillDefaults()
-	return &StressExperiment{cfg: cfg}
-}
+	cells, seedOf := ownSeeds(cfg.Cells, func(i int) int64 { return sweep.DeriveSeed(cfg.Seed-1, i) })
+	return &grid[int, StressCell]{
+		name:  "stress",
+		cells: cells,
+		seeds: seedOf,
+		label: func(i int) string { return fmt.Sprintf("cell%d", i) },
+		run:   cfg.run,
+		fold: func(outs [][]StressCell) (Renderable, error) {
+			res := &StressResult{Config: cfg}
+			for _, cell := range firstSeed(outs) {
+				if cell.Degraded != "" {
+					res.Degraded = append(res.Degraded, StressDegrade{
+						Cell:     cell.Cell,
+						Resource: cell.Degraded,
+						Detail:   cell.detail,
+					})
+				}
+				res.Cells = append(res.Cells, cell)
+				res.TotalEvents += cell.Events
+				res.TotalKept += cell.TelemetryKept
+				res.TotalDropped += cell.TelemetryDropped
+				res.Violations += cell.Violations
+				res.Stalls += cell.Stalls
+				mergeFlows(&res.Flows, cell.Flow)
 
-// Name implements Experiment.
-func (e *StressExperiment) Name() string { return "stress" }
-
-// DecodeResult implements ResultCodec for checkpoint resume. Only
-// successful cells are journaled (degraded ones re-run and re-degrade
-// deterministically), so a StressCell is the only shape to restore.
-func (e *StressExperiment) DecodeResult(data []byte) (any, error) {
-	var c StressCell
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("stress: decode checkpointed result: %w", err)
-	}
-	return c, nil
-}
-
-// Jobs implements Experiment. The jobs rebuild the worlds of a free
-// list their sweep owns.
-func (e *StressExperiment) Jobs() ([]sweep.Job, error) {
-	jobs := make([]sweep.Job, e.cfg.Cells)
-	worlds := &freeList[scenario.World]{}
-	for i := range jobs {
-		cell := i
-		jobs[i] = sweep.Job{
-			Name: fmt.Sprintf("cell%d", cell),
-			Seed: sweep.DeriveSeed(e.cfg.Seed-1, cell),
-			Run: func(seed int64) (any, error) {
-				return worlds.run(func(w *scenario.World) (any, error) {
-					c, err := runStressCell(w, e.cfg, cell, seed)
-					if err != nil {
-						return nil, err
-					}
-					return c, nil
-				})
-			},
-		}
-	}
-	return jobs, nil
-}
-
-// Reduce implements Experiment: cells assemble in cell order, degraded
-// results are unpacked back into their partial cell reports, and each
-// cell's final overload/drop accounting is republished onto the
-// configured telemetry bus — in cell order, so the aggregate metrics
-// stream is deterministic.
-func (e *StressExperiment) Reduce(results []any) (Renderable, error) {
-	cfg := e.cfg
-	res := &StressResult{Config: cfg}
-	for i, raw := range results {
-		var cell StressCell
-		switch v := raw.(type) {
-		case StressCell:
-			cell = v
-		case sweep.Degraded:
-			var co *CellOverload
-			if !errors.As(v.Err, &co) {
-				return nil, fmt.Errorf("stress: cell %d degraded without cell report: %w", i, v.Err)
+				if cell.TelemetryDropped > 0 && cfg.Telemetry.Enabled() {
+					cfg.Telemetry.Publish(telemetry.Event{
+						Comp: telemetry.CompTelemetry, Kind: telemetry.KTelemetryDrops,
+						Src: fmt.Sprintf("cell%d", cell.Cell), Flow: telemetry.NoFlow,
+						A: float64(cell.TelemetryDropped), B: float64(cell.TelemetryKept),
+					})
+				}
+				if cell.Degraded != "" && cell.Degraded != "liveness" {
+					cfg.Telemetry.Publish(telemetry.Event{
+						Comp: telemetry.CompGuard, Kind: telemetry.KOverload,
+						Src: cell.Degraded, Flow: telemetry.NoFlow,
+						A: float64(cell.Events),
+					})
+				}
 			}
-			cell = co.Cell
-			res.Degraded = append(res.Degraded, StressDegrade{
-				Cell:     cell.Cell,
-				Resource: cell.Degraded,
-				Detail:   co.Err.Error(),
-			})
-		default:
-			return nil, fmt.Errorf("stress: result %d is %T, want StressCell or sweep.Degraded", i, raw)
-		}
-		res.Cells = append(res.Cells, cell)
-		res.TotalEvents += cell.Events
-		res.TotalKept += cell.TelemetryKept
-		res.TotalDropped += cell.TelemetryDropped
-		res.Violations += cell.Violations
-		res.Stalls += cell.Stalls
-		mergeFlows(&res.Flows, cell.Flow)
-
-		if cfg.Telemetry.Enabled() {
-			if cell.TelemetryDropped > 0 {
-				cfg.Telemetry.Publish(telemetry.Event{
-					Comp: telemetry.CompTelemetry, Kind: telemetry.KTelemetryDrops,
-					Src: fmt.Sprintf("cell%d", cell.Cell), Flow: telemetry.NoFlow,
-					A: float64(cell.TelemetryDropped), B: float64(cell.TelemetryKept),
-				})
-			}
-			if cell.Degraded != "" && cell.Degraded != "liveness" {
-				cfg.Telemetry.Publish(telemetry.Event{
-					Comp: telemetry.CompGuard, Kind: telemetry.KOverload,
-					Src: cell.Degraded, Flow: telemetry.NoFlow,
-					A: float64(cell.Events),
-				})
-			}
-		}
+			return res, nil
+		},
+		Config: cfg,
 	}
-	return res, nil
 }

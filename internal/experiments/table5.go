@@ -106,24 +106,20 @@ func NewTable5Experiment(cfg Table5Config) Experiment {
 	return &grid[Table5Case, Table5Row]{
 		name:  "table5",
 		cells: cfg.Cases,
-		seeds: cfg.Seeds,
+		seeds: func(Table5Case) []int64 { return cfg.Seeds },
 		label: func(tc Table5Case) string { return tc.Label },
-		run: func(w *scenario.World, tc Table5Case, seed int64) (Table5Row, error) {
-			return table5Run(w, cfg, tc, seed)
-		},
-		fold: func(outs [][]Table5Row) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]Table5Row) (Renderable, error) {
 			res := &Table5Result{Config: cfg}
 			for i, tc := range cfg.Cases {
-				agg := Table5Row{Case: tc}
+				agg := Table5Row{Case: tc, LossRate: mean(outs[i], func(r Table5Row) float64 { return r.LossRate })}
 				var delays []float64
 				for _, row := range outs[i] {
-					agg.LossRate += row.LossRate
 					if row.Finished {
 						delays = append(delays, row.TransferDelay.Seconds())
 						agg.GoodputBps += row.GoodputBps
 					}
 				}
-				agg.LossRate /= float64(len(cfg.Seeds))
 				if len(delays) > 0 {
 					agg.Finished = true
 					summary := stats.Summarize(delays)
@@ -133,12 +129,13 @@ func NewTable5Experiment(cfg Table5Config) Experiment {
 				}
 				res.Rows = append(res.Rows, agg)
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
-func table5Run(w *scenario.World, cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
+func (cfg Table5Config) run(w *scenario.World, tc Table5Case, seed int64) (Table5Row, error) {
 	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
 		Flows:        cfg.Flows,
 		ForwardQueue: &scenario.QueueSpec{Limit: 25}, // paper §5: buffer raised to 25

@@ -93,20 +93,15 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 	return &grid[workload.Kind, twoWayOut]{
 		name:  "twoway",
 		cells: cfg.Variants,
-		seeds: cfg.Seeds,
+		seeds: func(workload.Kind) []int64 { return cfg.Seeds },
 		label: workload.Kind.String,
-		run: func(w *scenario.World, kind workload.Kind, seed int64) (twoWayOut, error) {
-			return twoWayRun(w, cfg, kind, seed)
-		},
-		fold: func(outs [][]twoWayOut) Renderable {
+		run:   cfg.run,
+		fold: func(outs [][]twoWayOut) (Renderable, error) {
 			res := &TwoWayResult{Config: cfg}
 			for i, kind := range cfg.Variants {
 				row := TwoWayRow{Variant: kind, Runs: len(cfg.Seeds)}
 				var delays []float64
-				var ackLossSum, timeoutSum float64
 				for _, out := range outs[i] {
-					ackLossSum += out.AckLoss
-					timeoutSum += float64(out.Timeouts)
 					if out.Finished {
 						row.Completed++
 						delays = append(delays, out.Delay.Seconds())
@@ -117,19 +112,20 @@ func NewTwoWayExperiment(cfg TwoWayConfig) Experiment {
 					row.MeanDelay = sim.Time(summary.Mean * float64(time.Second))
 					row.DelayCI95Seconds = summary.CI95
 				}
-				row.MeanAckLoss = ackLossSum / float64(len(cfg.Seeds))
-				row.MeanTimeouts = timeoutSum / float64(len(cfg.Seeds))
+				row.MeanAckLoss = mean(outs[i], func(o twoWayOut) float64 { return o.AckLoss })
+				row.MeanTimeouts = mean(outs[i], func(o twoWayOut) float64 { return float64(o.Timeouts) })
 				res.Rows = append(res.Rows, row)
 			}
-			return res
+			return res, nil
 		},
+		Config: cfg,
 	}
 }
 
-// twoWayRun measures one (variant, seed) run. The run ends when the
+// run measures one (variant, seed) run. The run ends when the
 // forward transfer completes: nothing reads the reverse flows after
 // that, and ackLossRate counts only the ACKs generated before it.
-func twoWayRun(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed int64) (twoWayOut, error) {
+func (cfg TwoWayConfig) run(w *scenario.World, kind workload.Kind, seed int64) (twoWayOut, error) {
 	fwd, err := twoWayWorld(w, cfg, kind, seed)
 	if err != nil {
 		return twoWayOut{}, err

@@ -314,8 +314,9 @@ func BenchmarkEndToEndSimulationThroughput(b *testing.B) {
 // committed performance trajectory (BENCH_core.json): scheduler events
 // and simulated packet transmissions per wall second on the standard
 // 10-flow RED dumbbell, plus heap allocations per event. Beside them,
-// BenchmarkLinkDeepPipe and BenchmarkLaneUnderParkedTimers pin the two
-// properties of the event queue that world is too small to show.
+// BenchmarkLinkDeepPipe, BenchmarkLinkSparse and
+// BenchmarkLaneUnderParkedTimers pin the properties of the event queue
+// that world is too small to show.
 // tools/benchdiff compares these numbers across PRs; see
 // docs/OBSERVABILITY.md.
 
@@ -478,6 +479,38 @@ func BenchmarkLinkDeepPipe(b *testing.B) {
 	}
 	sched.Run(2 * time.Millisecond) // fill the wire, grow the rings
 	delivered = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	sched.RunAll()
+	b.StopTimer()
+	b.ReportMetric(float64(sched.HeapHighWater()), "heap-highwater")
+}
+
+// BenchmarkLinkSparse is the other end from the deep pipe: one link
+// offered a packet every 2 us that serializes in 1 us, so every
+// serialization completion finds the queue empty. One op is one packet:
+// the timer event that offers it, its delivery, and its completion,
+// which the link reserves and settles on the next arrival rather than
+// dispatching it.
+func BenchmarkLinkSparse(b *testing.B) {
+	sched := sim.NewScheduler(1)
+	var pool netem.PacketPool
+	link := netem.Must(netem.NewLink(sched, 8e9, 10*time.Microsecond, nil,
+		netem.NodeFunc(func(p *netem.Packet) { p.Release() })))
+	sent, packets := 0, 1000 // a warm-up round first: grow the rings and the pool
+	var feed *sim.Timer
+	feed = sched.NewTimer(func() {
+		p := pool.Get()
+		p.Kind, p.Size, p.Len = netem.Data, 1000, 1000
+		link.Receive(p)
+		if sent++; sent < packets {
+			feed.Reset(2 * time.Microsecond)
+		}
+	})
+	feed.Reset(0)
+	sched.RunAll()
+	sent, packets = 0, b.N
+	feed.Reset(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sched.RunAll()

@@ -46,8 +46,12 @@ func (g *grid[C, O]) Name() string { return g.name }
 // Jobs implements Experiment: cell-major, seeds innermost. The jobs
 // rebuild the worlds of a free list their sweep owns.
 func (g *grid[C, O]) Jobs() ([]sweep.Job, error) {
+	return g.jobsOn(&freeList[scenario.World]{}), nil
+}
+
+// jobsOn lists the jobs, which rebuild the worlds of worlds.
+func (g *grid[C, O]) jobsOn(worlds *freeList[scenario.World]) []sweep.Job {
 	jobs := make([]sweep.Job, 0, len(g.cells))
-	worlds := &freeList[scenario.World]{}
 	for _, c := range g.cells {
 		label := g.label(c)
 		seeds := g.seeds(c)
@@ -71,7 +75,7 @@ func (g *grid[C, O]) Jobs() ([]sweep.Job, error) {
 			})
 		}
 	}
-	return jobs, nil
+	return jobs
 }
 
 // jobError is a failed job's error together with the output its run

@@ -39,7 +39,15 @@ type Link struct {
 	// so a topology lays each link out as one piece of one block.
 	queue Queue
 	fifo  DropTail
-	busy  bool
+
+	// busy is set while a packet serializes. down marks a failed link:
+	// nothing serializes while set, and every packet on the wire when the
+	// failure began is lost. owes is set while the serialization
+	// completion is not pushed but reserved under the key owed: nothing
+	// was queued behind the packet when it started, and nothing has been
+	// since (see transmitNext, settle).
+	busy, down, owes bool
+	owed             sim.Key
 
 	// wires and txs are the world's lanes, shared by all its links: wires
 	// holds the packets propagating toward their Dst (never cancelled; a
@@ -57,9 +65,6 @@ type Link struct {
 		tx      *sim.DelayLane[*Link]
 	}
 
-	// down marks a failed link: nothing serializes while set, and every
-	// packet on the wire when the failure began is lost.
-	down bool
 	// flaps counts SetDown(true) transitions; in-flight deliveries
 	// compare it against its value at transmission time, so a packet
 	// that was on the wire across a flap is dropped even if the link is
@@ -91,9 +96,29 @@ func NewLink(sched *sim.Scheduler, bandwidthBps float64, delay sim.Time, q Queue
 	if err := validateLinkParams(bandwidthBps, delay); err != nil {
 		return nil, err
 	}
-	l := new(Link)
+	b := make(linkBlock, 1)
+	l := &b[0]
 	l.init(sched, bandwidthBps, delay, q, 1<<30, dst)
+	sched.AddDebtor(&b)
 	return l, nil
+}
+
+// linkBlock is links laid out in one block. A block is the scheduler's
+// debtor for the serialization completions its links owe: a topology
+// registers its block once, not each link.
+type linkBlock []Link
+
+// PayDebts implements sim.Debtor.
+func (b *linkBlock) PayDebts() {
+	for i := range *b {
+		if l := &(*b)[i]; l.owes {
+			if l.sched.Passed(l.owed) {
+				l.settle()
+			} else {
+				l.pushOwed()
+			}
+		}
+	}
 }
 
 // init sets up a zero link where it will stay: the world's lanes and,
@@ -144,10 +169,15 @@ func (l *Link) Instrument(bus *telemetry.Bus, name string) {
 // Receive implements Node: enqueue the packet and start transmitting if
 // the link is idle.
 func (l *Link) Receive(p *Packet) {
+	if l.owes && l.sched.Passed(l.owed) {
+		l.settle() // the packet before this one finished serializing first
+	}
 	if !l.queue.enqueue(p) {
 		return // dropped by the discipline
 	}
-	if !l.busy && !l.down {
+	if l.owes {
+		l.pushOwed() // the packet waits for the completion
+	} else if !l.busy && !l.down {
 		l.transmitNext()
 	}
 }
@@ -163,6 +193,9 @@ func (l *Link) Down() bool { return l.down }
 func (l *Link) SetDown(down bool) {
 	if down == l.down {
 		return
+	}
+	if l.owes && l.sched.Passed(l.owed) {
+		l.settle() // the completion came before the change of carrier
 	}
 	l.down = down
 	kind := telemetry.KLinkUp
@@ -270,7 +303,36 @@ func (l *Link) transmitNext() {
 	// delivery must be pushed before the serialization completion so
 	// simultaneous firings keep the historical order (delivery first).
 	l.last.wire = l.wires.Push(l.last.wire, txDelay+l.Delay, wirePkt{l: l, p: p, flapsAtTx: l.flaps})
+	// With nothing queued behind the packet the completion would only
+	// find the queue empty: its key is reserved instead, and the event is
+	// pushed only if a packet arrives before it is due.
+	if l.queue.Len() == 0 {
+		if l.owed, l.owes = l.sched.Reserve(txDelay); l.owes {
+			return
+		}
+	}
 	l.last.tx = l.txs.Push(l.last.tx, txDelay, l)
+}
+
+// pushOwed pushes the serialization completion the link owes under its
+// reserved key, which the run has not passed.
+func (l *Link) pushOwed() {
+	l.owes = false
+	l.last.tx = l.txs.PushKey(l.last.tx, l.last.txDelay, l.owed, l)
+}
+
+// settle does what the serialization completion the link owes did when
+// it fired with the queue empty, now that the run has passed its key:
+// the link goes idle, the queue (RED) is idle from the completion's
+// instant unless the link was down, and the event counts as processed.
+// The link's carrier state is still the one at the completion's instant,
+// because SetDown settles first.
+func (l *Link) settle() {
+	l.owes, l.busy = false, false
+	if !l.down {
+		l.queue.markIdle(l.owed.At())
+	}
+	l.sched.Credit()
 }
 
 // wirePkt is one packet on the wire plus the state its arrival needs.
@@ -390,10 +452,16 @@ type idleMarker interface {
 
 func (q *Queue) dequeue() *Packet {
 	p := q.disc.Dequeue()
-	if q.idle != nil && q.disc.Len() == 0 {
-		q.idle.MarkIdle(q.sched.Now())
-	}
+	q.markIdle(q.sched.Now())
 	return p
+}
+
+// markIdle tells a discipline that tracks idle periods that it is empty
+// as of at.
+func (q *Queue) markIdle(at sim.Time) {
+	if q.idle != nil && q.disc.Len() == 0 {
+		q.idle.MarkIdle(at)
+	}
 }
 
 // Len reports the current number of queued packets.

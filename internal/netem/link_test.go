@@ -226,3 +226,40 @@ func TestLinkReentrantReceiveFromDst(t *testing.T) {
 		t.Fatalf("%d events still pending after RunAll", s.Pending())
 	}
 }
+
+// TestSharedLanesBoundedByDelaysPending sends 10^5 packets down one link
+// with a different size, and so a different delay, on every one and the
+// propagation delay changing under them. The world never holds more
+// lanes than delays were pending at once — the packets on the wire plus
+// the one serialization completion — however many delays it has seen.
+func TestSharedLanesBoundedByDelaysPending(t *testing.T) {
+	s := sim.NewScheduler(1)
+	const packets = 100_000
+	delivered := 0
+	l := Must(NewLink(s, 100e6, time.Millisecond, Must(NewDropTail(8)), NodeFunc(func(*Packet) { delivered++ })))
+	peakWire, offered, seen := 0, 0, map[sim.Time]bool{}
+	s.SetProfileHook(1, func(sim.Time, uint64, int) {
+		peakWire = max(peakWire, int(l.TxPackets)-delivered)
+		if n := s.LaneCount(); n > peakWire+1 {
+			t.Fatalf("%d lanes after at most %d packets on the wire at once, want one each plus the serialization lane", n, peakWire)
+		}
+	})
+	var feed *sim.Timer
+	feed = s.NewTimer(func() {
+		size := 40 + offered%1461*7%1461 // consecutive packets differ by 7 bytes
+		seen[l.TransmissionDelay(size)+l.Delay] = true
+		l.Receive(&Packet{Seq: int64(offered), Size: size})
+		l.SetDelay(time.Millisecond + sim.Time(offered%3)) //nolint:errcheck // positive
+		if offered++; offered < packets {
+			feed.Reset(125 * time.Microsecond) // longer than any packet serializes: nothing queues
+		}
+	})
+	feed.Reset(0)
+	s.RunAll()
+	if delivered != packets || len(seen) < 1000 {
+		t.Fatalf("delivered %d of %d packets with %d distinct delays; want all, and thousands", delivered, packets, len(seen))
+	}
+	if peakWire < 3 || peakWire > 16 {
+		t.Fatalf("peak of %d packets on the wire; the link is not the short pipe this test means to fill", peakWire)
+	}
+}

@@ -105,7 +105,7 @@ type Dumbbell struct {
 
 	// links is every link of the topology in one block: the two
 	// bottleneck links, then each flow's four side links together.
-	links    []Link
+	links    linkBlock
 	forward  *Link  // R1 -> R2 (bottleneck, congested)
 	reverse  *Link  // R2 -> R1 (bottleneck, ACK path)
 	fwdDemux Demux  // at R2, to receivers
@@ -179,7 +179,7 @@ func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 		links[i].clear()
 	}
 	if len(links) < 2+sideLinks*n {
-		links = make([]Link, 2+sideLinks*n)
+		links = make(linkBlock, 2+sideLinks*n)
 	}
 	routes := d.routes[:cap(d.routes)]
 	clear(routes)
@@ -196,6 +196,7 @@ func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 		routes:   routes,
 		pool:     d.pool,
 	}
+	sched.AddDebtor(&d.links)
 	d.forward, d.reverse = &d.links[0], &d.links[1]
 	d.forward.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ForwardQueue, 8, &d.fwdDemux)
 	d.reverse.init(sched, cfg.BottleneckBps, cfg.BottleneckDelay, cfg.ReverseQueue, 1000, &d.revDemux)

@@ -14,7 +14,7 @@ type laneSet interface {
 // laneEvent is one event waiting on a lane: its reserved (time, sequence)
 // key and the payload its handler receives.
 type laneEvent[T any] struct {
-	key
+	Key
 	val T
 }
 
@@ -73,24 +73,22 @@ func (l *Lane[T]) unbind() {
 // due before events already waiting (a propagation delay lowered
 // mid-flight) is inserted where its key sorts, so the lane fires in the
 // order separate timers would have.
-func (l *Lane[T]) Push(d Time, v T) {
-	if d < 0 {
-		d = 0
-	}
+func (l *Lane[T]) Push(d Time, v T) { l.insert(l.s.take(d), v) }
+
+// insert adds the event keyed k where the key sorts. A new event has the
+// largest sequence number yet and mostly the latest time, so the search
+// starts at the tail.
+func (l *Lane[T]) insert(k Key, v T) {
 	s := l.s
-	at, seq := s.now+d, s.nextSeq
-	s.nextSeq++
 	s.queued++
 	if l.n == len(l.buf) {
 		l.grow()
 	}
 	mask := len(l.buf) - 1
-	// The event has the largest sequence number yet, so it sorts after
-	// every waiting event due at or before at.
 	i := l.n
 	for ; i > 0; i-- {
 		prev := &l.buf[(l.head+i-1)&mask]
-		if prev.at <= at {
+		if prev.less(k) {
 			break
 		}
 		l.buf[(l.head+i)&mask] = *prev
@@ -99,12 +97,12 @@ func (l *Lane[T]) Push(d Time, v T) {
 	// copying it in reloads 16 bytes just stored as two words, a
 	// store-forwarding stall on every push.
 	ev := &l.buf[(l.head+i)&mask]
-	ev.at, ev.seq, ev.val = at, seq, v
+	ev.at, ev.seq, ev.val = k.at, k.seq, v
 	l.n++
 	if i > 0 {
 		return // still behind the head
 	}
-	s.heads[l.id] = key{at, seq}
+	s.heads[l.id] = k
 	if l.n == 1 {
 		s.busy++
 		s.pushed()
@@ -126,7 +124,7 @@ func (l *Lane[T]) fire() {
 	l.n--
 	s.queued--
 	if l.n > 0 {
-		s.heads[l.id] = l.buf[l.head].key
+		s.heads[l.id] = l.buf[l.head].Key
 	} else {
 		s.heads[l.id] = noHead
 		s.busy--
@@ -202,7 +200,21 @@ func (ls *Lanes[T]) Push(last *DelayLane[T], d Time, v T) *DelayLane[T] {
 	if last == nil || last.delay != d {
 		last = ls.lane(d)
 	}
-	last.lane.Push(d, v)
+	last.lane.insert(ls.s.take(d), v)
+	return last
+}
+
+// PushKey schedules fn(v) to run at the reserved key k (see
+// Scheduler.Reserve), which the run must not have passed, on the set's
+// lane for d, and returns that lane as Push does. d is the delay k was
+// reserved with; the event is inserted where k sorts among the lane's
+// waiting events, which may have been pushed after k was reserved.
+func (ls *Lanes[T]) PushKey(last *DelayLane[T], d Time, k Key, v T) *DelayLane[T] {
+	if last == nil || last.delay != d {
+		last = ls.lane(d)
+	}
+	ls.s.owing--
+	last.lane.insert(k, v)
 	return last
 }
 

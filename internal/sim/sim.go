@@ -10,7 +10,16 @@
 // whose events always fire, in order; only its head occupies the event
 // queue, however many events are waiting behind it. Sources that push
 // with few distinct delays share a Lanes set (LanesOf plus Lanes.Push),
-// one lane per delay.
+// one lane per delay. A source whose events mostly do nothing when they
+// fire may instead Reserve an event's key without pushing it, push it
+// under that key later (Lanes.PushKey) while the run has not Passed it,
+// or else do its work and Credit it: a Debtor, which the scheduler has
+// pay before anything reads the count of events.
+//
+// Processed counts every event that fired or that the run passed
+// reserved, Pending every event armed, pushed or reserved and not yet
+// passed: each reads what it would if every event were pushed. Neither
+// HeapHighWater nor LaneCount sees a reserved event unless it is pushed.
 //
 // The event queue is an index-based 4-ary min-heap of armed timers and a
 // flat array of lane heads, one per lane, merged by exact
@@ -36,8 +45,8 @@ import (
 // sweep's aggregate event and packet rates. They are the only state
 // schedulers share, and no scheduler touches them per event or per
 // packet: each counts in its own plain fields and flushes both totals
-// together, once per globalFlushEvery events plus once as each Run
-// returns, so concurrent sweep jobs do not bounce these cache lines
+// together, once per globalFlushEvery dispatched events plus once as
+// each Run returns, so concurrent sweep jobs do not bounce these cache lines
 // between cores. The counters are observability-only: nothing in the
 // simulation reads them, so they cannot perturb determinism.
 var (
@@ -49,9 +58,10 @@ var (
 const globalFlushEvery = 4096
 
 // GlobalCounters reports the process-wide totals: discrete events
-// processed and packets transmitted across every scheduler so far. The
-// totals are exact for every scheduler whose Run has returned; one
-// mid-Run lags by at most globalFlushEvery events' worth.
+// processed (Processed) and packets transmitted across every scheduler
+// so far. The totals are exact for every scheduler whose Run has
+// returned; one mid-Run lags by up to globalFlushEvery dispatched
+// events and the events credited since its last flush.
 func GlobalCounters() (events, packets uint64) {
 	return globalEvents.Load(), globalPackets.Load()
 }
@@ -64,27 +74,31 @@ type Time = time.Duration
 // current simulated time.
 var ErrScheduleInPast = errors.New("sim: event scheduled in the past")
 
-// key orders pending events: by due time, then by the sequence number
-// taken when the event was armed or pushed. No two events share a key.
-type key struct {
+// Key orders events: by due time, then by the sequence number taken
+// when the event was armed, pushed or reserved. No two events share a
+// key.
+type Key struct {
 	at  Time
 	seq uint64
 }
 
-func (a key) less(b key) bool {
+// At reports when the event keyed k is due.
+func (k Key) At() Time { return k.at }
+
+func (a Key) less(b Key) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // noHead is the head of an empty lane. It sorts after every real key (no
 // event takes the last sequence number), so the scan for the earliest
 // head needs no test for emptiness.
-var noHead = key{at: 1<<63 - 1, seq: 1<<64 - 1}
+var noHead = Key{at: 1<<63 - 1, seq: 1<<64 - 1}
 
 // heapEntry is one armed timer in the priority queue. Entries are pure
 // values (no pointers), so sift operations move them without write
 // barriers; idx names the timer's arena slot.
 type heapEntry struct {
-	key
+	Key
 	idx int32
 }
 
@@ -126,15 +140,25 @@ type Scheduler struct {
 	// non-empty lanes; queued the lane events pushed and not yet fired,
 	// heads included.
 	timers    eventHeap
-	heads     []key
+	heads     []Key
 	lanes     []laneFirer
 	laneSets  []laneSet // one *Lanes[T] per payload type, see LanesOf
 	busy      int
 	queued    int
 	highWater int
 
-	// Processed counts events that have fired, for diagnostics.
-	processed uint64
+	// past is the key of the event firing now, or of the last one fired:
+	// a reserved key below it is one the run has passed (see Reserve).
+	// owing counts the keys reserved and neither pushed nor credited;
+	// debtors are the sources that hold them.
+	past    Key
+	owing   int
+	debtors []Debtor
+
+	// Processed events, for diagnostics: those dispatched, and those
+	// credited by the debtor that reserved them. flushed is how many of
+	// them the process-wide total has.
+	dispatched, credited, flushed uint64
 
 	// Profiling hook, fired every profEvery processed events.
 	profEvery uint64
@@ -174,7 +198,7 @@ func NewScheduler(seed int64) *Scheduler {
 // are emptied and unbound; a Lanes set comes back on its next LanesOf.
 // Reset must not be called from inside Run.
 func (s *Scheduler) Reset(seed int64) {
-	s.flushPackets()
+	s.flushEvents()
 	tables := s.tables
 	for _, l := range s.sources {
 		if l.src != nil {
@@ -188,9 +212,10 @@ func (s *Scheduler) Reset(seed int64) {
 	for _, set := range s.laneSets {
 		set.unbind()
 	}
-	// Drop the previous world's sources, lanes and handlers.
+	// Drop the previous world's sources, lanes, debtors and handlers.
 	clear(s.sources)
 	clear(s.lanes)
+	clear(s.debtors)
 	clear(s.timers.slots)
 	s.handles.reset()
 	*s = Scheduler{
@@ -199,6 +224,7 @@ func (s *Scheduler) Reset(seed int64) {
 		heads:    s.heads[:0],
 		lanes:    s.lanes[:0],
 		laneSets: s.laneSets,
+		debtors:  s.debtors[:0],
 		sources:  s.sources[:0],
 		tables:   tables,
 		handles:  s.handles,
@@ -301,17 +327,34 @@ func (l *lazySource) Seed(seed int64) {
 
 // Pending reports the number of events waiting to fire: every armed
 // timer plus every event pushed on a lane, whether it is the lane's
-// head (and so in the event queue) or waiting behind it.
-func (s *Scheduler) Pending() int { return len(s.timers.e) + s.queued }
+// head (and so in the event queue) or waiting behind it, plus every
+// reserved event the run has not passed. Reading it has the debtors pay
+// what they owe (see Debtor), so the count is the one a world that
+// pushed every event would give.
+func (s *Scheduler) Pending() int {
+	s.payDebts()
+	return len(s.timers.e) + s.queued
+}
 
-// Processed reports the number of events that have fired so far.
-func (s *Scheduler) Processed() uint64 { return s.processed }
+// Processed reports the number of events that have fired so far: those
+// dispatched, and the reserved events the run has passed, which count
+// as fired whether their debtor pushed them or did their work itself
+// (see Reserve). Like Pending it has the debtors pay first, so the count
+// is the one a world that pushed every event would give.
+func (s *Scheduler) Processed() uint64 {
+	s.payDebts()
+	return s.fired()
+}
+
+// fired counts the events dispatched and credited.
+func (s *Scheduler) fired() uint64 { return s.dispatched + s.credited }
 
 // HeapHighWater reports the deepest the event queue — the timer heap
 // and the heads of the non-empty lanes together — has been since the
 // scheduler was made or Reset: the working-set figure the headline benchmarks
 // publish alongside throughput. Events waiting behind a lane's head do
-// not count; Pending includes them.
+// not count; Pending includes them. Nor do reserved events, unless they
+// are pushed.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
 
 // LaneCount reports how many lanes have been bound to the scheduler,
@@ -325,6 +368,7 @@ func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 // fn or zero interval removes the hook. The hook runs synchronously on
 // the simulation goroutine and must not schedule or cancel events.
 func (s *Scheduler) SetProfileHook(every uint64, fn func(now Time, processed uint64, pending int)) {
+	s.payDebts()
 	if fn == nil || every == 0 {
 		s.profEvery, s.profHook = 0, nil
 		return
@@ -343,7 +387,83 @@ func (s *Scheduler) SetProfileHook(every uint64, fn func(now Time, processed uin
 // an unguarded one. Like the profiling hook, fn runs synchronously on
 // the simulation goroutine and must not schedule or cancel events.
 func (s *Scheduler) SetGuard(fn func(now Time, processed uint64, pending int) error) {
+	s.payDebts()
 	s.guard = fn
+}
+
+// ---- reserved keys ----------------------------------------------------------
+
+// Reserve takes the key of an event due after d (a negative d is
+// clamped to zero) without pushing it: the sequence number is taken
+// exactly as a push would take it, so every other event keeps its key.
+// The caller then owes the event. It settles the debt in one of two
+// ways. Either it pushes the event under the key after all
+// (Lanes.PushKey), while the run has not Passed it. Or, once the run
+// has, it does itself what the event's handler would have done at
+// k.At() and Credits the scheduler with the event.
+//
+// Reserve is for events that mostly would do nothing — a link's
+// serialization completion that finds its queue empty — so that the
+// scheduler need not dispatch them. The caller must be registered as a
+// Debtor, which the scheduler has pay what it owes wherever the count
+// of events is read (Processed, Pending, the end of a run) and before a
+// hook that reads it on every event is installed. While such a hook is
+// installed (SetGuard, SetProfileHook) Reserve takes nothing and
+// reports false: the caller pushes the event as usual, so that the
+// hook sees every event fire.
+func (s *Scheduler) Reserve(d Time) (Key, bool) {
+	if s.guard != nil || s.profHook != nil {
+		return Key{}, false
+	}
+	s.owing++
+	return s.take(d), true
+}
+
+// take returns the key of an event due after d (a negative d is clamped
+// to zero), consuming one sequence number.
+func (s *Scheduler) take(d Time) Key {
+	k := Key{s.now + max(d, 0), s.nextSeq}
+	s.nextSeq++
+	return k
+}
+
+// Passed reports whether the run has passed the reserved key k: the
+// event firing now, or the last one fired, sorts after it. An event
+// that is passed would have fired already; one that is not would still
+// fire after the event now firing, which is where a push under k puts
+// it.
+func (s *Scheduler) Passed(k Key) bool { return k.less(s.past) }
+
+// Credit counts one reserved event whose key the run has passed as
+// processed: its debtor did what the event would have done.
+func (s *Scheduler) Credit() {
+	s.credited++
+	s.owing--
+}
+
+// Debtor is a source that reserves keys (see Reserve). PayDebts settles
+// every event it owes: it credits the ones whose key the run has passed,
+// having done their work, and pushes the rest under their keys.
+type Debtor interface {
+	PayDebts()
+}
+
+// AddDebtor registers d with the scheduler until the next Reset. A
+// source with many parts registers once for all of them (a topology
+// for its block of links), not once a part.
+func (s *Scheduler) AddDebtor(d Debtor) { s.debtors = append(s.debtors, d) }
+
+// payDebts has every debtor pay what it owes.
+func (s *Scheduler) payDebts() {
+	if s.owing == 0 {
+		return
+	}
+	for _, d := range s.debtors {
+		d.PayDebts()
+	}
+	if s.owing != 0 {
+		panic(fmt.Sprintf("sim: %d reserved events owed by no registered Debtor", s.owing))
+	}
 }
 
 // ---- heap + arena internals -------------------------------------------------
@@ -353,7 +473,7 @@ func (h *eventHeap) up(i int) {
 	x := e[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !x.less(e[p].key) {
+		if !x.less(e[p].Key) {
 			break
 		}
 		e[i] = e[p]
@@ -379,11 +499,11 @@ func (h *eventHeap) down(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e[c].less(e[best].key) {
+			if e[c].less(e[best].Key) {
 				best = c
 			}
 		}
-		if !e[best].less(x.key) {
+		if !e[best].less(x.Key) {
 			break
 		}
 		e[i] = e[best]
@@ -406,7 +526,7 @@ func (h *eventHeap) push(x heapEntry) {
 func (h *eventHeap) rekey(i int, x heapEntry) {
 	old := h.e[i]
 	h.e[i] = x
-	if x.less(old.key) {
+	if x.less(old.Key) {
 		h.up(i)
 	} else {
 		h.down(i)
@@ -440,7 +560,7 @@ func (s *Scheduler) armSlot(i int32, t Time) error {
 	if t < s.now {
 		return fmt.Errorf("%w: at=%v now=%v", ErrScheduleInPast, t, s.now)
 	}
-	x := heapEntry{key{t, s.nextSeq}, i}
+	x := heapEntry{Key{t, s.nextSeq}, i}
 	s.nextSeq++
 	if pos := s.timers.slots[i].heapPos; pos >= 0 {
 		s.timers.rekey(int(pos), x)
@@ -469,13 +589,8 @@ func (s *Scheduler) RunAll() {
 
 func (s *Scheduler) run(until Time, advanceClock bool) {
 	s.stopped = false
-	var batch uint64 // events since the last global-counter flush
-	defer func() {
-		if batch > 0 {
-			globalEvents.Add(batch)
-		}
-		s.flushPackets()
-	}()
+	var batch uint64 // events dispatched since the last global-counter flush
+	defer s.flushEvents()
 	for !s.stopped {
 		// The next event is the earliest lane head or the timer heap's
 		// minimum, whichever is smaller. Keys are unique (every arm and
@@ -488,20 +603,27 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			}
 		}
 		if t := s.timers.e; len(t) > 0 && t[0].less(top) {
-			lane, top = -1, t[0].key
-		} else if lane < 0 {
-			break
+			lane, top = -1, t[0].Key
 		}
-		if top.at > until {
+		// The run ends for want of events or at until. A reserved event is
+		// not in the queue, so first the debtors push what they still owe;
+		// those events due by until then fire as they would have.
+		if top.at > until || top == noHead {
+			if s.owing > 0 {
+				s.payDebts()
+				continue
+			}
+			if top == noHead {
+				break
+			}
 			s.now = until
 			return
 		}
-		s.now = top.at
-		s.processed++
+		s.now, s.past = top.at, top
+		s.dispatched++
 		if batch++; batch == globalFlushEvery {
-			globalEvents.Add(batch)
 			batch = 0
-			s.flushPackets()
+			s.flushEvents()
 		}
 		if lane >= 0 {
 			s.lanes[lane].fire()
@@ -512,15 +634,19 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			s.timers.remove(0)
 			s.timers.slots[idx].fn()
 		}
-		if s.profHook != nil && s.processed%s.profEvery == 0 {
-			s.profHook(s.now, s.processed, s.Pending())
+		// With a hook installed nothing is owed, so Pending pays nothing.
+		if s.profHook != nil && s.fired()%s.profEvery == 0 {
+			s.profHook(s.now, s.fired(), s.Pending())
 		}
 		if s.guard != nil {
-			if s.guard(s.now, s.processed, s.Pending()) != nil {
+			if s.guard(s.now, s.fired(), s.Pending()) != nil {
 				s.stopped = true
 			}
 		}
 	}
+	// A stopped run leaves debts: what it passed is settled, the rest
+	// pushed.
+	s.payDebts()
 	if !s.stopped && advanceClock && s.now < until {
 		s.now = until
 	}
@@ -531,9 +657,13 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 // count reaches the process-wide total at the next flush.
 func (s *Scheduler) CountPacket() { s.unflushedPackets++ }
 
-// flushPackets moves the scheduler's packet count into the process-wide
-// total.
-func (s *Scheduler) flushPackets() {
+// flushEvents moves the scheduler's event and packet counts into the
+// process-wide totals.
+func (s *Scheduler) flushEvents() {
+	if n := s.fired(); n > s.flushed {
+		globalEvents.Add(n - s.flushed)
+		s.flushed = n
+	}
 	if s.unflushedPackets > 0 {
 		globalPackets.Add(s.unflushedPackets)
 		s.unflushedPackets = 0

@@ -320,9 +320,10 @@ func BenchmarkEndToEndSimulationThroughput(b *testing.B) {
 // tools/benchdiff compares these numbers across PRs; see
 // docs/OBSERVABILITY.md.
 
-// headlineWorld builds the standard measurement scenario: ten RR flows
-// on the paper's dumbbell behind a RED gateway.
-func headlineWorld(tb testing.TB) (*rrtcp.Scheduler, *rrtcp.Dumbbell, []*rrtcp.Flow) {
+// headlineWorld builds the standard measurement scenario: ten flows of
+// one variant (RR in every benchmark) on the paper's dumbbell behind a
+// RED gateway.
+func headlineWorld(tb testing.TB, kind rrtcp.Kind) (*rrtcp.Scheduler, *rrtcp.Dumbbell, []*rrtcp.Flow) {
 	tb.Helper()
 	sched := rrtcp.NewScheduler(1)
 	cfg := rrtcp.PaperDropTailConfig(10)
@@ -333,7 +334,7 @@ func headlineWorld(tb testing.TB) (*rrtcp.Scheduler, *rrtcp.Dumbbell, []*rrtcp.F
 	}
 	specs := make([]rrtcp.FlowSpec, 10)
 	for j := range specs {
-		specs[j] = rrtcp.FlowSpec{Kind: rrtcp.RR, Bytes: rrtcp.Infinite, Window: 30}
+		specs[j] = rrtcp.FlowSpec{Kind: kind, Bytes: rrtcp.Infinite, Window: 30}
 	}
 	flows, err := rrtcp.InstallFlows(sched, d, specs)
 	if err != nil {
@@ -347,49 +348,81 @@ func headlineWorld(tb testing.TB) (*rrtcp.Scheduler, *rrtcp.Dumbbell, []*rrtcp.F
 // packet pool).
 func runHeadlineWorld(b *testing.B) (*rrtcp.Scheduler, *rrtcp.Dumbbell) {
 	b.Helper()
-	sched, d, _ := headlineWorld(b)
+	sched, d, _ := headlineWorld(b, rrtcp.RR)
 	sched.Run(6 * time.Second)
 	return sched, d
 }
 
-// A default-installed flow counts and keeps no samples: the headline
-// world allocates what building it takes however long it runs, and every
-// counter reads what it reads with the sample log switched on.
+// A default-installed flow keeps no samples: the headline world
+// allocates what building it takes however long it runs.
 func TestDefaultFlowKeepsNoSamples(t *testing.T) {
 	const horizon = 120 * time.Second
-	run := func(record bool) []*rrtcp.Flow {
-		sched, _, flows := headlineWorld(t)
-		for _, f := range flows {
-			if record {
-				f.Trace.Record()
-			}
-		}
+	run := func() {
+		sched, _, _ := headlineWorld(t, rrtcp.RR)
 		sched.Run(horizon)
-		return flows
 	}
-	run(false) // warm the process-wide pools of the first run
+	run() // warm the process-wide pools of the first run
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	plain := run(false)
+	run()
 	runtime.ReadMemStats(&after)
 	// The world itself is ~60 kB; the same run with every flow recorded
 	// allocates ~10 MB of samples.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
 		t.Fatalf("a %v run of the headline world allocated %d bytes, want under 128 KiB: a default flow is keeping per-event state", horizon, got)
 	}
-	for i, rec := range run(true) {
-		a, b := plain[i].Trace, rec.Trace
-		if a.Acks == 0 || uint64(len(b.SamplesOf(telemetry.KAck))) != b.Acks {
-			t.Fatalf("flow %d: Acks = %d, recorded log holds %d ACKs", i, b.Acks, len(b.SamplesOf(telemetry.KAck)))
+}
+
+// A flow is counted by its sender: for every variant on the headline
+// world, the sender's counts equal what a recorded log of the same run
+// holds, and recording the log moves none of them.
+func TestSenderCountsMatchRecordedLog(t *testing.T) {
+	type counts struct {
+		rtx, timeouts, acks uint32
+		una                 int64
+		lossRate            float64
+	}
+	of := func(s *rrtcp.Sender) counts {
+		return counts{s.Retransmits(), s.Timeouts(), s.Acks(), s.SndUna(), s.LossRate()}
+	}
+	run := func(kind rrtcp.Kind, record bool) []*rrtcp.Flow {
+		sched, _, flows := headlineWorld(t, kind)
+		for _, f := range flows {
+			if record {
+				f.Trace.Record()
+			}
 		}
-		type counters struct {
-			dataSent, retransmits, timeouts, recoveries, dupAcks, acks uint64
-			bytesAcked, deliveredSeq                                   int64
-		}
-		ca := counters{a.DataSent, a.Retransmits, a.Timeouts, a.Recoveries, a.DupAcks, a.Acks, a.BytesAcked, a.DeliveredSeq}
-		cb := counters{b.DataSent, b.Retransmits, b.Timeouts, b.Recoveries, b.DupAcks, b.Acks, b.BytesAcked, b.DeliveredSeq}
-		if ca != cb {
-			t.Fatalf("flow %d: counters %+v without a sample log, %+v with one", i, ca, cb)
+		sched.Run(20 * time.Second)
+		return flows
+	}
+	for _, kind := range rrtcp.Kinds() {
+		plain := run(kind, false)
+		for i, f := range run(kind, true) {
+			var log counts
+			var sent uint32
+			for _, ev := range f.Trace.Samples() {
+				switch ev.Kind {
+				case telemetry.KSend:
+					sent++
+				case telemetry.KRetransmit:
+					log.rtx++
+				case telemetry.KTimeout:
+					log.timeouts++
+				case telemetry.KAck:
+					log.acks++
+					log.una = max(log.una, ev.Seq)
+				}
+			}
+			if log.acks == 0 {
+				t.Fatalf("%s flow %d: the recorded log holds no ACK", kind, i)
+			}
+			log.lossRate = float64(log.rtx) / float64(sent+log.rtx)
+			if got := of(f.Sender); got != log {
+				t.Fatalf("%s flow %d: sender %+v, recorded log %+v", kind, i, got, log)
+			}
+			if got := of(plain[i].Sender); got != log {
+				t.Fatalf("%s flow %d: sender %+v without a sample log, %+v with one", kind, i, got, log)
+			}
 		}
 	}
 }
@@ -753,7 +786,7 @@ func benchVariantTransfer(b *testing.B, kind rrtcp.Kind) {
 			b.Fatal(err)
 		}
 		sched.Run(60 * time.Second)
-		if dl, ok := flow.Trace.TransferDelay(); ok {
+		if dl, ok := flow.Sender.TransferDelay(); ok {
 			delay = dl.Seconds()
 		}
 	}

@@ -37,7 +37,7 @@ func Example() {
 	sched.Run(30 * time.Second)
 
 	fmt.Printf("retransmissions: %d, timeouts: %d\n",
-		flow.Trace.Retransmits, flow.Trace.Timeouts)
+		flow.Sender.Retransmits(), flow.Sender.Timeouts())
 	// Output:
 	// retransmissions: 3, timeouts: 0
 }
@@ -58,8 +58,8 @@ func ExampleInstallFlow() {
 			InitialSSThresh: 9,
 		})
 		sched.Run(60 * time.Second)
-		_, finished := flow.Trace.TransferDelay()
-		fmt.Printf("%s finished=%t retransmits=%d\n", kind, finished, flow.Trace.Retransmits)
+		_, finished := flow.Sender.TransferDelay()
+		fmt.Printf("%s finished=%t retransmits=%d\n", kind, finished, flow.Sender.Retransmits())
 	}
 	// Output:
 	// newreno finished=true retransmits=4

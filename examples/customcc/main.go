@@ -40,7 +40,7 @@ func run() error {
 	return nil
 }
 
-func raceBurst(opts *rrtcp.RROptions) (time.Duration, uint64, error) {
+func raceBurst(opts *rrtcp.RROptions) (time.Duration, uint32, error) {
 	sched := rrtcp.NewScheduler(1)
 	// Lose four packets from one window plus one packet sent during
 	// recovery itself — the further-loss case RR was designed for.
@@ -65,9 +65,9 @@ func raceBurst(opts *rrtcp.RROptions) (time.Duration, uint64, error) {
 		return 0, 0, err
 	}
 	sched.Run(60 * time.Second)
-	delay, ok := flow.Trace.TransferDelay()
+	delay, ok := flow.Sender.TransferDelay()
 	if !ok {
 		return 0, 0, fmt.Errorf("transfer did not complete")
 	}
-	return delay, flow.Trace.Retransmits, nil
+	return delay, flow.Sender.Retransmits(), nil
 }

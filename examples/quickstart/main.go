@@ -49,13 +49,13 @@ func run() error {
 
 	sched.Run(30 * time.Second)
 
-	delay, ok := flow.Trace.TransferDelay()
+	delay, ok := flow.Sender.TransferDelay()
 	if !ok {
 		return fmt.Errorf("transfer did not complete")
 	}
 	fmt.Printf("transferred 100 KB with %s in %.3fs (%.1f Kbps)\n",
 		flow.Spec.Kind, delay.Seconds(), 100*8/delay.Seconds())
 	fmt.Printf("retransmissions: %d, coarse timeouts: %d\n",
-		flow.Trace.Retransmits, flow.Trace.Timeouts)
+		flow.Sender.Retransmits(), flow.Sender.Timeouts())
 	return nil
 }

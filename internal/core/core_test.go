@@ -86,8 +86,8 @@ func TestRRCompletesCleanTransfer(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Retransmits != 0 || n.tr.Timeouts != 0 {
-		t.Fatalf("clean path produced rtx=%d timeouts=%d", n.tr.Retransmits, n.tr.Timeouts)
+	if n.sender.Retransmits() != 0 || n.sender.Timeouts() != 0 {
+		t.Fatalf("clean path produced rtx=%d timeouts=%d", n.sender.Retransmits(), n.sender.Timeouts())
 	}
 }
 
@@ -99,11 +99,11 @@ func TestRRSingleLossRecoversWithoutProbe(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a single loss", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a single loss", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 1 {
-		t.Fatalf("%d retransmits, want 1", n.tr.Retransmits)
+	if n.sender.Retransmits() != 1 {
+		t.Fatalf("%d retransmits, want 1", n.sender.Retransmits())
 	}
 	// Single loss: exit happens straight from retreat, so no probe
 	// transition is recorded.
@@ -123,8 +123,8 @@ func TestRRBurstLossSingleSignal(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a 4-packet burst", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a 4-packet burst", n.sender.Timeouts())
 	}
 	// One congestion signal: exactly one recovery entry and one exit.
 	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
@@ -133,8 +133,8 @@ func TestRRBurstLossSingleSignal(t *testing.T) {
 	if got := len(n.tr.SamplesOf(trace.EvPhaseFlip)); got != 1 {
 		t.Fatalf("%d retreat→probe transitions, want 1", got)
 	}
-	if n.tr.Retransmits != 4 {
-		t.Fatalf("%d retransmits, want 4", n.tr.Retransmits)
+	if n.sender.Retransmits() != 4 {
+		t.Fatalf("%d retransmits, want 4", n.sender.Retransmits())
 	}
 }
 
@@ -238,8 +238,8 @@ func TestRRFurtherLossDetectedWithoutNewFastRetransmit(t *testing.T) {
 	n.drop(57)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts; the further loss must be absorbed in-recovery", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts; the further loss must be absorbed in-recovery", n.sender.Timeouts())
 	}
 	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
 		t.Fatalf("%d recovery entries, want 1 (no second fast retransmit)", got)
@@ -279,7 +279,7 @@ func TestRRRetransmissionLossFallsBackToTimeout(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.sched.Run(20 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a coarse timeout")
 	}
 	if n.sender.SndUna() <= 40*1000 {
@@ -326,9 +326,8 @@ func TestRROptionsRightEdge(t *testing.T) {
 	aggressive.start(t)
 	aggressive.sched.Run(5 * time.Second)
 
-	if aggressive.tr.DataSent <= published.tr.DataSent {
-		t.Fatalf("right-edge sent %d ≤ published %d; expected more aggressive retreat",
-			aggressive.tr.DataSent, published.tr.DataSent)
+	if a, p := len(aggressive.tr.SamplesOf(trace.EvSend)), len(published.tr.SamplesOf(trace.EvSend)); a <= p {
+		t.Fatalf("right-edge sent %d ≤ published %d; expected more aggressive retreat", a, p)
 	}
 }
 
@@ -342,7 +341,7 @@ func TestRROptionsDisableFurtherLossDetection(t *testing.T) {
 	}
 	// Without detection the further loss needs another fast retransmit
 	// or a timeout.
-	extra := len(n.tr.SamplesOf(trace.EvRecovery)) > 1 || n.tr.Timeouts > 0
+	extra := len(n.tr.SamplesOf(trace.EvRecovery)) > 1 || n.sender.Timeouts() > 0
 	if !extra {
 		t.Fatal("further loss recovered without any extra signal; detection seems active")
 	}
@@ -457,8 +456,8 @@ func TestRRPaperFigure3Example(t *testing.T) {
 	n.start(t)
 	n.sched.Run(10 * time.Second)
 
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts; the example recovers without any", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts; the example recovers without any", n.sender.Timeouts())
 	}
 	rtx := n.tr.SamplesOf(trace.EvRetransmit)
 	if len(rtx) != 4 {

@@ -36,8 +36,8 @@ type AblationRow struct {
 	// TransferDelay for the Figure-5-style limited transfer.
 	TransferDelay sim.Time `json:"transferDelayNs"`
 	// Timeouts and Retransmits describe the recovery cost.
-	Timeouts    uint64 `json:"timeouts"`
-	Retransmits uint64 `json:"retransmits"`
+	Timeouts    uint32 `json:"timeouts"`
+	Retransmits uint32 `json:"retransmits"`
 	// ExitBurst is the largest number of data packets the sender
 	// emitted within one bottleneck transmission time right after
 	// leaving recovery — the "big ACK" burst measure.
@@ -99,11 +99,11 @@ func NewAblationExperiment(drops int) Experiment {
 
 			row := AblationRow{
 				Variant:     v,
-				Timeouts:    flow.Trace.Timeouts,
-				Retransmits: flow.Trace.Retransmits,
+				Timeouts:    flow.Sender.Timeouts(),
+				Retransmits: flow.Sender.Retransmits(),
 				ExitBurst:   exitBurst(flow, w.Net),
 			}
-			row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
+			row.TransferDelay, row.Finished = flow.Sender.TransferDelay()
 			return row, nil
 		},
 		fold: func(outs [][]AblationRow) (Renderable, error) {

@@ -70,7 +70,7 @@ type AckLossResult struct {
 // ackLossOut is one (variant, rate, seed) run's raw measurement.
 type ackLossOut struct {
 	Delay    sim.Time
-	Timeouts uint64
+	Timeouts uint32
 	Finished bool
 }
 
@@ -134,8 +134,8 @@ func (cfg AckLossConfig) run(w *scenario.World, c kindAt, seed int64) (ackLossOu
 	flow.Receiver.SetOutput(ackLoss)
 
 	w.Run(120 * time.Second)
-	delay, ok := flow.Trace.TransferDelay()
-	return ackLossOut{Delay: delay, Timeouts: flow.Trace.Timeouts, Finished: ok}, nil
+	delay, ok := flow.Sender.TransferDelay()
+	return ackLossOut{Delay: delay, Timeouts: flow.Sender.Timeouts(), Finished: ok}, nil
 }
 
 // Render returns the sweep as a text table.

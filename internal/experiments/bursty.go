@@ -67,7 +67,7 @@ type BurstyResult struct {
 // burstyOut is one (variant, burst, seed) run's raw measurement.
 type burstyOut struct {
 	GoodputBps float64
-	Timeouts   uint64
+	Timeouts   uint32
 }
 
 // NewBurstyExperiment fills defaults and returns the experiment: one
@@ -113,7 +113,7 @@ func (cfg BurstyConfig) run(w *scenario.World, c kindAt, seed int64) (burstyOut,
 		return burstyOut{}, err
 	}
 	bps := steadyGoodputBps(w, 5*time.Second, cfg.Duration)
-	return burstyOut{GoodputBps: bps, Timeouts: w.Flows[0].Trace.Timeouts}, nil
+	return burstyOut{GoodputBps: bps, Timeouts: w.Flows[0].Sender.Timeouts()}, nil
 }
 
 // Render returns the sweep as a table: one row per burst length, one

@@ -72,7 +72,7 @@ func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng
 // when that ACK arrives.
 func ackLossRate(flow *workload.Flow) float64 {
 	acksSent := float64(flow.Receiver.Segments)
-	acksGot := float64(flow.Trace.Acks)
+	acksGot := float64(flow.Sender.Acks())
 	if acksGot >= acksSent {
 		return 0
 	}

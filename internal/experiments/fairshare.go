@@ -65,7 +65,7 @@ type FairShareRow struct {
 	// TransferDelay is the forward transfer's completion time.
 	TransferDelay sim.Time `json:"transferDelayNs"`
 	// Timeouts counts the sender's coarse timeouts.
-	Timeouts uint64 `json:"timeouts"`
+	Timeouts uint32 `json:"timeouts"`
 	// Finished reports completion within the horizon.
 	Finished bool `json:"finished"`
 }
@@ -138,8 +138,8 @@ func fairShareWorld(w *scenario.World, cfg FairShareConfig, disc string, seed in
 
 // fairShareRead reads a run's row off its measured flow.
 func fairShareRead(flow *workload.Flow, disc string) FairShareRow {
-	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts, AckLossRate: ackLossRate(flow)}
-	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
+	row := FairShareRow{Discipline: disc, Timeouts: flow.Sender.Timeouts(), AckLossRate: ackLossRate(flow)}
+	row.TransferDelay, row.Finished = flow.Sender.TransferDelay()
 	return row
 }
 

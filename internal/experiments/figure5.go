@@ -98,9 +98,9 @@ type Figure5Row struct {
 	// the congestion-recovery period only, the paper's Figure 5 metric.
 	RecoveryGoodputBps float64 `json:"recoveryGoodputBps"`
 	// Timeouts counts coarse retransmission timeouts suffered.
-	Timeouts uint64 `json:"timeouts"`
+	Timeouts uint32 `json:"timeouts"`
 	// Retransmits counts retransmitted segments.
-	Retransmits uint64 `json:"retransmits"`
+	Retransmits uint32 `json:"retransmits"`
 	// Finished reports whether the transfer completed within the horizon.
 	Finished bool `json:"finished"`
 }
@@ -212,20 +212,20 @@ func (cfg Figure5Config) run(w *scenario.World, kind workload.Kind, seed int64) 
 	}
 	row := Figure5Row{
 		Variant:     kind,
-		Timeouts:    flow.Trace.Timeouts,
-		Retransmits: flow.Trace.Retransmits,
+		Timeouts:    flow.Sender.Timeouts(),
+		Retransmits: flow.Sender.Retransmits(),
 	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
+	if delay, ok := flow.Sender.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 		row.GoodputBps = float64(cfg.TransferPackets) * float64(tcp.DefaultMSS) * 8 / delay.Seconds()
 	}
 	// Recovery-period goodput: from entering fast retransmit to the
 	// end of the transfer (the tail of the transfer is dominated by how
-	// well the variant recovers).
+	// well the variant recovers). The flow starts at 0, so it
+	// completes at its transfer delay.
 	if recs := flow.Trace.SamplesOf(trace.EvRecovery); len(recs) > 0 && row.Finished {
-		_, doneAt := flow.Trace.Finished()
-		row.RecoveryGoodputBps = flow.Trace.GoodputBps(recs[0].At, doneAt)
+		row.RecoveryGoodputBps = flow.Trace.GoodputBps(recs[0].At, row.TransferDelay)
 	}
 	out := figure5Out{Row: row, Flow: tally.summary()}
 	if ring != nil {

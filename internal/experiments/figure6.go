@@ -190,13 +190,13 @@ func (cfg Figure6Config) run(w *scenario.World, kind workload.Kind, seed int64) 
 	panel := Figure6Panel{
 		Variant:        kind,
 		Flow0Seq:       w.Flows[0].Trace.SeqSeries(int64(tcp.DefaultMSS)),
-		Flow0Timeouts:  float64(w.Flows[0].Trace.Timeouts),
+		Flow0Timeouts:  float64(w.Flows[0].Sender.Timeouts()),
 		REDEarlyDrops:  red.EarlyDrops,
 		REDForcedDrops: red.ForcedDrops,
 	}
-	goodputBps := func(f *workload.Flow) float64 { return float64(f.Trace.BytesAcked) * 8 / cfg.Duration.Seconds() }
+	goodputBps := func(f *workload.Flow) float64 { return float64(f.Sender.SndUna()) * 8 / cfg.Duration.Seconds() }
 	panel.Flow0GoodputBps = goodputBps(w.Flows[0])
-	panel.Flow0Packets = w.Flows[0].Trace.BytesAcked / int64(tcp.DefaultMSS)
+	panel.Flow0Packets = w.Flows[0].Sender.SndUna() / int64(tcp.DefaultMSS)
 	for _, f := range w.Flows {
 		panel.AggregateGoodputBps += goodputBps(f)
 	}

@@ -82,7 +82,7 @@ type Figure7Result struct {
 // figure7Out is one (variant, rate, seed) run's raw measurement.
 type figure7Out struct {
 	Window   float64
-	Timeouts uint64
+	Timeouts uint32
 }
 
 // NewFigure7Experiment fills defaults and returns the experiment: one
@@ -139,7 +139,7 @@ func (cfg Figure7Config) run(w *scenario.World, c kindAt, seed int64) (figure7Ou
 	}
 	bw := steadyGoodputBps(w, cfg.WarmUp, cfg.Duration)
 	window := bw * cfg.RTT.Seconds() / float64(tcp.DefaultMSS*8)
-	return figure7Out{Window: window, Timeouts: w.Flows[0].Trace.Timeouts}, nil
+	return figure7Out{Window: window, Timeouts: w.Flows[0].Sender.Timeouts()}, nil
 }
 
 // fixedRTTWorld builds the Figure 7 topology — an uncongested 10 Mbps
@@ -177,14 +177,14 @@ func fixedRTTWorld(w *scenario.World, seed int64, loss scenario.LossSpec, rtt si
 // arriving at that same instant, which therefore counts as inside the
 // window.
 func steadyGoodputBps(w *scenario.World, warmUp, duration sim.Time) float64 {
-	tr := w.Flows[0].Trace
+	snd := w.Flows[0].Sender
 	var base int64
-	w.Sched.NewTimer(func() { base = tr.BytesAcked }).Reset(warmUp)
+	w.Sched.NewTimer(func() { base = snd.SndUna() }).Reset(warmUp)
 	w.Run(duration)
 	if duration <= warmUp {
 		return 0
 	}
-	return float64(tr.BytesAcked-base) * 8 / (duration - warmUp).Seconds()
+	return float64(snd.SndUna()-base) * 8 / (duration - warmUp).Seconds()
 }
 
 // Render returns the sweep as a table of measured vs model windows.

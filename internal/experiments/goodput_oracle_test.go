@@ -52,8 +52,8 @@ func scanGoodputBps(samples []telemetry.Event, from, to sim.Time) float64 {
 	return float64(hi-lo) * 8 / (to - from).Seconds()
 }
 
-func countKind(samples []telemetry.Event, kind telemetry.Kind) uint64 {
-	var n uint64
+func countKind(samples []telemetry.Event, kind telemetry.Kind) uint32 {
+	var n uint32
 	for _, s := range samples {
 		if s.Kind == kind {
 			n++
@@ -91,25 +91,25 @@ func TestSteadyGoodputEqualsScan(t *testing.T) {
 	}
 	for _, c := range cells {
 		for seed := int64(1); seed <= 3; seed++ {
-			measure := func(warmUp sim.Time) (float64, *trace.FlowTrace) {
+			measure := func(warmUp sim.Time) (float64, *workload.Flow) {
 				w := &scenario.World{}
 				if err := fixedRTTWorld(w, seed, c.loss, c.rtt, c.spec); err != nil {
 					t.Fatal(err)
 				}
 				w.Flows[0].Trace.Record()
-				return steadyGoodputBps(w, warmUp, c.horizon), w.Flows[0].Trace
+				return steadyGoodputBps(w, warmUp, c.horizon), w.Flows[0]
 			}
-			got, tr := measure(c.warmUp)
-			samples := tr.Samples()
+			got, flow := measure(c.warmUp)
+			samples := flow.Trace.Samples()
 			if want := scanGoodputBps(samples, c.warmUp, c.horizon); got != want || got == 0 {
 				t.Errorf("%s seed %d: snapshot goodput %v, scan %v", c.name, seed, got, want)
 			}
-			if want := countKind(samples, telemetry.KAck); tr.Acks != want {
-				t.Errorf("%s seed %d: Acks = %d, log holds %d", c.name, seed, tr.Acks, want)
+			if want := countKind(samples, telemetry.KAck); flow.Sender.Acks() != want {
+				t.Errorf("%s seed %d: Acks = %d, log holds %d", c.name, seed, flow.Sender.Acks(), want)
 			}
 			// The scan counts an ACK that lands on the warm-up instant
 			// itself as inside the window; so must the snapshot.
-			acks := tr.SamplesOf(trace.EvAckRecv)
+			acks := flow.Trace.SamplesOf(trace.EvAckRecv)
 			onAnAck := acks[len(acks)/2].At
 			got, _ = measure(onAnAck)
 			if want := scanGoodputBps(samples, onAnAck, c.horizon); got != want {

@@ -124,7 +124,7 @@ func (cfg SmoothStartConfig) run(w *scenario.World, smooth bool, seed int64) (Sm
 		SlowStartDrops: earlyDrops,
 		TotalDrops:     queue.Drops,
 	}
-	row.TransferDelay, row.Finished = flow.Trace.TransferDelay()
+	row.TransferDelay, row.Finished = flow.Sender.TransferDelay()
 	return row, nil
 }
 

@@ -120,8 +120,10 @@ type StressCell struct {
 	// accounting up to the budget trip.
 	Flow *flowstats.Summary `json:"flow,omitempty"`
 	// detail is a degraded cell's cause (a tripped guard budget or a
-	// liveness stall), for the report's StressDegrade.
-	detail string
+	// liveness stall), for the report's StressDegrade; overload is the
+	// tripped budget, which fold republishes.
+	detail   string
+	overload *guard.OverloadError
 }
 
 // run executes one cell, rebuilding w as its world: Flows
@@ -206,7 +208,7 @@ func (cfg StressConfig) run(w *scenario.World, index int, seed int64) (StressCel
 	// and wins; a liveness stall with no guard trip degrades too (the
 	// cell wedged but stayed inside its budgets).
 	if oerr := mon.Err(); oerr != nil {
-		cell.Degraded, cell.detail = oerr.Resource, oerr.Error()
+		cell.Degraded, cell.detail, cell.overload = oerr.Resource, oerr.Error(), oerr
 		return cell, oerr
 	}
 	if serr := checker.StallError(); serr != nil {
@@ -327,11 +329,11 @@ func NewStressExperiment(cfg StressConfig) Experiment {
 						A: float64(cell.TelemetryDropped), B: float64(cell.TelemetryKept),
 					})
 				}
-				if cell.Degraded != "" && cell.Degraded != "liveness" {
+				if o := cell.overload; o != nil {
 					cfg.Telemetry.Publish(telemetry.Event{
 						Comp: telemetry.CompGuard, Kind: telemetry.KOverload,
-						Src: cell.Degraded, Flow: telemetry.NoFlow,
-						A: float64(cell.Events),
+						Src: o.Resource, Flow: telemetry.NoFlow,
+						A: o.Observed, B: o.Limit,
 					})
 				}
 			}

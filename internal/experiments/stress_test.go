@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rrtcp/internal/guard"
 	"rrtcp/internal/telemetry"
 )
 
@@ -123,7 +124,8 @@ func TestStressReducePublishesAccounting(t *testing.T) {
 	cfg.Cells = 1
 	cfg.MaxEvents = 500
 	cfg.TelemetryBudget = 50 // force drops well before the budget trip
-	cfg.Telemetry = telemetry.NewBus(metrics)
+	ring := telemetry.NewRing(0)
+	cfg.Telemetry = telemetry.NewBus(metrics, ring)
 	res, err := runResult[*StressResult](NewStressExperiment(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +144,12 @@ func TestStressReducePublishesAccounting(t *testing.T) {
 	}
 	if got := metrics.R.Gauge("telemetry.cell0.kept_events"); got != float64(res.TotalKept) {
 		t.Fatalf("telemetry.cell0.kept_events = %g, want %d", got, res.TotalKept)
+	}
+	// The republished overload carries the trip as the monitor saw it:
+	// 500 events observed against the 500-event limit.
+	ov := ring.EventsOf(telemetry.KOverload)
+	if len(ov) != 1 || ov[0].Src != guard.ResourceEvents || ov[0].A != 500 || ov[0].B != 500 {
+		t.Fatalf("republished overloads %+v, want one events trip, observed 500 against a limit of 500", ov)
 	}
 }
 

@@ -171,8 +171,8 @@ func (cfg Table5Config) run(w *scenario.World, tc Table5Case, seed int64) (Table
 	}
 	w.Run(cfg.Horizon)
 
-	row := Table5Row{Case: tc, LossRate: target.Trace.LossRate()}
-	if delay, ok := target.Trace.TransferDelay(); ok {
+	row := Table5Row{Case: tc, LossRate: target.Sender.LossRate()}
+	if delay, ok := target.Sender.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 		row.GoodputBps = float64(cfg.TargetBytes) * 8 / delay.Seconds()

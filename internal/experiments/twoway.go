@@ -82,7 +82,7 @@ type TwoWayResult struct {
 type twoWayOut struct {
 	Delay    sim.Time
 	AckLoss  float64
-	Timeouts uint64
+	Timeouts uint32
 	Finished bool
 }
 
@@ -172,8 +172,8 @@ func twoWayWorld(w *scenario.World, cfg TwoWayConfig, kind workload.Kind, seed i
 
 // twoWayRead reads a run's measurement off its forward flow.
 func twoWayRead(fwd *workload.Flow) twoWayOut {
-	out := twoWayOut{Timeouts: fwd.Trace.Timeouts, AckLoss: ackLossRate(fwd)}
-	out.Delay, out.Finished = fwd.Trace.TransferDelay()
+	out := twoWayOut{Timeouts: fwd.Sender.Timeouts(), AckLoss: ackLossRate(fwd)}
+	out.Delay, out.Finished = fwd.Sender.TransferDelay()
 	return out
 }
 

@@ -74,7 +74,7 @@ func runShape(t *testing.T, w *World, spec string, sampled bool) worldOutcome {
 		PoolGets: w.Net.Pool().Gets, PoolHits: w.Net.Pool().Hits, Tx: w.Net.ForwardLink().TxPackets,
 	}
 	for _, f := range w.Flows {
-		out.Flows = append(out.Flows, [3]int64{f.Sender.SndUna(), int64(f.Sender.Retransmits()), f.Trace.BytesAcked})
+		out.Flows = append(out.Flows, [3]int64{f.Sender.SndUna(), int64(f.Sender.Retransmits()), int64(f.Sender.Acks())})
 	}
 	return out
 }

@@ -170,8 +170,8 @@ type FlowReport struct {
 	Reverse     bool     `json:"reverse,omitempty"`
 	GoodputBps  float64  `json:"goodputBps"`
 	BytesAcked  int64    `json:"bytesAcked"`
-	Retransmits uint64   `json:"retransmits"`
-	Timeouts    uint64   `json:"timeouts"`
+	Retransmits uint32   `json:"retransmits"`
+	Timeouts    uint32   `json:"timeouts"`
 	Finished    bool     `json:"finished"`
 	Delay       Duration `json:"transferDelay,omitempty"`
 }
@@ -491,16 +491,17 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 		BottleneckDrops: world.Net.BottleneckQueue().Drops,
 	}
 	for i, flow := range world.Flows {
+		snd := flow.Sender
 		fr := FlowReport{
 			Flow:        i,
 			Kind:        flow.Spec.Kind.String(),
 			Reverse:     s.Flows[i].Reverse,
-			GoodputBps:  float64(flow.Trace.BytesAcked) * 8 / time.Duration(s.Duration).Seconds(),
-			BytesAcked:  flow.Trace.BytesAcked,
-			Retransmits: flow.Trace.Retransmits,
-			Timeouts:    flow.Trace.Timeouts,
+			GoodputBps:  float64(snd.SndUna()) * 8 / time.Duration(s.Duration).Seconds(),
+			BytesAcked:  snd.SndUna(),
+			Retransmits: snd.Retransmits(),
+			Timeouts:    snd.Timeouts(),
 		}
-		if delay, ok := flow.Trace.TransferDelay(); ok {
+		if delay, ok := snd.TransferDelay(); ok {
 			fr.Finished = true
 			fr.Delay = Duration(delay)
 			// For finished transfers, goodput over the transfer itself is

@@ -3,9 +3,11 @@ package tcp
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
+	"rrtcp/internal/trace"
 )
 
 func TestSenderAccessors(t *testing.T) {
@@ -29,13 +31,41 @@ func TestSenderAccessors(t *testing.T) {
 	if !s.HasNewData() {
 		t.Fatal("HasNewData false before transfer")
 	}
-	if s.Trace() != n.tr {
-		t.Fatal("Trace accessor")
-	}
 	n.start(t)
 	n.run(10 * time.Second)
 	if s.HasNewData() {
 		t.Fatal("HasNewData true after transfer")
+	}
+}
+
+// The sender's counts are the ones a recorded log of the same run
+// holds: ACKs, first sends against retransmissions, the done instant.
+func TestSenderCountsMatchLog(t *testing.T) {
+	n := newTestNet(t, NewReno4BSD(), testNetConfig{totalBytes: 30 * 1000, window: 8})
+	n.loss.Drop(0, 5000, 6000)
+	s := n.sender
+	if _, ok := s.TransferDelay(); ok || s.LossRate() != 0 || s.Acks() != 0 {
+		t.Fatal("an unstarted sender reports a delay, a loss rate or ACKs")
+	}
+	n.start(t)
+	n.run(30 * time.Second)
+	done := n.tr.SamplesOf(trace.EvFlowDone)
+	if delay, ok := s.TransferDelay(); !ok || len(done) != 1 || delay != done[0].At {
+		t.Fatalf("TransferDelay = %v, %t; the log's done samples %v (the flow starts at 0)", delay, ok, done)
+	}
+	if got, want := s.Acks(), len(n.tr.SamplesOf(trace.EvAckRecv)); int(got) != want {
+		t.Fatalf("Acks = %d, the log holds %d", got, want)
+	}
+	sent, rtx := len(n.tr.SamplesOf(trace.EvSend)), len(n.tr.SamplesOf(trace.EvRetransmit))
+	if want := float64(rtx) / float64(sent+rtx); rtx == 0 || s.LossRate() != want {
+		t.Fatalf("LossRate = %v, the log's %d first sends and %d retransmits give %v", s.LossRate(), sent, rtx, want)
+	}
+}
+
+// The sender counts its flow without leaving its 288-byte size class.
+func TestSenderStaysIn288Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Sender{}); n > 288 {
+		t.Fatalf("Sender is %d bytes, want at most 288", n)
 	}
 }
 
@@ -48,10 +78,10 @@ func TestRetransmitClampsToTransferEnd(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	before := n.tr.Retransmits
+	before := n.sender.Retransmits()
 	n.sender.Retransmit(2000) // 500-byte tail, but transfer is done
 	n.sender.Retransmit(9000) // beyond the end entirely
-	if n.tr.Retransmits != before {
+	if n.sender.Retransmits() != before {
 		t.Fatal("retransmit after completion emitted segments")
 	}
 }

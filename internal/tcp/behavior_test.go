@@ -128,8 +128,8 @@ func TestDupAckRequiresOutstandingData(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.DupAcks != 0 {
-		t.Fatalf("%d dup ACKs on a clean ordered transfer", n.tr.DupAcks)
+	if dups := len(n.tr.SamplesOf(trace.EvDupAck)); dups != 0 {
+		t.Fatalf("%d dup ACKs on a clean ordered transfer", dups)
 	}
 }
 

@@ -26,11 +26,11 @@ func TestFACKCompletesBurstLoss(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3", n.sender.Retransmits())
 	}
 }
 
@@ -61,8 +61,8 @@ func TestFACKRecoversHeavyBurstWithoutTimeout(t *testing.T) {
 	n := newFACKNet(t, 9)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("FACK timed out on a 9-packet burst (%d)", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("FACK timed out on a 9-packet burst (%d)", n.sender.Timeouts())
 	}
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
@@ -83,7 +83,7 @@ func TestFACKRetransmissionLossTimesOut(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a timeout")
 	}
 	if !n.sender.Done() {

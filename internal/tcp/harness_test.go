@@ -75,8 +75,3 @@ func (n *testNet) start(t *testing.T) {
 }
 
 func (n *testNet) run(d sim.Time) { n.sched.Run(d) }
-
-// counts returns (sends, retransmits) recorded so far.
-func (n *testNet) counts() (uint64, uint64) {
-	return n.tr.DataSent, n.tr.Retransmits
-}

@@ -153,6 +153,9 @@ func (r *Receiver) advance(end int64) {
 		r.blocks = r.blocks[:copy(r.blocks, r.blocks[drained:])]
 	}
 	r.Delivered = r.rcvNxt
+	if !r.tr.Recording() && !r.Telemetry.Enabled() {
+		return
+	}
 	ev := telemetry.Event{
 		At:   r.sched.Now(),
 		Comp: telemetry.CompRecv,

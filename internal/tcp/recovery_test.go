@@ -48,8 +48,8 @@ func TestRecoveryEntryAndExitAgreeAcrossBaselines(t *testing.T) {
 			t.Fatalf("%s: never left recovery", strat.Name())
 		}
 		enters, exits := n.tr.SamplesOf(trace.EvRecovery), n.tr.SamplesOf(trace.EvExit)
-		if len(enters) != 1 || len(exits) != 1 || n.tr.Timeouts != 0 {
-			t.Fatalf("%s: %d enters, %d exits, %d timeouts; want 1, 1, 0", strat.Name(), len(enters), len(exits), n.tr.Timeouts)
+		if len(enters) != 1 || len(exits) != 1 || n.sender.Timeouts() != 0 {
+			t.Fatalf("%s: %d enters, %d exits, %d timeouts; want 1, 1, 0", strat.Name(), len(enters), len(exits), n.sender.Timeouts())
 		}
 		enter, exit := enters[0], exits[0]
 		if enter.Seq != 40*1000 || enter.B <= halved {

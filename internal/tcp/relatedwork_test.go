@@ -12,8 +12,8 @@ func TestRightEdgeCompletesBurstLoss(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
 }
 
@@ -94,11 +94,11 @@ func TestLinKungRecoveryMatchesNewReno(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3 (New-Reno style recovery)", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3 (New-Reno style recovery)", n.sender.Retransmits())
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRightEdgeRetransmissionLossTimesOut(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a timeout")
 	}
 	if !n.sender.Done() {

@@ -79,12 +79,11 @@ type Config struct {
 	// half of ssthresh, growth slows from doubling to ×1.5 per RTT so
 	// the final approach to the knee does not burst the gateway buffer.
 	SmoothStart bool
-	// Trace, if non-nil, records the flow's events.
+	// Trace, if non-nil and recording, logs the flow's events.
 	Trace *trace.FlowTrace
-	// Telemetry, if non-nil, receives every sender event the trace
-	// does (plus recovery-internal ones) as structured telemetry. The
-	// FlowTrace is wired in as a direct per-flow subscriber of the same
-	// event stream, so the two never diverge.
+	// Telemetry, if non-nil, receives every sender event a recording
+	// Trace logs (plus recovery-internal ones) as structured telemetry.
+	// The sender builds an event only when one of the two takes it.
 	Telemetry *telemetry.Bus
 	// OnDone runs when the transfer completes (all bytes acked).
 	OnDone func()
@@ -116,8 +115,6 @@ type Sender struct {
 	out   netem.Node
 	cfg   Config
 	strat Strategy
-	tr    *trace.FlowTrace
-	bus   *telemetry.Bus
 
 	sndUna int64 // lowest unacknowledged byte
 	sndNxt int64 // next new byte to transmit
@@ -130,8 +127,6 @@ type Sender struct {
 	rtt        rttEstimator
 	rtxTimer   *sim.Timer
 	rtoBackoff uint
-
-	pool       *netem.PacketPool
 	startTimer *sim.Timer
 
 	// Karn's algorithm: one outstanding RTT measurement at a time,
@@ -140,12 +135,15 @@ type Sender struct {
 	rttSentAt  sim.Time
 	rttPending bool
 
-	// Flow-lifecycle accounting for the flow-done event: counters cost
-	// an integer increment on paths that already publish telemetry, so
-	// aggregate flow analytics need not retain the event stream.
+	// Flow accounting: the counts behind the paper's per-connection
+	// scalars (transfer delay, packet-loss rate) and the flow-done
+	// event. The sender is the one place a flow is counted.
 	startedAt    sim.Time
+	doneAt       sim.Time
+	sent         uint32 // first transmissions
 	rtxCount     uint32
 	timeoutCount uint32
+	acks         uint32 // ACKs processed, duplicates included
 
 	started bool
 	done    bool
@@ -164,9 +162,6 @@ func New(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) (*Sen
 		out:      out,
 		cfg:      cfg,
 		strat:    strat,
-		tr:       cfg.Trace,
-		bus:      cfg.Telemetry,
-		pool:     cfg.Pool,
 		cwnd:     1,
 		ssthresh: cfg.InitialSSThresh,
 	}
@@ -187,12 +182,11 @@ func (s *Sender) Start(delay sim.Time) error {
 // onStart fires when the configured start delay elapses.
 func (s *Sender) onStart() {
 	s.startedAt = s.sched.Now()
-	s.tr.SetStart(s.startedAt)
-	if s.bus.Enabled() {
+	if s.cfg.Telemetry.Enabled() {
 		// Built inline rather than via Emit: lifecycle events carry the
 		// variant name in Src so flow-level sinks can aggregate per
 		// variant without a side table.
-		s.bus.Publish(telemetry.Event{
+		s.cfg.Telemetry.Publish(telemetry.Event{
 			At:   s.startedAt,
 			Comp: telemetry.CompSender,
 			Kind: telemetry.KFlowStart,
@@ -209,6 +203,29 @@ func (s *Sender) Retransmits() uint32 { return s.rtxCount }
 
 // Timeouts returns the cumulative retransmission-timer expirations.
 func (s *Sender) Timeouts() uint32 { return s.timeoutCount }
+
+// Acks returns the number of ACKs processed, duplicates included.
+func (s *Sender) Acks() uint32 { return s.acks }
+
+// LossRate is the fraction of data transmissions (retransmissions
+// included) that were retransmissions — the "packet loss rate" metric
+// of the paper's Table 5.
+func (s *Sender) LossRate() float64 {
+	total := s.sent + s.rtxCount
+	if total == 0 {
+		return 0
+	}
+	return float64(s.rtxCount) / float64(total)
+}
+
+// TransferDelay is the elapsed time from the flow's start to its
+// completion; it returns false if the transfer never completed.
+func (s *Sender) TransferDelay() (sim.Time, bool) {
+	if !s.done {
+		return 0, false
+	}
+	return s.doneAt - s.startedAt, true
+}
 
 // --- accessors used by strategies and experiments ---
 
@@ -291,16 +308,13 @@ func (s *Sender) TimerArmed() bool { return s.rtxTimer.Armed() }
 // Strategy exposes the congestion-control strategy driving this sender.
 func (s *Sender) Strategy() Strategy { return s.strat }
 
-// Trace returns the attached flow trace (may be nil).
-func (s *Sender) Trace() *trace.FlowTrace { return s.tr }
-
-// Emit publishes one structured event for this flow: to the attached
-// FlowTrace (a direct subscriber of the same stream) and to the shared
-// telemetry bus. Strategies use it for recovery phase transitions; the
-// sender itself uses it for the segment/ACK/timer lifecycle. With no
-// trace and a nil bus it costs two nil checks.
+// Emit publishes one structured event for this flow: to the flow's
+// trace, if it is recording, and to the shared telemetry bus.
+// Strategies use it for recovery phase transitions; the sender itself
+// uses it for the segment/ACK/timer lifecycle. With neither taking the
+// event it builds none.
 func (s *Sender) Emit(comp telemetry.Component, kind telemetry.Kind, seq int64, a, b float64) {
-	if s.tr == nil && !s.bus.Enabled() {
+	if !s.cfg.Trace.Recording() && !s.cfg.Telemetry.Enabled() {
 		return
 	}
 	ev := telemetry.Event{
@@ -312,8 +326,8 @@ func (s *Sender) Emit(comp telemetry.Component, kind telemetry.Kind, seq int64, 
 		A:    a,
 		B:    b,
 	}
-	s.tr.OnEvent(ev)
-	s.bus.Publish(ev)
+	s.cfg.Trace.OnEvent(ev)
+	s.cfg.Telemetry.Publish(ev)
 }
 
 // SampleGauges implements telemetry.GaugeSource: the periodic Sampler
@@ -358,6 +372,7 @@ func (s *Sender) Receive(p *netem.Packet) {
 		SACK:  p.SACK,
 		IsDup: p.AckNo == s.sndUna && s.sndNxt > s.sndUna,
 	}
+	s.acks++
 	s.Emit(telemetry.CompSender, telemetry.KAck, p.AckNo, 0, 0)
 	if ev.IsDup {
 		s.Emit(telemetry.CompSender, telemetry.KDupAck, p.AckNo, 0, 0)
@@ -398,13 +413,14 @@ func (s *Sender) AdvanceUna(ackNo int64) {
 
 func (s *Sender) complete() {
 	s.done = true
+	s.doneAt = s.sched.Now()
 	s.rtxTimer.Stop()
 	// The accounting event precedes the lifecycle close so stream
 	// consumers (span assembly included) see "done" as the flow's final
 	// event.
-	if s.bus.Enabled() {
-		s.bus.Publish(telemetry.Event{
-			At:   s.sched.Now(),
+	if s.cfg.Telemetry.Enabled() {
+		s.cfg.Telemetry.Publish(telemetry.Event{
+			At:   s.doneAt,
 			Comp: telemetry.CompSender,
 			Kind: telemetry.KFlowStats,
 			Src:  s.strat.Name(),
@@ -518,7 +534,7 @@ func (s *Sender) Retransmit(seq int64) {
 }
 
 func (s *Sender) transmit(seq int64, n int, rtx bool) {
-	p := s.pool.Get()
+	p := s.cfg.Pool.Get()
 	p.Flow = s.cfg.Flow
 	p.Kind = netem.Data
 	p.Seq = seq
@@ -529,6 +545,7 @@ func (s *Sender) transmit(seq int64, n int, rtx bool) {
 		s.rtxCount++
 		s.Emit(telemetry.CompSender, telemetry.KRetransmit, seq, 0, 0)
 	} else {
+		s.sent++
 		s.Emit(telemetry.CompSender, telemetry.KSend, seq, 0, 0)
 		if !s.rttPending {
 			s.rttSeq = seq

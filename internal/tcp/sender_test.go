@@ -34,11 +34,11 @@ func TestSenderCompletesLosslessTransfer(t *testing.T) {
 	if n.recv.Delivered != 50*1000 {
 		t.Fatalf("delivered %d bytes, want 50000", n.recv.Delivered)
 	}
-	if _, rtx := n.counts(); rtx != 0 {
-		t.Fatalf("%d retransmissions on a lossless path", rtx)
+	if n.sender.Retransmits() != 0 {
+		t.Fatalf("%d retransmissions on a lossless path", n.sender.Retransmits())
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a lossless path", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a lossless path", n.sender.Timeouts())
 	}
 }
 
@@ -83,7 +83,7 @@ func TestSenderTimeoutCollapsesToSlowStart(t *testing.T) {
 	}
 	n.start(t)
 	n.run(10 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("no timeout despite total loss of the window tail")
 	}
 	if n.sender.SndUna() < 10*1000 {

@@ -64,18 +64,18 @@ func TestTahoeFastRetransmitCollapsesWindow(t *testing.T) {
 	if !sawCollapse {
 		t.Fatal("Tahoe did not collapse cwnd to 1 on fast retransmit")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts for a single loss", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts for a single loss", n.sender.Timeouts())
 	}
 }
 
 func TestRenoSingleLossNoTimeout(t *testing.T) {
 	n := runTransfer(t, NewReno4BSD(), 1)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("Reno timed out on a single loss (%d timeouts)", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("Reno timed out on a single loss (%d timeouts)", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 1 {
-		t.Fatalf("%d retransmits, want exactly the lost packet", n.tr.Retransmits)
+	if n.sender.Retransmits() != 1 {
+		t.Fatalf("%d retransmits, want exactly the lost packet", n.sender.Retransmits())
 	}
 }
 
@@ -84,14 +84,14 @@ func TestRenoMultipleLossesStruggle(t *testing.T) {
 	// needs a timeout; New-Reno must not.
 	reno := runTransfer(t, NewReno4BSD(), 3)
 	newreno := runTransfer(t, NewNewReno(), 3)
-	if newreno.tr.Timeouts != 0 {
-		t.Fatalf("New-Reno timed out on a 3-packet burst (%d)", newreno.tr.Timeouts)
+	if newreno.sender.Timeouts() != 0 {
+		t.Fatalf("New-Reno timed out on a 3-packet burst (%d)", newreno.sender.Timeouts())
 	}
-	renoDelay, ok := reno.tr.TransferDelay()
+	renoDelay, ok := reno.sender.TransferDelay()
 	if !ok {
 		t.Fatal("Reno transfer incomplete")
 	}
-	nrDelay, ok := newreno.tr.TransferDelay()
+	nrDelay, ok := newreno.sender.TransferDelay()
 	if !ok {
 		t.Fatal("New-Reno transfer incomplete")
 	}
@@ -102,8 +102,8 @@ func TestRenoMultipleLossesStruggle(t *testing.T) {
 
 func TestNewRenoRecoversOneLossPerRTT(t *testing.T) {
 	n := runTransfer(t, NewNewReno(), 3)
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3", n.sender.Retransmits())
 	}
 	// Retransmissions are spaced roughly one RTT (~21 ms) apart: the
 	// partial-ACK clock.
@@ -114,7 +114,7 @@ func TestNewRenoRecoversOneLossPerRTT(t *testing.T) {
 			t.Fatalf("retransmit gap %v, want ~1 RTT", gap)
 		}
 	}
-	if n.tr.Timeouts != 0 {
+	if n.sender.Timeouts() != 0 {
 		t.Fatal("New-Reno timed out")
 	}
 }
@@ -141,7 +141,7 @@ func TestSACKRetransmitsAllHolesInFirstRTT(t *testing.T) {
 			t.Fatalf("hole retransmitted %v after entry, want within ~1 RTT", r.At-recs[0].At)
 		}
 	}
-	if n.tr.Timeouts != 0 {
+	if n.sender.Timeouts() != 0 {
 		t.Fatal("SACK timed out on a 3-packet burst")
 	}
 }
@@ -158,10 +158,10 @@ func TestSACKModernSurvivesHeavyBurst(t *testing.T) {
 	// a timeout, the RFC 6675 pipe must not.
 	classic := runTransfer(t, NewSACK(), 9)
 	modern := runTransfer(t, NewSACKModern(), 9)
-	if modern.tr.Timeouts != 0 {
-		t.Fatalf("modern SACK timed out (%d)", modern.tr.Timeouts)
+	if modern.sender.Timeouts() != 0 {
+		t.Fatalf("modern SACK timed out (%d)", modern.sender.Timeouts())
 	}
-	if classic.tr.Timeouts == 0 {
+	if classic.sender.Timeouts() == 0 {
 		t.Skip("classic SACK recovered this burst; stall not triggered at this window")
 	}
 }
@@ -201,7 +201,7 @@ func TestRetransmissionLossForcesTimeout(t *testing.T) {
 			n.loss.DropRetransmit(0, 40*1000)
 			n.start(t)
 			n.run(60 * time.Second)
-			if n.tr.Timeouts == 0 {
+			if n.sender.Timeouts() == 0 {
 				t.Fatal("no timeout despite lost retransmission")
 			}
 			if !n.sender.Done() {

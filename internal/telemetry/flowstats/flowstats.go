@@ -1,6 +1,6 @@
 // Package flowstats is the flow-scale analytics layer: a telemetry
 // sink that turns the event bus into flow-level results at any flow
-// count. Where the per-flow FlowTrace rings retain every event of every
+// count. Where a recorded FlowTrace retains every event of its
 // connection (O(events) memory, fine for paper-scale dumbbells), a
 // FlowTable keeps O(1) aggregate state per live flow and folds
 // completed flows into per-variant log-bucketed histograms of flow

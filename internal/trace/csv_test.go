@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
 )
 
@@ -130,23 +129,6 @@ func TestKindAliasesRoundTripThroughTheVocabulary(t *testing.T) {
 	}
 	if seen != recorded {
 		t.Fatalf("aliases cover %b, OnEvent records %b", seen, recorded)
-	}
-}
-
-// Every counter is the number of samples of its kind a recorded trace
-// keeps, so a counters-only trace answers what a scan of the log would.
-func TestCountersMatchSamplesOf(t *testing.T) {
-	tr := newRecorded(0, "rr")
-	for i := 0; i < 9000; i++ { // across chunk boundaries
-		tr.Add(sim.Time(i), EventKind(1+i%int(EvPhaseFlip)), int64(i), 0)
-	}
-	for kind, got := range map[EventKind]uint64{
-		EvSend: tr.DataSent, EvRetransmit: tr.Retransmits, EvTimeout: tr.Timeouts,
-		EvRecovery: tr.Recoveries, EvDupAck: tr.DupAcks, EvAckRecv: tr.Acks,
-	} {
-		if want := len(tr.SamplesOf(kind)); got != uint64(want) || want == 0 {
-			t.Fatalf("counter of %v = %d, SamplesOf has %d", kind, got, want)
-		}
 	}
 }
 

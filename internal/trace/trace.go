@@ -1,7 +1,8 @@
 // Package trace records per-flow time series — the sequence-number
-// traces behind the paper's Figure 6 plots — and computes the summary
-// metrics the evaluation reports: effective throughput, transfer delay,
-// and packet-loss rate.
+// traces behind the paper's Figure 6 plots — and reads them: a goodput
+// over a window, a CSV export. The per-connection scalars the paper
+// reports (transfer delay, packet-loss rate) are counted by the flow's
+// sender.
 package trace
 
 import (
@@ -39,37 +40,22 @@ const (
 const recorded uint64 = 1<<EvSend | 1<<EvRetransmit | 1<<EvAckRecv | 1<<EvDeliver | 1<<EvTimeout | 1<<EvRecovery |
 	1<<EvExit | 1<<EvCwnd | 1<<EvDupAck | 1<<EvFlowDone | 1<<EvFurther | 1<<EvPhaseFlip
 
-// FlowTrace counts one TCP connection's events: the counters behind the
-// three scalars the paper reports per connection (effective throughput,
-// transfer delay, packet-loss rate). It keeps no per-event state unless
-// Record was called before the run; then it also logs every event of a
-// recorded kind, for the readers that need the series itself (Samples,
-// SamplesOf, SeqSeries, GoodputBps, WriteCSV).
-// A nil *FlowTrace is valid and counts nothing, so endpoints can trace
-// unconditionally.
+// FlowTrace is one TCP connection's sample log: the events behind a
+// sequence plot, a goodput over a window or a CSV export. It keeps
+// nothing unless Record was called before the run; a flow's counts
+// (retransmits, timeouts, ACKs, transfer delay, loss rate) are its
+// sender's, not the trace's. A nil *FlowTrace is valid and records
+// nothing, so endpoints can trace unconditionally.
 type FlowTrace struct {
 	Flow int
 	Name string
 	log  *telemetry.Ring // nil until Record
-
-	// Counters.
-	DataSent     uint64 // first transmissions
-	Retransmits  uint64
-	Timeouts     uint64
-	Recoveries   uint64
-	DupAcks      uint64
-	Acks         uint64 // ACKs processed at the sender, duplicates included
-	BytesAcked   int64
-	DeliveredSeq int64
-
-	startAt  sim.Time
-	doneAt   sim.Time
-	finished bool
 }
 
-// New returns an empty, counters-only trace for the flow.
+// New returns an empty trace for the flow; it records nothing until
+// Record.
 func New(flow int, name string) *FlowTrace {
-	return &FlowTrace{Flow: flow, Name: name, doneAt: -1}
+	return &FlowTrace{Flow: flow, Name: name}
 }
 
 // Record makes the trace keep a sample log from here on. Call it before
@@ -81,55 +67,17 @@ func (t *FlowTrace) Record() {
 	}
 }
 
-// Emit implements telemetry.Sink: a FlowTrace is a subscriber of the
-// event stream the endpoints publish, not a parallel recording
-// mechanism.
-func (t *FlowTrace) Emit(ev telemetry.Event) { t.OnEvent(ev) }
+// Recording reports whether the trace keeps a sample log; it is false
+// for a nil trace. The endpoints build no event for a trace that is not
+// recording.
+func (t *FlowTrace) Recording() bool { return t != nil && t.log != nil }
 
-var _ telemetry.Sink = (*FlowTrace)(nil)
-
-// OnEvent is the typed form of Emit: it counts the event and, on a
-// recorded trace, logs it if its kind is one a trace keeps. A nil
-// receiver does nothing.
+// OnEvent logs the event if the trace is recording and its kind is one
+// a trace keeps.
 func (t *FlowTrace) OnEvent(ev telemetry.Event) {
-	if t == nil {
-		return
-	}
-	switch ev.Kind {
-	case EvSend:
-		t.DataSent++
-	case EvRetransmit:
-		t.Retransmits++
-	case EvTimeout:
-		t.Timeouts++
-	case EvRecovery:
-		t.Recoveries++
-	case EvDupAck:
-		t.DupAcks++
-	case EvDeliver:
-		if ev.Seq > t.DeliveredSeq {
-			t.DeliveredSeq = ev.Seq
-		}
-	case EvAckRecv:
-		t.Acks++
-		if ev.Seq > t.BytesAcked {
-			t.BytesAcked = ev.Seq
-		}
-	case EvFlowDone:
-		t.finished = true
-		t.doneAt = ev.At
-	}
-	if t.log != nil && recorded>>ev.Kind&1 != 0 {
+	if t.Recording() && recorded>>ev.Kind&1 != 0 {
 		t.log.Emit(ev)
 	}
-}
-
-// SetStart records when the flow began transmitting.
-func (t *FlowTrace) SetStart(at sim.Time) {
-	if t == nil {
-		return
-	}
-	t.startAt = at
 }
 
 // samples returns the sample log. Asking a trace that never recorded
@@ -158,37 +106,6 @@ func (t *FlowTrace) SamplesOf(kind EventKind) []telemetry.Event {
 		return nil
 	}
 	return t.samples().EventsOf(kind)
-}
-
-// Finished reports whether the flow's transfer completed, and when.
-func (t *FlowTrace) Finished() (bool, sim.Time) {
-	if t == nil {
-		return false, 0
-	}
-	return t.finished, t.doneAt
-}
-
-// TransferDelay is the elapsed time from flow start to completion; it
-// returns false if the flow never finished.
-func (t *FlowTrace) TransferDelay() (sim.Time, bool) {
-	if t == nil || !t.finished {
-		return 0, false
-	}
-	return t.doneAt - t.startAt, true
-}
-
-// LossRate is the fraction of data transmissions (including
-// retransmissions) that had to be retransmitted — the "packet loss
-// rate" metric of the paper's Table 5.
-func (t *FlowTrace) LossRate() float64 {
-	if t == nil {
-		return 0
-	}
-	total := t.DataSent + t.Retransmits
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Retransmits) / float64(total)
 }
 
 // GoodputBps returns acknowledged application bytes per second over

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
@@ -26,64 +27,15 @@ func newRecorded(flow int, name string) *FlowTrace {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *FlowTrace
 	tr.Add(0, EvSend, 0, 0) // must not panic
-	tr.SetStart(0)
 	tr.Record()
+	if tr.Recording() {
+		t.Fatal("nil trace records")
+	}
 	if tr.Samples() != nil || tr.SamplesOf(EvSend) != nil || tr.SeqSeries(1000) != nil {
 		t.Fatal("nil trace returned samples")
 	}
-	if tr.LossRate() != 0 {
-		t.Fatal("nil trace loss rate")
-	}
 	if tr.GoodputBps(0, time.Second) != 0 {
 		t.Fatal("nil trace goodput")
-	}
-	if _, ok := tr.TransferDelay(); ok {
-		t.Fatal("nil trace finished")
-	}
-}
-
-func TestCounters(t *testing.T) {
-	tr := New(1, "test")
-	tr.Add(0, EvSend, 0, 0)
-	tr.Add(1, EvSend, 1000, 0)
-	tr.Add(2, EvRetransmit, 0, 0)
-	tr.Add(3, EvTimeout, 0, 0)
-	tr.Add(4, EvRecovery, 0, 0)
-	tr.Add(5, EvDupAck, 0, 0)
-	if tr.DataSent != 2 || tr.Retransmits != 1 || tr.Timeouts != 1 ||
-		tr.Recoveries != 1 || tr.DupAcks != 1 {
-		t.Fatalf("counters wrong: %+v", tr)
-	}
-}
-
-func TestLossRate(t *testing.T) {
-	tr := New(1, "test")
-	for i := 0; i < 9; i++ {
-		tr.Add(0, EvSend, int64(i)*1000, 0)
-	}
-	tr.Add(0, EvRetransmit, 0, 0)
-	if got := tr.LossRate(); got != 0.1 {
-		t.Fatalf("loss rate = %v, want 0.1", got)
-	}
-}
-
-func TestLossRateEmpty(t *testing.T) {
-	if New(0, "x").LossRate() != 0 {
-		t.Fatal("empty trace loss rate nonzero")
-	}
-}
-
-func TestTransferDelay(t *testing.T) {
-	tr := New(1, "test")
-	tr.SetStart(2 * time.Second)
-	tr.Add(5*time.Second, EvFlowDone, 100, 0)
-	delay, ok := tr.TransferDelay()
-	if !ok || delay != 3*time.Second {
-		t.Fatalf("delay = %v, %v; want 3s", delay, ok)
-	}
-	done, at := tr.Finished()
-	if !done || at != 5*time.Second {
-		t.Fatalf("finished = %v at %v", done, at)
 	}
 }
 
@@ -177,25 +129,6 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-// Property: BytesAcked equals the maximum acked sequence ever recorded.
-func TestBytesAckedProperty(t *testing.T) {
-	f := func(acks []uint32) bool {
-		tr := New(1, "t")
-		var maxAck int64
-		for i, a := range acks {
-			seq := int64(a)
-			tr.Add(time.Duration(i), EvAckRecv, seq, 0)
-			if seq > maxAck {
-				maxAck = seq
-			}
-		}
-		return tr.BytesAcked == maxAck
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tr := newRecorded(1, "test")
 	tr.Add(time.Second, EvSend, 1000, 0)
@@ -249,10 +182,11 @@ func TestRenderASCIIProperty(t *testing.T) {
 	}
 }
 
-// A trace that was never told to Record has counters and nothing else:
-// counting allocates nothing from the first event on, and asking it for
-// samples is a bug that must not read as "nothing happened".
-func TestUnrecordedTraceCountsWithoutAllocating(t *testing.T) {
+// A trace that was never told to Record keeps nothing: an event handed
+// to it allocates nothing, Record switches the log on, and asking an
+// unrecorded trace for samples is a bug that must not read as "nothing
+// happened".
+func TestUnrecordedTraceKeepsNothing(t *testing.T) {
 	tr := New(0, "rr")
 	at := sim.Time(0)
 	add := func() {
@@ -260,11 +194,21 @@ func TestUnrecordedTraceCountsWithoutAllocating(t *testing.T) {
 		tr.Add(at, EvSend, int64(at), 0)
 		tr.Add(at, EvAckRecv, int64(at), 0)
 	}
-	if avg := testing.AllocsPerRun(1000, add); avg != 0 {
-		t.Fatalf("counters-only FlowTrace allocates %.2f times per event pair, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, add); avg != 0 || tr.Recording() {
+		t.Fatalf("an unrecorded FlowTrace allocates %.2f times per event pair (recording %t), want 0", avg, tr.Recording())
 	}
-	if tr.DataSent != 1001 || tr.Acks != 1001 || tr.BytesAcked != int64(at) {
-		t.Fatalf("counters wrong: sent %d acks %d acked %d at %d", tr.DataSent, tr.Acks, tr.BytesAcked, at)
+	tr.Record()
+	add()
+	if !tr.Recording() || len(tr.Samples()) != 2 {
+		t.Fatalf("after Record: recording %t, %d samples, want true and 2", tr.Recording(), len(tr.Samples()))
+	}
+}
+
+// A trace is the flow's number, its name and a log pointer; NoTrace
+// skips no more than this.
+func TestFlowTraceIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(FlowTrace{}); n > 32 {
+		t.Fatalf("FlowTrace is %d bytes, want at most 32", n)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestRRPhaseEventSequence(t *testing.T) {
 	}
 	sched.Run(60 * time.Second)
 
-	if _, ok := flow.Trace.TransferDelay(); !ok {
+	if _, ok := flow.Sender.TransferDelay(); !ok {
 		t.Fatal("transfer did not finish")
 	}
 
@@ -101,9 +101,9 @@ func TestRRPhaseEventSequence(t *testing.T) {
 	}
 }
 
-// TestTelemetryMatchesTraceCounters cross-checks the event stream
-// against the legacy FlowTrace counters for the same run.
-func TestTelemetryMatchesTraceCounters(t *testing.T) {
+// TestTelemetryMatchesSenderCounters cross-checks the event stream
+// against the sender's counters for the same run.
+func TestTelemetryMatchesSenderCounters(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	loss := netem.NewSeqLoss(nil)
 	mss := int64(tcp.DefaultMSS)
@@ -127,11 +127,15 @@ func TestTelemetryMatchesTraceCounters(t *testing.T) {
 	}
 	sched.Run(60 * time.Second)
 
-	if got := uint64(len(ring.EventsOf(telemetry.KRetransmit))); got != flow.Trace.Retransmits {
-		t.Fatalf("retransmit events %d != trace counter %d", got, flow.Trace.Retransmits)
+	snd := flow.Sender
+	if got := uint32(len(ring.EventsOf(telemetry.KRetransmit))); got != snd.Retransmits() || got == 0 {
+		t.Fatalf("retransmit events %d, sender counter %d", got, snd.Retransmits())
 	}
-	if got := uint64(len(ring.EventsOf(telemetry.KTimeout))); got != flow.Trace.Timeouts {
-		t.Fatalf("timeout events %d != trace counter %d", got, flow.Trace.Timeouts)
+	if got := uint32(len(ring.EventsOf(telemetry.KTimeout))); got != snd.Timeouts() {
+		t.Fatalf("timeout events %d, sender counter %d", got, snd.Timeouts())
+	}
+	if got := uint32(len(ring.EventsOf(telemetry.KAck))); got != snd.Acks() {
+		t.Fatalf("ACK events %d, sender counter %d", got, snd.Acks())
 	}
 	sends := len(ring.EventsOf(telemetry.KSend))
 	if sends != 100 {

@@ -139,12 +139,11 @@ type FlowSpec struct {
 	// Telemetry, when non-nil, receives the flow's structured events
 	// (sender, receiver, and recovery state machine).
 	Telemetry *telemetry.Bus
-	// NoTrace installs the flow with a nil FlowTrace, so not even its
-	// counters are kept: for worlds that read no Flow.Trace at all and
-	// build flows by the thousand (chaos, stress, many-flow workloads
-	// with a flowstats.FlowTable on the Telemetry bus). A default trace
-	// is counters only; call Flow.Trace.Record() before the run to keep
-	// the sample log too.
+	// NoTrace installs the flow with a nil FlowTrace. A default trace
+	// records nothing until Flow.Trace.Record() is called before the
+	// run, so this only skips its 32-byte holder: for worlds that build
+	// flows by the thousand (chaos, stress, many-flow workloads). The
+	// flow is counted by its Sender either way.
 	NoTrace bool
 	// OnDone runs when the transfer completes.
 	OnDone func()

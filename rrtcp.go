@@ -14,13 +14,13 @@
 //		Bytes: 100 * 1000,
 //	})
 //	sched.Run(30 * time.Second)
-//	delay, _ := flow.Trace.TransferDelay()
+//	delay, _ := flow.Sender.TransferDelay()
 //
-// A flow's Trace always counts (transfer delay, retransmits, timeouts,
-// bytes acknowledged, loss rate) and logs no samples. The readers of the
-// sample series — SeqSeries for a sequence plot, GoodputBps over a
-// window, WriteCSV — need the log, which is kept only from a call made
-// before the run:
+// A flow is counted by its Sender (transfer delay, retransmits,
+// timeouts, ACKs, bytes acknowledged as SndUna, loss rate). Its Trace
+// logs no samples unless asked: the readers of the sample series —
+// SeqSeries for a sequence plot, GoodputBps over a window, WriteCSV —
+// need the log, which is kept only from a call made before the run:
 //
 //	flow.Trace.Record()
 //	sched.Run(30 * time.Second)

@@ -24,7 +24,7 @@ func TestQuickstartTransfer(t *testing.T) {
 		t.Fatalf("install: %v", err)
 	}
 	sched.Run(30 * time.Second)
-	delay, ok := flow.Trace.TransferDelay()
+	delay, ok := flow.Sender.TransferDelay()
 	if !ok {
 		t.Fatal("transfer did not complete")
 	}
@@ -74,7 +74,7 @@ func TestEndToEndIntegrity(t *testing.T) {
 // TestDeterminism re-runs an identical RED scenario and requires
 // byte-identical outcomes: the whole simulator must be seed-driven.
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, uint64, uint64) {
+	run := func() (int64, uint32, uint32) {
 		sched := rrtcp.NewScheduler(11)
 		cfg := rrtcp.PaperDropTailConfig(4)
 		cfg.ForwardQueue = rrtcp.Must(rrtcp.NewREDQueue(sched, rrtcp.PaperREDConfig()))
@@ -92,7 +92,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("install: %v", err)
 		}
 		sched.Run(10 * time.Second)
-		return flows[0].Trace.BytesAcked, flows[0].Trace.Retransmits, flows[0].Trace.Timeouts
+		return flows[0].Sender.SndUna(), flows[0].Sender.Retransmits(), flows[0].Sender.Timeouts()
 	}
 	a1, r1, t1 := run()
 	a2, r2, t2 := run()

@@ -196,7 +196,7 @@ func TestLossRateMatchesConfigured(t *testing.T) {
 		t.Fatalf("install: %v", err)
 	}
 	sched.Run(120 * time.Second)
-	measured := flow.Trace.LossRate()
+	measured := flow.Sender.LossRate()
 	if math.Abs(measured-0.02) > 0.01 {
 		t.Fatalf("measured loss rate %f, configured 0.02", measured)
 	}

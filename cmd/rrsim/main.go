@@ -43,21 +43,26 @@
 // event-storm detector, degrades into a reported outcome instead of
 // failing the sweep. -cells and -flows size the stress soak.
 //
-// Observability flags shared by the experiments and scenario runs:
-// -events streams structured telemetry as NDJSON (for rrtrace),
-// -trace-out assembles the same stream into spans + sampled series and
-// writes Chrome trace-event JSON openable in Perfetto, -metrics prints
-// the aggregated metrics snapshot, and -pprof writes cpu.pprof and
-// heap.pprof runtime profiles of the simulator itself. Of the
-// experiments only fig5 and stress publish telemetry; -events,
-// -trace-out and -metrics on any other (or on all) are an error.
+// Observability: rrsim produces one record of a run, and rrtrace reads
+// it. -events streams structured telemetry as NDJSON; rrtrace renders
+// it offline (rrtrace export for Chrome trace-event JSON openable in
+// Perfetto, rrtrace metrics for the aggregated metrics snapshot, and
+// summary, spans, flows, timeline). A scenario run publishing telemetry
+// samples its gauges every 10 ms, as fig5 does, so the trace has
+// counter tracks. Of the experiments only fig5 and stress publish
+// telemetry; -events on any other (or on all) is an error. -pprof
+// writes cpu.pprof and heap.pprof runtime profiles of the simulator
+// itself.
 //
 // Flow-scale analytics (fig5, chaos, stress; an error on any other):
 // -flow-stats folds every flow's lifecycle events into aggregate
 // per-variant accounting — FCT quantiles, goodput, retransmission load,
 // windowed Jain fairness — appended to the result as a flow report;
 // -flow-exemplars K keeps a seeded reservoir of K flows in full detail;
-// -flow-csv FILE writes the per-variant rows as CSV.
+// -flow-csv FILE writes the per-variant rows as CSV. It stays a live
+// flag because chaos publishes no events to replay, and one flag with
+// one meaning on all three is simpler than sending fig5 and stress to
+// rrtrace flows.
 //
 // -http :PORT serves live introspection while the run executes:
 // /metrics (Prometheus text format), /progress (sweep progress as
@@ -98,14 +103,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	runs := fs.Int("runs", 100, "independent repetitions where the experiment takes a count (chaos: fault schedules)")
 	drops := fs.Int("drops", 3, "packets lost within one window (fig5/ablation)")
-	seed := fs.Int64("seed", 0, "simulation seed for fig5, fig6, table5, fairshare, smoothstart, chaos and stress (0 = experiment default); fig7, ackloss, twoway, bursty and ablation run their fixed seed lists")
+	seed := fs.Int64("seed", 0, "simulation seed for fig5, fig6, fairshare, smoothstart, chaos and stress (0 = experiment default); fig7, table5, ackloss, twoway, bursty and ablation run their fixed seed lists")
 	quick := fs.Bool("quick", false, "smaller sweeps for fast runs (fig7/all)")
 	variants := fs.String("variants", "", "comma-separated variant list, e.g. tahoe,rr,fack")
 	delack := fs.Bool("delack", false, "run receivers with delayed ACKs (fig7)")
 	traceOut := fs.String("trace", "", "write flow 0's event trace as CSV to this file (run)")
 	events := fs.String("events", "", "stream structured telemetry as NDJSON to this file, for rrtrace (fig5/stress/run)")
-	metrics := fs.Bool("metrics", false, "print the aggregated metrics snapshot to stderr (fig5/stress/run)")
-	traceJSON := fs.String("trace-out", "", "write spans + sampled series as Chrome trace-event JSON (Perfetto-openable) to this file (fig5/stress/run)")
 	pprofDir := fs.String("pprof", "", "write cpu.pprof and heap.pprof runtime profiles into this directory")
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of a table")
 	bytes := fs.Int64("bytes", 0, "per-flow transfer size in bytes (chaos, 0 = default)")
@@ -186,7 +189,7 @@ func run(args []string) error {
 	defer stopSignals()
 	runOpt.Context = ctx
 
-	tel := telemetryOpts{events: *events, metrics: *metrics, traceOut: *traceJSON, flowCSV: *flowCSV}
+	tel := telemetryOpts{events: *events, flowCSV: *flowCSV}
 	if *flowCSV != "" && !*flowStats {
 		return fmt.Errorf("-flow-csv requires -flow-stats")
 	}
@@ -256,7 +259,7 @@ func run(args []string) error {
 		switch cmd {
 		case "run":
 			if fs.NArg() != 1 {
-				return fmt.Errorf("usage: rrsim run [-json] [-trace out.csv] [-events out.ndjson] [-trace-out out.json] [-metrics] <scenario.json>")
+				return fmt.Errorf("usage: rrsim run [-json] [-trace out.csv] [-events out.ndjson] <scenario.json>")
 			}
 			return runScenario(emit, fs.Arg(0), *traceOut, tel)
 		case "chaos":
@@ -454,8 +457,6 @@ func refuseIgnored(r rrtcp.ExperimentRegistration, tel telemetryOpts, opts rrtcp
 		set, read  bool
 	}{
 		{"-events", "publishes no telemetry", tel.events != "", r.ReadsTelemetry},
-		{"-metrics", "publishes no telemetry", tel.metrics, r.ReadsTelemetry},
-		{"-trace-out", "publishes no telemetry", tel.traceOut != "", r.ReadsTelemetry},
 		{"-flow-stats", "keeps no flow statistics", opts.FlowStats, r.ReadsFlowStats},
 	} {
 		if f.set && !f.read {
@@ -469,8 +470,8 @@ func refuseIgnored(r rrtcp.ExperimentRegistration, tel telemetryOpts, opts rrtcp
 type renderer func(rendered string, result any) error
 
 func renderText(rendered string, _ any) error {
-	fmt.Println(rendered)
-	return nil
+	_, err := fmt.Println(rendered)
+	return err
 }
 
 func renderJSON(_ string, result any) error {
@@ -482,26 +483,16 @@ func renderJSON(_ string, result any) error {
 // telemetryOpts gathers the observability flags shared by experiment
 // and scenario runs.
 type telemetryOpts struct {
-	events   string              // NDJSON event stream path
-	metrics  bool                // print metrics snapshot to stderr
-	traceOut string              // Chrome trace-event JSON path
-	live     rrtcp.TelemetrySink // -http live metrics sink, also fed simulation events
-	flows    *rrtcp.FlowTable    // -http live flow table behind /flows
-	flowCSV  string              // -flow-csv report path
+	events  string              // NDJSON event stream path
+	live    rrtcp.TelemetrySink // -http live metrics sink, also fed simulation events
+	flows   *rrtcp.FlowTable    // -http live flow table behind /flows
+	flowCSV string              // -flow-csv report path
 }
 
-func (t telemetryOpts) enabled() bool {
-	return t.events != "" || t.metrics || t.traceOut != "" || t.live != nil || t.flows != nil
-}
-
-// telemetrySetup builds the bus behind -events, -metrics, and
-// -trace-out. The returned finish func flushes the NDJSON stream,
-// writes the Chrome trace, and prints the metrics snapshot; it must run
-// even when the experiment fails.
+// telemetrySetup builds the bus behind -events and -http. The returned
+// finish func flushes the NDJSON stream; it must run even when the
+// experiment fails.
 func telemetrySetup(tel telemetryOpts) (*rrtcp.TelemetryBus, func() error, error) {
-	if !tel.enabled() {
-		return nil, func() error { return nil }, nil
-	}
 	var sinks []rrtcp.TelemetrySink
 	if tel.live != nil {
 		sinks = append(sinks, tel.live)
@@ -509,53 +500,21 @@ func telemetrySetup(tel telemetryOpts) (*rrtcp.TelemetryBus, func() error, error
 	if tel.flows != nil {
 		sinks = append(sinks, tel.flows)
 	}
-	var nd *rrtcp.NDJSONSink
-	var f *os.File
+	finish := func() error { return nil }
 	if tel.events != "" {
-		var err error
-		f, err = os.Create(tel.events)
+		f, err := os.Create(tel.events)
 		if err != nil {
 			return nil, nil, err
 		}
-		nd = rrtcp.NewNDJSONSink(f)
+		nd := rrtcp.NewNDJSONSink(f)
 		sinks = append(sinks, nd)
-	}
-	var ms *rrtcp.MetricsSink
-	if tel.metrics {
-		ms = rrtcp.NewMetricsSink()
-		sinks = append(sinks, ms)
-	}
-	var spans *rrtcp.SpanSink
-	var series *rrtcp.SeriesSink
-	if tel.traceOut != "" {
-		spans = rrtcp.NewSpanSink()
-		series = rrtcp.NewSeriesSink()
-		sinks = append(sinks, spans, series)
-	}
-	finish := func() error {
-		var err error
-		if nd != nil {
-			err = nd.Close()
+		finish = func() error {
+			err := nd.Close()
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
+			return err
 		}
-		if spans != nil {
-			tf, terr := os.Create(tel.traceOut)
-			if terr == nil {
-				terr = rrtcp.WriteChromeTrace(tf, spans.Spans(), series.Series())
-				if cerr := tf.Close(); terr == nil {
-					terr = cerr
-				}
-			}
-			if err == nil {
-				err = terr
-			}
-		}
-		if ms != nil {
-			fmt.Fprint(os.Stderr, ms.R.Snapshot())
-		}
-		return err
 	}
 	return rrtcp.NewTelemetryBus(sinks...), finish, nil
 }
@@ -569,12 +528,9 @@ func runScenario(emit renderer, path, traceOut string, tel telemetryOpts) error 
 	if err != nil {
 		return err
 	}
-	spec.Telemetry = bus
-	if tel.traceOut != "" {
-		// The Chrome trace's counter tracks come from sampled gauges;
-		// scenarios sample only when asked.
-		spec.SampleEvery = 10 * time.Millisecond
-	}
+	// Sampled gauges become the counter tracks of rrtrace export's
+	// Chrome trace; the sampler runs only when a bus is attached.
+	spec.Telemetry, spec.SampleEvery = bus, 10*time.Millisecond
 	// A nil trace writer runs the scenario without the flow-0 CSV.
 	var trace io.Writer
 	closeTrace := func() error { return nil }
@@ -608,7 +564,7 @@ func runChaosReplay(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bundle %s reproduced:\n  case: %s seed=%d\n  violation: %s\n  (%d violations total, finished=%v)\n",
+	_, err = fmt.Printf("bundle %s reproduced:\n  case: %s seed=%d\n  violation: %s\n  (%d violations total, finished=%v)\n",
 		path, b.Case.Variant, b.Case.Seed, out.Violations[0], len(out.Violations), out.Finished)
-	return nil
+	return err
 }

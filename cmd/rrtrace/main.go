@@ -1,5 +1,7 @@
 // Command rrtrace inspects NDJSON event logs produced by
-// rrsim -events (or any telemetry.NDJSONSink).
+// rrsim -events (or any telemetry.NDJSONSink). rrsim writes only the
+// log; every report built from it — the Chrome trace and the metrics
+// snapshot included — is rendered here, offline.
 //
 // Usage:
 //
@@ -24,12 +26,18 @@
 //	    Assemble and print the span tree: connection lifetimes, recovery
 //	    episodes with retreat/probe sub-phases, queue busy periods.
 //
+//	rrtrace metrics <events.ndjson>
+//	    Replay the stream into the metrics registry and print its
+//	    snapshot: every counter, gauge and histogram as sorted
+//	    "name value" lines — the registry a live run serves at /metrics.
+//
 //	rrtrace export [-format chrome|csv] [-out file] <events.ndjson>
 //	    Export spans + sampled series as Chrome trace-event JSON
 //	    (openable in Perfetto) or the sampled series as CSV.
 //
 // A path of "-" reads from stdin. If any input lines were malformed the
-// command still runs, but reports the skip count and exits non-zero.
+// command still runs, but reports the skip count and exits non-zero. A
+// failed write to the output (a full disk, a closed pipe) is an error.
 // Lines whose component or kind this build does not know are left out
 // with a warning, and do not change the exit status.
 package main
@@ -53,7 +61,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: rrtrace {summary|flows|filter|timeline|spans|export} [flags] <events.ndjson>")
+		return fmt.Errorf("usage: rrtrace {summary|flows|filter|timeline|spans|metrics|export} [flags] <events.ndjson>")
 	}
 	cmd, rest := args[0], args[1:]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
@@ -97,7 +105,7 @@ func run(args []string) error {
 
 	switch cmd {
 	case "summary":
-		fmt.Print(telemetry.Summarize(events).Render())
+		_, err = fmt.Print(telemetry.Summarize(events).Render())
 	case "flows":
 		table := flowstats.New(flowstats.Config{
 			Exemplars: *exemplars,
@@ -105,7 +113,7 @@ func run(args []string) error {
 		})
 		telemetry.Replay(events, table)
 		table.Finalize()
-		fmt.Print(table.Report().Render())
+		_, err = fmt.Print(table.Report().Render())
 	case "filter":
 		opts := telemetry.FilterOpts{
 			Flow:    int32(*flow),
@@ -117,33 +125,40 @@ func run(args []string) error {
 		}
 		enc := telemetry.NewNDJSONSink(os.Stdout)
 		telemetry.Replay(telemetry.Filter(events, opts), enc)
-		if err := enc.Close(); err != nil {
-			return err
-		}
+		err = enc.Close()
 	case "timeline":
-		fmt.Print(telemetry.Timeline(events, int32(max(*flow, 0)), *width, *height))
+		_, err = fmt.Print(telemetry.Timeline(events, int32(max(*flow, 0)), *width, *height))
 	case "spans":
 		spans := telemetry.NewSpanSink()
 		telemetry.Replay(events, spans)
-		fmt.Print(telemetry.RenderSpans(spans.Spans()))
+		_, err = fmt.Print(telemetry.RenderSpans(spans.Spans()))
+	case "metrics":
+		ms := telemetry.NewMetricsSink()
+		telemetry.Replay(events, ms)
+		_, err = fmt.Print(ms.R.Snapshot())
 	case "export":
-		if err := export(events, *format, *out); err != nil {
-			return err
-		}
+		err = export(events, *format, *out)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+	if err != nil {
+		return err
 	}
 	return damaged
 }
 
-func export(events []telemetry.Event, format, out string) error {
+func export(events []telemetry.Event, format, out string) (err error) {
 	var w io.Writer = os.Stdout
 	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
+		f, cerr := os.Create(out)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		w = f
 	}
 	spans, series := telemetry.NewSpanSink(), telemetry.NewSeriesSink()

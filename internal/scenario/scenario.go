@@ -159,7 +159,7 @@ type Spec struct {
 	// SampleEvery enables the periodic gauge Sampler (per-flow window
 	// and RTT state plus bottleneck occupancy) at the given sim-time
 	// interval when Telemetry is enabled; 0 keeps sampling off. Set
-	// programmatically (e.g. by rrsim -trace-out).
+	// programmatically (rrsim run samples every 10 ms).
 	SampleEvery sim.Time `json:"-"`
 }
 

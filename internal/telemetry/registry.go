@@ -206,7 +206,7 @@ func (r *Registry) metricNames() []string {
 }
 
 // Snapshot renders every metric, sorted by name, as "name value" lines
-// — a deterministic dump for tests and the rrsim -metrics flag. It is
+// — a deterministic dump for tests and rrtrace metrics. It is
 // safe to call while the registry is being written: values are read
 // with atomic loads, so concurrent publishers are never blocked.
 func (r *Registry) Snapshot() string {

@@ -404,6 +404,23 @@ func TestRunParallelOutputIdentical(t *testing.T) {
 	}
 }
 
+// table5's cells run its fixed Seeds list and nothing reads
+// Table5Config.Seed, so -seed must not relabel the same table under
+// another "seed" key.
+func TestRunTable5IgnoresSeed(t *testing.T) {
+	def, err := capture(t, func() error { return run([]string{"table5", "-json"}) })
+	if err != nil {
+		t.Fatalf("run table5 -json: %v", err)
+	}
+	seeded, err := capture(t, func() error { return run([]string{"table5", "-seed", "3", "-json"}) })
+	if err != nil {
+		t.Fatalf("run table5 -seed 3 -json: %v", err)
+	}
+	if def != seeded {
+		t.Fatalf("table5 -seed 3 -json differs from table5 -json:\n%s\nvs\n%s", seeded, def)
+	}
+}
+
 func TestRunBurstySubcommand(t *testing.T) {
 	out, err := capture(t, func() error { return run([]string{"bursty", "-json"}) })
 	if err != nil {

@@ -103,9 +103,6 @@ func (r *RRStrategy) Name() string { return "rr" }
 // InRecovery reports whether the sender is inside RR (for tests).
 func (r *RRStrategy) InRecovery() bool { return r.phase != phaseNone }
 
-// InProbe reports whether the probe sub-phase is active (for tests).
-func (r *RRStrategy) InProbe() bool { return r.phase == phaseProbe }
-
 // Actnum exposes the in-flight measure (for tests).
 func (r *RRStrategy) Actnum() int { return r.actnum }
 

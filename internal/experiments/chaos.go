@@ -95,9 +95,7 @@ type liarStrategy struct {
 }
 
 func (l *liarStrategy) InRecovery() bool { return true }
-func (l *liarStrategy) InProbe() bool    { return false }
 func (l *liarStrategy) Actnum() int      { return -1 }
-func (l *liarStrategy) Ndup() int        { return 0 }
 
 // RunChaosCase executes one case and reports what happened, with the
 // tail of its event stream when it violated an invariant. The run is

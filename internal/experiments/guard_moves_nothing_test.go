@@ -2,16 +2,20 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"rrtcp/internal/faults"
 	"rrtcp/internal/guard"
+	"rrtcp/internal/invariant"
 	"rrtcp/internal/netem"
 	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
+	"rrtcp/internal/telemetry"
+	"rrtcp/internal/telemetry/flowstats"
 	"rrtcp/internal/workload"
 )
 
@@ -62,20 +66,34 @@ func endOf(w *scenario.World) worldEnd {
 }
 
 // guardCase builds a world on w, ready to run, and says how long to run
-// it.
+// it. A non-nil bus is the world's telemetry: its bottleneck, its
+// sampler and every flow publish to it.
 type guardCase struct {
 	name  string
 	plan  bool // a fault plan flaps the bottleneck
-	build func(w *scenario.World) (sim.Time, error)
+	build func(w *scenario.World, bus *telemetry.Bus) (sim.Time, error)
 }
 
-// TestInfiniteGuardMovesNothing attaches a guard whose budget never
-// trips to every golden scenario, every fig5 cell and a world under a
-// fault plan of flaps and renegotiations, and requires each run to end
-// exactly as it does unguarded. A guard reads the event count after
-// every event, so with one attached the links push every serialization
-// completion; without, they reserve the ones that find the queue empty.
-// The relation is that the two paths cannot be told apart.
+// observed is s publishing to bus, gauges sampled every 10 ms; a nil
+// bus leaves it silent.
+func observed(s scenario.Spec, bus *telemetry.Bus) *scenario.Spec {
+	s.Telemetry, s.SampleEvery = bus, 10*time.Millisecond
+	return &s
+}
+
+// TestInfiniteGuardMovesNothing runs every golden scenario, every fig5
+// cell and a world under a fault plan of flaps and renegotiations three
+// ways, and requires each run to end exactly as the bare one does:
+//   - with a guard whose budget never trips. A guard reads the event
+//     count after every event, so with one attached the links push
+//     every serialization completion; without, they reserve the ones
+//     that find the queue empty. The two paths cannot be told apart.
+//   - observed: NDJSON (to io.Discard), SpanSink, SeriesSink,
+//     MetricsSink and a FlowTable on the world's bus, the 10 ms gauge
+//     sampler on, and an invariant checker with its watchdog watching
+//     every sender. Attaching a sink or the checker moves no result;
+//     only Processed may differ, because the sampler's and the
+//     watchdog's ticks are events too.
 func TestInfiniteGuardMovesNothing(t *testing.T) {
 	var cases []guardCase
 	files, err := filepath.Glob("../../examples/scenarios/*.json")
@@ -87,23 +105,23 @@ func TestInfiniteGuardMovesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, guardCase{filepath.Base(path), false, func(w *scenario.World) (sim.Time, error) {
-			return time.Duration(spec.Duration), w.Rebuild(spec.Seed, spec)
+		cases = append(cases, guardCase{filepath.Base(path), false, func(w *scenario.World, bus *telemetry.Bus) (sim.Time, error) {
+			return time.Duration(spec.Duration), w.Rebuild(spec.Seed, observed(*spec, bus))
 		}})
 	}
 	for _, drops := range []int{3, 6} {
 		cfg := Figure5Config{Drops: drops}
 		cfg.fillDefaults()
 		for _, kind := range workload.Kinds() {
-			cases = append(cases, guardCase{fmt.Sprintf("fig5 %s drops %d", kind, drops), false, func(w *scenario.World) (sim.Time, error) {
-				if err := w.Rebuild(cfg.Seed, &scenario.Spec{
-					Loss:        &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: cfg.DropPacketNumbers()}}},
-					SampleEvery: cfg.SampleEvery,
-				}); err != nil {
+			cases = append(cases, guardCase{fmt.Sprintf("fig5 %s drops %d", kind, drops), false, func(w *scenario.World, bus *telemetry.Bus) (sim.Time, error) {
+				if err := w.Rebuild(cfg.Seed, observed(scenario.Spec{
+					Loss: &scenario.LossSpec{Drops: []scenario.FlowDrops{{Packets: cfg.DropPacketNumbers()}}},
+				}, bus)); err != nil {
 					return 0, err
 				}
 				_, err := w.Install(workload.FlowSpec{
 					Kind: kind, Bytes: int64(cfg.TransferPackets) * int64(tcp.DefaultMSS), Window: 18, InitialSSThresh: 9,
+					Telemetry: bus,
 				})
 				return 60 * time.Second, err
 			}})
@@ -118,36 +136,60 @@ func TestInfiniteGuardMovesNothing(t *testing.T) {
 		},
 	}
 	for _, kind := range []workload.Kind{workload.RR, workload.NewReno, workload.SACK} {
-		cases = append(cases, guardCase{"faults " + kind.String(), true, func(w *scenario.World) (sim.Time, error) {
-			if err := w.Rebuild(3, &scenario.Spec{
+		cases = append(cases, guardCase{"faults " + kind.String(), true, func(w *scenario.World, bus *telemetry.Bus) (sim.Time, error) {
+			if err := w.Rebuild(3, observed(scenario.Spec{
 				Topology: &scenario.TopologySpec{Flows: 2, ForwardQueue: &scenario.QueueSpec{Type: "red", Limit: 25}},
 				Flows: []scenario.FlowSpec{
 					{Kind: kind.String(), Packets: 400, Window: 30},
 					{Kind: "reno", Window: 20, StartAt: scenario.Duration(200 * time.Millisecond)},
 				},
-			}); err != nil {
+			}, bus)); err != nil {
 				return 0, err
 			}
-			return 20 * time.Second, plan.Apply(w.Sched, w.Net, w.Sched.DeriveRand("faults"), nil)
+			return 20 * time.Second, plan.Apply(w.Sched, w.Net, w.Sched.DeriveRand("faults"), bus)
 		}})
 	}
 
+	const bare, guarded, watched = 0, 1, 2
 	for _, c := range cases {
-		var ends [2]worldEnd
-		for i, guarded := range []bool{false, true} {
+		var ends [3]worldEnd
+		for arm := range ends {
 			w := &scenario.World{}
-			horizon, err := c.build(w)
+			var bus *telemetry.Bus
+			if arm == watched {
+				bus = telemetry.NewBus(telemetry.NewNDJSONSink(io.Discard), telemetry.NewSpanSink(),
+					telemetry.NewSeriesSink(), telemetry.NewMetricsSink(), flowstats.New(flowstats.Config{}))
+			}
+			horizon, err := c.build(w, bus)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if guarded {
+			var checker *invariant.Checker
+			switch arm {
+			case guarded:
 				guard.Attach(w.Sched, guard.Limits{MaxEvents: 1 << 62}, nil)
+			case watched:
+				checker = invariant.NewChecker(w.Sched, bus)
+				bus.Subscribe(checker)
+				for _, f := range w.Flows {
+					checker.WatchSender(f.Sender)
+				}
+				if err := checker.StartWatchdog(0, 0, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 			w.Run(horizon)
-			ends[i] = endOf(w)
+			ends[arm] = endOf(w)
+			if checker != nil && len(checker.Violations()) > 0 {
+				t.Errorf("%s: checker reported %v", c.name, checker.Violations())
+			}
 		}
-		if got, want := fmt.Sprintf("%+v", ends[1]), fmt.Sprintf("%+v", ends[0]); got != want {
+		if got, want := fmt.Sprintf("%+v", ends[guarded]), fmt.Sprintf("%+v", ends[bare]); got != want {
 			t.Errorf("%s: guarded run ended\n%s\nunguarded\n%s", c.name, got, want)
+		}
+		ends[watched].Processed = ends[bare].Processed
+		if got, want := fmt.Sprintf("%+v", ends[watched]), fmt.Sprintf("%+v", ends[bare]); got != want {
+			t.Errorf("%s: observed run ended\n%s\nunobserved\n%s", c.name, got, want)
 		}
 		if ends[0].Processed < 500 {
 			t.Errorf("%s: only %d events", c.name, ends[0].Processed)

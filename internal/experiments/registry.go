@@ -112,7 +112,7 @@ var registry = []Registration{
 		return NewFigure7Experiment(cfg), nil
 	}},
 	{Name: "table5", Desc: "Table 5: fairness matrix", Build: func(o Options) (Experiment, error) {
-		return NewTable5Experiment(Table5Config{Seed: o.Seed}), nil
+		return NewTable5Experiment(Table5Config{}), nil
 	}},
 	{Name: "ackloss", Desc: "§2.3 ACK-loss robustness sweep", Build: func(o Options) (Experiment, error) {
 		return NewAckLossExperiment(AckLossConfig{Variants: o.Variants}), nil

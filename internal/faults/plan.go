@@ -232,9 +232,12 @@ func RandomPlanSpec(rng *rand.Rand, horizon sim.Time, cfg netem.DumbbellConfig) 
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		r := RenegSpec{At: onset()}
 		if rng.Intn(2) == 0 {
-			r.BandwidthBps = cfg.BottleneckBps * (0.25 + 1.75*rng.Float64())
+			// float64(...) rounds each product, so no architecture
+			// fuses it into a multiply-add and a plan is the same
+			// everywhere.
+			r.BandwidthBps = cfg.BottleneckBps * (0.25 + float64(1.75*rng.Float64()))
 		} else {
-			r.Delay = Duration(float64(cfg.BottleneckDelay) * (0.5 + 3.5*rng.Float64()))
+			r.Delay = Duration(float64(cfg.BottleneckDelay) * (0.5 + float64(3.5*rng.Float64())))
 		}
 		p.Renegotiations = append(p.Renegotiations, r)
 	}

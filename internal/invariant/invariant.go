@@ -48,9 +48,7 @@ var _ Probe = (*tcp.Sender)(nil)
 // checker applies the RR-specific rules only when it is available.
 type RecoveryProbe interface {
 	InRecovery() bool
-	InProbe() bool
 	Actnum() int
-	Ndup() int
 }
 
 // Violation is one detected invariant breach.

@@ -41,14 +41,12 @@ var _ Probe = (*fakeSender)(nil)
 
 // fakeRecovery is a scriptable RecoveryProbe.
 type fakeRecovery struct {
-	recovery, probe bool
-	actnum, ndup    int
+	recovery bool
+	actnum   int
 }
 
 func (f *fakeRecovery) InRecovery() bool { return f.recovery }
-func (f *fakeRecovery) InProbe() bool    { return f.probe }
 func (f *fakeRecovery) Actnum() int      { return f.actnum }
-func (f *fakeRecovery) Ndup() int        { return f.ndup }
 
 func healthyFake() *fakeSender {
 	return &fakeSender{

@@ -182,9 +182,6 @@ func (l *Link) Receive(p *Packet) {
 	}
 }
 
-// Down reports whether the link carrier is currently lost.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown flips the link's carrier state. Taking the link down loses
 // every packet currently propagating on the wire (they are dropped on
 // arrival) and pauses serialization; the attached queue survives the

@@ -243,7 +243,9 @@ func (r *REDQueue) Enqueue(p *Packet, now sim.Time) bool {
 		pb := r.cfg.MaxDropProb * (r.avg - r.cfg.MinThreshold) /
 			(r.cfg.MaxThreshold - r.cfg.MinThreshold)
 		pa := pb
-		if denom := 1 - float64(r.count)*pb; denom > 0 {
+		// float64(...) rounds the product, so no architecture fuses
+		// it into a multiply-subtract (likewise the averages below).
+		if denom := 1 - float64(float64(r.count)*pb); denom > 0 {
 			pa = pb / denom
 		} else {
 			pa = 1
@@ -263,7 +265,7 @@ func (r *REDQueue) Enqueue(p *Packet, now sim.Time) bool {
 
 func (r *REDQueue) updateAverage(now sim.Time) {
 	if r.fifo.n > 0 || !r.idle {
-		r.avg = (1-r.cfg.QueueWeight)*r.avg + r.cfg.QueueWeight*float64(r.fifo.n)
+		r.avg = float64((1-r.cfg.QueueWeight)*r.avg) + float64(r.cfg.QueueWeight*float64(r.fifo.n))
 		return
 	}
 	// Queue has been idle: age the average as if m small packets had
@@ -277,7 +279,7 @@ func (r *REDQueue) updateAverage(now sim.Time) {
 		}
 	}
 	r.idle = false
-	r.avg = (1-r.cfg.QueueWeight)*r.avg + r.cfg.QueueWeight*float64(r.fifo.n)
+	r.avg = float64((1-r.cfg.QueueWeight)*r.avg) + float64(r.cfg.QueueWeight*float64(r.fifo.n))
 }
 
 // Dequeue implements QueueDiscipline.

@@ -239,6 +239,111 @@ func TestRunCancelBeforeStart(t *testing.T) {
 	}
 }
 
+// A stall check runs on the loop's ticker until the last in-flight job
+// drains, so a job stuck past StallAfter after the cancel is still
+// reported, exactly once.
+func TestRunReportsStallWhileDraining(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started, gate := make(chan struct{}), make(chan struct{})
+	jobs := []Job{
+		{Name: "stuck", Run: func(int64) (any, error) { close(started); <-gate; return 1, nil }},
+		{Name: "never-1", Run: func(int64) (any, error) { return 2, nil }},
+		{Name: "never-2", Run: func(int64) (any, error) { return 3, nil }},
+	}
+	ring := telemetry.NewRing(0)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(Config{
+			Name: "drain", Workers: 1, Context: ctx, Telemetry: telemetry.NewBus(ring),
+			StallAfter: 40 * time.Millisecond,
+		}, jobs)
+		errc <- err
+	}()
+	<-started
+	cancel()
+	// Several ticks past the threshold, all of them after the cancel.
+	time.Sleep(200 * time.Millisecond)
+	close(gate)
+	err := <-errc
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "2 of 3 jobs unfinished") {
+		t.Fatalf("got %v, want a cancel with 2 of 3 jobs unfinished", err)
+	}
+	stalls := ring.EventsOf(telemetry.KSweepStall)
+	if len(stalls) != 1 {
+		t.Fatalf("%d stall events while draining, want exactly 1", len(stalls))
+	}
+	if ev := stalls[0]; ev.Src != "stuck" || ev.Seq != 0 || ev.A < 0.04 {
+		t.Fatalf("stall event %+v, want job 0 (stuck) past the threshold", ev)
+	}
+}
+
+// Run starts no goroutine besides its workers, and every worker has
+// exited soon after Run returns, however the sweep ended.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"success", func() error {
+			_, err := Run(Config{Name: "ok", Workers: 4}, seedJobs(1, 16))
+			return err
+		}},
+		{"panic", func() error {
+			jobs := seedJobs(2, 8)
+			jobs[3].Run = func(int64) (any, error) { panic("boom") }
+			if _, err := Run(Config{Name: "panic", Workers: 4}, jobs); err == nil {
+				return errors.New("panicking job reported no error")
+			}
+			return nil
+		}},
+		{"cancel mid-sweep", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			jobs := seedJobs(3, 16)
+			jobs[2].Run = func(seed int64) (any, error) { cancel(); return seed, nil }
+			_, err := Run(Config{Name: "cancel", Workers: 2, Context: ctx}, jobs)
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("got %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"pre-canceled", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := Run(Config{Name: "pre", Workers: 4, Context: ctx}, seedJobs(4, 8))
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("got %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"stall check armed", func() error {
+			jobs := seedJobs(5, 4)
+			jobs[0].Run = func(seed int64) (any, error) { time.Sleep(30 * time.Millisecond); return seed, nil }
+			_, err := Run(Config{
+				Name: "stall", Workers: 2, Telemetry: telemetry.NewBus(telemetry.NewRing(0)),
+				StallAfter: 10 * time.Millisecond,
+			}, jobs)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 1 s after Run returned, %d before it", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 // --- checkpoint journal ---
 
 // sinkFunc adapts a closure to telemetry.Sink for test hooks.

@@ -32,20 +32,29 @@
 // result — re-running the seed reproduces it — so it is reported, never
 // retried. Around that sits a harness layer, all of it opt-in via
 // Config and none of it able to change an output byte: Context cancels
-// dispatch and drains in-flight work, StallAfter arms a watchdog that
-// reports hung jobs, and Checkpoint journals completed results so an
-// interrupted sweep resumes instead of restarting (see checkpoint.go).
+// dispatch and drains in-flight work, StallAfter reports hung jobs, and
+// Checkpoint journals completed results so an interrupted sweep resumes
+// instead of restarting (see checkpoint.go).
 // A job whose error carries the structural Degraded marker (an
 // internal/guard budget trip or a liveness stall, both computed from
 // the seed) becomes a Degraded result instead of a failure, so a sweep
 // at hostile scale completes and reports its pathological cells rather
 // than dying on them (see degrade.go).
 //
+// One loop runs a sweep, on the goroutine that called Run: it hands
+// each idle worker its next job over that worker's one-job channel,
+// takes the worker's done report back, and on a ticker reports jobs in
+// flight longer than StallAfter. Once the context is canceled it stops
+// handing out jobs but keeps draining and checking for stalls. The
+// workers are the only other goroutines, and nothing needs a lock:
+// each job's result slot is written by its worker before the done
+// report and read by the loop after it.
+//
 // Progress events (telemetry.KSweepStart/KSweepJob/KSweepDone), the
 // stall kind (KSweepStall), and the engine's
 // performance telemetry (KSweepJobTime per job, KSweepWorker per
-// worker, wall seconds on KSweepDone) are published on the
-// coordinating goroutine only, in completion order; they exist for
+// worker, wall seconds on KSweepDone) are published by that loop
+// only, in completion order; they exist for
 // interactive feedback and engine profiling and are the one output of a
 // sweep that is *not* covered by the determinism contract.
 package sweep
@@ -57,7 +66,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"rrtcp/internal/telemetry"
@@ -94,11 +102,11 @@ type Config struct {
 	// Run returns the partial results together with an error wrapping
 	// context.Cause. A nil Context never cancels.
 	Context context.Context
-	// StallAfter, when positive, arms a wall-clock watchdog: any job
-	// in flight longer than this is reported once via a KSweepStall
-	// event (surfaced on /progress and by rrtrace summary) without
-	// being interrupted. It is the harness-level analogue of the
-	// sim-time invariant.StartWatchdog.
+	// StallAfter, when positive, arms the sweep loop's wall-clock
+	// stall check: any job in flight longer than this is reported once
+	// via a KSweepStall event (surfaced on /progress and by rrtrace
+	// summary) without being interrupted. It is the harness-level
+	// analogue of the sim-time invariant.StartWatchdog.
 	StallAfter time.Duration
 	// Checkpoint, when non-nil, journals each completed job's result
 	// and pre-fills results restored by OpenJournal, so an interrupted
@@ -123,23 +131,22 @@ func DeriveSeed(seed int64, index int) int64 {
 	return int64(z)
 }
 
-// sweepMsg is a notification from a worker or the watchdog to the
-// coordinating goroutine, which owns all telemetry publishing and the
-// checkpoint journal.
-type sweepMsg struct {
-	kind    msgKind
-	index   int
-	name    string
-	worker  int
-	running float64 // msgStall: seconds in flight
+// done is a worker's report that it finished job index: results[index]
+// and errs[index] are written before it is sent. wall is the job's
+// wall-clock seconds, measured only on an enabled bus.
+type done struct {
+	index, worker int
+	wall          float64
 }
 
-type msgKind int
-
-const (
-	msgDone msgKind = iota
-	msgStall
-)
+// slot is what the coordinator knows of one worker for the stall
+// check: the job it holds (index -1 when idle), since when, and
+// whether this occupancy's stall has been reported.
+type slot struct {
+	index    int
+	start    time.Time
+	reported bool
+}
 
 // Run executes the jobs across the configured worker pool and returns
 // their results in job-index order. All dispatched jobs run to
@@ -159,7 +166,6 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	}
 	results := make([]any, n)
 	errs := make([]error, n)
-	finished := make([]bool, n) // completed this run or restored from checkpoint
 
 	// Checkpoint pre-fill: jobs a previous run already completed are
 	// restored, not re-executed. Because results merge by index, the
@@ -168,7 +174,6 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	for i := range jobs {
 		if res, ok := cfg.Checkpoint.Restored(i); ok {
 			results[i] = res
-			finished[i] = true
 			continue
 		}
 		pending = append(pending, i)
@@ -198,171 +203,118 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	// contract. Timing is gated on an enabled bus so a silent sweep
 	// pays nothing.
 	timed := cfg.Telemetry.Enabled()
-	var (
-		jobWall    []float64 // seconds, indexed by job; written before the job's done-send
-		jobWorker  []int     // worker that ran the job
-		workerBusy = make([]float64, workers)
-		workerJobs = make([]uint64, workers)
-		sweepStart time.Time
-	)
+	workerBusy := make([]float64, workers)
+	workerJobs := make([]uint64, workers)
+	var sweepStart time.Time
 	if timed {
-		jobWall = make([]float64, n)
-		jobWorker = make([]int, n)
 		sweepStart = time.Now()
 	}
 
+	var tick <-chan time.Time
+	if cfg.StallAfter > 0 {
+		t := time.NewTicker(min(max(cfg.StallAfter/4, 10*time.Millisecond), time.Second))
+		defer t.Stop()
+		tick = t.C
+	}
+
+	// The coordinator is the calling goroutine and the only one besides
+	// the workers: it hands each idle worker its next job over the
+	// worker's own one-job channel, takes the worker's done report back,
+	// and alone publishes telemetry and appends to the journal.
 	completed := n - len(pending)
 	var journalErr error
-
-	if len(pending) > 0 {
-		msgc := make(chan sweepMsg)
-		idx := make(chan int)
-
-		var track *inflightTracker
-		if cfg.StallAfter > 0 {
-			track = &inflightTracker{slots: make([]inflightSlot, workers)}
+	donec := make(chan done)
+	work := make([]chan int, workers)
+	slots := make([]slot, workers)
+	next, busy := 0, 0
+	// dispatch hands worker w the next pending job or, when none is
+	// left or the sweep is canceled, closes its channel so it exits.
+	// Checking ctx.Err before every hand-out means a pre-canceled sweep
+	// dispatches nothing and a canceled one only drains.
+	dispatch := func(w int) {
+		if next == len(pending) || ctx.Err() != nil {
+			slots[w].index = -1
+			close(work[w])
+			return
 		}
-
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range idx {
-					track.begin(w, i, jobs[i].Name)
-					var start time.Time
-					if timed {
-						start = time.Now()
-					}
-					results[i], errs[i] = runJob(jobs[i])
-					if timed {
-						jobWall[i] = time.Since(start).Seconds()
-						jobWorker[i] = w
-					}
-					track.end(w)
-					msgc <- sweepMsg{kind: msgDone, index: i}
-				}
-			}(w)
+		i := pending[next]
+		next++
+		busy++
+		slots[w] = slot{index: i}
+		if tick != nil {
+			slots[w].start = time.Now()
 		}
-
-		// Dispatcher: feeds pending indices until done or canceled.
-		// Cancellation stops dispatch; jobs already handed to workers
-		// drain normally. The explicit ctx.Err check matters: when a
-		// worker is ready AND the context is already canceled, select
-		// would pick between the two arms at random, occasionally
-		// dispatching a job under a pre-canceled context.
-		go func() {
-			defer close(idx)
-			for _, i := range pending {
-				if ctx.Err() != nil {
-					return
+		work[w] <- i
+	}
+	for w := range work {
+		work[w] = make(chan int, 1)
+		go func(jobc <-chan int) {
+			for i := range jobc {
+				var start time.Time
+				if timed {
+					start = time.Now()
 				}
-				select {
-				case idx <- i:
-				case <-ctx.Done():
-					return
+				results[i], errs[i] = runJob(jobs[i])
+				d := done{index: i, worker: w}
+				if timed {
+					d.wall = time.Since(start).Seconds()
 				}
+				donec <- d
 			}
-		}()
+		}(work[w])
+		dispatch(w)
+	}
 
-		// Every worker send on msgc is unbuffered and precedes the
-		// worker's exit, so once wg.Wait returns all worker messages
-		// have been received: closing workersDone cannot strand one.
-		workersDone := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(workersDone)
-		}()
-
-		// Hung-job watchdog: scans in-flight slots on a wall-clock
-		// ticker and reports each stalled job once, routed through the
-		// coordinator so telemetry publishing stays single-goroutine.
-		// The select against stopWatch means a pending stall report
-		// cannot deadlock shutdown.
-		var stopWatch, watchDone chan struct{}
-		if track != nil {
-			stopWatch = make(chan struct{})
-			watchDone = make(chan struct{})
-			interval := cfg.StallAfter / 4
-			if interval < 10*time.Millisecond {
-				interval = 10 * time.Millisecond
+	for busy > 0 {
+		select {
+		case d := <-donec:
+			busy--
+			completed++
+			i := d.index
+			publishJob(cfg, jobs[i].Name, i, completed, n)
+			if timed {
+				publishJobTime(cfg, jobs[i].Name, i, d.wall, d.worker)
+				workerBusy[d.worker] += d.wall
+				workerJobs[d.worker]++
 			}
-			if interval > time.Second {
-				interval = time.Second
-			}
-			go func() {
-				defer close(watchDone)
-				t := time.NewTicker(interval)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopWatch:
-						return
-					case now := <-t.C:
-						for _, m := range track.stalled(now, cfg.StallAfter) {
-							select {
-							case msgc <- m:
-							case <-stopWatch:
-								return
-							}
-						}
-					}
+			switch {
+			case errs[i] == nil:
+				if jerr := cfg.Checkpoint.Append(i, jobs[i].Name, jobs[i].Seed, results[i]); jerr != nil && journalErr == nil {
+					journalErr = jerr
 				}
-			}()
-		}
-
-		// Coordinator: the only goroutine that publishes telemetry or
-		// appends to the journal. Each done-receive happens after the
-		// worker's writes of results[i]/errs[i], so the reads below are
-		// ordered.
-	loop:
-		for {
-			select {
-			case m := <-msgc:
-				switch m.kind {
-				case msgDone:
-					completed++
-					i := m.index
-					finished[i] = true
-					publishJob(cfg, jobs[i].Name, i, completed, n)
-					if timed {
-						publishJobTime(cfg, jobs[i].Name, i, jobWall[i], jobWorker[i])
-						workerBusy[jobWorker[i]] += jobWall[i]
-						workerJobs[jobWorker[i]]++
-					}
-					switch {
-					case errs[i] == nil:
-						if jerr := cfg.Checkpoint.Append(i, jobs[i].Name, jobs[i].Seed, results[i]); jerr != nil && journalErr == nil {
-							journalErr = jerr
-						}
-					case IsDegraded(errs[i]):
-						// Budget trip: the job completed by degrading, not
-						// by failing. Record the Degraded result, clear the
-						// error (so the sweep succeeds), and skip the
-						// journal — on resume the job re-runs and degrades
-						// identically, since deterministic budgets are
-						// functions of the seed.
-						results[i] = Degraded{Job: jobs[i].Name, Index: i, Seed: jobs[i].Seed, Err: errs[i]}
-						errs[i] = nil
-						cfg.Telemetry.Publish(telemetry.Event{
-							Comp: telemetry.CompSweep, Kind: telemetry.KSweepDegraded,
-							Src: jobs[i].Name, Flow: telemetry.NoFlow, Seq: int64(i),
-						})
-					}
-				case msgStall:
-					cfg.Telemetry.Publish(telemetry.Event{
-						Comp: telemetry.CompSweep, Kind: telemetry.KSweepStall,
-						Src: m.name, Flow: telemetry.NoFlow, Seq: int64(m.index),
-						A: m.running, B: float64(m.worker),
-					})
-				}
-			case <-workersDone:
-				break loop
+			case IsDegraded(errs[i]):
+				// Budget trip: the job completed by degrading, not by
+				// failing. Record the Degraded result, clear the error
+				// (so the sweep succeeds), and skip the journal — on
+				// resume the job re-runs and degrades identically, since
+				// deterministic budgets are functions of the seed.
+				results[i] = Degraded{Job: jobs[i].Name, Index: i, Seed: jobs[i].Seed, Err: errs[i]}
+				errs[i] = nil
+				cfg.Telemetry.Publish(telemetry.Event{
+					Comp: telemetry.CompSweep, Kind: telemetry.KSweepDegraded,
+					Src: jobs[i].Name, Flow: telemetry.NoFlow, Seq: int64(i),
+				})
 			}
-		}
-		if stopWatch != nil {
-			close(stopWatch)
-			<-watchDone
+			// The next job goes out last, just before the loop blocks
+			// again: handed out first, it made paper-suite's one-worker
+			// sweeps ~7 % slower on a 2-vCPU box.
+			dispatch(d.worker)
+		case now := <-tick:
+			// Stall check: report each job in flight at least
+			// StallAfter once per occupancy, without interrupting it.
+			// It keeps running while a canceled sweep drains.
+			for w := range slots {
+				s := &slots[w]
+				if s.index < 0 || s.reported || now.Sub(s.start) < cfg.StallAfter {
+					continue
+				}
+				s.reported = true
+				cfg.Telemetry.Publish(telemetry.Event{
+					Comp: telemetry.CompSweep, Kind: telemetry.KSweepStall,
+					Src: jobs[s.index].Name, Flow: telemetry.NoFlow, Seq: int64(s.index),
+					A: now.Sub(s.start).Seconds(), B: float64(w),
+				})
+			}
 		}
 	}
 
@@ -385,19 +337,12 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	// Error assembly: cancellation first (only when it actually cut the
 	// sweep short), then per-job failures lowest-index-first, each naming
 	// the seed that replays it, then any journal write failure.
-	// errors.Join keeps every cause reachable by errors.Is/As.
+	// errors.Join keeps every cause reachable by errors.Is/As. Every
+	// dispatched job completes, so the unfinished are n - completed.
 	var fail []error
-	if ctx.Err() != nil {
-		skipped := 0
-		for i := range finished {
-			if !finished[i] {
-				skipped++
-			}
-		}
-		if skipped > 0 {
-			fail = append(fail, fmt.Errorf("sweep %s: canceled with %d of %d jobs unfinished: %w",
-				cfg.Name, skipped, n, context.Cause(ctx)))
-		}
+	if ctx.Err() != nil && completed < n {
+		fail = append(fail, fmt.Errorf("sweep %s: canceled with %d of %d jobs unfinished: %w",
+			cfg.Name, n-completed, n, context.Cause(ctx)))
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -468,62 +413,6 @@ func runJob(j Job) (res any, err error) {
 	res, err = j.Run(j.Seed)
 	returned = true
 	return res, err
-}
-
-// inflightTracker records which job each worker is running and since
-// when, for the stall watchdog. Methods are nil-safe so the hot path
-// can call them unconditionally.
-type inflightTracker struct {
-	mu    sync.Mutex
-	slots []inflightSlot
-}
-
-type inflightSlot struct {
-	active   bool
-	index    int
-	name     string
-	start    time.Time
-	reported bool
-}
-
-func (t *inflightTracker) begin(w, index int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.slots[w] = inflightSlot{active: true, index: index, name: name, start: time.Now()}
-	t.mu.Unlock()
-}
-
-func (t *inflightTracker) end(w int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.slots[w].active = false
-	t.mu.Unlock()
-}
-
-// stalled returns one message per newly stalled job: in flight at
-// least `after` and not yet reported for this occupancy.
-func (t *inflightTracker) stalled(now time.Time, after time.Duration) []sweepMsg {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []sweepMsg
-	for w := range t.slots {
-		s := &t.slots[w]
-		if !s.active || s.reported {
-			continue
-		}
-		if running := now.Sub(s.start); running >= after {
-			s.reported = true
-			out = append(out, sweepMsg{
-				kind: msgStall, index: s.index, name: s.name,
-				worker: w, running: running.Seconds(),
-			})
-		}
-	}
-	return out
 }
 
 func publishJob(cfg Config, name string, index, completed, total int) {

@@ -44,8 +44,11 @@ func (e *rttEstimator) sample(rtt sim.Time) {
 	if diff < 0 {
 		diff = -diff
 	}
-	e.rttvar = (1-beta)*e.rttvar + beta*diff
-	e.srtt = (1-alpha)*e.srtt + alpha*s
+	// Each product is rounded on its own (float64(...)) so no
+	// architecture fuses it into a multiply-add: the estimate, and every
+	// timeout built on it, is the same bit for bit on amd64 and arm64.
+	e.rttvar = float64((1-beta)*e.rttvar) + float64(beta*diff)
+	e.srtt = float64((1-alpha)*e.srtt) + float64(alpha*s)
 }
 
 // rto returns the current retransmission timeout, rounded up to the
@@ -54,7 +57,7 @@ func (e *rttEstimator) rto() sim.Time {
 	if !e.sampled {
 		return 3 * time.Second // RFC 1122 initial RTO
 	}
-	raw := sim.Time((e.srtt + 4*e.rttvar) * float64(time.Second))
+	raw := sim.Time((e.srtt + float64(4*e.rttvar)) * float64(time.Second))
 	// Round up to the timer granularity, as a BSD-style slow timer
 	// would observe it.
 	ticks := (raw + TimerGranularity - 1) / TimerGranularity

@@ -229,9 +229,6 @@ func (s *Sender) TransferDelay() (sim.Time, bool) {
 
 // --- accessors used by strategies and experiments ---
 
-// Now returns the current simulated time.
-func (s *Sender) Now() sim.Time { return s.sched.Now() }
-
 // Flow returns the connection identifier.
 func (s *Sender) Flow() int { return s.cfg.Flow }
 

@@ -123,17 +123,11 @@ type CounterVar struct{ v *atomic.Uint64 }
 // Add increments the counter.
 func (c CounterVar) Add(delta uint64) { c.v.Add(delta) }
 
-// Value reads the counter.
-func (c CounterVar) Value() uint64 { return c.v.Load() }
-
 // GaugeVar is a resolved handle on one gauge.
 type GaugeVar struct{ v *atomic.Uint64 }
 
 // Set stores the gauge value.
 func (g GaugeVar) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Value reads the gauge.
-func (g GaugeVar) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
 // CounterVarOf resolves a live handle on the named counter.
 func (r *Registry) CounterVarOf(name string) CounterVar { return CounterVar{r.counterCell(name)} }

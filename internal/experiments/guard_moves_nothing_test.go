@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,9 +157,11 @@ func TestInfiniteGuardMovesNothing(t *testing.T) {
 		for arm := range ends {
 			w := &scenario.World{}
 			var bus *telemetry.Bus
+			var metrics *telemetry.MetricsSink
 			if arm == watched {
+				metrics = telemetry.NewMetricsSink()
 				bus = telemetry.NewBus(telemetry.NewNDJSONSink(io.Discard), telemetry.NewSpanSink(),
-					telemetry.NewSeriesSink(), telemetry.NewMetricsSink(), flowstats.New(flowstats.Config{}))
+					telemetry.NewSeriesSink(), metrics, flowstats.New(flowstats.Config{}))
 			}
 			horizon, err := c.build(w, bus)
 			if err != nil {
@@ -182,6 +185,22 @@ func TestInfiniteGuardMovesNothing(t *testing.T) {
 			ends[arm] = endOf(w)
 			if checker != nil && len(checker.Violations()) > 0 {
 				t.Errorf("%s: checker reported %v", c.name, checker.Violations())
+			}
+			if metrics != nil {
+				// The observed arm must have observed: the bottleneck
+				// queue (Rebuild), the first sender (Rebuild or Install),
+				// the sampler and, under a plan, the flaps (plan.Apply)
+				// all reached the bus.
+				snap := metrics.R.Snapshot()
+				want := []string{"queue.", "sender.0.data_sent", "sender.0.sample_"}
+				if c.plan {
+					want = append(want, ".flaps")
+				}
+				for _, name := range want {
+					if !strings.Contains(snap, name) {
+						t.Errorf("%s: observed run published no %s metric:\n%s", c.name, name, snap)
+					}
+				}
 			}
 		}
 		if got, want := fmt.Sprintf("%+v", ends[guarded]), fmt.Sprintf("%+v", ends[bare]); got != want {

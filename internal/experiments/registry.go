@@ -180,7 +180,7 @@ type RunOptions struct {
 	// context.Cause. Completed jobs are still journaled when a
 	// checkpoint is active, so a canceled run can be resumed.
 	Context context.Context
-	// StallAfter arms the sweep's hung-job watchdog.
+	// StallAfter arms the sweep loop's stall check for hung jobs.
 	StallAfter time.Duration
 	// CheckpointDir, when non-empty, journals completed job results
 	// under this directory, in a journal of the sweep's own: its key

@@ -356,6 +356,56 @@ func TestRunScenarioTraceOut(t *testing.T) {
 	}
 }
 
+// metricsOf renders an -events log as rrtrace metrics does: the log
+// replayed into a MetricsSink, its registry snapshot.
+func metricsOf(t *testing.T, log []byte) string {
+	t.Helper()
+	evs, _, err := telemetry.DecodeNDJSON(bytes.NewReader(log))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	ms := telemetry.NewMetricsSink()
+	telemetry.Replay(evs, ms)
+	return ms.R.Snapshot()
+}
+
+// A scenario's event log is a function of its seed: two runs of every
+// example scenario write the same bytes, and so the same metrics.
+func TestRunScenarioEventLogIsTheSeeds(t *testing.T) {
+	specs, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	for _, spec := range specs {
+		t.Run(filepath.Base(spec), func(t *testing.T) {
+			var logs [2][]byte
+			for i := range logs {
+				events := filepath.Join(t.TempDir(), "events.ndjson")
+				if _, err := capture(t, func() error {
+					return run([]string{"run", "-events", events, spec})
+				}); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if logs[i], err = os.ReadFile(events); err != nil {
+					t.Fatalf("events file: %v", err)
+				}
+			}
+			if !bytes.Equal(logs[0], logs[1]) {
+				a, b := strings.Split(string(logs[0]), "\n"), strings.Split(string(logs[1]), "\n")
+				for i := range min(len(a), len(b)) {
+					if a[i] != b[i] {
+						t.Fatalf("two runs' event logs differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+					}
+				}
+				t.Fatalf("two runs' event logs differ in length: %d and %d lines", len(a), len(b))
+			}
+			if a, b := metricsOf(t, logs[0]), metricsOf(t, logs[1]); a != b {
+				t.Fatalf("two runs' metrics differ:\n%s\n---\n%s", a, b)
+			}
+		})
+	}
+}
+
 func TestRunPprofProfiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := capture(t, func() error {

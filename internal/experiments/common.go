@@ -39,9 +39,10 @@ import (
 // subscribed to bus after the caller's own sinks and watching every
 // sender, its liveness watchdog, and the fault plan. The flows must
 // publish to bus. The bottleneck is instrumented here rather than
-// through Spec.Telemetry, which would also attach the scheduler's
-// wall-clock profile: these runs record their stream (repro bundles,
-// kept/dropped counts), so it has to stay deterministic.
+// through Spec.Telemetry because Rebuild instruments only a bus that
+// already has a subscriber, and the checker, which needs the built
+// scheduler, subscribes here: in a chaos sweep without flow stats it is
+// the bus's only subscriber.
 func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng *rand.Rand) (*invariant.Checker, error) {
 	checker := invariant.NewChecker(w.Sched, bus)
 	bus.Subscribe(checker)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"rrtcp/internal/scenario"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/sweep"
+	"rrtcp/internal/telemetry"
 )
 
 // work is what a set of worlds cost the scheduler: the events Processed
@@ -36,6 +38,11 @@ var pinnedWork = map[string]work{
 	"burstloss":        {1813, 994},
 	"red-contention":   {11674, 6961},
 	"twoway-fairqueue": {71384, 41711},
+	// examples/scenarios as rrsim run -events runs them: an NDJSON sink
+	// on the bus and gauges sampled every 10 ms
+	"burstloss -events":        {2081, 1262},
+	"red-contention -events":   {12674, 7959},
+	"twoway-fairqueue -events": {77384, 47710},
 	// rrsim all -quick
 	"fig5 drops 3": {7288, 4080},
 	"fig5 drops 6": {7348, 4098},
@@ -55,8 +62,9 @@ var pinnedWork = map[string]work{
 	"rrsim all":        {8043637, 4740635}, // the suite paper-suite times: 41 % fewer events dispatched
 }
 
-// TestWorkRemoved pins what each golden scenario and each experiment of
-// `rrsim all -quick` processes and dispatches, and holds the dispatched
+// TestWorkRemoved pins what each golden scenario, with telemetry off and
+// on, and each experiment of `rrsim all -quick` processes and
+// dispatches, and holds the dispatched
 // share where the reserved completions remove most: the long dumbbell
 // runs behind the paper's figures, and the suite as a whole.
 func TestWorkRemoved(t *testing.T) {
@@ -66,18 +74,26 @@ func TestWorkRemoved(t *testing.T) {
 		t.Fatalf("no example scenarios found (%v)", err)
 	}
 	for _, path := range files {
-		spec, err := scenario.LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		for _, events := range []bool{false, true} {
+			spec, err := scenario.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := strings.TrimSuffix(filepath.Base(path), ".json")
+			if events {
+				spec.Telemetry = telemetry.NewBus(telemetry.NewNDJSONSink(io.Discard))
+				spec.SampleEvery = 10 * time.Millisecond
+				name += " -events"
+			}
+			w, err := scenario.Build(spec.Seed, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Run(time.Duration(spec.Duration))
+			var c work
+			c.add(w.Sched)
+			got[name] = c
 		}
-		w, err := scenario.Build(spec.Seed, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Run(time.Duration(spec.Duration))
-		var c work
-		c.add(w.Sched)
-		got[strings.TrimSuffix(filepath.Base(path), ".json")] = c
 	}
 	// The experiments of rrsim all, which runs fig5 at 3 and 6 drops, and
 	// with them the full fig7 that -quick shrinks: quick and full, the

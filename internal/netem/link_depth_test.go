@@ -46,8 +46,9 @@ func TestEventQueueDepthIndependentOfWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.SetProfileHook(1, func(_ sim.Time, _ uint64, pending int) {
+		s.SetGuard(func(_ sim.Time, _ uint64, pending int) error {
 			peakPending = max(peakPending, pending)
+			return nil
 		})
 		s.Run(30 * time.Second)
 		return s, peakPending

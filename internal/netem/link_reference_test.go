@@ -130,8 +130,8 @@ func sortedBelow(xs []sim.Time, x sim.Time) int {
 // than a serialization, buffers down to one packet — and checks every
 // packet's admission and departure against the Lindley recursion. Each
 // trace runs twice: as is, where the link reserves the completions that
-// find the queue empty, and under a profile hook, where it pushes every
-// completion. Both count one arrival, one delivery and one completion
+// find the queue empty, and under a guard that never trips, where it
+// pushes every completion. Both count one arrival, one delivery and one completion
 // per packet sent.
 func TestLinkMatchesLindleyReference(t *testing.T) {
 	rates := []float64{8e6, 0.8e6, 100e6}
@@ -167,7 +167,7 @@ func TestLinkMatchesLindleyReference(t *testing.T) {
 				}
 			}
 			if hooked {
-				s.SetProfileHook(1<<62, func(sim.Time, uint64, int) {})
+				s.SetGuard(func(sim.Time, uint64, int) error { return nil })
 			}
 			s.RunAll()
 			tr := ts["link"]

@@ -238,11 +238,12 @@ func TestSharedLanesBoundedByDelaysPending(t *testing.T) {
 	delivered := 0
 	l := Must(NewLink(s, 100e6, time.Millisecond, Must(NewDropTail(8)), NodeFunc(func(*Packet) { delivered++ })))
 	peakWire, offered, seen := 0, 0, map[sim.Time]bool{}
-	s.SetProfileHook(1, func(sim.Time, uint64, int) {
+	s.SetGuard(func(sim.Time, uint64, int) error {
 		peakWire = max(peakWire, int(l.TxPackets)-delivered)
 		if n := s.LaneCount(); n > peakWire+1 {
 			t.Fatalf("%d lanes after at most %d packets on the wire at once, want one each plus the serialization lane", n, peakWire)
 		}
+		return nil
 	})
 	var feed *sim.Timer
 	feed = s.NewTimer(func() {

@@ -14,8 +14,8 @@ import (
 // reserves the completion's key instead of pushing it (transmitNext),
 // and settles the completion itself once the run has passed the key
 // (settle). The tests below drive one link to each edge of that rule
-// twice: as is, and under a profile hook, where the link pushes every
-// completion as a timer-per-event link would. Everything the link and
+// twice: as is, and under a guard that never trips, where the link pushes
+// every completion as a timer-per-event link would. Everything the link and
 // the scheduler report must agree.
 
 // settleLink is the link the edge tests drive: 8 Mb/s, so a 1000-byte
@@ -74,9 +74,9 @@ func (r *settleRun) owing() (owes, passed bool) {
 	return r.l.owes, r.l.owes && r.s.Passed(r.l.owed)
 }
 
-// twinRuns runs script as is and under a profile hook, and fails unless
-// both logs agree. The script asserts, in the run without the hook, that
-// the link took the path under test.
+// twinRuns runs script as is and under a guard that never trips, and
+// fails unless both logs agree. The script asserts, in the run without
+// the guard, that the link took the path under test.
 func twinRuns(t *testing.T, script func(t *testing.T, r *settleRun)) {
 	t.Helper()
 	var logs [2][]string
@@ -84,7 +84,7 @@ func twinRuns(t *testing.T, script func(t *testing.T, r *settleRun)) {
 		r := &settleRun{s: sim.NewScheduler(1), lazy: lazy}
 		r.l, r.red = settleLink(r.s, NodeFunc(func(p *Packet) { r.logf("delivered %d", pktID(p)) }))
 		if !lazy {
-			r.s.SetProfileHook(1<<62, func(sim.Time, uint64, int) {})
+			r.s.SetGuard(func(sim.Time, uint64, int) error { return nil })
 		}
 		script(t, r)
 		r.counts("end")

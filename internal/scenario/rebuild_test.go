@@ -151,17 +151,13 @@ func TestRebuildAllocations(t *testing.T) {
 
 // firstDifference returns the index of the first event where a and b
 // differ, -1 if they are the same. Attributes compare bit for bit (a
-// gauge sample may be NaN), except the wall-clock cost a scheduler
-// profile carries.
+// gauge sample may be NaN).
 func firstDifference(a, b []telemetry.Event) int {
 	type bitsEvent struct {
 		ev   telemetry.Event
 		a, b uint64
 	}
 	bits := func(ev telemetry.Event) bitsEvent {
-		if ev.Kind == telemetry.KSchedProfile {
-			ev.B = 0
-		}
 		x := bitsEvent{a: math.Float64bits(ev.A), b: math.Float64bits(ev.B)}
 		ev.A, ev.B = 0, 0
 		x.ev = ev

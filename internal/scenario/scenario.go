@@ -392,7 +392,6 @@ func (w *World) Rebuild(seed int64, s *Spec) error {
 	}
 	if s.Telemetry.Enabled() {
 		w.Net.Instrument(s.Telemetry)
-		telemetry.AttachSchedulerProfile(sched, s.Telemetry, 4096)
 		w.sampler = telemetry.NewSampler(sched, s.Telemetry, s.SampleEvery)
 		w.sampler.AddInstance(telemetry.CompQueue, "fwd", w.Net.BottleneckQueue())
 	}

@@ -138,29 +138,22 @@ func TestPassedIsAgainstTheEventFiring(t *testing.T) {
 	}
 }
 
-// A hook installed while events are owed is installed after they are
+// A guard installed while events are owed is installed after they are
 // paid, so it counts them; while it is installed nothing is reserved.
 func TestHookInstalledWithEventsOwed(t *testing.T) {
-	for _, hook := range []string{"guard", "profile"} {
-		t.Run(hook, func(t *testing.T) {
-			twinScripts(t, func(s *Scheduler, d *idler) {
-				d.start(time.Millisecond, 1) // before the run: owed by the reserving twin
-				var seen []uint64
-				watch := func(_ Time, processed uint64, _ int) { seen = append(seen, processed) }
-				if hook == "guard" {
-					s.SetGuard(func(now Time, processed uint64, pending int) error { watch(now, processed, pending); return nil })
-				} else {
-					s.SetProfileHook(1, watch)
-				}
-				s.NewTimer(func() { d.start(time.Millisecond, 2) }).Reset(0)
-				s.RunAll()
-				d.logf("hook saw %v", seen)
-				if len(d.owed) != 0 {
-					t.Error("an event was reserved while a hook was installed")
-				}
-			})
+	t.Run("guard", func(t *testing.T) {
+		twinScripts(t, func(s *Scheduler, d *idler) {
+			d.start(time.Millisecond, 1) // before the run: owed by the reserving twin
+			var seen []uint64
+			s.SetGuard(func(_ Time, processed uint64, _ int) error { seen = append(seen, processed); return nil })
+			s.NewTimer(func() { d.start(time.Millisecond, 2) }).Reset(0)
+			s.RunAll()
+			d.logf("guard saw %v", seen)
+			if len(d.owed) != 0 {
+				t.Error("an event was reserved while a guard was installed")
+			}
 		})
-	}
+	})
 }
 
 // Reset forgets the debtors and what they owed: Processed reads zero and

@@ -8,8 +8,8 @@ import (
 )
 
 // worldA leaves s as a world the next Reset must wipe: the ordering
-// script run to its end, streams drawn from and one left undrawn, hooks
-// installed, timers armed and lanes pushed that
+// script run to its end, streams drawn from and one left undrawn, a
+// guard installed, timers armed and lanes pushed that
 // never fire, packets counted and not flushed.
 func worldA(t *testing.T, s *Scheduler, seed int64) {
 	t.Helper()
@@ -20,7 +20,6 @@ func worldA(t *testing.T, s *Scheduler, seed int64) {
 	s.Rand().Float64()
 	s.DeriveRand("faults").Int63()
 	s.DeriveRand("stress-plan")
-	s.SetProfileHook(7, func(Time, uint64, int) {})
 	s.SetGuard(func(Time, uint64, int) error { return nil })
 	q.armTimer(3, s.Now()+time.Second, -1)
 	q.pushLane(2, time.Second, -2)

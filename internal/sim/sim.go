@@ -160,12 +160,8 @@ type Scheduler struct {
 	// them the process-wide total has.
 	dispatched, credited, flushed uint64
 
-	// Profiling hook, fired every profEvery processed events.
-	profEvery uint64
-	profHook  func(now Time, processed uint64, pending int)
-
-	// Guard hook, consulted after every processed event; a non-nil
-	// return stops the run.
+	// Guard hook, the one per-event hook: consulted after every
+	// processed event, a non-nil return stops the run.
 	guard func(now Time, processed uint64, pending int) error
 
 	// What Reset hands on to the next world besides the queue's own
@@ -362,20 +358,6 @@ func (s *Scheduler) HeapHighWater() int { return s.highWater }
 // and what taking one event costs to scan.
 func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 
-// SetProfileHook installs fn to be called every `every` processed
-// events with the current time, the total processed count, and the
-// heap depth — the scheduler-side feed for telemetry profiling. A nil
-// fn or zero interval removes the hook. The hook runs synchronously on
-// the simulation goroutine and must not schedule or cancel events.
-func (s *Scheduler) SetProfileHook(every uint64, fn func(now Time, processed uint64, pending int)) {
-	s.payDebts()
-	if fn == nil || every == 0 {
-		s.profEvery, s.profHook = 0, nil
-		return
-	}
-	s.profEvery, s.profHook = every, fn
-}
-
 // SetGuard installs fn to be consulted after every processed event with
 // the current time, the total processed count, and the heap depth — the
 // scheduler side of the overload guard (internal/guard). When fn
@@ -384,8 +366,9 @@ func (s *Scheduler) SetProfileHook(every uint64, fn func(now Time, processed uin
 // guard.Monitor.Err). A nil fn removes the hook; with no guard
 // installed the loop pays a single nil check per event, so a
 // guarded-but-untripped run processes the exact same event sequence as
-// an unguarded one. Like the profiling hook, fn runs synchronously on
-// the simulation goroutine and must not schedule or cancel events.
+// an unguarded one. It is the scheduler's one per-event hook. fn runs
+// synchronously on the simulation goroutine and must not schedule or
+// cancel events.
 func (s *Scheduler) SetGuard(fn func(now Time, processed uint64, pending int) error) {
 	s.payDebts()
 	s.guard = fn
@@ -407,12 +390,12 @@ func (s *Scheduler) SetGuard(fn func(now Time, processed uint64, pending int) er
 // scheduler need not dispatch them. The caller must be registered as a
 // Debtor, which the scheduler has pay what it owes wherever the count
 // of events is read (Processed, Pending, the end of a run) and before a
-// hook that reads it on every event is installed. While such a hook is
-// installed (SetGuard, SetProfileHook) Reserve takes nothing and
-// reports false: the caller pushes the event as usual, so that the
-// hook sees every event fire.
+// guard, which reads it on every event, is installed. While a guard is
+// installed (SetGuard) Reserve takes nothing and reports false: the
+// caller pushes the event as usual, so that the guard sees every event
+// fire.
 func (s *Scheduler) Reserve(d Time) (Key, bool) {
-	if s.guard != nil || s.profHook != nil {
+	if s.guard != nil {
 		return Key{}, false
 	}
 	s.owing++
@@ -634,10 +617,7 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			s.timers.remove(0)
 			s.timers.slots[idx].fn()
 		}
-		// With a hook installed nothing is owed, so Pending pays nothing.
-		if s.profHook != nil && s.fired()%s.profEvery == 0 {
-			s.profHook(s.now, s.fired(), s.Pending())
-		}
+		// With a guard installed nothing is owed, so Pending pays nothing.
 		if s.guard != nil {
 			if s.guard(s.now, s.fired(), s.Pending()) != nil {
 				s.stopped = true

@@ -114,13 +114,6 @@ type TelemetryDropStats struct {
 	Kept    float64
 }
 
-// SchedStats aggregates scheduler self-profiling ("sched") events.
-type SchedStats struct {
-	Profiles   int
-	Events     int64   // processed count at the last profile event
-	MaxPending float64 // peak event-heap depth observed
-}
-
 // LogSummary is the full analysis of an event log.
 type LogSummary struct {
 	From, To float64
@@ -136,7 +129,6 @@ type LogSummary struct {
 	Sweeps         []SweepStats         // in log order
 	Overload       []OverloadStats      // sorted by resource
 	Drops          []TelemetryDropStats // sorted by src
-	Sched          SchedStats
 }
 
 // Summarize reconstructs per-flow recovery episodes and per-queue drop
@@ -204,15 +196,6 @@ func Summarize(events []Event) LogSummary {
 			}
 			s.N++
 			s.Last = ev.A
-			continue
-		case KSchedProfile:
-			sum.Sched.Profiles++
-			if ev.Seq > sum.Sched.Events {
-				sum.Sched.Events = ev.Seq
-			}
-			if ev.A > sum.Sched.MaxPending {
-				sum.Sched.MaxPending = ev.A
-			}
 			continue
 		case KSweepStart, KSweepJob, KSweepJobTime, KSweepWorker, KSweepStall, KSweepDegraded, KSweepDone:
 			if ev.Kind == KSweepStart && sweep.open() {
@@ -445,11 +428,6 @@ func (s LogSummary) Render() string {
 		for _, d := range s.Drops {
 			fmt.Fprintf(&b, "%-12s %-12.0f %.0f\n", d.Src, d.Dropped, d.Kept)
 		}
-	}
-	if s.Sched.Profiles > 0 {
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "scheduler: %d profile samples, %d events processed, peak heap %d\n",
-			s.Sched.Profiles, s.Sched.Events, int64(s.Sched.MaxPending))
 	}
 	return b.String()
 }

@@ -378,13 +378,6 @@ func (m *MetricsSink) Emit(ev Event) {
 		m.R.Inc(srcKey("fault", ev.Src, "ack_batches"), 1)
 	case KViolation:
 		m.R.Inc("invariant.violations", 1)
-	case KSchedProfile:
-		m.R.SetGauge("sim.events_processed", float64(ev.Seq))
-		m.R.SetGauge("sim.heap_depth", ev.A)
-		m.R.ObserveLog("sim.heap_depth_hist", ev.A)
-		if ev.B > 0 {
-			m.R.SetGauge("sim.wall_per_sim_s", ev.B)
-		}
 	case KSample:
 		// Gauge names join with '_' (not '.') so the dotted path keeps
 		// its comp.instance.metric shape for Prometheus translation.

@@ -29,7 +29,7 @@ type Component uint8
 
 // Components, one per instrumented layer.
 const (
-	CompSim       Component = iota + 1 // the discrete-event scheduler
+	_             Component = iota + 1 // retired ("sim", the scheduler profile); later components keep their numbers
 	CompLink                           // a netem link
 	CompQueue                          // a netem queue discipline
 	CompLoss                           // a netem loss injector
@@ -47,7 +47,6 @@ const (
 
 // compNames is the NDJSON vocabulary of components, indexed by value.
 var compNames = [compSentinel]string{
-	CompSim:       "sim",
 	CompLink:      "link",
 	CompQueue:     "queue",
 	CompLoss:      "loss",
@@ -63,16 +62,16 @@ var compNames = [compSentinel]string{
 
 // String implements fmt.Stringer.
 func (c Component) String() string {
-	if c == 0 || c >= compSentinel {
+	if c >= compSentinel || compNames[c] == "" {
 		return "?"
 	}
 	return compNames[c]
 }
 
 // ParseComponent is the inverse of Component.String; unknown names
-// return 0.
+// return 0, and nothing parses to the retired slot.
 func ParseComponent(s string) Component {
-	for c := CompSim; c < compSentinel; c++ {
+	for c := CompLink; c < compSentinel; c++ {
 		if c.String() == s {
 			return c
 		}
@@ -108,8 +107,7 @@ const (
 	KMark    // packet probabilistically dropped/marked by RED (A=occupancy, B=avg)
 	KLinkTx  // link began serializing a packet (A=bytes, B=occupancy left behind)
 
-	// Scheduler profiling.
-	KSchedProfile // Seq=events processed, A=heap depth, B=wall-sec per sim-sec
+	_ // retired ("sched", the wall-clock scheduler profile); later kinds keep their numbers
 
 	// Fault-injection events (internal/faults and the netem hook points).
 	KLinkDown     // link carrier lost (flap begins)
@@ -203,7 +201,6 @@ var kindTable = [kindSentinel]kindInfo{
 	KDrop:           {name: "drop", a: "qlen", b: "forced"},
 	KMark:           {name: "mark", a: "qlen", b: "avg"},
 	KLinkTx:         {name: "link-tx", a: "bytes", b: "qlen"},
-	KSchedProfile:   {name: "sched", a: "pending", b: "wall_per_sim_s"},
 	KLinkDown:       {name: "link-down"},
 	KLinkUp:         {name: "link-up"},
 	KLinkParam:      {name: "link-param", a: "bps", b: "delay_s"},
@@ -236,7 +233,7 @@ func (k Kind) String() string {
 // ParseKind is the inverse of Kind.String; unknown names return 0.
 func ParseKind(s string) Kind {
 	if s == "" {
-		return 0 // the retired slot's empty name is not a name
+		return 0 // a retired slot's empty name is not a name
 	}
 	for k := KSend; k < kindSentinel; k++ {
 		if kindTable[k].name == s {
@@ -256,7 +253,7 @@ func (k Kind) attrNames() (a, b string) {
 }
 
 // NoFlow marks events not scoped to a TCP connection (queues, links,
-// the scheduler).
+// sweeps).
 const NoFlow int32 = -1
 
 // Event is one telemetry record. It is a plain value: publishing one

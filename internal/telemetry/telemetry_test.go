@@ -167,7 +167,10 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	for k := KSend; k < kindSentinel; k++ {
 		name := k.String()
 		if k == KSweepStall+1 {
-			continue // the retired slot; TestResilienceKindsRoundTripNDJSON pins it
+			continue // the retired sweep-retry slot; TestResilienceKindsRoundTripNDJSON pins it
+		}
+		if k == KLinkTx+1 {
+			continue // the retired sched slot, pinned below
 		}
 		if name == "?" || name == "" {
 			t.Fatalf("kind %d has no name", k)
@@ -182,10 +185,16 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	if Kind(0).String() != "?" || kindSentinel.String() != "?" || Kind(255).String() != "?" {
 		t.Fatal("out-of-vocabulary kind has a name")
 	}
+	// The scheduler profile's retired slot keeps the later kinds'
+	// numbers but has no name: it prints as out-of-vocabulary and
+	// nothing parses to it.
+	if retired := KLinkTx + 1; retired != 18 || retired.String() != "?" || KLinkDown != retired+1 || ParseKind("sched") != 0 {
+		t.Fatalf("retired slot %d prints %q; KLinkDown = %d; ParseKind(sched) = %d", retired, retired, KLinkDown, ParseKind("sched"))
+	}
 }
 
 func TestComponentNamesRoundTrip(t *testing.T) {
-	for c := CompSim; c < compSentinel; c++ {
+	for c := CompLink; c < compSentinel; c++ {
 		name := c.String()
 		if name == "?" || name == "" {
 			t.Fatalf("component %d has no name", c)
@@ -200,6 +209,12 @@ func TestComponentNamesRoundTrip(t *testing.T) {
 	if Component(0).String() != "?" || compSentinel.String() != "?" || Component(255).String() != "?" {
 		t.Fatal("out-of-vocabulary component has a name")
 	}
+	// The scheduler's retired slot (it was "sim") keeps the later
+	// components' numbers, prints as out-of-vocabulary and parses from
+	// nothing.
+	if Component(1).String() != "?" || CompLink != 2 || ParseComponent("sim") != 0 {
+		t.Fatalf("retired component 1 prints %q; CompLink = %d; ParseComponent(sim) = %d", Component(1), CompLink, ParseComponent("sim"))
+	}
 }
 
 func TestNDJSONRoundTrip(t *testing.T) {
@@ -208,7 +223,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	events := []Event{
 		{At: 1500 * time.Millisecond, Comp: CompRR, Kind: KRecoveryEnter, Flow: 0, Seq: 60000, A: 13.6, B: 6.5},
 		{At: 2 * time.Second, Comp: CompQueue, Kind: KDrop, Src: "fwd", Flow: 1, Seq: 1000, A: 8, B: 1},
-		{At: 3 * time.Second, Comp: CompSim, Kind: KSchedProfile, Flow: NoFlow, Seq: 4096, A: 12, B: 0.001},
+		{At: 3 * time.Second, Comp: CompLink, Kind: KLinkTx, Src: "bottleneck", Flow: NoFlow, Seq: 4096, A: 1000, B: 12},
 	}
 	for _, ev := range events {
 		sink.Emit(ev)

@@ -139,11 +139,11 @@ func chaosWorld(w *scenario.World, c ChaosCase, sinks []telemetry.Sink) (flow *w
 		return nil, nil, fmt.Errorf("chaos: horizon must be positive, got %v", time.Duration(c.Horizon))
 	}
 
-	if err = w.Rebuild(c.Seed, &scenario.Spec{}); err != nil { // Table 3, one slot
+	bus := telemetry.NewBus(sinks...)
+	if err = w.Rebuild(c.Seed, &scenario.Spec{Telemetry: bus}); err != nil { // Table 3, one slot
 		return nil, nil, err
 	}
 	sched := w.Sched
-	bus := telemetry.NewBus(sinks...)
 	spec := workload.FlowSpec{
 		Kind:      kind,
 		Bytes:     c.Bytes,

@@ -37,16 +37,11 @@ import (
 // supervise arms what the robustness experiments (chaos, stress) add to
 // a built world once its flows are installed: the invariant checker,
 // subscribed to bus after the caller's own sinks and watching every
-// sender, its liveness watchdog, and the fault plan. The flows must
-// publish to bus. The bottleneck is instrumented here rather than
-// through Spec.Telemetry because Rebuild instruments only a bus that
-// already has a subscriber, and the checker, which needs the built
-// scheduler, subscribes here: in a chaos sweep without flow stats it is
-// the bus's only subscriber.
+// sender, its liveness watchdog, and the fault plan. The world must be
+// built with bus as its Spec.Telemetry and its flows must publish to it.
 func supervise(w *scenario.World, bus *telemetry.Bus, plan *faults.PlanSpec, rng *rand.Rand) (*invariant.Checker, error) {
 	checker := invariant.NewChecker(w.Sched, bus)
 	bus.Subscribe(checker)
-	w.Net.Instrument(bus)
 	for _, f := range w.Flows {
 		checker.WatchSender(f.Sender)
 	}

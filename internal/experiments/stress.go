@@ -132,18 +132,6 @@ type StressCell struct {
 // budgets. A cell that trips a budget or stalls returns its report with
 // the typed cause, which carries the sweep's Degraded marker.
 func (cfg StressConfig) run(w *scenario.World, index int, seed int64) (StressCell, error) {
-	// The paper topology, scaled up: the bottleneck (Table 3's 0.8 Mbps)
-	// grows with the flow count so the cell is congested but not parked,
-	// and the shared buffer deepens with the fan-in.
-	err := w.Rebuild(seed, &scenario.Spec{Topology: &scenario.TopologySpec{
-		Flows:         cfg.Flows,
-		BottleneckBps: 0.8e6 * max(float64(cfg.Flows)/4, 1),
-		ForwardQueue:  &scenario.QueueSpec{Limit: 8 + cfg.Flows},
-	}})
-	if err != nil {
-		return StressCell{}, err
-	}
-	sched := w.Sched
 	bounded := telemetry.NewBoundedSink(telemetry.NullSink{}, telemetry.BoundedConfig{
 		MaxEvents: cfg.TelemetryBudget,
 		Policy:    telemetry.SampleOneInK,
@@ -154,6 +142,18 @@ func (cfg StressConfig) run(w *scenario.World, index int, seed int64) (StressCel
 	for _, s := range tally.sinks() {
 		bus.Subscribe(s)
 	}
+	// The paper topology, scaled up: the bottleneck (Table 3's 0.8 Mbps)
+	// grows with the flow count so the cell is congested but not parked,
+	// and the shared buffer deepens with the fan-in.
+	err := w.Rebuild(seed, &scenario.Spec{Telemetry: bus, Topology: &scenario.TopologySpec{
+		Flows:         cfg.Flows,
+		BottleneckBps: 0.8e6 * max(float64(cfg.Flows)/4, 1),
+		ForwardQueue:  &scenario.QueueSpec{Limit: 8 + cfg.Flows},
+	}})
+	if err != nil {
+		return StressCell{}, err
+	}
+	sched := w.Sched
 	for i := 0; i < cfg.Flows; i++ {
 		if _, err := w.Install(workload.FlowSpec{
 			Kind:      cfg.Variants[i%len(cfg.Variants)],

@@ -275,7 +275,9 @@ func NewAckCompressor(sched *sim.Scheduler, hold sim.Time, max int, dst netem.No
 	if max < 2 {
 		return nil, fmt.Errorf("faults: ACK batch size must be >= 2, got %d", max)
 	}
-	a := &AckCompressor{injector: injector{sched: sched, dst: dst}, hold: hold, max: max}
+	buf := make([]*netem.Packet, 2*max) // a batch never outgrows max
+	a := &AckCompressor{injector: injector{sched: sched, dst: dst}, hold: hold, max: max,
+		held: buf[:0:max], spare: buf[max:max]}
 	a.holdTimer = sched.NewTimer(a.release)
 	return a, nil
 }

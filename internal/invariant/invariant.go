@@ -75,6 +75,7 @@ const maxViolations = 256
 
 // flowState is the checker's per-flow memory.
 type flowState struct {
+	flow  int32
 	probe Probe
 	rec   RecoveryProbe // nil for variants without sub-phase state
 
@@ -96,9 +97,9 @@ type Checker struct {
 	sched *sim.Scheduler
 	bus   *telemetry.Bus
 
-	flows map[int32]*flowState
-	order []int32         // flows in Watch order, for deterministic scans
-	seen  map[string]bool // "flow/rule" pairs already reported
+	flows  []flowState // in Watch order, for deterministic scans
+	byFlow []int32     // flow id -> 1 + its index in flows; 0: not watched
+	seen   map[seenKey]bool
 
 	violations []Violation
 
@@ -107,33 +108,51 @@ type Checker struct {
 	OnViolation func(Violation)
 }
 
+// seenKey is one (flow, rule) pair; each reports once.
+type seenKey struct {
+	flow int32
+	rule string
+}
+
 var _ telemetry.Sink = (*Checker)(nil)
 
 // NewChecker builds a checker that publishes violations back onto bus.
 // The caller subscribes it: bus.Subscribe(c).
 func NewChecker(sched *sim.Scheduler, bus *telemetry.Bus) *Checker {
-	return &Checker{
-		sched: sched,
-		bus:   bus,
-		flows: make(map[int32]*flowState),
-		seen:  make(map[string]bool),
+	return &Checker{sched: sched, bus: bus}
+}
+
+// state returns the watched flow's state, or nil.
+func (c *Checker) state(flow int32) *flowState {
+	if flow < 0 || int(flow) >= len(c.byFlow) || c.byFlow[flow] == 0 {
+		return nil
 	}
+	return &c.flows[c.byFlow[flow]-1]
 }
 
 // Watch registers a sender-state probe. An optional RecoveryProbe can
-// be attached with WatchRecovery.
+// be attached with WatchRecovery. Flow ids index a table, so they are
+// the small non-negative slot numbers a topology hands out.
 func (c *Checker) Watch(p Probe) {
 	flow := int32(p.Flow())
-	if _, ok := c.flows[flow]; !ok {
-		c.order = append(c.order, flow)
+	if st := c.state(flow); st != nil {
+		*st = flowState{flow: flow, probe: p}
+		return
 	}
-	c.flows[flow] = &flowState{probe: p}
+	if flow < 0 {
+		return // no event carries a negative flow id but NoFlow's
+	}
+	if n := int(flow) + 1 - len(c.byFlow); n > 0 {
+		c.byFlow = append(c.byFlow, make([]int32, n)...)
+	}
+	c.flows = append(c.flows, flowState{flow: flow, probe: p})
+	c.byFlow[flow] = int32(len(c.flows))
 }
 
 // WatchRecovery attaches recovery sub-phase state to an already-watched
 // flow.
 func (c *Checker) WatchRecovery(flow int, rp RecoveryProbe) {
-	if st, ok := c.flows[int32(flow)]; ok {
+	if st := c.state(int32(flow)); st != nil {
 		st.rec = rp
 	}
 }
@@ -189,8 +208,8 @@ func (c *Checker) Emit(ev telemetry.Event) {
 	if ev.Comp == telemetry.CompInvariant {
 		return // our own violation events
 	}
-	st, ok := c.flows[ev.Flow]
-	if !ok {
+	st := c.state(ev.Flow)
+	if st == nil {
 		return
 	}
 	if !st.active {
@@ -219,9 +238,12 @@ func (c *Checker) Emit(ev telemetry.Event) {
 
 // report records one violation, deduplicated per (flow, rule).
 func (c *Checker) report(flow int32, rule, format string, args ...any) {
-	key := fmt.Sprintf("%d/%s", flow, rule)
+	key := seenKey{flow, rule}
 	if c.seen[key] {
 		return
+	}
+	if c.seen == nil {
+		c.seen = make(map[seenKey]bool)
 	}
 	c.seen[key] = true
 	v := Violation{
@@ -397,8 +419,9 @@ func (c *Checker) StartWatchdog(interval, grace, hard sim.Time) error {
 	var timer *sim.Timer
 	tick := func() {
 		now := c.sched.Now()
-		for _, flow := range c.order {
-			st := c.flows[flow]
+		for i := range c.flows {
+			st := &c.flows[i]
+			flow := st.flow
 			if !st.active || st.probe.Done() {
 				continue
 			}

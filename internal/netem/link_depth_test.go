@@ -11,9 +11,9 @@ import (
 
 // A dumbbell's links push with eight distinct delays — two rates, two
 // packet sizes, with and without the propagation delay — so its packets
-// ride at most eight lanes, and a connection has three timers (start,
-// retransmission, delayed ACK).
-const dumbbellLanes, flowTimers = 8, 3
+// ride at most eight lanes, and a connection has two timers
+// (retransmission, whose first expiry is the start, and delayed ACK).
+const dumbbellLanes, flowTimers = 8, 2
 
 // TestEventQueueDepthIndependentOfWindow runs one flow over a long-fat
 // dumbbell with a 30-packet and a 1000-packet window, and then 200 flows

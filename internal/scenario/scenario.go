@@ -390,7 +390,11 @@ func (w *World) Rebuild(seed int64, s *Spec) error {
 	if cap(w.Flows) < dcfg.Flows {
 		w.Flows = make([]*workload.Flow, 0, dcfg.Flows)
 	}
-	if s.Telemetry.Enabled() {
+	if s.Telemetry != nil {
+		// Instrumented whether or not anything listens yet: a sink may
+		// subscribe after the build (the invariant checker needs the
+		// built scheduler). The sampler still starts only on a bus that
+		// already has a subscriber.
 		w.Net.Instrument(s.Telemetry)
 		w.sampler = telemetry.NewSampler(sched, s.Telemetry, s.SampleEvery)
 		w.sampler.AddInstance(telemetry.CompQueue, "fwd", w.Net.BottleneckQueue())

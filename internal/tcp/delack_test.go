@@ -105,3 +105,29 @@ func TestDelayedAckHalvesAckCount(t *testing.T) {
 		t.Fatalf("delayed ACKs only reduced ACK count to %d/%d, want roughly half", slowN, fastN)
 	}
 }
+
+// TestReceiverCarvesItsTimerOnlyWhenItDelays: a receiver that
+// acknowledges every segment — the paper's setup — never makes a
+// delayed-ACK timer, losses and hole fills included; one with
+// DelayedAck makes it on the first ACK it withholds.
+func TestReceiverCarvesItsTimerOnlyWhenItDelays(t *testing.T) {
+	n := newTestNet(t, NewNewReno(), testNetConfig{totalBytes: 60 * 1000, sack: true})
+	n.loss.Drop(0, 5000, 6000, 7000)
+	n.start(t)
+	n.run(30 * time.Second)
+	if !n.sender.Done() || n.sender.Retransmits() == 0 {
+		t.Fatalf("done %v after %d retransmissions: the run never filled a hole", n.sender.Done(), n.sender.Retransmits())
+	}
+	if n.recv.ackTimer != nil {
+		t.Fatal("a receiver without delayed ACKs made a delayed-ACK timer")
+	}
+
+	r, _ := newDelAckRecv()
+	if r.ackTimer != nil {
+		t.Fatal("delayed-ACK timer made before any ACK was withheld")
+	}
+	r.Receive(data(0))
+	if r.ackTimer == nil || !r.ackTimer.Armed() {
+		t.Fatal("withheld ACK without an armed delayed-ACK timer")
+	}
+}

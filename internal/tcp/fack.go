@@ -1,5 +1,7 @@
 package tcp
 
+import "math"
+
 // FACKStrategy implements FACK TCP (Mathis & Mahdavi, SIGCOMM'96 — the
 // paper's [13]): forward acknowledgment refines SACK recovery by
 // tracking `fack`, the forward-most SACKed byte. Outstanding data is
@@ -15,7 +17,7 @@ type FACKStrategy struct {
 	fack int64
 
 	scoreboard rangeSet
-	rtxOut     map[int64]bool // retransmitted holes not yet acked/SACKed
+	rtxOut     seqSet // retransmitted holes not yet acked/SACKed
 }
 
 var _ Strategy = (*FACKStrategy)(nil)
@@ -23,7 +25,7 @@ var _ Strategy = (*FACKStrategy)(nil)
 // NewFACK returns the FACK strategy. The flow's Receiver must have
 // SACKEnabled set.
 func NewFACK() *FACKStrategy {
-	return &FACKStrategy{rtxOut: make(map[int64]bool)}
+	return &FACKStrategy{}
 }
 
 // Name implements Strategy.
@@ -41,7 +43,7 @@ func (f *FACKStrategy) OnAck(s *Sender, ev AckEvent) {
 		// and fack already spans more than DupThresh segments.
 		third := s.OpenAck(ev)
 		if ev.IsDup && (third || f.fack-s.SndUna() > int64(DupThresh*s.MSS())) {
-			clear(f.rtxOut)
+			f.rtxOut.reset()
 			f.Begin(s)
 			s.SetCwnd(s.Ssthresh())
 			f.retransmitHole(s, s.SndUna())
@@ -51,11 +53,7 @@ func (f *FACKStrategy) OnAck(s *Sender, ev AckEvent) {
 	case ev.IsDup:
 		f.fill(s)
 	default:
-		for seq := range f.rtxOut {
-			if seq < ev.AckNo {
-				delete(f.rtxOut, seq)
-			}
-		}
+		f.rtxOut.drop(math.MinInt64, ev.AckNo)
 		if ev.AckNo >= f.recover {
 			f.Finish(s, ev.AckNo)
 			return
@@ -76,7 +74,7 @@ func (f *FACKStrategy) pipe(s *Sender) int {
 	if awnd < 0 {
 		awnd = 0
 	}
-	return int(awnd/int64(s.MSS())) + len(f.rtxOut)
+	return int(awnd/int64(s.MSS())) + f.rtxOut.len()
 }
 
 func (f *FACKStrategy) fill(s *Sender) {
@@ -92,7 +90,7 @@ func (f *FACKStrategy) fill(s *Sender) {
 }
 
 func (f *FACKStrategy) retransmitHole(s *Sender, seq int64) {
-	f.rtxOut[seq] = true
+	f.rtxOut.add(seq)
 	s.Retransmit(seq)
 }
 
@@ -101,7 +99,7 @@ func (f *FACKStrategy) retransmitHole(s *Sender, seq int64) {
 func (f *FACKStrategy) nextHole(s *Sender) (int64, bool) {
 	mss := int64(s.MSS())
 	for seq := s.SndUna(); seq < f.fack; seq += mss {
-		if f.rtxOut[seq] || f.scoreboard.sacked(seq) {
+		if f.rtxOut.has(seq) || f.scoreboard.sacked(seq) {
 			continue
 		}
 		return seq, true
@@ -117,11 +115,7 @@ func (f *FACKStrategy) update(s *Sender, ev AckEvent) {
 		if b.End > f.fack {
 			f.fack = b.End
 		}
-		for seq := range f.rtxOut {
-			if seq >= b.Start && seq < b.End {
-				delete(f.rtxOut, seq)
-			}
-		}
+		f.rtxOut.drop(b.Start, b.End)
 	}
 	if ev.AckNo > f.fack {
 		f.fack = ev.AckNo
@@ -134,5 +128,5 @@ func (f *FACKStrategy) OnTimeout(s *Sender) {
 	f.in = false
 	f.scoreboard.reset()
 	f.fack = s.SndUna()
-	clear(f.rtxOut)
+	f.rtxOut.reset()
 }

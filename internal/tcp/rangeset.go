@@ -1,5 +1,13 @@
 package tcp
 
+import "slices"
+
+// setDepth is the room a scoreboard, out-of-order buffer or
+// retransmission set gets when it first needs any: deep enough for the
+// loss bursts the paper's scenarios produce, so a set is allocated once
+// rather than grown 1, 2, 4, 8.
+const setDepth = 8
+
 // seqRange is the byte range [Start, End).
 type seqRange struct {
 	Start int64
@@ -33,6 +41,9 @@ func (sb *rangeSet) merge(nb seqRange) seqRange {
 		nb.End = max(nb.End, s[hi].End)
 	}
 	if hi == lo {
+		if cap(s) == 0 {
+			s = make(rangeSet, 0, setDepth)
+		}
 		s = append(s, seqRange{})
 		copy(s[lo+1:], s[lo:])
 	} else {
@@ -73,3 +84,47 @@ func (sb rangeSet) sacked(seq int64) bool {
 	}
 	return false
 }
+
+// seqSet is a sorted set of segment start sequences: the holes a SACK
+// or FACK sender has retransmitted in the current recovery. Its first
+// setDepth members live in the set itself, so a recovery that
+// retransmits no more than that allocates nothing; like rangeSet it is
+// updated in place. The zero value is empty and ready; a set must not
+// be copied once used.
+type seqSet struct {
+	seqs []int64 // sorted; backed by buf until it outgrows it
+	buf  [setDepth]int64
+}
+
+// len reports how many sequences the set holds.
+func (ss *seqSet) len() int { return len(ss.seqs) }
+
+// has reports whether seq is in the set.
+func (ss *seqSet) has(seq int64) bool {
+	_, ok := slices.BinarySearch(ss.seqs, seq)
+	return ok
+}
+
+// add puts seq in the set.
+func (ss *seqSet) add(seq int64) {
+	i, ok := slices.BinarySearch(ss.seqs, seq)
+	if ok {
+		return
+	}
+	if ss.seqs == nil {
+		ss.seqs = ss.buf[:0]
+	}
+	ss.seqs = slices.Insert(ss.seqs, i, seq)
+}
+
+// drop removes every member in [lo, hi).
+func (ss *seqSet) drop(lo, hi int64) {
+	i, _ := slices.BinarySearch(ss.seqs, lo)
+	j, _ := slices.BinarySearch(ss.seqs, hi)
+	if i < j {
+		ss.seqs = slices.Delete(ss.seqs, i, j)
+	}
+}
+
+// reset empties the set, keeping its storage.
+func (ss *seqSet) reset() { ss.seqs = ss.seqs[:0] }

@@ -99,3 +99,58 @@ func TestScoreboardSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("warm scoreboard churn allocates %.2f allocs/run, want 0", avg)
 	}
 }
+
+// TestSeqSetMatchesMap holds seqSet to the map[int64]bool SACK and FACK
+// kept their retransmitted holes in before: random adds, range drops
+// (cumulative ACKs and SACK blocks, empty and inverted ones included)
+// and resets, with the same members, in order, after every step. A set
+// that never holds more than setDepth sequences allocates nothing.
+func TestSeqSetMatchesMap(t *testing.T) {
+	for trial := int64(0); trial < 50; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		var ss seqSet
+		ref := map[int64]bool{}
+		for step := 0; step < 400; step++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				ss.reset()
+				clear(ref)
+			case k < 6:
+				lo := int64(rng.Intn(60))
+				hi := lo + int64(rng.Intn(20)) - 4
+				ss.drop(lo, hi)
+				for seq := range ref {
+					if seq >= lo && seq < hi {
+						delete(ref, seq)
+					}
+				}
+			default:
+				seq := int64(rng.Intn(60))
+				ss.add(seq)
+				ref[seq] = true
+			}
+			want := make([]int64, 0, len(ref))
+			for seq := range ref {
+				want = append(want, seq)
+			}
+			slices.Sort(want)
+			if !slices.Equal(ss.seqs, want) || ss.len() != len(ref) {
+				t.Fatalf("trial %d step %d: set %v, map %v", trial, step, ss.seqs, want)
+			}
+			probe := int64(rng.Intn(60))
+			if ss.has(probe) != ref[probe] {
+				t.Fatalf("trial %d step %d: has(%d) = %v, map %v", trial, step, probe, ss.has(probe), ref[probe])
+			}
+		}
+	}
+	var ss seqSet
+	if avg := testing.AllocsPerRun(20, func() {
+		for seq := int64(setDepth); seq > 0; seq-- {
+			ss.add(seq * 1000)
+		}
+		ss.drop(0, 3000)
+		ss.reset()
+	}); avg != 0 {
+		t.Fatalf("a set of %d sequences allocates %.2f allocs/run, want 0", setDepth, avg)
+	}
+}

@@ -35,8 +35,8 @@ type Receiver struct {
 	recent  [6]seqRange // recency order for SACK block selection
 	nrecent int         // entries of recent in use
 
-	unacked  int // in-order segments received since the last ACK
-	ackTimer *sim.Timer
+	unacked  int        // in-order segments received since the last ACK
+	ackTimer *sim.Timer // made on the first withheld ACK; nil until then
 
 	// Pool, when non-nil, supplies outgoing ACKs and receives every
 	// consumed data packet back.
@@ -66,14 +66,12 @@ const (
 
 // NewReceiver builds a receiver whose ACKs go to out.
 func NewReceiver(sched *sim.Scheduler, flow int, out netem.Node, tr *trace.FlowTrace) *Receiver {
-	r := &Receiver{
+	return &Receiver{
 		sched: sched,
 		out:   out,
 		flow:  flow,
 		tr:    tr,
 	}
-	r.ackTimer = sched.NewTimer(r.flushAck)
-	return r
 }
 
 // SetOutput redirects generated ACKs to a different node, letting
@@ -118,7 +116,12 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		r.unacked++
 		if r.unacked >= 2 {
 			r.flushAck()
-		} else if !r.ackTimer.Armed() {
+			return
+		}
+		if r.ackTimer == nil {
+			r.ackTimer = r.sched.NewTimer(r.flushAck)
+		}
+		if !r.ackTimer.Armed() {
 			r.ackTimer.Reset(ackDelay)
 		}
 	default:
@@ -131,7 +134,9 @@ func (r *Receiver) Receive(p *netem.Packet) {
 // flushAck emits a cumulative ACK now and clears delayed-ACK state.
 func (r *Receiver) flushAck() {
 	r.unacked = 0
-	r.ackTimer.Stop()
+	if r.ackTimer != nil {
+		r.ackTimer.Stop()
+	}
 	r.sendAck()
 }
 

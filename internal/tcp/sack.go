@@ -27,8 +27,8 @@ type SACKStrategy struct {
 	Recovery
 	pipe int // incremental estimate (classic mode only)
 
-	scoreboard rangeSet       // SACKed ranges above SndUna
-	rtxDone    map[int64]bool // holes already retransmitted this recovery
+	scoreboard rangeSet // SACKed ranges above SndUna
+	rtxDone    seqSet   // holes already retransmitted this recovery
 }
 
 var _ Strategy = (*SACKStrategy)(nil)
@@ -37,13 +37,13 @@ var _ Strategy = (*SACKStrategy)(nil)
 // baseline of the paper's evaluation. The flow's Receiver must have
 // SACKEnabled set.
 func NewSACK() *SACKStrategy {
-	return &SACKStrategy{rtxDone: make(map[int64]bool)}
+	return &SACKStrategy{}
 }
 
 // NewSACKModern returns the RFC 6675-style sender with the
 // scoreboard-derived pipe.
 func NewSACKModern() *SACKStrategy {
-	return &SACKStrategy{modern: true, rtxDone: make(map[int64]bool)}
+	return &SACKStrategy{modern: true}
 }
 
 // Name implements Strategy.
@@ -70,7 +70,7 @@ func (k *SACKStrategy) pipeFor(s *Sender) int {
 		if k.scoreboard.sacked(seq) {
 			continue
 		}
-		if k.isLost(s, seq) && !k.rtxDone[seq] {
+		if k.isLost(s, seq) && !k.rtxDone.has(seq) {
 			continue
 		}
 		pipe++
@@ -125,7 +125,7 @@ func (k *SACKStrategy) OnAck(s *Sender, ev AckEvent) {
 }
 
 func (k *SACKStrategy) enter(s *Sender) {
-	clear(k.rtxDone)
+	k.rtxDone.reset()
 	flight := k.Begin(s)
 	s.SetCwnd(s.Ssthresh())
 	// Three duplicate ACKs mean three packets have left the path.
@@ -150,7 +150,7 @@ func (k *SACKStrategy) fill(s *Sender) {
 }
 
 func (k *SACKStrategy) retransmitHole(s *Sender, seq int64) {
-	k.rtxDone[seq] = true
+	k.rtxDone.add(seq)
 	s.Retransmit(seq)
 	k.pipe++
 }
@@ -165,7 +165,7 @@ func (k *SACKStrategy) nextHole(s *Sender) (int64, bool) {
 	highest := k.scoreboard[len(k.scoreboard)-1].End
 	mss := int64(s.MSS())
 	for seq := s.SndUna(); seq < highest; seq += mss {
-		if k.rtxDone[seq] || k.scoreboard.sacked(seq) {
+		if k.rtxDone.has(seq) || k.scoreboard.sacked(seq) {
 			continue
 		}
 		if k.modern && !k.isLost(s, seq) {
@@ -199,5 +199,5 @@ func (k *SACKStrategy) OnTimeout(*Sender) {
 	k.in = false
 	k.scoreboard.reset()
 	k.pipe = 0
-	clear(k.rtxDone)
+	k.rtxDone.reset()
 }

@@ -125,9 +125,8 @@ type Sender struct {
 	dupAcks  int
 
 	rtt        rttEstimator
-	rtxTimer   *sim.Timer
+	rtxTimer   *sim.Timer // also the start timer, until the sender is live
 	rtoBackoff uint
-	startTimer *sim.Timer
 
 	// Karn's algorithm: one outstanding RTT measurement at a time,
 	// invalidated by retransmission of the timed segment.
@@ -145,7 +144,8 @@ type Sender struct {
 	timeoutCount uint32
 	acks         uint32 // ACKs processed, duplicates included
 
-	started bool
+	started bool // Start was called
+	live    bool // the start has fired
 	done    bool
 }
 
@@ -166,21 +166,23 @@ func New(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) (*Sen
 		ssthresh: cfg.InitialSSThresh,
 	}
 	s.rtxTimer = sched.NewTimer(s.onTimeout)
-	s.startTimer = sched.NewTimer(s.onStart)
 	return s, nil
 }
 
-// Start schedules the flow to begin transmitting after delay.
+// Start schedules the flow to begin transmitting after delay. The start
+// rides on the retransmission timer, which has nothing to time until
+// the first segment goes out: its first expiry starts the flow.
 func (s *Sender) Start(delay sim.Time) error {
 	if s.started {
 		return fmt.Errorf("tcp: flow %d already started", s.cfg.Flow)
 	}
 	s.started = true
-	return s.startTimer.At(s.sched.Now() + delay)
+	return s.rtxTimer.At(s.sched.Now() + delay)
 }
 
-// onStart fires when the configured start delay elapses.
+// onStart runs on the first expiry of the timer Start armed.
 func (s *Sender) onStart() {
+	s.live = true
 	s.startedAt = s.sched.Now()
 	if s.cfg.Telemetry.Enabled() {
 		// Built inline rather than via Emit: lifecycle events carry the
@@ -299,8 +301,9 @@ func (s *Sender) RTOBackoff() uint { return s.rtoBackoff }
 
 // TimerArmed reports whether the retransmission timer is pending — a
 // sender with outstanding data and no armed timer is deadlocked, which
-// is exactly what the invariant checker's watchdog looks for.
-func (s *Sender) TimerArmed() bool { return s.rtxTimer.Armed() }
+// is exactly what the invariant checker's watchdog looks for. A pending
+// start is not a retransmission timer: before it fires this reads false.
+func (s *Sender) TimerArmed() bool { return s.live && s.rtxTimer.Armed() }
 
 // Strategy exposes the congestion-control strategy driving this sender.
 func (s *Sender) Strategy() Strategy { return s.strat }
@@ -350,8 +353,8 @@ func (s *Sender) TotalBytes() int64 { return s.cfg.TotalBytes }
 // Receive implements netem.Node for the sender side: it consumes ACKs.
 func (s *Sender) Receive(p *netem.Packet) {
 	defer p.Release() // strategies copy what they keep of the ACK
-	if s.done || p.Kind != netem.Ack || p.Flow != s.cfg.Flow {
-		return
+	if !s.live || s.done || p.Kind != netem.Ack || p.Flow != s.cfg.Flow {
+		return // a sender that has not started has sent nothing to ACK
 	}
 	if p.AckNo < s.sndUna {
 		return // stale, reordered ACK
@@ -581,7 +584,12 @@ func (s *Sender) currentRTO() sim.Time {
 // current flight, collapse cwnd to one segment, go back to SndUna, back
 // off the timer exponentially, and retransmit the first lost segment.
 // The strategy is notified afterwards so it can discard recovery state.
+// The timer's first expiry is the start instead (see Start).
 func (s *Sender) onTimeout() {
+	if !s.live {
+		s.onStart()
+		return
+	}
 	if s.done {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/netem"
+	"rrtcp/internal/telemetry"
 	"rrtcp/internal/trace"
 )
 
@@ -21,6 +22,43 @@ func TestSenderDoubleStart(t *testing.T) {
 	n.start(t)
 	if err := n.sender.Start(0); err == nil {
 		t.Fatal("second Start accepted")
+	}
+}
+
+// TestSenderStartIsNotARetransmissionTimer: the start rides on the
+// retransmission timer, but until it fires the sender reads as having no
+// timer armed (the invariant watchdog's "stall-no-timer" rule reads it),
+// ignores ACKs, and sends nothing; it starts exactly once, at its start
+// time, and the start counts as no timeout.
+func TestSenderStartIsNotARetransmissionTimer(t *testing.T) {
+	n := newTestNet(t, NewNewReno(), testNetConfig{totalBytes: 20 * 1000})
+	ring := telemetry.NewRing(0)
+	n.sender.cfg.Telemetry = telemetry.NewBus(ring)
+	const startAt = 2 * time.Second
+	if err := n.sender.Start(startAt); err != nil {
+		t.Fatal(err)
+	}
+	n.run(time.Second)
+	n.sender.Receive(&netem.Packet{Kind: netem.Ack, Flow: 0, AckNo: 0, Size: 40})
+	n.run(startAt - 1)
+	if n.sender.TimerArmed() || n.sender.SndNxt() != 0 || n.sender.Acks() != 0 {
+		t.Fatalf("before its start: timer armed %v, snd.nxt %d, %d ACKs taken",
+			n.sender.TimerArmed(), n.sender.SndNxt(), n.sender.Acks())
+	}
+	n.run(startAt)
+	if !n.sender.TimerArmed() || n.sender.SndNxt() == 0 {
+		t.Fatalf("at its start: timer armed %v, snd.nxt %d", n.sender.TimerArmed(), n.sender.SndNxt())
+	}
+	n.run(30 * time.Second)
+	starts := ring.EventsOf(telemetry.KFlowStart)
+	if len(starts) != 1 || starts[0].At != startAt {
+		t.Fatalf("flow-start events %+v, want one at %v", starts, time.Duration(startAt))
+	}
+	if !n.sender.Done() || n.sender.Timeouts() != 0 {
+		t.Fatalf("done %v with %d timeouts on a lossless path", n.sender.Done(), n.sender.Timeouts())
+	}
+	if d, _ := n.sender.TransferDelay(); d >= 30*time.Second-startAt {
+		t.Fatalf("transfer delay %v counts the wait for the start", d)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"rrtcp/internal/sim"
@@ -216,6 +217,7 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var out []Event
 	var stats DecodeStats
+	var d lineDecoder
 	lineNo := 0
 	skip := func(lineNo int, err error) {
 		stats.Skipped++
@@ -223,17 +225,17 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 			stats.FirstErr = fmt.Errorf("telemetry: line %d: %w", lineNo, err)
 		}
 	}
-	var buf []byte    // current line, accumulated across ReadSlice calls
+	var acc []byte    // a line longer than the read buffer, accumulated
 	overlong := false // current line already past maxDecodeLine
 	var readErr error // terminal I/O error, reported after the last line
 	for {
 		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
 		if err == bufio.ErrBufferFull {
-			if len(buf) > maxDecodeLine {
+			acc = append(acc, chunk...)
+			if len(acc) > maxDecodeLine {
 				// Stop accumulating a runaway line; remember to skip it
 				// when its newline finally arrives.
-				buf = buf[:0]
+				acc = acc[:0]
 				overlong = true
 			}
 			continue
@@ -242,9 +244,14 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 		if atEOF && err != io.EOF {
 			readErr = err
 		}
-		line := bytes.TrimSpace(buf)
-		wasOverlong := overlong || len(buf) > maxDecodeLine
-		buf, overlong = buf[:0], false
+		line := chunk // valid until the next read
+		if len(acc) > 0 {
+			acc = append(acc, chunk...)
+			line = acc
+		}
+		wasOverlong := overlong || len(line) > maxDecodeLine
+		line = bytes.TrimSpace(line)
+		acc, overlong = acc[:0], false
 		if len(line) == 0 && !wasOverlong {
 			if atEOF {
 				break
@@ -260,28 +267,28 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 			}
 			continue
 		}
-		var raw map[string]any
-		if err := json.Unmarshal(line, &raw); err != nil {
+		if err := d.scan(line); err != nil {
 			skip(lineNo, err)
 			continue
 		}
-		num := func(key string) float64 { f, _ := raw[key].(float64); return f }
-		compName, _ := raw["comp"].(string)
-		kindName, _ := raw["kind"].(string)
-		ev := Event{
-			At:   sim.Time(math.Round(num("t") * 1e9)),
-			Comp: ParseComponent(compName),
-			Kind: ParseKind(kindName),
-			Flow: NoFlow,
-			Seq:  int64(num("seq")),
+		ev := Event{Flow: NoFlow}
+		t, _ := d.num("t")
+		ev.At = sim.Time(math.Round(t * 1e9))
+		seq, _ := d.num("seq")
+		ev.Seq = int64(seq)
+		ev.Comp = ParseComponent(string(d.str("comp")))
+		kindName := d.str("kind")
+		ev.Kind = ParseKind(string(kindName))
+		missingKind := len(kindName) == 0
+		if src := d.str("src"); src != nil {
+			ev.Src = d.intern(src)
 		}
-		ev.Src, _ = raw["src"].(string)
-		flow, hasFlow := raw["flow"].(float64)
+		flow, hasFlow := d.num("flow")
 		if hasFlow {
 			ev.Flow = int32(flow)
 		}
 		switch {
-		case kindName == "":
+		case missingKind:
 			skip(lineNo, fmt.Errorf("missing \"kind\""))
 		case hasFlow && (flow < math.MinInt32 || flow > math.MaxInt32):
 			// No writer numbers a flow outside int32, and converting
@@ -290,15 +297,22 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 		case ev.Comp == 0 || ev.Kind == 0:
 			stats.Unknown++
 			if stats.FirstUnknown == nil {
-				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s/%s", lineNo, compName, kindName)
+				comp := string(d.str("comp")) // str's bytes last until its next call
+				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s/%s", lineNo, comp, d.str("kind"))
 			}
 		default:
 			a, b := ev.Kind.attrNames()
 			if a != "" {
-				ev.A = num(a)
+				ev.A, _ = d.num(a)
 			}
 			if b != "" {
-				ev.B = num(b)
+				ev.B, _ = d.num(b)
+			}
+			if len(out) == cap(out) {
+				// Double: append grows a long slice by a quarter at a
+				// time, which allocates and copies a long log's events
+				// about five times over.
+				out = slices.Grow(out, max(len(out), 256))
 			}
 			out = append(out, ev)
 		}

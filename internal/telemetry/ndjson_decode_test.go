@@ -1,0 +1,242 @@
+package telemetry
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"rrtcp/internal/sim"
+)
+
+// decodeNDJSONMap is DecodeNDJSON as it was before it decoded straight
+// into Event: every line through encoding/json into a map[string]any.
+// Kept as the oracle FuzzDecodeNDJSON holds the production decoder to.
+func decodeNDJSONMap(r io.Reader) ([]Event, DecodeStats, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var out []Event
+	var stats DecodeStats
+	lineNo := 0
+	skip := func(lineNo int, err error) {
+		stats.Skipped++
+		if stats.FirstErr == nil {
+			stats.FirstErr = fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+		}
+	}
+	var buf []byte    // current line, accumulated across ReadSlice calls
+	overlong := false // current line already past maxDecodeLine
+	var readErr error // terminal I/O error, reported after the last line
+	for {
+		chunk, err := br.ReadSlice('\n')
+		buf = append(buf, chunk...)
+		if err == bufio.ErrBufferFull {
+			if len(buf) > maxDecodeLine {
+				// Stop accumulating a runaway line; remember to skip it
+				// when its newline finally arrives.
+				buf = buf[:0]
+				overlong = true
+			}
+			continue
+		}
+		atEOF := err != nil
+		if atEOF && err != io.EOF {
+			readErr = err
+		}
+		line := bytes.TrimSpace(buf)
+		wasOverlong := overlong || len(buf) > maxDecodeLine
+		buf, overlong = buf[:0], false
+		if len(line) == 0 && !wasOverlong {
+			if atEOF {
+				break
+			}
+			continue
+		}
+		lineNo++
+		stats.Lines++
+		if wasOverlong {
+			skip(lineNo, fmt.Errorf("line exceeds %d-byte cap", maxDecodeLine))
+			if atEOF {
+				break
+			}
+			continue
+		}
+		var raw map[string]any
+		if err := json.Unmarshal(line, &raw); err != nil {
+			skip(lineNo, err)
+			continue
+		}
+		num := func(key string) float64 { f, _ := raw[key].(float64); return f }
+		compName, _ := raw["comp"].(string)
+		kindName, _ := raw["kind"].(string)
+		ev := Event{
+			At:   sim.Time(math.Round(num("t") * 1e9)),
+			Comp: ParseComponent(compName),
+			Kind: ParseKind(kindName),
+			Flow: NoFlow,
+			Seq:  int64(num("seq")),
+		}
+		ev.Src, _ = raw["src"].(string)
+		flow, hasFlow := raw["flow"].(float64)
+		if hasFlow {
+			ev.Flow = int32(flow)
+		}
+		switch {
+		case kindName == "":
+			skip(lineNo, fmt.Errorf("missing \"kind\""))
+		case hasFlow && (flow < math.MinInt32 || flow > math.MaxInt32):
+			// No writer numbers a flow outside int32, and converting
+			// such a number is implementation-defined.
+			skip(lineNo, fmt.Errorf("flow %g out of range", flow))
+		case ev.Comp == 0 || ev.Kind == 0:
+			stats.Unknown++
+			if stats.FirstUnknown == nil {
+				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s/%s", lineNo, compName, kindName)
+			}
+		default:
+			a, b := ev.Kind.attrNames()
+			if a != "" {
+				ev.A = num(a)
+			}
+			if b != "" {
+				ev.B = num(b)
+			}
+			out = append(out, ev)
+		}
+		if atEOF {
+			break
+		}
+	}
+	if readErr != nil {
+		return out, stats, fmt.Errorf("telemetry: read: %w", readErr)
+	}
+	return out, stats, nil
+}
+
+// sameDecode fails unless both decoders read input to the same events
+// and the same DecodeStats. A line both skip may carry a different
+// FirstErr text where encoding/json's own syntax or type error names
+// the damage; the line number must still agree.
+func sameDecode(t *testing.T, input []byte) {
+	t.Helper()
+	got, gotStats, gotErr := DecodeNDJSON(bytes.NewReader(input))
+	want, wantStats, wantErr := decodeNDJSONMap(bytes.NewReader(input))
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("error %v, oracle %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d events, oracle %d\ngot  %+v\nwant %+v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, oracle %+v", i, got[i], want[i])
+		}
+	}
+	if gotStats.Lines != wantStats.Lines || gotStats.Skipped != wantStats.Skipped || gotStats.Unknown != wantStats.Unknown {
+		t.Fatalf("stats %+v, oracle %+v", gotStats, wantStats)
+	}
+	if errText(gotStats.FirstUnknown) != errText(wantStats.FirstUnknown) {
+		t.Fatalf("FirstUnknown %q, oracle %q", errText(gotStats.FirstUnknown), errText(wantStats.FirstUnknown))
+	}
+	g, w := errText(gotStats.FirstErr), errText(wantStats.FirstErr)
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	if errors.As(wantStats.FirstErr, &syntax) || errors.As(wantStats.FirstErr, &typ) {
+		g, w = linePrefix(g), linePrefix(w)
+	}
+	if g != w {
+		t.Fatalf("FirstErr %q, oracle %q", errText(gotStats.FirstErr), errText(wantStats.FirstErr))
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// linePrefix is a DecodeStats error's "telemetry: line N:" head.
+func linePrefix(s string) string {
+	if i := strings.Index(s[len("telemetry: line "):], ":"); i >= 0 {
+		return s[:len("telemetry: line ")+i+1]
+	}
+	return s
+}
+
+// TestDecodeNDJSONMatchesMapOracle runs both decoders over every
+// committed log and a set of lines no sink writes: escapes, invalid
+// UTF-8, duplicate keys, nesting, numbers out of range, a null line.
+func TestDecodeNDJSONMatchesMapOracle(t *testing.T) {
+	for _, path := range []string{"testdata/fig5_drops3.ndjson", "../../cmd/rrtrace/testdata/damaged.ndjson", "../../cmd/rrtrace/testdata/sweeps.ndjson"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDecode(t, b)
+	}
+	for _, line := range append(decodeSeeds, deepSeeds...) {
+		sameDecode(t, []byte(line))
+	}
+}
+
+// decodeSeeds are lines at the edges of what a JSON object can be.
+var decodeSeeds = []string{
+	`{"t":0.5,"comp":"rr","kind":"actnum","flow":3,"seq":1000,"actnum":4,"ndup":2}`,
+	`{"t":0.5,"comp":"queue","kind":"enqueue","src":"f\u0077d","qlen":1}`,
+	`{"t":0.5,"comp":"queue","kind":"enqueue","src":"\ud83d\ude00 \ud800x \udc00","qlen":1}`,
+	"{\"t\":0.5,\"comp\":\"queue\",\"kind\":\"enqueue\",\"src\":\"a\xffb\xed\xa0\x80\",\"qlen\":1}",
+	`{"\u0074":1,"comp":"sender","\u006bind":"send","flow":0,"flow":"x"}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","cwnd":1,"cwnd":2,"seq":-0}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","cwnd":1e400}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","x":[1,{"y":[1e999]}]}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","x":[1,{"y":[true,false,null,"s"]}],"cwnd":1E-400}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","flow":4294967296}`,
+	`{"t":1,"comp":"sender","kind":"cwnd","flow":-2147483648.5}`,
+	`{"t":1,"comp":"sender","kind":""}`,
+	`{"t":1,"comp":"nope","kind":"cwnd"}` + "\n" + `{"t":1,"comp":"sender","kind":"nope"}`,
+	`null`, `[]`, `"x"`, `1`, `true`, `{}`, `{} {}`, `{"a":1,}`, `{"a" 1}`, `{"a":01}`, `{"a":1.}`,
+	`{"a":-}`, `{"a":.5}`, `{"a":1e}`, `{"a":"\x"}`, `{"a":"\u12"}`, "{\"a\":\"\t\"}", `{"a":tru}`,
+	` { "t" : 2 , "comp" : "link" , "kind" : "link-tx" , "src" : "fwd" } `,
+}
+
+// deepSeeds sit on encoding/json's nesting limit; too long to be good
+// fuzz seeds.
+var deepSeeds = []string{
+	strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+	`{"a":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	`{"a":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+}
+
+// FuzzDecodeNDJSON holds DecodeNDJSON to the map-based oracle on
+// arbitrary input.
+func FuzzDecodeNDJSON(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	if b, err := os.ReadFile("testdata/fig5_drops3.ndjson"); err == nil {
+		f.Add(b[:600])
+	}
+	f.Fuzz(func(t *testing.T, input []byte) { sameDecode(t, input) })
+}
+
+// BenchmarkDecodeNDJSON decodes the committed fig5 log (714 lines).
+func BenchmarkDecodeNDJSON(b *testing.B) {
+	log, err := os.ReadFile("testdata/fig5_drops3.ndjson")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(log)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeNDJSON(bytes.NewReader(log)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

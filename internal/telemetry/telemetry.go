@@ -230,18 +230,20 @@ func (k Kind) String() string {
 	return kindTable[k].name
 }
 
-// ParseKind is the inverse of Kind.String; unknown names return 0.
-func ParseKind(s string) Kind {
-	if s == "" {
-		return 0 // a retired slot's empty name is not a name
-	}
+// kindByName inverts kindTable's names; a retired slot's empty name is
+// not a name.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, kindSentinel)
 	for k := KSend; k < kindSentinel; k++ {
-		if kindTable[k].name == s {
-			return k
+		if name := kindTable[k].name; name != "" {
+			m[name] = k
 		}
 	}
-	return 0
-}
+	return m
+}()
+
+// ParseKind is the inverse of Kind.String; unknown names return 0.
+func ParseKind(s string) Kind { return kindByName[s] }
 
 // attrNames maps each kind's A and B slots to the NDJSON keys they are
 // written under. Empty means the slot is unused for that kind.

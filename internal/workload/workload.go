@@ -192,7 +192,7 @@ func (s FlowSpec) NewStrategy() (tcp.Strategy, error) {
 // Install wires a flow into slot idx of the dumbbell and schedules its
 // start.
 func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
-	return install(sched, d, idx, spec, false)
+	return installNew(sched, d, idx, spec, false)
 }
 
 // InstallReverse wires a flow in the opposite direction: the sender
@@ -201,16 +201,25 @@ func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*
 // drop-tail gateways interleave data and ACKs (the ACK-compression
 // effects of Zhang, Shenker & Clark, SIGCOMM'91 — the paper's [22]).
 func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
-	return install(sched, d, idx, spec, true)
+	return installNew(sched, d, idx, spec, true)
 }
 
-func install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (*Flow, error) {
+func installNew(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (*Flow, error) {
+	f := new(Flow)
+	if err := install(f, sched, d, idx, spec, reverse); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// install wires the flow spec describes into f.
+func install(f *Flow, sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) error {
 	if spec.Bytes == 0 {
 		spec.Bytes = tcp.Infinite
 	}
 	strat, err := spec.NewStrategy()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// A forward flow's data enters at the S side and its ACKs at the K
 	// side; a reverse flow swaps the two hosts.
@@ -244,25 +253,27 @@ func install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, re
 		Pool:            d.Pool(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
+		return fmt.Errorf("%s %d: %w", what, idx, err)
 	}
 	connectData(idx, recv)
 	connectAcks(idx, snd)
 	if err := snd.Start(spec.StartAt); err != nil {
-		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
+		return fmt.Errorf("%s %d: %w", what, idx, err)
 	}
-	return &Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}, nil
+	*f = Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}
+	return nil
 }
 
-// InstallAll installs one flow per spec, in slot order.
+// InstallAll installs one flow per spec, in slot order. The flows are
+// laid out in one block; the pointers it returns point into it.
 func InstallAll(sched *sim.Scheduler, d *netem.Dumbbell, specs []FlowSpec) ([]*Flow, error) {
-	flows := make([]*Flow, 0, len(specs))
+	block := make([]Flow, len(specs))
+	flows := make([]*Flow, len(specs))
 	for i, spec := range specs {
-		f, err := Install(sched, d, i, spec)
-		if err != nil {
+		if err := install(&block[i], sched, d, i, spec, false); err != nil {
 			return nil, err
 		}
-		flows = append(flows, f)
+		flows[i] = &block[i]
 	}
 	return flows, nil
 }

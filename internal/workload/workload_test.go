@@ -2,6 +2,8 @@ package workload
 
 import (
 	"encoding/json"
+	"math/bits"
+	"runtime"
 	"testing"
 	"time"
 
@@ -227,5 +229,39 @@ func TestForwardAndReverseShareSlot(t *testing.T) {
 	sched.Run(60 * time.Second)
 	if !fwd.Sender.Done() || !rev.Sender.Done() {
 		t.Fatalf("fwd done=%t rev done=%t", fwd.Sender.Done(), rev.Sender.Done())
+	}
+}
+
+// TestInstallAllAllocations: a connection costs at most four
+// allocations — its sender, the closure of the sender's one timer, its
+// receiver and its strategy — whatever its variant. The flows come in
+// one block and the scoreboards and the delayed-ACK timer wait until a
+// run needs them; what is left is a constant (that block, the pointers
+// into it) and a logarithm (the scheduler's timer table and event heap
+// grow by doubling).
+func TestInstallAllAllocations(t *testing.T) {
+	for _, k := range []int{1, 4, 16, 64} {
+		var specs []FlowSpec
+		for i := 0; i < k; i++ {
+			for _, kind := range Kinds() {
+				specs = append(specs, FlowSpec{Kind: kind, Bytes: 100 * 1000, StartAt: time.Duration(i) * time.Millisecond, NoTrace: true})
+			}
+		}
+		sched := sim.NewScheduler(1)
+		d, err := netem.NewDumbbell(sched, netem.PaperDropTailConfig(len(specs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := InstallAll(sched, d, specs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		n := len(specs)
+		limit := uint64(4*n + 8*bits.Len(uint(n)) + 16)
+		if got := after.Mallocs - before.Mallocs; got > limit {
+			t.Errorf("InstallAll of %d flows: %d allocations, want at most %d (4 a flow + 8 log2 flows + 16)", n, got, limit)
+		}
 	}
 }

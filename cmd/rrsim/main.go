@@ -1,24 +1,19 @@
 // Command rrsim regenerates the tables and figures of "Robust TCP
 // Congestion Recovery" (Wang & Shin, ICDCS 2001).
 //
-// Every experiment is a named entry in the rrtcp experiment registry;
-// rrsim derives its dispatch table and usage text from it:
+//	rrsim <experiment> [flags]       one experiment of the registry
+//	rrsim chaos -replay f            replay a violation repro bundle
+//	rrsim run [flags] <file.json>    run a user-defined scenario (see examples/scenarios)
+//	rrsim all [flags]                every experiment except chaos
 //
-//	rrsim fig5 [-drops n]        Figure 5: drop-tail burst-loss throughput
-//	rrsim fig6 [-seed n]         Figure 6: RED-gateway sequence traces
-//	rrsim fig7 [-quick]          Figure 7: square-root-model fitness
-//	rrsim table5                 Table 5: fairness matrix
-//	rrsim ackloss                §2.3 ACK-loss robustness sweep
-//	rrsim fairshare              §2.3 fair-share gateways (FIFO vs DRR)
-//	rrsim twoway                 two-way traffic extension
-//	rrsim smoothstart            slow-start overshoot vs Smooth-start [21]
-//	rrsim bursty                 Gilbert-Elliott correlated-loss sweep
-//	rrsim ablation [-drops n]    RR design-choice ablations
-//	rrsim chaos [-runs n]        seeded-random fault sweep under invariant checking
-//	rrsim chaos -replay f        replay a violation repro bundle
-//	rrsim stress [-cells n]      overload soak: many-flow cells under chaos and budgets
-//	rrsim run <file.json>        run a user-defined scenario (see examples/scenarios)
-//	rrsim all [-quick]           everything above except chaos
+// Every experiment is a named entry in the rrtcp experiment registry;
+// rrsim derives its dispatch table, usage text and each command's flags
+// from it. A command's flags are exactly the ones it reads: those of the
+// options its registration lists plus the sweep harness flags (-json,
+// -parallel, -checkpoint, ...), and for all the ones of its experiments
+// but -events and -flow-stats. Any other flag is refused before
+// anything runs. rrsim with no arguments lists the experiments; rrsim
+// <command> -h lists the command's flags.
 //
 // Independent runs inside an experiment fan out across a worker pool;
 // -parallel bounds the pool (0 = GOMAXPROCS, 1 = sequential) and the
@@ -50,19 +45,17 @@
 // summary, spans, flows, timeline). A scenario run publishing telemetry
 // samples its gauges every 10 ms, as fig5 does, so the trace has
 // counter tracks. Of the experiments only fig5 and stress publish
-// telemetry; -events on any other (or on all) is an error. -pprof
-// writes cpu.pprof and heap.pprof runtime profiles of the simulator
-// itself.
+// telemetry, so only they take -events. -pprof writes cpu.pprof and
+// heap.pprof runtime profiles of the simulator itself.
 //
-// Flow-scale analytics (fig5, chaos, stress; an error on any other):
-// -flow-stats folds every flow's lifecycle events into aggregate
-// per-variant accounting — FCT quantiles, goodput, retransmission load,
-// windowed Jain fairness — appended to the result as a flow report;
-// -flow-exemplars K keeps a seeded reservoir of K flows in full detail;
-// -flow-csv FILE writes the per-variant rows as CSV. It stays a live
-// flag because chaos publishes no events to replay, and one flag with
-// one meaning on all three is simpler than sending fig5 and stress to
-// rrtrace flows.
+// Flow-scale analytics (fig5, chaos, stress): -flow-stats folds every
+// flow's lifecycle events into aggregate per-variant accounting — FCT
+// quantiles, goodput, retransmission load, windowed Jain fairness —
+// appended to the result as a flow report; -flow-exemplars K keeps a
+// seeded reservoir of K flows in full detail; -flow-csv FILE writes the
+// per-variant rows as CSV. It stays a live flag because chaos publishes
+// no events to replay, and one flag with one meaning on all three is
+// simpler than sending fig5 and stress to rrtrace flows.
 //
 // -http :PORT serves live introspection while the run executes:
 // /metrics (Prometheus text format), /progress (sweep progress as
@@ -73,6 +66,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,6 +75,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -100,77 +95,30 @@ func run(args []string) error {
 		return fmt.Errorf("%s", usage())
 	}
 	cmd, rest := args[0], args[1:]
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	runs := fs.Int("runs", 100, "independent repetitions where the experiment takes a count (chaos: fault schedules)")
-	drops := fs.Int("drops", 3, "packets lost within one window (fig5/ablation)")
-	seed := fs.Int64("seed", 0, "simulation seed for fig5, fig6, fairshare, smoothstart, chaos and stress (0 = experiment default); fig7, table5, ackloss, twoway, bursty and ablation run their fixed seed lists")
-	quick := fs.Bool("quick", false, "smaller sweeps for fast runs (fig7/all)")
-	variants := fs.String("variants", "", "comma-separated variant list, e.g. tahoe,rr,fack")
-	delack := fs.Bool("delack", false, "run receivers with delayed ACKs (fig7)")
-	traceOut := fs.String("trace", "", "write flow 0's event trace as CSV to this file (run)")
-	events := fs.String("events", "", "stream structured telemetry as NDJSON to this file, for rrtrace (fig5/stress/run)")
-	pprofDir := fs.String("pprof", "", "write cpu.pprof and heap.pprof runtime profiles into this directory")
-	asJSON := fs.Bool("json", false, "emit the result as JSON instead of a table")
-	bytes := fs.Int64("bytes", 0, "per-flow transfer size in bytes (chaos, 0 = default)")
-	horizon := fs.Duration("horizon", 0, "per-run simulated-time bound (chaos, 0 = default)")
-	bundles := fs.String("bundles", "", "directory for violation repro bundles (chaos)")
-	replay := fs.String("replay", "", "replay a repro bundle instead of sweeping (chaos)")
-	parallel := fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = sequential)")
-	progress := fs.Bool("progress", false, "render live sweep progress on stderr")
-	httpAddr := fs.String("http", "", "serve live introspection (/metrics, /progress, /healthz, /debug/pprof) on this address, e.g. :8080")
-	checkpoint := fs.String("checkpoint", "", "journal completed sweep jobs under this directory so an interrupted run can resume (every experiment, all included)")
-	resume := fs.Bool("resume", false, "restore jobs journaled by a previous interrupted run (requires -checkpoint)")
-	stallAfter := fs.Duration("stall-after", 0, "report jobs in flight longer than this as stalled, on stderr and /progress (0 = off)")
-	progressEvents := fs.String("progress-events", "", "stream sweep lifecycle events (start/job/done, stalls) as NDJSON to this file, for rrtrace summary")
-	cells := fs.Int("cells", 0, "independent simulation cells (stress, 0 = default)")
-	flows := fs.Int("flows", 0, "concurrent flows per cell (stress, 0 = default)")
-	budgetEvents := fs.Uint64("budget-events", 0, "per-cell processed-event budget; a cell exceeding it degrades (stress, 0 = off)")
-	flowStats := fs.Bool("flow-stats", false, "fold flow lifecycle events into the aggregate flow-analytics layer; the result gains a per-variant FCT/goodput/fairness report (fig5/chaos/stress)")
-	flowExemplars := fs.Int("flow-exemplars", 0, "reservoir of exemplar flows kept in full detail by -flow-stats (0 = aggregates only)")
-	flowCSV := fs.String("flow-csv", "", "write the -flow-stats per-variant report as CSV to this file")
-	if err := fs.Parse(rest); err != nil {
+	var s settings
+	fs, err := s.flagSet(cmd)
+	if err != nil {
 		return err
 	}
-
-	emit := renderText
-	if *asJSON {
-		emit = renderJSON
-	}
-
-	opts := rrtcp.ExperimentOptions{
-		Seed:          *seed,
-		Runs:          *runs,
-		Drops:         *drops,
-		Quick:         *quick,
-		DelayedAck:    *delack,
-		Bytes:         *bytes,
-		Horizon:       *horizon,
-		BundleDir:     *bundles,
-		Cells:         *cells,
-		Flows:         *flows,
-		MaxEvents:     *budgetEvents,
-		FlowStats:     *flowStats,
-		FlowExemplars: *flowExemplars,
-	}
-	if *variants != "" {
-		for _, name := range strings.Split(*variants, ",") {
-			kind, err := rrtcp.ParseKind(name)
-			if err != nil {
-				return err
-			}
-			opts.Variants = append(opts.Variants, kind)
+	if err := fs.Parse(rest); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
+		return err
 	}
-	if *resume && *checkpoint == "" {
+	// Only run takes an operand, its scenario file, so a flag after a
+	// stray word is refused rather than dropped with it.
+	if n := fs.NArg(); cmd == "run" && n != 1 {
+		return fmt.Errorf("usage: rrsim run [flags] <scenario.json>")
+	} else if cmd != "run" && n != 0 {
+		return fmt.Errorf("%s takes no operand, got %q", cmd, fs.Args())
+	}
+
+	runOpt := &s.runOpt
+	if runOpt.Resume && runOpt.CheckpointDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	runOpt := rrtcp.ExperimentRunOptions{
-		Parallel:      *parallel,
-		StallAfter:    *stallAfter,
-		CheckpointDir: *checkpoint,
-		Resume:        *resume,
-	}
-	if *checkpoint != "" {
+	if runOpt.CheckpointDir != "" {
 		runOpt.OnCheckpoint = func(dir string, restored, skipped int) {
 			if restored > 0 || skipped > 0 {
 				fmt.Fprintf(os.Stderr, "rrsim: checkpoint %s: restored %d job(s), skipped %d stale record(s)\n",
@@ -189,8 +137,7 @@ func run(args []string) error {
 	defer stopSignals()
 	runOpt.Context = ctx
 
-	tel := telemetryOpts{events: *events, flowCSV: *flowCSV}
-	if *flowCSV != "" && !*flowStats {
+	if s.flowCSV != "" && !s.opts.FlowStats {
 		return fmt.Errorf("-flow-csv requires -flow-stats")
 	}
 
@@ -198,7 +145,7 @@ func run(args []string) error {
 	// coordinating goroutine); the -progress status line and the live
 	// introspection sinks both subscribe to it.
 	var progressSinks []rrtcp.TelemetrySink
-	if *progress {
+	if s.progress {
 		progressSinks = append(progressSinks, rrtcp.NewProgressSink(os.Stderr))
 	}
 	// Sweep lifecycle events are wall-clock and completion-ordered, so
@@ -206,46 +153,40 @@ func run(args []string) error {
 	// deterministic -events stream. The sink's write error is checked at
 	// exit — a full disk must fail the run, not vanish into a warning.
 	var closers []func() error
-	if *progressEvents != "" {
-		f, err := os.Create(*progressEvents)
+	if s.progressEvents != "" {
+		f, err := os.Create(s.progressEvents)
 		if err != nil {
 			return fmt.Errorf("create -progress-events file: %w", err)
 		}
 		nd := rrtcp.NewNDJSONSink(f)
 		closers = append(closers, func() error {
-			err := nd.Close()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+			if err := errors.Join(nd.Close(), f.Close()); err != nil {
 				return fmt.Errorf("flush -progress-events: %w", err)
 			}
 			return nil
 		})
 		progressSinks = append(progressSinks, nd)
 	}
-	if *httpAddr != "" {
+	if s.httpAddr != "" {
 		liveMetrics := rrtcp.NewMetricsSink()
 		liveProgress := rrtcp.NewProgressState()
 		progressSinks = append(progressSinks, liveMetrics, liveProgress)
-		tel.live = liveMetrics
-		var liveFlows *rrtcp.FlowTable
-		if *flowStats {
+		s.live = liveMetrics
+		if s.opts.FlowStats {
 			// The live table behind /flows subscribes to the shared
 			// telemetry bus, filling as experiments republish per-job
 			// streams (chaos/stress keep run events private-bounded and
 			// surface flow analytics via the result report instead); the
 			// per-job tables behind the result's flow report are separate,
 			// so scraping never perturbs the deterministic output.
-			liveFlows = rrtcp.NewFlowTable(rrtcp.FlowStatsConfig{
-				Exemplars: *flowExemplars,
-				Seed:      *seed,
+			s.flows = rrtcp.NewFlowTable(rrtcp.FlowStatsConfig{
+				Exemplars: s.opts.FlowExemplars,
+				Seed:      s.opts.Seed,
 				Registry:  liveMetrics.R,
 			})
-			tel.flows = liveFlows
 		}
-		srv := rrtcp.NewObsServer(liveMetrics.R, liveProgress, liveFlows)
-		addr, err := srv.Start(*httpAddr)
+		srv := rrtcp.NewObsServer(liveMetrics.R, liveProgress, s.flows)
+		addr, err := srv.Start(s.httpAddr)
 		if err != nil {
 			return err
 		}
@@ -256,24 +197,19 @@ func run(args []string) error {
 		runOpt.Progress = rrtcp.NewTelemetryBus(progressSinks...)
 	}
 	do := func() error {
-		switch cmd {
-		case "run":
-			if fs.NArg() != 1 {
-				return fmt.Errorf("usage: rrsim run [-json] [-trace out.csv] [-events out.ndjson] <scenario.json>")
-			}
-			return runScenario(emit, fs.Arg(0), *traceOut, tel)
-		case "chaos":
-			if *replay != "" {
-				return runChaosReplay(*replay)
-			}
-		case "all":
-			return runAll(emit, opts, runOpt, tel)
+		switch {
+		case cmd == "run":
+			return s.runScenario(fs.Arg(0))
+		case cmd == "all":
+			return s.runAll()
+		case s.replay != "":
+			return runChaosReplay(s.replay)
 		}
-		return runExperiment(cmd, emit, opts, runOpt, tel)
+		return s.runExperiment(cmd)
 	}
 	runErr := func() error {
-		if *pprofDir != "" {
-			return withProfiles(*pprofDir, do)
+		if s.pprofDir != "" {
+			return withProfiles(s.pprofDir, do)
 		}
 		return do()
 	}()
@@ -283,6 +219,124 @@ func run(args []string) error {
 		}
 	}
 	return runErr
+}
+
+// settings is one invocation: what its flags set, each flag binding
+// one field (the experiment's options and the sweep's run options
+// among them, so nothing is copied out of the parsed flags), and the
+// live sinks -http adds.
+type settings struct {
+	opts                       rrtcp.ExperimentOptions
+	runOpt                     rrtcp.ExperimentRunOptions
+	json, progress             bool
+	events, flowCSV, traceOut  string
+	pprofDir, replay, httpAddr string
+	progressEvents             string
+	live                       rrtcp.TelemetrySink // -http live metrics sink, also fed simulation events
+	flows                      *rrtcp.FlowTable    // -http live flow table behind /flows
+}
+
+// flagSet returns cmd's flag set, which holds the flags cmd reads and no
+// other: of the flags declare binds to s, the ones flagsOf names.
+func (s *settings) flagSet(cmd string) (*flag.FlagSet, error) {
+	names, ok := flagsOf(cmd)
+	if !ok {
+		return nil, fmt.Errorf("unknown command %q\n%s", cmd, usage())
+	}
+	all := s.declare()
+	fs := flag.NewFlagSet("rrsim "+cmd, flag.ContinueOnError)
+	for _, name := range names {
+		if f := all.Lookup(name); fs.Lookup(name) == nil {
+			fs.Var(f.Value, f.Name, f.Usage)
+		}
+	}
+	return fs, nil
+}
+
+// declare defines every rrsim flag once — its name, default and help —
+// bound to a field of s.
+func (s *settings) declare() *flag.FlagSet {
+	all := flag.NewFlagSet("rrsim", flag.ContinueOnError)
+	o, r := &s.opts, &s.runOpt
+	all.IntVar(&o.Runs, "runs", 100, "fault schedules to run, each under every variant")
+	all.IntVar(&o.Drops, "drops", 3, "packets lost within one window")
+	all.Int64Var(&o.Seed, "seed", 0, "simulation seed (0 = experiment default)")
+	all.BoolVar(&o.Quick, "quick", false, "smaller sweeps for fast runs")
+	all.Func("variants", "comma-separated variant `list`, e.g. tahoe,rr,fack (default: the experiment's)", func(list string) error {
+		o.Variants = nil
+		if list == "" {
+			return nil
+		}
+		for _, name := range strings.Split(list, ",") {
+			kind, err := rrtcp.ParseKind(name)
+			if err != nil {
+				return err
+			}
+			o.Variants = append(o.Variants, kind)
+		}
+		return nil
+	})
+	all.BoolVar(&o.DelayedAck, "delack", false, "run receivers with delayed ACKs")
+	all.Int64Var(&o.Bytes, "bytes", 0, "per-flow transfer size in bytes (0 = default)")
+	all.DurationVar(&o.Horizon, "horizon", 0, "per-run simulated-time bound (0 = default)")
+	all.StringVar(&o.BundleDir, "bundles", "", "`directory` for violation repro bundles")
+	all.IntVar(&o.Cells, "cells", 0, "independent simulation cells (0 = default)")
+	all.IntVar(&o.Flows, "flows", 0, "concurrent flows per cell (0 = default)")
+	all.Uint64Var(&o.MaxEvents, "budget-events", 0, "per-cell processed-event budget; a cell exceeding it degrades (0 = off)")
+	all.BoolVar(&o.FlowStats, "flow-stats", false, "fold flow lifecycle events into the aggregate flow-analytics layer; the result gains a per-variant FCT/goodput/fairness report")
+	all.IntVar(&o.FlowExemplars, "flow-exemplars", 0, "reservoir of exemplar flows kept in full detail by -flow-stats (0 = aggregates only)")
+	all.StringVar(&s.flowCSV, "flow-csv", "", "write the -flow-stats per-variant report as CSV to this `file`")
+	all.StringVar(&s.events, "events", "", "stream structured telemetry as NDJSON to this `file`, for rrtrace")
+	all.StringVar(&s.replay, "replay", "", "replay a repro bundle `file` instead of sweeping")
+	all.StringVar(&s.traceOut, "trace", "", "write flow 0's event trace as CSV to this `file`")
+	all.BoolVar(&s.json, "json", false, "emit the result as JSON instead of a table")
+	all.StringVar(&s.pprofDir, "pprof", "", "write cpu.pprof and heap.pprof runtime profiles into this `directory`")
+	all.IntVar(&r.Parallel, "parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = sequential)")
+	all.BoolVar(&s.progress, "progress", false, "render live sweep progress on stderr")
+	all.StringVar(&s.httpAddr, "http", "", "serve live introspection (/metrics, /progress, /healthz, /debug/pprof) on this `address`, e.g. :8080")
+	all.StringVar(&r.CheckpointDir, "checkpoint", "", "journal completed sweep jobs under this `directory` so an interrupted run can resume")
+	all.BoolVar(&r.Resume, "resume", false, "restore jobs journaled by a previous interrupted run (requires -checkpoint)")
+	all.DurationVar(&r.StallAfter, "stall-after", 0, "report jobs in flight longer than this as stalled, on stderr and /progress (0 = off)")
+	all.StringVar(&s.progressEvents, "progress-events", "", "stream sweep lifecycle events (start/job/done, stalls) as NDJSON to this `file`, for rrtrace summary")
+	return all
+}
+
+// harness lists the flags every sweep command reads: they steer how the
+// sweep runs and reports, never what it computes.
+var harness = []string{"json", "pprof", "parallel", "progress", "http", "checkpoint", "resume", "stall-after", "progress-events"}
+
+// flagsOf lists the flags cmd reads, false for no such command. An
+// experiment reads the harness's, the options its registration lists,
+// -flow-csv beside -flow-stats (rrsim writes the report -flow-stats
+// adds) and, for chaos, -replay. all reads the harness's and its
+// experiments' options but -events and -flow-stats (with
+// -flow-exemplars), which most of them would ignore. run reads what
+// runScenario does.
+func flagsOf(cmd string) ([]string, bool) {
+	if cmd == "run" {
+		return []string{"json", "pprof", "http", "events", "trace"}, true
+	}
+	names := harness
+	for _, r := range rrtcp.Experiments() {
+		switch {
+		case r.Name == cmd:
+			names = slices.Concat(names, r.Flags)
+			if slices.Contains(r.Flags, "flow-stats") {
+				names = append(names, "flow-csv")
+			}
+			if cmd == "chaos" {
+				names = append(names, "replay")
+			}
+			return names, true
+		case cmd == "all" && r.Name != "chaos":
+			for _, name := range r.Flags {
+				if name != "events" && name != "flow-stats" && name != "flow-exemplars" {
+					names = append(names, name)
+				}
+			}
+		}
+	}
+	return names, cmd == "all"
 }
 
 // signalContext returns a context canceled by the first SIGINT or
@@ -328,24 +382,17 @@ func withProfiles(dir string, fn func() error) error {
 	}
 	runErr := fn()
 	pprof.StopCPUProfile()
-	if err := cpu.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	heap, err := os.Create(filepath.Join(dir, "heap.pprof"))
-	if err != nil {
-		if runErr == nil {
-			runErr = err
-		}
-		return runErr
-	}
 	runtime.GC() // settle the heap so the snapshot reflects live data
-	if err := pprof.WriteHeapProfile(heap); err != nil && runErr == nil {
-		runErr = err
+	return errors.Join(runErr, cpu.Close(), writeFile(filepath.Join(dir, "heap.pprof"), pprof.WriteHeapProfile))
+}
+
+// writeFile creates path and has write fill it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if err := heap.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	return runErr
+	return errors.Join(write(f), f.Close())
 }
 
 // usage builds the top-level help text from the experiment registry.
@@ -360,27 +407,20 @@ func usage() string {
 	return b.String()
 }
 
-// runExperiment builds a registered experiment from the shared options,
-// executes it on the sweep pool, and emits the result. Results that
-// report invariant violations (chaos) turn into a non-zero exit.
-func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
-	runOpt rrtcp.ExperimentRunOptions, tel telemetryOpts) error {
-	for _, r := range rrtcp.Experiments() {
-		if r.Name == name {
-			if err := refuseIgnored(r, tel, opts); err != nil {
-				return err
-			}
-		}
-	}
-	bus, finish, err := telemetrySetup(tel)
+// runExperiment builds a registered experiment from the invocation's
+// options, executes it on the sweep pool, and emits the result. Results
+// that report invariant violations (chaos) turn into a non-zero exit.
+func (s *settings) runExperiment(name string) error {
+	bus, finish, err := s.telemetrySetup()
 	if err != nil {
 		return err
 	}
+	opts := s.opts
 	opts.Telemetry = bus
 	var res rrtcp.ExperimentResult
 	e, err := rrtcp.BuildExperiment(name, opts)
 	if err == nil {
-		res, err = rrtcp.RunExperiment(e, runOpt)
+		res, err = rrtcp.RunExperiment(e, s.runOpt)
 	}
 	if ferr := finish(); err == nil {
 		err = ferr
@@ -388,23 +428,15 @@ func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 	if err != nil {
 		return err
 	}
-	if err := emit(res.Render(), res); err != nil {
+	if err := s.emit(res.Render(), res); err != nil {
 		return err
 	}
-	if tel.flowCSV != "" {
+	if s.flowCSV != "" {
 		fr, ok := res.(interface{ FlowReport() rrtcp.FlowReport })
 		if !ok {
 			return fmt.Errorf("%s does not produce a flow report (-flow-csv)", name)
 		}
-		f, err := os.Create(tel.flowCSV)
-		if err != nil {
-			return err
-		}
-		err = fr.FlowReport().WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(s.flowCSV, fr.FlowReport().WriteCSV); err != nil {
 			return fmt.Errorf("write -flow-csv: %w", err)
 		}
 	}
@@ -419,28 +451,20 @@ func runExperiment(name string, emit renderer, opts rrtcp.ExperimentOptions,
 // runAll reproduces the whole evaluation: every registered experiment
 // in canonical order, with fig5 at both burst sizes the paper plots.
 // The chaos sweep is skipped — it is a robustness harness, not a paper
-// figure. Telemetry and flow-analytics flags are refused before the
-// first experiment starts, since most of the experiments ignore them.
-func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.ExperimentRunOptions, tel telemetryOpts) error {
-	var all []rrtcp.ExperimentRegistration
+// figure. No simulation event reaches the live sinks.
+func (s *settings) runAll() error {
 	for _, r := range rrtcp.Experiments() {
-		if r.Name == "chaos" {
+		drops := []int{s.opts.Drops}
+		switch r.Name {
+		case "chaos":
 			continue
-		}
-		if err := refuseIgnored(r, tel, opts); err != nil {
-			return fmt.Errorf("all: %w", err)
-		}
-		all = append(all, r)
-	}
-	for _, r := range all {
-		drops := []int{opts.Drops}
-		if r.Name == "fig5" {
+		case "fig5":
 			drops = []int{3, 6}
 		}
 		for _, d := range drops {
-			o := opts
-			o.Drops = d
-			if err := runExperiment(r.Name, emit, o, runOpt, telemetryOpts{}); err != nil {
+			one := *s
+			one.opts.Drops, one.live = d, nil
+			if err := one.runExperiment(r.Name); err != nil {
 				return err
 			}
 		}
@@ -448,83 +472,48 @@ func runAll(emit renderer, opts rrtcp.ExperimentOptions, runOpt rrtcp.Experiment
 	return nil
 }
 
-// refuseIgnored names the first telemetry or flow-analytics flag that
-// experiment r would ignore: the registry says which options each
-// experiment reads.
-func refuseIgnored(r rrtcp.ExperimentRegistration, tel telemetryOpts, opts rrtcp.ExperimentOptions) error {
-	for _, f := range []struct {
-		flag, what string
-		set, read  bool
-	}{
-		{"-events", "publishes no telemetry", tel.events != "", r.ReadsTelemetry},
-		{"-flow-stats", "keeps no flow statistics", opts.FlowStats, r.ReadsFlowStats},
-	} {
-		if f.set && !f.read {
-			return fmt.Errorf("%s %s (%s)", r.Name, f.what, f.flag)
-		}
+// emit writes one result to stdout: its rendering, or with -json the
+// result itself.
+func (s *settings) emit(rendered string, result any) error {
+	if s.json {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(result)
 	}
-	return nil
-}
-
-// renderer emits one experiment result.
-type renderer func(rendered string, result any) error
-
-func renderText(rendered string, _ any) error {
 	_, err := fmt.Println(rendered)
 	return err
-}
-
-func renderJSON(_ string, result any) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(result)
-}
-
-// telemetryOpts gathers the observability flags shared by experiment
-// and scenario runs.
-type telemetryOpts struct {
-	events  string              // NDJSON event stream path
-	live    rrtcp.TelemetrySink // -http live metrics sink, also fed simulation events
-	flows   *rrtcp.FlowTable    // -http live flow table behind /flows
-	flowCSV string              // -flow-csv report path
 }
 
 // telemetrySetup builds the bus behind -events and -http. The returned
 // finish func flushes the NDJSON stream; it must run even when the
 // experiment fails.
-func telemetrySetup(tel telemetryOpts) (*rrtcp.TelemetryBus, func() error, error) {
+func (s *settings) telemetrySetup() (*rrtcp.TelemetryBus, func() error, error) {
 	var sinks []rrtcp.TelemetrySink
-	if tel.live != nil {
-		sinks = append(sinks, tel.live)
+	if s.live != nil {
+		sinks = append(sinks, s.live)
 	}
-	if tel.flows != nil {
-		sinks = append(sinks, tel.flows)
+	if s.flows != nil {
+		sinks = append(sinks, s.flows)
 	}
 	finish := func() error { return nil }
-	if tel.events != "" {
-		f, err := os.Create(tel.events)
+	if s.events != "" {
+		f, err := os.Create(s.events)
 		if err != nil {
 			return nil, nil, err
 		}
 		nd := rrtcp.NewNDJSONSink(f)
 		sinks = append(sinks, nd)
-		finish = func() error {
-			err := nd.Close()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
+		finish = func() error { return errors.Join(nd.Close(), f.Close()) }
 	}
 	return rrtcp.NewTelemetryBus(sinks...), finish, nil
 }
 
-func runScenario(emit renderer, path, traceOut string, tel telemetryOpts) error {
+func (s *settings) runScenario(path string) error {
 	spec, err := rrtcp.LoadScenarioFile(path)
 	if err != nil {
 		return err
 	}
-	bus, finish, err := telemetrySetup(tel)
+	bus, finish, err := s.telemetrySetup()
 	if err != nil {
 		return err
 	}
@@ -534,8 +523,8 @@ func runScenario(emit renderer, path, traceOut string, tel telemetryOpts) error 
 	// A nil trace writer runs the scenario without the flow-0 CSV.
 	var trace io.Writer
 	closeTrace := func() error { return nil }
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+	if s.traceOut != "" {
+		f, err := os.Create(s.traceOut)
 		if err != nil {
 			finish()
 			return err
@@ -552,7 +541,7 @@ func runScenario(emit renderer, path, traceOut string, tel telemetryOpts) error 
 	if err != nil {
 		return err
 	}
-	return emit(rep.RenderText(), rep)
+	return s.emit(rep.RenderText(), rep)
 }
 
 func runChaosReplay(path string) error {

@@ -455,19 +455,15 @@ func TestRunParallelOutputIdentical(t *testing.T) {
 }
 
 // table5's cells run its fixed Seeds list and nothing reads
-// Table5Config.Seed, so -seed must not relabel the same table under
-// another "seed" key.
+// Table5Config.Seed, so -seed is refused rather than printing the
+// default table under another seed.
 func TestRunTable5IgnoresSeed(t *testing.T) {
-	def, err := capture(t, func() error { return run([]string{"table5", "-json"}) })
-	if err != nil {
-		t.Fatalf("run table5 -json: %v", err)
+	out, err := capture(t, func() error { return run([]string{"table5", "-seed", "3", "-json"}) })
+	if err == nil || err.Error() != "flag provided but not defined: -seed" {
+		t.Fatalf("table5 -seed 3 -json: got error %v, want -seed refused", err)
 	}
-	seeded, err := capture(t, func() error { return run([]string{"table5", "-seed", "3", "-json"}) })
-	if err != nil {
-		t.Fatalf("run table5 -seed 3 -json: %v", err)
-	}
-	if def != seeded {
-		t.Fatalf("table5 -seed 3 -json differs from table5 -json:\n%s\nvs\n%s", seeded, def)
+	if out != "" {
+		t.Fatalf("table5 -seed 3 -json printed %q before refusing", out)
 	}
 }
 
@@ -554,9 +550,9 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
-// The telemetry and flow-analytics flags are an error, naming the flag
-// and the experiment, where the experiment would ignore them — and on
-// all, before it starts — rather than an empty file or a missing
+// The telemetry and flow-analytics flags are not flags of an experiment
+// that would ignore them, nor of all, so the flag package refuses them
+// before anything runs, rather than leaving an empty file or a missing
 // report.
 func TestRunRefusesIgnoredFlags(t *testing.T) {
 	dir := t.TempDir()
@@ -564,11 +560,11 @@ func TestRunRefusesIgnoredFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"ablation", "-events", filepath.Join(dir, "ab.ndjson")}, "ablation publishes no telemetry (-events)"},
-		{[]string{"chaos", "-runs", "1", "-events", filepath.Join(dir, "c.ndjson")}, "chaos publishes no telemetry (-events)"},
-		{[]string{"table5", "-flow-stats"}, "table5 keeps no flow statistics (-flow-stats)"},
-		{[]string{"all", "-quick", "-events", filepath.Join(dir, "all.ndjson")}, "all: fig6 publishes no telemetry (-events)"},
-		{[]string{"all", "-quick", "-flow-stats"}, "all: fig6 keeps no flow statistics (-flow-stats)"},
+		{[]string{"ablation", "-events", filepath.Join(dir, "ab.ndjson")}, "flag provided but not defined: -events"},
+		{[]string{"chaos", "-runs", "1", "-events", filepath.Join(dir, "c.ndjson")}, "flag provided but not defined: -events"},
+		{[]string{"table5", "-flow-stats"}, "flag provided but not defined: -flow-stats"},
+		{[]string{"all", "-quick", "-events", filepath.Join(dir, "all.ndjson")}, "flag provided but not defined: -events"},
+		{[]string{"all", "-quick", "-flow-stats"}, "flag provided but not defined: -flow-stats"},
 	} {
 		out, err := capture(t, func() error { return run(c.args) })
 		if err == nil || err.Error() != c.want {

@@ -32,8 +32,9 @@ type Experiment interface {
 }
 
 // Options carries the CLI-facing knobs shared across experiments. Each
-// builder maps the fields it understands onto its config and ignores
-// the rest; zero values always mean "experiment default".
+// builder maps the fields its registration lists (Registration.Flags)
+// onto its config and ignores the rest; zero values always mean
+// "experiment default".
 type Options struct {
 	// Seed overrides the experiment's primary seed.
 	Seed int64
@@ -81,28 +82,30 @@ type Registration struct {
 	Name string
 	// Desc is a one-line description for usage text.
 	Desc string
-	// ReadsTelemetry and ReadsFlowStats report whether Build reads
-	// Options.Telemetry and Options.FlowStats/FlowExemplars. A caller
-	// that was asked for telemetry or flow analytics refuses an
-	// experiment that would ignore the option rather than ignore it too.
-	ReadsTelemetry, ReadsFlowStats bool
+	// Flags names the options Build reads, each by the rrsim flag that
+	// sets it ("events" sets Telemetry, "delack" DelayedAck,
+	// "budget-events" MaxEvents, "bundles" BundleDir; the rest are
+	// their field's name in kebab case). An option it does not list
+	// changes nothing Build makes, so rrsim refuses its flag.
+	Flags []string
 	// Build constructs the experiment.
 	Build Builder
 }
 
 // registry holds every experiment in canonical (paper) order; rrsim
-// derives its dispatch table and usage text from it.
+// derives its dispatch table, usage text and each command's flags from
+// it.
 var registry = []Registration{
-	{Name: "fig5", Desc: "Figure 5: drop-tail burst-loss throughput", ReadsTelemetry: true, ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
+	{Name: "fig5", Desc: "Figure 5: drop-tail burst-loss throughput", Flags: []string{"drops", "seed", "variants", "events", "flow-stats", "flow-exemplars"}, Build: func(o Options) (Experiment, error) {
 		return NewFigure5Experiment(Figure5Config{
 			Drops: o.Drops, Seed: o.Seed, Variants: o.Variants, Telemetry: o.Telemetry,
 			FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
 		}), nil
 	}},
-	{Name: "fig6", Desc: "Figure 6: RED-gateway sequence traces", Build: func(o Options) (Experiment, error) {
+	{Name: "fig6", Desc: "Figure 6: RED-gateway sequence traces", Flags: []string{"seed", "variants"}, Build: func(o Options) (Experiment, error) {
 		return NewFigure6Experiment(Figure6Config{Seed: o.Seed, Variants: o.Variants}), nil
 	}},
-	{Name: "fig7", Desc: "Figure 7: square-root-model fitness", Build: func(o Options) (Experiment, error) {
+	{Name: "fig7", Desc: "Figure 7: square-root-model fitness", Flags: []string{"quick", "delack", "variants"}, Build: func(o Options) (Experiment, error) {
 		cfg := Figure7Config{DelayedAck: o.DelayedAck, Variants: o.Variants}
 		if o.Quick {
 			cfg.LossRates = []float64{0.001, 0.01, 0.05, 0.1}
@@ -114,32 +117,32 @@ var registry = []Registration{
 	{Name: "table5", Desc: "Table 5: fairness matrix", Build: func(o Options) (Experiment, error) {
 		return NewTable5Experiment(Table5Config{}), nil
 	}},
-	{Name: "ackloss", Desc: "§2.3 ACK-loss robustness sweep", Build: func(o Options) (Experiment, error) {
+	{Name: "ackloss", Desc: "§2.3 ACK-loss robustness sweep", Flags: []string{"variants"}, Build: func(o Options) (Experiment, error) {
 		return NewAckLossExperiment(AckLossConfig{Variants: o.Variants}), nil
 	}},
-	{Name: "fairshare", Desc: "§2.3 fair-share gateways (FIFO vs DRR)", Build: func(o Options) (Experiment, error) {
+	{Name: "fairshare", Desc: "§2.3 fair-share gateways (FIFO vs DRR)", Flags: []string{"seed"}, Build: func(o Options) (Experiment, error) {
 		return NewFairShareExperiment(FairShareConfig{Seed: o.Seed}), nil
 	}},
-	{Name: "twoway", Desc: "two-way traffic extension", Build: func(o Options) (Experiment, error) {
+	{Name: "twoway", Desc: "two-way traffic extension", Flags: []string{"variants"}, Build: func(o Options) (Experiment, error) {
 		return NewTwoWayExperiment(TwoWayConfig{Variants: o.Variants}), nil
 	}},
-	{Name: "smoothstart", Desc: "slow-start overshoot vs Smooth-start [21]", Build: func(o Options) (Experiment, error) {
+	{Name: "smoothstart", Desc: "slow-start overshoot vs Smooth-start [21]", Flags: []string{"seed"}, Build: func(o Options) (Experiment, error) {
 		return NewSmoothStartExperiment(SmoothStartConfig{Seed: o.Seed}), nil
 	}},
-	{Name: "bursty", Desc: "Gilbert-Elliott correlated-loss sweep", Build: func(o Options) (Experiment, error) {
+	{Name: "bursty", Desc: "Gilbert-Elliott correlated-loss sweep", Flags: []string{"variants"}, Build: func(o Options) (Experiment, error) {
 		return NewBurstyExperiment(BurstyConfig{Variants: o.Variants}), nil
 	}},
-	{Name: "ablation", Desc: "RR design-choice ablations", Build: func(o Options) (Experiment, error) {
+	{Name: "ablation", Desc: "RR design-choice ablations", Flags: []string{"drops"}, Build: func(o Options) (Experiment, error) {
 		return NewAblationExperiment(o.Drops), nil
 	}},
-	{Name: "chaos", Desc: "seeded-random fault sweep under invariant checking", ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
+	{Name: "chaos", Desc: "seeded-random fault sweep under invariant checking", Flags: []string{"runs", "seed", "variants", "bytes", "horizon", "bundles", "flow-stats", "flow-exemplars"}, Build: func(o Options) (Experiment, error) {
 		return NewChaosExperiment(ChaosConfig{
 			Schedules: o.Runs, Seed: o.Seed, Variants: o.Variants,
 			Bytes: o.Bytes, Horizon: o.Horizon, BundleDir: o.BundleDir,
 			FlowStats: o.FlowStats, FlowExemplars: o.FlowExemplars,
 		}), nil
 	}},
-	{Name: "stress", Desc: "overload soak: many-flow cells under chaos, budgets, and graceful degradation", ReadsTelemetry: true, ReadsFlowStats: true, Build: func(o Options) (Experiment, error) {
+	{Name: "stress", Desc: "overload soak: many-flow cells under chaos, budgets, and graceful degradation", Flags: []string{"cells", "flows", "seed", "bytes", "horizon", "variants", "events", "budget-events", "flow-stats", "flow-exemplars"}, Build: func(o Options) (Experiment, error) {
 		return NewStressExperiment(StressConfig{
 			Cells: o.Cells, Flows: o.Flows, Seed: o.Seed, Bytes: o.Bytes,
 			Horizon: o.Horizon, Variants: o.Variants, Telemetry: o.Telemetry,

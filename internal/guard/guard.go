@@ -131,7 +131,7 @@ func (m *Monitor) Tripped() bool { return m.Err() != nil }
 // trips resolve identically every run. Once tripped the monitor keeps
 // returning the same error, so a caller that ignores the stop and calls
 // Run again stops immediately instead of burning more budget.
-func (m *Monitor) check(now sim.Time, processed uint64, pending int) error {
+func (m *Monitor) check(now sim.Time, processed uint64) error {
 	if m.err != nil {
 		return m.err
 	}

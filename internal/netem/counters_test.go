@@ -49,7 +49,7 @@ func TestGlobalPacketsMatchLinkCounts(t *testing.T) {
 	for name, arm := range map[string]func(s *sim.Scheduler){
 		"horizon": func(*sim.Scheduler) {},
 		"guard-trip": func(s *sim.Scheduler) {
-			s.SetGuard(func(_ sim.Time, processed uint64, _ int) error {
+			s.SetGuard(func(_ sim.Time, processed uint64) error {
 				if processed >= 5000 { // past one flush, short of the next
 					return errors.New("budget")
 				}

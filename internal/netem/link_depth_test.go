@@ -46,8 +46,8 @@ func TestEventQueueDepthIndependentOfWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.SetGuard(func(_ sim.Time, _ uint64, pending int) error {
-			peakPending = max(peakPending, pending)
+		s.SetGuard(func(sim.Time, uint64) error {
+			peakPending = max(peakPending, s.Pending())
 			return nil
 		})
 		s.Run(30 * time.Second)

@@ -167,7 +167,7 @@ func TestLinkMatchesLindleyReference(t *testing.T) {
 				}
 			}
 			if hooked {
-				s.SetGuard(func(sim.Time, uint64, int) error { return nil })
+				s.SetGuard(func(sim.Time, uint64) error { return nil })
 			}
 			s.RunAll()
 			tr := ts["link"]

@@ -238,7 +238,7 @@ func TestSharedLanesBoundedByDelaysPending(t *testing.T) {
 	delivered := 0
 	l := Must(NewLink(s, 100e6, time.Millisecond, Must(NewDropTail(8)), NodeFunc(func(*Packet) { delivered++ })))
 	peakWire, offered, seen := 0, 0, map[sim.Time]bool{}
-	s.SetGuard(func(sim.Time, uint64, int) error {
+	s.SetGuard(func(sim.Time, uint64) error {
 		peakWire = max(peakWire, int(l.TxPackets)-delivered)
 		if n := s.LaneCount(); n > peakWire+1 {
 			t.Fatalf("%d lanes after at most %d packets on the wire at once, want one each plus the serialization lane", n, peakWire)

@@ -108,6 +108,10 @@ type PacketPool struct {
 	blocks [][]Packet
 	next   int
 	slab   []Packet
+	// sacks is the uncarved rest of the last slab of SACK arrays. An
+	// array stays with the packet it was carved for, reset included, so
+	// a slab is never carved twice.
+	sacks []SACKBlock
 
 	// Gets counts Get calls and Hits the subset served from the free
 	// list; Hits/Gets is the pool hit rate the benchmarks report.
@@ -144,6 +148,28 @@ func (pp *PacketPool) Get() *Packet {
 	return p
 }
 
+// SACKRoom returns an empty slice with room for the three blocks an ACK
+// carries, for a packet of the pool whose SACK slice has none yet. It is
+// carved from a slab of such arrays, a sixteenth as many as the packets
+// carved so far within minSlab and maxSACKSlab; a nil pool allocates it.
+func (pp *PacketPool) SACKRoom() []SACKBlock {
+	if pp == nil {
+		return make([]SACKBlock, 0, sackBlocks)
+	}
+	if len(pp.sacks) == 0 {
+		n := min(max(int(pp.Gets-pp.Hits)/16, minSlab), maxSACKSlab)
+		pp.sacks = make([]SACKBlock, sackBlocks*n)
+	}
+	room := pp.sacks[:0:sackBlocks]
+	pp.sacks = pp.sacks[sackBlocks:]
+	return room
+}
+
+// sackBlocks is how many SACK blocks an ACK carries at most (RFC 2018).
+// A slab's uncarved tail is what SACK slabs cost over one array apiece,
+// so a slab holds at most maxSACKSlab arrays, and few in a small world.
+const sackBlocks, maxSACKSlab = 3, 16
+
 // reset empties the pool for a rebuilt world: every packet it carved is
 // zeroed as Get zeroes a released one, SACK array kept, and carving
 // starts again from the first block. A packet of the previous world is
@@ -154,7 +180,7 @@ func (pp *PacketPool) reset() {
 			blk[i] = Packet{SACK: blk[i].SACK[:0]}
 		}
 	}
-	*pp = PacketPool{blocks: pp.blocks}
+	*pp = PacketPool{blocks: pp.blocks, sacks: pp.sacks}
 }
 
 // Slab bounds, in packets.

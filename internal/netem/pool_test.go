@@ -121,3 +121,59 @@ func TestPacketPoolCarvesMissesFromSlabs(t *testing.T) {
 		t.Fatal("released packets were not the next ones handed out")
 	}
 }
+
+// TestSACKRoomCarvesMissesFromSlabs: the room an ACK gets for its SACK
+// blocks comes a slab at a time — minSlab rooms in a pool that has
+// carved few packets, maxSACKSlab in one that has carved many — each
+// room its own three blocks, and it stays with its packet through a
+// release and a reset.
+func TestSACKRoomCarvesMissesFromSlabs(t *testing.T) {
+	const n = 1000
+	var rooms [][]SACKBlock
+	slabs := testing.AllocsPerRun(3, func() {
+		pp := new(PacketPool)
+		rooms = rooms[:0]
+		for i := 0; i < n; i++ {
+			rooms = append(rooms, pp.SACKRoom())
+		}
+	})
+	if slabs > n/minSlab {
+		t.Fatalf("%d SACK rooms took %.0f allocations", n, slabs)
+	}
+	big := new(PacketPool)
+	for i := 0; i < 16*maxSACKSlab; i++ {
+		big.Get()
+	}
+	if big.SACKRoom(); len(big.sacks) != sackBlocks*(maxSACKSlab-1) {
+		t.Fatalf("after %d packets a SACK slab holds %d rooms, want %d", big.Gets, len(big.sacks)/sackBlocks+1, maxSACKSlab)
+	}
+	for i, room := range rooms {
+		if len(room) != 0 || cap(room) != sackBlocks {
+			t.Fatalf("room %d: len %d cap %d, want 0 and %d", i, len(room), cap(room), sackBlocks)
+		}
+		rooms[i] = append(room, SACKBlock{Start: int64(i)}, SACKBlock{Start: int64(i)}, SACKBlock{Start: int64(i)})
+	}
+	for i, room := range rooms {
+		for _, b := range room {
+			if b.Start != int64(i) {
+				t.Fatalf("room %d shares its blocks with another room", i)
+			}
+		}
+	}
+	if room := (*PacketPool)(nil).SACKRoom(); len(room) != 0 || cap(room) != sackBlocks {
+		t.Fatalf("a nil pool's room: len %d cap %d", len(room), cap(room))
+	}
+
+	var pp PacketPool
+	p := pp.Get()
+	p.SACK = append(pp.SACKRoom(), SACKBlock{Start: 1, End: 2})
+	block := &p.SACK[:1][0]
+	p.Release()
+	if q := pp.Get(); q != p || len(q.SACK) != 0 || &q.SACK[:1][0] != block {
+		t.Fatal("a released packet lost its SACK room")
+	}
+	pp.reset()
+	if q := pp.Get(); q != p || &q.SACK[:1][0] != block {
+		t.Fatal("a reset pool's packet lost its SACK room")
+	}
+}

@@ -84,7 +84,7 @@ func twinRuns(t *testing.T, script func(t *testing.T, r *settleRun)) {
 		r := &settleRun{s: sim.NewScheduler(1), lazy: lazy}
 		r.l, r.red = settleLink(r.s, NodeFunc(func(p *Packet) { r.logf("delivered %d", pktID(p)) }))
 		if !lazy {
-			r.s.SetGuard(func(sim.Time, uint64, int) error { return nil })
+			r.s.SetGuard(func(sim.Time, uint64) error { return nil })
 		}
 		script(t, r)
 		r.counts("end")

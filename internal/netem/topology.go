@@ -10,46 +10,19 @@ import (
 
 // Demux routes packets to per-flow destinations; it models the routing
 // step at a gateway fanning out to the receiver (or sender) hosts.
-// Routing is a dense-slice lookup indexed by flow ID — flow IDs are
-// small topology slot numbers — with a map fallback for any outliers.
+// Routing is a lookup in a table indexed by flow ID, one entry per flow
+// of the dumbbell that sizes it.
 type Demux struct {
-	dst      []Node
-	overflow map[int]Node
+	dst []Node
 }
 
 var _ Node = (*Demux)(nil)
 
-// demuxDenseMax bounds how large a flow ID the dense table will grow
-// for; anything larger routes through the overflow map.
-const demuxDenseMax = 1 << 16
-
-// NewDemux returns an empty router.
-func NewDemux() *Demux { return &Demux{} }
-
-// Route binds a flow ID to a destination node.
-func (d *Demux) Route(flow int, dst Node) {
-	if flow >= 0 && flow < demuxDenseMax {
-		for len(d.dst) <= flow {
-			d.dst = append(d.dst, nil)
-		}
-		d.dst[flow] = dst
-		return
-	}
-	if d.overflow == nil {
-		d.overflow = make(map[int]Node)
-	}
-	d.overflow[flow] = dst
-}
-
-// Receive implements Node; packets for unknown flows are dropped.
+// Receive implements Node; a packet for a flow outside the table is
+// released.
 func (d *Demux) Receive(p *Packet) {
 	if uint(p.Flow) < uint(len(d.dst)) {
-		if dst := d.dst[p.Flow]; dst != nil {
-			dst.Receive(p)
-			return
-		}
-	} else if dst, ok := d.overflow[p.Flow]; ok {
-		dst.Receive(p)
+		d.dst[p.Flow].Receive(p)
 		return
 	}
 	p.Release()
@@ -213,8 +186,8 @@ func (d *Dumbbell) Rebuild(sched *sim.Scheduler, cfg DumbbellConfig) error {
 
 	var rings []*Packet
 	for i := 0; i < n; i++ {
-		d.fwdDemux.Route(i, d.side(i, receiverLink))
-		d.revDemux.Route(i, d.side(i, returnLink))
+		d.fwdDemux.dst[i] = d.side(i, receiverLink)
+		d.revDemux.dst[i] = d.side(i, returnLink)
 		for kind, dst := range [sideLinks]Node{senderLink: d.fwdEntry, ackLink: d.revEntry} {
 			l := d.side(i, kind)
 			if l.fifo.fifo.buf == nil {

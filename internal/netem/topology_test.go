@@ -141,15 +141,27 @@ func TestDumbbellValidation(t *testing.T) {
 	}
 }
 
+// A packet for a flow beyond the dumbbell's Flows reaches no receiver:
+// the gateway's routing table releases it to the pool.
 func TestDemuxDropsUnknownFlow(t *testing.T) {
-	d := NewDemux()
-	sink := &collector{}
-	d.Route(1, sink)
-	p := pkt(1)
-	p.Flow = 99
-	d.Receive(p) // must not panic and not deliver
-	if len(sink.pkts) != 0 {
-		t.Fatal("unknown flow delivered")
+	s := sim.NewScheduler(1)
+	d, err := NewDumbbell(s, PaperDropTailConfig(1))
+	if err != nil {
+		t.Fatalf("NewDumbbell: %v", err)
+	}
+	sink := &collector{sched: s}
+	d.ConnectReceiver(0, sink)
+	for _, flow := range []int{1, 99, -1} {
+		p := d.Pool().Get()
+		p.Flow = flow
+		d.fwdDemux.Receive(p)
+		s.Run(time.Second)
+		if len(sink.pkts) != 0 {
+			t.Fatalf("flow %d delivered", flow)
+		}
+		if q := d.Pool().Get(); q != p {
+			t.Fatalf("flow %d: the packet was not released to the pool", flow)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ func TestGuardHookStopsRunAndRetainsError(t *testing.T) {
 	tick.Reset(time.Millisecond)
 	wantErr := errors.New("budget blown")
 	var kept error
-	s.SetGuard(func(now Time, processed uint64, pending int) error {
+	s.SetGuard(func(now Time, processed uint64) error {
 		if processed >= 5 {
 			kept = wantErr
 			return wantErr
@@ -40,7 +40,7 @@ func TestGuardHookNilIsFree(t *testing.T) {
 	run := func(guarded bool) (uint64, Time) {
 		s := NewScheduler(3)
 		if guarded {
-			s.SetGuard(func(Time, uint64, int) error { return nil })
+			s.SetGuard(func(Time, uint64) error { return nil })
 		}
 		fired := 0
 		var tick *Timer

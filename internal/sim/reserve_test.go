@@ -145,7 +145,7 @@ func TestHookInstalledWithEventsOwed(t *testing.T) {
 		twinScripts(t, func(s *Scheduler, d *idler) {
 			d.start(time.Millisecond, 1) // before the run: owed by the reserving twin
 			var seen []uint64
-			s.SetGuard(func(_ Time, processed uint64, _ int) error { seen = append(seen, processed); return nil })
+			s.SetGuard(func(_ Time, processed uint64) error { seen = append(seen, processed); return nil })
 			s.NewTimer(func() { d.start(time.Millisecond, 2) }).Reset(0)
 			s.RunAll()
 			d.logf("guard saw %v", seen)

@@ -20,7 +20,7 @@ func worldA(t *testing.T, s *Scheduler, seed int64) {
 	s.Rand().Float64()
 	s.DeriveRand("faults").Int63()
 	s.DeriveRand("stress-plan")
-	s.SetGuard(func(Time, uint64, int) error { return nil })
+	s.SetGuard(func(Time, uint64) error { return nil })
 	q.armTimer(3, s.Now()+time.Second, -1)
 	q.pushLane(2, time.Second, -2)
 	q.pushShared(5, scriptDelays[4], -3)

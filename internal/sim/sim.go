@@ -162,7 +162,7 @@ type Scheduler struct {
 
 	// Guard hook, the one per-event hook: consulted after every
 	// processed event, a non-nil return stops the run.
-	guard func(now Time, processed uint64, pending int) error
+	guard func(now Time, processed uint64) error
 
 	// What Reset hands on to the next world besides the queue's own
 	// storage: the sources Rand and DeriveRand gave out (detached at
@@ -359,7 +359,7 @@ func (s *Scheduler) HeapHighWater() int { return s.highWater }
 func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 
 // SetGuard installs fn to be consulted after every processed event with
-// the current time, the total processed count, and the heap depth — the
+// the current time and the total processed count — the
 // scheduler side of the overload guard (internal/guard). When fn
 // returns a non-nil error the run stops after the in-flight event; the
 // scheduler does not keep the error, the hook's owner does (see
@@ -369,7 +369,7 @@ func (s *Scheduler) LaneCount() int { return len(s.lanes) }
 // an unguarded one. It is the scheduler's one per-event hook. fn runs
 // synchronously on the simulation goroutine and must not schedule or
 // cancel events.
-func (s *Scheduler) SetGuard(fn func(now Time, processed uint64, pending int) error) {
+func (s *Scheduler) SetGuard(fn func(now Time, processed uint64) error) {
 	s.payDebts()
 	s.guard = fn
 }
@@ -617,9 +617,8 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 			s.timers.remove(0)
 			s.timers.slots[idx].fn()
 		}
-		// With a guard installed nothing is owed, so Pending pays nothing.
 		if s.guard != nil {
-			if s.guard(s.now, s.fired(), s.Pending()) != nil {
+			if s.guard(s.now, s.fired()) != nil {
 				s.stopped = true
 			}
 		}

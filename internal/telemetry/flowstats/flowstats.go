@@ -33,9 +33,9 @@ import (
 	"rrtcp/internal/telemetry"
 )
 
-// DefaultWindow is the fairness-window length when Config.Window is
-// zero: one simulated second of goodput per Jain-index sample.
-const DefaultWindow = sim.Time(1e9)
+// fairnessWindow is the fairness-window length: one simulated second of
+// goodput per Jain-index sample.
+const fairnessWindow = sim.Time(1e9)
 
 // exemplarEvents bounds each exemplar flow's retained event ring.
 const exemplarEvents = 512
@@ -48,9 +48,6 @@ type Config struct {
 	// Seed drives the reservoir's RNG; the same seed over the same
 	// event stream always samples the same flows.
 	Seed int64
-	// Window is the Jain-fairness window in simulated time
-	// (<=0: DefaultWindow).
-	Window sim.Time
 	// Registry, when non-nil, mirrors the table's headline numbers as
 	// live gauges (flows.all.live, flows.all.completed,
 	// flows.all.fairness) and per-variant log histograms
@@ -145,9 +142,6 @@ var _ telemetry.Sink = (*FlowTable)(nil)
 
 // New returns an empty FlowTable.
 func New(cfg Config) *FlowTable {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	t := &FlowTable{
 		cfg:  cfg,
 		aggs: make(map[string]*Agg),
@@ -266,7 +260,7 @@ func (t *FlowTable) onStart(ev telemetry.Event) {
 	t.started++
 	t.liveCount++
 	if t.windowEnd == 0 {
-		t.windowEnd = ev.At + t.cfg.Window
+		t.windowEnd = ev.At + fairnessWindow
 	}
 	t.sample(lf, ev)
 	if t.hasGauges {
@@ -353,7 +347,7 @@ func (t *FlowTable) closeWindows(now sim.Time) {
 		if t.liveCount == 0 {
 			// Fast-forward over an idle gap in one step.
 			gap := now - t.windowEnd
-			t.windowEnd += (gap/t.cfg.Window + 1) * t.cfg.Window
+			t.windowEnd += (gap/fairnessWindow + 1) * fairnessWindow
 			return
 		}
 		var n int
@@ -386,7 +380,7 @@ func (t *FlowTable) closeWindows(now sim.Time) {
 			}
 			a.wN, a.wSum, a.wSumSq = 0, 0, 0
 		}
-		t.windowEnd += t.cfg.Window
+		t.windowEnd += fairnessWindow
 	}
 }
 

@@ -238,10 +238,7 @@ func (r *RRStrategy) onAckProbe(s *tcp.Sender, ev tcp.AckEvent) {
 // one packet and no burst forms.
 func (r *RRStrategy) exit(s *tcp.Sender, ackNo int64) {
 	r.phase = phaseNone
-	cw := float64(r.actnum)
-	if cw < 1 {
-		cw = 1
-	}
+	cw := float64(r.actnum) // SetCwnd floors it at one packet
 	// Recovery state is cleared before any Sender call below can emit:
 	// once phase is none, an observer (the invariant checker) must never
 	// see a stale actnum.

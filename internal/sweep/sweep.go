@@ -45,7 +45,8 @@
 // each idle worker its next job over that worker's one-job channel,
 // takes the worker's done report back, and on a ticker reports jobs in
 // flight longer than StallAfter. Once the context is canceled it stops
-// handing out jobs but keeps draining and checking for stalls. The
+// handing out jobs but keeps draining and checking for stalls. It
+// returns once every worker has reported its exit. The
 // workers are the only other goroutines, and nothing needs a lock:
 // each job's result slot is written by its worker before the done
 // report and read by the loop after it.
@@ -133,7 +134,9 @@ func DeriveSeed(seed int64, index int) int64 {
 
 // done is a worker's report that it finished job index: results[index]
 // and errs[index] are written before it is sent. wall is the job's
-// wall-clock seconds, measured only on an enabled bus.
+// wall-clock seconds, measured only on an enabled bus. Index -1 is the
+// worker's last report: it has left its loop and holds nothing of the
+// sweep.
 type done struct {
 	index, worker int
 	wall          float64
@@ -226,7 +229,7 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 	donec := make(chan done)
 	work := make([]chan int, workers)
 	slots := make([]slot, workers)
-	next, busy := 0, 0
+	next := 0
 	// dispatch hands worker w the next pending job or, when none is
 	// left or the sweep is canceled, closes its channel so it exits.
 	// Checking ctx.Err before every hand-out means a pre-canceled sweep
@@ -239,7 +242,6 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 		}
 		i := pending[next]
 		next++
-		busy++
 		slots[w] = slot{index: i}
 		if tick != nil {
 			slots[w].start = time.Now()
@@ -261,14 +263,20 @@ func Run(cfg Config, jobs []Job) ([]any, error) {
 				}
 				donec <- d
 			}
+			donec <- done{index: -1, worker: w}
 		}(work[w])
 		dispatch(w)
 	}
 
-	for busy > 0 {
+	// Run returns only once every worker has reported its exit, so no
+	// worker outlives the sweep holding its jobs and their worlds.
+	for live := workers; live > 0; {
 		select {
 		case d := <-donec:
-			busy--
+			if d.index < 0 {
+				live--
+				continue
+			}
 			completed++
 			i := d.index
 			publishJob(cfg, jobs[i].Name, i, completed, n)

@@ -38,6 +38,21 @@ func TestSenderAccessors(t *testing.T) {
 	}
 }
 
+// SetCwnd is where the window's bounds live: it floors cwnd at one
+// packet (RR's exit hands it actnum, which may be 0) and caps it at
+// Config.Window.
+func TestSetCwndFloorsAtOneAndCapsAtWindow(t *testing.T) {
+	s := newTestNet(t, NewTahoe(), testNetConfig{window: 7}).sender
+	for _, c := range []struct{ set, want float64 }{
+		{0, 1}, {-3, 1}, {0.5, 1}, {1, 1}, {2.5, 2.5}, {7, 7}, {7.5, 7}, {100, 7},
+	} {
+		s.SetCwnd(c.set)
+		if got := s.Cwnd(); got != c.want {
+			t.Errorf("SetCwnd(%g): cwnd %g, want %g", c.set, got, c.want)
+		}
+	}
+}
+
 // The sender's counts are the ones a recorded log of the same run
 // holds: ACKs, first sends against retransmissions, the done instant.
 func TestSenderCountsMatchLog(t *testing.T) {

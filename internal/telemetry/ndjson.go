@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 
@@ -267,47 +266,16 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 			}
 			continue
 		}
-		if err := d.scan(line); err != nil {
-			skip(lineNo, err)
-			continue
-		}
-		ev := Event{Flow: NoFlow}
-		t, _ := d.num("t")
-		ev.At = sim.Time(math.Round(t * 1e9))
-		seq, _ := d.num("seq")
-		ev.Seq = int64(seq)
-		ev.Comp = ParseComponent(string(d.str("comp")))
-		kindName := d.str("kind")
-		ev.Kind = ParseKind(string(kindName))
-		missingKind := len(kindName) == 0
-		if src := d.str("src"); src != nil {
-			ev.Src = d.intern(src)
-		}
-		flow, hasFlow := d.num("flow")
-		if hasFlow {
-			ev.Flow = int32(flow)
-		}
+		ev, unknown, err := d.decode(line)
 		switch {
-		case missingKind:
-			skip(lineNo, fmt.Errorf("missing \"kind\""))
-		case hasFlow && (flow < math.MinInt32 || flow > math.MaxInt32):
-			// No writer numbers a flow outside int32, and converting
-			// such a number is implementation-defined.
-			skip(lineNo, fmt.Errorf("flow %g out of range", flow))
-		case ev.Comp == 0 || ev.Kind == 0:
+		case err != nil:
+			skip(lineNo, err)
+		case unknown != "":
 			stats.Unknown++
 			if stats.FirstUnknown == nil {
-				comp := string(d.str("comp")) // str's bytes last until its next call
-				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s/%s", lineNo, comp, d.str("kind"))
+				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s", lineNo, unknown)
 			}
 		default:
-			a, b := ev.Kind.attrNames()
-			if a != "" {
-				ev.A, _ = d.num(a)
-			}
-			if b != "" {
-				ev.B, _ = d.num(b)
-			}
 			if len(out) == cap(out) {
 				// Double: append grows a long slice by a quarter at a
 				// time, which allocates and copies a long log's events

@@ -97,6 +97,10 @@ func NewRRWithOptions(opts Options) *RRStrategy {
 	return &RRStrategy{opts: opts, phase: phaseNone}
 }
 
+// Reset makes r the strategy NewRRWithOptions returns for the options r
+// was built with, for a new connection.
+func (r *RRStrategy) Reset() { *r = RRStrategy{opts: r.opts, phase: phaseNone} }
+
 // Name implements tcp.Strategy.
 func (r *RRStrategy) Name() string { return "rr" }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -497,5 +498,26 @@ func TestRRPaperFigure3Example(t *testing.T) {
 	}
 	if newSends == 0 {
 		t.Fatal("no new data during the Figure 3 recovery")
+	}
+}
+
+// Reset makes an RR strategy the one NewRRWithOptions returns for the
+// options it was built with, whatever phase a run left it in.
+func TestRRResetMatchesConstructor(t *testing.T) {
+	for _, opts := range []*core.Options{nil, {RetreatDupsPerSegment: 1, HalveOnFurtherLoss: true}} {
+		n := newRRNet(t, opts, 0)
+		fresh := fmt.Sprintf("%+v", n.strat)
+		n.drop(40, 41, 42)
+		n.start(t)
+		for n.sched.Now() < 10*time.Second && !n.strat.InRecovery() {
+			n.sched.Run(n.sched.Now() + 10*time.Millisecond)
+		}
+		if !n.strat.InRecovery() {
+			t.Fatalf("options %+v: never entered recovery", opts)
+		}
+		n.strat.Reset()
+		if got := fmt.Sprintf("%+v", n.strat); got != fresh {
+			t.Fatalf("options %+v: after Reset\n%s\nconstructor:\n%s", opts, got, fresh)
+		}
 	}
 }

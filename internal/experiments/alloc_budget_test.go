@@ -15,26 +15,29 @@ import (
 // of a sweep after a worker's first — rebuilds the world the first run
 // left on the sweep's free list. A rebuilt world reuses its scheduler,
 // link block, lane and queue rings, packet slabs, Timer handles and
-// generator tables, so what it costs is a few dozen small objects — a
-// sender and a receiver per flow, their strategies and traces, the
-// disciplines and injectors the spec names, the run's checker and bus —
-// whatever it then simulates. One source left off the world's pool, or
-// one per-event allocation, overshoots these by orders of magnitude:
+// generator tables, and its flows: each slot's sender, receiver and
+// trace holder are reset in place, with their out-of-order buffer,
+// sample log and timer callback, and so is its strategy when the slot
+// runs the same variant again. What it costs is a dozen or two small
+// objects — strategies of another variant, the disciplines and
+// injectors the spec names, the run's checker and bus, the job's result
+// — whatever it then simulates. One source left off the world's pool,
+// or one per-event allocation, overshoots these by orders of magnitude:
 // before its CBR source drew from the pool the fairshare job made
 // 37 627.
 var allocCeilings = map[string]float64{
-	"fig5":        37,  // tahoe, one recorded flow
-	"fig6":        117, // 10 flows on RED
-	"fig7":        38,  // sack at p = 0.001, 30 s
-	"table5":      173, // 20 flows
-	"ackloss":     35,
-	"fairshare":   25, // one flow and a CBR source saturating the ACK path
-	"twoway":      43,
-	"smoothstart": 17,
-	"bursty":      32,
-	"ablation":    36,
-	"chaos":       41,  // tahoe under schedule 0
-	"stress":      108, // one cell of 8 flows
+	"fig5":        18, // tahoe, one recorded flow
+	"fig6":        29, // 10 flows on RED
+	"fig7":        28, // sack at p = 0.001, 30 s
+	"table5":      16, // 20 flows
+	"ackloss":     26,
+	"fairshare":   17, // one flow and a CBR source saturating the ACK path
+	"twoway":      18,
+	"smoothstart": 6,
+	"bursty":      24,
+	"ablation":    18,
+	"chaos":       30, // tahoe under schedule 0
+	"stress":      52, // one cell of 8 flows
 }
 
 // TestAllocationBudgets runs one job of every registered experiment and
@@ -91,7 +94,7 @@ func TestChaosCaseAllocationBudget(t *testing.T) {
 		},
 	}
 	w := &scenario.World{}
-	for variant, ceiling := range map[string]float64{"reno": 37, "rr": 33, "sack": 35} {
+	for variant, ceiling := range map[string]float64{"reno": 28, "rr": 25, "sack": 25} {
 		c.Variant = variant
 		got := testing.AllocsPerRun(1, func() {
 			out, err := runChaosCase(c, w, nil)

@@ -9,6 +9,7 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/telemetry"
+	"rrtcp/internal/workload"
 )
 
 // rebuildShapes are worlds of different shapes, in the order one World
@@ -104,8 +105,8 @@ func TestRebuildMatchesBuild(t *testing.T) {
 // TestRebuildAllocations: rebuilding a used one-slot Table 3 world
 // allocates nothing in sim or netem — the scheduler, link block, side
 // rings, routes and packet slabs of the world before are all reused —
-// and World.Rebuild adds only the forward drop-tail
-// netem.PaperDropTailConfig makes for it.
+// and World.Rebuild adds nothing: its forward queue is the link's own
+// drop-tail, not one made and discarded each time.
 func TestRebuildAllocations(t *testing.T) {
 	w, err := Build(1, &Spec{Flows: []FlowSpec{{Kind: "rr", Packets: 200, Window: 20}}})
 	if err != nil {
@@ -144,8 +145,43 @@ func TestRebuildAllocations(t *testing.T) {
 		if err := w.Rebuild(2, &Spec{}); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Fatalf("World.Rebuild of Table 3 allocates %.0f times, want 1 (the forward drop-tail)", got)
+	}); got != 0 {
+		t.Fatalf("World.Rebuild of Table 3 allocates %.0f times, want 0", got)
+	}
+}
+
+// TestRebuiltWorldInstallsWithoutAllocating: a world rebuilt to the
+// shape it had, with the same variants in the same slots, installs
+// every flow in the memory of the flow before — its endpoints, trace
+// holder and strategy, with their storage — so rebuilding it costs the
+// same at 1, 4, 16 and 64 flows, as NewDumbbell does
+// (TestNewDumbbellAllocationsIndependentOfFlows).
+func TestRebuiltWorldInstallsWithoutAllocating(t *testing.T) {
+	rebuild := func(n int) float64 {
+		spec := &Spec{Topology: &TopologySpec{Flows: n}}
+		for i := 0; i < n; i++ {
+			kind := workload.Kinds()[i%len(workload.Kinds())]
+			spec.Flows = append(spec.Flows, FlowSpec{Kind: kind.String(), Packets: 60, Window: 20, DelayedAck: i%2 == 1})
+		}
+		var w World
+		if err := w.Rebuild(1, spec); err != nil {
+			t.Fatal(err)
+		}
+		w.Run(30 * time.Second) // grows the scoreboards, out-of-order buffers and delayed-ACK timers
+		return testing.AllocsPerRun(5, func() {
+			if err := w.Rebuild(2, spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := rebuild(1)
+	for _, n := range []int{4, 16, 64} {
+		if got := rebuild(n); got != one {
+			t.Fatalf("rebuilding a %d-flow world allocates %.0f times, a 1-flow world %.0f: want the same", n, got, one)
+		}
+	}
+	if one != 0 {
+		t.Fatalf("rebuilding a 1-flow world allocates %.0f times, want 0", one)
 	}
 }
 

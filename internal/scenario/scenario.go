@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"rrtcp/internal/faults"
@@ -294,7 +295,9 @@ type World struct {
 	Sched *sim.Scheduler
 	Net   *netem.Dumbbell
 	// Flows holds the installed connections; a flow's index is its slot
-	// in the topology and its flow ID.
+	// in the topology and its flow ID. Past its length, up to its
+	// capacity, it keeps the flows of earlier worlds for Install to
+	// recycle.
 	Flows []*workload.Flow
 
 	sampler *telemetry.Sampler // nil unless the spec samples gauges
@@ -317,12 +320,14 @@ func Build(seed int64, s *Spec) (World, error) {
 // one slot. Spec.Seed, Name and Duration are the caller's to apply.
 //
 // A World that has been built before is rebuilt in its own memory: its
-// scheduler is Reset and its dumbbell rebuilt in place, so the new world
-// runs exactly as a freshly built one while allocating little of what
-// the old one grew. Everything of the old world — flows, timers, random
-// sources, packets, anything attached to it — is invalid afterwards,
-// and a caller must not rebuild a world something still reads. After an
-// error the World must be rebuilt before it is used.
+// scheduler is Reset, its dumbbell rebuilt in place and its flows Reset
+// as the new world installs into their slots, so the new world runs
+// exactly as a freshly built one while allocating little of what the
+// old one grew. Everything of the old world — flows, endpoints, traces
+// and their samples, timers, random sources, packets, anything attached
+// to it — is invalid afterwards, and a caller must not rebuild a world
+// something still reads. After an error the World must be rebuilt
+// before it is used.
 func (w *World) Rebuild(seed int64, s *Spec) error {
 	if err := s.check(); err != nil {
 		return err
@@ -334,7 +339,16 @@ func (w *World) Rebuild(seed int64, s *Spec) error {
 	}
 	sched := w.Sched
 
-	dcfg := netem.PaperDropTailConfig(s.slots())
+	// Table 3 (netem.PaperDropTailConfig), but with no forward queue
+	// unless the spec names one: the forward link's own 8-packet
+	// drop-tail is the same queue, and it keeps its ring across rebuilds.
+	dcfg := netem.DumbbellConfig{
+		Flows:           s.slots(),
+		BottleneckBps:   0.8e6,
+		BottleneckDelay: 50 * time.Millisecond,
+		SideBps:         10e6,
+		SideDelay:       time.Millisecond,
+	}
 	if t := s.Topology; t != nil {
 		// Unset (zero) keeps Table 3; check rejected negatives.
 		dcfg.BottleneckBps = cmp.Or(t.BottleneckBps, dcfg.BottleneckBps)
@@ -385,11 +399,11 @@ func (w *World) Rebuild(seed int64, s *Spec) error {
 	if err := w.Net.Rebuild(sched, dcfg); err != nil {
 		return err
 	}
-	clear(w.Flows)
-	w.Flows, w.sampler = w.Flows[:0], nil
+	// The old world's flows stay past the length, for Install to reset.
 	if cap(w.Flows) < dcfg.Flows {
-		w.Flows = make([]*workload.Flow, 0, dcfg.Flows)
+		w.Flows = slices.Grow(w.Flows[:cap(w.Flows)], dcfg.Flows-cap(w.Flows))
 	}
+	w.Flows, w.sampler = w.Flows[:0], nil
 	if s.Telemetry != nil {
 		// Instrumented whether or not anything listens yet: a sink may
 		// subscribe after the build (the invariant checker needs the
@@ -437,20 +451,30 @@ func (fs *FlowSpec) workload(bus *telemetry.Bus) workload.FlowSpec {
 // Install wires a flow into the next free slot of the dumbbell, sender
 // on the S side, and schedules its start.
 func (w *World) Install(spec workload.FlowSpec) (*workload.Flow, error) {
-	return w.installed(workload.Install(w.Sched, w.Net, len(w.Flows), spec))
+	return w.install(spec, false)
 }
 
 // InstallReverse is Install with the sender on the K side: the flow's
 // data crosses the reverse bottleneck and its ACKs the forward one.
 func (w *World) InstallReverse(spec workload.FlowSpec) (*workload.Flow, error) {
-	return w.installed(workload.InstallReverse(w.Sched, w.Net, len(w.Flows), spec))
+	return w.install(spec, true)
 }
 
-func (w *World) installed(flow *workload.Flow, err error) (*workload.Flow, error) {
-	if err != nil {
+// install resets the flow an earlier world left in the next slot, or a
+// new one, into the flow spec describes.
+func (w *World) install(spec workload.FlowSpec, reverse bool) (*workload.Flow, error) {
+	i := len(w.Flows)
+	var flow *workload.Flow
+	if i < cap(w.Flows) {
+		flow = w.Flows[:i+1][i]
+	}
+	if flow == nil {
+		flow = new(workload.Flow)
+	}
+	if err := flow.Reset(w.Sched, w.Net, i, spec, reverse); err != nil {
 		return nil, err
 	}
-	w.sampler.AddFlow(int32(len(w.Flows)), flow.Sender)
+	w.sampler.AddFlow(int32(i), flow.Sender)
 	w.Flows = append(w.Flows, flow)
 	return flow, nil
 }

@@ -28,13 +28,13 @@ func TestSenderAccessors(t *testing.T) {
 	if s.MSS() != DefaultMSS {
 		t.Fatalf("MSS = %d", s.MSS())
 	}
-	if !s.HasNewData() {
-		t.Fatal("HasNewData false before transfer")
+	if !(s.availableBytes() > 0) {
+		t.Fatal("no new data before the transfer")
 	}
 	n.start(t)
 	n.run(10 * time.Second)
-	if s.HasNewData() {
-		t.Fatal("HasNewData true after transfer")
+	if s.availableBytes() > 0 {
+		t.Fatal("new data left after the transfer")
 	}
 }
 
@@ -126,11 +126,11 @@ func TestStrategyIntrospectionAccessors(t *testing.T) {
 		t.Fatal("fresh New-Reno state")
 	}
 	sack := NewSACK()
-	if sack.InRecovery() || len(sack.Scoreboard()) != 0 {
+	if sack.InRecovery() || len(sack.scoreboard) != 0 {
 		t.Fatal("fresh SACK state")
 	}
 	fack := NewFACK()
-	if fack.InRecovery() || fack.Fack() != 0 {
+	if fack.InRecovery() || fack.fack != 0 {
 		t.Fatal("fresh FACK state")
 	}
 	re := NewRightEdge()
@@ -163,7 +163,7 @@ func TestSACKPipeAccessorDuringRecovery(t *testing.T) {
 	if strat.Pipe(n.sender) < 0 {
 		t.Fatal("negative pipe")
 	}
-	if len(strat.Scoreboard()) == 0 {
+	if len(strat.scoreboard) == 0 {
 		t.Fatal("empty scoreboard during recovery")
 	}
 }

@@ -28,11 +28,15 @@ func NewFACK() *FACKStrategy {
 	return &FACKStrategy{}
 }
 
+// Reset makes f the strategy NewFACK returns, for a new connection,
+// keeping the storage of its scoreboard. The retransmitted-hole set
+// starts from its zero value, so it fills its own buffer again.
+func (f *FACKStrategy) Reset() {
+	*f = FACKStrategy{scoreboard: f.scoreboard[:0]}
+}
+
 // Name implements Strategy.
 func (f *FACKStrategy) Name() string { return "fack" }
-
-// Fack exposes the forward-most acknowledged byte (for tests).
-func (f *FACKStrategy) Fack() int64 { return f.fack }
 
 // OnAck implements Strategy. As for SACK there is no re-entry guard.
 func (f *FACKStrategy) OnAck(s *Sender, ev AckEvent) {

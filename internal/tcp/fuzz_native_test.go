@@ -64,7 +64,7 @@ func FuzzLossRecovery(f *testing.F) {
 		if n.recv.Delivered != transfer {
 			t.Fatalf("%s delivered %d bytes, want %d", name, n.recv.Delivered, transfer)
 		}
-		if len(n.recv.OutOfOrderBlocks()) != 0 {
+		if len(n.recv.blocks) != 0 {
 			t.Fatalf("%s left out-of-order blocks behind", name)
 		}
 	})

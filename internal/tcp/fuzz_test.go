@@ -62,7 +62,7 @@ func TestVariantsSurviveRandomLossProperty(t *testing.T) {
 					t.Logf("seed %d: delivered %d", seed, n.recv.Delivered)
 					return false
 				}
-				if len(n.recv.OutOfOrderBlocks()) != 0 {
+				if len(n.recv.blocks) != 0 {
 					t.Logf("seed %d: leftover out-of-order blocks", seed)
 					return false
 				}

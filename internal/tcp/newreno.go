@@ -21,6 +21,9 @@ var _ Strategy = (*NewRenoStrategy)(nil)
 // NewNewReno returns the New-Reno strategy.
 func NewNewReno() *NewRenoStrategy { return &NewRenoStrategy{} }
 
+// Reset makes n the strategy NewNewReno returns, for a new connection.
+func (n *NewRenoStrategy) Reset() { *n = NewRenoStrategy{} }
+
 // Name implements Strategy.
 func (*NewRenoStrategy) Name() string { return "newreno" }
 

@@ -30,12 +30,14 @@ type Receiver struct {
 	// acknowledged immediately, per RFC 5681.
 	DelayedAck bool
 
-	rcvNxt  int64
-	blocks  rangeSet    // out-of-order data
-	recent  [6]seqRange // recency order for SACK block selection
-	nrecent int         // entries of recent in use
+	// Beside the two flags, so the four take one word.
+	nrecent uint8 // entries of recent in use
+	unacked uint8 // in-order segments received since the last ACK
 
-	unacked  int        // in-order segments received since the last ACK
+	rcvNxt int64
+	blocks rangeSet    // out-of-order data
+	recent [6]seqRange // recency order for SACK block selection
+
 	ackTimer *sim.Timer // made on the first withheld ACK; nil until then
 
 	// Pool, when non-nil, supplies outgoing ACKs and receives every
@@ -66,29 +68,29 @@ const (
 
 // NewReceiver builds a receiver whose ACKs go to out.
 func NewReceiver(sched *sim.Scheduler, flow int, out netem.Node, tr *trace.FlowTrace) *Receiver {
-	return &Receiver{
-		sched: sched,
-		out:   out,
-		flow:  flow,
-		tr:    tr,
+	r := new(Receiver)
+	r.Reset(sched, flow, out, tr)
+	return r
+}
+
+// Reset makes r the receiver NewReceiver(sched, flow, out, tr) returns,
+// in r's own memory: nothing of its last connection survives but the
+// storage of its out-of-order buffer, emptied. Its delayed-ACK timer is
+// dropped, not kept: sched may have been Reset since, and the next one
+// is carved from it when the receiver first withholds an ACK.
+func (r *Receiver) Reset(sched *sim.Scheduler, flow int, out netem.Node, tr *trace.FlowTrace) {
+	*r = Receiver{
+		sched:  sched,
+		out:    out,
+		flow:   flow,
+		tr:     tr,
+		blocks: r.blocks[:0],
 	}
 }
 
 // SetOutput redirects generated ACKs to a different node, letting
 // experiments interpose loss modules on the reverse path (§2.3).
 func (r *Receiver) SetOutput(n netem.Node) { r.out = n }
-
-// RcvNxt reports the next expected in-order byte.
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
-// OutOfOrderBlocks returns a copy of the buffered out-of-order ranges.
-func (r *Receiver) OutOfOrderBlocks() []netem.SACKBlock {
-	out := make([]netem.SACKBlock, 0, len(r.blocks))
-	for _, b := range r.blocks {
-		out = append(out, netem.SACKBlock{Start: b.Start, End: b.End})
-	}
-	return out
-}
 
 // Receive implements netem.Node for data packets.
 func (r *Receiver) Receive(p *netem.Packet) {
@@ -179,14 +181,14 @@ func (r *Receiver) advance(end int64) {
 func (r *Receiver) insert(nb seqRange) {
 	nb = r.blocks.merge(nb)
 	r.dropRecent(nb)
-	r.nrecent = min(r.nrecent+1, len(r.recent))
+	r.nrecent = min(r.nrecent+1, uint8(len(r.recent)))
 	copy(r.recent[1:r.nrecent], r.recent[:])
 	r.recent[0] = nb
 }
 
 // dropRecent forgets the recency entries of the blocks inside b.
 func (r *Receiver) dropRecent(b seqRange) {
-	kept := 0
+	kept := uint8(0)
 	for _, rb := range r.recent[:r.nrecent] {
 		if rb.Start < b.Start || rb.End > b.End {
 			r.recent[kept] = rb

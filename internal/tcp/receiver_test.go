@@ -40,8 +40,8 @@ func TestReceiverInOrderDelivery(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		r.Receive(data(i * 1000))
 	}
-	if r.RcvNxt() != 5000 {
-		t.Fatalf("rcvNxt = %d, want 5000", r.RcvNxt())
+	if r.rcvNxt != 5000 {
+		t.Fatalf("rcvNxt = %d, want 5000", r.rcvNxt)
 	}
 	if len(sink.acks) != 5 {
 		t.Fatalf("%d ACKs, want one per packet", len(sink.acks))
@@ -58,8 +58,8 @@ func TestReceiverImmediateDupAckOnGap(t *testing.T) {
 	r.Receive(data(0))
 	r.Receive(data(2000)) // gap at 1000
 	r.Receive(data(3000))
-	if r.RcvNxt() != 1000 {
-		t.Fatalf("rcvNxt advanced past the hole: %d", r.RcvNxt())
+	if r.rcvNxt != 1000 {
+		t.Fatalf("rcvNxt advanced past the hole: %d", r.rcvNxt)
 	}
 	if len(sink.acks) != 3 {
 		t.Fatalf("%d ACKs, want 3 (one per arrival)", len(sink.acks))
@@ -75,8 +75,8 @@ func TestReceiverFillsHoleAndJumps(t *testing.T) {
 	r.Receive(data(2000))
 	r.Receive(data(3000))
 	r.Receive(data(1000)) // fill
-	if r.RcvNxt() != 4000 {
-		t.Fatalf("rcvNxt = %d after filling the hole, want 4000", r.RcvNxt())
+	if r.rcvNxt != 4000 {
+		t.Fatalf("rcvNxt = %d after filling the hole, want 4000", r.rcvNxt)
 	}
 	if sink.last().AckNo != 4000 {
 		t.Fatalf("big ACK = %d, want 4000", sink.last().AckNo)
@@ -144,11 +144,11 @@ func TestReceiverNoSACKWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestReceiverOutOfOrderBlocksAccessor(t *testing.T) {
+func TestReceiverOutOfOrderBlocks(t *testing.T) {
 	r, _ := newRecv(false)
 	r.Receive(data(2000))
 	r.Receive(data(5000))
-	blocks := r.OutOfOrderBlocks()
+	blocks := r.blocks
 	if len(blocks) != 2 {
 		t.Fatalf("%d blocks, want 2", len(blocks))
 	}
@@ -169,14 +169,14 @@ func TestReceiverPermutationProperty(t *testing.T) {
 		prev := int64(0)
 		for _, i := range perm {
 			r.Receive(data(int64(i) * 1000))
-			if r.RcvNxt() < prev {
+			if r.rcvNxt < prev {
 				return false
 			}
-			prev = r.RcvNxt()
+			prev = r.rcvNxt
 		}
-		return r.RcvNxt() == int64(n)*1000 &&
+		return r.rcvNxt == int64(n)*1000 &&
 			len(sink.acks) == n &&
-			len(r.OutOfOrderBlocks()) == 0
+			len(r.blocks) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestReceiverDuplicatesProperty(t *testing.T) {
 		// Deliver 3n random segments from [0, n), then the full set.
 		for i := 0; i < 3*n; i++ {
 			r.Receive(data(int64(rng.Intn(n)) * 1000))
-			blocks := r.OutOfOrderBlocks()
+			blocks := r.blocks
 			for j := 1; j < len(blocks); j++ {
 				if blocks[j].Start < blocks[j-1].End {
 					return false // overlap or disorder
@@ -203,7 +203,7 @@ func TestReceiverDuplicatesProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Receive(data(int64(i) * 1000))
 		}
-		return r.RcvNxt() == int64(n)*1000
+		return r.rcvNxt == int64(n)*1000
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -217,8 +217,8 @@ func TestReceiverPartiallyOldSegment(t *testing.T) {
 	r.Receive(data(0))
 	// 1500-byte segment starting at 500: bytes 500..1000 are old.
 	r.Receive(&netem.Packet{Flow: 0, Kind: netem.Data, Seq: 500, Len: 1500, Size: 1500})
-	if r.RcvNxt() != 2000 {
-		t.Fatalf("rcvNxt = %d, want 2000", r.RcvNxt())
+	if r.rcvNxt != 2000 {
+		t.Fatalf("rcvNxt = %d, want 2000", r.rcvNxt)
 	}
 	if sink.last().AckNo != 2000 {
 		t.Fatalf("ack = %d", sink.last().AckNo)
@@ -232,16 +232,16 @@ func TestReceiverManyDistinctHoles(t *testing.T) {
 	for i := int64(1); i <= 19; i += 2 {
 		r.Receive(data(i * 1000))
 	}
-	if got := len(r.OutOfOrderBlocks()); got != 10 {
+	if got := len(r.blocks); got != 10 {
 		t.Fatalf("%d blocks, want 10", got)
 	}
 	for i := int64(0); i <= 18; i += 2 {
 		r.Receive(data(i * 1000))
 	}
-	if r.RcvNxt() != 20*1000 {
-		t.Fatalf("rcvNxt = %d", r.RcvNxt())
+	if r.rcvNxt != 20*1000 {
+		t.Fatalf("rcvNxt = %d", r.rcvNxt)
 	}
-	if len(r.OutOfOrderBlocks()) != 0 {
+	if len(r.blocks) != 0 {
 		t.Fatal("blocks left after draining")
 	}
 }
@@ -348,8 +348,8 @@ func TestReceiverOutOfOrderDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("out-of-order receive path allocates %.2f times per round, want 0", avg)
 	}
-	if r.RcvNxt() != base || len(r.blocks) != 0 || r.nrecent != 0 {
-		t.Fatalf("receiver did not drain: rcvNxt %d (sent %d), blocks %v, recent %d", r.RcvNxt(), base, r.blocks, r.nrecent)
+	if r.rcvNxt != base || len(r.blocks) != 0 || r.nrecent != 0 {
+		t.Fatalf("receiver did not drain: rcvNxt %d (sent %d), blocks %v, recent %d", r.rcvNxt, base, r.blocks, r.nrecent)
 	}
 }
 

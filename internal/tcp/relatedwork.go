@@ -21,6 +21,9 @@ var _ Strategy = (*RightEdge)(nil)
 // NewRightEdge returns the right-edge recovery strategy.
 func NewRightEdge() *RightEdge { return &RightEdge{} }
 
+// Reset makes r the strategy NewRightEdge returns, for a new connection.
+func (r *RightEdge) Reset() { *r = RightEdge{} }
+
 // Name implements Strategy.
 func (*RightEdge) Name() string { return "rightedge" }
 
@@ -69,6 +72,9 @@ var _ Strategy = (*LinKung)(nil)
 
 // NewLinKung returns the Lin-Kung strategy.
 func NewLinKung() *LinKung { return &LinKung{} }
+
+// Reset makes l the strategy NewLinKung returns, for a new connection.
+func (l *LinKung) Reset() { *l = LinKung{} }
 
 // Name implements Strategy.
 func (*LinKung) Name() string { return "linkung" }

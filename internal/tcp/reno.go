@@ -19,6 +19,9 @@ var _ Strategy = (*Reno)(nil)
 // the New-Reno constructor.)
 func NewReno4BSD() *Reno { return &Reno{} }
 
+// Reset makes r the strategy NewReno4BSD returns, for a new connection.
+func (r *Reno) Reset() { *r = Reno{} }
+
 // Name implements Strategy.
 func (*Reno) Name() string { return "reno" }
 

@@ -1,7 +1,5 @@
 package tcp
 
-import "rrtcp/internal/netem"
-
 // SACKStrategy implements SACK TCP. Two modes are provided:
 //
 //   - The default reproduces the 1996 Fall & Floyd `sack1` sender the
@@ -44,6 +42,14 @@ func NewSACK() *SACKStrategy {
 // scoreboard-derived pipe.
 func NewSACKModern() *SACKStrategy {
 	return &SACKStrategy{modern: true}
+}
+
+// Reset makes k the strategy its constructor (NewSACK or
+// NewSACKModern) returns, for a new connection, keeping the storage of
+// its scoreboard. The retransmitted-hole set starts from its zero
+// value, so it fills its own buffer again.
+func (k *SACKStrategy) Reset() {
+	*k = SACKStrategy{modern: k.modern, scoreboard: k.scoreboard[:0]}
 }
 
 // Name implements Strategy.
@@ -183,15 +189,6 @@ func (k *SACKStrategy) updateScoreboard(s *Sender, ev AckEvent) {
 		k.scoreboard.merge(seqRange{Start: b.Start, End: b.End})
 	}
 	k.scoreboard.trim(max(ev.AckNo, s.SndUna()))
-}
-
-// Scoreboard exposes a copy of the SACKed ranges (for tests).
-func (k *SACKStrategy) Scoreboard() []netem.SACKBlock {
-	out := make([]netem.SACKBlock, 0, len(k.scoreboard))
-	for _, b := range k.scoreboard {
-		out = append(out, netem.SACKBlock{Start: b.Start, End: b.End})
-	}
-	return out
 }
 
 // OnTimeout implements Strategy.

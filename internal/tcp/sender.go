@@ -129,10 +129,10 @@ type Sender struct {
 	rtoBackoff uint
 
 	// Karn's algorithm: one outstanding RTT measurement at a time,
-	// invalidated by retransmission of the timed segment.
-	rttSeq     int64
-	rttSentAt  sim.Time
-	rttPending bool
+	// invalidated by retransmission of the timed segment (rttPending,
+	// with the flags below).
+	rttSeq    int64
+	rttSentAt sim.Time
 
 	// Flow accounting: the counts behind the paper's per-connection
 	// scalars (transfer delay, packet-loss rate) and the flow-done
@@ -144,29 +144,50 @@ type Sender struct {
 	timeoutCount uint32
 	acks         uint32 // ACKs processed, duplicates included
 
-	started bool // Start was called
-	live    bool // the start has fired
-	done    bool
+	rttPending bool
+	started    bool // Start was called
+	live       bool // the start has fired
+	done       bool
+
+	onTimer func() // s.onTimeout, bound once: Reset keeps it
 }
 
 var _ netem.Node = (*Sender)(nil)
 
 // New builds a sender transmitting into out under the given strategy.
 func New(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) (*Sender, error) {
+	s := new(Sender)
+	if err := s.Reset(sched, out, strat, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset makes s the sender New(sched, out, strat, cfg) returns, in s's
+// own memory: nothing of its last connection survives but the bound
+// timer callback, and its timer is carved anew from sched, which may
+// have been Reset since (a kept *sim.Timer would alias the next timer
+// the scheduler carves). After an error s is unchanged.
+func (s *Sender) Reset(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) error {
 	if sched == nil || out == nil || strat == nil {
-		return nil, fmt.Errorf("tcp: nil scheduler, output node, or strategy")
+		return fmt.Errorf("tcp: nil scheduler, output node, or strategy")
 	}
 	cfg.fillDefaults()
-	s := &Sender{
+	onTimer := s.onTimer
+	if onTimer == nil {
+		onTimer = s.onTimeout
+	}
+	*s = Sender{
 		sched:    sched,
 		out:      out,
 		cfg:      cfg,
 		strat:    strat,
 		cwnd:     1,
 		ssthresh: cfg.InitialSSThresh,
+		rtxTimer: sched.NewTimer(onTimer),
+		onTimer:  onTimer,
 	}
-	s.rtxTimer = sched.NewTimer(s.onTimeout)
-	return s, nil
+	return nil
 }
 
 // Start schedules the flow to begin transmitting after delay. The start
@@ -460,9 +481,6 @@ func (s *Sender) availableBytes() int64 {
 	}
 	return s.cfg.TotalBytes - s.sndNxt
 }
-
-// HasNewData reports whether the application has unsent bytes.
-func (s *Sender) HasNewData() bool { return s.availableBytes() > 0 }
 
 // SendNewSegment transmits one new MSS-sized segment at SndNxt,
 // ignoring the congestion window (strategies that meter transmissions

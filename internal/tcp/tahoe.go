@@ -23,6 +23,9 @@ var _ Strategy = (*Tahoe)(nil)
 // NewTahoe returns the Tahoe strategy.
 func NewTahoe() *Tahoe { return &Tahoe{} }
 
+// Reset makes t the strategy NewTahoe returns, for a new connection.
+func (t *Tahoe) Reset() { *t = Tahoe{} }
+
 // Name implements Strategy.
 func (*Tahoe) Name() string { return "tahoe" }
 

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -224,4 +225,49 @@ func TestStrategyNames(t *testing.T) {
 			t.Fatalf("Name() = %q, want %q", got, want)
 		}
 	}
+}
+
+// A strategy's Reset makes it what its constructor returns, whatever a
+// run left in it: a flow reinstalled with the same variant keeps its
+// strategy on the strength of this. A retransmitted-hole set restarts
+// from its zero value, so it fills its own buffer again and no other.
+func TestStrategyResetMatchesConstructor(t *testing.T) {
+	for name, mk := range strategiesUnderTest() {
+		t.Run(name, func(t *testing.T) {
+			strat := mk()
+			fresh := fmt.Sprintf("%+v", mk())
+			n := newTestNet(t, strat, testNetConfig{window: 24, ssthresh: 12, sack: needsSACK(name)})
+			dropBurst(n, 40, 4)
+			n.start(t)
+			holes := rtxSet(strat)
+			used := func() bool {
+				return n.sender.Retransmits() > 0 && fmt.Sprintf("%+v", strat) != fresh && (holes == nil || holes.len() > 0)
+			}
+			for n.sched.Now() < 10*time.Second && !used() {
+				n.sched.Run(n.sched.Now() + 10*time.Millisecond)
+			}
+			if !used() {
+				t.Fatalf("the run left no state to reset: %+v", strat)
+			}
+			strat.(interface{ Reset() }).Reset()
+			if got := fmt.Sprintf("%+v", strat); got != fresh {
+				t.Fatalf("after Reset:\n%s\nconstructor:\n%s", got, fresh)
+			}
+			if holes != nil && holes.seqs != nil {
+				t.Fatalf("a reset retransmitted-hole set still has a backing store (%d of %d)", len(holes.seqs), cap(holes.seqs))
+			}
+		})
+	}
+}
+
+// rtxSet returns a SACK or FACK strategy's retransmitted-hole set, nil
+// for any other strategy.
+func rtxSet(s Strategy) *seqSet {
+	switch k := s.(type) {
+	case *SACKStrategy:
+		return &k.rtxDone
+	case *FACKStrategy:
+		return &k.rtxOut
+	}
+	return nil
 }

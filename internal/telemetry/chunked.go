@@ -6,7 +6,7 @@ import "math/bits"
 // unbounded Ring, and through it a recorded FlowTrace; SpanSink spans).
 // Records live in chunks that are never moved: growth allocates one new
 // chunk and copies nothing, slack is at most one chunk, and the address
-// Append returns stays valid for the store's lifetime. Chunk capacities
+// Append returns stays valid until the store is Reset. Chunk capacities
 // ramp 64, 128, … 4096 so short sequences stay small. The zero value is
 // an empty store.
 type Chunked[T any] struct {
@@ -23,7 +23,11 @@ const (
 func (c *Chunked[T]) Append(v T) *T {
 	last := len(c.chunks) - 1
 	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
-		c.chunks = append(c.chunks, make([]T, 0, chunkMin<<min(len(c.chunks), chunkRamps)))
+		if len(c.chunks) < cap(c.chunks) && c.chunks[:last+2][last+1] != nil {
+			c.chunks = c.chunks[:last+2] // a chunk kept by Reset, of the capacity this position takes
+		} else {
+			c.chunks = append(c.chunks, make([]T, 0, chunkMin<<min(len(c.chunks), chunkRamps)))
+		}
 		last++
 	}
 	ch := append(c.chunks[last], v) // within capacity: never reallocates
@@ -43,6 +47,19 @@ func (c *Chunked[T]) At(i int) *T {
 	}
 	i -= ramp
 	return &c.chunks[chunkRamps+i/(chunkMin<<chunkRamps)][i%(chunkMin<<chunkRamps)]
+}
+
+// Reset empties the store, keeping its chunks: records appended after
+// it fill them again in the same order, so a store that has been as
+// long as it gets allocates nothing more. Addresses and chunks handed
+// out before are invalid afterwards.
+func (c *Chunked[T]) Reset() {
+	for i, ch := range c.chunks {
+		clear(ch)
+		c.chunks[i] = ch[:0]
+	}
+	c.chunks = c.chunks[:0]
+	c.n = 0
 }
 
 // Len reports how many records the store holds.

@@ -89,3 +89,44 @@ func TestChunkedAppendAllocatesOnlyAtChunkBoundaries(t *testing.T) {
 		t.Fatalf("Append within a chunk allocates %.2f times per call, want 0", avg)
 	}
 }
+
+// A Reset store is an empty one that refills its kept chunks: the same
+// ramp, the same order, At where the walk is, and no allocation for
+// records it has held before.
+func TestChunkedResetRefillsItsChunks(t *testing.T) {
+	var c Chunked[int]
+	for i := 0; i < 8128+4096+1; i++ {
+		c.Append(i)
+	}
+	for _, n := range chunkedSizes {
+		c.Reset()
+		if c.Len() != 0 || len(c.Chunks()) != 0 {
+			t.Fatalf("after Reset: Len %d, %d chunks, want an empty store", c.Len(), len(c.Chunks()))
+		}
+		if avg := testing.AllocsPerRun(1, func() {
+			c.Reset()
+			for i := 0; i < n; i++ {
+				c.Append(-i)
+			}
+		}); avg != 0 {
+			t.Fatalf("n=%d: refilling a reset store allocates %.0f times, want 0", n, avg)
+		}
+		var fresh Chunked[int]
+		for i := 0; i < n; i++ {
+			fresh.Append(-i)
+		}
+		if len(c.Chunks()) != len(fresh.Chunks()) {
+			t.Fatalf("n=%d: %d chunks after a refill, a fresh store has %d", n, len(c.Chunks()), len(fresh.Chunks()))
+		}
+		for k, chunk := range c.Chunks() {
+			if !slices.Equal(chunk, fresh.Chunks()[k]) || cap(chunk) != cap(fresh.Chunks()[k]) {
+				t.Fatalf("n=%d: chunk %d differs from a fresh store's", n, k)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if *c.At(i) != -i {
+				t.Fatalf("n=%d: At(%d) = %d after a refill", n, i, *c.At(i))
+			}
+		}
+	}
+}

@@ -397,6 +397,16 @@ func (r *Ring) Emit(ev Event) {
 	}
 }
 
+// Reset empties the ring, keeping its storage: it then reads and fills
+// as NewRing(r.Cap) would, without allocating what it held before.
+// Slices its readers returned are copies and stay valid.
+func (r *Ring) Reset() {
+	clear(r.evs)
+	r.evs = r.evs[:0]
+	r.all.Reset()
+	r.start, r.total = 0, 0
+}
+
 // Total reports how many events were published, including evicted ones.
 func (r *Ring) Total() uint64 { return r.total }
 

@@ -69,6 +69,40 @@ func TestRingWraps(t *testing.T) {
 	}
 }
 
+// A Reset ring reads and fills as a new one of its Cap does, and keeps
+// its storage: a refill as long as what it held allocates nothing.
+func TestRingResetIsANewRing(t *testing.T) {
+	for _, capacity := range []int{0, 3} {
+		r := NewRing(capacity)
+		for i := 0; i < 300; i++ {
+			r.Emit(Event{Kind: KSend, Src: "old", Seq: int64(i)})
+		}
+		kept := r.Events()
+		r.Reset()
+		if r.Total() != 0 || len(r.Events()) != 0 || r.EventsOf(KSend) != nil {
+			t.Fatalf("cap %d: a reset ring still reads total %d, %d events", capacity, r.Total(), len(r.Events()))
+		}
+		fresh := NewRing(capacity)
+		if avg := testing.AllocsPerRun(1, func() {
+			r.Reset()
+			for i := 0; i < 200; i++ {
+				r.Emit(Event{Kind: Kind(1 + i%2), Seq: int64(i)})
+			}
+		}); avg != 0 {
+			t.Fatalf("cap %d: refilling a reset ring allocates %.0f times, want 0", capacity, avg)
+		}
+		for i := 0; i < 200; i++ {
+			fresh.Emit(Event{Kind: Kind(1 + i%2), Seq: int64(i)})
+		}
+		if !slices.Equal(r.Events(), fresh.Events()) || r.Total() != fresh.Total() || !slices.Equal(r.EventsOf(KSend), fresh.EventsOf(KSend)) {
+			t.Fatalf("cap %d: a reset ring reads differently from a new one", capacity)
+		}
+		if kept[len(kept)-1].Src != "old" || kept[len(kept)-1].Seq != 299 {
+			t.Fatalf("cap %d: Reset reached into an earlier reader's copy", capacity)
+		}
+	}
+}
+
 func TestRingEventsOf(t *testing.T) {
 	r := NewRing(0)
 	r.Emit(Event{Kind: KSend})

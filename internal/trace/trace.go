@@ -47,30 +47,48 @@ const recorded uint64 = 1<<EvSend | 1<<EvRetransmit | 1<<EvAckRecv | 1<<EvDelive
 // sender's, not the trace's. A nil *FlowTrace is valid and records
 // nothing, so endpoints can trace unconditionally.
 type FlowTrace struct {
-	Flow int
-	Name string
-	log  *telemetry.Ring // nil until Record
+	Flow      int32 // the flow's ID, as its telemetry events carry it
+	recording bool
+	Name      string
+	log       *telemetry.Ring // made by the first Record; kept by Reset
 }
 
 // New returns an empty trace for the flow; it records nothing until
 // Record.
 func New(flow int, name string) *FlowTrace {
-	return &FlowTrace{Flow: flow, Name: name}
+	t := new(FlowTrace)
+	t.Reset(flow, name)
+	return t
+}
+
+// Reset makes t the trace New(flow, name) returns, in t's own memory:
+// empty and not recording. A sample log it recorded before keeps its
+// storage for the next Record. Samples read from it before are copies
+// and stay valid.
+func (t *FlowTrace) Reset(flow int, name string) {
+	if t.log != nil {
+		t.log.Reset()
+	}
+	*t = FlowTrace{Flow: int32(flow), Name: name, log: t.log}
 }
 
 // Record makes the trace keep a sample log from here on. Call it before
 // the run on the flows whose samples will be read: a sequence plot, a
 // goodput over a window, a CSV export.
 func (t *FlowTrace) Record() {
-	if t != nil && t.log == nil {
+	if t == nil {
+		return
+	}
+	if t.log == nil {
 		t.log = telemetry.NewRing(0)
 	}
+	t.recording = true
 }
 
 // Recording reports whether the trace keeps a sample log; it is false
 // for a nil trace. The endpoints build no event for a trace that is not
 // recording.
-func (t *FlowTrace) Recording() bool { return t != nil && t.log != nil }
+func (t *FlowTrace) Recording() bool { return t != nil && t.recording }
 
 // OnEvent logs the event if the trace is recording and its kind is one
 // a trace keeps.
@@ -84,7 +102,7 @@ func (t *FlowTrace) OnEvent(ev telemetry.Event) {
 // for its samples is a bug in the caller — an empty answer would read as
 // "nothing happened" — so it panics.
 func (t *FlowTrace) samples() *telemetry.Ring {
-	if t.log == nil {
+	if !t.recording {
 		panic(fmt.Sprintf("trace: flow %d (%s) kept no samples: call Record() on the trace before the run", t.Flow, t.Name))
 	}
 	return t.log

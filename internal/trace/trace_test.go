@@ -204,8 +204,40 @@ func TestUnrecordedTraceKeepsNothing(t *testing.T) {
 	}
 }
 
-// A trace is the flow's number, its name and a log pointer; NoTrace
-// skips no more than this.
+// Reset makes a trace the one New returns: another flow and name, not
+// recording, its samples gone — and the storage of a log it recorded
+// kept, so recording as much again allocates nothing.
+func TestResetTraceIsNew(t *testing.T) {
+	tr := New(0, "rr")
+	tr.Record()
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			tr.Add(sim.Time(i)*time.Millisecond, EvSend, int64(i)*1000, 0)
+		}
+	}
+	fill(500)
+	kept := tr.Samples()
+	tr.Reset(4, "sack-rev")
+	if tr.Flow != 4 || tr.Name != "sack-rev" || tr.Recording() {
+		t.Fatalf("after Reset: flow %d, name %q, recording %t; want 4, sack-rev, false", tr.Flow, tr.Name, tr.Recording())
+	}
+	if avg := testing.AllocsPerRun(1, func() {
+		tr.Reset(4, "sack-rev")
+		tr.Record()
+		fill(300)
+	}); avg != 0 {
+		t.Fatalf("recording into a reset trace allocates %.0f times, want 0", avg)
+	}
+	if got := tr.Samples(); len(got) != 300 || got[299].Seq != 299*1000 {
+		t.Fatalf("a reset trace reads %d samples, want the 300 recorded since", len(got))
+	}
+	if len(kept) != 500 || kept[499].Seq != 499*1000 {
+		t.Fatal("Reset reached into samples read before it")
+	}
+}
+
+// A trace is the flow's number, whether it records, its name and a log
+// pointer: the holder every flow of a workload.Flow block carries.
 func TestFlowTraceIs32Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(FlowTrace{}); n > 32 {
 		t.Fatalf("FlowTrace is %d bytes, want at most 32", n)

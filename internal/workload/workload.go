@@ -131,6 +131,13 @@ type FlowSpec struct {
 	DelayedAck bool
 	// SmoothStart enables the paper's [21] slow-start refinement.
 	SmoothStart bool
+	// NoTrace installs the flow with a nil FlowTrace. A default trace
+	// records nothing until Flow.Trace.Record() is called before the
+	// run, and its holder is part of the Flow either way, so this only
+	// makes sure nothing records: for worlds that build flows by the
+	// thousand (chaos, stress, many-flow workloads). The flow is counted
+	// by its Sender either way.
+	NoTrace bool
 	// RROptions, for Kind == RR, applies ablation knobs.
 	RROptions *core.Options
 	// Strategy, when non-nil, overrides Kind entirely — the escape hatch
@@ -139,22 +146,23 @@ type FlowSpec struct {
 	// Telemetry, when non-nil, receives the flow's structured events
 	// (sender, receiver, and recovery state machine).
 	Telemetry *telemetry.Bus
-	// NoTrace installs the flow with a nil FlowTrace. A default trace
-	// records nothing until Flow.Trace.Record() is called before the
-	// run, so this only skips its 32-byte holder: for worlds that build
-	// flows by the thousand (chaos, stress, many-flow workloads). The
-	// flow is counted by its Sender either way.
-	NoTrace bool
 	// OnDone runs when the transfer completes.
 	OnDone func()
 }
 
-// Flow is an installed connection.
+// Flow is an installed connection. The endpoints Install builds live in
+// the Flow itself, and Sender, Receiver and Trace point at them; a Flow
+// built by hand may point anywhere. A Flow is not copied once
+// installed: its endpoints are wired to their own addresses.
 type Flow struct {
 	Spec     FlowSpec
 	Sender   *tcp.Sender
 	Receiver *tcp.Receiver
-	Trace    *trace.FlowTrace
+	Trace    *trace.FlowTrace // nil with NoTrace
+
+	snd  tcp.Sender
+	recv tcp.Receiver
+	tr   trace.FlowTrace
 }
 
 // NewStrategy instantiates the strategy for a spec.
@@ -206,18 +214,30 @@ func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowS
 
 func installNew(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (*Flow, error) {
 	f := new(Flow)
-	if err := install(f, sched, d, idx, spec, reverse); err != nil {
+	if err := f.Reset(sched, d, idx, spec, reverse); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// install wires the flow spec describes into f.
-func install(f *Flow, sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) error {
+// Reset installs the flow spec describes into f, in slot idx of the
+// dumbbell — reversed as InstallReverse does if reverse is set — and
+// schedules its start. f is then what Install (or InstallReverse) would
+// have returned, built in f's own memory: of the connection f held
+// before, only storage its endpoints own survives (see tcp.Sender.Reset,
+// tcp.Receiver.Reset and trace.FlowTrace.Reset), so the scheduler and
+// dumbbell that connection ran on must have been Reset or rebuilt, or
+// be new. After an error f must be Reset again before it is used.
+func (f *Flow) Reset(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (err error) {
+	defer func() {
+		if err != nil {
+			f.Spec = FlowSpec{} // a half-made flow's strategy is not reused
+		}
+	}()
 	if spec.Bytes == 0 {
 		spec.Bytes = tcp.Infinite
 	}
-	strat, err := spec.NewStrategy()
+	strat, err := f.strategy(spec)
 	if err != nil {
 		return err
 	}
@@ -231,16 +251,19 @@ func install(f *Flow, sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec Flo
 		connectData, connectAcks = connectAcks, connectData
 		what, traceName = "reverse flow", traceName+"-rev"
 	}
-	var tr *trace.FlowTrace // nil is a valid no-op trace
-	if !spec.NoTrace {
-		tr = trace.New(idx, traceName)
+	f.tr.Reset(idx, traceName)
+	tr := &f.tr
+	if spec.NoTrace {
+		tr = nil // a valid no-op trace
 	}
-	recv := tcp.NewReceiver(sched, idx, ackIn, tr)
+	recv := &f.recv
+	recv.Reset(sched, idx, ackIn, tr)
 	recv.SACKEnabled = spec.Kind.NeedsSACKReceiver()
 	recv.DelayedAck = spec.DelayedAck
 	recv.Telemetry = spec.Telemetry
 	recv.Pool = d.Pool()
-	snd, err := tcp.New(sched, dataIn, strat, tcp.Config{
+	snd := &f.snd
+	if err := snd.Reset(sched, dataIn, strat, tcp.Config{
 		Flow:            idx,
 		MSS:             spec.MSS,
 		Window:          spec.Window,
@@ -251,8 +274,7 @@ func install(f *Flow, sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec Flo
 		Telemetry:       spec.Telemetry,
 		OnDone:          spec.OnDone,
 		Pool:            d.Pool(),
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("%s %d: %w", what, idx, err)
 	}
 	connectData(idx, recv)
@@ -260,17 +282,40 @@ func install(f *Flow, sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec Flo
 	if err := snd.Start(spec.StartAt); err != nil {
 		return fmt.Errorf("%s %d: %w", what, idx, err)
 	}
-	*f = Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}
+	f.Spec, f.Sender, f.Receiver, f.Trace = spec, snd, recv, tr
 	return nil
 }
 
-// InstallAll installs one flow per spec, in slot order. The flows are
-// laid out in one block; the pointers it returns point into it.
+// strategy returns the strategy spec.NewStrategy would: the one f ran
+// before, Reset, when spec builds the same one, else a new one.
+func (f *Flow) strategy(spec FlowSpec) (tcp.Strategy, error) {
+	if old, ok := f.snd.Strategy().(interface{ Reset() }); ok && sameStrategy(f.Spec, spec) {
+		old.Reset()
+		return f.snd.Strategy(), nil
+	}
+	return spec.NewStrategy()
+}
+
+// sameStrategy reports whether a and b build the same strategy: the same
+// variant with the same options, and no strategy of their own.
+func sameStrategy(a, b FlowSpec) bool {
+	if a.Strategy != nil || b.Strategy != nil || a.Kind != b.Kind {
+		return false
+	}
+	if a.RROptions == nil || b.RROptions == nil {
+		return a.RROptions == b.RROptions
+	}
+	return *a.RROptions == *b.RROptions
+}
+
+// InstallAll installs one flow per spec, in slot order. The flows,
+// endpoints included, are laid out in one block; the pointers it
+// returns point into it.
 func InstallAll(sched *sim.Scheduler, d *netem.Dumbbell, specs []FlowSpec) ([]*Flow, error) {
 	block := make([]Flow, len(specs))
 	flows := make([]*Flow, len(specs))
 	for i, spec := range specs {
-		if err := install(&block[i], sched, d, i, spec, false); err != nil {
+		if err := block[i].Reset(sched, d, i, spec, false); err != nil {
 			return nil, err
 		}
 		flows[i] = &block[i]

@@ -232,13 +232,13 @@ func TestForwardAndReverseShareSlot(t *testing.T) {
 	}
 }
 
-// TestInstallAllAllocations: a connection costs at most four
-// allocations — its sender, the closure of the sender's one timer, its
-// receiver and its strategy — whatever its variant. The flows come in
-// one block and the scoreboards and the delayed-ACK timer wait until a
-// run needs them; what is left is a constant (that block, the pointers
-// into it) and a logarithm (the scheduler's timer table and event heap
-// grow by doubling).
+// TestInstallAllAllocations: a connection costs at most two
+// allocations — the closure of its sender's one timer and its strategy
+// — whatever its variant. The flows come in one block that holds their
+// senders, receivers and trace holders, and the scoreboards and the
+// delayed-ACK timer wait until a run needs them; what is left is a
+// constant (that block, the pointers into it) and a logarithm (the
+// scheduler's timer table and event heap grow by doubling).
 func TestInstallAllAllocations(t *testing.T) {
 	for _, k := range []int{1, 4, 16, 64} {
 		var specs []FlowSpec
@@ -259,9 +259,51 @@ func TestInstallAllAllocations(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		n := len(specs)
-		limit := uint64(4*n + 8*bits.Len(uint(n)) + 16)
+		limit := uint64(2*n + 8*bits.Len(uint(n)) + 16)
 		if got := after.Mallocs - before.Mallocs; got > limit {
-			t.Errorf("InstallAll of %d flows: %d allocations, want at most %d (4 a flow + 8 log2 flows + 16)", n, got, limit)
+			t.Errorf("InstallAll of %d flows: %d allocations, want at most %d (2 a flow + 8 log2 flows + 16)", n, got, limit)
 		}
+	}
+}
+
+// A flow reinstalled with the same variant keeps its strategy, one with
+// another variant or options gets a new one, and a Reset that failed
+// halfway leaves nothing to be kept: the strategy it built for one
+// variant is never handed to another.
+func TestResetKeepsOnlyTheSameStrategy(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	d, err := netem.NewDumbbell(sched, netem.PaperDropTailConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Flow
+	install := func(spec FlowSpec) (tcp.Strategy, error) {
+		sched.Reset(1)
+		if err := d.Rebuild(sched, netem.PaperDropTailConfig(1)); err != nil {
+			t.Fatal(err)
+		}
+		err := f.Reset(sched, d, 0, spec, false)
+		return f.snd.Strategy(), err
+	}
+	tahoe, _ := install(FlowSpec{Kind: Tahoe})
+	if again, _ := install(FlowSpec{Kind: Tahoe, Bytes: 5000}); again != tahoe {
+		t.Fatal("reinstalling tahoe built a new strategy")
+	}
+	if _, err := install(FlowSpec{Kind: Reno, StartAt: -time.Second}); err == nil {
+		t.Fatal("a start in the past installed")
+	}
+	if s, _ := install(FlowSpec{Kind: Tahoe}); s.Name() != "tahoe" {
+		t.Fatalf("tahoe after a failed reno install runs %s", s.Name())
+	}
+	rr, _ := install(FlowSpec{Kind: RR})
+	if s, _ := install(FlowSpec{Kind: RR, RROptions: &core.Options{HalveOnFurtherLoss: true}}); s == rr {
+		t.Fatal("RR with other options kept the published RR's strategy")
+	}
+	custom := tcp.NewNewReno()
+	if s, _ := install(FlowSpec{Kind: NewReno, Strategy: custom}); s != custom {
+		t.Fatal("a spec's own strategy was not used")
+	}
+	if s, _ := install(FlowSpec{Kind: NewReno}); s == custom {
+		t.Fatal("a spec's own strategy was kept for the next flow")
 	}
 }

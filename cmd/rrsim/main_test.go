@@ -303,12 +303,10 @@ func chromeTraceOf(t *testing.T, events string) []byte {
 		t.Fatalf("events file: %v", err)
 	}
 	defer f.Close()
-	evs, _, err := telemetry.DecodeNDJSON(f)
-	if err != nil {
+	spans, series := telemetry.NewSpanSink(), telemetry.NewSeriesSink()
+	if _, err := telemetry.DecodeNDJSON(f, spans, series); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	spans, series := telemetry.NewSpanSink(), telemetry.NewSeriesSink()
-	telemetry.Replay(evs, spans, series)
 	var buf bytes.Buffer
 	if err := telemetry.WriteChromeTrace(&buf, spans.Spans(), series.Series()); err != nil {
 		t.Fatalf("chrome trace: %v", err)
@@ -357,15 +355,13 @@ func TestRunScenarioTraceOut(t *testing.T) {
 }
 
 // metricsOf renders an -events log as rrtrace metrics does: the log
-// replayed into a MetricsSink, its registry snapshot.
+// decoded into a MetricsSink, its registry snapshot.
 func metricsOf(t *testing.T, log []byte) string {
 	t.Helper()
-	evs, _, err := telemetry.DecodeNDJSON(bytes.NewReader(log))
-	if err != nil {
+	ms := telemetry.NewMetricsSink()
+	if _, err := telemetry.DecodeNDJSON(bytes.NewReader(log), ms); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	ms := telemetry.NewMetricsSink()
-	telemetry.Replay(evs, ms)
 	return ms.R.Snapshot()
 }
 

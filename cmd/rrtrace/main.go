@@ -1,7 +1,10 @@
 // Command rrtrace inspects NDJSON event logs produced by
 // rrsim -events (or any telemetry.NDJSONSink). rrsim writes only the
 // log; every report built from it — the Chrome trace and the metrics
-// snapshot included — is rendered here, offline.
+// snapshot included — is rendered here, offline. Each report is a set
+// of telemetry sinks, the same ones a live run subscribes, fed by
+// telemetry.DecodeNDJSON in one pass over the log; no subcommand holds
+// the log itself. A subcommand accepts only the flags shown for it.
 //
 // Usage:
 //
@@ -10,7 +13,7 @@
 //	    further losses, exit window), and per-queue drop counts.
 //
 //	rrtrace flows [-exemplars k] [-seed n] <events.ndjson>
-//	    Replay the stream through the flow-analytics table and print the
+//	    Feed the stream to the flow-analytics table and print the
 //	    aggregate flow report: per-variant FCT quantiles, goodput,
 //	    retransmission load, and windowed Jain fairness — the same table
 //	    a live run serves at /flows.
@@ -27,7 +30,7 @@
 //	    episodes with retreat/probe sub-phases, queue busy periods.
 //
 //	rrtrace metrics <events.ndjson>
-//	    Replay the stream into the metrics registry and print its
+//	    Feed the stream to the metrics registry and print its
 //	    snapshot: every counter, gauge and histogram as sorted
 //	    "name value" lines — the registry a live run serves at /metrics.
 //
@@ -59,30 +62,89 @@ func main() {
 	}
 }
 
+// report is a subcommand once its flags are parsed: the sinks the log is
+// decoded into, and what prints the result from them afterwards.
+type report struct {
+	sinks []telemetry.Sink
+	print func() error
+}
+
 func run(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: rrtrace {summary|flows|filter|timeline|spans|metrics|export} [flags] <events.ndjson>")
 	}
-	cmd, rest := args[0], args[1:]
+	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	flow := fs.Int("flow", -1, "restrict to one flow id (filter/timeline; timeline default 0)")
-	comp := fs.String("comp", "", "restrict to a component, e.g. rr, sender, queue (filter)")
-	kind := fs.String("kind", "", "restrict to an event kind, e.g. drop, recovery-enter (filter)")
-	from := fs.Float64("from", 0, "discard records before this time in seconds (filter)")
-	to := fs.Float64("to", 0, "discard records after this time in seconds; 0 = unbounded (filter)")
-	width := fs.Int("width", 72, "plot width in columns (timeline)")
-	height := fs.Int("height", 16, "plot height in rows (timeline)")
-	format := fs.String("format", "chrome", "export format: chrome (trace-event JSON) or csv (sampled series)")
-	out := fs.String("out", "-", "export output path; - writes to stdout (export)")
-	exemplars := fs.Int("exemplars", 0, "reservoir of exemplar flows to track while replaying (flows)")
-	seed := fs.Int64("seed", 0, "reservoir-sampling seed (flows)")
-	if err := fs.Parse(rest); err != nil {
+	// Each case declares the flags its subcommand reads and no other, so
+	// fs.Parse refuses the rest before anything is read or written.
+	var build func() report
+	switch cmd {
+	case "summary":
+		build = func() report {
+			sum := telemetry.NewSummarySink()
+			return report{[]telemetry.Sink{sum}, func() error { return write(sum.Summary().Render()) }}
+		}
+	case "flows":
+		exemplars := fs.Int("exemplars", 0, "reservoir of exemplar flows to track while reading")
+		seed := fs.Int64("seed", 0, "reservoir-sampling seed")
+		build = func() report {
+			table := flowstats.New(flowstats.Config{Exemplars: *exemplars, Seed: *seed})
+			return report{[]telemetry.Sink{table}, func() error {
+				table.Finalize()
+				return write(table.Report().Render())
+			}}
+		}
+	case "filter":
+		flow := fs.Int("flow", -1, "restrict to one flow id; -1 = every flow")
+		comp := fs.String("comp", "", "restrict to a component, e.g. rr, sender, queue")
+		kind := fs.String("kind", "", "restrict to an event kind, e.g. drop, recovery-enter")
+		from := fs.Float64("from", 0, "discard records before this time in seconds")
+		to := fs.Float64("to", 0, "discard records after this time in seconds; 0 = unbounded")
+		build = func() report {
+			enc := telemetry.NewNDJSONSink(os.Stdout)
+			opts := telemetry.FilterOpts{Flow: int32(*flow), FlowSet: *flow >= 0, Comp: *comp, Kind: *kind, From: *from, To: *to}
+			return report{[]telemetry.Sink{telemetry.NewFilterSink(opts, enc)}, enc.Close}
+		}
+	case "timeline":
+		flow := fs.Int("flow", 0, "flow id to plot")
+		width := fs.Int("width", 72, "plot width in columns")
+		height := fs.Int("height", 16, "plot height in rows")
+		build = func() report {
+			tl := telemetry.NewTimelineSink(int32(max(*flow, 0)), *width, *height)
+			return report{[]telemetry.Sink{tl}, func() error { return write(tl.Render()) }}
+		}
+	case "spans":
+		build = func() report {
+			spans := telemetry.NewSpanSink()
+			return report{[]telemetry.Sink{spans}, func() error { return write(telemetry.RenderSpans(spans.Spans())) }}
+		}
+	case "metrics":
+		build = func() report {
+			ms := telemetry.NewMetricsSink()
+			return report{[]telemetry.Sink{ms}, func() error { return write(ms.R.Snapshot()) }}
+		}
+	case "export":
+		format := fs.String("format", "chrome", "export format: chrome (trace-event JSON) or csv (sampled series)")
+		out := fs.String("out", "-", "output path; - writes to stdout")
+		build = func() report {
+			var spans *telemetry.SpanSink // nil, a no-op, for a format without spans
+			if *format != "csv" {
+				spans = telemetry.NewSpanSink()
+			}
+			series := telemetry.NewSeriesSink()
+			return report{[]telemetry.Sink{spans, series}, func() error { return export(*format, *out, spans, series) }}
+		}
+	default:
+		return fmt.Errorf("unknown command %q", cmd)
+	}
+	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: rrtrace %s [flags] <events.ndjson>", cmd)
 	}
-	events, stats, err := load(fs.Arg(0))
+	rep := build()
+	stats, err := decode(fs.Arg(0), rep.sinks)
 	if err != nil {
 		return err
 	}
@@ -102,52 +164,35 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "rrtrace: ignored %d line(s) of an unknown component or kind (first: %v)\n",
 			stats.Unknown, stats.FirstUnknown)
 	}
-
-	switch cmd {
-	case "summary":
-		_, err = fmt.Print(telemetry.Summarize(events).Render())
-	case "flows":
-		table := flowstats.New(flowstats.Config{
-			Exemplars: *exemplars,
-			Seed:      *seed,
-		})
-		telemetry.Replay(events, table)
-		table.Finalize()
-		_, err = fmt.Print(table.Report().Render())
-	case "filter":
-		opts := telemetry.FilterOpts{
-			Flow:    int32(*flow),
-			FlowSet: *flow >= 0,
-			Comp:    *comp,
-			Kind:    *kind,
-			From:    *from,
-			To:      *to,
-		}
-		enc := telemetry.NewNDJSONSink(os.Stdout)
-		telemetry.Replay(telemetry.Filter(events, opts), enc)
-		err = enc.Close()
-	case "timeline":
-		_, err = fmt.Print(telemetry.Timeline(events, int32(max(*flow, 0)), *width, *height))
-	case "spans":
-		spans := telemetry.NewSpanSink()
-		telemetry.Replay(events, spans)
-		_, err = fmt.Print(telemetry.RenderSpans(spans.Spans()))
-	case "metrics":
-		ms := telemetry.NewMetricsSink()
-		telemetry.Replay(events, ms)
-		_, err = fmt.Print(ms.R.Snapshot())
-	case "export":
-		err = export(events, *format, *out)
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-	if err != nil {
+	if err := rep.print(); err != nil {
 		return err
 	}
 	return damaged
 }
 
-func export(events []telemetry.Event, format, out string) (err error) {
+// decode reads the log at path ("-": stdin) into the sinks in one pass.
+func decode(path string, sinks []telemetry.Sink) (telemetry.DecodeStats, error) {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return telemetry.DecodeStats{}, err
+		}
+		defer f.Close()
+		r = f
+	}
+	return telemetry.DecodeNDJSON(r, sinks...)
+}
+
+func write(s string) error {
+	_, err := fmt.Print(s)
+	return err
+}
+
+func export(format, out string, spans *telemetry.SpanSink, series *telemetry.SeriesSink) (err error) {
+	if format != "chrome" && format != "csv" {
+		return fmt.Errorf("unknown export format %q (want chrome or csv)", format)
+	}
 	var w io.Writer = os.Stdout
 	if out != "-" {
 		f, cerr := os.Create(out)
@@ -161,27 +206,8 @@ func export(events []telemetry.Event, format, out string) (err error) {
 		}()
 		w = f
 	}
-	spans, series := telemetry.NewSpanSink(), telemetry.NewSeriesSink()
-	telemetry.Replay(events, spans, series)
-	switch format {
-	case "chrome":
-		return telemetry.WriteChromeTrace(w, spans.Spans(), series.Series())
-	case "csv":
+	if format == "csv" {
 		return telemetry.WriteSeriesCSV(w, series.Series())
-	default:
-		return fmt.Errorf("unknown export format %q (want chrome or csv)", format)
 	}
-}
-
-func load(path string) ([]telemetry.Event, telemetry.DecodeStats, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, telemetry.DecodeStats{}, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return telemetry.DecodeNDJSON(r)
+	return telemetry.WriteChromeTrace(w, spans.Spans(), series.Series())
 }

@@ -62,6 +62,13 @@ func writeLog(t *testing.T) string {
 	return path
 }
 
+// decodeAll decodes a log into an unbounded Ring and returns its events.
+func decodeAll(log string) ([]telemetry.Event, telemetry.DecodeStats, error) {
+	ring := telemetry.NewRing(0)
+	stats, err := telemetry.DecodeNDJSON(strings.NewReader(log), ring)
+	return ring.Events(), stats, err
+}
+
 func TestRunNoArgs(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Fatal("missing subcommand accepted")
@@ -107,7 +114,7 @@ func TestFilterByComp(t *testing.T) {
 		t.Fatalf("filtered lines = %d, want 3:\n%s", len(lines), out)
 	}
 	// Output must itself be decodable NDJSON.
-	evs, stats, err := telemetry.DecodeNDJSON(strings.NewReader(out))
+	evs, stats, err := decodeAll(out)
 	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
 		t.Fatalf("filter output not valid NDJSON: err=%v stats=%+v", err, stats)
 	}
@@ -123,7 +130,7 @@ func TestFilterByKindAndTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	evs, stats, err := telemetry.DecodeNDJSON(strings.NewReader(out))
+	evs, stats, err := decodeAll(out)
 	if err != nil || stats.Skipped > 0 || len(evs) != 1 || evs[0].Src != "fwd" {
 		t.Fatalf("filter wrong: events=%+v stats=%+v err=%v", evs, stats, err)
 	}

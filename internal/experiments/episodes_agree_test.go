@@ -11,7 +11,7 @@ import (
 )
 
 // TestEpisodesAgreeOnFig5Streams counts the recovery episodes of real
-// streams four ways — SpanSink's recovery spans, Summarize's episodes,
+// streams four ways — SpanSink's recovery spans, SummarySink's episodes,
 // FlowTable's per-variant Episodes and MetricsSink's episode_s samples —
 // and requires one answer. The streams are the nine senders recovering
 // from 3, 6 and 8 drops in one window (Tahoe's episodes end at the next
@@ -31,15 +31,15 @@ func TestEpisodesAgreeOnFig5Streams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, _, err := telemetry.DecodeNDJSON(f)
-	if err != nil {
+	ring := telemetry.NewRing(0)
+	if _, err := telemetry.DecodeNDJSON(f, ring); err != nil {
 		t.Fatal(err)
 	}
-	streams = append(streams, stream{"fig5_drops3.ndjson", events})
+	streams = append(streams, stream{"fig5_drops3.ndjson", ring.Events()})
 
 	for _, s := range streams {
-		spans, table, metrics := telemetry.NewSpanSink(), flowstats.New(flowstats.Config{}), telemetry.NewMetricsSink()
-		telemetry.Replay(s.events, spans, table, metrics)
+		spans, table, metrics, summary := telemetry.NewSpanSink(), flowstats.New(flowstats.Config{}), telemetry.NewMetricsSink(), telemetry.NewSummarySink()
+		telemetry.Replay(s.events, spans, table, metrics, summary)
 		var fromSpans int
 		for _, sp := range spans.Spans() {
 			if sp.Kind == telemetry.SpanRecovery {
@@ -48,7 +48,7 @@ func TestEpisodesAgreeOnFig5Streams(t *testing.T) {
 		}
 		var fromSummary int
 		ids := map[int32]bool{}
-		for _, fl := range telemetry.Summarize(s.events).Flows {
+		for _, fl := range summary.Summary().Flows {
 			fromSummary += len(fl.Episodes)
 			ids[fl.Flow] = true
 		}
@@ -62,7 +62,7 @@ func TestEpisodesAgreeOnFig5Streams(t *testing.T) {
 			}
 		}
 		if fromSpans == 0 || fromSummary != fromSpans || fromTable != uint64(fromSpans) || fromMetrics != uint64(fromSpans) {
-			t.Errorf("%s: recovery spans %d, Summarize %d, FlowTable %d, episode_s %d",
+			t.Errorf("%s: recovery spans %d, SummarySink %d, FlowTable %d, episode_s %d",
 				s.name, fromSpans, fromSummary, fromTable, fromMetrics)
 		}
 	}

@@ -195,11 +195,12 @@ func TestSweepsAgreeAcrossConsumers(t *testing.T) {
 	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, stats, err := telemetry.DecodeNDJSON(&log)
+	summary := telemetry.NewSummarySink()
+	stats, err := telemetry.DecodeNDJSON(&log, summary)
 	if err != nil || stats.Skipped != 0 {
 		t.Fatalf("decode: %+v, %v", stats, err)
 	}
-	sum := telemetry.Summarize(evs)
+	sum := summary.Summary()
 	if len(sum.Sweeps) != 1 {
 		t.Fatalf("summary has %d sweeps, want 1", len(sum.Sweeps))
 	}

@@ -1,16 +1,19 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"rrtcp/internal/sim"
 )
 
-// This file is the read-side analysis cmd/rrtrace is built on: recovery
-// episode extraction, per-queue drop accounting, event filtering, and
-// an ASCII timeline of one flow's cwnd/actnum/phase evolution.
+// This file is the read-side analysis cmd/rrtrace is built on, each
+// report a sink fed in one pass: recovery episode extraction and
+// per-queue drop accounting (SummarySink), event filtering (FilterSink),
+// and an ASCII timeline of one flow's cwnd/actnum/phase evolution
+// (TimelineSink).
 
 // Episode is one recovery pass through the RR (or baseline) state
 // machine: a SpanSink recovery span and its first probe sub-phase.
@@ -131,195 +134,181 @@ type LogSummary struct {
 	Drops          []TelemetryDropStats // sorted by src
 }
 
-// Summarize reconstructs per-flow recovery episodes and per-queue drop
-// counts from an event log. Flow rows and episodes are per segment (see
-// Segmenter); drops, sampled series and the rest are whole-log totals.
-// The episodes are SpanSink's recovery spans, so they end where every
-// other consumer ends one.
-func Summarize(events []Event) LogSummary {
-	sum := LogSummary{Events: len(events)}
-	type segFlow struct {
-		seg  int
-		flow int32
-	}
-	spans := NewSpanSink() // its Segmenter numbers the flow rows too
-	flows := map[segFlow]*FlowSummary{}
-	drops := map[instKey]*QueueDrops{}
-	samples := map[instKey]*SampleStats{}
-	overloads := map[string]*OverloadStats{}
-	tdrops := map[string]*TelemetryDropStats{}
-	var sweep SweepStats // kept in sum.Sweeps when it ends, at the next start or at EOF
+// SummarySink folds an event log into a LogSummary as the events stream
+// past: per-flow recovery episodes, per-queue drop counts and the rest.
+// Flow rows and episodes are per segment (see Segmenter); drops, sampled
+// series and the rest are whole-log totals. The episodes are SpanSink's
+// recovery spans, so they end where every other consumer ends one.
+type SummarySink struct {
+	sum       LogSummary
+	spans     SpanSink // its Segmenter numbers the flow rows too
+	flows     map[segFlow]*FlowSummary
+	drops     map[instKey]*QueueDrops
+	samples   map[instKey]*SampleStats
+	overloads map[string]*OverloadStats
+	tdrops    map[string]*TelemetryDropStats
+	sweep     SweepStats // kept in sum.Sweeps when it ends, at the next start or at the end
+}
 
-	flowOf := func(id segFlow) *FlowSummary {
-		f := flows[id]
-		if f == nil {
-			f = &FlowSummary{Seg: id.seg, Flow: id.flow, DoneAt: -1}
-			flows[id] = f
-		}
-		return f
-	}
+// segFlow names one flow row: a flow id within a stream segment.
+type segFlow struct {
+	seg  int
+	flow int32
+}
 
-	for i, ev := range events {
-		spans.Emit(ev)
-		t := secs(ev.At)
-		if i == 0 || t < sum.From {
-			sum.From = t
+// NewSummarySink returns an empty summary fold.
+func NewSummarySink() *SummarySink { return &SummarySink{} }
+
+// entry returns (*m)[k], first storing a copy of v there if k is absent.
+func entry[K comparable, V any](m *map[K]*V, k K, v V) *V {
+	p := (*m)[k]
+	if p == nil {
+		if *m == nil {
+			*m = map[K]*V{}
 		}
-		if t > sum.To {
-			sum.To = t
+		p = new(V)
+		*p = v
+		(*m)[k] = p
+	}
+	return p
+}
+
+// sorted returns copies of m's values in order.
+func sorted[K comparable, V any](m map[K]*V, order func(a, b V) int) []V {
+	var out []V
+	for _, v := range m {
+		out = append(out, *v)
+	}
+	slices.SortFunc(out, order)
+	return out
+}
+
+func (s *SummarySink) flowOf(id segFlow) *FlowSummary {
+	return entry(&s.flows, id, FlowSummary{Seg: id.seg, Flow: id.flow, DoneAt: -1})
+}
+
+// Emit implements Sink.
+func (s *SummarySink) Emit(ev Event) {
+	s.spans.Emit(ev)
+	sum := &s.sum
+	t := secs(ev.At)
+	if sum.Events == 0 || t < sum.From {
+		sum.From = t
+	}
+	if t > sum.To {
+		sum.To = t
+	}
+	sum.Events++
+	switch ev.Kind {
+	case KDrop, KMark:
+		d := entry(&s.drops, instKey{ev.Comp, ev.Src, NoFlow}, QueueDrops{Comp: ev.Comp.String(), Src: ev.Src})
+		d.Drops++
+		if ev.Kind == KDrop && ev.B != 0 {
+			d.Forced++
 		}
-		switch ev.Kind {
-		case KDrop, KMark:
-			key := instKey{ev.Comp, ev.Src, NoFlow}
-			d := drops[key]
-			if d == nil {
-				d = &QueueDrops{Comp: ev.Comp.String(), Src: ev.Src}
-				drops[key] = d
-			}
-			d.Drops++
-			if ev.Kind == KDrop && ev.B != 0 {
-				d.Forced++
-			}
-			continue
-		case KSample:
-			key := instKey{ev.Comp, ev.Src, ev.Flow}
-			s := samples[key]
-			if s == nil {
-				s = &SampleStats{Comp: ev.Comp.String(), Src: ev.Src, Flow: ev.Flow}
-				samples[key] = s
-			}
-			if s.N == 0 || ev.A < s.Min {
-				s.Min = ev.A
-			}
-			if s.N == 0 || ev.A > s.Max {
-				s.Max = ev.A
-			}
-			s.N++
-			s.Last = ev.A
-			continue
-		case KSweepStart, KSweepJob, KSweepJobTime, KSweepWorker, KSweepStall, KSweepDegraded, KSweepDone:
-			if ev.Kind == KSweepStart && sweep.open() {
-				sum.Sweeps = append(sum.Sweeps, sweep)
-			}
-			if sweep.apply(ev); sweep.Done {
-				sum.Sweeps = append(sum.Sweeps, sweep)
-			}
-			continue
-		case KOverload:
-			o := overloads[ev.Src]
-			if o == nil {
-				o = &OverloadStats{Resource: ev.Src}
-				overloads[ev.Src] = o
-			}
-			o.Trips++
-			o.Observed, o.Limit = ev.A, ev.B
-			continue
-		case KTelemetryDrops:
-			d := tdrops[ev.Src]
-			if d == nil {
-				d = &TelemetryDropStats{Src: ev.Src}
-				tdrops[ev.Src] = d
-			}
-			// Cumulative counters: the latest marker supersedes.
-			d.Dropped, d.Kept = ev.A, ev.B
-			continue
+		return
+	case KSample:
+		sm := entry(&s.samples, instKey{ev.Comp, ev.Src, ev.Flow}, SampleStats{Comp: ev.Comp.String(), Src: ev.Src, Flow: ev.Flow})
+		if sm.N == 0 || ev.A < sm.Min {
+			sm.Min = ev.A
 		}
-		if ev.Flow == NoFlow {
-			continue
+		if sm.N == 0 || ev.A > sm.Max {
+			sm.Max = ev.A
 		}
-		f := flowOf(segFlow{spans.at.Seg, ev.Flow})
-		switch ev.Kind {
-		case KSend:
-			f.Sends++
-		case KRetransmit:
-			f.Retransmits++
-		case KDupAck:
-			f.DupAcks++
-		case KTimeout:
-			f.Timeouts++
-		case KFlowDone:
-			f.Done = true
-			f.DoneAt = t
-		case KFlowStart:
-			sum.FlowsStarted++
+		sm.N++
+		sm.Last = ev.A
+		return
+	case KSweepStart, KSweepJob, KSweepJobTime, KSweepWorker, KSweepStall, KSweepDegraded, KSweepDone:
+		if ev.Kind == KSweepStart && s.sweep.open() {
+			sum.Sweeps = append(sum.Sweeps, s.sweep)
+		}
+		if s.sweep.apply(ev); s.sweep.Done {
+			sum.Sweeps = append(sum.Sweeps, s.sweep)
+		}
+		return
+	case KOverload:
+		o := entry(&s.overloads, ev.Src, OverloadStats{Resource: ev.Src})
+		o.Trips++
+		o.Observed, o.Limit = ev.A, ev.B
+		return
+	case KTelemetryDrops:
+		// Cumulative counters: the latest marker supersedes.
+		d := entry(&s.tdrops, ev.Src, TelemetryDropStats{Src: ev.Src})
+		d.Dropped, d.Kept = ev.A, ev.B
+		return
+	}
+	if ev.Flow == NoFlow {
+		return
+	}
+	f := s.flowOf(segFlow{s.spans.at.Seg, ev.Flow})
+	switch ev.Kind {
+	case KSend:
+		f.Sends++
+	case KRetransmit:
+		f.Retransmits++
+	case KDupAck:
+		f.DupAcks++
+	case KTimeout:
+		f.Timeouts++
+	case KFlowDone:
+		f.Done = true
+		f.DoneAt = t
+	case KFlowStart:
+		sum.FlowsStarted++
+		f.Variant = ev.Src
+	case KFlowStats:
+		sum.FlowsCompleted++
+		if f.Variant == "" {
 			f.Variant = ev.Src
-		case KFlowStats:
-			sum.FlowsCompleted++
-			if f.Variant == "" {
-				f.Variant = ev.Src
-			}
-			f.Done = true
-			if f.DoneAt < 0 {
-				f.DoneAt = t
-			}
+		}
+		f.Done = true
+		if f.DoneAt < 0 {
+			f.DoneAt = t
 		}
 	}
+}
+
+// Summary ends the fold and returns the summary of every event emitted
+// so far. Call it once, after the last event.
+func (s *SummarySink) Summary() LogSummary {
 	// Spans come in open order, so each flow's episodes are in time order
 	// and a probe sub-phase follows the episode it belongs to.
-	spans.records(func(sp *spanRec) {
+	s.spans.records(func(sp *spanRec) {
 		id := segFlow{int(sp.seg), sp.flow}
 		switch sp.kind {
 		case SpanRecovery:
 			ep := Episode{
 				Flow: sp.flow, Start: secs(sp.begin), ProbeAt: -1, End: -1,
-				ExitCwnd:      spans.attrOf(sp, attrExitCwnd),
-				FurtherLosses: int(spans.attrOf(sp, attrFurtherLosses)),
-				Timeout:       spans.attrOf(sp, attrTimeout) != 0,
+				ExitCwnd:      s.spans.attrOf(sp, attrExitCwnd),
+				FurtherLosses: int(s.spans.attrOf(sp, attrFurtherLosses)),
+				Timeout:       s.spans.attrOf(sp, attrTimeout) != 0,
 			}
 			if !sp.open {
 				ep.End = secs(sp.end)
 			}
-			f := flowOf(id)
+			f := s.flowOf(id)
 			f.Episodes = append(f.Episodes, ep)
 		case SpanProbe:
-			eps := flows[id].Episodes
+			eps := s.flows[id].Episodes
 			if ep := &eps[len(eps)-1]; ep.ProbeAt < 0 {
 				ep.ProbeAt = secs(sp.begin)
 			}
 		}
 	})
-
-	for _, f := range flows {
-		sum.Flows = append(sum.Flows, *f)
-	}
-	sort.Slice(sum.Flows, func(i, j int) bool {
-		if sum.Flows[i].Seg != sum.Flows[j].Seg {
-			return sum.Flows[i].Seg < sum.Flows[j].Seg
-		}
-		return sum.Flows[i].Flow < sum.Flows[j].Flow
+	sum := s.sum
+	sum.Flows = sorted(s.flows, func(a, b FlowSummary) int {
+		return cmp.Or(cmp.Compare(a.Seg, b.Seg), cmp.Compare(a.Flow, b.Flow))
 	})
-	for _, d := range drops {
-		sum.Queues = append(sum.Queues, *d)
-	}
-	sort.Slice(sum.Queues, func(i, j int) bool {
-		if sum.Queues[i].Comp != sum.Queues[j].Comp {
-			return sum.Queues[i].Comp < sum.Queues[j].Comp
-		}
-		return sum.Queues[i].Src < sum.Queues[j].Src
+	sum.Queues = sorted(s.drops, func(a, b QueueDrops) int {
+		return cmp.Or(strings.Compare(a.Comp, b.Comp), strings.Compare(a.Src, b.Src))
 	})
-	for _, s := range samples {
-		sum.Samples = append(sum.Samples, *s)
-	}
-	sort.Slice(sum.Samples, func(i, j int) bool {
-		a, b := sum.Samples[i], sum.Samples[j]
-		if a.Comp != b.Comp {
-			return a.Comp < b.Comp
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Flow < b.Flow
+	sum.Samples = sorted(s.samples, func(a, b SampleStats) int {
+		return cmp.Or(strings.Compare(a.Comp, b.Comp), strings.Compare(a.Src, b.Src), cmp.Compare(a.Flow, b.Flow))
 	})
-	for _, o := range overloads {
-		sum.Overload = append(sum.Overload, *o)
-	}
-	sort.Slice(sum.Overload, func(i, j int) bool { return sum.Overload[i].Resource < sum.Overload[j].Resource })
-	for _, d := range tdrops {
-		sum.Drops = append(sum.Drops, *d)
-	}
-	sort.Slice(sum.Drops, func(i, j int) bool { return sum.Drops[i].Src < sum.Drops[j].Src })
-	if sweep.open() { // log ended mid-sweep
-		sum.Sweeps = append(sum.Sweeps, sweep)
+	sum.Overload = sorted(s.overloads, func(a, b OverloadStats) int { return strings.Compare(a.Resource, b.Resource) })
+	sum.Drops = sorted(s.tdrops, func(a, b TelemetryDropStats) int { return strings.Compare(a.Src, b.Src) })
+	if s.sweep.open() { // log ended mid-sweep
+		sum.Sweeps = append(sum.Sweeps, s.sweep)
 	}
 	return sum
 }
@@ -441,27 +430,31 @@ type FilterOpts struct {
 	From, To float64 // To==0 means unbounded
 }
 
-// Filter returns the events matching every set constraint, in order. A
-// component or kind name outside the vocabulary matches nothing.
-func Filter(events []Event, opts FilterOpts) []Event {
-	comp, kind := ParseComponent(opts.Comp), ParseKind(opts.Kind)
-	var out []Event
-	for _, ev := range events {
-		if opts.FlowSet && ev.Flow != opts.Flow {
-			continue
-		}
-		if opts.Comp != "" && ev.Comp != comp {
-			continue
-		}
-		if opts.Kind != "" && ev.Kind != kind {
-			continue
-		}
-		if t := secs(ev.At); t < opts.From || (opts.To > 0 && t > opts.To) {
-			continue
-		}
-		out = append(out, ev)
+// FilterSink forwards to another sink the events matching every set
+// constraint, in order. A component or kind name outside the vocabulary
+// matches nothing.
+type FilterSink struct {
+	opts FilterOpts
+	comp Component
+	kind Kind
+	next Sink
+}
+
+// NewFilterSink returns a filter in front of next.
+func NewFilterSink(opts FilterOpts, next Sink) *FilterSink {
+	return &FilterSink{opts: opts, comp: ParseComponent(opts.Comp), kind: ParseKind(opts.Kind), next: next}
+}
+
+// Emit implements Sink.
+func (f *FilterSink) Emit(ev Event) {
+	o := &f.opts
+	if o.FlowSet && ev.Flow != o.Flow || o.Comp != "" && ev.Comp != f.comp || o.Kind != "" && ev.Kind != f.kind {
+		return
 	}
-	return out
+	if t := secs(ev.At); t < o.From || (o.To > 0 && t > o.To) {
+		return
+	}
+	f.next.Emit(ev)
 }
 
 // ScatterMark is one character of a Scatter plot.
@@ -504,53 +497,68 @@ func Scatter(marks []ScatterMark, width, height int, yFromZero bool) (rows [][]b
 	return rows, minX, maxX, minY, maxY
 }
 
-// Timeline renders one flow's congestion state over time as ASCII, one
-// panel per stream segment the flow appears in (see Segmenter), so the
-// runs of a multi-variant log are never overlaid. Each panel is labelled
-// with the variant its flow-start event names and plots '*' = cwnd and
-// '+' = actnum samples above a phase strip ('r' recovery — RR's retreat
-// — 'p' probe, '.' outside recovery). The strip is read off SpanSink's
-// recovery spans, so a phase ends where an episode ends: at
-// recovery-exit, a timeout, the next recovery-enter or flow-done.
-func Timeline(events []Event, flow int32, width, height int) string {
+// TimelineSink renders one flow's congestion state over time as ASCII,
+// one panel per stream segment the flow appears in (see Segmenter), so
+// the runs of a multi-variant log are never overlaid. Each panel is
+// labelled with the variant its flow-start event names and plots '*' =
+// cwnd and '+' = actnum samples above a phase strip ('r' recovery —
+// RR's retreat — 'p' probe, '.' outside recovery). The strip is read
+// off SpanSink's recovery spans, fed in the same pass, so a phase ends
+// where an episode ends: at recovery-exit, a timeout, the next
+// recovery-enter or flow-done.
+type TimelineSink struct {
+	flow          int32
+	width, height int
+	panels        []*timelinePanel
+	spans         SpanSink // its Segmenter numbers the panels too
+}
+
+type timelinePanel struct {
+	seg   int
+	label string // " (variant)" from flow-start; "" in older logs
+	// actnum is drawn after cwnd so it wins a shared cell: the
+	// recovery control variable is the interesting one.
+	cwnd, actnum []ScatterMark
+}
+
+// NewTimelineSink returns a timeline of flow on a width×height plot
+// (72×16 when too small to draw).
+func NewTimelineSink(flow int32, width, height int) *TimelineSink {
 	if width < 8 {
 		width = 72
 	}
 	if height < 4 {
 		height = 16
 	}
-	type panel struct {
-		seg   int
-		label string // " (variant)" from flow-start; "" in older logs
-		// actnum is drawn after cwnd so it wins a shared cell: the
-		// recovery control variable is the interesting one.
-		cwnd, actnum []ScatterMark
+	return &TimelineSink{flow: flow, width: width, height: height}
+}
+
+// Emit implements Sink.
+func (tl *TimelineSink) Emit(ev Event) {
+	tl.spans.Emit(ev)
+	if ev.Flow != tl.flow || ev.Comp == CompSweep {
+		return
 	}
-	var panels []*panel
-	var at Segmenter
-	for _, ev := range events {
-		at.Advance(&ev)
-		if ev.Flow != flow || ev.Comp == CompSweep {
-			continue
-		}
-		if len(panels) == 0 || panels[len(panels)-1].seg != at.Seg {
-			panels = append(panels, &panel{seg: at.Seg})
-		}
-		p, t := panels[len(panels)-1], secs(ev.At)
-		switch ev.Kind {
-		case KFlowStart:
-			p.label = " (" + ev.Src + ")"
-		case KCwnd, KRecoveryEnter, KRecoveryExit:
-			p.cwnd = append(p.cwnd, ScatterMark{t, ev.A, '*'})
-		case KActnum, KRetreatProbe:
-			p.actnum = append(p.actnum, ScatterMark{t, ev.A, '+'})
-		}
+	if seg := tl.spans.at.Seg; len(tl.panels) == 0 || tl.panels[len(tl.panels)-1].seg != seg {
+		tl.panels = append(tl.panels, &timelinePanel{seg: seg})
 	}
-	spans := NewSpanSink()
-	Replay(events, spans)
+	p, t := tl.panels[len(tl.panels)-1], secs(ev.At)
+	switch ev.Kind {
+	case KFlowStart:
+		p.label = " (" + ev.Src + ")"
+	case KCwnd, KRecoveryEnter, KRecoveryExit:
+		p.cwnd = append(p.cwnd, ScatterMark{t, ev.A, '*'})
+	case KActnum, KRetreatProbe:
+		p.actnum = append(p.actnum, ScatterMark{t, ev.A, '+'})
+	}
+}
+
+// Render draws the panels of every event emitted so far.
+func (tl *TimelineSink) Render() string {
+	flow, width, height := tl.flow, tl.width, tl.height
 	phase := map[SpanKind]byte{SpanRecovery: 'r', SpanRetreat: 'r', SpanProbe: 'p'}
 	var b strings.Builder
-	for _, p := range panels {
+	for _, p := range tl.panels {
 		marks := append(p.cwnd, p.actnum...)
 		if len(marks) == 0 {
 			continue
@@ -558,7 +566,7 @@ func Timeline(events []Event, flow int32, width, height int) string {
 		grid, minT, maxT, _, maxV := Scatter(marks, width, height, true)
 		strip := []byte(strings.Repeat(".", width))
 		// Sub-phases open after their episode, so they overdraw it.
-		spans.records(func(sp *spanRec) {
+		tl.spans.records(func(sp *spanRec) {
 			if ch := phase[sp.kind]; ch != 0 && int(sp.seg) == p.seg && sp.flow == flow {
 				for x := range strip {
 					t := minT + (maxT-minT)*float64(x)/float64(width-1)

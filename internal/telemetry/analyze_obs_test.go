@@ -25,7 +25,7 @@ func TestSummarizeSamples(t *testing.T) {
 		srec(0.1, CompSender, KSample, "cwnd", 1, 0, map[string]float64{"value": 2}),
 		srec(0.1, CompQueue, KSample, "qlen", NoFlow, 0, map[string]float64{"value": 11}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 
 	// Sample events must not fabricate per-flow TCP rows.
 	if len(sum.Flows) != 0 {
@@ -65,7 +65,7 @@ func TestSummarizeSweep(t *testing.T) {
 		srec(0, CompSweep, KSweepWorker, "1", NoFlow, 0, map[string]float64{"busy_s": 0.5, "jobs": 2}),
 		srec(0, CompSweep, KSweepDone, "chaos", NoFlow, 0, map[string]float64{"jobs": 4, "wall_s": 0.45}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Sweeps) != 1 {
 		t.Fatalf("sweeps = %d, want 1", len(sum.Sweeps))
 	}
@@ -96,7 +96,7 @@ func TestSummarizeSweepTruncatedLog(t *testing.T) {
 		srec(0, CompSweep, KSweepStart, "big", NoFlow, 0, map[string]float64{"jobs": 100, "workers": 8}),
 		srec(0, CompSweep, KSweepJob, "j0", NoFlow, 0, map[string]float64{"completed": 7, "total": 100}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Sweeps) != 1 {
 		t.Fatalf("sweeps = %d, want 1", len(sum.Sweeps))
 	}
@@ -117,7 +117,7 @@ func TestSummarizeInterruptedSweepKeepsJobTotal(t *testing.T) {
 		srec(0, CompSweep, KSweepJob, "j6", NoFlow, 6, map[string]float64{"completed": 7, "total": 100}),
 		srec(0, CompSweep, KSweepDone, "big", NoFlow, 0, map[string]float64{"jobs": 7, "wall_s": 1.2}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Sweeps) != 1 {
 		t.Fatalf("sweeps = %d, want 1", len(sum.Sweeps))
 	}
@@ -130,7 +130,7 @@ func TestSummarizeInterruptedSweepKeepsJobTotal(t *testing.T) {
 }
 
 // rrtrace reads logs written elsewhere: a worker count or worker id in
-// one must not size anything. Summarize's allocation follows the lines.
+// one must not size anything. SummarySink's allocation follows the lines.
 func TestSummarizeHostileWorkerCounts(t *testing.T) {
 	const log = `{"t":0,"comp":"sweep","kind":"sweep-start","src":"big","jobs":1099511627776,"workers":1099511627776}
 {"t":0,"comp":"sweep","kind":"sweep-job","src":"j","seq":1,"completed":1,"total":1099511627776}
@@ -138,17 +138,17 @@ func TestSummarizeHostileWorkerCounts(t *testing.T) {
 {"t":0,"comp":"sweep","kind":"sweep-worker","src":"1099511627776","busy_s":0.5,"jobs":1}
 {"t":0,"comp":"sweep","kind":"sweep-done","src":"big","jobs":1,"wall_s":1}
 `
-	evs, stats, err := DecodeNDJSON(strings.NewReader(log))
+	evs, stats, err := decodeAll(strings.NewReader(log))
 	if err != nil || stats.Skipped != 0 || len(evs) != 5 {
 		t.Fatalf("decode: %d events, %+v, %v", len(evs), stats, err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sum := Summarize(evs)
+	sum := summarize(evs)
 	runtime.ReadMemStats(&after)
 	// A per-worker slice sized to the claim would take 24 TB.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("Summarize allocated %d bytes for five lines", grew)
+		t.Fatalf("SummarySink allocated %d bytes for five lines", grew)
 	}
 	sw := sum.Sweeps[0]
 	if len(sw.PerWorker) != 2 || sw.PerWorker[0].Worker != 1<<40-1 || sw.PerWorker[1].Worker != 1<<40 {
@@ -169,12 +169,12 @@ func TestSummarizeSchedProfile(t *testing.T) {
 	const old = `{"t":0.050000000,"comp":"sim","kind":"sched","seq":4096,"pending":12,"wall_per_sim_s":0.001}
 ` + rest + `{"t":0.300000000,"comp":"sim","kind":"sched","seq":8192,"pending":40,"wall_per_sim_s":0.002}
 `
-	evs, stats, err := DecodeNDJSON(strings.NewReader(old))
+	evs, stats, err := decodeAll(strings.NewReader(old))
 	if err != nil || stats.Skipped != 0 || stats.Unknown != 2 || len(evs) != 2 {
 		t.Fatalf("decode: %d events, %+v, %v; want the two sched lines counted unknown", len(evs), stats, err)
 	}
-	want, _, _ := DecodeNDJSON(strings.NewReader(rest))
-	if got, want := Summarize(evs).Render(), Summarize(want).Render(); got != want {
+	want, _, _ := decodeAll(strings.NewReader(rest))
+	if got, want := summarize(evs).Render(), summarize(want).Render(); got != want {
 		t.Errorf("the old log summarizes as\n%s\nwithout its sched lines as\n%s", got, want)
 	}
 }

@@ -5,10 +5,30 @@ import (
 	"testing"
 )
 
-// rec builds the Event DecodeNDJSON returns for a line carrying the
+// rec builds the Event DecodeNDJSON emits for a line carrying the
 // named attributes.
 func rec(t float64, comp Component, kind Kind, flow int32, attrs map[string]float64) Event {
 	return srec(t, comp, kind, "", flow, 0, attrs)
+}
+
+// summarize, filter and timeline feed a literal stream through the sink
+// each report is.
+func summarize(events []Event) LogSummary {
+	s := NewSummarySink()
+	Replay(events, s)
+	return s.Summary()
+}
+
+func filter(events []Event, opts FilterOpts) []Event {
+	ring := NewRing(0)
+	Replay(events, NewFilterSink(opts, ring))
+	return ring.Events()
+}
+
+func timeline(events []Event, flow int32, width, height int) string {
+	tl := NewTimelineSink(flow, width, height)
+	Replay(events, tl)
+	return tl.Render()
 }
 
 func TestSummarizeEpisode(t *testing.T) {
@@ -20,7 +40,7 @@ func TestSummarizeEpisode(t *testing.T) {
 		rec(1.5, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 5}),
 		rec(2.0, CompSender, KFlowDone, 0, nil),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Flows) != 1 {
 		t.Fatalf("flows = %d, want 1", len(sum.Flows))
 	}
@@ -53,7 +73,7 @@ func TestSummarizeTimeoutEndsEpisode(t *testing.T) {
 		rec(1.0, CompRR, KRecoveryEnter, 0, nil),
 		rec(2.0, CompSender, KTimeout, 0, nil),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	ep := sum.Flows[0].Episodes[0]
 	if !ep.Timeout || ep.End != 2.0 {
 		t.Fatalf("timeout episode wrong: %+v", ep)
@@ -61,7 +81,7 @@ func TestSummarizeTimeoutEndsEpisode(t *testing.T) {
 }
 
 func TestSummarizeOpenEpisodeAtEOF(t *testing.T) {
-	sum := Summarize([]Event{rec(1.0, CompRR, KRecoveryEnter, 0, nil)})
+	sum := summarize([]Event{rec(1.0, CompRR, KRecoveryEnter, 0, nil)})
 	ep := sum.Flows[0].Episodes[0]
 	if ep.End >= 0 || ep.Timeout {
 		t.Fatalf("open episode wrong: %+v", ep)
@@ -87,7 +107,7 @@ func TestSummarizeKeepsSegmentsApart(t *testing.T) {
 		rec(0.9, CompRR, KRecoveryEnter, 0, nil),
 		rec(1.4, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 4}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Flows) != 2 {
 		t.Fatalf("flow rows = %d, want one per segment", len(sum.Flows))
 	}
@@ -115,7 +135,7 @@ func TestSummarizeQueueDrops(t *testing.T) {
 		srec(3, CompQueue, KMark, "fwd", 0, 0, map[string]float64{"avg": 2.5}),
 		srec(4, CompLoss, KDrop, "inject", 0, 0, nil),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Queues) != 2 {
 		t.Fatalf("queues = %d, want 2", len(sum.Queues))
 	}
@@ -135,19 +155,19 @@ func TestFilter(t *testing.T) {
 		rec(3, CompRR, KRecoveryEnter, 0, nil),
 		rec(4, CompQueue, KDrop, 0, nil),
 	}
-	if got := Filter(records, FilterOpts{Flow: 0, FlowSet: true}); len(got) != 3 {
+	if got := filter(records, FilterOpts{Flow: 0, FlowSet: true}); len(got) != 3 {
 		t.Fatalf("flow filter: %d, want 3", len(got))
 	}
-	if got := Filter(records, FilterOpts{Comp: "rr"}); len(got) != 1 || got[0].Kind != KRecoveryEnter {
+	if got := filter(records, FilterOpts{Comp: "rr"}); len(got) != 1 || got[0].Kind != KRecoveryEnter {
 		t.Fatalf("comp filter wrong: %+v", got)
 	}
-	if got := Filter(records, FilterOpts{Kind: "send"}); len(got) != 2 {
+	if got := filter(records, FilterOpts{Kind: "send"}); len(got) != 2 {
 		t.Fatalf("kind filter: %d, want 2", len(got))
 	}
-	if got := Filter(records, FilterOpts{From: 2, To: 3}); len(got) != 2 {
+	if got := filter(records, FilterOpts{From: 2, To: 3}); len(got) != 2 {
 		t.Fatalf("time filter: %d, want 2", len(got))
 	}
-	if got := Filter(records, FilterOpts{}); len(got) != len(records) {
+	if got := filter(records, FilterOpts{}); len(got) != len(records) {
 		t.Fatal("empty opts filtered records")
 	}
 }
@@ -159,13 +179,13 @@ func TestTimeline(t *testing.T) {
 		rec(1.5, CompRR, KRetreatProbe, 0, map[string]float64{"actnum": 4}),
 		rec(2, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 5}),
 	}
-	out := Timeline(records, 0, 40, 8)
+	out := timeline(records, 0, 40, 8)
 	for _, want := range []string{"flow 0", "*", "+", "r", "p"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.Contains(Timeline(records, 9, 40, 8), "no cwnd/actnum samples") {
+	if !strings.Contains(timeline(records, 9, 40, 8), "no cwnd/actnum samples") {
 		t.Fatal("empty flow not reported")
 	}
 }
@@ -193,7 +213,7 @@ func TestTimelinePanelPerSegment(t *testing.T) {
 		rec(3, CompRR, KRecoveryExit, 0, map[string]float64{"cwnd": 5}))...)
 
 	// 41 columns over 0..4 s: column x is t = x/10 s.
-	out := Timeline(log, 0, 41, 6)
+	out := timeline(log, 0, 41, 6)
 	var headers, strips []string
 	lines := strings.Split(out, "\n")
 	for i, l := range lines {
@@ -234,7 +254,7 @@ func TestSummarizeFlowLifecycle(t *testing.T) {
 		srec(0, CompSender, KFlowStart, "reno", 1, 0, map[string]float64{"bytes": 4000}),
 		srec(1.5, CompSender, KFlowStats, "rr", 0, 0, map[string]float64{"rtx": 2, "timeouts": 0}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if sum.FlowsStarted != 2 || sum.FlowsCompleted != 1 {
 		t.Fatalf("lifecycle counts: started=%d completed=%d", sum.FlowsStarted, sum.FlowsCompleted)
 	}

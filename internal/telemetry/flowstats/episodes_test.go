@@ -11,7 +11,7 @@ import (
 // A recovery episode that does not end in recovery-exit — cut short by a
 // timeout, by the next recovery-enter (Tahoe emits no exit) or by the
 // end of the flow — is one episode with the same bounds for every
-// consumer of the stream: SpanSink's recovery spans, Summarize's
+// consumer of the stream: SpanSink's recovery spans, SummarySink's
 // episodes, FlowTable's count and MetricsSink's episode_s distribution.
 func TestEpisodesAgreeAcrossConsumers(t *testing.T) {
 	const K = telemetry.KRecoveryEnter
@@ -95,10 +95,10 @@ func TestEpisodesAgreeAcrossConsumers(t *testing.T) {
 			stream = append(stream, c.events...)
 			stream = append(stream, e(2000, telemetry.KFlowDone, 0, 0), done(2, 0, "tahoe", 1e6, 0, 0))
 
-			spans, table, metrics := telemetry.NewSpanSink(), New(Config{}), telemetry.NewMetricsSink()
-			telemetry.Replay(stream, spans, table, metrics)
+			spans, table, metrics, summary := telemetry.NewSpanSink(), New(Config{}), telemetry.NewMetricsSink(), telemetry.NewSummarySink()
+			telemetry.Replay(stream, spans, table, metrics, summary)
 			table.Finalize()
-			sum := telemetry.Summarize(stream)
+			sum := summary.Summary()
 
 			var fromSpans []bounds
 			var spanSecs float64
@@ -126,7 +126,7 @@ func TestEpisodesAgreeAcrossConsumers(t *testing.T) {
 			if got := table.Summary().Variants[0].Episodes; got != uint64(len(c.want)) {
 				t.Errorf("FlowTable counts %d episodes, want %d", got, len(c.want))
 			}
-			for who, got := range map[string][]bounds{"SpanSink": fromSpans, "Summarize": fromSummary} {
+			for who, got := range map[string][]bounds{"SpanSink": fromSpans, "SummarySink": fromSummary} {
 				if len(got) != len(c.want) {
 					t.Errorf("%s: episodes %v, want %v", who, got, c.want)
 					continue

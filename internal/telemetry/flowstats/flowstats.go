@@ -13,7 +13,7 @@
 // KFlowStats, which carry the variant name in Src) plus the ordinary
 // ACK stream for goodput tracking; everything the table needs rides
 // the events themselves, so it works equally over a live bus or over
-// a decoded log (telemetry.Replay, then Finalize).
+// a log (telemetry.DecodeNDJSON into the table, then Finalize).
 //
 // Unlike most sinks, a FlowTable is safe for concurrent use: Emit
 // takes an internal mutex so the obs server's /flows endpoint can

@@ -337,12 +337,11 @@ func TestFromRecordsMatchesLive(t *testing.T) {
 		t.Fatalf("flush ndjson: %v", err)
 	}
 
-	events, stats, err := telemetry.DecodeNDJSON(&buf)
+	replay := New(cfg)
+	stats, err := telemetry.DecodeNDJSON(&buf, replay)
 	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
 		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	replay := New(cfg)
-	telemetry.Replay(events, replay)
 	replay.Finalize()
 
 	if got, want := replay.Report().Render(), live.Report().Render(); got != want {

@@ -87,14 +87,16 @@ func TestFig5EventLogGolden(t *testing.T) {
 // TestFig5GoldenRoundTrip decodes the golden log back into the bus
 // events it was written from and re-encodes them: the result must be
 // the golden again. This is the property rrtrace rests on — every
-// subcommand replays decoded events through the live sinks, and filter
+// subcommand feeds the decoded events to the live sinks, and filter
 // re-emits them through NDJSONSink.
 func TestFig5GoldenRoundTrip(t *testing.T) {
 	want := readGolden(t)
-	events, stats, err := telemetry.DecodeNDJSON(bytes.NewReader(want))
+	ring := telemetry.NewRing(0)
+	stats, err := telemetry.DecodeNDJSON(bytes.NewReader(want), ring)
 	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
 		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
+	events := ring.Events()
 	if lines := bytes.Count(want, []byte("\n")); len(events) != lines || lines < 500 {
 		t.Fatalf("decoded %d events from %d lines (golden should hold at least 500)", len(events), lines)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 
 	"rrtcp/internal/sim"
@@ -182,7 +181,7 @@ func (n *NDJSONSink) Close() error { return n.Flush() }
 func (n *NDJSONSink) Err() error { return n.err }
 
 // DecodeStats reports what a decode pass saw besides the events it
-// returned.
+// handed to its sinks.
 type DecodeStats struct {
 	// Lines counts non-blank input lines.
 	Lines int
@@ -191,8 +190,8 @@ type DecodeStats struct {
 	// FirstErr describes the first malformed line, for diagnostics.
 	FirstErr error
 	// Unknown counts well-formed lines whose component or kind is not in
-	// this build's vocabulary (a log from a newer build); they are left
-	// out of the result but are not damage.
+	// this build's vocabulary (a log from a newer build); no sink sees
+	// them, but they are not damage.
 	Unknown int
 	// FirstUnknown describes the first such line.
 	FirstUnknown error
@@ -204,17 +203,18 @@ type DecodeStats struct {
 // like any other malformed line rather than aborting the decode.
 const maxDecodeLine = 1 << 20
 
-// DecodeNDJSON parses an event log produced by NDJSONSink back into the
-// events it was written from — the one in-memory shape on both sides of
-// the file, so a decoded log replays through any Sink (see Replay). It
-// skips and counts malformed lines instead of aborting, which is what
-// logs truncated mid-line (a killed run) or polluted by interleaved
-// stderr need; lines longer than maxDecodeLine are likewise skipped and
+// DecodeNDJSON reads an event log produced by NDJSONSink and hands each
+// event it was written from to every sink, in order, as its line is
+// read: a bus fed from the file, so any Sink reads a log as it would
+// have read the live run, and no decoded log is ever held. A test that
+// wants the events passes an unbounded Ring. The decoder skips and
+// counts malformed lines instead of aborting, which is what logs
+// truncated mid-line (a killed run) or polluted by interleaved stderr
+// need; lines longer than maxDecodeLine are likewise skipped and
 // counted. The returned error covers only I/O-level failures; parse
 // problems are reported through DecodeStats.
-func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
+func DecodeNDJSON(r io.Reader, sinks ...Sink) (DecodeStats, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	var out []Event
 	var stats DecodeStats
 	var d lineDecoder
 	lineNo := 0
@@ -276,27 +276,22 @@ func DecodeNDJSON(r io.Reader) ([]Event, DecodeStats, error) {
 				stats.FirstUnknown = fmt.Errorf("telemetry: line %d: %s", lineNo, unknown)
 			}
 		default:
-			if len(out) == cap(out) {
-				// Double: append grows a long slice by a quarter at a
-				// time, which allocates and copies a long log's events
-				// about five times over.
-				out = slices.Grow(out, max(len(out), 256))
+			for _, s := range sinks {
+				s.Emit(ev)
 			}
-			out = append(out, ev)
 		}
 		if atEOF {
 			break
 		}
 	}
 	if readErr != nil {
-		return out, stats, fmt.Errorf("telemetry: read: %w", readErr)
+		return stats, fmt.Errorf("telemetry: read: %w", readErr)
 	}
-	return out, stats, nil
+	return stats, nil
 }
 
-// Replay feeds decoded events to the sinks in order, each event to every
-// sink as a bus would have published it live: the offline (rrtrace) path
-// to whatever a sink computes.
+// Replay feeds events to the sinks in order, each event to every sink
+// as a bus would have published it live.
 func Replay(events []Event, sinks ...Sink) {
 	for i := range events {
 		for _, s := range sinks {

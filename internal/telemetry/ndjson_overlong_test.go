@@ -12,7 +12,7 @@ func TestDecodeLenientSkipsOverlongLines(t *testing.T) {
 	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n" +
 		long + "\n" +
 		`{"t":0.2,"comp":"sender","kind":"cwnd","flow":0,"cwnd":3}` + "\n"
-	out, stats, err := DecodeNDJSON(strings.NewReader(input))
+	out, stats, err := decodeAll(strings.NewReader(input))
 	if err != nil {
 		t.Fatalf("overlong line treated as I/O failure: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestDecodeLenientOverlongLineAtEOF(t *testing.T) {
 	// A runaway final line with no trailing newline (truncated log).
 	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n" +
 		strings.Repeat("y", maxDecodeLine+100)
-	out, stats, err := DecodeNDJSON(strings.NewReader(input))
+	out, stats, err := decodeAll(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDecodeLenientStillReportsRealIOErrors(t *testing.T) {
 		data: []byte(`{"t":0.1,"comp":"sender","kind":"cwnd","flow":0,"cwnd":2}` + "\n"),
 		err:  ioErr,
 	}
-	out, _, err := DecodeNDJSON(r)
+	out, _, err := decodeAll(r)
 	if !errors.Is(err, ioErr) {
 		t.Fatalf("err = %v, want the underlying I/O error", err)
 	}
@@ -79,7 +79,7 @@ func TestDecodeLenientSkipsOutOfRangeFlow(t *testing.T) {
 	input := `{"t":0.1,"comp":"sender","kind":"cwnd","flow":3e9,"cwnd":2}` + "\n" +
 		`{"t":0.2,"comp":"sender","kind":"cwnd","flow":-3e9,"cwnd":2}` + "\n" +
 		`{"t":0.3,"comp":"sender","kind":"cwnd","flow":-2147483648,"cwnd":3}` + "\n"
-	out, stats, err := DecodeNDJSON(strings.NewReader(input))
+	out, stats, err := decodeAll(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}

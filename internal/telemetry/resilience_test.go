@@ -22,7 +22,7 @@ func TestResilienceKindsRoundTripNDJSON(t *testing.T) {
 	// sweep-retry lines: they decode as unknown vocabulary, like any
 	// kind this build does not know.
 	buf.WriteString(`{"t":0.000000000,"comp":"sweep","kind":"sweep-retry","src":"j3","seq":3,"attempt":2,"backoff_s":0.2}` + "\n")
-	evs, stats, err := DecodeNDJSON(&buf)
+	evs, stats, err := decodeAll(&buf)
 	if err != nil || stats.Skipped != 0 || stats.Unknown != 1 {
 		t.Fatalf("decode: err=%v stats=%+v, want the retry line counted unknown", err, stats)
 	}
@@ -85,7 +85,7 @@ func TestSummarizeCountsStalls(t *testing.T) {
 		srec(0, CompSweep, KSweepStall, "j2", NoFlow, 2, map[string]float64{"running_s": 7, "worker": 0}),
 		srec(0, CompSweep, KSweepDone, "chaos", NoFlow, 0, map[string]float64{"jobs": 4, "wall_s": 0.5}),
 	}
-	sum := Summarize(records)
+	sum := summarize(records)
 	if len(sum.Sweeps) != 1 {
 		t.Fatalf("sweeps = %d, want 1", len(sum.Sweeps))
 	}
@@ -103,7 +103,7 @@ func TestSummarizeOmitsResilienceLineWhenClean(t *testing.T) {
 		srec(0, CompSweep, KSweepStart, "fig7", NoFlow, 0, map[string]float64{"jobs": 2, "workers": 1}),
 		srec(0, CompSweep, KSweepDone, "fig7", NoFlow, 0, map[string]float64{"jobs": 2, "wall_s": 0.1}),
 	}
-	if out := Summarize(records).Render(); strings.Contains(out, "resilience") {
+	if out := summarize(records).Render(); strings.Contains(out, "resilience") {
 		t.Fatalf("clean sweep rendered a resilience line:\n%s", out)
 	}
 }

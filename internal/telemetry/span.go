@@ -93,7 +93,7 @@ type Span struct {
 func (s *Span) Duration() sim.Time { return s.End - s.Begin }
 
 // SpanSink assembles spans from the event stream. It is a Sink; attach
-// it to a bus, or Replay a decoded log into it.
+// it to a bus, or decode a log into it (DecodeNDJSON).
 // A nil *SpanSink is a valid no-op, mirroring the nil-bus null default.
 //
 // The sink keeps each span as a 40-byte spanRec with no pointers; the
@@ -442,7 +442,7 @@ func (s *SpanSink) Spans() []*Span {
 }
 
 // records calls f on every stored span in open order, building no view:
-// Summarize and Timeline read a few fields of a few thousand recovery
+// SummarySink and TimelineSink read a few fields of a few thousand recovery
 // spans, and Spans would build one for every queue busy period too.
 // A span still open keeps the End it was last stamped with.
 func (s *SpanSink) records(f func(sp *spanRec)) {

@@ -281,7 +281,7 @@ func TestSpanSinkSegmentsOnTimeRegression(t *testing.T) {
 
 // A log from outside the program may carry any flow id. One near
 // MaxInt32 must cost what a small one does, in SpanSink and so in
-// Summarize, and a segment roll must forget its open episode as it does
+// SummarySink, and a segment roll must forget its open episode as it does
 // a small id's.
 func TestSpanSinkLargeFlowIDStaysSmall(t *testing.T) {
 	const id = math.MaxInt32
@@ -296,10 +296,10 @@ func TestSpanSinkLargeFlowIDStaysSmall(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sum := Summarize(events)
+	sum := summarize(events)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("Summarize allocated %d bytes for one flow", grew)
+		t.Fatalf("SummarySink allocated %d bytes for one flow", grew)
 	}
 	if len(sum.Flows) != 2 {
 		t.Fatalf("flow rows = %+v, want one per segment", sum.Flows)
@@ -313,9 +313,9 @@ func TestSpanSinkLargeFlowIDStaysSmall(t *testing.T) {
 	}
 }
 
-// Summarize and Timeline read the span records in place: a log of many
-// queue busy periods and one episode must not cost them a 104-byte view
-// and a pointer per busy period on top of the 40-byte record.
+// SummarySink and TimelineSink read the span records in place: a log of
+// many queue busy periods and one episode must not cost them a 104-byte
+// view and a pointer per busy period on top of the 40-byte record.
 func TestSummarizeAndTimelineBuildNoSpanViews(t *testing.T) {
 	const busy = 20000
 	events := make([]Event, 0, 2*busy+4)
@@ -330,8 +330,8 @@ func TestSummarizeAndTimelineBuildNoSpanViews(t *testing.T) {
 	}
 	events = append(events, Event{At: ms(busy + 3), Comp: CompRR, Kind: KRecoveryExit, Flow: 0, A: 5})
 	for name, read := range map[string]func(){
-		"Summarize": func() { Summarize(events) },
-		"Timeline":  func() { Timeline(events, 0, 40, 8) },
+		"SummarySink":  func() { summarize(events) },
+		"TimelineSink": func() { timeline(events, 0, 40, 8) },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -330,7 +330,7 @@ func (b *Bus) Publish(ev Event) {
 // stream shows its run boundaries — a sweep forwards each job's capture
 // in job order, every run starting over at t=0 — and every consumer
 // that must not merge two runs (SpanSink, SeriesSink, MetricsSink,
-// Summarize's flow rows and episodes, Timeline, flowstats.FlowTable)
+// SummarySink's flow rows and episodes, TimelineSink, flowstats.FlowTable)
 // counts segments with this one rule. Sweep progress events are stamped
 // t=0 on the coordinating goroutine between runs; they are on no run's
 // clock and never move it, and their one fold, SweepStats.apply, splits

@@ -280,11 +280,18 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeAll decodes a log into an unbounded Ring and returns its events.
+func decodeAll(r io.Reader) ([]Event, DecodeStats, error) {
+	ring := NewRing(0)
+	stats, err := DecodeNDJSON(r, ring)
+	return ring.Events(), stats, err
+}
+
 // mustDecode decodes a log every line of which must be a well-formed
 // event of the current vocabulary.
 func mustDecode(t *testing.T, r io.Reader) []Event {
 	t.Helper()
-	events, stats, err := DecodeNDJSON(r)
+	events, stats, err := decodeAll(r)
 	if err != nil || stats.Skipped > 0 || stats.Unknown > 0 {
 		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
@@ -293,12 +300,12 @@ func mustDecode(t *testing.T, r io.Reader) []Event {
 
 func TestDecodeNDJSONRejectsGarbage(t *testing.T) {
 	for _, line := range []string{"not json", `{"t":1}`, `{"t":"not a number"}`} {
-		events, stats, err := DecodeNDJSON(strings.NewReader(line + "\n"))
+		events, stats, err := decodeAll(strings.NewReader(line + "\n"))
 		if err != nil || len(events) != 0 || stats.Lines != 1 || stats.Skipped != 1 || stats.FirstErr == nil {
 			t.Fatalf("%q: events=%d stats=%+v err=%v, want one skipped line", line, len(events), stats, err)
 		}
 	}
-	events, stats, err := DecodeNDJSON(strings.NewReader("\n\n"))
+	events, stats, err := decodeAll(strings.NewReader("\n\n"))
 	if err != nil || len(events) != 0 || stats != (DecodeStats{}) {
 		t.Fatalf("blank input: events=%d stats=%+v err=%v", len(events), stats, err)
 	}
@@ -311,7 +318,7 @@ func TestDecodeNDJSONCountsUnknownVocabulary(t *testing.T) {
 {"t":2,"comp":"rr","kind":"episode-ledger","flow":0,"losses":3}
 {"t":3,"comp":"martian","kind":"ack","flow":0}
 `
-	events, stats, err := DecodeNDJSON(strings.NewReader(log))
+	events, stats, err := decodeAll(strings.NewReader(log))
 	if err != nil || len(events) != 1 || events[0].A != 4 {
 		t.Fatalf("events=%+v err=%v, want the one known line", events, err)
 	}

@@ -1,86 +1,191 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"rrtcp"
 )
 
-func TestRunAllTargets(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-out", dir, "all"}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"fig5.dat", "fig5.gp", "fig6-rr.dat", "fig6.gp", "fig7.dat", "fig7.gp"}
-	for _, name := range want {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("missing %s: %v", name, err)
-		}
-	}
+// golden is the path of an rrsim -json golden: byte for byte what
+// `rrsim <fig> -json` prints.
+func golden(name string) string {
+	return filepath.Join("..", "..", "internal", "experiments", "testdata", "golden", name)
 }
 
-func TestFig5DataShape(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-out", dir, "fig5"}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "fig5.dat"))
+// readLines returns the lines of dir/name.
+func readLines(t *testing.T, dir, name string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	// Header + one row per default variant.
-	if len(lines) != 5 {
-		t.Fatalf("%d lines, want 5:\n%s", len(lines), data)
-	}
-	if !strings.HasPrefix(lines[0], "#") {
-		t.Fatal("missing header comment")
-	}
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			t.Fatalf("bad row %q", line)
-		}
-	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 }
 
-func TestFig7DataMonotone(t *testing.T) {
+// Every row of fig7.dat is the golden table's, read from stdin.
+func TestFig7RowsAreTheGoldens(t *testing.T) {
+	in, err := os.Open(golden("fig7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	old := os.Stdin
+	os.Stdin = in
+	defer func() { os.Stdin = old }()
 	dir := t.TempDir()
 	if err := run([]string{"-out", dir, "fig7"}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "fig7.dat"))
+
+	var g struct {
+		Config struct {
+			LossRates []float64 `json:"lossRates"`
+		} `json:"config"`
+		Points []struct {
+			Variant                           string
+			LossRate                          float64
+			Window, ModelWindow, PadhyeWindow float64
+		} `json:"points"`
+	}
+	data, err := os.ReadFile(golden("fig7.json"))
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 5 {
-		t.Fatalf("too few rows:\n%s", data)
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
 	}
-	var prevP float64
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != 5 {
-			t.Fatalf("bad row %q", line)
-		}
-		vals := make([]float64, 5)
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
+	want := []string{"# p model_sqrt padhye sack_window rr_window"}
+	for _, p := range g.Config.LossRates {
+		row := fmt.Sprintf("%.4f", p)
+		for _, pt := range g.Points {
+			if pt.LossRate == p && pt.Variant == "sack" {
+				row = fmt.Sprintf("%s %.2f %.2f %.2f", row, pt.ModelWindow, pt.PadhyeWindow, pt.Window)
 			}
-			vals[i] = v
 		}
-		p, model, padhye, sack, rr := vals[0], vals[1], vals[2], vals[3], vals[4]
-		if p <= prevP {
-			t.Fatalf("loss rates not increasing at %q", line)
+		for _, pt := range g.Points {
+			if pt.LossRate == p && pt.Variant == "rr" {
+				row = fmt.Sprintf("%s %.2f", row, pt.Window)
+			}
 		}
-		if model <= 0 || padhye <= 0 || sack < 0 || rr < 0 {
-			t.Fatalf("implausible values in %q", line)
+		want = append(want, row)
+	}
+	got := readLines(t, dir, "fig7.dat")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("fig7.dat:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got[1] != "0.0010 38.73 38.30 46.96 47.43" {
+		t.Fatalf("p = 0.001 row %q", got[1])
+	}
+}
+
+// fig5 writes one goodput column per document, headed by its drop count,
+// in input order.
+func TestFig5ColumnPerDocument(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-out", dir, "fig5", golden("fig5_drops3.json"), golden("fig5_drops6.json")}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := []string{
+		"# variant goodput3drops_kbps goodput6drops_kbps",
+		"tahoe 493.8 479.0",
+		"newreno 490.6 431.1",
+		"sack 514.2 452.6",
+		"rr 510.6 448.9",
+	}
+	if got := readLines(t, dir, "fig5.dat"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("fig5.dat:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	gp := readLines(t, dir, "fig5.gp")
+	if last := gp[len(gp)-1]; last != "plot 'fig5.dat' using 2:xtic(1) title '3 drops', '' using 3 title '6 drops'" {
+		t.Fatalf("fig5.gp plots %q", last)
+	}
+}
+
+// Decoding a golden into its facade result and encoding it again the way
+// rrsim -json does gives the golden's bytes: the reader drops no field.
+func TestGoldensDecodeLosslessly(t *testing.T) {
+	for name, doc := range map[string]any{
+		"fig5_drops3.json": new(rrtcp.Figure5Result),
+		"fig5_drops6.json": new(rrtcp.Figure5Result),
+		"fig6.json":        new(rrtcp.Figure6Result),
+		"fig7.json":        new(rrtcp.Figure7Result),
+	} {
+		data, err := os.ReadFile(golden(name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		prevP = p
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Errorf("%s: re-encoded result differs from the golden", name)
+		}
+	}
+}
+
+// A document of another figure, a second document where a figure takes
+// one, and a later fig5 document missing a variant are each refused, and
+// nothing is written.
+func TestOtherDocumentsRefused(t *testing.T) {
+	fig7, err := os.ReadFile(golden("fig7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := filepath.Join(t.TempDir(), "twice.json")
+	if err := os.WriteFile(twice, append(fig7, fig7...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var drops6 rrtcp.Figure5Result
+	data, err := os.ReadFile(golden("fig5_drops6.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &drops6); err != nil {
+		t.Fatal(err)
+	}
+	drops6.Rows = drops6.Rows[:len(drops6.Rows)-1]
+	noRR := filepath.Join(t.TempDir(), "norr.json")
+	if data, err = json.Marshal(drops6); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(noRR, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"fig5", golden("fig7.json")},
+		{"fig6", golden("fig7.json")},
+		{"fig7", golden("fig5_drops3.json")},
+		{"fig7", golden("fig7.json"), golden("fig7.json")},
+		{"fig7", twice},
+		{"fig5", golden("fig5_drops3.json"), noRR},
+	} {
+		dir := filepath.Join(t.TempDir(), "out")
+		if err := run(append([]string{"-out", dir}, args...)); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%v: wrote %s", args, dir)
+		}
+	}
+}
+
+func TestHelpSucceeds(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("-h: %v", err)
 	}
 }
 

@@ -46,6 +46,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -137,7 +138,9 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-	if err := fs.Parse(args[1:]); err != nil {
+	if err := fs.Parse(args[1:]); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -18,9 +18,9 @@ type AblationVariant struct {
 	Options core.Options `json:"options"`
 }
 
-// AblationVariants returns the design-choice matrix DESIGN.md §5 calls
+// ablationVariants returns the design-choice matrix DESIGN.md §5 calls
 // out, with the published algorithm first.
-func AblationVariants() []AblationVariant {
+func ablationVariants() []AblationVariant {
 	return []AblationVariant{
 		{Label: "rr (published)", Options: core.Options{}},
 		{Label: "retreat 1-per-dup (right-edge)", Options: core.Options{RetreatDupsPerSegment: 1}},
@@ -62,7 +62,7 @@ func NewAblationExperiment(drops int) Experiment {
 	}
 	return &grid[AblationVariant, AblationRow]{
 		name:  "ablation",
-		cells: AblationVariants(),
+		cells: ablationVariants(),
 		// The scenario is fully engineered; every variant runs the same
 		// fixed seed so rows differ only by the design knob.
 		seeds: func(AblationVariant) []int64 { return []int64{1} },

@@ -41,7 +41,8 @@ var allocCeilings = map[string]float64{
 }
 
 // TestAllocationBudgets runs one job of every registered experiment and
-// holds its allocation count to the committed ceiling.
+// holds its allocation count to the committed ceiling (under -race the
+// jobs run but no count is held: see raceEnabled).
 func TestAllocationBudgets(t *testing.T) {
 	for _, reg := range Experiments() {
 		ceiling, ok := allocCeilings[reg.Name]
@@ -63,6 +64,9 @@ func TestAllocationBudgets(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		if raceEnabled {
+			continue // the job ran; its count is the race runtime's
+		}
 		if got > ceiling {
 			t.Errorf("%s, job %q: %.0f allocations, ceiling %.0f", reg.Name, job.Name, got, ceiling)
 		}
@@ -102,7 +106,7 @@ func TestChaosCaseAllocationBudget(t *testing.T) {
 				t.Fatalf("%s: finished %v, violations %v, err %v", variant, out.Finished, out.Violations, err)
 			}
 		})
-		if got > ceiling {
+		if got > ceiling && !raceEnabled {
 			t.Errorf("%s: %.0f allocations for one chaos world, ceiling %.0f", variant, got, ceiling)
 		}
 	}

@@ -129,8 +129,8 @@ type GaugeVar struct{ v *atomic.Uint64 }
 // Set stores the gauge value.
 func (g GaugeVar) Set(v float64) { g.v.Store(math.Float64bits(v)) }
 
-// CounterVarOf resolves a live handle on the named counter.
-func (r *Registry) CounterVarOf(name string) CounterVar { return CounterVar{r.counterCell(name)} }
+// counterVarOf resolves a live handle on the named counter.
+func (r *Registry) counterVarOf(name string) CounterVar { return CounterVar{r.counterCell(name)} }
 
 // GaugeVarOf resolves a live handle on the named gauge.
 func (r *Registry) GaugeVarOf(name string) GaugeVar { return GaugeVar{r.gaugeCell(name)} }
@@ -327,7 +327,7 @@ func (m *MetricsSink) Emit(ev Event) {
 		}
 		c := &f.counters[ev.Kind]
 		if c.v == nil {
-			*c = m.R.CounterVarOf(f.prefix + flowCounters[ev.Kind])
+			*c = m.R.counterVarOf(f.prefix + flowCounters[ev.Kind])
 		}
 		c.Add(1)
 		if ev.Kind == KRecoveryEnter {
@@ -346,7 +346,7 @@ func (m *MetricsSink) Emit(ev Event) {
 		c := m.src(ev.Src)
 		if !c.queue {
 			c.queue = true
-			c.enqueued = m.R.CounterVarOf(srcKey("queue", ev.Src, "enqueued"))
+			c.enqueued = m.R.counterVarOf(srcKey("queue", ev.Src, "enqueued"))
 			c.occupancy = m.R.GaugeVarOf(srcKey("queue", ev.Src, "occupancy"))
 			c.occupancyLog = m.R.logHistCell(srcKey("queue", ev.Src, "occupancy_hist"))
 		}
@@ -361,8 +361,8 @@ func (m *MetricsSink) Emit(ev Event) {
 		c := m.src(ev.Src)
 		if !c.link {
 			c.link = true
-			c.txPackets = m.R.CounterVarOf(srcKey("link", ev.Src, "tx_packets"))
-			c.txBytes = m.R.CounterVarOf(srcKey("link", ev.Src, "tx_bytes"))
+			c.txPackets = m.R.counterVarOf(srcKey("link", ev.Src, "tx_packets"))
+			c.txBytes = m.R.counterVarOf(srcKey("link", ev.Src, "tx_bytes"))
 		}
 		c.txPackets.Add(1)
 		c.txBytes.Add(uint64(ev.A))

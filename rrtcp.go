@@ -59,9 +59,6 @@ const Infinite = tcp.Infinite
 // DefaultMSS is the paper's 1000-byte segment size.
 const DefaultMSS = tcp.DefaultMSS
 
-// NewRRStrategy returns the paper's Robust Recovery algorithm.
-func NewRRStrategy() Strategy { return core.NewRR() }
-
 // --- flows and workloads ---
 
 type (

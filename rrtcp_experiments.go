@@ -20,11 +20,6 @@ func SqrtModelWindow(p, c float64) float64 { return model.SqrtWindow(p, c) }
 // CAckEveryPacket is the Mathis constant for ACK-every-packet receivers.
 const CAckEveryPacket = model.CAckEveryPacket
 
-// PadhyeModelWindow returns the timeout-aware Padhye et al. window.
-func PadhyeModelWindow(rttSeconds, t0Seconds, p float64, b int) float64 {
-	return model.PadhyeWindow(rttSeconds, t0Seconds, p, b)
-}
-
 // --- experiment runners (one per table/figure) ---
 
 type (

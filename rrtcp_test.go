@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"rrtcp"
+	"rrtcp/internal/core"
+	"rrtcp/internal/model"
 	"rrtcp/internal/tcp"
 )
 
@@ -103,9 +105,9 @@ func TestModelHelpers(t *testing.T) {
 	if w < 12 || w > 12.5 {
 		t.Fatalf("SqrtModelWindow(0.01) = %v", w)
 	}
-	p := rrtcp.PadhyeModelWindow(0.2, 1.0, 0.01, 1)
+	p := model.PadhyeWindow(0.2, 1.0, 0.01, 1)
 	if p <= 0 || p > w {
-		t.Fatalf("PadhyeModelWindow = %v, want in (0, %v]", p, w)
+		t.Fatalf("PadhyeWindow = %v, want in (0, %v]", p, w)
 	}
 }
 
@@ -117,8 +119,9 @@ func TestParseKindFacade(t *testing.T) {
 }
 
 func TestStrategyConstructors(t *testing.T) {
-	if rrtcp.NewRRStrategy().Name() != "rr" {
-		t.Fatal("NewRRStrategy name")
+	var s rrtcp.Strategy = core.NewRR() // the paper's RR is a facade Strategy
+	if s.Name() != "rr" {
+		t.Fatal("core.NewRR name")
 	}
 }
 
@@ -224,7 +227,7 @@ func TestFacadeStrategyPlugsIn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dumbbell: %v", err)
 	}
-	strat := &countingStrategy{Strategy: rrtcp.NewRRStrategy()}
+	strat := &countingStrategy{Strategy: core.NewRR()}
 	flow, err := rrtcp.InstallFlow(sched, d, 0, rrtcp.FlowSpec{
 		Bytes: 20 * 1000, Window: 18, Strategy: strat,
 	})

@@ -316,9 +316,6 @@ func (a *AckCompressor) release() {
 	a.spare = batch[:0]
 }
 
-// Held reports the ACKs currently detained (for tests).
-func (a *AckCompressor) Held() int { return len(a.held) }
-
 func validateRate(what string, rate float64) error {
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("faults: %s rate must be in [0, 1], got %v", what, rate)

@@ -174,12 +174,12 @@ func TestAckCompressorBatchesAcks(t *testing.T) {
 	// Two ACKs are held; the third releases the batch early.
 	ac.Receive(pkt(1000, netem.Ack))
 	ac.Receive(pkt(2000, netem.Ack))
-	if len(dst.got) != 1 || ac.Held() != 2 {
-		t.Fatalf("%d held, %d delivered; want 2 held", ac.Held(), len(dst.got))
+	if len(dst.got) != 1 || len(ac.held) != 2 {
+		t.Fatalf("%d held, %d delivered; want 2 held", len(ac.held), len(dst.got))
 	}
 	ac.Receive(pkt(3000, netem.Ack))
-	if len(dst.got) != 4 || ac.Held() != 0 {
-		t.Fatalf("batch not released at max: %d delivered, %d held", len(dst.got), ac.Held())
+	if len(dst.got) != 4 || len(ac.held) != 0 {
+		t.Fatalf("batch not released at max: %d delivered, %d held", len(dst.got), len(ac.held))
 	}
 	if ac.Batches != 1 {
 		t.Fatalf("%d batches, want 1", ac.Batches)
@@ -187,8 +187,8 @@ func TestAckCompressorBatchesAcks(t *testing.T) {
 	// A lone ACK is released by the hold timer, not a stale one.
 	ac.Receive(pkt(4000, netem.Ack))
 	sched.RunAll()
-	if len(dst.got) != 5 || ac.Held() != 0 {
-		t.Fatalf("hold timer did not flush: %d delivered, %d held", len(dst.got), ac.Held())
+	if len(dst.got) != 5 || len(ac.held) != 0 {
+		t.Fatalf("hold timer did not flush: %d delivered, %d held", len(dst.got), len(ac.held))
 	}
 }
 
@@ -251,8 +251,8 @@ func TestAckCompressorSteadyStateAllocatesNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, round); avg != 0 {
 		t.Fatalf("steady-state ACK batching allocates %v objects per 2 batches, want 0", avg)
 	}
-	if delivered != 7*rounds || ac.Held() != 0 || ac.Batches != uint64(2*rounds) {
-		t.Fatalf("delivered %d ACKs in %d batches (%d held), want %d in %d", delivered, ac.Batches, ac.Held(), 7*rounds, 2*rounds)
+	if delivered != 7*rounds || len(ac.held) != 0 || ac.Batches != uint64(2*rounds) {
+		t.Fatalf("delivered %d ACKs in %d batches (%d held), want %d in %d", delivered, ac.Batches, len(ac.held), 7*rounds, 2*rounds)
 	}
 	for _, buf := range [][]*netem.Packet{ac.held[:cap(ac.held)], ac.spare[:cap(ac.spare)]} {
 		for i, p := range buf {
@@ -304,8 +304,8 @@ func TestAckCompressorReentrantReceive(t *testing.T) {
 		}
 		seen[seq] = true
 	}
-	if len(got) != int(6+next-100) || ac.Held() != 0 {
-		t.Fatalf("%d ACKs delivered, %d held; want %d and 0", len(got), ac.Held(), 6+next-100)
+	if len(got) != int(6+next-100) || len(ac.held) != 0 {
+		t.Fatalf("%d ACKs delivered, %d held; want %d and 0", len(got), len(ac.held), 6+next-100)
 	}
 }
 

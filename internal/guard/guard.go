@@ -123,9 +123,6 @@ func (m *Monitor) Err() *OverloadError {
 	return m.err
 }
 
-// Tripped reports whether any budget has tripped. Nil-safe.
-func (m *Monitor) Tripped() bool { return m.Err() != nil }
-
 // check is the scheduler guard hook. The budgets (events, storm) are
 // evaluated on every event, in a fixed order so simultaneous
 // trips resolve identically every run. Once tripped the monitor keeps

@@ -119,7 +119,7 @@ func TestUntrippedGuardDoesNotSteer(t *testing.T) {
 		tick.Reset(1)
 		mon := Attach(sched, limits, nil)
 		sched.RunAll()
-		if mon.Tripped() {
+		if mon.Err() != nil {
 			t.Fatalf("budget tripped unexpectedly: %v", mon.Err())
 		}
 		return sched.Processed(), sched.Now()
@@ -138,7 +138,7 @@ func TestAttachEmptyLimitsRemovesGuard(t *testing.T) {
 	mon := Attach(sched, Limits{}, nil)
 	tickChain(sched, time.Millisecond)
 	sched.Run(10 * time.Millisecond)
-	if mon.Tripped() || sched.Processed() != 10 {
+	if mon.Err() != nil || sched.Processed() != 10 {
 		t.Fatalf("removed guard still tripped: %v after %d events", mon.Err(), sched.Processed())
 	}
 }

@@ -135,11 +135,3 @@ func (d *DRRQueue) Dequeue() *Packet {
 
 // Len implements QueueDiscipline.
 func (d *DRRQueue) Len() int { return d.total }
-
-// FlowLen reports one flow's queued packets (for tests).
-func (d *DRRQueue) FlowLen(flow int) int {
-	if f := d.flows[flow]; f != nil {
-		return f.q.n
-	}
-	return 0
-}

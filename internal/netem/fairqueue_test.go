@@ -96,7 +96,7 @@ func TestDRRLongestQueueDropProtectsSparseFlow(t *testing.T) {
 	if q.Drops[1] != 1 {
 		t.Fatalf("drops[1] = %d, want 1", q.Drops[1])
 	}
-	if q.FlowLen(2) != 1 {
+	if q.flows[2].q.n != 1 {
 		t.Fatal("sparse packet not queued")
 	}
 	if q.Len() != 10 {

@@ -78,9 +78,6 @@ func (g *GilbertLoss) MeanLossRate() float64 {
 	return g.PDropBad * g.PGoodToBad / denom
 }
 
-// InBadState reports the current chain state (for tests).
-func (g *GilbertLoss) InBadState() bool { return g.bad }
-
 // Receive implements Node. ACKs pass through untouched, matching the
 // paper's forward-path loss setup.
 func (g *GilbertLoss) Receive(p *Packet) {

@@ -62,7 +62,7 @@ func TestGilbertSparesAcks(t *testing.T) {
 	if len(sink.pkts) != 1 {
 		t.Fatal("data survived the permanent bad state")
 	}
-	if !g.InBadState() {
+	if !g.bad {
 		t.Fatal("state accessor")
 	}
 }

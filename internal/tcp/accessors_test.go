@@ -160,7 +160,7 @@ func TestSACKPipeAccessorDuringRecovery(t *testing.T) {
 	if !strat.InRecovery() {
 		t.Fatal("recovery never entered")
 	}
-	if strat.Pipe(n.sender) < 0 {
+	if strat.pipeFor(n.sender) < 0 {
 		t.Fatal("negative pipe")
 	}
 	if len(strat.scoreboard) == 0 {

@@ -60,9 +60,6 @@ func (k *SACKStrategy) Name() string {
 	return "sack"
 }
 
-// Pipe exposes the in-flight estimate (for tests).
-func (k *SACKStrategy) Pipe(s *Sender) int { return k.pipeFor(s) }
-
 // pipeFor returns the current in-flight estimate for the active mode.
 func (k *SACKStrategy) pipeFor(s *Sender) int {
 	if !k.modern {

@@ -121,9 +121,6 @@ func (b *BoundedSink) Finalize(at sim.Time) {
 	}
 }
 
-// Seen reports the number of events offered to the sink.
-func (b *BoundedSink) Seen() uint64 { return b.seen }
-
 // Kept reports the number of events forwarded downstream (drop markers
 // not included).
 func (b *BoundedSink) Kept() uint64 { return b.kept }

@@ -51,8 +51,8 @@ func TestBoundedSinkDropNewest(t *testing.T) {
 			t.Fatalf("kept event %d has A=%g; DropNewest must keep the head in order", i, ev.A)
 		}
 	}
-	if b.Seen() != 20 || b.Kept() != 5 || b.Dropped() != 15 {
-		t.Fatalf("accounting seen=%d kept=%d dropped=%d, want 20/5/15", b.Seen(), b.Kept(), b.Dropped())
+	if b.seen != 20 || b.Kept() != 5 || b.Dropped() != 15 {
+		t.Fatalf("accounting seen=%d kept=%d dropped=%d, want 20/5/15", b.seen, b.Kept(), b.Dropped())
 	}
 }
 

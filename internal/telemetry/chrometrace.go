@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,11 +32,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 const chromePid = 1
 
 // chromeTrackKey identifies one horizontal track in the trace.
@@ -53,38 +49,36 @@ func (k chromeTrackKey) name() string {
 }
 
 // WriteChromeTrace writes the trace JSON for the given spans and
-// series. Either argument may be empty.
+// series. Either argument may be empty. Each event is marshalled and
+// written as the walk makes it, so the export holds the spans and
+// series it renders and no list of events or encoded file. On an error
+// (a non-finite value, which encoding/json refuses, or a failed write)
+// what was written before it is left as a partial trace.
 func WriteChromeTrace(w io.Writer, spans []*Span, series []*Series) error {
 	// Per-segment time offsets (µs): segment k starts where segment
 	// k−1 ended, plus a 1 ms gap, so the concatenated runs share one
 	// monotone timeline.
 	segEnd := map[int]float64{}
-	maxSeg := 0
+	maxSeg, samples := 0, 0
 	for _, sp := range spans {
-		if us := sp.End.Seconds() * 1e6; us > segEnd[sp.Seg] {
-			segEnd[sp.Seg] = us
-		}
-		if sp.Seg > maxSeg {
-			maxSeg = sp.Seg
-		}
+		segEnd[sp.Seg] = max(segEnd[sp.Seg], sp.End.Seconds()*1e6)
+		maxSeg = max(maxSeg, sp.Seg)
 	}
 	for _, sr := range series {
-		if sr.Seg > maxSeg {
-			maxSeg = sr.Seg
-		}
+		maxSeg = max(maxSeg, sr.Seg)
 		if n := len(sr.T); n > 0 {
-			if us := sr.T[n-1] * 1e6; us > segEnd[sr.Seg] {
-				segEnd[sr.Seg] = us
-			}
+			segEnd[sr.Seg] = max(segEnd[sr.Seg], sr.T[n-1]*1e6)
 		}
+		samples += len(sr.T)
 	}
 	segOff := make([]float64, maxSeg+1)
 	for seg := 1; seg <= maxSeg; seg++ {
 		segOff[seg] = segOff[seg-1] + segEnd[seg-1] + 1000
 	}
 
-	var evs []chromeEvent
-	evs = append(evs, chromeEvent{
+	cw := &chromeWriter{bw: bufio.NewWriter(w)}
+	cw.bw.WriteString(`{"traceEvents":[`)
+	cw.event(chromeEvent{
 		Name: "process_name", Ph: "M", Pid: chromePid,
 		Args: map[string]any{"name": "rrtcp"},
 	})
@@ -108,42 +102,74 @@ func WriteChromeTrace(w io.Writer, spans []*Span, series []*Series) error {
 	tid := 0
 	for _, key := range trackOrder {
 		tid++
-		evs = append(evs, chromeEvent{
+		cw.event(chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: tid,
 			Args: map[string]any{"name": key.name()},
 		})
 		off := segOff[key.seg]
 		for _, root := range trackRoots[key] {
-			evs = appendSpanTree(evs, root, children, tid, off)
+			cw.spanTree(root, children, tid, off)
 		}
 	}
 
 	// Series as counter events; counter names carry the segment, flow,
 	// and gauge so Perfetto shows one counter lane per series. All
-	// counters share one track (tid 0), so the events from different
-	// series must be merged into a single non-decreasing timeline; the
-	// stable sort keeps the per-series order (already ascending) and
-	// breaks ties by series position, which is deterministic.
-	var counters []chromeEvent
-	for _, sr := range series {
-		name := fmt.Sprintf("seg%d %s", sr.Seg, sr.Src)
+	// counters share one track (tid 0), so the samples of all series
+	// are merged into a single non-decreasing timeline: a stable sort of
+	// one (series, sample) index pair per sample, by timestamp, keeps
+	// each series' order (already ascending) and breaks ties by series
+	// position, which is deterministic.
+	type sample struct{ s, i int32 }
+	ts := func(p sample) float64 {
+		sr := series[p.s]
+		return segOff[sr.Seg] + sr.T[p.i]*1e6
+	}
+	names := make([]string, len(series))
+	order := make([]sample, 0, samples)
+	for s, sr := range series {
+		names[s] = fmt.Sprintf("seg%d %s", sr.Seg, sr.Src)
 		if sr.Flow != NoFlow {
-			name = fmt.Sprintf("seg%d flow%d %s", sr.Seg, sr.Flow, sr.Src)
+			names[s] = fmt.Sprintf("seg%d flow%d %s", sr.Seg, sr.Flow, sr.Src)
 		}
-		off := segOff[sr.Seg]
 		for i := range sr.T {
-			counters = append(counters, chromeEvent{
-				Name: name, Ph: "C", Pid: chromePid,
-				Ts:   off + sr.T[i]*1e6,
-				Args: map[string]any{"value": sr.V[i]},
-			})
+			order = append(order, sample{int32(s), int32(i)})
 		}
 	}
-	sort.SliceStable(counters, func(i, j int) bool { return counters[i].Ts < counters[j].Ts })
-	evs = append(evs, counters...)
+	sort.SliceStable(order, func(i, j int) bool { return ts(order[i]) < ts(order[j]) })
+	for _, p := range order {
+		cw.event(chromeEvent{
+			Name: names[p.s], Ph: "C", Pid: chromePid, Ts: ts(p),
+			Args: map[string]any{"value": series[p.s].V[p.i]},
+		})
+	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	if cw.err != nil {
+		return cw.err
+	}
+	cw.bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
+	return cw.bw.Flush()
+}
+
+// chromeWriter writes trace events one at a time, comma-separated,
+// each one json.Marshal's bytes. The first marshalling error sticks and
+// stops the writes; a write error sticks in the bufio.Writer, and Flush
+// returns it.
+type chromeWriter struct {
+	bw  *bufio.Writer
+	sep string
+	err error
+}
+
+func (cw *chromeWriter) event(ev chromeEvent) {
+	if cw.err != nil {
+		return
+	}
+	var b []byte
+	if b, cw.err = json.Marshal(ev); cw.err == nil {
+		cw.bw.WriteString(cw.sep)
+		cw.bw.Write(b)
+		cw.sep = ","
+	}
 }
 
 // ValidateChromeTrace structurally checks trace JSON produced by
@@ -207,16 +233,13 @@ func ValidateChromeTrace(data []byte) error {
 	return nil
 }
 
-// appendSpanTree emits one span subtree: B, then children and instant
+// spanTree writes one span subtree: B, then children and instant
 // events interleaved by time, then E. Child intervals are clamped to
 // the parent's so the B/E pairs nest even if a child out-lived its
 // parent (an open child at segment roll).
-func appendSpanTree(evs []chromeEvent, sp *Span, children map[int][]*Span, tid int, off float64) []chromeEvent {
+func (cw *chromeWriter) spanTree(sp *Span, children map[int][]*Span, tid int, off float64) {
 	begin := off + sp.Begin.Seconds()*1e6
-	end := off + sp.End.Seconds()*1e6
-	if end < begin {
-		end = begin
-	}
+	end := max(begin, off+sp.End.Seconds()*1e6)
 	args := make(map[string]any, len(sp.Attrs)+1)
 	for k, v := range sp.Attrs {
 		args[k] = v
@@ -227,7 +250,7 @@ func appendSpanTree(evs []chromeEvent, sp *Span, children map[int][]*Span, tid i
 	if len(args) == 0 {
 		args = nil
 	}
-	evs = append(evs, chromeEvent{
+	cw.event(chromeEvent{
 		Name: sp.Kind.String(), Ph: "B", Ts: begin, Pid: chromePid, Tid: tid, Args: args,
 	})
 
@@ -255,23 +278,16 @@ func appendSpanTree(evs []chromeEvent, sp *Span, children map[int][]*Span, tid i
 			if e := off + sub.End.Seconds()*1e6; e > end {
 				sub.End = sp.End
 			}
-			evs = appendSpanTree(evs, &sub, children, tid, off)
+			cw.spanTree(&sub, children, tid, off)
 			continue
 		}
-		ts := it.at
-		if ts < begin {
-			ts = begin
-		}
-		if ts > end {
-			ts = end
-		}
-		evs = append(evs, chromeEvent{
-			Name: it.inst.Name, Ph: "i", Ts: ts, Pid: chromePid, Tid: tid, S: "t",
+		cw.event(chromeEvent{
+			Name: it.inst.Name, Ph: "i", Ts: min(max(it.at, begin), end), Pid: chromePid, Tid: tid, S: "t",
 			Args: map[string]any{"a": it.inst.A, "b": it.inst.B},
 		})
 	}
 
-	return append(evs, chromeEvent{
+	cw.event(chromeEvent{
 		Name: sp.Kind.String(), Ph: "E", Ts: end, Pid: chromePid, Tid: tid,
 	})
 }

@@ -3,6 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +176,84 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(string(a), `"displayTimeUnit":"ms"`) {
 		t.Fatal("missing displayTimeUnit")
+	}
+}
+
+// heapPeakWriter counts what is written to it and, on every hundredth
+// Write (the first included), collects garbage and records the live
+// heap.
+type heapPeakWriter struct {
+	writes, bytes int
+	peak          uint64
+}
+
+func (w *heapPeakWriter) Write(p []byte) (int, error) {
+	if w.writes%100 == 0 {
+		w.peak = max(w.peak, liveHeap())
+	}
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestWriteChromeTraceHoldsNoTrace exports 2 000 spans and 200 000
+// samples over four series and requires the live heap, above what the
+// inputs hold, to stay under a quarter of the bytes written whenever
+// the writer looks: the export writes each event as it makes it and
+// keeps no list of events and no encoded file. A counter writes ~85
+// bytes; the 8-byte index a sample takes in the counter sort is what
+// the bound leaves room for.
+func TestWriteChromeTraceHoldsNoTrace(t *testing.T) {
+	var spans []*Span
+	for i := 0; i < 2000; i++ {
+		spans = append(spans, &Span{
+			ID: i, Parent: -1, Kind: SpanRecovery, Flow: int32(i % 4),
+			Begin: ms(10 * i), End: ms(10*i + 5),
+			Attrs:  map[string]float64{"actnum": float64(i % 9)},
+			Events: []SpanEvent{{At: ms(10*i + 2), Name: "retreat", A: 8}},
+		})
+	}
+	var series []*Series
+	for k := 0; k < 4; k++ {
+		sr := &Series{Comp: CompSender, Src: "cwnd", Flow: int32(k)}
+		for i := 0; i < 50_000; i++ {
+			sr.T = append(sr.T, float64(i)*0.01+float64(k%2)*0.005)
+			sr.V = append(sr.V, float64(4+(i+k)%20))
+		}
+		series = append(series, sr)
+	}
+	base := liveHeap()
+	w := &heapPeakWriter{}
+	if err := WriteChromeTrace(w, spans, series); err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(spans)
+	runtime.KeepAlive(series)
+	grew := uint64(0)
+	if w.peak > base {
+		grew = w.peak - base
+	}
+	t.Logf("%d writes, %d bytes; live heap grew at most %d bytes", w.writes, w.bytes, grew)
+	if grew >= uint64(w.bytes/4) {
+		t.Errorf("live heap grew %d bytes while writing %d, want less than a quarter of them", grew, w.bytes)
+	}
+}
+
+// TestWriteChromeTraceReturnsJSONError: a sample value encoding/json
+// refuses is its error, returned as it was by the one-shot encoder the
+// writer replaced. What was written before it is a partial trace.
+func TestWriteChromeTraceReturnsJSONError(t *testing.T) {
+	series := []*Series{{Comp: CompSender, Src: "cwnd", Flow: 0, T: []float64{0, 1}, V: []float64{1, math.NaN()}}}
+	err := WriteChromeTrace(io.Discard, nil, series)
+	var unsupported *json.UnsupportedValueError
+	if _, want := json.Marshal(math.NaN()); !errors.As(err, &unsupported) || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want encoding/json's %v", err, want)
 	}
 }

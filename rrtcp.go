@@ -49,6 +49,8 @@ type (
 	Sender = tcp.Sender
 	// Strategy is the pluggable congestion-control state machine.
 	Strategy = tcp.Strategy
+	// AckEvent is what a Strategy's OnAck is handed for each ACK.
+	AckEvent = tcp.AckEvent
 	// RROptions exposes RR's ablation knobs.
 	RROptions = core.Options
 )

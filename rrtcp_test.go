@@ -9,7 +9,6 @@ import (
 	"rrtcp"
 	"rrtcp/internal/core"
 	"rrtcp/internal/model"
-	"rrtcp/internal/tcp"
 )
 
 func TestQuickstartTransfer(t *testing.T) {
@@ -214,7 +213,7 @@ type countingStrategy struct {
 	acks int
 }
 
-func (c *countingStrategy) OnAck(s *rrtcp.Sender, ev tcp.AckEvent) {
+func (c *countingStrategy) OnAck(s *rrtcp.Sender, ev rrtcp.AckEvent) {
 	c.acks++
 	c.Strategy.OnAck(s, ev)
 }
